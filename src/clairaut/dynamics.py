@@ -30,7 +30,7 @@ from .expressions import (
 )
 from .gauge import classify, field_strength
 from .model import velocity_name
-from .numerics import NewtonConfig
+from .numerics import NewtonConfig, pfaffian
 from .transform import PhasePoint
 
 # Sign relating the extended-bracket action of the constraints p_a - B_a to
@@ -220,7 +220,9 @@ def integrate(ct, initial, gauge=None, cfg=None, cls=None):
     trajectory (initial data deliberately off the invariant surface is
     allowed); a residual that starts small and then drifts above the
     tolerance aborts with the truncated trajectory attached, as does a
-    Newton failure mid-run.
+    Newton failure mid-run.  So does a step across a singular point of the
+    solved F subblock, seen as a sign change of its Pfaffian between the
+    starts of two steps: the determinant, Pf^2, cannot see it.
     """
     cfg = cfg if cfg is not None else IntegratorConfig()
     cls = cls if cls is not None else classify(ct)
@@ -263,7 +265,7 @@ def integrate(ct, initial, gauge=None, cfg=None, cls=None):
         dq[ct.reg_idx] = res.dH_dp - v @ res.dB_dp
         dq[ct.deg_idx] = v
         dp = -res.dH_dq[ct.reg_idx] + v @ res.dB_dq[:, ct.reg_idx]
-        return dq, dp, v, resid, res.H
+        return dq, dp, v, resid, res
 
     def build(count, flagged):
         return Trajectory(out_t[:count].copy(), out_q[:count].copy(),
@@ -272,18 +274,31 @@ def integrate(ct, initial, gauge=None, cfg=None, cls=None):
                           ct.model.coords, ct.split.regular,
                           ct.split.degenerate, flagged)
 
+    solve_idx = [a for a, mode in enumerate(gauge.modes) if mode == "solve"]
+    sub_ix = np.ix_(solve_idx, solve_idx) if solve_idx else None
+    pf_sign = None
     flagged = False
     half = cfg.dt / 2
     for k in range(steps + 1):
         t = float(out_t[k])
         try:
-            dq1, dp1, v1, c1, h1 = stage(t, q, p)
+            dq1, dp1, v1, c1, res1 = stage(t, q, p)
         except NewtonError as exc:
             raise IntegrabilityError(
                 f"velocity resolution failed at t={t:.6g}: {exc}",
                 trajectory=build(k, flagged)) from exc
+        if sub_ix is not None:
+            # res1.F is the matrix the sector solve of this stage used
+            sign = np.sign(pfaffian(res1.F[sub_ix]))
+            if pf_sign is not None and sign != pf_sign:
+                raise IntegrabilityError(
+                    "Pfaffian of the solved F subblock changed sign between "
+                    f"t={float(out_t[k - 1]):.6g} and t={t:.6g}: the sector "
+                    "system went singular inside that step",
+                    trajectory=build(k, flagged))
+            pf_sign = sign
         out_q[k], out_p[k] = q, p
-        out_v[k], out_c[k], out_h[k] = v1, c1, h1
+        out_v[k], out_c[k], out_h[k] = v1, c1, res1.H
         if c1 > cfg.consistency_tol:
             if k == 0:
                 flagged = True

@@ -185,21 +185,26 @@ def free_symbols(expr):
         e = stack.pop()
         if isinstance(e, Sym):
             out.add(e.name)
-        elif isinstance(e, Sum):
-            stack.extend(e.terms)
-        elif isinstance(e, Prod):
-            stack.extend(e.factors)
-        elif isinstance(e, Pow):
-            stack.append(e.base)
-            stack.append(e.exponent)
-        elif isinstance(e, Neg):
-            stack.append(e.child)
-        elif isinstance(e, Quot):
-            stack.append(e.num)
-            stack.append(e.den)
-        elif isinstance(e, Call):
-            stack.append(e.arg)
+        else:
+            stack.extend(_children(e))
     return out
+
+
+def _children(e):
+    """Operand nodes of e, in tree order; empty for leaves."""
+    if isinstance(e, Sum):
+        return e.terms
+    if isinstance(e, Prod):
+        return e.factors
+    if isinstance(e, Pow):
+        return (e.base, e.exponent)
+    if isinstance(e, Quot):
+        return (e.num, e.den)
+    if isinstance(e, Neg):
+        return (e.child,)
+    if isinstance(e, Call):
+        return (e.arg,)
+    return ()
 
 
 def substitute(expr, mapping):
@@ -765,25 +770,66 @@ def _parse_atom(cur):
 # ----------------------------------------------------------------- compiling
 
 
-def _emit(e, index_of):
+def _leaf_text(e, index_of):
     if isinstance(e, Const):
-        return repr(e.value)
-    if isinstance(e, Sym):
-        try:
-            return f"A[{index_of[e.name]}]"
-        except KeyError:
-            raise UnboundSymbolError(e.name) from None
+        return repr(e.value)  # inf and nan are names in _COMPILE_ENV
+    try:
+        return f"A[{index_of[e.name]}]"
+    except KeyError:
+        raise UnboundSymbolError(e.name) from None
+
+
+def _node_text(e, kids):
+    """Right-hand side of one node over its children's local names, with the
+    operands in tree order so the result rounds like the tree itself."""
     if isinstance(e, Sum):
-        return "(" + "+".join(_emit(t, index_of) for t in e.terms) + ")"
+        return "+".join(kids) if kids else "0.0"
     if isinstance(e, Prod):
-        return "(" + "*".join(_emit(f, index_of) for f in e.factors) + ")"
+        return "*".join(kids) if kids else "1.0"
     if isinstance(e, Pow):
-        return f"pow({_emit(e.base, index_of)},{_emit(e.exponent, index_of)})"
+        return f"pow({kids[0]},{kids[1]})"
     if isinstance(e, Neg):
-        return f"(-{_emit(e.child, index_of)})"
+        return f"-{kids[0]}"
     if isinstance(e, Quot):
-        return f"({_emit(e.num, index_of)}/{_emit(e.den, index_of)})"
-    return f"{e.fn}({_emit(e.arg, index_of)})"
+        return f"{kids[0]}/{kids[1]}"
+    return f"{e.fn}({kids[0]})"
+
+
+def _emit_cse(seq, index_of):
+    """Assignment lines and one result text per root, sharing common subtrees.
+
+    Nodes are hash-consed on their right-hand side text, which is the node
+    kind over the local names of its children, so structurally equal
+    subtrees land on the same local whether or not they share instances.
+    The walk is iterative and visits each node instance once.
+    """
+    lines = []
+    local_of = {}  # right-hand side -> local name
+    text_of = {}   # id(node) -> leaf literal or local name
+    for root in seq:
+        stack = [(root, False)]
+        while stack:
+            e, expanded = stack.pop()
+            if id(e) in text_of:
+                continue
+            if isinstance(e, (Const, Sym)):
+                text_of[id(e)] = _leaf_text(e, index_of)
+                continue
+            kids = _children(e)
+            if not expanded:
+                stack.append((e, True))
+                stack.extend((k, False) for k in reversed(kids))
+                continue
+            if len(kids) == 1 and isinstance(e, (Sum, Prod)):
+                text_of[id(e)] = text_of[id(kids[0])]
+                continue
+            rhs = _node_text(e, [text_of[id(k)] for k in kids])
+            name = local_of.get(rhs)
+            if name is None:
+                name = local_of[rhs] = f"t{len(lines)}"
+                lines.append(f"    {name} = {rhs}\n")
+            text_of[id(e)] = name
+    return lines, [text_of[id(root)] for root in seq]
 
 
 _COMPILE_ENV = {
@@ -793,6 +839,8 @@ _COMPILE_ENV = {
     "log": math.log,
     "sqrt": math.sqrt,
     "pow": math.pow,
+    "inf": math.inf,
+    "nan": math.nan,
     "__builtins__": {},
 }
 
@@ -803,17 +851,23 @@ def compile_evaluator(exprs, names):
     The callable takes a single indexable of values ordered like names and
     returns a float (single expression) or a tuple of floats.  Math-domain
     violations surface as DomainError, like the interpreted evaluator.
+
+    Code generation eliminates common subexpressions across the whole
+    sequence: every distinct non-leaf subtree is computed once, into its own
+    local on its own line, and each result reads the locals it needs.  Each
+    node keeps its operands in tree order, so every result is bit-identical
+    to evaluating its tree alone.  The generated source is kept on the
+    callable as ``source``.
     """
     single = isinstance(exprs, Expr)
     seq = [exprs] if single else list(exprs)
     index_of = {name: i for i, name in enumerate(names)}
-    bodies = [_emit(e, index_of) for e in seq]
+    lines, results = _emit_cse(seq, index_of)
     if single:
-        source = f"def _fn(A):\n    return {bodies[0]}\n"
+        ret = results[0]
     else:
-        joined = ",".join(bodies)
-        trailer = "," if len(bodies) == 1 else ""
-        source = f"def _fn(A):\n    return ({joined}{trailer})\n"
+        ret = "(" + ", ".join(results) + ("," if len(results) == 1 else "") + ")"
+    source = "def _fn(A):\n" + "".join(lines) + f"    return {ret}\n"
     namespace = dict(_COMPILE_ENV)
     exec(compile(source, "<clairaut-expr>", "exec"), namespace)  # noqa: S102 (codegen of our own AST)
     raw = namespace["_fn"]
@@ -822,8 +876,9 @@ def compile_evaluator(exprs, names):
         # plain floats keep zero-division and domain faults as exceptions;
         # numpy scalars would degrade them to silent nan results
         try:
-            return raw([float(v) for v in values])
+            return raw(list(map(float, values)))
         except (ValueError, ZeroDivisionError, OverflowError) as exc:
             raise DomainError(str(exc) or "math domain error") from exc
 
+    call.source = source
     return call

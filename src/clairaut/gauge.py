@@ -167,11 +167,10 @@ def delta_b(ct, alpha, x, pt):
 
 
 def field_strength(ct, pt):
-    """F_ab, exactly antisymmetric: each term enters as (T - T^t)."""
-    res = ct.resolve(pt)
-    m = res.dB_dq[:, ct.deg_idx].T  # m[a, b] = dB_b / dq^a
-    p = res.dB_dq[:, ct.reg_idx] @ res.dB_dp.T  # bracket building block
-    return (m - m.T) + (p - p.T)
+    """F_ab, exactly antisymmetric: each term enters as (T - T^t).
+
+    Built once per resolution and shared, so the array is read-only."""
+    return ct.resolve(pt).F
 
 
 def phase_probes(ct, count=DEFAULT_PROBE_COUNT, seed=DEFAULT_PROBE_SEED):
@@ -182,7 +181,7 @@ def phase_probes(ct, count=DEFAULT_PROBE_COUNT, seed=DEFAULT_PROBE_SEED):
     for probe in default_probes(ct.model, count=count, seed=seed):
         args = [probe[c] for c in ct.model.coords]
         args += [probe[velocity_name(c)] for c in ct.model.coords]
-        lv = ct._f_Lv(args)
+        lv = ct._f_core(args)[ct.core_slices["L_v"]]
         q = np.array(args[:n])
         p = np.array([lv[i] for i in ct.reg_idx])
         v_deg = np.array([args[n + a] for a in ct.deg_idx])

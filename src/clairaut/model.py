@@ -258,8 +258,6 @@ def default_probes(model, count=DEFAULT_PROBE_COUNT, seed=DEFAULT_PROBE_SEED,
                         break
         except ex.DomainError:
             ok = False
-        except Exception:
-            raise
         if ok:
             probes.append(bindings)
     if len(probes) < count:

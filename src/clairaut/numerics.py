@@ -1,4 +1,5 @@
-"""Small numeric kernels: pivoted rank detection and damped Newton iteration.
+"""Small numeric kernels: pivoted rank detection, the Pfaffian of an
+antisymmetric matrix, and damped Newton iteration.
 
 Both routines are deterministic for fixed inputs; the Newton restarts draw
 from a generator seeded per call, never from global state.
@@ -43,6 +44,36 @@ def rank_and_pivots(matrix, rel_tol=1e-9):
             ratios = a[rows, pc] / a[pr, pc]
             a[np.ix_(rows, cols)] -= np.outer(ratios, a[pr, cols])
     return len(pivot_cols), pivot_cols
+
+
+def pfaffian(matrix):
+    """Pfaffian of an antisymmetric matrix; 0.0 for odd sizes.
+
+    Skew-symmetric Gaussian elimination with partial pivoting (Parlett-Reid),
+    two rows and columns per step.  Pf(A)^2 = det(A), but unlike the
+    determinant the Pfaffian changes sign when A passes through a singular
+    antisymmetric matrix.
+    """
+    a = np.array(matrix, dtype=float)
+    n = a.shape[0]
+    if n % 2:
+        return 0.0
+    pf = 1.0
+    for k in range(0, n - 1, 2):
+        kp = k + 1 + int(np.argmax(np.abs(a[k, k + 1:])))
+        if kp != k + 1:
+            a[[k + 1, kp]] = a[[kp, k + 1]]
+            a[:, [k + 1, kp]] = a[:, [kp, k + 1]]
+            pf = -pf
+        pivot = a[k, k + 1]
+        if pivot == 0.0:
+            return 0.0
+        pf *= pivot
+        if k + 2 < n:
+            tau = a[k, k + 2:] / pivot
+            col = a[k + 2:, k + 1]
+            a[k + 2:, k + 2:] += np.outer(tau, col) - np.outer(col, tau)
+    return float(pf)
 
 
 @dataclass(frozen=True)

@@ -11,8 +11,15 @@ together with their exact gradients.  H_phys and B are independent of the
 degenerate velocities; the gradient formulas carry the correction terms that
 make them exact at any admissible v^alpha, and reduce to the envelope
 identities dH/dp_i = V^i, dH/dq = -dL/dq when all v^alpha vanish.
+
+Every derivative block of L that a resolved point needs (L, L_v, L_q, the
+velocity Hessian W = L_vv and L_vq) comes from one compiled core, so a
+resolution makes a single evaluator call and the common subexpressions of
+the blocks are computed once.  Newton keeps two small evaluators of its own
+for the regular rows of L_v and W.
 """
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,11 +48,12 @@ class PhasePoint:
 class Resolution:
     """Everything the transform knows at one resolved phase point.
 
-    Velocity resolution runs eagerly; the derivative block (implicit-function
-    solves) is filled in on first access.
+    Velocity resolution and one call of the transform's derivative core run
+    eagerly; the derivative block (implicit-function solves) and the field
+    strength are assembled from the core's values on first access.
     """
 
-    __slots__ = ("ct", "pt", "args", "V", "B", "L", "H",
+    __slots__ = ("ct", "pt", "args", "V", "B", "L", "H", "_core", "_F",
                  "_W", "_dV_dq", "_dV_dp", "_dB_dq", "_dB_dp", "_dH_dq", "_dH_dp")
 
     def __init__(self, ct, pt, args, V):
@@ -53,22 +61,24 @@ class Resolution:
         self.pt = pt
         self.args = args
         self.V = V
-        lv = ct._f_Lv(args)
-        self.B = np.array([lv[a] for a in ct.deg_idx])
-        self.L = ct._f_L(args)
+        core = self._core = ct._f_core(args)
+        self.B = np.array([core[i] for i in ct._b_pos])
+        self.L = core[0]
         self.H = float(pt.p @ V + self.B @ pt.v_deg - self.L)
         self._W = None
+        self._F = None
 
     def _derivatives(self):
         if self._W is not None:
             return
         ct = self.ct
         n, r = ct.n, ct.r
-        w = np.array(ct._f_W(self.args)).reshape(n, n)
-        lvq = np.array(ct._f_Lvq(self.args)).reshape(n, n)
-        lq = np.array(ct._f_Lq(self.args))
-        w_rr = w[np.ix_(ct.reg_idx, ct.reg_idx)]
-        w_dr = w[np.ix_(ct.deg_idx, ct.reg_idx)]
+        core = np.array(self._core)
+        w = core[ct.core_slices["W"]].reshape(n, n)
+        lvq = core[ct.core_slices["L_vq"]].reshape(n, n)
+        lq = core[ct.core_slices["L_q"]]
+        w_rr = w[ct._ix_rr]
+        w_dr = w[ct._ix_dr]
         if r:
             solved = np.linalg.solve(w_rr, lvq[ct.reg_idx, :])  # (r, n)
             self._dV_dq = -solved
@@ -82,6 +92,19 @@ class Resolution:
         self._dH_dq = -lq + self.pt.v_deg @ self._dB_dq
         self._dH_dp = self.V + self.pt.v_deg @ self._dB_dp
         self._W = w
+
+    @property
+    def F(self):
+        """Field strength F_ab, exactly antisymmetric: each term enters as
+        (T - T^t).  Built once and shared, so it is read-only."""
+        if self._F is None:
+            self._derivatives()
+            m = self._dB_dq[:, self.ct.deg_idx].T  # m[a, b] = dB_b / dq^a
+            p = self._dB_dq[:, self.ct.reg_idx] @ self._dB_dp.T  # bracket building block
+            f = (m - m.T) + (p - p.T)
+            f.flags.writeable = False
+            self._F = f
+        return self._F
 
     @property
     def W(self):
@@ -120,7 +143,13 @@ class Resolution:
 
 
 class ClairautTransform:
-    """Compiled mixed-transform evaluators for one model and split."""
+    """Compiled mixed-transform evaluators for one model and split.
+
+    The derivative core returns the flat tuple (L, L_v[n], L_q[n], W[n*n],
+    L_vq[n*n]) with matrices row-major; CORE_BLOCKS names its parts in order.
+    """
+
+    CORE_BLOCKS = ("L", "L_v", "L_q", "W", "L_vq")
 
     def __init__(self, model, split=None, newton=None, probes=None):
         self.model = model
@@ -144,15 +173,21 @@ class ClairautTransform:
         lvq = [[differentiate(lv[i], c) for c in coords] for i in range(self.n)]
 
         names = self.arg_names
-        self._f_L = compile_evaluator(lag, names)
-        self._f_Lv = compile_evaluator(lv, names)
-        self._f_Lq = compile_evaluator(lq, names)
-        self._f_W = compile_evaluator([e for row in w for e in row], names)
-        self._f_Lvq = compile_evaluator([e for row in lvq for e in row], names)
+        blocks = ([lag], lv, lq, [e for row in w for e in row],
+                  [e for row in lvq for e in row])
+        self.core_exprs = dict(zip(self.CORE_BLOCKS, blocks))
+        self.core_slices = {}
+        start = 0
+        for name, exprs in self.core_exprs.items():
+            self.core_slices[name] = slice(start, start + len(exprs))
+            start += len(exprs)
+        self._f_core = compile_evaluator([e for exprs in blocks for e in exprs], names)
+        self._b_pos = [self.core_slices["L_v"].start + a for a in self.deg_idx]
+        self._ix_rr = np.ix_(self.reg_idx, self.reg_idx)
+        self._ix_dr = np.ix_(self.deg_idx, self.reg_idx)
         self._f_Lv_reg = compile_evaluator([lv[i] for i in self.reg_idx], names)
         self._f_W_rr = compile_evaluator(
             [w[i][j] for i in self.reg_idx for j in self.reg_idx], names)
-        self._lagrangian_resolved = lag
         self._last = None
 
     # ------------------------------------------------------------ points
@@ -328,7 +363,7 @@ def fenchel_conjugate(model, q, p, box=2.0, grid=5, newton=None, pd_tol=1e-10):
         return np.array(f_w(args)).reshape(n, n)
 
     axes = [np.linspace(-box, box, grid)] * n
-    starts = [np.array(combo) for combo in _grid_iter(axes)]
+    starts = [np.array(combo) for combo in itertools.product(*axes)]
     best = None
     for start in starts:
         try:
@@ -346,13 +381,3 @@ def fenchel_conjugate(model, q, p, box=2.0, grid=5, newton=None, pd_tol=1e-10):
     if best is None:
         raise FenchelError("no local maximum of p.v - L found in the search box")
     return best
-
-
-def _grid_iter(axes):
-    if len(axes) == 1:
-        for x in axes[0]:
-            yield (x,)
-        return
-    for x in axes[0]:
-        for rest in _grid_iter(axes[1:]):
-            yield (x,) + rest

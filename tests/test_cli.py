@@ -221,6 +221,14 @@ class TestSimulate:
         assert code == 3
         assert err
 
+    def test_singular_sector_crossing_exits_3(self, capsys):
+        code, _, err = run_cli(capsys, "simulate",
+                               bundled_model_path("synthetic_coupled"),
+                               "--init", "x=0.4,a=0.2,b=0.1,p_x=0.3",
+                               "--t1", "1")
+        assert code == 3
+        assert "Pfaffian" in err and "t=0.907" in err
+
     def test_gauge_conflicting_with_class_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "simulate",
                                bundled_model_path("synthetic_gaugeless"),

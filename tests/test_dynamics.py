@@ -24,6 +24,7 @@ from clairaut.dynamics import (
 from clairaut.errors import GaugeInputError, RankDeficiencyError
 from clairaut.gauge import ExprObservable, classify, field_strength, phase_probes
 from clairaut.model import momentum_name
+from clairaut.numerics import pfaffian
 
 
 @lru_cache(maxsize=None)
@@ -219,6 +220,26 @@ class TestIntegrate:
         assert 0 < len(traj) < 200
         assert traj.consistency[-1] > 1e-6
 
+    def test_singular_crossing_halts_with_truncated_trajectory(self):
+        # F_ab = x - a passes through 0 near t = 0.907; the solve itself
+        # never fails there, only the sign of the Pfaffian shows the crossing
+        ct = transform("synthetic_coupled")
+        cls = classification("synthetic_coupled")
+        start = ct.point({"x": 0.4, "a": 0.2, "b": 0.1}, {"x": 0.3})
+        with pytest.raises(IntegrabilityError, match="t=0.907") as info:
+            integrate(ct, start, cfg=IntegratorConfig(t1=1.0, dt=1e-3), cls=cls)
+        traj = info.value.trajectory
+        assert len(traj) == 907
+        f_start = field_strength(ct, traj.point(0))[0, 1]
+        f_end = field_strength(ct, traj.point(len(traj) - 1))[0, 1]
+        assert f_start > 0 and f_end > 0
+
+    def test_same_start_integrates_before_the_crossing(self):
+        ct = transform("synthetic_coupled")
+        start = ct.point({"x": 0.4, "a": 0.2, "b": 0.1}, {"x": 0.3})
+        traj = integrate(ct, start, cfg=IntegratorConfig(t1=0.5, dt=1e-3))
+        assert len(traj) == 501
+
     def test_convergence_is_fourth_order(self):
         ct = transform("oscillator")
         errs = []
@@ -357,3 +378,29 @@ class TestDiracCorrespondence:
     def test_sign_unmeasurable_when_hamiltonian_vanishes(self):
         ct = transform("particle")
         assert calibrate_sigma(ct, phase_probes(ct)[:8]) is None
+
+
+class TestPfaffian:
+    def test_small_cases(self):
+        assert pfaffian(np.zeros((0, 0))) == 1.0
+        assert pfaffian(np.array([[0.0, 2.5], [-2.5, 0.0]])) == 2.5
+        assert pfaffian(np.zeros((3, 3))) == 0.0
+
+    def test_four_by_four_closed_form_and_determinant(self):
+        rng = np.random.default_rng(3)
+        for n in (4, 6):
+            for _ in range(20):
+                m = rng.normal(size=(n, n))
+                a = m - m.T
+                pf = pfaffian(a)
+                assert pf * pf == pytest.approx(np.linalg.det(a), rel=1e-9)
+                if n == 4:
+                    want = a[0, 1] * a[2, 3] - a[0, 2] * a[1, 3] + a[0, 3] * a[1, 2]
+                    assert pf == pytest.approx(want, rel=1e-12, abs=1e-14)
+
+    def test_sign_changes_where_determinant_does_not(self):
+        def f(s):
+            return np.array([[0.0, s, 0.0, 0.0], [-s, 0.0, 0.0, 0.0],
+                             [0.0, 0.0, 0.0, 1.0], [0.0, 0.0, -1.0, 0.0]])
+        assert np.linalg.det(f(-0.5)) > 0 and np.linalg.det(f(0.5)) > 0
+        assert pfaffian(f(-0.5)) < 0 < pfaffian(f(0.5))
