@@ -42,8 +42,8 @@ class ClairautProblem:
             raise ModelError(
                 f"f may only use {', '.join(self.names)}; found {', '.join(sorted(extra))}")
         self.f = simplify(expr)
-        grad = [simplify(differentiate(self.f, z)) for z in self.names]
-        hess = [simplify(differentiate(g, z)) for g in grad for z in self.names]
+        grad = [differentiate(self.f, z) for z in self.names]
+        hess = [differentiate(g, z) for g in grad for z in self.names]
         self._f = compile_evaluator(self.f, self.names)
         self._grad = compile_evaluator(grad, self.names)
         self._hess = compile_evaluator(hess, self.names)

@@ -12,6 +12,7 @@ parse error, 3 numeric failure.
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 
@@ -84,6 +85,17 @@ def _parse_float(text, what):
         return float(text)
     except (TypeError, ValueError):
         raise UsageError(f"{what} must be a number, got {text!r}") from None
+
+
+def _check_numeric_flags(args):
+    """--dt, --t1 and --tol finite and positive; --probes at least 1."""
+    for flag in ("dt", "t1", "tol"):
+        value = getattr(args, flag, None)
+        if value is not None and not (math.isfinite(value) and value > 0):
+            raise UsageError(f"--{flag} must be finite and positive, got {value}")
+    probes = getattr(args, "probes", None)
+    if probes is not None and probes < 1:
+        raise UsageError(f"--probes must be at least 1, got {probes}")
 
 
 def _load(spec):
@@ -248,19 +260,16 @@ def _svg_plot(traj, path):
 
 def cmd_simulate(args):
     model = _apply_params(_load(args.model), args.param)
-    if args.dt <= 0:
-        raise UsageError(f"--dt must be positive, got {args.dt}")
-    if args.t1 <= 0:
-        raise UsageError(f"--t1 must be positive, got {args.t1}")
-    if args.tol is not None and args.tol <= 0:
-        raise UsageError(f"--tol must be positive, got {args.tol}")
+    halt_tol = args.tol if args.tol is not None else 1e-6
+    try:
+        cfg = IntegratorConfig(t1=args.t1, dt=args.dt, consistency_tol=halt_tol)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     ct = ClairautTransform(model)
     cls = classify(ct)
     pt, _ = _bind_point(ct, args.init, "--init")
     spec = _parse_bindings(args.gauge, "--gauge")
     gauge = gauge_input(ct, cls, spec) if spec else None
-    halt_tol = args.tol if args.tol is not None else 1e-6
-    cfg = IntegratorConfig(t1=args.t1, dt=args.dt, consistency_tol=halt_tol)
     traj = integrate(ct, pt, gauge, cfg, cls)
 
     el = el_residual(model, traj)
@@ -421,6 +430,7 @@ def main(argv=None):
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
+        _check_numeric_flags(args)
         return args.func(args)
     except _NUMERIC_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -20,17 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GaugeInputError, IntegrabilityError, NewtonError, RankDeficiencyError
-from .expressions import (
-    compile_evaluator,
-    differentiate,
-    free_symbols,
-    parse_expression,
-    simplify,
-    substitute,
-)
-from .gauge import classify, field_strength
-from .model import velocity_name
-from .numerics import NewtonConfig, pfaffian
+from .expressions import compile_evaluator, free_symbols, parse_expression
+from .gauge import bracket_gauge, classify, field_strength
+from .numerics import pfaffian
 from .transform import PhasePoint
 
 # Sign relating the extended-bracket action of the constraints p_a - B_a to
@@ -179,12 +171,16 @@ class IntegratorConfig:
     consistency_tol: float = 1e-6
 
     def __post_init__(self):
+        if not all(math.isfinite(x) for x in (self.t0, self.t1, self.dt)):
+            raise ValueError("t0, t1 and dt must be finite")
         if self.dt <= 0:
             raise ValueError("dt must be positive")
         if (self.t1 - self.t0) / self.dt > 1e8:
             raise ValueError("more than 1e8 steps requested")
         if self.t1 <= self.t0:
             raise ValueError("t1 must exceed t0")
+        if int(round((self.t1 - self.t0) / self.dt)) < 1:
+            raise ValueError("time span shorter than one step")
 
 
 @dataclass(frozen=True)
@@ -231,8 +227,6 @@ def integrate(ct, initial, gauge=None, cfg=None, cls=None):
     else:
         check_gauge_input(ct, gauge, cls)
     steps = int(round((cfg.t1 - cfg.t0) / cfg.dt))
-    if steps < 1:
-        raise ValueError("time span shorter than one step")
     n, r = ct.n, ct.r
     n_deg = n - r
     m = steps + 1
@@ -332,8 +326,9 @@ def el_residual(model, traj):
     the regular rows d/dt(dL/dv^i) differentiates the stored momenta, and
     the defining relation p_i = dL/dv^i is checked alongside, so corrupted
     momenta show up whether or not their time derivative changes.  The
-    degenerate rows difference the symbolic dL/dv^a.  The first two and last
-    two samples are NaN (stencil width).
+    degenerate rows difference dL/dv^a.  L_v and L_q come from one call of
+    the model's derivative core per sample.  The first two and last two
+    samples are NaN (stencil width).
     """
     m = len(traj.t)
     out = np.full(m, np.nan)
@@ -344,31 +339,26 @@ def el_residual(model, traj):
     n = len(coords)
     reg_pos = [coords.index(c) for c in traj.regular]
     deg_pos = [coords.index(c) for c in traj.degenerate]
-    lag = simplify(substitute(model.lagrangian, model.params))
-    names = list(coords) + [velocity_name(c) for c in coords]
-    f_lq = compile_evaluator([differentiate(lag, c) for c in coords], names)
-    f_lv_reg = compile_evaluator(
-        [differentiate(lag, velocity_name(coords[i])) for i in reg_pos], names)
-    f_lv_deg = compile_evaluator(
-        [differentiate(lag, velocity_name(coords[a])) for a in deg_pos], names)
+    core = model.core
+    lv_at, lq_at = core.slices["L_v"], core.slices["L_q"]
 
     v_fd = np.full((m, n), np.nan)
     v_fd[1:-1] = (traj.q[2:] - traj.q[:-2]) / (2 * dt)
-    lv_deg = np.full((m, len(deg_pos)), np.nan)
+    lv = np.full((m, n), np.nan)
+    lq = np.full((m, n), np.nan)
     for k in range(1, m - 1):
-        lv_deg[k] = f_lv_deg(list(traj.q[k]) + list(v_fd[k]))
+        vals = core.fn(list(traj.q[k]) + list(v_fd[k]))
+        lv[k] = vals[lv_at]
+        lq[k] = vals[lq_at]
     for k in range(2, m - 2):
-        args = list(traj.q[k]) + list(v_fd[k])
-        lq = np.array(f_lq(args))
-        lv_reg = np.array(f_lv_reg(args))
         worst = 0.0
         for i, pos in enumerate(reg_pos):
             lhs = (traj.p[k + 1, i] - traj.p[k - 1, i]) / (2 * dt)
-            worst = max(worst, abs(lhs - lq[pos]))
-            worst = max(worst, abs(traj.p[k, i] - lv_reg[i]))
-        for a, pos in enumerate(deg_pos):
-            lhs = (lv_deg[k + 1, a] - lv_deg[k - 1, a]) / (2 * dt)
-            worst = max(worst, abs(lhs - lq[pos]))
+            worst = max(worst, abs(lhs - lq[k, pos]))
+            worst = max(worst, abs(traj.p[k, i] - lv[k, pos]))
+        for pos in deg_pos:
+            lhs = (lv[k + 1, pos] - lv[k - 1, pos]) / (2 * dt)
+            worst = max(worst, abs(lhs - lq[k, pos]))
         out[k] = worst
     return out
 
@@ -376,7 +366,6 @@ def el_residual(model, traj):
 def evolve_observable(ct, x, traj, cls):
     """Per-sample |dX/dt - {X, H_phys}_bracket| with the bracket picked by
     the classification; NaN at the stencil edges."""
-    from .gauge import bracket_gauge, bracket_new
     m = len(traj.t)
     out = np.full(m, np.nan)
     if m < 3:
@@ -385,10 +374,7 @@ def evolve_observable(ct, x, traj, cls):
     values = np.array([x.value(traj.point(k)) for k in range(m)])
     for k in range(1, m - 1):
         pt = traj.point(k)
-        if cls.kind == "gaugeless":
-            rhs = bracket_new(ct, x, ct.hamiltonian_observable(), pt)
-        else:
-            rhs = bracket_gauge(ct, x, ct.hamiltonian_observable(), pt, cls)
+        rhs = bracket_gauge(ct, x, ct.hamiltonian_observable(), pt, cls)
         out[k] = abs((values[k + 1] - values[k - 1]) / (2 * dt) - rhs)
     return out
 

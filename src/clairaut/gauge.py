@@ -253,42 +253,38 @@ def classify(ct, probes=None, tol=DEFAULT_RANK_TOL):
 def bracket_new(ct, x, y, pt):
     """Corrected bracket for the gaugeless case (F invertible at pt):
 
-        {X,Y}_phys - sum_ab {X,B_a}_phys Fbar^ab D_b Y.
+        {X,Y}_phys - sum_ab {X,B_a}_phys Fbar^ab D_b Y,
+
+    the bracket_gauge body over every degenerate direction.
     """
-    f = field_strength(ct, pt)
-    base = poisson_phys(ct, x, y, pt)
-    if f.shape[0] == 0:
-        return base
-    # {X, B_a} = -{B_a, X}
-    a = np.array([-delta_b(ct, alpha, x, pt) for alpha in range(f.shape[0])])
-    if not a.any():
-        return base  # B acts trivially on X, no correction regardless of F
-    d = np.array([long_derivative(ct, y, beta, pt) for beta in range(f.shape[0])])
-    try:
-        correction = a @ np.linalg.solve(f, d)
-    except np.linalg.LinAlgError:
-        raise RankDeficiencyError(
-            "field strength is singular here; use bracket_gauge with a "
-            "classification") from None
-    return base - float(correction)
+    return _corrected_bracket(
+        ct, x, y, pt, range(ct.n - ct.r),
+        "field strength is singular here; use bracket_gauge with a classification")
 
 
 def bracket_gauge(ct, x, y, pt, cls):
     """Corrected bracket restricted to the nonsingular F-subblock; reduces to
     the physical Poisson bracket in the limit case."""
+    return _corrected_bracket(ct, x, y, pt, cls.subblock,
+                              "classification subblock singular at this point")
+
+
+def _corrected_bracket(ct, x, y, pt, solved, singular):
+    """{X,Y}_phys corrected over the solved degenerate directions."""
     base = poisson_phys(ct, x, y, pt)
-    if cls.r_f == 0:
+    sub = list(solved)
+    if not sub:
         return base
-    sub = list(cls.subblock)
     f = field_strength(ct, pt)[np.ix_(sub, sub)]
+    # {X, B_a} = -{B_a, X}
     a = np.array([-delta_b(ct, alpha, x, pt) for alpha in sub])
     if not a.any():
-        return base
+        return base  # B acts trivially on X, no correction regardless of F
     d = np.array([long_derivative(ct, y, beta, pt) for beta in sub])
     try:
         correction = a @ np.linalg.solve(f, d)
     except np.linalg.LinAlgError:
-        raise RankDeficiencyError("classification subblock singular at this point") from None
+        raise RankDeficiencyError(singular) from None
     return base - float(correction)
 
 

@@ -7,25 +7,31 @@ A model file is a sequence of statements:
     degenerate { y };      # optional: pin the degenerate set explicitly
     lagrangian = m*y*d(x)^2/2 + x*d(y);
 
-The velocity Hessian (second partials of the Lagrangian in the velocities)
-decides which velocities can be resolved for momenta.  Its rank is probed
-numerically at random admissible points; the pivot order of the first probe
-selects the regular block unless the file pins one.
+Each model derives its Lagrangian once, into ``model.core``: L, L_v, L_q,
+the velocity Hessian W = L_vv and L_vq, compiled into one evaluator that the
+split, the rank report, the transform, the Fenchel oracle and the
+Euler-Lagrange residual all read.  The rank of W, probed numerically at
+random admissible points, decides which velocities can be resolved for
+momenta; the pivot order of the first probe selects the regular block unless
+the file pins one.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from . import expressions as ex
-from .errors import ExprSyntaxError, ModelError, RankVariationError
-from .expressions import differentiate, evaluate, free_symbols, simplify
+from .errors import ExprSyntaxError, ModelError, RankVariationError, UnboundSymbolError
+from .expressions import (compile_evaluator, differentiate, evaluate, free_symbols,
+                          simplify, substitute)
 from .numerics import rank_and_pivots
 
 DEFAULT_RANK_TOL = 1e-9
 DEFAULT_PROBE_COUNT = 17
 DEFAULT_PROBE_SEED = 42
 PROBE_EXCLUSION = 0.1
+CORE_BLOCKS = ("L", "L_v", "L_q", "W", "L_vq")
 
 
 def velocity_name(coord):
@@ -55,6 +61,47 @@ class LagrangianModel:
     def base_bindings(self):
         """Parameter values, ready to extend with coordinates and velocities."""
         return dict(self.params)
+
+    @cached_property
+    def core(self):
+        """The DerivativeCore, derived and compiled on first use.  It keeps the
+        parameter values of that moment: change them with dataclasses.replace,
+        which makes a new model with its own core."""
+        return DerivativeCore(self)
+
+
+class DerivativeCore:
+    """L, L_v, L_q, the velocity Hessian W and L_vq after parameter
+    substitution, compiled into one CSE evaluator fn over arg_names
+    (coordinates, then velocities).  fn returns the flat tuple (L, L_v[n],
+    L_q[n], W[n*n], L_vq[n*n]), matrices row-major; CORE_BLOCKS names its
+    parts and slices locates each.  W is mirrored: w_rows[j][i] is the
+    instance w_rows[i][j].
+    """
+
+    def __init__(self, model):
+        n = model.n
+        coords = model.coords
+        vnames = model.velocity_names
+        lag = simplify(substitute(model.lagrangian, model.params))
+        lv = [differentiate(lag, v) for v in vnames]
+        lq = [differentiate(lag, c) for c in coords]
+        w = [[None] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                w[i][j] = w[j][i] = differentiate(lv[i], vnames[j])
+        lvq = [[differentiate(lv[i], c) for c in coords] for i in range(n)]
+        self.w_rows = w
+        self.arg_names = list(coords) + list(vnames)
+        blocks = ([lag], lv, lq, [e for row in w for e in row],
+                  [e for row in lvq for e in row])
+        self.exprs = dict(zip(CORE_BLOCKS, blocks))
+        self.slices = {}
+        start = 0
+        for name, exprs in self.exprs.items():
+            self.slices[name] = slice(start, start + len(exprs))
+            start += len(exprs)
+        self.fn = compile_evaluator([e for exprs in blocks for e in exprs], self.arg_names)
 
 
 @dataclass(frozen=True)
@@ -191,17 +238,9 @@ def load_model(path):
 
 
 def hessian_matrix(model):
-    """Symmetric matrix of second velocity partials; mirrored entries share instances."""
-    n = model.n
-    vnames = model.velocity_names
-    rows = [[None] * n for _ in range(n)]
-    firsts = [differentiate(model.lagrangian, vnames[i]) for i in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            entry = differentiate(firsts[i], vnames[j])
-            rows[i][j] = entry
-            rows[j][i] = entry
-    return rows
+    """Rows of the core's velocity Hessian, parameters substituted; mirrored
+    entries share instances."""
+    return [list(row) for row in model.core.w_rows]
 
 
 def _domain_guards(expr):
@@ -214,19 +253,9 @@ def _domain_guards(expr):
         e = stack.pop()
         if isinstance(e, ex.Quot):
             away_from_zero.append(e.den)
-            stack.extend((e.num, e.den))
-        elif isinstance(e, ex.Call):
-            if e.fn in ("log", "sqrt"):
-                nonnegative.append(e.arg)
-            stack.append(e.arg)
-        elif isinstance(e, ex.Sum):
-            stack.extend(e.terms)
-        elif isinstance(e, ex.Prod):
-            stack.extend(e.factors)
-        elif isinstance(e, ex.Pow):
-            stack.extend((e.base, e.exponent))
-        elif isinstance(e, ex.Neg):
-            stack.append(e.child)
+        elif isinstance(e, ex.Call) and e.fn in ("log", "sqrt"):
+            nonnegative.append(e.arg)
+        stack.extend(ex._children(e))
     return away_from_zero, nonnegative
 
 
@@ -245,17 +274,9 @@ def default_probes(model, count=DEFAULT_PROBE_COUNT, seed=DEFAULT_PROBE_SEED,
         draw = rng.uniform(-1.0, 1.0, size=len(names))
         bindings = model.base_bindings()
         bindings.update(zip(names, draw))
-        ok = True
         try:
-            for g in away:
-                if abs(evaluate(g, bindings)) < exclusion:
-                    ok = False
-                    break
-            if ok:
-                for g in nonneg:
-                    if evaluate(g, bindings) < exclusion:
-                        ok = False
-                        break
+            ok = (all(not abs(evaluate(g, bindings)) < exclusion for g in away)
+                  and all(not evaluate(g, bindings) < exclusion for g in nonneg))
         except ex.DomainError:
             ok = False
         if ok:
@@ -268,13 +289,31 @@ def default_probes(model, count=DEFAULT_PROBE_COUNT, seed=DEFAULT_PROBE_SEED,
     return probes
 
 
-def _hessian_at(w_exprs, bindings):
-    n = len(w_exprs)
-    out = np.empty((n, n))
-    for i in range(n):
-        for j in range(i, n):
-            out[i, j] = out[j, i] = evaluate(w_exprs[i][j], bindings)
-    return out
+def _probe_ranks(model, probes, tol, regular=None):
+    """Rank of W and of its regular block at every probe, in one pass.
+
+    Without a regular set, the pinned declaration gives it, or else the pivot
+    order of W at the first probe.  Returns the regular set in declaration
+    order and one (rank, block_rank) pair per probe.
+    """
+    coords = model.coords
+    if regular is None and model.pinned_degenerate is not None:
+        regular = tuple(c for c in coords if c not in model.pinned_degenerate)
+    reg_idx = None if regular is None else [coords.index(c) for c in regular]
+    core = model.core
+    ranks = []
+    for bindings in probes:
+        try:
+            args = [bindings[name] for name in core.arg_names]
+        except KeyError as exc:
+            raise UnboundSymbolError(exc.args[0]) from None
+        w = np.array(core.fn(args)[core.slices["W"]]).reshape(model.n, model.n)
+        rank, cols = rank_and_pivots(w, tol)
+        if reg_idx is None:
+            reg_idx = sorted(cols[:rank])
+        block_rank, _ = rank_and_pivots(w[np.ix_(reg_idx, reg_idx)], tol)
+        ranks.append((rank, block_rank))
+    return tuple(coords[i] for i in reg_idx), ranks
 
 
 def split_variables(model, probes=None, tol=DEFAULT_RANK_TOL):
@@ -287,54 +326,35 @@ def split_variables(model, probes=None, tol=DEFAULT_RANK_TOL):
     """
     if probes is None:
         probes = default_probes(model)
-    w_exprs = hessian_matrix(model)
-    numeric = [_hessian_at(w_exprs, b) for b in probes]
-    ranks = []
-    first_cols = None
-    for w in numeric:
-        rank, cols = rank_and_pivots(w, tol)
-        ranks.append(rank)
-        if first_cols is None:
-            first_cols = cols
-    if len(set(ranks)) > 1:
-        raise RankVariationError(list(enumerate(ranks)))
-    r = ranks[0]
-    if model.pinned_degenerate is not None:
-        degenerate = tuple(c for c in model.coords if c in model.pinned_degenerate)
-        regular = tuple(c for c in model.coords if c not in model.pinned_degenerate)
-        if len(regular) != r:
-            raise ModelError(
-                f"pinned degenerate set implies rank {len(regular)} but probes give rank {r}"
-            )
-    else:
-        chosen = sorted(first_cols[:r])
-        regular = tuple(model.coords[i] for i in chosen)
-        degenerate = tuple(c for i, c in enumerate(model.coords) if i not in chosen)
-    reg_idx = [model.coords.index(c) for c in regular]
-    for k, w in enumerate(numeric):
-        block = w[np.ix_(reg_idx, reg_idx)]
-        block_rank, _ = rank_and_pivots(block, tol)
+    if not probes:
+        raise ModelError("the velocity split needs at least one probe")
+    regular, ranks = _probe_ranks(model, probes, tol)
+    if len({rank for rank, _ in ranks}) > 1:
+        raise RankVariationError([(k, rank) for k, (rank, _) in enumerate(ranks)])
+    r = ranks[0][0]
+    if len(regular) != r:
+        raise ModelError(
+            f"pinned degenerate set implies rank {len(regular)} but probes give rank {r}"
+        )
+    for k, (_, block_rank) in enumerate(ranks):
         if block_rank != r:
             raise ModelError(
                 f"regular velocity block singular at probe {k} "
                 f"(rank {block_rank}, expected {r})"
             )
-    deg_idx = [model.coords.index(c) for c in degenerate]
-    return VariableSplit(r=r, regular=regular, degenerate=degenerate,
-                         order=tuple(reg_idx + deg_idx))
+    coords = model.coords
+    degenerate = tuple(c for c in coords if c not in regular)
+    order = tuple(coords.index(c) for c in regular + degenerate)
+    return VariableSplit(r=r, regular=regular, degenerate=degenerate, order=order)
 
 
 def check_rank_constancy(model, split, probes=None, tol=DEFAULT_RANK_TOL):
     """Probe report for rank and regular-block invertibility; never raises."""
     if probes is None:
         probes = default_probes(model)
-    w_exprs = hessian_matrix(model)
-    reg_idx = [model.coords.index(c) for c in split.regular]
+    _, ranks = _probe_ranks(model, probes, tol, split.regular)
     report = RankReport(passed=True, expected_rank=split.r)
-    for k, bindings in enumerate(probes):
-        w = _hessian_at(w_exprs, bindings)
-        rank, _ = rank_and_pivots(w, tol)
-        block_rank, _ = rank_and_pivots(w[np.ix_(reg_idx, reg_idx)], tol) if reg_idx else (0, [])
+    for k, (rank, block_rank) in enumerate(ranks):
         leading_ok = block_rank == split.r
         if rank != split.r or not leading_ok:
             report.passed = False

@@ -13,10 +13,10 @@ make them exact at any admissible v^alpha, and reduce to the envelope
 identities dH/dp_i = V^i, dH/dq = -dL/dq when all v^alpha vanish.
 
 Every derivative block of L that a resolved point needs (L, L_v, L_q, the
-velocity Hessian W = L_vv and L_vq) comes from one compiled core, so a
-resolution makes a single evaluator call and the common subexpressions of
-the blocks are computed once.  Newton keeps two small evaluators of its own
-for the regular rows of L_v and W.
+velocity Hessian W = L_vv and L_vq) comes from the model's derivative core,
+so a resolution makes a single evaluator call.  Newton keeps two small
+evaluators, compiled from the core's expressions, for the regular rows of
+L_v and W.
 """
 
 import itertools
@@ -25,8 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, FenchelError, NewtonError
-from .expressions import compile_evaluator, differentiate, simplify, substitute
-from .model import split_variables, velocity_name
+from .expressions import compile_evaluator
+from .model import CORE_BLOCKS, split_variables
 from .numerics import NewtonConfig, damped_newton, newton_with_restarts
 
 
@@ -145,11 +145,12 @@ class Resolution:
 class ClairautTransform:
     """Compiled mixed-transform evaluators for one model and split.
 
-    The derivative core returns the flat tuple (L, L_v[n], L_q[n], W[n*n],
-    L_vq[n*n]) with matrices row-major; CORE_BLOCKS names its parts in order.
+    The derivative core is the model's: core_exprs, core_slices and _f_core
+    are its blocks, their positions in the flat tuple (L, L_v[n], L_q[n],
+    W[n*n], L_vq[n*n]) and its compiled evaluator.
     """
 
-    CORE_BLOCKS = ("L", "L_v", "L_q", "W", "L_vq")
+    CORE_BLOCKS = CORE_BLOCKS
 
     def __init__(self, model, split=None, newton=None, probes=None):
         self.model = model
@@ -160,34 +161,19 @@ class ClairautTransform:
         coords = model.coords
         self.reg_idx = np.array([coords.index(c) for c in self.split.regular], dtype=int)
         self.deg_idx = np.array([coords.index(c) for c in self.split.degenerate], dtype=int)
-        self.arg_names = list(coords) + [velocity_name(c) for c in coords]
 
-        lag = simplify(substitute(model.lagrangian, model.params))
-        vnames = [velocity_name(c) for c in coords]
-        lv = [differentiate(lag, v) for v in vnames]
-        lq = [differentiate(lag, c) for c in coords]
-        w = [[None] * self.n for _ in range(self.n)]
-        for i in range(self.n):
-            for j in range(i, self.n):
-                w[i][j] = w[j][i] = differentiate(lv[i], vnames[j])
-        lvq = [[differentiate(lv[i], c) for c in coords] for i in range(self.n)]
-
-        names = self.arg_names
-        blocks = ([lag], lv, lq, [e for row in w for e in row],
-                  [e for row in lvq for e in row])
-        self.core_exprs = dict(zip(self.CORE_BLOCKS, blocks))
-        self.core_slices = {}
-        start = 0
-        for name, exprs in self.core_exprs.items():
-            self.core_slices[name] = slice(start, start + len(exprs))
-            start += len(exprs)
-        self._f_core = compile_evaluator([e for exprs in blocks for e in exprs], names)
+        core = model.core
+        self.arg_names = core.arg_names
+        self.core_exprs = core.exprs
+        self.core_slices = core.slices
+        self._f_core = core.fn
         self._b_pos = [self.core_slices["L_v"].start + a for a in self.deg_idx]
         self._ix_rr = np.ix_(self.reg_idx, self.reg_idx)
         self._ix_dr = np.ix_(self.deg_idx, self.reg_idx)
-        self._f_Lv_reg = compile_evaluator([lv[i] for i in self.reg_idx], names)
+        lv, w = core.exprs["L_v"], core.w_rows
+        self._f_Lv_reg = compile_evaluator([lv[i] for i in self.reg_idx], self.arg_names)
         self._f_W_rr = compile_evaluator(
-            [w[i][j] for i in self.reg_idx for j in self.reg_idx], names)
+            [w[i][j] for i in self.reg_idx for j in self.reg_idx], self.arg_names)
         self._last = None
 
     # ------------------------------------------------------------ points
@@ -337,30 +323,23 @@ def fenchel_conjugate(model, q, p, box=2.0, grid=5, newton=None, pd_tol=1e-10):
 
     Requires L strictly convex in the velocities near the maximizer, i.e. the
     velocity Hessian positive definite there; candidate stationary points
-    failing that check are discarded.
+    failing that check are discarded.  L, L_v and W come from model.core.
     """
     newton = newton or NewtonConfig()
     n = model.n
-    coords = model.coords
-    vnames = [velocity_name(c) for c in coords]
-    names = list(coords) + vnames
-    lag = simplify(substitute(model.lagrangian, model.params))
-    lv = [differentiate(lag, v) for v in vnames]
-    w = [differentiate(lv[i], vnames[j]) for i in range(n) for j in range(n)]
-    f_l = compile_evaluator(lag, names)
-    f_lv = compile_evaluator(lv, names)
-    f_w = compile_evaluator(w, names)
+    core = model.core
+    lv_at, w_at = core.slices["L_v"], core.slices["W"]
     q = np.asarray(q, dtype=float)
     p = np.asarray(p, dtype=float)
     args = list(q) + [0.0] * n
 
     def residual(v):
         args[n:] = list(v)
-        return np.array(f_lv(args)) - p
+        return np.array(core.fn(args)[lv_at]) - p
 
     def jacobian(v):
         args[n:] = list(v)
-        return np.array(f_w(args)).reshape(n, n)
+        return np.array(core.fn(args)[w_at]).reshape(n, n)
 
     axes = [np.linspace(-box, box, grid)] * n
     starts = [np.array(combo) for combo in itertools.product(*axes)]
@@ -373,7 +352,7 @@ def fenchel_conjugate(model, q, p, box=2.0, grid=5, newton=None, pd_tol=1e-10):
             if np.min(np.linalg.eigvalsh(hess)) <= pd_tol * scale:
                 continue  # not a strict local maximum of p.v - L
             args[n:] = list(v)
-            value = float(p @ v - f_l(args))
+            value = float(p @ v - core.fn(args)[0])
         except (NewtonError, DomainError):
             continue
         if best is None or value > best:

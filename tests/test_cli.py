@@ -341,6 +341,31 @@ class TestPde:
         assert code == 2
 
 
+class TestNumericFlags:
+    @pytest.mark.parametrize("argv", [
+        ("simulate", "oscillator", "--dt", "nan"),
+        ("simulate", "oscillator", "--dt", "inf"),
+        ("simulate", "oscillator", "--t1", "nan"),
+        ("simulate", "oscillator", "--t1", "inf"),
+        ("simulate", "oscillator", "--t1", "-1"),
+        ("simulate", "oscillator", "--tol", "nan"),
+        ("simulate", "oscillator", "--tol", "0"),
+        ("simulate", "oscillator", "--t1", "1e-6"),
+        ("simulate", "oscillator", "--t1", "1e9"),
+        ("verify", "oscillator", "--probes", "0"),
+        ("analyze", "mixed", "--probes", "-3"),
+    ], ids=" ".join)
+    def test_bad_value_exits_2(self, capsys, argv):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert any(line.startswith("error: ") for line in err.splitlines())
+        assert "Traceback" not in err
+
+    def test_probes_message_names_the_flag(self, capsys):
+        _, _, err = run_cli(capsys, "analyze", "mixed", "--probes", "-3")
+        assert "--probes must be at least 1" in err
+
+
 class TestWiring:
     def test_bad_subcommand_exits_2(self, capsys):
         assert run_cli(capsys, "frobnicate")[0] == 2

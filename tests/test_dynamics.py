@@ -153,6 +153,18 @@ class TestDegenerateVelocities:
             degenerate_velocities(ct, pt, cls=classification("synthetic_gaugeless"))
 
 
+class TestIntegratorConfig:
+    @pytest.mark.parametrize("field", ["t0", "t1", "dt"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, field, bad):
+        with pytest.raises(ValueError, match="finite"):
+            IntegratorConfig(**{field: bad})
+
+    def test_span_shorter_than_one_step_rejected(self):
+        with pytest.raises(ValueError, match="one step"):
+            IntegratorConfig(t1=1e-5, dt=1e-3)
+
+
 class TestIntegrate:
     def test_oscillator_cosine(self):
         ct = transform("oscillator")

@@ -217,6 +217,16 @@ class TestDifferentiate:
             checked += 1
 
 
+    def test_output_is_already_simplified(self):
+        # callers need no second simplify over a derivative
+        rng = random.Random(17)
+        for _ in range(300):
+            e = random_tree(rng, 5)
+            for name in ("x", "d(x)"):
+                d = differentiate(e, name)
+                assert simplify(d) == d
+
+
 class TestEvaluate:
     def test_unbound_symbol_names_it(self):
         with pytest.raises(UnboundSymbolError) as err:

@@ -5,7 +5,13 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from clairaut import ClairautTransform, ModelError, RankVariationError, load_bundled
+from clairaut import (
+    ClairautTransform,
+    ModelError,
+    RankDeficiencyError,
+    RankVariationError,
+    load_bundled,
+)
 from clairaut.gauge import (
     BObservable,
     ExprObservable,
@@ -323,6 +329,31 @@ class TestBracketGauge:
             expected = (poisson_phys(ct, x, h, pt)
                         - xb @ np.linalg.solve(f, dh))
             assert abs(bracket_gauge(ct, x, h, pt, cls) - expected) < 1e-12
+
+    @pytest.mark.parametrize("name", ("oscillator", "exponential",
+                                      "synthetic_gaugeless", "synthetic_coupled"))
+    def test_gaugeless_case_is_bracket_new(self, name):
+        ct = transform(name)
+        cls = classification(name)
+        assert cls.kind == "gaugeless"
+        rng = np.random.default_rng(RNG_SEED)
+        syms = list(ct.model.coords) + ["p_" + c for c in ct.split.regular]
+        obs = [ExprObservable(ct, " + ".join(
+            f"{rng.uniform(-1, 1):.6f}*{syms[i]}*{syms[j]}"
+            for i, j in rng.integers(len(syms), size=(3, 2)))) for _ in range(3)]
+        obs.append(ct.hamiltonian_observable())
+        for pt in sample_points(name):
+            for x in obs:
+                for y in obs:
+                    assert bracket_new(ct, x, y, pt) == bracket_gauge(ct, x, y, pt, cls)
+
+    def test_singular_f_keeps_each_message(self):
+        ct = transform("synthetic_gauge")
+        x = ExprObservable(ct, "p_x")
+        h = ct.hamiltonian_observable()
+        pt = sample_points("synthetic_gauge")[0]
+        with pytest.raises(RankDeficiencyError, match="use bracket_gauge"):
+            bracket_new(ct, x, h, pt)
 
 
 class TestCommutatorIdentity:

@@ -1,10 +1,24 @@
 """Model loading, Hessian construction, and the regular/degenerate split."""
 
+import sys
+
 import numpy as np
 import pytest
 
-from clairaut import ModelError, RankVariationError, evaluate, parse_expression
-from clairaut.fixtures import load_bundled
+import clairaut
+from clairaut import (
+    ClairautTransform,
+    DomainError,
+    IntegratorConfig,
+    ModelError,
+    RankVariationError,
+    UnboundSymbolError,
+    evaluate,
+    fenchel_conjugate,
+    parse_expression,
+)
+from clairaut.dynamics import el_residual, integrate
+from clairaut.fixtures import BUNDLED, load_bundled
 from clairaut.model import (
     check_rank_constancy,
     default_probes,
@@ -191,3 +205,82 @@ class TestRankKernel:
     def test_zero_matrix(self):
         rank, cols = rank_and_pivots(np.zeros((3, 3)))
         assert (rank, cols) == (0, [])
+
+
+def count_calls(monkeypatch, *names):
+    """Wrap the named expressions functions wherever a clairaut module binds
+    them; returns the call counter."""
+    counts = dict.fromkeys(names, 0)
+    modules = [m for n, m in sys.modules.items()
+               if m is not None and (n == "clairaut" or n.startswith("clairaut."))]
+    for name in names:
+        original = getattr(clairaut.expressions, name)
+
+        def counted(*args, _name=name, _fn=original, **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+
+        for mod in modules:
+            for attr, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, attr, counted)
+    return counts
+
+
+class TestDerivativeCore:
+    def test_built_once_per_model(self):
+        m = load_bundled("mixed")
+        assert m.core is m.core
+        assert ClairautTransform(m)._f_core is m.core.fn
+
+    @pytest.mark.parametrize("name", ["oscillator", "mixed", "particle"])
+    def test_consumers_reuse_the_transform_core(self, name, monkeypatch):
+        m = load_bundled(name)
+        ct = ClairautTransform(m)
+        traj = None
+        if ct.n == ct.r:
+            traj = integrate(ct, ct.point([1.0], [0.0]),
+                             cfg=IntegratorConfig(t1=0.01, dt=1e-3))
+        probes = default_probes(m, count=3)
+        counts = count_calls(monkeypatch, "differentiate", "compile_evaluator")
+        split = split_variables(m, probes)
+        check_rank_constancy(m, split, probes)
+        hessian_matrix(m)
+        if traj is not None:
+            fenchel_conjugate(m, [1.0], [0.5], grid=3)
+            el_residual(m, traj)
+        assert counts == {"differentiate": 0, "compile_evaluator": 0}
+        clairaut.model.DerivativeCore(m)  # the counters do see a rebuild
+        assert counts["differentiate"] > 0 and counts["compile_evaluator"] == 1
+
+    @pytest.mark.parametrize("name", BUNDLED)
+    def test_rank_report_sees_the_split_ranks(self, name):
+        # ranks recomputed from the interpreted Hessian, an independent route
+        m = load_bundled(name)
+        probes = default_probes(m, count=5, seed=3)
+        split = split_variables(m, probes)
+        report = check_rank_constancy(m, split, probes)
+        assert report.passed and report.expected_rank == split.r
+        want = [rank_and_pivots(hessian_value(m, b))[0] for b in probes]
+        assert [rank for _, rank, _ in report.ranks] == want == [split.r] * len(probes)
+        assert [k for k, _, ok in report.ranks if ok] == list(range(len(probes)))
+
+    def test_probe_missing_a_coordinate(self):
+        m = load_bundled("mixed")
+        probe = {"x": 0.3, "d(x)": 0.2, "d(y)": -0.4}
+        with pytest.raises(UnboundSymbolError, match="y"):
+            split_variables(m, probes=[probe])
+        with pytest.raises(UnboundSymbolError, match="y"):
+            check_rank_constancy(m, split_variables(m), probes=[probe])
+
+    def test_probe_outside_the_domain(self):
+        m = parse_model("coord x; lagrangian = sqrt(x)*d(x)^2/2;")
+        probe = {"x": -1.0, "d(x)": 0.5}
+        with pytest.raises(DomainError):
+            evaluate(hessian_matrix(m)[0][0], probe)
+        with pytest.raises(DomainError):
+            split_variables(m, probes=[probe])
+
+    def test_no_probes_is_a_model_error(self):
+        with pytest.raises(ModelError, match="at least one probe"):
+            split_variables(load_bundled("mixed"), probes=[])
