@@ -206,7 +206,7 @@ class Trajectory:
         return float(self.t[1] - self.t[0]) if len(self.t) > 1 else 0.0
 
     def point(self, k):
-        return PhasePoint(self.q[k].copy(), self.p[k].copy(), self.v_deg[k].copy())
+        return PhasePoint(self.q[k], self.p[k], self.v_deg[k])
 
 
 def integrate(ct, initial, gauge=None, cfg=None, cls=None):
@@ -237,9 +237,9 @@ def integrate(ct, initial, gauge=None, cfg=None, cls=None):
     out_h = np.empty(m)
     out_c = np.empty(m)
 
-    q = np.asarray(initial.q, dtype=float).copy()
-    p = np.asarray(initial.p, dtype=float).copy()
-    warm_v = [np.asarray(initial.v_deg, dtype=float).copy()]
+    q = np.asarray(initial.q, dtype=float)
+    p = np.asarray(initial.p, dtype=float)
+    warm_v = [np.asarray(initial.v_deg, dtype=float)]
     warm_reg = [None]
 
     def stage(t, q, p):
@@ -250,7 +250,7 @@ def integrate(ct, initial, gauge=None, cfg=None, cls=None):
         for a, mode in enumerate(gauge.modes):
             if mode != "solve":
                 v_ref[a] = gauge.velocity(a, t)
-        pt = PhasePoint(q.copy(), p.copy(), v_ref)
+        pt = PhasePoint(q, p, v_ref)
         res = ct.resolve(pt, v_init=warm_reg[0])
         warm_reg[0] = res.V
         v, resid = degenerate_velocities(ct, pt, gauge, cls, t=t, res=res)

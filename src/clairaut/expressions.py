@@ -646,6 +646,7 @@ class _Cursor:
     def __init__(self, tokens):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0  # nesting levels open around the current token
 
     def peek(self):
         return self.tokens[self.pos]
@@ -670,6 +671,20 @@ class _Cursor:
 
 
 _ATOM_EXPECTED = ("number", "identifier", "'('", "'-'", "function call")
+
+# Parentheses, calls, unary minus and exponents nest; a left-associative
+# chain of quotients nests its numerators.  Deeper input is a syntax error
+# rather than a RecursionError in the parser or in the recursive tree walks
+# (simplify, differentiate, printing) that consume its tree.
+MAX_NESTING = 50
+
+
+def _check_nesting(cur, depth):
+    if depth > MAX_NESTING:
+        tok = cur.peek()
+        raise ExprSyntaxError(
+            f"expression nested more than {MAX_NESTING} levels deep",
+            tok.line, tok.column)
 
 
 def parse_expression(text):
@@ -703,6 +718,7 @@ def _parse_sum(cur):
 
 def _parse_term(cur):
     acc = _parse_unary(cur)
+    quotients = 0
     while cur.peek().kind in ("*", "/"):
         op = cur.advance()
         rhs = _parse_unary(cur)
@@ -712,15 +728,24 @@ def _parse_term(cur):
             else:
                 acc = Prod((acc, rhs))
         else:
+            quotients += 1
+            _check_nesting(cur, cur.depth + quotients)
             acc = Quot(acc, rhs)
     return acc
 
 
 def _parse_unary(cur):
+    # every nesting construct (parentheses, a call, unary minus, an
+    # exponent) recurses through here once, so cur.depth counts open levels
+    _check_nesting(cur, cur.depth)
+    cur.depth += 1
     if cur.peek().kind == "-":
         cur.advance()
-        return Neg(_parse_unary(cur))
-    return _parse_power(cur)
+        expr = Neg(_parse_unary(cur))
+    else:
+        expr = _parse_power(cur)
+    cur.depth -= 1
+    return expr
 
 
 def _parse_power(cur):

@@ -17,7 +17,9 @@ generates time evolution in each case.
 Observables are duck-typed: anything with value(pt), d_dq(pt) -> n-vector in
 coordinate declaration order, and d_dp(pt) -> r-vector over the regular
 momenta.  A finite-difference wrapper lifts plain callables into the same
-interface so identities can be nested without symbolic third derivatives.
+interface so identities can be nested without symbolic third derivatives;
+it differences array-valued callables whole, so the Maxwell current and the
+Bianchi defect take one F Jacobian per point, not one per entry.
 """
 
 from dataclasses import dataclass
@@ -104,9 +106,12 @@ class BObservable:
 
 
 class FiniteDifferenceObservable:
-    """Central-difference gradients for an arbitrary scalar of the phase point.
+    """Central-difference gradients of a scalar or an array of the phase point.
 
-    Step is scaled by (1 + |varied component|).  Used to take outer
+    For fn(pt) of shape S, d_dq and d_dp have shapes S + (n,) and S + (r,):
+    each displaced point is evaluated once, (fn(plus) - fn(minus)) / (2h), and
+    the direction axis is last, so one entry's gradient is a contiguous
+    vector.  Step is scaled by (1 + |varied component|).  Used to take outer
     derivatives of quantities that are themselves assembled numerically,
     where analytic derivatives would need third partials of L.
     """
@@ -120,50 +125,51 @@ class FiniteDifferenceObservable:
         return self.fn(pt)
 
     def d_dq(self, pt):
-        out = np.empty(self.ct.n)
-        for a in range(self.ct.n):
-            h = self.step * (1 + abs(pt.q[a]))
-            qp, qm = pt.q.copy(), pt.q.copy()
-            qp[a] += h
-            qm[a] -= h
-            out[a] = (self.fn(PhasePoint(qp, pt.p, pt.v_deg))
-                      - self.fn(PhasePoint(qm, pt.p, pt.v_deg))) / (2 * h)
-        return out
+        return self._differences(pt, pt.q, lambda x: PhasePoint(x, pt.p, pt.v_deg))
 
     def d_dp(self, pt):
-        out = np.empty(self.ct.r)
-        for i in range(self.ct.r):
-            h = self.step * (1 + abs(pt.p[i]))
-            pp, pm = pt.p.copy(), pt.p.copy()
-            pp[i] += h
-            pm[i] -= h
-            out[i] = (self.fn(PhasePoint(pt.q, pp, pt.v_deg))
-                      - self.fn(PhasePoint(pt.q, pm, pt.v_deg))) / (2 * h)
-        return out
+        return self._differences(pt, pt.p, lambda x: PhasePoint(pt.q, x, pt.v_deg))
+
+    def _differences(self, pt, base, at):
+        if not len(base):
+            return np.empty(np.shape(self.fn(pt)) + (0,))
+        cols = []
+        for k in range(len(base)):
+            h = self.step * (1 + abs(base[k]))
+            xp, xm = base.copy(), base.copy()
+            xp[k] += h
+            xm[k] -= h
+            cols.append((self.fn(at(xp)) - self.fn(at(xm))) / (2 * h))
+        return np.stack(cols, axis=-1)
+
+
+def _poisson(ct, xq, xp, yq, yp):
+    """{X, Y}_phys from the gradients of X and Y."""
+    reg = ct.reg_idx
+    return float(xq[reg] @ yp - yq[reg] @ xp)
+
+
+def _long_derivative(ct, res, alpha, xq, xp):
+    """D_alpha X at the resolution res, from the gradients of X there."""
+    bq, bp = res.dB_dq[alpha], res.dB_dp[alpha]
+    return float(xq[ct.deg_idx[alpha]] + bq[ct.reg_idx] @ xp - xq[ct.reg_idx] @ bp)
 
 
 def poisson_phys(ct, x, y, pt):
     """Poisson bracket over the regular pairs (q^i, p_i) only."""
-    xq, xp = x.d_dq(pt), x.d_dp(pt)
-    yq, yp = y.d_dq(pt), y.d_dp(pt)
-    reg = ct.reg_idx
-    return float(xq[reg] @ yp - yq[reg] @ xp)
+    return _poisson(ct, x.d_dq(pt), x.d_dp(pt), y.d_dq(pt), y.d_dp(pt))
 
 
 def long_derivative(ct, x, alpha, pt):
     """D_alpha X: the q^alpha-partial plus the B_alpha bracket action."""
     res = ct.resolve(pt)
-    xq, xp = x.d_dq(pt), x.d_dp(pt)
-    bq, bp = res.dB_dq[alpha], res.dB_dp[alpha]
-    return float(xq[ct.deg_idx[alpha]] + bq[ct.reg_idx] @ xp - xq[ct.reg_idx] @ bp)
+    return _long_derivative(ct, res, alpha, x.d_dq(pt), x.d_dp(pt))
 
 
 def delta_b(ct, alpha, x, pt):
     """The B_alpha-transformation of X: {B_alpha, X}_phys."""
     res = ct.resolve(pt)
-    xq, xp = x.d_dq(pt), x.d_dp(pt)
-    return float(res.dB_dq[alpha][ct.reg_idx] @ xp
-                 - xq[ct.reg_idx] @ res.dB_dp[alpha])
+    return _poisson(ct, res.dB_dq[alpha], res.dB_dp[alpha], x.d_dq(pt), x.d_dp(pt))
 
 
 def field_strength(ct, pt):
@@ -288,20 +294,26 @@ def _corrected_bracket(ct, x, y, pt, solved, singular):
     return base - float(correction)
 
 
+def _long_derivatives_of_f(ct, pt, fd_step):
+    """(a, b, c) -> D_a F_bc at pt, all read from one F Jacobian."""
+    res = ct.resolve(pt)
+    f = FiniteDifferenceObservable(lambda s: field_strength(ct, s), ct, step=fd_step)
+    fq, fp = f.d_dq(pt), f.d_dp(pt)
+    return lambda a, b, c: _long_derivative(ct, res, a, fq[b, c], fp[b, c])
+
+
 def maxwell_current(ct, pt, fd_step=FD_STEP):
     """J_beta = sum_alpha D_alpha F_alphabeta, outer derivatives by central
-    differences of the assembled field strength."""
+    differences of the assembled field strength, one F Jacobian per call."""
     n_deg = ct.n - ct.r
+    d = _long_derivatives_of_f(ct, pt, fd_step)
     out = np.zeros(n_deg)
     for b in range(n_deg):
         total = 0.0
         for a in range(n_deg):
             if a == b:
                 continue  # F_aa == 0 identically
-            obs = FiniteDifferenceObservable(
-                lambda q, _a=a, _b=b: float(field_strength(ct, q)[_a, _b]),
-                ct, step=fd_step)
-            total += long_derivative(ct, obs, a, pt)
+            total += d(a, a, b)
         out[b] = total
     return out
 
@@ -312,18 +324,11 @@ def bianchi_residual(ct, pt, fd_step=1e-4):
     n_deg = ct.n - ct.r
     if n_deg < 3:
         return 0.0
-
-    def entry(a, b):
-        return FiniteDifferenceObservable(
-            lambda q, _a=a, _b=b: float(field_strength(ct, q)[_a, _b]),
-            ct, step=fd_step)
-
+    d = _long_derivatives_of_f(ct, pt, fd_step)
     worst = 0.0
     for a in range(n_deg):
         for b in range(a + 1, n_deg):
             for c in range(b + 1, n_deg):
-                total = (long_derivative(ct, entry(b, c), a, pt)
-                         + long_derivative(ct, entry(a, b), c, pt)
-                         + long_derivative(ct, entry(c, a), b, pt))
+                total = d(a, b, c) + d(c, a, b) + d(b, c, a)
                 worst = max(worst, abs(total))
     return worst

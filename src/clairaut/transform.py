@@ -33,16 +33,18 @@ from .numerics import NewtonConfig, damped_newton, newton_with_restarts
 @dataclass(frozen=True)
 class PhasePoint:
     """State in mixed variables: all coordinates, regular momenta, and the
-    degenerate velocities (free inputs, defaulting to zero)."""
+    degenerate velocities (free inputs, defaulting to zero), each a read-only
+    float64 copy: resolve memoizes by point identity."""
 
     q: np.ndarray
     p: np.ndarray
     v_deg: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "q", np.asarray(self.q, dtype=float))
-        object.__setattr__(self, "p", np.asarray(self.p, dtype=float))
-        object.__setattr__(self, "v_deg", np.asarray(self.v_deg, dtype=float))
+        for name in ("q", "p", "v_deg"):
+            arr = np.array(getattr(self, name), dtype=float)
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
 
 class Resolution:

@@ -32,6 +32,8 @@ from .gauge import (
     BObservable,
     ExprObservable,
     FiniteDifferenceObservable,
+    _long_derivative,
+    _poisson,
     bracket_gauge,
     bracket_new,
     classify,
@@ -119,20 +121,17 @@ def _envelope_gradients(ctx):
 
 
 def _gradient_fd(ctx):
+    # one Jacobian of the vector (H, B_1, ..., B_k) per probe
     ct = ctx.ct
-    h_obs = ct.hamiltonian_observable()
+    fd = FiniteDifferenceObservable(
+        lambda pt: np.concatenate([[ct.h_phys(pt)], ct.b_values(pt)]), ct, 1e-6)
     worst = 0.0
     for pt in ctx.probes[:3]:
         res = ct.resolve(pt)
-        fd = FiniteDifferenceObservable(h_obs.value, ct, 1e-6)
-        for got, ref in ((res.dH_dq, fd.d_dq(pt)), (res.dH_dp, fd.d_dp(pt))):
-            if len(ref):
+        for got, ref in ((np.vstack([res.dH_dq, res.dB_dq]), fd.d_dq(pt)),
+                         (np.vstack([res.dH_dp, res.dB_dp]), fd.d_dp(pt))):
+            if ref.size:
                 worst = max(worst, float(np.max(np.abs(got - ref) / (1 + np.abs(ref)))))
-        for a in range(ct.n - ct.r):
-            fd = FiniteDifferenceObservable(BObservable(ct, a).value, ct, 1e-6)
-            for got, ref in ((res.dB_dq[a], fd.d_dq(pt)), (res.dB_dp[a], fd.d_dp(pt))):
-                if len(ref):
-                    worst = max(worst, float(np.max(np.abs(got - ref) / (1 + np.abs(ref)))))
     return worst
 
 
@@ -166,7 +165,7 @@ def _degenerate_independence(ctx):
         h_vals, b_vals = [], []
         for _ in range(5):
             scale = rng.uniform(0.7, 1.7, size=ct.n - ct.r)
-            vpt = PhasePoint(pt.q.copy(), pt.p.copy(), pt.v_deg * scale)
+            vpt = PhasePoint(pt.q, pt.p, pt.v_deg * scale)
             h_vals.append(ct.h_phys(vpt))
             b_vals.append(ct.b_values(vpt))
         worst = max(worst, max(h_vals) - min(h_vals))
@@ -200,26 +199,27 @@ def _dirac_dhf(ctx):
     return max(dirac_report(ctx.ct, pt).dhf_residual for pt in ctx.probes)
 
 
-def _fd_f_entry(ct, a, b, step=1e-5):
-    return FiniteDifferenceObservable(
-        lambda pt: float(field_strength(ct, pt)[a, b]), ct, step)
-
-
 def _commutator(ctx):
+    # [D_a, D_b] X = {F_ab, X}: per probe, one Jacobian of the vector D X
+    # and one of F serve every pair
     ct = ctx.ct
     n_deg = ct.n - ct.r
     x = _random_observables(ctx, 11, 1)[0]
     pairs = [(a, b) for a in range(n_deg) for b in range(a + 1, n_deg)][:3]
+    d_x = FiniteDifferenceObservable(
+        lambda pt: np.array([long_derivative(ct, x, a, pt) for a in range(n_deg)]),
+        ct, 1e-5)
+    f = FiniteDifferenceObservable(lambda pt: field_strength(ct, pt), ct, 1e-5)
     worst = 0.0
-    for a, b in pairs:
-        da_x = FiniteDifferenceObservable(
-            lambda pt, _a=a: long_derivative(ct, x, _a, pt), ct, 1e-5)
-        db_x = FiniteDifferenceObservable(
-            lambda pt, _b=b: long_derivative(ct, x, _b, pt), ct, 1e-5)
-        f_ab = _fd_f_entry(ct, a, b)
-        for pt in ctx.probes[:2]:
-            lhs = long_derivative(ct, db_x, a, pt) - long_derivative(ct, da_x, b, pt)
-            rhs = poisson_phys(ct, f_ab, x, pt)
+    for pt in ctx.probes[:2]:
+        dxq, dxp = d_x.d_dq(pt), d_x.d_dp(pt)
+        fq, fp = f.d_dq(pt), f.d_dp(pt)
+        res = ct.resolve(pt)
+        xq, xp = x.d_dq(pt), x.d_dp(pt)
+        for a, b in pairs:
+            lhs = (_long_derivative(ct, res, a, dxq[b], dxp[b])
+                   - _long_derivative(ct, res, b, dxq[a], dxp[a]))
+            rhs = _poisson(ct, fq[a, b], fp[a, b], xq, xp)
             worst = max(worst, abs(lhs - rhs))
     return worst
 
@@ -267,14 +267,16 @@ def _delta_commutator(ctx):
 
 
 def _current_conservation(ctx):
+    # sum_a D_a J_a from one Jacobian of the whole current vector
     ct = ctx.ct
     n_deg = ct.n - ct.r
     pt = ctx.probes[0]
+    j = FiniteDifferenceObservable(lambda s: maxwell_current(ct, s), ct, 1e-4)
+    jq, jp = j.d_dq(pt), j.d_dp(pt)
+    res = ct.resolve(pt)
     total = 0.0
     for a in range(n_deg):
-        obs = FiniteDifferenceObservable(
-            lambda q, _a=a: float(maxwell_current(ct, q)[_a]), ct, 1e-4)
-        total += long_derivative(ct, obs, a, pt)
+        total += _long_derivative(ct, res, a, jq[a], jp[a])
     return abs(total)
 
 
@@ -404,13 +406,12 @@ def _consistency_tower(ct, levels):
     for _ in range(levels - 1):
         prev = funcs[-1]
 
-        def lifted(point, _prev=prev):
-            out = np.empty(n_deg)
-            for a in range(n_deg):
-                obs = FiniteDifferenceObservable(
-                    lambda q, _a=a: float(_prev(q)[_a]), ct, 1e-5)
-                out[a] = poisson_phys(ct, obs, h_obs, point)
-            return out
+        # one Jacobian of the whole previous level per point
+        def lifted(point, _fd=FiniteDifferenceObservable(prev, ct, 1e-5)):
+            pq, pp = _fd.d_dq(point), _fd.d_dp(point)
+            hq, hp = h_obs.d_dq(point), h_obs.d_dp(point)
+            return np.array([_poisson(ct, pq[a], pp[a], hq, hp)
+                             for a in range(n_deg)])
 
         funcs.append(lifted)
 
@@ -423,31 +424,21 @@ def _consistency_tower(ct, levels):
 def _project_to_surface(ct, pt, levels, iters=18, step=1e-6):
     """Gauss-Newton projection of (q, p) onto the zero set of the
     consistency tower; minimal-norm steps, best effort."""
-    n, r = ct.n, ct.r
-    stacked = _consistency_tower(ct, levels)
-    v_deg = pt.v_deg.copy()
-
-    def point_of(u):
-        return PhasePoint(u[:n].copy(), u[n:].copy(), v_deg.copy())
-
+    n = ct.n
+    tower = FiniteDifferenceObservable(_consistency_tower(ct, levels), ct, step)
     u = np.concatenate([pt.q, pt.p])
     for _ in range(iters):
-        f0 = stacked(point_of(u))
+        cur = PhasePoint(u[:n], u[n:], pt.v_deg)
+        f0 = tower.value(cur)
         if float(np.max(np.abs(f0))) < 1e-12:
             break
-        jac = np.empty((len(f0), n + r))
-        for j in range(n + r):
-            h = step * (1 + abs(u[j]))
-            up, um = u.copy(), u.copy()
-            up[j] += h
-            um[j] -= h
-            jac[:, j] = (stacked(point_of(up)) - stacked(point_of(um))) / (2 * h)
+        jac = np.hstack([tower.d_dq(cur), tower.d_dp(cur)])
         delta, *_ = np.linalg.lstsq(jac, -f0, rcond=None)
         norm = float(np.linalg.norm(delta))
         if norm > 1.0:
             delta *= 1.0 / norm
         u = u + delta
-    return point_of(u)
+    return PhasePoint(u[:n], u[n:], pt.v_deg)
 
 
 def _constraint_preservation(ctx, tol=1e-5):
@@ -461,7 +452,7 @@ def _constraint_preservation(ctx, tol=1e-5):
     pt0 = ctx.probes[0]
     deg = ct.split.degenerate
     try:
-        ct.resolve(PhasePoint(pt0.q.copy(), pt0.p.copy(), np.zeros(len(deg))))
+        ct.resolve(PhasePoint(pt0.q, pt0.p, np.zeros(len(deg))))
         gauge = None
     except (NewtonError, ClairautError):
         # zero degenerate velocities are inadmissible for this Lagrangian

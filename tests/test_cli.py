@@ -4,14 +4,17 @@ installed entry point."""
 
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import jsonschema
 import pytest
 
 from clairaut import bundled_model_path
 from clairaut.cli import main
+from clairaut.expressions import MAX_NESTING
 from clairaut.fixtures import BUNDLED
 
 
@@ -366,6 +369,33 @@ class TestNumericFlags:
         assert "--probes must be at least 1" in err
 
 
+class TestNestingLimit:
+    @staticmethod
+    def model_file(tmp_path, lagrangian):
+        path = tmp_path / "deep.lag"
+        path.write_text(f"coord x;\nlagrangian = {lagrangian};\n")
+        return str(path)
+
+    @pytest.mark.parametrize("lagrangian", [
+        "sin(" * 400 + "d(x)" + ")" * 400,
+        "(" * 400 + "d(x)^2" + ")" * 400,
+        "-" * 400 + "d(x)^2",
+        "^".join(["d(x)"] * 400),
+    ], ids=["calls", "parentheses", "unary_minus", "power_chain"])
+    def test_too_deep_exits_2(self, capsys, tmp_path, lagrangian):
+        code, _, err = run_cli(capsys, "analyze", self.model_file(tmp_path, lagrangian))
+        assert code == 2
+        assert any(line.startswith("error: ") for line in err.splitlines())
+        assert f"more than {MAX_NESTING} levels" in err
+        assert "Traceback" not in err
+
+    def test_at_the_limit_succeeds(self, capsys, tmp_path):
+        lagrangian = "sin(" * MAX_NESTING + "d(x)" + ")" * MAX_NESTING
+        code, out, _ = run_cli(capsys, "analyze", self.model_file(tmp_path, lagrangian))
+        assert code == 0
+        assert json.loads(out)["regular"] == ["x"]
+
+
 class TestWiring:
     def test_bad_subcommand_exits_2(self, capsys):
         assert run_cli(capsys, "frobnicate")[0] == 2
@@ -374,9 +404,15 @@ class TestWiring:
         assert run_cli(capsys, "--help")[0] == 0
 
     def test_installed_module_entry_point(self):
+        # pytest's pythonpath setting does not reach a child interpreter, so
+        # put the checkout's src/ on the child's path explicitly
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
         proc = subprocess.run(
             [sys.executable, "-m", "clairaut.cli", "analyze",
              bundled_model_path("oscillator")],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=env)
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["hessian_rank"] == 1

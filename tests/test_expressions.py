@@ -24,6 +24,7 @@ from clairaut import (
     parse_expression,
     simplify,
 )
+from clairaut.expressions import MAX_NESTING
 
 SYMBOL_POOL = ("x", "y", "z", "w", "d(x)")
 
@@ -111,6 +112,36 @@ class TestParse:
             normal = simplify(random_tree(rng, 4))
             again = parse_expression(str(normal))
             assert again == normal, f"round-trip changed {normal!r} into {again!r}"
+
+
+# expression source nested `depth` levels deep, in each form that nests
+NESTED_FORMS = {
+    "parentheses": lambda depth: "(" * depth + "d(x)*x" + ")" * depth,
+    "calls": lambda depth: "sin(" * depth + "d(x)" + ")" * depth,
+    "unary_minus": lambda depth: "-" * depth + "d(x)",
+    "power_chain": lambda depth: "^".join(["d(x)"] * (depth + 1)),
+    "quotient_chain": lambda depth: "/".join(["(1+d(x)^2)"] + ["x"] * depth),
+}
+
+
+class TestNestingLimit:
+    @pytest.mark.parametrize("form", sorted(NESTED_FORMS))
+    def test_deeper_than_the_limit_is_a_syntax_error(self, form):
+        for depth in (MAX_NESTING + 1, 400, 5000):
+            with pytest.raises(ExprSyntaxError, match=f"more than {MAX_NESTING} levels"):
+                parse_expression(NESTED_FORMS[form](depth))
+
+    @pytest.mark.parametrize("form", sorted(NESTED_FORMS))
+    def test_tree_at_the_limit_differentiates_and_compiles(self, form):
+        e = parse_expression(NESTED_FORMS[form](MAX_NESTING))
+        d = differentiate(e, "d(x)")
+        assert simplify(d) == d
+        names = ["x", "d(x)"]
+        f = compile_evaluator([e, d], names)
+        point = {"x": 1.1, "d(x)": 1.2}
+        got = f([point[n] for n in names])
+        assert got[0] == pytest.approx(evaluate(e, point), rel=1e-12)
+        assert got[1] == pytest.approx(evaluate(d, point), rel=1e-12)
 
 
 class TestSimplify:

@@ -8,11 +8,14 @@ import pytest
 from clairaut import (
     ClairautTransform,
     ModelError,
+    PhasePoint,
     RankDeficiencyError,
     RankVariationError,
     load_bundled,
 )
+from clairaut.fixtures import BUNDLED
 from clairaut.gauge import (
+    FD_STEP,
     BObservable,
     ExprObservable,
     FiniteDifferenceObservable,
@@ -489,3 +492,134 @@ class TestLimitIndependence:
             for alpha in range(3):
                 plain = res.dH_dq[ct.deg_idx[alpha]]
                 assert long_derivative(ct, h, alpha, pt) == plain
+
+
+class _PerEntryDifferences:
+    """Scalar central differences as a separate loop per direction: the
+    per-entry formulation the array finite differences replaced."""
+
+    def __init__(self, fn, step):
+        self.fn = fn
+        self.step = step
+
+    def d_dq(self, pt):
+        out = np.empty(len(pt.q))
+        for a in range(len(pt.q)):
+            h = self.step * (1 + abs(pt.q[a]))
+            qp, qm = pt.q.copy(), pt.q.copy()
+            qp[a] += h
+            qm[a] -= h
+            out[a] = (self.fn(PhasePoint(qp, pt.p, pt.v_deg))
+                      - self.fn(PhasePoint(qm, pt.p, pt.v_deg))) / (2 * h)
+        return out
+
+    def d_dp(self, pt):
+        out = np.empty(len(pt.p))
+        for i in range(len(pt.p)):
+            h = self.step * (1 + abs(pt.p[i]))
+            pp, pm = pt.p.copy(), pt.p.copy()
+            pp[i] += h
+            pm[i] -= h
+            out[i] = (self.fn(PhasePoint(pt.q, pp, pt.v_deg))
+                      - self.fn(PhasePoint(pt.q, pm, pt.v_deg))) / (2 * h)
+        return out
+
+
+def _oracle_long_derivative(ct, x, alpha, pt):
+    res = ct.resolve(pt)
+    xq, xp = x.d_dq(pt), x.d_dp(pt)
+    bq, bp = res.dB_dq[alpha], res.dB_dp[alpha]
+    return float(xq[ct.deg_idx[alpha]] + bq[ct.reg_idx] @ xp - xq[ct.reg_idx] @ bp)
+
+
+def _oracle_entry(ct, a, b, step):
+    return _PerEntryDifferences(
+        lambda s: float(field_strength(ct, s)[a, b]), step)
+
+
+def _oracle_maxwell(ct, pt, step=FD_STEP):
+    n_deg = ct.n - ct.r
+    out = np.zeros(n_deg)
+    for b in range(n_deg):
+        total = 0.0
+        for a in range(n_deg):
+            if a != b:
+                total += _oracle_long_derivative(ct, _oracle_entry(ct, a, b, step), a, pt)
+        out[b] = total
+    return out
+
+
+def _oracle_bianchi(ct, pt, step=1e-4):
+    n_deg = ct.n - ct.r
+    worst = 0.0
+    for a in range(n_deg):
+        for b in range(a + 1, n_deg):
+            for c in range(b + 1, n_deg):
+                total = (_oracle_long_derivative(ct, _oracle_entry(ct, b, c, step), a, pt)
+                         + _oracle_long_derivative(ct, _oracle_entry(ct, a, b, step), c, pt)
+                         + _oracle_long_derivative(ct, _oracle_entry(ct, c, a, step), b, pt))
+                worst = max(worst, abs(total))
+    return worst
+
+
+MULTI_DIRECTION = [name for name in BUNDLED
+                   if transform(name).n - transform(name).r >= 2]
+
+
+class TestArrayFiniteDifferences:
+    def test_multi_direction_models_are_covered(self):
+        assert set(MULTI_DIRECTION) >= {"christ_lee", "synthetic_bianchi",
+                                        "synthetic_gauge"}
+
+    @pytest.mark.parametrize("name", MULTI_DIRECTION)
+    def test_current_and_bianchi_match_per_entry_oracle_bitwise(self, name):
+        ct = transform(name)
+        for pt in phase_probes(ct):
+            assert np.array_equal(maxwell_current(ct, pt), _oracle_maxwell(ct, pt))
+            assert bianchi_residual(ct, pt) == _oracle_bianchi(ct, pt)
+
+    def test_array_shapes_and_entry_slices(self):
+        ct = transform("synthetic_bianchi")
+        pt = sample_points("synthetic_bianchi", 1)[0]
+        k = ct.n - ct.r
+        fd = FiniteDifferenceObservable(lambda s: field_strength(ct, s), ct)
+        fq, fp = fd.d_dq(pt), fd.d_dp(pt)
+        assert fq.shape == (k, k, ct.n) and fp.shape == (k, k, ct.r)
+        for a in range(k):
+            for b in range(k):
+                assert fq[a, b].flags.c_contiguous
+                entry = _oracle_entry(ct, a, b, FD_STEP)
+                assert np.array_equal(fq[a, b], entry.d_dq(pt))
+                assert np.array_equal(fp[a, b], entry.d_dp(pt))
+        vec = FiniteDifferenceObservable(lambda s: ct.b_values(s), ct)
+        assert vec.d_dq(pt).shape == (k, ct.n)
+        assert vec.d_dp(pt).shape == (k, ct.r)
+
+    @pytest.mark.parametrize("name", ("mixed", "particle", "synthetic_gauge"))
+    def test_scalar_function_unchanged(self, name):
+        ct = transform(name)
+        h = ct.hamiltonian_observable()
+        for pt in sample_points(name):
+            for step in (FD_STEP, 1e-6):
+                new = FiniteDifferenceObservable(h.value, ct, step)
+                old = _PerEntryDifferences(h.value, step)
+                got_q, got_p = new.d_dq(pt), new.d_dp(pt)
+                assert got_q.shape == (ct.n,) and got_p.shape == (ct.r,)
+                assert np.array_equal(got_q, old.d_dq(pt))
+                assert np.array_equal(got_p, old.d_dp(pt))
+                assert new.value(pt) == h.value(pt)
+
+    def test_one_resolve_per_displaced_point(self, monkeypatch):
+        ct = ClairautTransform(load_bundled("christ_lee"))
+        pt = phase_probes(ct, count=1)[0]
+        resolve = ct.resolve
+        misses = []
+
+        def counting(point, v_init=None):
+            if ct._last is None or ct._last[0] is not point or v_init is not None:
+                misses.append(point)
+            return resolve(point, v_init)
+
+        monkeypatch.setattr(ct, "resolve", counting)
+        maxwell_current(ct, pt)
+        assert len(misses) <= 2 * (ct.n + ct.r) + 1

@@ -9,6 +9,7 @@ from clairaut import (
     ClairautTransform,
     FenchelError,
     NewtonError,
+    PhasePoint,
     fenchel_conjugate,
     load_bundled,
     parse_model,
@@ -295,3 +296,35 @@ class TestFenchelOracle:
     def test_degenerate_model_rejected(self):
         with pytest.raises(FenchelError):
             fenchel_conjugate(load_bundled("mixed"), [0.5, 1.0], [1.0, 2.0])
+
+
+class TestPhasePointImmutability:
+    """resolve memoizes by point identity, so a point must not change."""
+
+    def test_arrays_are_read_only(self):
+        pt = PhasePoint(np.array([0.1, 0.2]), np.array([0.3]), np.array([0.4]))
+        for arr in (pt.q, pt.p, pt.v_deg):
+            assert arr.dtype == np.float64
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+
+    def test_caller_arrays_stay_writeable_and_detached(self):
+        q, p, v = np.array([0.1, 0.2]), np.array([0.3]), np.array([0.4])
+        pt = PhasePoint(q, p, v)
+        for arr in (q, p, v):
+            assert arr.flags.writeable
+        q[0] = 9.0
+        assert pt.q[0] == 0.1
+
+    def test_new_point_from_modified_data_resolves_afresh(self):
+        ct = transform("mixed")
+        q, p = np.array([0.3, 1.2]), np.array([0.7])
+        pt = ct.point(q, p)
+        first = ct.resolve(pt)
+        q[1] = 1.5
+        moved = ct.point(q, p)
+        second = ct.resolve(moved)
+        assert second is not first
+        assert ct.resolve(pt) is not second
+        assert second.V[0] != first.V[0]
+        assert abs(second.H - ct.h_phys(ct.point([0.3, 1.5], [0.7]))) == 0.0
