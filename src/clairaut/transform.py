@@ -211,8 +211,7 @@ class ClairautTransform:
         if cached is not None and cached[0] is pt and v_init is None:
             return cached[1]
         n = self.n
-        args = [0.0] * (2 * n)
-        args[:n] = [float(x) for x in pt.q]
+        args = pt.q.tolist() + [0.0] * n
         for a, val in zip(self.deg_idx, pt.v_deg):
             args[n + a] = float(val)
         if self.r == 0:

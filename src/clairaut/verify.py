@@ -225,44 +225,46 @@ def _commutator(ctx):
 
 
 def _leibniz(ctx):
+    # D_a {B_0, B_1} = {D_a B_0, B_1} + {B_0, D_a B_1}; one D_a B_b Jacobian per probe
     ct = ctx.ct
-    n_deg = ct.n - ct.r
-    triples = [(a, 0, 1) for a in range(min(n_deg, 3))]
+    dirs = range(min(ct.n - ct.r, 3))
+    b0, b1 = BObservable(ct, 0), BObservable(ct, 1)
+    pair = FiniteDifferenceObservable(lambda pt: poisson_phys(ct, b0, b1, pt), ct, 1e-5)
+    d_b = FiniteDifferenceObservable(lambda pt: np.array(
+        [[long_derivative(ct, b, a, pt) for b in (b0, b1)] for a in dirs]), ct, 1e-5)
     worst = 0.0
-    for a, b, c in triples:
-        bb, bc = BObservable(ct, b), BObservable(ct, c)
-        pair = FiniteDifferenceObservable(
-            lambda pt: poisson_phys(ct, bb, bc, pt), ct, 1e-5)
-        da_bb = FiniteDifferenceObservable(
-            lambda pt, _a=a: long_derivative(ct, bb, _a, pt), ct, 1e-5)
-        da_bc = FiniteDifferenceObservable(
-            lambda pt, _a=a: long_derivative(ct, bc, _a, pt), ct, 1e-5)
-        for pt in ctx.probes[:2]:
-            lhs = long_derivative(ct, pair, a, pt)
-            rhs = (poisson_phys(ct, da_bb, bc, pt)
-                   + poisson_phys(ct, bb, da_bc, pt))
+    for pt in ctx.probes[:2]:
+        res = ct.resolve(pt)
+        pq, pp = pair.d_dq(pt), pair.d_dp(pt)
+        dq, dp = d_b.d_dq(pt), d_b.d_dp(pt)
+        bq, bp = res.dB_dq, res.dB_dp
+        for a in dirs:
+            lhs = _long_derivative(ct, res, a, pq, pp)
+            rhs = (_poisson(ct, dq[a, 0], dp[a, 0], bq[1], bp[1])
+                   + _poisson(ct, bq[0], bp[0], dq[a, 1], dp[a, 1]))
             worst = max(worst, abs(lhs - rhs))
     return worst
 
 
 def _delta_commutator(ctx):
+    # delta_0 {B_1, B_c} - delta_1 {B_0, B_c} = {{B_0, B_1}, B_c}; one Jacobian per probe
     ct = ctx.ct
-    n_deg = ct.n - ct.r
+    cs = range(min(ct.n - ct.r, 2))
+    b = [BObservable(ct, k) for k in range(2)]
+    inner = FiniteDifferenceObservable(lambda pt: np.array(
+        [[delta_b(ct, x, b[c], pt) for c in cs] for x in (0, 1)]), ct, 1e-5)
+    w = FiniteDifferenceObservable(lambda pt: poisson_phys(ct, b[0], b[1], pt), ct, 1e-5)
     worst = 0.0
-    for c in range(min(n_deg, 2)):
-        bc = BObservable(ct, c)
-        for a, b in [(0, 1)]:
-            ba, bb = BObservable(ct, a), BObservable(ct, b)
-            in_b = FiniteDifferenceObservable(
-                lambda pt: delta_b(ct, b, bc, pt), ct, 1e-5)
-            in_a = FiniteDifferenceObservable(
-                lambda pt: delta_b(ct, a, bc, pt), ct, 1e-5)
-            w = FiniteDifferenceObservable(
-                lambda pt: poisson_phys(ct, ba, bb, pt), ct, 1e-5)
-            for pt in ctx.probes[:2]:
-                lhs = delta_b(ct, a, in_b, pt) - delta_b(ct, b, in_a, pt)
-                rhs = poisson_phys(ct, w, bc, pt)
-                worst = max(worst, abs(lhs - rhs))
+    for pt in ctx.probes[:2]:
+        res = ct.resolve(pt)
+        iq, ip = inner.d_dq(pt), inner.d_dp(pt)
+        wq, wp = w.d_dq(pt), w.d_dp(pt)
+        bq, bp = res.dB_dq, res.dB_dp
+        for c in cs:
+            lhs = (_poisson(ct, bq[0], bp[0], iq[1, c], ip[1, c])
+                   - _poisson(ct, bq[1], bp[1], iq[0, c], ip[0, c]))
+            rhs = _poisson(ct, wq, wp, bq[c], bp[c])
+            worst = max(worst, abs(lhs - rhs))
     return worst
 
 
