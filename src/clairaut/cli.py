@@ -60,6 +60,8 @@ _NUMERIC_ERRORS = (NewtonError, DomainError, FenchelError, RankDeficiencyError,
                    RankVariationError, IntegrabilityError)
 _USAGE_ERRORS = (UsageError, OSError, ExprSyntaxError, UnboundSymbolError,
                  ModelError, GaugeInputError)
+# each probe may take up to 400 draws, each running the domain guards
+MAX_PROBES = 10_000
 
 
 # ------------------------------------------------------------ flag parsing
@@ -88,7 +90,7 @@ def _parse_float(text, what):
 
 
 def _check_numeric_flags(args):
-    """--dt, --t1 and --tol finite and positive; --probes at least 1."""
+    """--dt, --t1 and --tol finite and positive; --probes from 1 to MAX_PROBES."""
     for flag in ("dt", "t1", "tol"):
         value = getattr(args, flag, None)
         if value is not None and not (math.isfinite(value) and value > 0):
@@ -96,6 +98,8 @@ def _check_numeric_flags(args):
     probes = getattr(args, "probes", None)
     if probes is not None and probes < 1:
         raise UsageError(f"--probes must be at least 1, got {probes}")
+    if probes is not None and probes > MAX_PROBES:
+        raise UsageError(f"--probes must be at most {MAX_PROBES}, got {probes}")
 
 
 def _load(spec):

@@ -16,6 +16,7 @@ model's invariant surface.
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -33,10 +34,9 @@ SIGMA = -1.0
 
 def d_alpha_h(ct, res):
     """D_a H_phys for all degenerate directions, from analytic gradients."""
-    reg = ct.reg_idx
     return (res.dH_dq[ct.deg_idx]
-            + res.dB_dq[:, reg] @ res.dH_dp
-            - res.dB_dp @ res.dH_dq[reg])
+            + res.dB_dq_reg @ res.dH_dp
+            - res.dB_dp @ res.dH_dq[ct.reg_idx])
 
 
 # --------------------------------------------------------------- gauge input
@@ -58,6 +58,16 @@ class GaugeInput:
             return float(self.values[alpha]([t]))
         raise ValueError("slot is solved, not prescribed")
 
+    @cached_property
+    def _plan(self):
+        """Solved and other slots, and the np.ix_ of F's solved-by-solved and
+        solved-by-other blocks (None when a set is empty)."""
+        solve_idx = np.array([a for a, m in enumerate(self.modes) if m == "solve"], dtype=np.intp)
+        other = np.array([a for a, m in enumerate(self.modes) if m != "solve"], dtype=np.intp)
+        ix_solve = np.ix_(solve_idx, solve_idx) if solve_idx.size else None
+        ix_other = np.ix_(solve_idx, other) if solve_idx.size and other.size else None
+        return solve_idx, other, ix_solve, ix_other
+
 
 def gauge_input(ct, cls, spec=None):
     """Build and validate a GaugeInput against the classification.
@@ -75,21 +85,9 @@ def gauge_input(ct, cls, spec=None):
             "not degenerate coordinates: " + ", ".join(sorted(unknown)))
     modes, values = [], []
     for a, name in enumerate(deg):
-        if name not in spec:
-            if a in solve_set:
-                modes.append("solve")
-                values.append(None)
-            else:
-                modes.append("zero")
-                values.append(None)
-            continue
-        entry = spec[name]
-        if isinstance(entry, str) and entry.strip() == "solve":
-            modes.append("solve")
-            values.append(None)
-            continue
-        if isinstance(entry, str) and entry.strip() == "zero":
-            modes.append("zero")
+        entry = spec.get(name, "solve" if a in solve_set else "zero")
+        if isinstance(entry, str) and entry.strip() in ("solve", "zero"):
+            modes.append(entry.strip())
             values.append(None)
             continue
         if isinstance(entry, (int, float)):
@@ -140,23 +138,20 @@ def degenerate_velocities(ct, pt, gauge=None, cls=None, t=0.0, res=None):
     f = field_strength(ct, pt)
     dh = d_alpha_h(ct, res)
     v = np.zeros(n_deg)
-    solve_idx = [a for a, m in enumerate(gauge.modes) if m == "solve"]
-    for a, mode in enumerate(gauge.modes):
-        if mode != "solve":
-            v[a] = gauge.velocity(a, t)
-    if solve_idx:
-        other = [a for a in range(n_deg) if a not in solve_idx]
-        sub = f[np.ix_(solve_idx, solve_idx)]
+    solve_idx, other, ix_solve, ix_other = gauge._plan
+    for a in other:
+        v[a] = gauge.velocity(a, t)
+    if ix_solve is not None:
         rhs = dh[solve_idx]
-        if other:
-            rhs = rhs - f[np.ix_(solve_idx, other)] @ v[other]
+        if ix_other is not None:
+            rhs = rhs - f[ix_other] @ v[other]
         try:
-            v[solve_idx] = np.linalg.solve(sub, rhs)
+            v[solve_idx] = np.linalg.solve(f[ix_solve], rhs)
         except np.linalg.LinAlgError:
             raise RankDeficiencyError(
                 "sector subblock singular at this point; the constant-rank "
                 "classification does not hold here") from None
-    residual = float(np.max(np.abs(f @ v - dh))) if n_deg else 0.0
+    residual = float(np.abs(f @ v - dh).max())
     return v, residual
 
 
@@ -226,6 +221,7 @@ def integrate(ct, initial, gauge=None, cfg=None, cls=None):
         gauge = gauge_input(ct, cls)
     else:
         check_gauge_input(ct, gauge, cls)
+    _, other, sub_ix, _ = gauge._plan
     steps = int(round((cfg.t1 - cfg.t0) / cfg.dt))
     n, r = ct.n, ct.r
     n_deg = n - r
@@ -247,9 +243,8 @@ def integrate(ct, initial, gauge=None, cfg=None, cls=None):
         # Lagrangian evaluations inside Newton may need an admissible value;
         # seed the point with prescribed values and the last solved ones
         v_ref = warm_v[0].copy()
-        for a, mode in enumerate(gauge.modes):
-            if mode != "solve":
-                v_ref[a] = gauge.velocity(a, t)
+        for a in other:
+            v_ref[a] = gauge.velocity(a, t)
         pt = PhasePoint(q, p, v_ref)
         res = ct.resolve(pt, v_init=warm_reg[0])
         warm_reg[0] = res.V
@@ -258,7 +253,7 @@ def integrate(ct, initial, gauge=None, cfg=None, cls=None):
         dq = np.empty(n)
         dq[ct.reg_idx] = res.dH_dp - v @ res.dB_dp
         dq[ct.deg_idx] = v
-        dp = -res.dH_dq[ct.reg_idx] + v @ res.dB_dq[:, ct.reg_idx]
+        dp = -res.dH_dq[ct.reg_idx] + v @ res.dB_dq_reg
         return dq, dp, v, resid, res
 
     def build(count, flagged):
@@ -268,8 +263,6 @@ def integrate(ct, initial, gauge=None, cfg=None, cls=None):
                           ct.model.coords, ct.split.regular,
                           ct.split.degenerate, flagged)
 
-    solve_idx = [a for a, mode in enumerate(gauge.modes) if mode == "solve"]
-    sub_ix = np.ix_(solve_idx, solve_idx) if solve_idx else None
     pf_sign = None
     flagged = False
     half = cfg.dt / 2

@@ -559,18 +559,16 @@ def _render(e, min_prec):
     if isinstance(e, Sum):
         parts = []
         for i, t in enumerate(e.terms):
-            if isinstance(t, Neg):
-                if i == 0:
-                    parts.append("-" + _render(t.child, _P_POWER))
-                else:
-                    parts.append(" - " + _render(t.child, _P_TERM))
+            if i and isinstance(t, Neg):
+                parts.append(" - " + _render(t.child, _P_UNARY))
             else:
-                prefix = "" if i == 0 else " + "
-                parts.append(prefix + _render(t, _P_UNARY))
+                parts.append(("" if i == 0 else " + ") + _render(t, _P_UNARY))
         text = "".join(parts)
         return f"({text})" if _P_SUM < min_prec else text
     if isinstance(e, Neg):
-        text = "-" + _render(e.child, _P_POWER)
+        # a negation chain prints as "--x": parentheses would double its depth
+        child_prec = _P_UNARY if isinstance(e.child, Neg) else _P_POWER
+        text = "-" + _render(e.child, child_prec)
         return f"({text})" if _P_UNARY < min_prec else text
     if isinstance(e, Prod):
         parts = [_render(e.factors[0], _P_TERM)]

@@ -69,6 +69,11 @@ class LagrangianModel:
         which makes a new model with its own core."""
         return DerivativeCore(self)
 
+    @cached_property
+    def _probe_draws(self):
+        """default_probes' admissible draws, by (count, seed, exclusion)."""
+        return {}
+
 
 class DerivativeCore:
     """L, L_v, L_q, the velocity Hessian W and L_vq after parameter
@@ -262,7 +267,20 @@ def _domain_guards(expr):
 def default_probes(model, count=DEFAULT_PROBE_COUNT, seed=DEFAULT_PROBE_SEED,
                    exclusion=PROBE_EXCLUSION):
     """Random coordinate/velocity bindings in [-1, 1], rejecting draws that sit
-    within the exclusion margin of a domain boundary of the Lagrangian."""
+    within the exclusion margin of a domain boundary of the Lagrangian.
+
+    Each model draws a given (count, integer seed, exclusion) once; every
+    call gets its own copies of the bindings."""
+    if not isinstance(seed, int):  # None or a Generator: draw afresh each call
+        return _draw_probes(model, count, seed, exclusion)
+    key = (count, seed, exclusion)
+    probes = model._probe_draws.get(key)
+    if probes is None:
+        probes = model._probe_draws[key] = _draw_probes(model, count, seed, exclusion)
+    return [dict(bindings) for bindings in probes]
+
+
+def _draw_probes(model, count, seed, exclusion):
     rng = np.random.default_rng(seed)
     names = list(model.coords) + list(model.velocity_names)
     away, nonneg = _domain_guards(model.lagrangian)

@@ -92,11 +92,13 @@ def damped_newton(residual, jacobian, x0, cfg=NewtonConfig()):
 
     A step is halved (cfg.damping) whenever it raises a DomainError or grows
     the residual norm.  Raises NewtonError when out of iterations or the
-    Jacobian goes singular.
+    Jacobian goes singular.  The Jacobian is only ever asked for at the very
+    point (the same object) of the latest residual call, so a caller may
+    evaluate both at once and hand the Jacobian over from that call.
     """
     x = np.array(x0, dtype=float)
     fx = np.asarray(residual(x), dtype=float)
-    norm = float(np.max(np.abs(fx))) if fx.size else 0.0
+    norm = float(np.abs(fx).max()) if fx.size else 0.0
     for _ in range(cfg.max_iter):
         if norm <= cfg.tol:
             return x
@@ -105,7 +107,7 @@ def damped_newton(residual, jacobian, x0, cfg=NewtonConfig()):
             step = np.linalg.solve(jac, -fx)
         except np.linalg.LinAlgError as exc:
             raise NewtonError(f"singular jacobian: {exc}", residual=norm) from exc
-        if not np.all(np.isfinite(step)):
+        if not np.isfinite(step).all():
             raise NewtonError("non-finite newton step", residual=norm)
         scale = 1.0
         for _ in range(cfg.max_backtracks):
@@ -115,7 +117,7 @@ def damped_newton(residual, jacobian, x0, cfg=NewtonConfig()):
             except DomainError:
                 scale *= cfg.damping
                 continue
-            new_norm = float(np.max(np.abs(ftrial))) if ftrial.size else 0.0
+            new_norm = float(np.abs(ftrial).max()) if ftrial.size else 0.0
             if not np.isfinite(new_norm):
                 scale *= cfg.damping
                 continue
@@ -144,11 +146,7 @@ def newton_with_restarts(residual, jacobian, x0, cfg=NewtonConfig(), box=1.0, se
             return damped_newton(residual, jacobian, start, cfg)
         except (NewtonError, DomainError) as exc:
             failure = exc
-    if isinstance(failure, NewtonError):
-        raise NewtonError(
-            f"newton failed from initial guess and {cfg.retries} restarts: {failure}",
-            residual=failure.residual,
-        ) from failure
     raise NewtonError(
-        f"newton failed from initial guess and {cfg.retries} restarts: {failure}"
+        f"newton failed from initial guess and {cfg.retries} restarts: {failure}",
+        residual=getattr(failure, "residual", None),
     ) from failure

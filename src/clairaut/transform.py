@@ -14,9 +14,11 @@ identities dH/dp_i = V^i, dH/dq = -dL/dq when all v^alpha vanish.
 
 Every derivative block of L that a resolved point needs (L, L_v, L_q, the
 velocity Hessian W = L_vv and L_vq) comes from the model's derivative core,
-so a resolution makes a single evaluator call.  Newton keeps two small
-evaluators, compiled from the core's expressions, for the regular rows of
-L_v and W.
+so a resolution makes a single evaluator call.  Newton runs on one smaller
+evaluator, compiled from the core's expressions, that returns the regular
+rows of L_v and W_rr together: one call per residual, none per Jacobian.
+The derivative block gathers its inputs from the core with one index array
+and factors W_rr once for both dV_dq and dV_dp.
 """
 
 import itertools
@@ -47,16 +49,20 @@ class PhasePoint:
             object.__setattr__(self, name, arr)
 
 
+# Derivative-block slots of a Resolution, left unset until first read.
+_BLOCK = ("W", "dV_dq", "dV_dp", "dB_dq", "dB_dp", "dB_dq_reg", "dH_dq", "dH_dp")
+
+
 class Resolution:
     """Everything the transform knows at one resolved phase point.
 
     Velocity resolution and one call of the transform's derivative core run
-    eagerly; the derivative block (implicit-function solves) and the field
-    strength are assembled from the core's values on first access.
+    eagerly.  The derivative block (implicit-function solves; dB_dq_reg is
+    dB_dq's regular columns) fills its slots on the first read of any of
+    them, the field strength F on its own first read.
     """
 
-    __slots__ = ("ct", "pt", "args", "V", "B", "L", "H", "_core", "_F",
-                 "_W", "_dV_dq", "_dV_dp", "_dB_dq", "_dB_dp", "_dH_dq", "_dH_dp")
+    __slots__ = ("ct", "pt", "args", "V", "B", "L", "H", "_core", "_W", "F") + _BLOCK
 
     def __init__(self, ct, pt, args, V):
         self.ct = ct
@@ -68,80 +74,61 @@ class Resolution:
         self.L = core[0]
         self.H = float(pt.p @ V + self.B @ pt.v_deg - self.L)
         self._W = None
-        self._F = None
+
+    def __getattr__(self, name):
+        if name in _BLOCK and self._W is None:
+            self._derivatives()
+        elif name == "F":
+            self.F = self._field_strength()
+        else:
+            raise AttributeError(name)
+        return object.__getattribute__(self, name)
 
     def _derivatives(self):
         if self._W is not None:
             return
         ct = self.ct
-        n, r = ct.n, ct.r
-        core = np.array(self._core)
-        w = core[ct.core_slices["W"]].reshape(n, n)
-        lvq = core[ct.core_slices["L_vq"]].reshape(n, n)
-        lq = core[ct.core_slices["L_q"]]
-        w_rr = w[ct._ix_rr]
-        w_dr = w[ct._ix_dr]
-        if r:
-            solved = np.linalg.solve(w_rr, lvq[ct.reg_idx, :])  # (r, n)
-            self._dV_dq = -solved
-            self._dV_dp = np.linalg.inv(w_rr)
-        else:
-            solved = np.zeros((0, n))
-            self._dV_dq = np.zeros((0, n))
-            self._dV_dp = np.zeros((0, 0))
-        self._dB_dq = lvq[ct.deg_idx, :] - w_dr @ solved
-        self._dB_dp = w_dr @ self._dV_dp
-        self._dH_dq = -lq + self.pt.v_deg @ self._dB_dq
-        self._dH_dp = self.V + self.pt.v_deg @ self._dB_dp
-        self._W = w
+        n = ct.n
+        core = np.array(self._core + (0.0, 1.0))
+        block = core[ct._gather]
+        w_rr, rhs, w_dr, lvq_deg, lq = (block[at].reshape(shape) for at, shape in ct._blocks)
+        sol = np.linalg.solve(w_rr, rhs)  # W_rr^-1 [L_vq regular rows | I_r]
+        if n == 1:
+            # LAPACK divides by the pivot for one right-hand side but
+            # multiplies by its reciprocal for several: keep the division
+            sol[:, :1] = np.linalg.solve(w_rr, rhs[:, :1])
+        solved = sol[:, :n]
+        self.dV_dq = -solved
+        self.dV_dp = sol[:, n:]
+        dB_dq = self.dB_dq = lvq_deg - w_dr @ solved
+        self.dB_dq_reg = dB_dq[:, ct.reg_idx]
+        self.dB_dp = w_dr @ self.dV_dp
+        self.dH_dq = -lq + self.pt.v_deg @ dB_dq
+        self.dH_dp = self.V + self.pt.v_deg @ self.dB_dp
+        self._W = self.W = core[ct.core_slices["W"]].reshape(n, n)
 
-    @property
-    def F(self):
-        """Field strength F_ab, exactly antisymmetric: each term enters as
-        (T - T^t).  Built once and shared, so it is read-only."""
-        if self._F is None:
-            self._derivatives()
-            m = self._dB_dq[:, self.ct.deg_idx].T  # m[a, b] = dB_b / dq^a
-            p = self._dB_dq[:, self.ct.reg_idx] @ self._dB_dp.T  # bracket building block
-            f = (m - m.T) + (p - p.T)
-            f.flags.writeable = False
-            self._F = f
-        return self._F
+    def _field_strength(self):
+        """F_ab, exactly antisymmetric: each term enters as (T - T^t).  Built
+        once and shared, so it is read-only."""
+        m = self.dB_dq[:, self.ct.deg_idx].T  # m[a, b] = dB_b / dq^a
+        p = self.dB_dq_reg @ self.dB_dp.T  # bracket building block
+        f = (m - m.T) + (p - p.T)
+        f.flags.writeable = False
+        return f
 
-    @property
-    def W(self):
-        self._derivatives()
-        return self._W
 
-    @property
-    def dV_dq(self):
-        self._derivatives()
-        return self._dV_dq
-
-    @property
-    def dV_dp(self):
-        self._derivatives()
-        return self._dV_dp
-
-    @property
-    def dB_dq(self):
-        self._derivatives()
-        return self._dB_dq
-
-    @property
-    def dB_dp(self):
-        self._derivatives()
-        return self._dB_dp
-
-    @property
-    def dH_dq(self):
-        self._derivatives()
-        return self._dH_dq
-
-    @property
-    def dH_dp(self):
-        self._derivatives()
-        return self._dH_dp
+def _block_gather(n, reg, deg, slices):
+    """Where the derivative block's inputs sit in the core tuple extended by
+    (0.0, 1.0): one index array over W_rr, [L_vq regular rows | I_r], W_dr,
+    L_vq degenerate rows and L_q, then each block's slice and shape in the
+    gathered array."""
+    w, lvq = (slices[b].start + np.arange(n * n).reshape(n, n) for b in ("W", "L_vq"))
+    eye = slices["L_vq"].stop + np.eye(len(reg), dtype=np.intp)  # L_vq ends the core
+    parts = (w[np.ix_(reg, reg)], np.hstack([lvq[reg], eye]), w[np.ix_(deg, reg)],
+             lvq[deg], slices["L_q"].start + np.arange(n))
+    ends = np.cumsum([part.size for part in parts])
+    return (np.concatenate([part.ravel() for part in parts]),
+            [(slice(end - part.size, end), part.shape) for part, end in zip(parts, ends)])
 
 
 class ClairautTransform:
@@ -170,12 +157,14 @@ class ClairautTransform:
         self.core_slices = core.slices
         self._f_core = core.fn
         self._b_pos = [self.core_slices["L_v"].start + a for a in self.deg_idx]
-        self._ix_rr = np.ix_(self.reg_idx, self.reg_idx)
-        self._ix_dr = np.ix_(self.deg_idx, self.reg_idx)
+        self._reg_at = [self.n + int(i) for i in self.reg_idx]
+        self._deg_at = [self.n + int(a) for a in self.deg_idx]
+        self._gather, self._blocks = _block_gather(
+            self.n, self.reg_idx, self.deg_idx, self.core_slices)
         lv, w = core.exprs["L_v"], core.w_rows
-        self._f_Lv_reg = compile_evaluator([lv[i] for i in self.reg_idx], self.arg_names)
-        self._f_W_rr = compile_evaluator(
-            [w[i][j] for i in self.reg_idx for j in self.reg_idx], self.arg_names)
+        self._f_newton = compile_evaluator(
+            [lv[i] for i in self.reg_idx]
+            + [w[i][j] for i in self.reg_idx for j in self.reg_idx], self.arg_names)
         self._last = None
 
     # ------------------------------------------------------------ points
@@ -210,38 +199,37 @@ class ClairautTransform:
         cached = self._last
         if cached is not None and cached[0] is pt and v_init is None:
             return cached[1]
-        n = self.n
-        args = pt.q.tolist() + [0.0] * n
-        for a, val in zip(self.deg_idx, pt.v_deg):
-            args[n + a] = float(val)
-        if self.r == 0:
-            res = Resolution(self, pt, args, np.zeros(0))
-            self._last = (pt, res)
-            return res
-        p = pt.p
-        reg = self.reg_idx
-
-        def residual(x):
-            for k, i in enumerate(reg):
-                args[n + i] = x[k]
-            vals = self._f_Lv_reg(args)
-            return np.array(vals) - p
-
-        def jacobian(x):
-            for k, i in enumerate(reg):
-                args[n + i] = x[k]
-            return np.array(self._f_W_rr(args)).reshape(self.r, self.r)
-
-        if v_init is not None:
-            x0 = np.asarray(v_init, dtype=float)
-        else:
-            x0 = np.zeros(self.r)
-        v = newton_with_restarts(residual, jacobian, x0, self.newton)
-        for k, i in enumerate(reg):
-            args[n + i] = v[k]
+        args = pt.q.tolist() + [0.0] * self.n
+        for at, val in zip(self._deg_at, pt.v_deg.tolist()):
+            args[at] = val
+        v = self._newton(pt.p, args, v_init) if self.r else np.zeros(0)
         res = Resolution(self, pt, args, v)
         self._last = (pt, res)
         return res
+
+    def _newton(self, p, args, v_init):
+        """Regular velocities solving p_i = dL/dv^i, also written into args."""
+        reg_at, r = self._reg_at, self.r
+        last = [None, None]  # the point and the values of the latest evaluation
+
+        def residual(x):
+            for at, val in zip(reg_at, x.tolist()):
+                args[at] = val
+            vals = self._f_newton(args)
+            last[:] = x, vals
+            return np.array(vals[:r]) - p
+
+        def jacobian(x):
+            # damped_newton asks at the point of its latest residual call
+            if x is not last[0]:
+                residual(x)
+            return np.array(last[1][r:]).reshape(r, r)
+
+        x0 = np.zeros(r) if v_init is None else np.asarray(v_init, dtype=float)
+        v = newton_with_restarts(residual, jacobian, x0, self.newton)
+        for at, val in zip(reg_at, v.tolist()):
+            args[at] = val
+        return v
 
     # ------------------------------------------------------------- queries
 

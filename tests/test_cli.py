@@ -13,7 +13,8 @@ import jsonschema
 import pytest
 
 from clairaut import bundled_model_path
-from clairaut.cli import main
+from clairaut import model as model_module
+from clairaut.cli import MAX_PROBES, main
 from clairaut.expressions import MAX_NESTING
 from clairaut.fixtures import BUNDLED
 
@@ -367,6 +368,18 @@ class TestNumericFlags:
     def test_probes_message_names_the_flag(self, capsys):
         _, _, err = run_cli(capsys, "analyze", "mixed", "--probes", "-3")
         assert "--probes must be at least 1" in err
+
+    @pytest.mark.parametrize("command", ["analyze", "verify"])
+    def test_probes_above_the_bound_rejected_before_any_draw(self, capsys, monkeypatch,
+                                                             command):
+        def no_draw(*args):
+            raise AssertionError("probes drawn for a rejected --probes")
+
+        monkeypatch.setattr(model_module, "_draw_probes", no_draw)
+        code, _, err = run_cli(capsys, command, "mixed", "--probes", str(MAX_PROBES + 1))
+        assert code == 2
+        assert f"--probes must be at most {MAX_PROBES}" in err
+        assert "Traceback" not in err
 
 
 class TestNestingLimit:

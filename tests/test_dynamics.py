@@ -146,6 +146,32 @@ class TestDegenerateVelocities:
         solved = list(cls.subblock)
         assert np.max(np.abs(defect[solved])) < 1e-12
 
+    @pytest.mark.parametrize("name, spec", [
+        ("synthetic_gauge", {"u": "0.3*sin(t) + 0.2", "w": "zero"}),
+        ("synthetic_gauge", {"u": "zero", "w": "-0.7"}),
+        ("synthetic_bianchi", {"b": "0.4 - t^2"}),
+    ])
+    def test_mixed_modes_match_the_per_call_formula(self, name, spec):
+        ct, cls = transform(name), classification(name)
+        gauge = gauge_input(ct, cls, spec)
+        assert {"solve", "prescribed"} <= set(gauge.modes)
+        for k, pt in enumerate(phase_probes(ct)):
+            t = 0.1 * k
+            v, resid = degenerate_velocities(ct, pt, gauge, cls, t=t)
+            # the formula as written before the sector plan was cached
+            res = ct.resolve(pt)
+            f, dh = res.F, d_alpha_h(ct, res)
+            want = np.zeros(ct.n - ct.r)
+            solve_idx = [a for a, m in enumerate(gauge.modes) if m == "solve"]
+            for a, mode in enumerate(gauge.modes):
+                if mode != "solve":
+                    want[a] = gauge.velocity(a, t)
+            other = [a for a in range(len(want)) if a not in solve_idx]
+            rhs = dh[solve_idx] - f[np.ix_(solve_idx, other)] @ want[other]
+            want[solve_idx] = np.linalg.solve(f[np.ix_(solve_idx, solve_idx)], rhs)
+            assert v.tobytes() == want.tobytes()
+            assert resid == float(np.max(np.abs(f @ want - dh)))
+
     def test_singular_sector_detected(self):
         ct = transform("synthetic_gaugeless")
         pt = ct.point({"x": 0.0, "a": 1.0, "b": 0.0}, {"x": 1.0})

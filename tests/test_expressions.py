@@ -144,6 +144,23 @@ class TestNestingLimit:
         assert got[1] == pytest.approx(evaluate(d, point), rel=1e-12)
 
 
+    @pytest.mark.parametrize("form", sorted(NESTED_FORMS))
+    def test_tree_at_the_limit_prints_and_reparses(self, form):
+        e = parse_expression(NESTED_FORMS[form](MAX_NESTING))
+        assert parse_expression(str(e)) == e
+
+    @pytest.mark.parametrize("text", [
+        "x - " + "-" * (MAX_NESTING - 1) + "d(x)",
+        "-" * (MAX_NESTING - 1) + "d(x) + y",
+        "x^" + "-" * (MAX_NESTING - 1) + "y",
+        "--x + --y - --z*w",
+        "-(-(a*b))/(-c)",
+    ])
+    def test_negation_chains_round_trip(self, text):
+        e = parse_expression(text)
+        assert parse_expression(str(e)) == e
+
+
 class TestSimplify:
     def test_identities(self):
         assert simplify(parse_expression("x + 0")) == Sym("x")

@@ -19,7 +19,9 @@ from clairaut import (
 )
 from clairaut.dynamics import el_residual, integrate
 from clairaut.fixtures import BUNDLED, load_bundled
+from clairaut import model as model_module
 from clairaut.model import (
+    PROBE_EXCLUSION,
     check_rank_constancy,
     default_probes,
     hessian_matrix,
@@ -27,6 +29,7 @@ from clairaut.model import (
     split_variables,
 )
 from clairaut.numerics import rank_and_pivots
+from clairaut.verify import run_verification
 
 
 def hessian_value(model, bindings):
@@ -184,6 +187,30 @@ class TestProbes:
         for b in default_probes(m):
             arg = b["d(x0)"] ** 2 - b["d(x)"] ** 2 - b["d(y)"] ** 2 - b["d(z)"] ** 2
             assert arg >= 0.1
+
+    @pytest.mark.parametrize("name", ["christ_lee", "particle", "synthetic_gauge"])
+    def test_verify_draws_each_probe_set_once(self, name, monkeypatch):
+        draws = []
+        draw = model_module._draw_probes
+        monkeypatch.setattr(model_module, "_draw_probes",
+                            lambda *args: draws.append(args[1:]) or draw(*args))
+        run_verification(load_bundled(name), seed=42)
+        assert draws == [(17, 42, PROBE_EXCLUSION)]
+        draws.clear()
+        run_verification(load_bundled(name), seed=7)  # the split keeps seed 42
+        assert draws == [(17, 42, PROBE_EXCLUSION), (17, 7, PROBE_EXCLUSION)]
+
+    def test_cached_draw_equals_fresh_draw_and_hands_out_copies(self):
+        m = load_bundled("particle")
+        first = default_probes(m, count=5, seed=3)
+        assert first == model_module._draw_probes(load_bundled("particle"), 5, 3,
+                                                  PROBE_EXCLUSION)
+        first[0]["x"] = 99.0
+        first.append({})
+        again = default_probes(m, count=5, seed=3)
+        assert len(again) == 5 and again[0]["x"] != 99.0
+        assert again[0] is not default_probes(m, count=5, seed=3)[0]
+        assert default_probes(m, count=5, seed=None) != default_probes(m, count=5, seed=None)
 
 
 class TestRankKernel:

@@ -14,6 +14,10 @@ from clairaut import (
     load_bundled,
     parse_model,
 )
+from clairaut import transform as transform_module
+from clairaut.fixtures import BUNDLED
+from clairaut.gauge import phase_probes
+from clairaut.transform import Resolution
 
 RNG_SEED = 1234
 
@@ -328,3 +332,96 @@ class TestPhasePointImmutability:
         assert ct.resolve(pt) is not second
         assert second.V[0] != first.V[0]
         assert abs(second.H - ct.h_phys(ct.point([0.3, 1.5], [0.7]))) == 0.0
+
+
+def assert_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
+
+
+def reference_block(ct, res):
+    """The derivative block and F from the core, with W_rr factored twice:
+    np.linalg.solve for dV_dq, np.linalg.inv for dV_dp."""
+    n, reg, deg = ct.n, ct.reg_idx, ct.deg_idx
+    core = np.array(ct._f_core(res.args))
+    w = core[ct.core_slices["W"]].reshape(n, n)
+    lvq = core[ct.core_slices["L_vq"]].reshape(n, n)
+    lq = core[ct.core_slices["L_q"]]
+    w_rr, w_dr = w[np.ix_(reg, reg)], w[np.ix_(deg, reg)]
+    if ct.r:
+        solved = np.linalg.solve(w_rr, lvq[reg, :])
+        dv_dp = np.linalg.inv(w_rr)
+    else:
+        solved, dv_dp = np.zeros((0, n)), np.zeros((0, 0))
+    db_dq = lvq[deg, :] - w_dr @ solved
+    db_dp = w_dr @ dv_dp
+    m = db_dq[:, deg].T
+    pp = db_dq[:, reg] @ db_dp.T
+    return {
+        "W": w, "dV_dq": -solved, "dV_dp": dv_dp, "dB_dq": db_dq, "dB_dp": db_dp,
+        "dB_dq_reg": db_dq[:, reg],
+        "dH_dq": -lq + res.pt.v_deg @ db_dq, "dH_dp": res.V + res.pt.v_deg @ db_dp,
+        "F": (m - m.T) + (pp - pp.T),
+    }
+
+
+class TestLeanDerivativeBlock:
+    """One W_rr factorisation per resolution, one Newton evaluator call per
+    residual, and slots filled on first read: the same floats as before."""
+
+    @pytest.mark.parametrize("name", BUNDLED)
+    def test_block_bit_equal_to_separate_solve_and_inv(self, name):
+        ct = transform(name)
+        for pt in phase_probes(ct):
+            res = ct.resolve(pt)
+            for attr, want in reference_block(ct, res).items():
+                assert_bits(getattr(res, attr), want)
+
+    def test_slots_fill_on_first_read(self, monkeypatch):
+        ct = transform("christ_lee")
+        calls = []
+        build = Resolution._derivatives
+        monkeypatch.setattr(Resolution, "_derivatives",
+                            lambda res: calls.append(1) or build(res))
+        res = ct.resolve(phase_probes(ct)[0])
+        assert res._W is None and not calls
+        res.F
+        assert res._W is not None and len(calls) == 1
+        for attr in ("W", "dV_dq", "dV_dp", "dB_dq", "dB_dp", "dB_dq_reg", "dH_dq", "dH_dp"):
+            getattr(res, attr)
+        assert res.F is res.F and len(calls) == 1
+        with pytest.raises(AttributeError):
+            res.not_an_attribute
+
+    @pytest.mark.parametrize("name", ["particle", "christ_lee", "exponential"])
+    def test_one_evaluator_call_per_residual_none_per_jacobian(self, name, monkeypatch):
+        ct = transform(name)
+        evaluations, counts = [], {"residual": 0, "jacobian": 0}
+        fused = ct._f_newton
+        monkeypatch.setattr(ct, "_f_newton", lambda args: evaluations.append(1) or fused(args))
+        real_newton = transform_module.newton_with_restarts
+
+        def counted_newton(residual, jacobian, x0, cfg):
+            def r(x):
+                counts["residual"] += 1
+                return residual(x)
+
+            def j(x):
+                counts["jacobian"] += 1
+                before = len(evaluations)
+                jac = jacobian(x)
+                assert len(evaluations) == before
+                return jac
+
+            return real_newton(r, j, x0, cfg)
+
+        monkeypatch.setattr(transform_module, "newton_with_restarts", counted_newton)
+        pt = phase_probes(ct)[0]
+        start = ct.resolve(pt).V
+        moved = ct.point(pt.q, pt.p + 0.05, pt.v_deg)
+        warm = ct.resolve(moved, v_init=start)
+        assert counts["jacobian"] >= 1
+        assert len(evaluations) == counts["residual"]
+        lv = np.array(ct._f_core(warm.args)[ct.core_slices["L_v"]])
+        assert np.max(np.abs(lv[ct.reg_idx] - moved.p)) <= ct.newton.tol
