@@ -191,12 +191,15 @@ def cmd_transform(args):
     model = _apply_params(_load(args.model), args.param)
     ct = ClairautTransform(model)
     pt, bound_v = _bind_point(ct, args.at, "--at", require_all=True)
+    free_v = not bound_v and ct.n > ct.r
     try:
+        if free_v:  # outside the domain at Newton's start, every restart fails too
+            ct._f_newton(pt.q.tolist() + [0.0] * ct.n)
         res = ct.resolve(pt)
     except (NewtonError, DomainError):
         # the default v_deg = 0 can sit outside the Lagrangian's domain;
         # any admissible value gives the same H and B, so try v_deg = 1
-        if bound_v or ct.n == ct.r:
+        if not free_v:
             raise
         pt = ct.point(pt.q, pt.p, np.ones(ct.n - ct.r))
         res = ct.resolve(pt)

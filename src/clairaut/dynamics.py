@@ -12,6 +12,12 @@ classification subblock in the gauge case) or supplied as functions of t.
 The infinity norm of F v - D H over all degenerate rows is the consistency
 residual: nonzero values on the unsolved rows flag initial data off the
 model's invariant surface.
+
+An RK4 stage runs on Python floats: one damped-Newton resolve, one call of
+the derivative core and one call of the generated block kernel for the
+gauge's plan (numerics.block_kernel), which returns the stage's derivatives,
+the sector solve and its residual with numpy's rounding.  Each prescribed
+velocity is evaluated once per stage.
 """
 
 import math
@@ -33,10 +39,9 @@ SIGMA = -1.0
 
 
 def d_alpha_h(ct, res):
-    """D_a H_phys for all degenerate directions, from analytic gradients."""
-    return (res.dH_dq[ct.deg_idx]
-            + res.dB_dq_reg @ res.dH_dp
-            - res.dB_dp @ res.dH_dq[ct.reg_idx])
+    """D_a H_phys for all degenerate directions, from analytic gradients:
+    dH/dq^a + {B_a, H}_phys, read-only and shared like F."""
+    return res.D_H
 
 
 # --------------------------------------------------------------- gauge input
@@ -60,13 +65,9 @@ class GaugeInput:
 
     @cached_property
     def _plan(self):
-        """Solved and other slots, and the np.ix_ of F's solved-by-solved and
-        solved-by-other blocks (None when a set is empty)."""
-        solve_idx = np.array([a for a, m in enumerate(self.modes) if m == "solve"], dtype=np.intp)
-        other = np.array([a for a, m in enumerate(self.modes) if m != "solve"], dtype=np.intp)
-        ix_solve = np.ix_(solve_idx, solve_idx) if solve_idx.size else None
-        ix_other = np.ix_(solve_idx, other) if solve_idx.size and other.size else None
-        return solve_idx, other, ix_solve, ix_other
+        """(solved slots, other slots): the block kernel's sector plan."""
+        return (tuple(a for a, m in enumerate(self.modes) if m == "solve"),
+                tuple(a for a, m in enumerate(self.modes) if m != "solve"))
 
 
 def gauge_input(ct, cls, spec=None):
@@ -132,27 +133,23 @@ def degenerate_velocities(ct, pt, gauge=None, cls=None, t=0.0, res=None):
         check_gauge_input(ct, gauge, cls)
     if res is None:
         res = ct.resolve(pt)
-    n_deg = ct.n - ct.r
-    if n_deg == 0:
+    if ct.n == ct.r:
         return np.zeros(0), 0.0
-    f = field_strength(ct, pt)
-    dh = d_alpha_h(ct, res)
-    v = np.zeros(n_deg)
-    solve_idx, other, ix_solve, ix_other = gauge._plan
-    for a in other:
-        v[a] = gauge.velocity(a, t)
-    if ix_solve is not None:
-        rhs = dh[solve_idx]
-        if ix_other is not None:
-            rhs = rhs - f[ix_other] @ v[other]
-        try:
-            v[solve_idx] = np.linalg.solve(f[ix_solve], rhs)
-        except np.linalg.LinAlgError:
-            raise RankDeficiencyError(
-                "sector subblock singular at this point; the constant-rank "
-                "classification does not hold here") from None
-    residual = float(np.abs(f @ v - dh).max())
-    return v, residual
+    vo = [gauge.velocity(a, t) for a in gauge._plan[1]]
+    stage = _sector(ct.block(gauge._plan), res._core, res.V.tolist(), pt.v_deg.tolist(),
+                    vo, pt.p.tolist())
+    return np.array(stage[2]), stage[3]
+
+
+def _sector(kernel, *args):
+    """One block-kernel call; a singular solved subblock of F surfaces as
+    the zero pivot of its elimination."""
+    try:
+        return kernel(*args)
+    except ZeroDivisionError:
+        raise RankDeficiencyError(
+            "sector subblock singular at this point; the constant-rank "
+            "classification does not hold here") from None
 
 
 # -------------------------------------------------------------- integration
@@ -221,7 +218,9 @@ def integrate(ct, initial, gauge=None, cfg=None, cls=None):
         gauge = gauge_input(ct, cls)
     else:
         check_gauge_input(ct, gauge, cls)
-    _, other, sub_ix, _ = gauge._plan
+    plan = gauge._plan
+    solve, other = plan
+    kernel = ct.block(plan)
     steps = int(round((cfg.t1 - cfg.t0) / cfg.dt))
     n, r = ct.n, ct.r
     n_deg = n - r
@@ -233,28 +232,26 @@ def integrate(ct, initial, gauge=None, cfg=None, cls=None):
     out_h = np.empty(m)
     out_c = np.empty(m)
 
-    q = np.asarray(initial.q, dtype=float)
-    p = np.asarray(initial.p, dtype=float)
-    warm_v = [np.asarray(initial.v_deg, dtype=float)]
-    warm_reg = [None]
+    q = np.asarray(initial.q, dtype=float).tolist()
+    p = np.asarray(initial.p, dtype=float).tolist()
+    warm = [np.asarray(initial.v_deg, dtype=float).tolist(), None]  # last v, last V
+    deg_at, f_core, velocity = ct._deg_at, ct._f_core, gauge.velocity
 
     def stage(t, q, p):
         # H, B and their gradients ignore the degenerate velocities, but the
         # Lagrangian evaluations inside Newton may need an admissible value;
         # seed the point with prescribed values and the last solved ones
-        v_ref = warm_v[0].copy()
-        for a in other:
-            v_ref[a] = gauge.velocity(a, t)
-        pt = PhasePoint(q, p, v_ref)
-        res = ct.resolve(pt, v_init=warm_reg[0])
-        warm_reg[0] = res.V
-        v, resid = degenerate_velocities(ct, pt, gauge, cls, t=t, res=res)
-        warm_v[0] = v
-        dq = np.empty(n)
-        dq[ct.reg_idx] = res.dH_dp - v @ res.dB_dp
-        dq[ct.deg_idx] = v
-        dp = -res.dH_dq[ct.reg_idx] + v @ res.dB_dq_reg
-        return dq, dp, v, resid, res
+        vo = [velocity(a, t) for a in other]
+        vd = list(warm[0])
+        for a, val in zip(other, vo):
+            vd[a] = val
+        args = q + [0.0] * n
+        for at, val in zip(deg_at, vd):
+            args[at] = val
+        v_reg = warm[1] = ct._newton(p, args, warm[1]) if r else []
+        out = _sector(kernel, f_core(args), v_reg, vd, vo, p)
+        warm[0] = out[2]
+        return out  # dq, dp, v, residual, H, F
 
     def build(count, flagged):
         return Trajectory(out_t[:count].copy(), out_q[:count].copy(),
@@ -263,20 +260,23 @@ def integrate(ct, initial, gauge=None, cfg=None, cls=None):
                           ct.model.coords, ct.split.regular,
                           ct.split.degenerate, flagged)
 
+    def shift(x, h, dx):
+        return [a + h * b for a, b in zip(x, dx)]
+
     pf_sign = None
     flagged = False
-    half = cfg.dt / 2
+    half, sixth = cfg.dt / 2, cfg.dt / 6
     for k in range(steps + 1):
         t = float(out_t[k])
         try:
-            dq1, dp1, v1, c1, res1 = stage(t, q, p)
+            dq1, dp1, v1, c1, h1, f1 = stage(t, q, p)
         except NewtonError as exc:
             raise IntegrabilityError(
                 f"velocity resolution failed at t={t:.6g}: {exc}",
                 trajectory=build(k, flagged)) from exc
-        if sub_ix is not None:
-            # res1.F is the matrix the sector solve of this stage used
-            sign = np.sign(pfaffian(res1.F[sub_ix]))
+        if solve:
+            # f1 is the matrix the sector solve of this stage used
+            sign = np.sign(pfaffian(np.array(f1).reshape(n_deg, n_deg)[np.ix_(solve, solve)]))
             if pf_sign is not None and sign != pf_sign:
                 raise IntegrabilityError(
                     "Pfaffian of the solved F subblock changed sign between "
@@ -285,7 +285,7 @@ def integrate(ct, initial, gauge=None, cfg=None, cls=None):
                     trajectory=build(k, flagged))
             pf_sign = sign
         out_q[k], out_p[k] = q, p
-        out_v[k], out_c[k], out_h[k] = v1, c1, res1.H
+        out_v[k], out_c[k], out_h[k] = v1, c1, h1
         if c1 > cfg.consistency_tol:
             if k == 0:
                 flagged = True
@@ -297,15 +297,15 @@ def integrate(ct, initial, gauge=None, cfg=None, cls=None):
         if k == steps:
             break
         try:
-            dq2, dp2, *_ = stage(t + half, q + half * dq1, p + half * dp1)
-            dq3, dp3, *_ = stage(t + half, q + half * dq2, p + half * dp2)
-            dq4, dp4, *_ = stage(t + cfg.dt, q + cfg.dt * dq3, p + cfg.dt * dp3)
+            dq2, dp2, *_ = stage(t + half, shift(q, half, dq1), shift(p, half, dp1))
+            dq3, dp3, *_ = stage(t + half, shift(q, half, dq2), shift(p, half, dp2))
+            dq4, dp4, *_ = stage(t + cfg.dt, shift(q, cfg.dt, dq3), shift(p, cfg.dt, dp3))
         except NewtonError as exc:
             raise IntegrabilityError(
                 f"velocity resolution failed inside step at t={t:.6g}: {exc}",
                 trajectory=build(k + 1, flagged)) from exc
-        q = q + (cfg.dt / 6) * (dq1 + 2 * dq2 + 2 * dq3 + dq4)
-        p = p + (cfg.dt / 6) * (dp1 + 2 * dp2 + 2 * dp3 + dp4)
+        q = [x + sixth * (a + 2 * b + 2 * c + d) for x, a, b, c, d in zip(q, dq1, dq2, dq3, dq4)]
+        p = [x + sixth * (a + 2 * b + 2 * c + d) for x, a, b, c, d in zip(p, dp1, dp2, dp3, dp4)]
     return build(m, flagged)
 
 
@@ -327,32 +327,22 @@ def el_residual(model, traj):
     out = np.full(m, np.nan)
     if m < 5:
         return out
-    dt = traj.dt
+    dt2 = 2 * traj.dt
     coords = traj.coords
-    n = len(coords)
-    reg_pos = [coords.index(c) for c in traj.regular]
-    deg_pos = [coords.index(c) for c in traj.degenerate]
-    core = model.core
-    lv_at, lq_at = core.slices["L_v"], core.slices["L_q"]
-
-    v_fd = np.full((m, n), np.nan)
-    v_fd[1:-1] = (traj.q[2:] - traj.q[:-2]) / (2 * dt)
-    lv = np.full((m, n), np.nan)
-    lq = np.full((m, n), np.nan)
-    for k in range(1, m - 1):
-        vals = core.fn(list(traj.q[k]) + list(v_fd[k]))
-        lv[k] = vals[lv_at]
-        lq[k] = vals[lq_at]
-    for k in range(2, m - 2):
-        worst = 0.0
-        for i, pos in enumerate(reg_pos):
-            lhs = (traj.p[k + 1, i] - traj.p[k - 1, i]) / (2 * dt)
-            worst = max(worst, abs(lhs - lq[k, pos]))
-            worst = max(worst, abs(traj.p[k, i] - lv[k, pos]))
-        for pos in deg_pos:
-            lhs = (lv[k + 1, pos] - lv[k - 1, pos]) / (2 * dt)
-            worst = max(worst, abs(lhs - lq[k, pos]))
-        out[k] = worst
+    reg = [coords.index(c) for c in traj.regular]
+    deg = [coords.index(c) for c in traj.degenerate]
+    core, n = model.core, len(coords)
+    qv = np.hstack([traj.q[1:-1], (traj.q[2:] - traj.q[:-2]) / dt2])
+    at = slice(core.slices["L_v"].start, core.slices["L_q"].stop)  # L_v, then L_q
+    vals = np.empty((m - 2, 2 * n))
+    for k in range(m - 2):
+        vals[k] = core.fn(qv[k].tolist())[at]
+    lv, lq = vals[:, :n], vals[1:-1, n:]  # rows: samples 1 .. m-2 and 2 .. m-3
+    p = traj.p
+    terms = np.hstack([np.abs((p[3:-1] - p[1:-3]) / dt2 - lq[:, reg]),
+                       np.abs(p[2:-2] - lv[1:-1, reg]),
+                       np.abs((lv[2:, deg] - lv[:-2, deg]) / dt2 - lq[:, deg])])
+    out[2:-2] = np.fmax.reduce(terms, axis=1, initial=0.0)  # a nan term is skipped
     return out
 
 

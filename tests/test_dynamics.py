@@ -442,3 +442,44 @@ class TestPfaffian:
                              [0.0, 0.0, 0.0, 1.0], [0.0, 0.0, -1.0, 0.0]])
         assert np.linalg.det(f(-0.5)) > 0 and np.linalg.det(f(0.5)) > 0
         assert pfaffian(f(-0.5)) < 0 < pfaffian(f(0.5))
+
+
+def loop_el_residual(model, traj):
+    """el_residual as a per-sample loop with Python's max: the reference for
+    the vectorised stencil."""
+    m, dt, coords = len(traj.t), traj.dt, traj.coords
+    n = len(coords)
+    reg = [coords.index(c) for c in traj.regular]
+    deg = [coords.index(c) for c in traj.degenerate]
+    core = model.core
+    v_fd = np.full((m, n), np.nan)
+    v_fd[1:-1] = (traj.q[2:] - traj.q[:-2]) / (2 * dt)
+    lv, lq = np.full((m, n), np.nan), np.full((m, n), np.nan)
+    for k in range(1, m - 1):
+        vals = core.fn(list(traj.q[k]) + list(v_fd[k]))
+        lv[k], lq[k] = vals[core.slices["L_v"]], vals[core.slices["L_q"]]
+    out = np.full(m, np.nan)
+    for k in range(2, m - 2):
+        worst = 0.0
+        for i, pos in enumerate(reg):
+            worst = max(worst, abs((traj.p[k + 1, i] - traj.p[k - 1, i]) / (2 * dt) - lq[k, pos]))
+            worst = max(worst, abs(traj.p[k, i] - lv[k, pos]))
+        for pos in deg:
+            worst = max(worst, abs((lv[k + 1, pos] - lv[k - 1, pos]) / (2 * dt) - lq[k, pos]))
+        out[k] = worst
+    return out
+
+
+class TestVectorisedElResidual:
+    @pytest.mark.parametrize("name", ["particle", "christ_lee", "synthetic_gauge"])
+    def test_bit_equal_to_the_loop_nan_entries_skipped(self, name):
+        ct = transform(name)
+        pt = phase_probes(ct)[0]
+        traj = integrate(ct, pt, cfg=IntegratorConfig(t1=0.03, dt=1e-3, consistency_tol=math.inf),
+                         gauge=gauge_input(ct, classification(name),
+                                           {"x0": "1"} if name == "particle" else None))
+        assert el_residual(ct.model, traj).tobytes() == loop_el_residual(ct.model, traj).tobytes()
+        traj.p[10, 0] = np.nan  # a nan term, which max skips
+        got = el_residual(ct.model, traj)
+        assert got.tobytes() == loop_el_residual(ct.model, traj).tobytes()
+        assert np.isfinite(got[9:12]).all()
