@@ -191,17 +191,18 @@ def cmd_transform(args):
     model = _apply_params(_load(args.model), args.param)
     ct = ClairautTransform(model)
     pt, bound_v = _bind_point(ct, args.at, "--at", require_all=True)
+    # the default v_deg = 0 can sit outside the Lagrangian's domain; any
+    # admissible value gives the same H and B, so fall back to v_deg = 1
     free_v = not bound_v and ct.n > ct.r
+    ones = ct.point(pt.q, pt.p, np.ones(ct.n - ct.r)) if free_v else None
+    if free_v and not ct.start_in_domain(pt) and ct.start_in_domain(ones):
+        pt = ones  # rather than Newton restarts at v_deg = 0
     try:
-        if free_v:  # outside the domain at Newton's start, every restart fails too
-            ct._f_newton(pt.q.tolist() + [0.0] * ct.n)
         res = ct.resolve(pt)
     except (NewtonError, DomainError):
-        # the default v_deg = 0 can sit outside the Lagrangian's domain;
-        # any admissible value gives the same H and B, so try v_deg = 1
-        if not free_v:
+        if not free_v or pt is ones:
             raise
-        pt = ct.point(pt.q, pt.p, np.ones(ct.n - ct.r))
+        pt = ones
         res = ct.resolve(pt)
     deg = ct.split.degenerate
     lines = [f"H_phys = {res.H:.17g}"]

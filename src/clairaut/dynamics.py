@@ -13,11 +13,12 @@ The infinity norm of F v - D H over all degenerate rows is the consistency
 residual: nonzero values on the unsolved rows flag initial data off the
 model's invariant surface.
 
-An RK4 stage runs on Python floats: one damped-Newton resolve, one call of
-the derivative core and one call of the generated block kernel for the
-gauge's plan (numerics.block_kernel), which returns the stage's derivatives,
-the sector solve and its residual with numpy's rounding.  Each prescribed
-velocity is evaluated once per stage.
+degenerate_velocities and d_alpha_h work on a Resolution with numpy.  An
+RK4 stage of integrate runs the same formulas on Python floats: one
+damped-Newton resolve (ClairautTransform._resolve_args), one call of the
+derivative core and one call of the generated stage kernel for the gauge's
+plan (numerics.stage_kernel).  It builds no PhasePoint or Resolution and
+evaluates each prescribed velocity once; the two paths agree to rounding.
 """
 
 import math
@@ -29,7 +30,7 @@ import numpy as np
 from .errors import GaugeInputError, IntegrabilityError, NewtonError, RankDeficiencyError
 from .expressions import compile_evaluator, free_symbols, parse_expression
 from .gauge import bracket_gauge, classify, field_strength
-from .numerics import pfaffian
+from .numerics import pfaffian, stage_kernel
 from .transform import PhasePoint
 
 # Sign relating the extended-bracket action of the constraints p_a - B_a to
@@ -39,9 +40,10 @@ SIGMA = -1.0
 
 
 def d_alpha_h(ct, res):
-    """D_a H_phys for all degenerate directions, from analytic gradients:
-    dH/dq^a + {B_a, H}_phys, read-only and shared like F."""
-    return res.D_H
+    """D_a H_phys for all degenerate directions, from analytic gradients."""
+    return (res.dH_dq[ct.deg_idx]
+            + res.dB_dq_reg @ res.dH_dp
+            - res.dB_dp @ res.dH_dq[ct.reg_idx])
 
 
 # --------------------------------------------------------------- gauge input
@@ -65,9 +67,13 @@ class GaugeInput:
 
     @cached_property
     def _plan(self):
-        """(solved slots, other slots): the block kernel's sector plan."""
-        return (tuple(a for a, m in enumerate(self.modes) if m == "solve"),
-                tuple(a for a, m in enumerate(self.modes) if m != "solve"))
+        """Solved and other slots, and the np.ix_ of F's solved-by-solved and
+        solved-by-other blocks (None when a set is empty)."""
+        solve_idx = np.array([a for a, m in enumerate(self.modes) if m == "solve"], dtype=np.intp)
+        other = np.array([a for a, m in enumerate(self.modes) if m != "solve"], dtype=np.intp)
+        ix_solve = np.ix_(solve_idx, solve_idx) if solve_idx.size else None
+        ix_other = np.ix_(solve_idx, other) if solve_idx.size and other.size else None
+        return solve_idx, other, ix_solve, ix_other
 
 
 def gauge_input(ct, cls, spec=None):
@@ -133,23 +139,27 @@ def degenerate_velocities(ct, pt, gauge=None, cls=None, t=0.0, res=None):
         check_gauge_input(ct, gauge, cls)
     if res is None:
         res = ct.resolve(pt)
-    if ct.n == ct.r:
+    n_deg = ct.n - ct.r
+    if n_deg == 0:
         return np.zeros(0), 0.0
-    vo = [gauge.velocity(a, t) for a in gauge._plan[1]]
-    stage = _sector(ct.block(gauge._plan), res._core, res.V.tolist(), pt.v_deg.tolist(),
-                    vo, pt.p.tolist())
-    return np.array(stage[2]), stage[3]
-
-
-def _sector(kernel, *args):
-    """One block-kernel call; a singular solved subblock of F surfaces as
-    the zero pivot of its elimination."""
-    try:
-        return kernel(*args)
-    except ZeroDivisionError:
-        raise RankDeficiencyError(
-            "sector subblock singular at this point; the constant-rank "
-            "classification does not hold here") from None
+    f = field_strength(ct, pt)
+    dh = d_alpha_h(ct, res)
+    v = np.zeros(n_deg)
+    solve_idx, other, ix_solve, ix_other = gauge._plan
+    for a in other:
+        v[a] = gauge.velocity(a, t)
+    if ix_solve is not None:
+        rhs = dh[solve_idx]
+        if ix_other is not None:
+            rhs = rhs - f[ix_other] @ v[other]
+        try:
+            v[solve_idx] = np.linalg.solve(f[ix_solve], rhs)
+        except np.linalg.LinAlgError:
+            raise RankDeficiencyError(
+                "sector subblock singular at this point; the constant-rank "
+                "classification does not hold here") from None
+    residual = float(np.abs(f @ v - dh).max())
+    return v, residual
 
 
 # -------------------------------------------------------------- integration
@@ -218,9 +228,10 @@ def integrate(ct, initial, gauge=None, cfg=None, cls=None):
         gauge = gauge_input(ct, cls)
     else:
         check_gauge_input(ct, gauge, cls)
-    plan = gauge._plan
-    solve, other = plan
-    kernel = ct.block(plan)
+    solve_idx, other, ix_solve, _ = gauge._plan
+    other = other.tolist()
+    kernel = stage_kernel(ct.n, tuple(ct.reg_idx.tolist()), tuple(solve_idx.tolist()),
+                          tuple(other))
     steps = int(round((cfg.t1 - cfg.t0) / cfg.dt))
     n, r = ct.n, ct.r
     n_deg = n - r
@@ -235,7 +246,7 @@ def integrate(ct, initial, gauge=None, cfg=None, cls=None):
     q = np.asarray(initial.q, dtype=float).tolist()
     p = np.asarray(initial.p, dtype=float).tolist()
     warm = [np.asarray(initial.v_deg, dtype=float).tolist(), None]  # last v, last V
-    deg_at, f_core, velocity = ct._deg_at, ct._f_core, gauge.velocity
+    f_core, velocity = ct._f_core, gauge.velocity
 
     def stage(t, q, p):
         # H, B and their gradients ignore the degenerate velocities, but the
@@ -245,13 +256,10 @@ def integrate(ct, initial, gauge=None, cfg=None, cls=None):
         vd = list(warm[0])
         for a, val in zip(other, vo):
             vd[a] = val
-        args = q + [0.0] * n
-        for at, val in zip(deg_at, vd):
-            args[at] = val
-        v_reg = warm[1] = ct._newton(p, args, warm[1]) if r else []
-        out = _sector(kernel, f_core(args), v_reg, vd, vo, p)
+        args, warm[1] = ct._resolve_args(q, p, vd, warm[1])
+        out = kernel(f_core(args), warm[1], vd, vo, p)
         warm[0] = out[2]
-        return out  # dq, dp, v, residual, H, F
+        return out  # dq, dp, v, residual, H, F's solved subblock
 
     def build(count, flagged):
         return Trajectory(out_t[:count].copy(), out_q[:count].copy(),
@@ -274,9 +282,9 @@ def integrate(ct, initial, gauge=None, cfg=None, cls=None):
             raise IntegrabilityError(
                 f"velocity resolution failed at t={t:.6g}: {exc}",
                 trajectory=build(k, flagged)) from exc
-        if solve:
+        if ix_solve is not None:
             # f1 is the matrix the sector solve of this stage used
-            sign = np.sign(pfaffian(np.array(f1).reshape(n_deg, n_deg)[np.ix_(solve, solve)]))
+            sign = np.sign(pfaffian(np.reshape(f1, (len(solve_idx), -1))))
             if pf_sign is not None and sign != pf_sign:
                 raise IntegrabilityError(
                     "Pfaffian of the solved F subblock changed sign between "

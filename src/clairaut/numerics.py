@@ -5,13 +5,11 @@ kernels for the tiny dense solves of the mixed transform.
 Everything is deterministic for fixed inputs; the Newton restarts draw from
 a generator seeded per call, never from global state.
 
-The generated kernels run on Python floats and reproduce, bit for bit, what
-numpy computes on the same shapes with the OpenBLAS it links (SkylakeX
-kernels, numpy 2.4): LAPACK's left-looking LU with partial pivoting, its
-blocked triangular solves, and the dot, gemv and gemm paths numpy picks for
-each matmul.  Those kernels fuse products into sums, so every fused step
-goes through fma().  Ties to that build are checked by tests/test_kernel.py;
-another BLAS rounds differently, and then only the last bits change.
+The generated kernels (solver, stage_kernel) run on Python floats: Gauss
+elimination with partial pivoting and dot products summed left to right,
+unrolled for one shape and compiled once.  They round the same way on every
+machine.  numpy's small solves and matmuls round as the BLAS they run on
+does, so the two agree to a few units in the last place, not bit for bit.
 """
 
 import functools
@@ -20,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NewtonError
+from .errors import DomainError, NewtonError, RankDeficiencyError
 
 
 def rank_and_pivots(matrix, rel_tol=1e-9):
@@ -138,8 +136,8 @@ def damped_newton(residual, jacobian, x0, cfg=NewtonConfig()):
             return np.array(x)
         try:
             step = solve(_floats(jacobian(x)), [-f for f in fx])
-        except ZeroDivisionError:
-            raise NewtonError("singular jacobian: Singular matrix", residual=norm) from None
+        except np.linalg.LinAlgError as exc:
+            raise NewtonError(f"singular jacobian: {exc}", residual=norm) from exc
         if not all(map(math.isfinite, step)):
             raise NewtonError("non-finite newton step", residual=norm)
         scale = 1.0
@@ -187,28 +185,6 @@ def newton_with_restarts(residual, jacobian, x0, cfg=NewtonConfig(), box=1.0, se
 
 # ------------------------------------------------------- generated kernels
 
-_SPLIT = 134217729.0  # 2**27 + 1, Veltkamp's splitting constant
-
-
-def fma(a, b, c):
-    """a * b + c rounded once, like a fused multiply-add.
-
-    Dekker's exact product and math.fsum make it exact, except for a product
-    that underflows into the subnormal range."""
-    p = a * b
-    if p == 0.0 or c == 0.0 or p - p != 0.0:  # rounded once already, or inf/nan
-        return p + c
-    t = a * _SPLIT
-    ah = t - (t - a)
-    t = b * _SPLIT
-    bh = t - (t - b)
-    al, bl = a - ah, b - bh
-    try:
-        s = math.fsum((p, ((ah * bh - p) + ah * bl + al * bh) + al * bl, c))
-    except OverflowError:
-        return p + c
-    return s if s == s else p + c  # a split that overflowed gives nan
-
 
 class _Code:
     """Straight-line source under construction; calling it assigns an
@@ -229,161 +205,44 @@ class _Code:
 
     def build(self, params, ret):
         source = f"def kernel({params}):\n" + "\n".join(self.lines) + f"\n    return {ret}\n"
-        namespace = {"fma": fma}
+        namespace = {"LinAlgError": np.linalg.LinAlgError,
+                     "RankDeficiencyError": RankDeficiencyError}
         exec(compile(source, "<clairaut-kernel>", "exec"), namespace)  # noqa: S102 (our own codegen)
         kernel = namespace["kernel"]
         kernel.source = source
         return kernel
 
 
-def _chain(code, pairs, acc="0.0"):
-    """acc plus the products, one fused step each, in order: ddot, gemm and
-    the scalar gemv rows."""
-    for a, b in pairs:
-        acc = code(f"{a} * {b} + 0.0" if acc == "0.0" else f"fma({a}, {b}, {acc})")
-    return acc
+def _dot(pairs):
+    """Source of sum(a * b) over the pairs, added left to right."""
+    return " + ".join(f"{a} * {b}" for a, b in pairs) or "0.0"
 
 
-def _pair(code, pairs):
-    """The kernels' fused pair a0*b0 + a1*b1: a1*b1 rounded, a0*b0 fused."""
-    (a0, b0), (a1, b1) = pairs
-    return code(f"fma({a0}, {b0}, {a1} * {b1})")
-
-
-def _gemv_t(code, pairs):
-    """One output of dgemv_t (a contiguous row times x), two or more outputs."""
-    k = len(pairs)
-    whole = k & -4
-    y = "0.0"
-    if whole:
-        lanes = [code(f"{a} * {b} + 0.0") for a, b in pairs[:4]]
-        for at in range(4, whole, 4):
-            lanes = [code(f"fma({a}, {b}, {lane})") for (a, b), lane in zip(pairs[at:at + 4], lanes)]
-        y = code(f"0.0 + (({lanes[0]} + {lanes[2]}) + ({lanes[1]} + {lanes[3]}))")
-    tail = pairs[whole:]
-    if len(tail) == 1:
-        return _chain(code, tail, y)
-    if tail:
-        s = _pair(code, tail[:2])
-        if len(tail) == 3:
-            s = code(f"fma({tail[2][0]}, {tail[2][1]}, {s})")
-        y = code(f"{y} + {s}")
-    return y
-
-
-def _gemv_n(code, pairs, block, lda_is_m, y="0.0", op="+"):
-    """One output y op= sum(a*b) of dgemv_n: rows in 4-row blocks go through
-    the vector kernels, the last m % 4 rows through scalar loops, unrolled
-    by four when lda_is_m."""
-    if block:
-        at = 0
-        while at < len(pairs):
-            group = pairs[at:at + (4 if len(pairs) - at >= 4 else 2)]
-            if len(group) == 1:
-                s = code(f"{group[0][0]} * {group[0][1]}")
-            else:
-                s = _pair(code, group[:2])
-                for a, b in group[2:]:
-                    s = code(f"fma({a}, {b}, {s})")
-            at += len(group)
-            y = code(f"{y} {op} {s}")
-        return y
-    t = "0.0"
-    whole = len(pairs) & -4 if lda_is_m else 0
-    for at in range(0, whole, 2):
-        t = code(f"{t} + {_pair(code, pairs[at:at + 2])}")
-    return code(f"{y} {op} {_chain(code, pairs[whole:], t)}")
-
-
-def _matmul(code, a, b, cols, lda=None, b_t=False):
-    """numpy's a @ b on float64, rounding included.  a is a list of rows and
-    b a list of rows with cols entries each (a vector operand is one row of a
-    or one column of b).  lda is b's row stride when b is a row slice of a
-    wider array; b_t marks b as a transposed view."""
-    dm, dn, dp = len(a), len(b), cols
-    if not (dm and dn and dp):
-        return [["0.0"] * dp for _ in range(dm)]
-
-    def pairs(i, j):
-        return [(a[i][t], b[t][j]) for t in range(dn)]
-
-    if dn == 1 or dp == dm == 1 or dm > 1 and dp > 1:  # no BLAS, ddot or gemm
-        return [[_chain(code, pairs(i, j)) for j in range(dp)] for i in range(dm)]
-    if dp == 1:  # matrix @ vector
-        return [[_gemv_t(code, pairs(i, 0))] for i in range(dm)]
-    if b_t:  # vector @ matrix: dgemv_t over b's columns
-        return [[_gemv_t(code, pairs(0, j)) for j in range(dp)]]
-    lda_is_m = (lda or dp) == dp & 3  # the scalar rows unroll when lda equals their count
-    return [[_gemv_n(code, pairs(0, j), j < dp & -4, lda_is_m) for j in range(dp)]]
-
-
-def _blocks(k, top_down):
-    """Row blocks of OpenBLAS' trsm kernels (unroll 16): sizes by the bits of
-    k, largest first from the top (lower solve) or smallest first from the
-    bottom (upper solve)."""
-    if top_down:
-        out, start = [], 0
-        for size in (8, 4, 2, 1):
-            if k & size:
-                out.append((start, start + size))
-                start += size
-        return out
-    return [((k & ~(size - 1)) - size, k & ~(size - 1)) for size in (1, 2, 4, 8) if k & size]
-
-
-def _lu_solve(code, a, b, one_rhs):
-    """dgesv on names: a (k rows) becomes its LU factors and b (k rows of
-    right-hand sides) the solution.  Columns in one_rhs take the path of a
-    single right-hand side (dtrsv, dividing by the pivot), the others that of
-    several (dtrsm, multiplying by its reciprocal).  A zero pivot raises
-    ZeroDivisionError at run time."""
+def _lu_solve(code, a, b, singular):
+    """Gauss elimination with partial pivoting on names: the k rows of
+    right-hand sides b become A^-1 b, and a is overwritten.  A zero pivot
+    runs the statement singular."""
     k = len(a)
-    for j in range(k):  # dgetf2: left-looking, column j from the columns before it
-        for i in range(1, j):
-            code.line(f"{a[i][j]} = {a[i][j]} - {_chain(code, [(a[t][j], a[i][t]) for t in range(i)])}")
-        rows = k - j
-        for i in range(j, k):
-            terms = [(a[i][t], a[t][j]) for t in range(j)]
-            if terms:
-                code.line(f"{a[i][j]} = {_gemv_n(code, terms, i - j < rows & -4, False, a[i][j], '-')}")
-        code.line(f"top, row = abs({a[j][j]}), {j}")
+    for j in range(k):
+        if j + 1 < k:
+            code.line(f"top, row = abs({a[j][j]}), {j}")
+            for i in range(j + 1, k):
+                code.line(f"if abs({a[i][j]}) > top: top, row = abs({a[i][j]}), {i}")
+            for i in range(j + 1, k):
+                mine, theirs = ", ".join(a[j][j:] + b[j]), ", ".join(a[i][j:] + b[i])
+                code.line(f"{'if' if i == j + 1 else 'elif'} row == {i}: "
+                          f"{mine}, {theirs} = {theirs}, {mine}")
+        code.line(f"if {a[j][j]} == 0.0: {singular}")
         for i in range(j + 1, k):
-            code.line(f"if abs({a[i][j]}) > top: top, row = abs({a[i][j]}), {i}")
-        for i in range(j + 1, k):
-            mine, theirs = ", ".join(a[j] + b[j]), ", ".join(a[i] + b[i])
-            code.line(f"{'if' if i == j + 1 else 'elif'} row == {i}: "
-                      f"{mine}, {theirs} = {theirs}, {mine}")
-        inv = code(f"1.0 / {a[j][j]}")
-        for i in range(j + 1, k):
-            code.line(f"{a[i][j]} = {a[i][j]} * {inv}")
-    several = [c for c in range(len(b[0]) if b else 0) if c not in one_rhs]
-    inv = [code(f"1.0 / {a[i][i]}") for i in range(k)] if several else []
-    for c in one_rhs:
-        for i in range(k):
-            for t in range(i + 1, k):
-                code.line(f"{b[t][c]} = fma(-{b[i][c]}, {a[t][i]}, {b[t][c]})")
-        for i in reversed(range(k)):
-            code.line(f"{b[i][c]} = {b[i][c]} / {a[i][i]}")
-            for t in range(i):
-                code.line(f"{b[t][c]} = fma(-{b[i][c]}, {a[t][i]}, {b[t][c]})")
-    for c in several:
-        for start, end in _blocks(k, True):
-            for row in range(start, end):
-                if start:
-                    acc = _chain(code, [(a[row][t], b[t][c]) for t in range(start)])
-                    code.line(f"{b[row][c]} = {b[row][c]} - {acc}")
-            for i in range(start, end):
-                for t in range(i + 1, end):
-                    code.line(f"{b[t][c]} = fma(-{b[i][c]}, {a[t][i]}, {b[t][c]})")
-        for start, end in _blocks(k, False):
-            for row in range(start, end):
-                if end < k:
-                    acc = _chain(code, [(a[row][t], b[t][c]) for t in range(end, k)])
-                    code.line(f"{b[row][c]} = {b[row][c]} - {acc}")
-            for i in reversed(range(start, end)):
-                code.line(f"{b[i][c]} = {b[i][c]} * {inv[i]}")
-                for t in range(start, i):
-                    code.line(f"{b[t][c]} = fma(-{b[i][c]}, {a[t][i]}, {b[t][c]})")
+            factor = code(f"{a[i][j]} / {a[j][j]}")
+            for c in range(j + 1, k):
+                code.line(f"{a[i][c]} = {a[i][c]} - {factor} * {a[j][c]}")
+            for c, name in enumerate(b[i]):
+                code.line(f"{name} = {name} - {factor} * {b[j][c]}")
+    for i in reversed(range(k)):
+        for c, name in enumerate(b[i]):
+            rest = "".join(f" - {a[i][t]} * {b[t][c]}" for t in range(i + 1, k))
+            code.line(f"{name} = ({name}{rest}) / {a[i][i]}")
 
 
 def _names(prefix, rows, cols):
@@ -393,100 +252,80 @@ def _names(prefix, rows, cols):
 @functools.lru_cache(maxsize=None)
 def solver(k, m=1):
     """Generated x = A^-1 B for a k x k A and a k x m B, both flat row-major
-    sequences; returns x as a flat row-major list, the bits of
-    np.linalg.solve.  A singular A raises ZeroDivisionError."""
+    sequences of floats; returns x as a flat row-major list.  A singular A
+    raises numpy.linalg.LinAlgError, like numpy.linalg.solve."""
     code = _Code()
     a, b = _names("a", k, k), _names("b", k, m)
-    flat_a, flat_b = sum(a, []), sum(b, [])
-    code.line(f"{', '.join(flat_a)}, = A")
+    flat_b = sum(b, [])
+    code.line(f"{', '.join(sum(a, []))}, = A")
     code.line(f"{', '.join(flat_b)}, = B")
-    _lu_solve(code, a, b, {0} if m == 1 else set())
+    _lu_solve(code, a, b, "raise LinAlgError('Singular matrix')")
     return code.build("A, B", "[" + ", ".join(flat_b) + "]")
 
 
 @functools.lru_cache(maxsize=None)
-def block_kernel(n, reg, plan=None):
-    """Generated derivative block of one resolved point, cached by layout.
+def stage_kernel(n, reg, solve, other):
+    """Generated RK4 stage of the mixed equations for one layout, cached by it.
 
-    The kernel takes (c, V, vd, vo, p): the derivative core tuple (L, L_v,
-    L_q, W, L_vq; model.DerivativeCore), the regular velocities, the point's
-    degenerate velocities, the values of the unsolved degenerate slots and
-    the regular momenta, all as floats.  reg lists the regular coordinates.
-    Without a plan it returns flat lists of dV_dq, dV_dp, dB_dq, dB_dp,
-    dH_dq, dH_dp, F and D_a H.  With a plan (solved slots, other slots) it
-    also solves the sector system F v = D H on the solved slots and returns
-    one RK4 stage: (dq, dp, v, residual ||F v - D H||_inf, H, F).
+    reg lists the regular coordinates; solve and other the degenerate slots
+    solved from F v = D H and supplied from outside.  The kernel takes
+    (c, V, vd, vo, p): the derivative core tuple (L, L_v, L_q, W, L_vq;
+    model.DerivativeCore) at the resolved point, the regular velocities, the
+    point's degenerate velocities, the values of the other slots and the
+    regular momenta, all floats.  It returns (dq, dp, v, residual
+    ||F v - D H||_inf, H, F's solved subblock flat), by the formulas of
+    transform.Resolution and dynamics.degenerate_velocities.
     """
-    r = len(reg)
+    r, nd = len(reg), n - len(reg)
     deg = [i for i in range(n) if i not in reg]
-    nd = len(deg)
-    base = 1 + 2 * n
-
-    def w(i, j):
-        return f"c[{base + i * n + j}]"
-
-    def lvq(i, j):
-        return f"c[{base + n * n + i * n + j}]"
-
     code = _Code()
+
+    def core(block, i, j):  # block 0: W, block 1: L_vq
+        return f"c[{1 + 2 * n + (block * n + i) * n + j}]"
+
     # W_rr X = [L_vq regular rows | I_r]: X = [-dV_dq | dV_dp]
-    a = [[code(w(i, j)) for j in reg] for i in reg]
-    x = [[code(lvq(i, j)) for j in range(n)] + [code("1.0" if i == j else "0.0") for j in reg]
-         for i in reg]
-    _lu_solve(code, a, x, {0} if n == 1 else set())
-    solved, dv_dp = [row[:n] for row in x], [row[n:] for row in x]
-    w_dr = [[code(w(i, j)) for j in reg] for i in deg]
-    vd = [[code(f"vd[{k}]") for k in range(nd)]]
-    prod = _matmul(code, w_dr, solved, n, lda=n + r)
-    db_dq = [[code(f"{lvq(i, j)} - {prod[k][j]}") for j in range(n)] for k, i in enumerate(deg)]
-    db_dp = _matmul(code, w_dr, dv_dp, r, lda=n + r)
-    prod = _matmul(code, vd, db_dq, n)[0]
-    dh_dq = [code(f"-c[{1 + n + j}] + {prod[j]}") for j in range(n)]
-    prod = _matmul(code, vd, db_dp, r)[0]
-    dh_dp = [code(f"V[{i}] + {prod[i]}") for i in range(r)]
+    a = [[code(core(0, i, j)) for j in reg] for i in reg]
+    x = [[code(core(1, i, j)) for j in range(n)] + [code("1.0" if i == j else "0.0") for j in reg] for i in reg]
+    _lu_solve(code, a, x, "raise RankDeficiencyError("
+              "'regular velocity Hessian block W_rr is singular at this point')")
+    w_dr = [[code(core(0, i, j)) for j in reg] for i in deg]
+    db_dq = [[code(f"{core(1, i, j)} - ({_dot((w, x[t][j]) for t, w in enumerate(row))})")
+              for j in range(n)] for i, row in zip(deg, w_dr)]
+    db_dp = [[code(_dot((w, x[t][n + s]) for t, w in enumerate(row))) for s in range(r)]
+             for row in w_dr]
+    vd = [code(f"vd[{k}]") for k in range(nd)]
+    dh_dq = [code(f"-c[{1 + n + j}] + ({_dot((vd[k], row[j]) for k, row in enumerate(db_dq))})")
+             for j in range(n)]
+    dh_dp = [code(f"V[{s}] + ({_dot((vd[k], row[s]) for k, row in enumerate(db_dp))})")
+             for s in range(r)]
     db_dq_reg = [[row[j] for j in reg] for row in db_dq]
-    pp = _matmul(code, db_dq_reg, [list(col) for col in zip(*db_dp)], nd, b_t=True)
+    pp = [[code(_dot(zip(ra, rb))) for rb in db_dp] for ra in db_dq_reg]
     f = [[code(f"({db_dq[b][deg[a]]} - {db_dq[a][deg[b]]}) + ({pp[a][b]} - {pp[b][a]})")
           for b in range(nd)] for a in range(nd)]
-    plus = _matmul(code, db_dq_reg, [[h] for h in dh_dp], 1)
-    minus = _matmul(code, db_dp, [[dh_dq[j]] for j in reg], 1)
-    dah = [code(f"({dh_dq[i]} + {plus[k][0]}) - {minus[k][0]}") for k, i in enumerate(deg)]
-    flat_f = "[" + ", ".join(sum(f, [])) + "]"
-    if plan is None:
-        blocks = [[f"-{e}" for row in solved for e in row], sum(dv_dp, []), sum(db_dq, []),
-                  sum(db_dp, []), dh_dq, dh_dp]
-        return code.build("c, V, vd, vo=(), p=()",
-                          ", ".join("[" + ", ".join(part) + "]" for part in blocks)
-                          + f", {flat_f}, [{', '.join(dah)}]")
-    solve, other = plan
+    dah = [code(f"({dh_dq[i]} + ({_dot(zip(db_dq_reg[k], dh_dp))}))"
+                f" - ({_dot(zip(db_dp[k], (dh_dq[j] for j in reg)))})") for k, i in enumerate(deg)]
     v = [None] * nd
     for k, s in enumerate(other):
         v[s] = code(f"vo[{k}]")
-    if solve:
-        rhs = [[code(dah[s])] for s in solve]
-        if other:
-            prod = _matmul(code, [[f[s][o] for o in other] for s in solve], [[v[o]] for o in other], 1)
-            rhs = [[code(f"{rhs[k][0]} - {prod[k][0]}")] for k in range(len(solve))]
-        _lu_solve(code, [[code(f[s][t]) for t in solve] for s in solve], rhs, {0})
-        for k, s in enumerate(solve):
-            v[s] = rhs[k][0]
-    resid = "0.0"
-    if nd:
-        fv = _matmul(code, f, [[e] for e in v], 1)
-        resid = code(f"abs({fv[0][0]} - {dah[0]})")
-        for k in range(1, nd):
-            err = code(f"abs({fv[k][0]} - {dah[k]})")
-            code.line(f"if {err} > {resid} or {err} != {err}: {resid} = {err}")
+    rhs = [[code(f"{dah[s]} - ({_dot((f[s][o], v[o]) for o in other)})")] for s in solve]
+    _lu_solve(code, [[code(f[s][t]) for t in solve] for s in solve], rhs,
+              "raise RankDeficiencyError('sector subblock singular at this point; the "
+              "constant-rank classification does not hold here')")
+    for k, s in enumerate(solve):
+        v[s] = rhs[k][0]
+    resid = code("0.0")
+    for k in range(nd):
+        err = code(f"abs({_dot(zip(f[k], v))} - {dah[k]})")
+        code.line(f"if {err} > {resid} or {err} != {err}: {resid} = {err}")
     dq = [None] * n
-    prod = _matmul(code, [v], db_dp, r)[0]
-    for k, i in enumerate(reg):
-        dq[i] = code(f"{dh_dp[k]} - {prod[k]}")
+    for s, i in enumerate(reg):
+        dq[i] = f"{dh_dp[s]} - ({_dot((v[k], row[s]) for k, row in enumerate(db_dp))})"
     for k, i in enumerate(deg):
         dq[i] = v[k]
-    prod = _matmul(code, [v], db_dq_reg, r)[0]
-    dp = [code(f"-{dh_dq[i]} + {prod[k]}") for k, i in enumerate(reg)]
-    h_p = _matmul(code, [[f"p[{i}]" for i in range(r)]], [[f"V[{i}]"] for i in range(r)], 1)
-    h_b = _matmul(code, [[f"c[{1 + i}]" for i in deg]], [[e] for e in vd[0]], 1)
-    h = code(f"({h_p[0][0]} + {h_b[0][0]}) - c[0]")
+    dp = [f"-{dh_dq[i]} + ({_dot((v[k], row[s]) for k, row in enumerate(db_dq_reg))})"
+          for s, i in enumerate(reg)]
+    h = (f"({_dot((f'p[{s}]', f'V[{s}]') for s in range(r))}"
+         f" + {_dot((f'c[{1 + i}]', vd[k]) for k, i in enumerate(deg))}) - c[0]")
+    sub = ", ".join(f[s][t] for s in solve for t in solve)
     return code.build("c, V, vd, vo, p", f"[{', '.join(dq)}], [{', '.join(dp)}], "
-                      f"[{', '.join(v)}], {resid}, {h}, {flat_f}")
+                      f"[{', '.join(v)}], {resid}, {h}, [{sub}]")

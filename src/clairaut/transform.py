@@ -17,9 +17,11 @@ velocity Hessian W = L_vv and L_vq) comes from the model's derivative core,
 so a resolution makes a single evaluator call.  Newton runs on one smaller
 evaluator, compiled from the core's expressions, that returns the regular
 rows of L_v and W_rr together: one call per residual, none per Jacobian,
-with the iterate and the step on Python floats.  The derivative block, F
-and D_a H come from one generated kernel (numerics.block_kernel), shared by
-every transform with the same layout, that reproduces numpy's rounding.
+with the iterate and the step on Python floats (numerics.solver).  The
+derivative block gathers its inputs from the core with one index array and
+factors W_rr once, with numpy, for both dV_dq and dV_dp.  The RK4 stage of
+dynamics.integrate shares the Newton resolve (_resolve_args) but takes the
+block from a generated float kernel (numerics.stage_kernel).
 """
 
 import itertools
@@ -30,7 +32,7 @@ import numpy as np
 from .errors import DomainError, FenchelError, NewtonError, RankDeficiencyError
 from .expressions import compile_evaluator
 from .model import CORE_BLOCKS, split_variables
-from .numerics import NewtonConfig, block_kernel, damped_newton, newton_with_restarts
+from .numerics import NewtonConfig, damped_newton, newton_with_restarts
 
 
 @dataclass(frozen=True)
@@ -51,7 +53,7 @@ class PhasePoint:
 
 
 # Derivative-block slots of a Resolution, left unset until first read.
-_BLOCK = ("W", "dV_dq", "dV_dp", "dB_dq", "dB_dp", "dB_dq_reg", "dH_dq", "dH_dp", "F", "D_H")
+_BLOCK = ("W", "dV_dq", "dV_dp", "dB_dq", "dB_dp", "dB_dq_reg", "dH_dq", "dH_dp")
 
 
 class Resolution:
@@ -59,11 +61,11 @@ class Resolution:
 
     Velocity resolution and one call of the transform's derivative core run
     eagerly.  The derivative block (implicit-function solves; dB_dq_reg is
-    dB_dq's regular columns), the field strength F and D_a H (D_H) fill their
-    slots from one block-kernel call on the first read of any of them.
+    dB_dq's regular columns) fills its slots on the first read of any of
+    them, the field strength F on its own first read.
     """
 
-    __slots__ = ("ct", "pt", "args", "V", "B", "L", "H", "_core", "_W") + _BLOCK
+    __slots__ = ("ct", "pt", "args", "V", "B", "L", "H", "_core", "_W", "F") + _BLOCK
 
     def __init__(self, ct, pt, args, V):
         self.ct = ct
@@ -77,28 +79,63 @@ class Resolution:
         self._W = None
 
     def __getattr__(self, name):
-        if name not in _BLOCK or self._W is not None:
+        if name in _BLOCK and self._W is None:
+            self._derivatives()
+        elif name == "F":
+            self.F = self._field_strength()
+        else:
             raise AttributeError(name)
-        self._derivatives()
         return object.__getattribute__(self, name)
 
     def _derivatives(self):
         if self._W is not None:
             return
         ct = self.ct
-        n, r, nd = ct.n, ct.r, ct.n - ct.r
+        n = ct.n
+        core = np.array(self._core + (0.0, 1.0))
+        block = core[ct._gather]
+        w_rr, rhs, w_dr, lvq_deg, lq = (block[at].reshape(shape) for at, shape in ct._blocks)
         try:
-            parts = ct.block()(self._core, self.V.tolist(), self.pt.v_deg.tolist())
-        except ZeroDivisionError:
+            sol = np.linalg.solve(w_rr, rhs)  # W_rr^-1 [L_vq regular rows | I_r]
+        except np.linalg.LinAlgError:
             raise RankDeficiencyError(
                 "regular velocity Hessian block W_rr is singular at this point") from None
-        shapes = ((r, n), (r, r), (nd, n), (nd, r), (n,), (r,), (nd, nd), (nd,))
-        (self.dV_dq, self.dV_dp, self.dB_dq, self.dB_dp, self.dH_dq, self.dH_dp,
-         self.F, self.D_H) = (np.array(part).reshape(shape) for part, shape in zip(parts, shapes))
-        self.F.flags.writeable = False  # F and D_H are shared by every caller
-        self.D_H.flags.writeable = False
-        self.dB_dq_reg = self.dB_dq[:, ct.reg_idx]
-        self._W = self.W = np.array(self._core[ct.core_slices["W"]]).reshape(n, n)
+        if n == 1:
+            # LAPACK divides by the pivot for one right-hand side but
+            # multiplies by its reciprocal for several: keep the division
+            sol[:, :1] = np.linalg.solve(w_rr, rhs[:, :1])
+        solved = sol[:, :n]
+        self.dV_dq = -solved
+        self.dV_dp = sol[:, n:]
+        dB_dq = self.dB_dq = lvq_deg - w_dr @ solved
+        self.dB_dq_reg = dB_dq[:, ct.reg_idx]
+        self.dB_dp = w_dr @ self.dV_dp
+        self.dH_dq = -lq + self.pt.v_deg @ dB_dq
+        self.dH_dp = self.V + self.pt.v_deg @ self.dB_dp
+        self._W = self.W = core[ct.core_slices["W"]].reshape(n, n)
+
+    def _field_strength(self):
+        """F_ab, exactly antisymmetric: each term enters as (T - T^t).  Built
+        once and shared, so it is read-only."""
+        m = self.dB_dq[:, self.ct.deg_idx].T  # m[a, b] = dB_b / dq^a
+        p = self.dB_dq_reg @ self.dB_dp.T  # bracket building block
+        f = (m - m.T) + (p - p.T)
+        f.flags.writeable = False
+        return f
+
+
+def _block_gather(n, reg, deg, slices):
+    """Where the derivative block's inputs sit in the core tuple extended by
+    (0.0, 1.0): one index array over W_rr, [L_vq regular rows | I_r], W_dr,
+    L_vq degenerate rows and L_q, then each block's slice and shape in the
+    gathered array."""
+    w, lvq = (slices[b].start + np.arange(n * n).reshape(n, n) for b in ("W", "L_vq"))
+    eye = slices["L_vq"].stop + np.eye(len(reg), dtype=np.intp)  # L_vq ends the core
+    parts = (w[np.ix_(reg, reg)], np.hstack([lvq[reg], eye]), w[np.ix_(deg, reg)],
+             lvq[deg], slices["L_q"].start + np.arange(n))
+    ends = np.cumsum([part.size for part in parts])
+    return (np.concatenate([part.ravel() for part in parts]),
+            [(slice(end - part.size, end), part.shape) for part, end in zip(parts, ends)])
 
 
 class ClairautTransform:
@@ -129,7 +166,8 @@ class ClairautTransform:
         self._b_pos = [self.core_slices["L_v"].start + a for a in self.deg_idx]
         self._reg_at = [self.n + int(i) for i in self.reg_idx]
         self._deg_at = [self.n + int(a) for a in self.deg_idx]
-        self._reg = tuple(int(i) for i in self.reg_idx)
+        self._gather, self._blocks = _block_gather(
+            self.n, self.reg_idx, self.deg_idx, self.core_slices)
         lv, w = core.exprs["L_v"], core.w_rows
         self._f_newton = compile_evaluator(
             [lv[i] for i in self.reg_idx]
@@ -168,18 +206,25 @@ class ClairautTransform:
         cached = self._last
         if cached is not None and cached[0] is pt and v_init is None:
             return cached[1]
-        args = pt.q.tolist() + [0.0] * self.n
-        for at, val in zip(self._deg_at, pt.v_deg.tolist()):
-            args[at] = val
-        v = self._newton(pt.p.tolist(), args, v_init) if self.r else []
+        args, v = self._resolve_args(pt.q.tolist(), pt.p.tolist(), pt.v_deg.tolist(), v_init)
         res = Resolution(self, pt, args, np.array(v))
         self._last = (pt, res)
         return res
 
-    def _newton(self, p, args, v_init):
-        """Regular velocities solving p_i = dL/dv^i for the momenta p (floats),
-        as a list also written into args."""
+    def _args(self, q, v_deg):
+        """Evaluator arguments at (q, 0, v_deg): coordinates, then velocities."""
+        args = q + [0.0] * self.n
+        for at, val in zip(self._deg_at, v_deg):
+            args[at] = val
+        return args
+
+    def _resolve_args(self, q, p, v_deg, v_init=None):
+        """(args, V): the evaluator arguments at (q, V, v_deg), with the
+        regular velocities V solving p_i = dL/dv^i; lists of floats."""
+        args = self._args(q, v_deg)
         reg_at, r, f_newton = self._reg_at, self.r, self._f_newton
+        if not r:
+            return args, []
         last = [None, None]  # the point and the values of the latest evaluation
 
         def residual(x):
@@ -199,11 +244,16 @@ class ClairautTransform:
         v = newton_with_restarts(residual, jacobian, x0, self.newton).tolist()
         for at, val in zip(reg_at, v):
             args[at] = val
-        return v
+        return args, v
 
-    def block(self, plan=None):
-        """The generated block kernel of this layout (numerics.block_kernel)."""
-        return block_kernel(self.n, self._reg, plan)
+    def start_in_domain(self, pt):
+        """Whether the Newton evaluator is defined where resolve(pt) starts
+        without v_init: the regular velocities 0, the point's v_deg."""
+        try:
+            self._f_newton(self._args(pt.q.tolist(), pt.v_deg.tolist()))
+        except DomainError:
+            return False
+        return True
 
     # ------------------------------------------------------------- queries
 

@@ -1,9 +1,10 @@
 """Generated straight-line kernels: the elimination against LAPACK, the
-emulated matmul paths against numpy, the float RK4 stage against a stage
-built from resolve and degenerate_velocities, and their typed failures.
+float RK4 stage against Resolution and degenerate_velocities, and their
+typed failures.
 
-The bit-equality checks hold for the OpenBLAS build numpy ships with
-(numpy 2.4, SkylakeX kernels); see the numerics module docstring.
+The kernels round on their own, the same way on every machine; numpy rounds
+as its BLAS does.  So every comparison with numpy here has a bound scaled to
+the rounding, never bit equality.
 """
 
 import math
@@ -27,8 +28,11 @@ from clairaut import (
 from clairaut import cli, numerics
 from clairaut import dynamics as dynamics_module
 from clairaut import transform as transform_module
-from clairaut.gauge import classify
-from clairaut.numerics import _Code, _matmul, fma, solver
+from clairaut.gauge import classify, phase_probes
+from clairaut.fixtures import BUNDLED
+from clairaut.numerics import solver, stage_kernel
+
+EPS = np.finfo(float).eps
 
 
 def ulps(x, y):
@@ -39,70 +43,71 @@ def ulps(x, y):
     return int(np.max(np.abs(a - b), initial=0))
 
 
+def rel_error(got, want):
+    """max |got - want| over max(1, |want|), entry by entry."""
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    return float(np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want)), initial=0.0))
+
+
 class TestElimination:
     @pytest.mark.parametrize("k", range(1, 7))
     def test_against_lapack_on_random_systems(self, k):
+        # both are backward stable: they differ by rounding, at most a few
+        # eps times the condition number relative to the solution
         rng = np.random.default_rng(100 + k)
-        worst, worst_rel = 0, 0.0
+        worst_ulp, worst = 0, 0.0
         for m in range(1, 9):
             solve = solver(k, m)
             for _ in range(40):
                 a, b = rng.standard_normal((k, k)), rng.standard_normal((k, m))
                 want = np.linalg.solve(a, b)
                 got = np.array(solve(a.ravel().tolist(), b.ravel().tolist())).reshape(k, m)
-                worst = max(worst, ulps(got, want))
-                worst_rel = max(worst_rel, float(np.max(np.abs(got - want)) / np.max(np.abs(want))))
-        # k <= 5 follows LAPACK's operation order exactly; k = 6 reaches
-        # dgetf2 paths (dot of length 4, four-row dgemv blocks) it does not
-        # copy, where only rounding differs
-        if k <= 5:
-            assert worst == 0, f"k={k}: max {worst} ulp"
-        else:
-            assert worst_rel < 1e-10, f"k={k}: max {worst} ulp, relative {worst_rel:.2e}"
+                worst_ulp = max(worst_ulp, ulps(got, want))
+                rel = float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+                worst = max(worst, rel / (EPS * np.linalg.cond(a)))
+        assert worst < 8.0, f"k={k}: max {worst_ulp} ulp, {worst:.2f} eps * cond"
 
-    def test_zero_pivot_raises(self):
-        with pytest.raises(ZeroDivisionError):
+    def test_zero_pivot_raises_like_numpy(self):
+        with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
             solver(2)([1.0, 2.0, 2.0, 4.0], [1.0, 1.0])
+
+    def test_pivoting_swaps_rows(self):
+        assert solver(2)([0.0, 1.0, 1.0, 0.0], [2.0, 3.0]) == [3.0, 2.0]
 
     def test_source_is_straight_line(self):
         source = solver(3, 7).source
         assert "for " not in source and "while " not in source
 
-    def test_fma_is_exact(self):
-        rng = np.random.default_rng(5)
-        from fractions import Fraction
-        for a, b, c in rng.standard_normal((2000, 3)) * 10.0 ** rng.integers(-8, 8, (2000, 3)):
-            want = float(Fraction(a) * Fraction(b) + Fraction(c))
-            assert fma(a, b, c) == want
-        assert math.isnan(fma(math.inf, 0.0, 1.0)) and fma(1e308, 10.0, 1.0) == math.inf
+
+def sector_plan(gauge):
+    solve_idx, other, _, _ = gauge._plan
+    return tuple(solve_idx.tolist()), tuple(other.tolist())
 
 
-class TestMatmulPaths:
-    """Every dispatch numpy makes for a @ b on the kernel's shapes."""
-
-    @pytest.mark.parametrize("layout", ["C", "slice", "T"])
-    def test_bits_equal_numpy(self, layout):
-        rng = np.random.default_rng(7)
-        for dm in range(1, 6):
-            for dn in range(0, 6):
-                for dp in range(1, 8):
-                    if layout == "slice" and dm == dp == 1:
-                        continue  # a strided ddot: no kernel multiplies like this
-                    code = _Code()
-                    a = [[f"A[{i}][{t}]" for t in range(dn)] for i in range(dm)]
-                    b = [[f"B[{t}][{j}]" for j in range(dp)] for t in range(dn)]
-                    out = _matmul(code, a, b, dp, lda=dp + 2 if layout == "slice" else None,
-                                  b_t=layout == "T")
-                    fn = code.build("A, B", "[" + ", ".join(e for row in out for e in row) + "]")
-                    for _ in range(10):
-                        left = rng.standard_normal((dm, dn))
-                        if layout == "T":
-                            right = rng.standard_normal((dp, dn)).T
-                        else:
-                            right = rng.standard_normal((dn, dp + (2 if layout == "slice" else 0)))
-                            right = right[:, :dp]
-                        got = np.array(fn(left.tolist(), right.tolist())).reshape(dm, dp)
-                        assert got.tobytes() == (left @ right).tobytes(), (dm, dn, dp)
+class TestStageKernel:
+    @pytest.mark.parametrize("name", BUNDLED)
+    def test_matches_resolution_and_sector_solve(self, name):
+        ct = ClairautTransform(load_bundled(name))
+        cls = classify(ct)
+        gauge = gauge_input(ct, cls)
+        solve, other = sector_plan(gauge)
+        kernel = stage_kernel(ct.n, tuple(ct.reg_idx.tolist()), solve, other)
+        worst = 0.0
+        for pt in phase_probes(ct):
+            res = ct.resolve(pt)
+            v, resid = degenerate_velocities(ct, pt, gauge, cls, res=res)
+            dq, dp, v_k, resid_k, h, f_sub = kernel(
+                res._core, res.V.tolist(), pt.v_deg.tolist(), [0.0] * len(other), pt.p.tolist())
+            want_dq = np.empty(ct.n)
+            want_dq[ct.reg_idx] = res.dH_dp - v @ res.dB_dp
+            want_dq[ct.deg_idx] = v
+            want_dp = -res.dH_dq[ct.reg_idx] + v @ res.dB_dq_reg
+            f = np.array(res.F)[np.ix_(solve, solve)] if solve else np.zeros((0, 0))
+            for got, want in ((dq, want_dq), (dp, want_dp), (v_k, v), (h, res.H),
+                              (np.reshape(f_sub, f.shape), f)):
+                worst = max(worst, rel_error(got, want))
+            assert abs(resid_k - resid) < 1e-12
+        assert worst < 1e-12, f"{name}: {worst:.2e}"
 
 
 def reference_trajectory(ct, initial, gauge, cls, dt, steps):
@@ -157,7 +162,7 @@ CASES = [
 
 class TestFloatStage:
     @pytest.mark.parametrize("name, spec, q, p, v", CASES, ids=[c[0] for c in CASES])
-    def test_integrate_bit_equal_to_resolve_and_sector(self, name, spec, q, p, v):
+    def test_integrate_matches_resolve_and_sector(self, name, spec, q, p, v):
         ct = ClairautTransform(load_bundled(name))
         cls = classify(ct)
         gauge = gauge_input(ct, cls, spec)
@@ -165,10 +170,11 @@ class TestFloatStage:
         dt, steps = 1e-3, 200
         cfg = IntegratorConfig(t1=steps * dt, dt=dt, consistency_tol=math.inf)
         traj = integrate(ct, initial, gauge, cfg, cls)
-        got = np.hstack([traj.q, traj.p, traj.v_deg, traj.h_phys[:, None],
-                         traj.consistency[:, None]])
+        got = np.hstack([traj.q, traj.p, traj.v_deg, traj.h_phys[:, None]])
         want = reference_trajectory(ct, initial, gauge, cls, dt, steps)
-        assert got.tobytes() == want.tobytes()
+        # the same scheme, rounded differently: no drift over 200 steps
+        assert rel_error(got, want[:, :-1]) < 1e-12
+        assert np.max(np.abs(traj.consistency - want[:, -1])) < 1e-12
 
     def test_one_gauge_call_per_stage_and_one_gauge_check(self, monkeypatch):
         ct = ClairautTransform(load_bundled("particle"))
@@ -210,6 +216,20 @@ class TestTypedFailures:
         with pytest.raises(RankDeficiencyError, match="W_rr"):
             res.dV_dq
 
+    def test_singular_velocity_hessian_block_in_the_sector(self):
+        # W_rr = 0 is not a singular sector subblock, on either path
+        ct = ClairautTransform(load_bundled("synthetic_gaugeless"))
+        cls = classify(ct)
+        pt = ct.point({"x": 0.3, "a": 0.1, "b": -0.2}, {"x": 0.4})
+        res = ct.resolve(pt)
+        w = ct.core_slices["W"].start  # x is the one regular coordinate
+        res._core = res._core[:w] + (0.0,) + res._core[w + 1:]
+        with pytest.raises(RankDeficiencyError, match="W_rr"):
+            degenerate_velocities(ct, pt, cls=cls, res=res)
+        kernel = stage_kernel(ct.n, (0,), (0, 1), ())
+        with pytest.raises(RankDeficiencyError, match="W_rr"):
+            kernel(res._core, res.V.tolist(), [0.0, 0.0], [], pt.p.tolist())
+
     def test_domain_error_inside_backtracking(self):
         trials = []
 
@@ -235,3 +255,13 @@ class TestTransformStart:
         code = cli.main(["transform", "particle", "--at", "x0=0,x=0,y=0,z=0,p_x=3,p_y=0,p_z=4"])
         assert code == 0 and capsys.readouterr().out.startswith("H_phys = ")
         assert solves and len(runs) == len(solves)  # every solve succeeds on its first run
+
+    def test_restarts_kept_where_v_deg_1_is_outside_the_domain(self, capsys, tmp_path):
+        # log(v_x^2) fails at Newton's start v_x = 0 whatever v_y is, and
+        # sqrt(0.5 - v_y) fails at v_y = 1: only a restart at v_y = 0 resolves
+        path = tmp_path / "domain.lag"
+        path.write_text("coord x, y;\n"
+                        "lagrangian = d(x)^2 + log(d(x)^2) + y*sqrt(0.5 - d(y))^2 - x^2;\n")
+        code = cli.main(["transform", str(path), "--at", "x=0.3,y=0.2,p_x=5"])
+        out = capsys.readouterr().out
+        assert code == 0 and "B_y = -0.20000000000000001" in out
