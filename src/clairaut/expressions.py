@@ -6,13 +6,23 @@ products, powers, negation, quotients, and calls to a fixed set of unary
 functions (sin, cos, exp, log, sqrt).  Velocities are ordinary symbols whose
 names happen to render as d(coordinate); no node kind distinguishes them.
 
+Nodes are interned when they are built: one table holds the live node for
+each kind and fields, so structurally equal trees are the same object and
+equality is identity.  A tree is therefore a DAG of shared nodes, and the
+walks over it do work per distinct node: simplify keeps its result on the
+node, and differentiate memoizes per call.
+
 Differentiation is purely syntactic.  Simplification performs constant
 folding, identity elimination, flattening, and like-term collection, and is
 idempotent; it never folds a division by a zero constant or log/sqrt of a
 negative constant, leaving those to raise at evaluation time.
 """
 
+import functools
 import math
+import operator
+import threading
+import weakref
 
 from .errors import DomainError, ExprSyntaxError, UnboundSymbolError
 
@@ -27,26 +37,17 @@ _P_ATOM = 50
 
 
 class Expr:
-    """Base class for expression nodes.  Instances are immutable."""
+    """Base class for expression nodes.  Instances are immutable and interned:
+    building a node equal to a live one returns that node, so equality and
+    hashing are identity."""
 
-    __slots__ = ("_key",)
+    # _simple memoizes simplify: None until computed, True for a node that is
+    # its own normal form (no self-reference, so refcounting frees the node)
+    __slots__ = ("_simple", "__weakref__")
 
-    def key(self):
-        """Structural identity tuple, used for equality and hashing."""
-        k = getattr(self, "_key", None)
-        if k is None:
-            k = self._make_key()
-            object.__setattr__(self, "_key", k)
-        return k
-
-    def _make_key(self):
-        raise NotImplementedError
-
-    def __eq__(self, other):
-        return isinstance(other, Expr) and self.key() == other.key()
-
-    def __hash__(self):
-        return hash(self.key())
+    def __reduce__(self):
+        # copies and pickles rebuild through the intern table
+        return type(self), tuple(getattr(self, s) for s in self.__slots__)
 
     def __str__(self):
         return _render(self, _P_SUM)
@@ -92,89 +93,88 @@ def _wrap(value):
     return Const(float(value))
 
 
+# The live node for each (class, fields) key.  Children are interned before
+# their parents, so a key compares them by identity.
+_nodes = weakref.WeakValueDictionary()
+_nodes_lock = threading.Lock()
+
+
+def _intern(key, fields=None):
+    """The live node for key = (class, *fields), built on a miss; fields
+    defaults to the rest of the key."""
+    node = _nodes.get(key)
+    if node is None:
+        cls = key[0]
+        node = object.__new__(cls)
+        for slot, value in zip(cls.__slots__, fields or key[1:]):
+            object.__setattr__(node, slot, value)
+        object.__setattr__(node, "_simple", None)
+        with _nodes_lock:  # a node another thread stored first wins
+            node = _nodes.setdefault(key, node)
+    return node
+
+
 class Const(Expr):
     __slots__ = ("value",)
 
-    def __init__(self, value):
-        object.__setattr__(self, "value", float(value))
+    def __new__(cls, value):
+        value = float(value)
+        # hex() keeps -0.0 apart from 0.0: they compile to different literals
+        return _intern((cls, value.hex()), (value,))
 
-    def _make_key(self):
-        return ("const", self.value)
+
+_ZERO, _ONE = Const(0.0), Const(1.0)  # built often, so kept alive
 
 
 class Sym(Expr):
     __slots__ = ("name",)
 
-    def __init__(self, name):
-        object.__setattr__(self, "name", name)
-
-    def _make_key(self):
-        return ("sym", self.name)
+    def __new__(cls, name):
+        return _intern((cls, name))
 
 
 class Sum(Expr):
     __slots__ = ("terms",)
 
-    def __init__(self, terms):
-        object.__setattr__(self, "terms", tuple(terms))
-
-    def _make_key(self):
-        return ("sum",) + tuple(t.key() for t in self.terms)
+    def __new__(cls, terms):
+        return _intern((cls, tuple(terms)))
 
 
 class Prod(Expr):
     __slots__ = ("factors",)
 
-    def __init__(self, factors):
-        object.__setattr__(self, "factors", tuple(factors))
-
-    def _make_key(self):
-        return ("prod",) + tuple(f.key() for f in self.factors)
+    def __new__(cls, factors):
+        return _intern((cls, tuple(factors)))
 
 
 class Pow(Expr):
     __slots__ = ("base", "exponent")
 
-    def __init__(self, base, exponent):
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "exponent", exponent)
-
-    def _make_key(self):
-        return ("pow", self.base.key(), self.exponent.key())
+    def __new__(cls, base, exponent):
+        return _intern((cls, base, exponent))
 
 
 class Neg(Expr):
     __slots__ = ("child",)
 
-    def __init__(self, child):
-        object.__setattr__(self, "child", child)
-
-    def _make_key(self):
-        return ("neg", self.child.key())
+    def __new__(cls, child):
+        return _intern((cls, child))
 
 
 class Quot(Expr):
     __slots__ = ("num", "den")
 
-    def __init__(self, num, den):
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
-
-    def _make_key(self):
-        return ("quot", self.num.key(), self.den.key())
+    def __new__(cls, num, den):
+        return _intern((cls, num, den))
 
 
 class Call(Expr):
     __slots__ = ("fn", "arg")
 
-    def __init__(self, fn, arg):
+    def __new__(cls, fn, arg):
         if fn not in _FUNCTIONS:
             raise ValueError(f"unknown function {fn!r}")
-        object.__setattr__(self, "fn", fn)
-        object.__setattr__(self, "arg", arg)
-
-    def _make_key(self):
-        return ("call", self.fn, self.arg.key())
+        return _intern((cls, fn, arg))
 
 
 def free_symbols(expr):
@@ -247,7 +247,9 @@ def _eval(e, b):
         except KeyError:
             raise UnboundSymbolError(e.name) from None
     if isinstance(e, Sum):
-        return math.fsum(_eval(t, b) for t in e.terms)
+        # left to right from the first term, as the compiled code adds
+        vals = [_eval(t, b) for t in e.terms]
+        return functools.reduce(operator.add, vals) if vals else 0.0
     if isinstance(e, Prod):
         out = 1.0
         for f in e.factors:
@@ -269,39 +271,50 @@ def _eval(e, b):
 
 def differentiate(expr, name):
     """Exact partial derivative with respect to the symbol called name."""
-    return simplify(_diff(simplify(expr), name))
+    return simplify(_Derivatives(name)[simplify(expr)])
 
 
-def _diff(e, x):
+class _Derivatives(dict):
+    """Derivative of each node with respect to one symbol, derived on first
+    lookup, so each distinct node is differentiated once per call."""
+
+    def __init__(self, x):
+        self.x = x
+
+    def __missing__(self, e):
+        out = self[e] = _diff(e, self.x, self)
+        return out
+
+
+def _diff(e, x, d):
+    """Derivative of node e with respect to x, reading its children's from d."""
     if isinstance(e, Const):
-        return Const(0.0)
+        return _ZERO
     if isinstance(e, Sym):
-        return Const(1.0) if e.name == x else Const(0.0)
+        return _ONE if e.name == x else _ZERO
     if isinstance(e, Sum):
-        return Sum(tuple(_diff(t, x) for t in e.terms))
+        return Sum(tuple(d[t] for t in e.terms))
     if isinstance(e, Neg):
-        return Neg(_diff(e.child, x))
+        return Neg(d[e.child])
     if isinstance(e, Prod):
-        terms = []
         fs = e.factors
-        for i in range(len(fs)):
-            terms.append(Prod(tuple(_diff(f, x) if j == i else f for j, f in enumerate(fs))))
-        return Sum(tuple(terms))
+        return Sum(tuple(Prod(tuple(d[f] if j == i else f for j, f in enumerate(fs)))
+                         for i in range(len(fs))))
     if isinstance(e, Quot):
-        da, db = _diff(e.num, x), _diff(e.den, x)
+        da, db = d[e.num], d[e.den]
         num = Sum((Prod((da, e.den)), Neg(Prod((e.num, db)))))
         return Quot(num, Pow(e.den, Const(2.0)))
     if isinstance(e, Pow):
         c = _signed_const(e.exponent)
-        du = _diff(e.base, x)
+        du = d[e.base]
         if c is not None:
             # power rule with a constant exponent
             return Prod((Const(c), Pow(e.base, Const(c - 1.0)), du))
-        dw = _diff(e.exponent, x)
+        dw = d[e.exponent]
         bracket = Sum((Prod((dw, Call("log", e.base))), Prod((e.exponent, Quot(du, e.base)))))
         return Prod((e, bracket))
     # Call
-    u, du = e.arg, _diff(e.arg, x)
+    u, du = e.arg, d[e.arg]
     if e.fn == "sin":
         return Prod((Call("cos", u), du))
     if e.fn == "cos":
@@ -328,9 +341,10 @@ def _signed_const(e):
 
 def _const(value):
     # Normal form keeps constants nonnegative, with signs as Neg wrappers.
+    # Zero is +0.0, the value its printed form "0" parses back to.
     if value < 0.0:
         return Neg(Const(-value))
-    return Const(value)
+    return Const(abs(value))
 
 
 def _negate(e):
@@ -349,21 +363,27 @@ def simplify(expr):
     defined (modulo rounding).  Division by a symbolic or zero denominator is
     left in place.
     """
-    if isinstance(expr, (Const, Sym)):
-        if isinstance(expr, Const):
-            return _const(expr.value)
-        return expr
-    if isinstance(expr, Sum):
-        return _simplify_sum([simplify(t) for t in expr.terms])
-    if isinstance(expr, Prod):
-        return _simplify_prod([simplify(f) for f in expr.factors])
-    if isinstance(expr, Neg):
-        return _negate(simplify(expr.child))
-    if isinstance(expr, Quot):
-        return _simplify_quot(simplify(expr.num), simplify(expr.den))
-    if isinstance(expr, Pow):
-        return _simplify_pow(simplify(expr.base), simplify(expr.exponent))
-    return _simplify_call(expr.fn, simplify(expr.arg))
+    done = expr._simple
+    if done is not None:
+        return expr if done is True else done
+    if isinstance(expr, Const):
+        out = _const(expr.value)
+    elif isinstance(expr, Sym):
+        out = expr
+    elif isinstance(expr, Sum):
+        out = _simplify_sum([simplify(t) for t in expr.terms])
+    elif isinstance(expr, Prod):
+        out = _simplify_prod([simplify(f) for f in expr.factors])
+    elif isinstance(expr, Neg):
+        out = _negate(simplify(expr.child))
+    elif isinstance(expr, Quot):
+        out = _simplify_quot(simplify(expr.num), simplify(expr.den))
+    elif isinstance(expr, Pow):
+        out = _simplify_pow(simplify(expr.base), simplify(expr.exponent))
+    else:
+        out = _simplify_call(expr.fn, simplify(expr.arg))
+    object.__setattr__(expr, "_simple", True if out is expr else out)
+    return out
 
 
 def _flatten_sum(terms, out):
@@ -415,22 +435,17 @@ def _simplify_sum(terms):
     flat = []
     _flatten_sum(terms, flat)
     const_acc = 0.0
-    order = []
-    groups = {}
+    groups = {}  # base -> summed coefficient, bases in first-seen order
     for t in flat:
         coeff, base = _coeff_split(t)
         if base is None:
             const_acc += coeff
-            continue
-        k = base.key()
-        if k in groups:
-            groups[k][0] += coeff
+        elif base in groups:
+            groups[base] += coeff
         else:
-            groups[k] = [coeff, base]
-            order.append(k)
+            groups[base] = coeff
     out = []
-    for k in order:
-        coeff, base = groups[k]
+    for base, coeff in groups.items():
         rebuilt = _with_coeff(coeff, base)
         if rebuilt is not None:
             out.append(rebuilt)
@@ -444,33 +459,23 @@ def _simplify_sum(terms):
 def _simplify_prod(factors):
     coeff = 1.0
     rest = []
-
-    def absorb(fs):
-        nonlocal coeff
-        for f in fs:
-            if isinstance(f, Prod):
-                absorb(f.factors)
-            elif isinstance(f, Neg):
-                coeff = -coeff
-                absorb((f.child,))
-            elif isinstance(f, Const):
-                coeff *= f.value
-            else:
-                rest.append(f)
-
-    absorb(factors)
+    stack = factors[::-1]  # depth first, factors in order
+    while stack:
+        f = stack.pop()
+        if isinstance(f, Prod):
+            stack.extend(reversed(f.factors))
+        elif isinstance(f, Neg):
+            coeff = -coeff
+            stack.append(f.child)
+        elif isinstance(f, Const):
+            coeff *= f.value
+        else:
+            rest.append(f)
     if coeff == 0.0:
-        return Const(0.0)
+        return _ZERO
     if not rest:
         return _const(coeff)
-    core = rest[0] if len(rest) == 1 else Prod(tuple(rest))
-    if coeff == 1.0:
-        return core
-    if coeff == -1.0:
-        return Neg(core)
-    factors_out = rest if len(rest) > 1 else [core]
-    core = Prod((Const(abs(coeff)),) + tuple(factors_out))
-    return Neg(core) if coeff < 0.0 else core
+    return _with_coeff(coeff, rest[0] if len(rest) == 1 else Prod(tuple(rest)))
 
 
 def _simplify_quot(num, den):
@@ -494,17 +499,14 @@ def _simplify_quot(num, den):
             # denominator constant (keeps plain x/2 untouched)
             folded = coeff / dv
             if math.isfinite(folded) and folded > 0.0:
-                core = _with_coeff(sign * folded, base)
-                if core is not None:
-                    return core
-    core = Quot(num, den)
-    return Neg(core) if sign < 0 else core
+                return _with_coeff(sign * folded, base)
+    return _with_coeff(sign, Quot(num, den))
 
 
 def _simplify_pow(base, exponent):
     ev = _signed_const(exponent)
     if ev == 0.0:
-        return Const(1.0)
+        return _ONE
     if ev == 1.0:
         return base
     bv = _signed_const(base)
@@ -578,8 +580,10 @@ def _render(e, min_prec):
     if isinstance(e, Quot):
         text = _render(e.num, _P_TERM) + "/" + _render(e.den, _P_POWER)
         return f"({text})" if _P_TERM < min_prec else text
-    # Pow: base needs atom level, exponent reparses at unary level
-    text = _render(e.base, _P_ATOM) + "^" + _render(e.exponent, _P_UNARY)
+    # Pow: the base needs atom level; the exponent reparses as unary minus
+    # signs around a power, so a product or quotient there needs parentheses
+    exponent = _render(e.exponent, _P_UNARY if isinstance(e.exponent, Neg) else _P_POWER)
+    text = _render(e.base, _P_ATOM) + "^" + exponent
     return f"({text})" if _P_POWER < min_prec else text
 
 
@@ -821,22 +825,19 @@ def _node_text(e, kids):
 def _emit_cse(seq, index_of):
     """Assignment lines and one result text per root, sharing common subtrees.
 
-    Nodes are hash-consed on their right-hand side text, which is the node
-    kind over the local names of its children, so structurally equal
-    subtrees land on the same local whether or not they share instances.
-    The walk is iterative and visits each node instance once.
+    Nodes are interned, so structurally equal subtrees are one node and get
+    one local.  The walk is iterative and visits each node once.
     """
     lines = []
-    local_of = {}  # right-hand side -> local name
-    text_of = {}   # id(node) -> leaf literal or local name
+    text_of = {}  # node -> leaf literal or local name
     for root in seq:
         stack = [(root, False)]
         while stack:
             e, expanded = stack.pop()
-            if id(e) in text_of:
+            if e in text_of:
                 continue
             if isinstance(e, (Const, Sym)):
-                text_of[id(e)] = _leaf_text(e, index_of)
+                text_of[e] = _leaf_text(e, index_of)
                 continue
             kids = _children(e)
             if not expanded:
@@ -844,15 +845,12 @@ def _emit_cse(seq, index_of):
                 stack.extend((k, False) for k in reversed(kids))
                 continue
             if len(kids) == 1 and isinstance(e, (Sum, Prod)):
-                text_of[id(e)] = text_of[id(kids[0])]
+                text_of[e] = text_of[kids[0]]
                 continue
-            rhs = _node_text(e, [text_of[id(k)] for k in kids])
-            name = local_of.get(rhs)
-            if name is None:
-                name = local_of[rhs] = f"t{len(lines)}"
-                lines.append(f"    {name} = {rhs}\n")
-            text_of[id(e)] = name
-    return lines, [text_of[id(root)] for root in seq]
+            name = f"t{len(lines)}"
+            lines.append(f"    {name} = {_node_text(e, [text_of[k] for k in kids])}\n")
+            text_of[e] = name
+    return lines, [text_of[root] for root in seq]
 
 
 _COMPILE_ENV = {
@@ -876,8 +874,9 @@ def compile_evaluator(exprs, names):
     violations surface as DomainError, like the interpreted evaluator.
 
     Code generation eliminates common subexpressions across the whole
-    sequence: every distinct non-leaf subtree is computed once, into its own
-    local on its own line, and each result reads the locals it needs.  Each
+    sequence: every distinct non-leaf node (nodes are interned, so equal
+    subtrees are one node) is computed once, into its own local on its own
+    line, and each result reads the locals it needs.  Each
     node keeps its operands in tree order, so every result is bit-identical
     to evaluating its tree alone.  The generated source is kept on the
     callable as ``source``.

@@ -11,6 +11,7 @@ from clairaut import (
     Prod,
     Sum,
     compile_evaluator,
+    default_probes,
     evaluate,
     load_bundled,
     parse_expression,
@@ -33,7 +34,7 @@ def probe_args(ct):
 
 class TestCommonSubexpressions:
     def test_shared_subtree_computed_once(self):
-        # the three sin(x) nodes are distinct instances with equal structure
+        # the three sin(x) occurrences are one interned node
         fn = compile_evaluator(parse_expression("sin(x)*sin(x)+sin(x)"), ["x"])
         assert fn.source.count("sin(") == 1
         s = math.sin(0.3)
@@ -104,6 +105,15 @@ class TestDerivativeCore:
             for got, expr in zip(core, exprs):
                 want = evaluate(expr, bindings)
                 assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), str(expr)
+
+    def test_core_bit_equal_to_interpreter_at_default_probes(self, transform):
+        # both evaluators add a sum's terms left to right, from the first
+        model = transform.model
+        core = model.core
+        exprs = [e for block in core.exprs.values() for e in block]
+        for bindings in default_probes(model):
+            got = core.fn([bindings[name] for name in core.arg_names])
+            assert [v.hex() for v in got] == [evaluate(e, bindings).hex() for e in exprs]
 
     def test_one_core_call_per_resolve(self, transform, monkeypatch):
         ct = transform

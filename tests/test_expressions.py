@@ -1,7 +1,10 @@
 """Expression core: parsing, differentiation, simplification, evaluation."""
 
+import copy
 import math
+import pickle
 import random
+import threading
 
 import pytest
 
@@ -24,6 +27,7 @@ from clairaut import (
     parse_expression,
     simplify,
 )
+from clairaut import expressions
 from clairaut.expressions import MAX_NESTING
 
 SYMBOL_POOL = ("x", "y", "z", "w", "d(x)")
@@ -111,7 +115,7 @@ class TestParse:
         for _ in range(300):
             normal = simplify(random_tree(rng, 4))
             again = parse_expression(str(normal))
-            assert again == normal, f"round-trip changed {normal!r} into {again!r}"
+            assert again is normal, f"round-trip changed {normal!r} into {again!r}"
 
 
 # expression source nested `depth` levels deep, in each form that nests
@@ -161,6 +165,20 @@ class TestNestingLimit:
         assert parse_expression(str(e)) == e
 
 
+class TestPrintedForm:
+    @pytest.mark.parametrize("text", ["x^(a*b)", "x^(a/b)", "x^(a + b)", "x^-(a*b)", "x^y^z"])
+    def test_composite_exponent_keeps_its_parentheses(self, text):
+        e = parse_expression(text)
+        assert str(e) == text
+        assert parse_expression(str(e)) is e
+
+    def test_zero_normal_form_is_positive_zero(self):
+        # -0.0 prints as "0", which parses to +0.0
+        for e in (Neg(Const(0)), Const(-0.0), Quot(Neg(Const(0)), Const(2))):
+            assert simplify(e) is Const(0.0)
+            assert parse_expression(str(simplify(e))) is simplify(e)
+
+
 class TestSimplify:
     def test_identities(self):
         assert simplify(parse_expression("x + 0")) == Sym("x")
@@ -197,7 +215,7 @@ class TestSimplify:
             e = random_tree(rng, 6)
             once = simplify(e)
             twice = simplify(once)
-            assert once == twice, f"simplify not idempotent on {e!r}"
+            assert once is twice, f"simplify not idempotent on {e!r}"
 
     def test_value_preserved_random_trees(self):
         rng = random.Random(13)
@@ -328,3 +346,88 @@ class TestCompile:
         fn = compile_evaluator(parse_expression("1/x"), ["x"])
         with pytest.raises(DomainError):
             fn([0.0])
+
+
+class TestInterning:
+    def test_equal_structure_is_one_node(self):
+        x, y = Sym("x"), Sym("y")
+        assert Sum((x, y)) is Sum((x, y))
+        assert Sum([x, y]) is Sum((x, y))
+        assert Const(2) is Const(2.0)
+        assert Call("sin", Prod((x, y))) is Call("sin", Prod((x, y)))
+        assert Sum((x, y)) is not Sum((y, x))
+
+    def test_signed_zeros_stay_apart(self):
+        assert Const(-0.0) is not Const(0.0)
+        assert str(Const(-0.0)) == "0"
+        assert "-0.0" in compile_evaluator(Prod((Sym("x"), Const(-0.0))), ["x"]).source
+
+    def test_copies_and_pickles_are_the_node(self):
+        e = parse_expression("sin(x)*exp(-y)/(1 + d(x)^2)")
+        assert copy.copy(e) is e
+        assert copy.deepcopy(e) is e
+        assert pickle.loads(pickle.dumps(e)) is e
+
+    def test_table_shrinks_when_the_last_reference_goes(self):
+        before = len(expressions._nodes)
+        e = parse_expression("sin(only_here*d(only_here))^3 + exp(only_here)/only_here")
+        d = differentiate(differentiate(e, "only_here"), "d(only_here)")
+        assert len(expressions._nodes) > before + 10
+        del e, d
+        # no reference cycles: refcounting alone frees the nodes and memos
+        assert len(expressions._nodes) == before
+
+    def test_threads_building_the_same_nodes_get_the_same_objects(self):
+        start = threading.Barrier(2)
+        built = [None, None]
+
+        def build(slot):
+            start.wait()
+            built[slot] = [Sum((Sym(f"thread_{i}"), Const(i))) for i in range(1000)]
+
+        threads = [threading.Thread(target=build, args=(k,)) for k in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert all(a is b for a, b in zip(*built))
+
+
+def _chain(kind, depth):
+    v = Sym("d(u)")
+    e = v
+    for _ in range(depth):
+        e = Pow(v, e) if kind == "power" else Call("sin", e)
+    return e
+
+
+class TestDepthGrowth:
+    """Deriving a nested chain costs work per distinct node, so doubling the
+    depth at most about doubles the node visits (counted, not timed)."""
+
+    @staticmethod
+    def visits(monkeypatch, kind, depth):
+        counts = {"diff": 0, "simplify": 0}
+        diff, simp = expressions._diff, expressions.simplify
+
+        def counted_diff(e, x, d):
+            counts["diff"] += 1
+            return diff(e, x, d)
+
+        def counted_simplify(e):
+            counts["simplify"] += e._simple is None  # a node not yet simplified
+            return simp(e)
+
+        monkeypatch.setattr(expressions, "_diff", counted_diff)
+        monkeypatch.setattr(expressions, "simplify", counted_simplify)
+        # the second derivative, as the core's velocity Hessian needs
+        expressions.differentiate(expressions.differentiate(_chain(kind, depth), "d(u)"), "d(u)")
+        monkeypatch.undo()
+        return counts
+
+    @pytest.mark.parametrize("kind", ["power", "sin"])
+    def test_visits_at_most_about_double(self, monkeypatch, kind):
+        shallow = self.visits(monkeypatch, kind, 25)
+        deep = self.visits(monkeypatch, kind, 50)
+        for name in shallow:
+            assert 0 < deep[name] <= 2.1 * shallow[name], (name, shallow, deep)
