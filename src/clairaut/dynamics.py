@@ -13,12 +13,12 @@ The infinity norm of F v - D H over all degenerate rows is the consistency
 residual: nonzero values on the unsolved rows flag initial data off the
 model's invariant surface.
 
-degenerate_velocities and d_alpha_h work on a Resolution with numpy.  An
-RK4 stage of integrate runs the same formulas on Python floats: one
-damped-Newton resolve (ClairautTransform._resolve_args), one call of the
-derivative core and one call of the generated stage kernel for the gauge's
-plan (numerics.stage_kernel).  It builds no PhasePoint or Resolution and
-evaluates each prescribed velocity once; the two paths agree to rounding.
+The sector solve is the generated stage kernel for the gauge's plan
+(numerics.stage_kernel), on Python floats.  degenerate_velocities runs it on
+a Resolution's core; an RK4 stage of integrate runs it after one
+damped-Newton resolve (ClairautTransform._resolve_args) and one call of the
+derivative core, builds no PhasePoint or Resolution, and evaluates each
+prescribed velocity once.  Both give the same floats.
 """
 
 import math
@@ -27,7 +27,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import GaugeInputError, IntegrabilityError, NewtonError, RankDeficiencyError
+from .errors import GaugeInputError, IntegrabilityError, NewtonError
 from .expressions import compile_evaluator, free_symbols, parse_expression
 from .gauge import bracket_gauge, classify, field_strength
 from .numerics import pfaffian, stage_kernel
@@ -40,10 +40,10 @@ SIGMA = -1.0
 
 
 def d_alpha_h(ct, res):
-    """D_a H_phys for all degenerate directions, from analytic gradients."""
-    return (res.dH_dq[ct.deg_idx]
-            + res.dB_dq_reg @ res.dH_dp
-            - res.dB_dp @ res.dH_dq[ct.reg_idx])
+    """D_a H_phys = dH/dq^a + sum_i (dB_a/dq^i dH/dp_i - dB_a/dp_i dH/dq^i)
+    for all degenerate directions, from analytic gradients: the Resolution's
+    read-only DH slot."""
+    return res.DH
 
 
 # --------------------------------------------------------------- gauge input
@@ -67,13 +67,10 @@ class GaugeInput:
 
     @cached_property
     def _plan(self):
-        """Solved and other slots, and the np.ix_ of F's solved-by-solved and
-        solved-by-other blocks (None when a set is empty)."""
-        solve_idx = np.array([a for a, m in enumerate(self.modes) if m == "solve"], dtype=np.intp)
-        other = np.array([a for a, m in enumerate(self.modes) if m != "solve"], dtype=np.intp)
-        ix_solve = np.ix_(solve_idx, solve_idx) if solve_idx.size else None
-        ix_other = np.ix_(solve_idx, other) if solve_idx.size and other.size else None
-        return solve_idx, other, ix_solve, ix_other
+        """The solved slots and the other ones, as tuples: the stage kernel's
+        layout."""
+        return (tuple(a for a, m in enumerate(self.modes) if m == "solve"),
+                tuple(a for a, m in enumerate(self.modes) if m != "solve"))
 
 
 def gauge_input(ct, cls, spec=None):
@@ -139,27 +136,11 @@ def degenerate_velocities(ct, pt, gauge=None, cls=None, t=0.0, res=None):
         check_gauge_input(ct, gauge, cls)
     if res is None:
         res = ct.resolve(pt)
-    n_deg = ct.n - ct.r
-    if n_deg == 0:
-        return np.zeros(0), 0.0
-    f = field_strength(ct, pt)
-    dh = d_alpha_h(ct, res)
-    v = np.zeros(n_deg)
-    solve_idx, other, ix_solve, ix_other = gauge._plan
-    for a in other:
-        v[a] = gauge.velocity(a, t)
-    if ix_solve is not None:
-        rhs = dh[solve_idx]
-        if ix_other is not None:
-            rhs = rhs - f[ix_other] @ v[other]
-        try:
-            v[solve_idx] = np.linalg.solve(f[ix_solve], rhs)
-        except np.linalg.LinAlgError:
-            raise RankDeficiencyError(
-                "sector subblock singular at this point; the constant-rank "
-                "classification does not hold here") from None
-    residual = float(np.abs(f @ v - dh).max())
-    return v, residual
+    solve, other = gauge._plan
+    _, _, v, residual, _, _ = stage_kernel(ct.n, ct._reg, solve, other)(
+        res._core, res.V.tolist(), pt.v_deg.tolist(), [gauge.velocity(a, t) for a in other],
+        pt.p.tolist())
+    return np.array(v), residual
 
 
 # -------------------------------------------------------------- integration
@@ -228,10 +209,8 @@ def integrate(ct, initial, gauge=None, cfg=None, cls=None):
         gauge = gauge_input(ct, cls)
     else:
         check_gauge_input(ct, gauge, cls)
-    solve_idx, other, ix_solve, _ = gauge._plan
-    other = other.tolist()
-    kernel = stage_kernel(ct.n, tuple(ct.reg_idx.tolist()), tuple(solve_idx.tolist()),
-                          tuple(other))
+    solve, other = gauge._plan
+    kernel = stage_kernel(ct.n, ct._reg, solve, other)
     steps = int(round((cfg.t1 - cfg.t0) / cfg.dt))
     n, r = ct.n, ct.r
     n_deg = n - r
@@ -282,9 +261,9 @@ def integrate(ct, initial, gauge=None, cfg=None, cls=None):
             raise IntegrabilityError(
                 f"velocity resolution failed at t={t:.6g}: {exc}",
                 trajectory=build(k, flagged)) from exc
-        if ix_solve is not None:
+        if solve:
             # f1 is the matrix the sector solve of this stage used
-            sign = np.sign(pfaffian(np.reshape(f1, (len(solve_idx), -1))))
+            sign = np.sign(pfaffian(np.reshape(f1, (len(solve), -1))))
             if pf_sign is not None and sign != pf_sign:
                 raise IntegrabilityError(
                     "Pfaffian of the solved F subblock changed sign between "

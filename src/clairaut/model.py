@@ -250,7 +250,8 @@ def hessian_matrix(model):
 
 def _domain_guards(expr):
     """Subexpressions that must stay away from zero (denominators) or negative
-    values (log and sqrt arguments) for probes to be admissible."""
+    values (log and sqrt arguments, and the base of a power whose exponent is
+    not an integer constant) for probes to be admissible."""
     away_from_zero = []
     nonnegative = []
     stack = [expr]
@@ -260,6 +261,9 @@ def _domain_guards(expr):
             away_from_zero.append(e.den)
         elif isinstance(e, ex.Call) and e.fn in ("log", "sqrt"):
             nonnegative.append(e.arg)
+        elif isinstance(e, ex.Pow) and not (isinstance(e.exponent, ex.Const)
+                                            and e.exponent.value.is_integer()):
+            nonnegative.append(e.base)
         stack.extend(ex._children(e))
     return away_from_zero, nonnegative
 

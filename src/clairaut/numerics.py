@@ -5,11 +5,13 @@ kernels for the tiny dense solves of the mixed transform.
 Everything is deterministic for fixed inputs; the Newton restarts draw from
 a generator seeded per call, never from global state.
 
-The generated kernels (solver, stage_kernel) run on Python floats: Gauss
-elimination with partial pivoting and dot products summed left to right,
-unrolled for one shape and compiled once.  They round the same way on every
-machine.  numpy's small solves and matmuls round as the BLAS they run on
-does, so the two agree to a few units in the last place, not bit for bit.
+The generated kernels (solver, block_kernel, stage_kernel) run on Python
+floats: Gauss elimination with partial pivoting and dot products summed left
+to right, unrolled for one shape and compiled once.  They round the same way
+on every machine.  block_kernel and stage_kernel emit the derivative block
+from one emitter (_block), so they give the same floats for it; numpy
+computing the same formulas rounds as its BLAS does and agrees to a few units
+in the last place.
 """
 
 import functools
@@ -263,22 +265,17 @@ def solver(k, m=1):
     return code.build("A, B", "[" + ", ".join(flat_b) + "]")
 
 
-@functools.lru_cache(maxsize=None)
-def stage_kernel(n, reg, solve, other):
-    """Generated RK4 stage of the mixed equations for one layout, cached by it.
+def _block(code, n, reg):
+    """Emit the implicit-function derivative block for one split into code.
 
-    reg lists the regular coordinates; solve and other the degenerate slots
-    solved from F v = D H and supplied from outside.  The kernel takes
-    (c, V, vd, vo, p): the derivative core tuple (L, L_v, L_q, W, L_vq;
-    model.DerivativeCore) at the resolved point, the regular velocities, the
-    point's degenerate velocities, the values of the other slots and the
-    regular momenta, all floats.  It returns (dq, dp, v, residual
-    ||F v - D H||_inf, H, F's solved subblock flat), by the formulas of
-    transform.Resolution and dynamics.degenerate_velocities.
-    """
-    r, nd = len(reg), n - len(reg)
-    deg = [i for i in range(n) if i not in reg]
-    code = _Code()
+    The kernel's parameters c, V and vd are the derivative core tuple (L,
+    L_v, L_q, W, L_vq; model.DerivativeCore) at the resolved point, the
+    regular velocities and the point's degenerate velocities.  Returns the
+    names of X = [-dV_dq | dV_dp] (r rows), dB_dq (nd x n), dB_dp (nd x r),
+    dH_dq (n), dH_dp (r), F (nd x nd) and D_a H (nd), with vd.  F is exactly
+    antisymmetric: each of its terms enters as (T - T^t)."""
+    r, deg = len(reg), [i for i in range(n) if i not in reg]
+    nd = len(deg)
 
     def core(block, i, j):  # block 0: W, block 1: L_vq
         return f"c[{1 + 2 * n + (block * n + i) * n + j}]"
@@ -304,6 +301,41 @@ def stage_kernel(n, reg, solve, other):
           for b in range(nd)] for a in range(nd)]
     dah = [code(f"({dh_dq[i]} + ({_dot(zip(db_dq_reg[k], dh_dp))}))"
                 f" - ({_dot(zip(db_dp[k], (dh_dq[j] for j in reg)))})") for k, i in enumerate(deg)]
+    return x, db_dq, db_dp, dh_dq, dh_dp, f, dah, vd
+
+
+def _flat(rows):
+    return "[" + ", ".join(name for row in rows for name in row) + "]"
+
+
+@functools.lru_cache(maxsize=None)
+def block_kernel(n, reg):
+    """Generated derivative block at a resolved point for one split, cached
+    by it: reg lists the regular coordinates.  The kernel takes (c, V, vd)
+    as _block describes and returns dV_dq (r x n), dV_dp (r x r), dB_dq,
+    dB_dp, dH_dq, dH_dp, F and D_a H as flat row-major lists of floats."""
+    code = _Code()
+    x, db_dq, db_dp, dh_dq, dh_dp, f, dah, _ = _block(code, n, reg)
+    dv_dq = [[f"-{name}" for name in row[:n]] for row in x]
+    outs = (dv_dq, [row[n:] for row in x], db_dq, db_dp, [dh_dq], [dh_dp], f, [dah])
+    return code.build("c, V, vd", ", ".join(map(_flat, outs)))
+
+
+@functools.lru_cache(maxsize=None)
+def stage_kernel(n, reg, solve, other):
+    """Generated RK4 stage of the mixed equations for one layout, cached by it.
+
+    reg lists the regular coordinates; solve and other the degenerate slots
+    solved from F v = D H and supplied from outside.  The kernel takes
+    (c, V, vd, vo, p): c, V and vd as for block_kernel, the values of the
+    other slots and the regular momenta, all floats.  It returns (dq, dp, v,
+    residual ||F v - D H||_inf, H, F's solved subblock flat).
+    """
+    r, nd = len(reg), n - len(reg)
+    deg = [i for i in range(n) if i not in reg]
+    code = _Code()
+    _, db_dq, db_dp, dh_dq, dh_dp, f, dah, vd = _block(code, n, reg)
+    db_dq_reg = [[row[j] for j in reg] for row in db_dq]
     v = [None] * nd
     for k, s in enumerate(other):
         v[s] = code(f"vo[{k}]")

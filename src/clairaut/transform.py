@@ -18,10 +18,11 @@ so a resolution makes a single evaluator call.  Newton runs on one smaller
 evaluator, compiled from the core's expressions, that returns the regular
 rows of L_v and W_rr together: one call per residual, none per Jacobian,
 with the iterate and the step on Python floats (numerics.solver).  The
-derivative block gathers its inputs from the core with one index array and
-factors W_rr once, with numpy, for both dV_dq and dV_dp.  The RK4 stage of
-dynamics.integrate shares the Newton resolve (_resolve_args) but takes the
-block from a generated float kernel (numerics.stage_kernel).
+implicit-function derivative block, the field strength F and D_a H come from
+one call of a generated float kernel (numerics.block_kernel) that factors
+W_rr once for both dV_dq and dV_dp.  The RK4 stage of dynamics.integrate
+shares the Newton resolve (_resolve_args) and the emitted block
+(numerics.stage_kernel), so the two round alike.
 """
 
 import itertools
@@ -29,10 +30,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, FenchelError, NewtonError, RankDeficiencyError
+from .errors import DomainError, FenchelError, NewtonError
 from .expressions import compile_evaluator
 from .model import CORE_BLOCKS, split_variables
-from .numerics import NewtonConfig, damped_newton, newton_with_restarts
+from .numerics import NewtonConfig, block_kernel, damped_newton, newton_with_restarts
 
 
 @dataclass(frozen=True)
@@ -53,7 +54,7 @@ class PhasePoint:
 
 
 # Derivative-block slots of a Resolution, left unset until first read.
-_BLOCK = ("W", "dV_dq", "dV_dp", "dB_dq", "dB_dp", "dB_dq_reg", "dH_dq", "dH_dp")
+_BLOCK = ("W", "dV_dq", "dV_dp", "dB_dq", "dB_dp", "dB_dq_reg", "dH_dq", "dH_dp", "F", "DH")
 
 
 class Resolution:
@@ -61,11 +62,12 @@ class Resolution:
 
     Velocity resolution and one call of the transform's derivative core run
     eagerly.  The derivative block (implicit-function solves; dB_dq_reg is
-    dB_dq's regular columns) fills its slots on the first read of any of
-    them, the field strength F on its own first read.
+    dB_dq's regular columns), the field strength F and D_a H (DH) fill
+    their slots together, from one call of the generated block kernel, on
+    the first read of any of them.  F and DH are shared, so read-only.
     """
 
-    __slots__ = ("ct", "pt", "args", "V", "B", "L", "H", "_core", "_W", "F") + _BLOCK
+    __slots__ = ("ct", "pt", "args", "V", "B", "L", "H", "_core", "_W") + _BLOCK
 
     def __init__(self, ct, pt, args, V):
         self.ct = ct
@@ -79,63 +81,23 @@ class Resolution:
         self._W = None
 
     def __getattr__(self, name):
-        if name in _BLOCK and self._W is None:
-            self._derivatives()
-        elif name == "F":
-            self.F = self._field_strength()
-        else:
+        if name not in _BLOCK or self._W is not None:
             raise AttributeError(name)
+        self._derivatives()
         return object.__getattribute__(self, name)
 
     def _derivatives(self):
         if self._W is not None:
             return
         ct = self.ct
-        n = ct.n
-        core = np.array(self._core + (0.0, 1.0))
-        block = core[ct._gather]
-        w_rr, rhs, w_dr, lvq_deg, lq = (block[at].reshape(shape) for at, shape in ct._blocks)
-        try:
-            sol = np.linalg.solve(w_rr, rhs)  # W_rr^-1 [L_vq regular rows | I_r]
-        except np.linalg.LinAlgError:
-            raise RankDeficiencyError(
-                "regular velocity Hessian block W_rr is singular at this point") from None
-        if n == 1:
-            # LAPACK divides by the pivot for one right-hand side but
-            # multiplies by its reciprocal for several: keep the division
-            sol[:, :1] = np.linalg.solve(w_rr, rhs[:, :1])
-        solved = sol[:, :n]
-        self.dV_dq = -solved
-        self.dV_dp = sol[:, n:]
-        dB_dq = self.dB_dq = lvq_deg - w_dr @ solved
-        self.dB_dq_reg = dB_dq[:, ct.reg_idx]
-        self.dB_dp = w_dr @ self.dV_dp
-        self.dH_dq = -lq + self.pt.v_deg @ dB_dq
-        self.dH_dp = self.V + self.pt.v_deg @ self.dB_dp
-        self._W = self.W = core[ct.core_slices["W"]].reshape(n, n)
-
-    def _field_strength(self):
-        """F_ab, exactly antisymmetric: each term enters as (T - T^t).  Built
-        once and shared, so it is read-only."""
-        m = self.dB_dq[:, self.ct.deg_idx].T  # m[a, b] = dB_b / dq^a
-        p = self.dB_dq_reg @ self.dB_dp.T  # bracket building block
-        f = (m - m.T) + (p - p.T)
-        f.flags.writeable = False
-        return f
-
-
-def _block_gather(n, reg, deg, slices):
-    """Where the derivative block's inputs sit in the core tuple extended by
-    (0.0, 1.0): one index array over W_rr, [L_vq regular rows | I_r], W_dr,
-    L_vq degenerate rows and L_q, then each block's slice and shape in the
-    gathered array."""
-    w, lvq = (slices[b].start + np.arange(n * n).reshape(n, n) for b in ("W", "L_vq"))
-    eye = slices["L_vq"].stop + np.eye(len(reg), dtype=np.intp)  # L_vq ends the core
-    parts = (w[np.ix_(reg, reg)], np.hstack([lvq[reg], eye]), w[np.ix_(deg, reg)],
-             lvq[deg], slices["L_q"].start + np.arange(n))
-    ends = np.cumsum([part.size for part in parts])
-    return (np.concatenate([part.ravel() for part in parts]),
-            [(slice(end - part.size, end), part.shape) for part, end in zip(parts, ends)])
+        n, r, nd = ct.n, ct.r, ct.n - ct.r
+        out = block_kernel(n, ct._reg)(self._core, self.V.tolist(), self.pt.v_deg.tolist())
+        shapes = ((r, n), (r, r), (nd, n), (nd, r), n, r, (nd, nd), nd)
+        (self.dV_dq, self.dV_dp, self.dB_dq, self.dB_dp, self.dH_dq, self.dH_dp,
+         self.F, self.DH) = (np.array(flat).reshape(shape) for flat, shape in zip(out, shapes))
+        self.F.flags.writeable = self.DH.flags.writeable = False
+        self.dB_dq_reg = self.dB_dq[:, ct.reg_idx]
+        self._W = self.W = np.array(self._core[ct.core_slices["W"]]).reshape(n, n)
 
 
 class ClairautTransform:
@@ -157,6 +119,7 @@ class ClairautTransform:
         coords = model.coords
         self.reg_idx = np.array([coords.index(c) for c in self.split.regular], dtype=int)
         self.deg_idx = np.array([coords.index(c) for c in self.split.degenerate], dtype=int)
+        self._reg = tuple(self.reg_idx.tolist())  # the generated kernels' layout key
 
         core = model.core
         self.arg_names = core.arg_names
@@ -166,8 +129,6 @@ class ClairautTransform:
         self._b_pos = [self.core_slices["L_v"].start + a for a in self.deg_idx]
         self._reg_at = [self.n + int(i) for i in self.reg_idx]
         self._deg_at = [self.n + int(a) for a in self.deg_idx]
-        self._gather, self._blocks = _block_gather(
-            self.n, self.reg_idx, self.deg_idx, self.core_slices)
         lv, w = core.exprs["L_v"], core.w_rows
         self._f_newton = compile_evaluator(
             [lv[i] for i in self.reg_idx]

@@ -92,6 +92,17 @@ class TestAnalyze:
         assert code == 0
         jsonschema.validate(json.loads(out), schema)
 
+    @pytest.mark.parametrize("lagrangian", ["x^0.5*d(x)^2", "d(x)^d(x)"])
+    def test_probes_keep_fractional_power_bases_nonnegative(self, capsys, tmp_path,
+                                                            lagrangian):
+        # a power with a non-integer exponent needs a non-negative base,
+        # like a sqrt argument; probes drawn outside it ended in exit 3
+        path = tmp_path / "power.lag"
+        path.write_text(f"coord x;\nlagrangian = {lagrangian};\n")
+        code, out, err = run_cli(capsys, "analyze", str(path))
+        assert code == 0, err
+        assert json.loads(out)["regular"] == ["x"]
+
 
 class TestTransform:
     def test_particle_point(self, capsys):

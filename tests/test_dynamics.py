@@ -158,7 +158,7 @@ class TestDegenerateVelocities:
         for k, pt in enumerate(phase_probes(ct)):
             t = 0.1 * k
             v, resid = degenerate_velocities(ct, pt, gauge, cls, t=t)
-            # the formula as written before the sector plan was cached
+            # numpy's solve of the same system, as a reference: equal to rounding
             res = ct.resolve(pt)
             f, dh = res.F, d_alpha_h(ct, res)
             want = np.zeros(ct.n - ct.r)
@@ -169,8 +169,10 @@ class TestDegenerateVelocities:
             other = [a for a in range(len(want)) if a not in solve_idx]
             rhs = dh[solve_idx] - f[np.ix_(solve_idx, other)] @ want[other]
             want[solve_idx] = np.linalg.solve(f[np.ix_(solve_idx, solve_idx)], rhs)
-            assert v.tobytes() == want.tobytes()
-            assert resid == float(np.max(np.abs(f @ want - dh)))
+            scale = np.maximum(1.0, np.abs(want))
+            assert np.max(np.abs(v - want) / scale) < 1e-12
+            want_resid = float(np.max(np.abs(f @ want - dh)))
+            assert abs(resid - want_resid) < 1e-12 * max(1.0, want_resid)
 
     def test_singular_sector_detected(self):
         ct = transform("synthetic_gaugeless")

@@ -334,15 +334,16 @@ class TestPhasePointImmutability:
         assert abs(second.H - ct.h_phys(ct.point([0.3, 1.5], [0.7]))) == 0.0
 
 
-def assert_bits(got, want):
-    got, want = np.asarray(got), np.asarray(want)
-    assert got.shape == want.shape and got.dtype == want.dtype
-    assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
+def rel_error(got, want):
+    """max |got - want| over max(1, |want|), entry by entry."""
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    assert got.shape == want.shape
+    return float(np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want)), initial=0.0))
 
 
 def reference_block(ct, res):
-    """The derivative block and F from the core, with W_rr factored twice:
-    np.linalg.solve for dV_dq, np.linalg.inv for dV_dp."""
+    """The derivative block, F and D_a H from the core with numpy, W_rr
+    factored twice: np.linalg.solve for dV_dq, np.linalg.inv for dV_dp."""
     n, reg, deg = ct.n, ct.reg_idx, ct.deg_idx
     core = np.array(ct._f_core(res.args))
     w = core[ct.core_slices["W"]].reshape(n, n)
@@ -356,27 +357,30 @@ def reference_block(ct, res):
         solved, dv_dp = np.zeros((0, n)), np.zeros((0, 0))
     db_dq = lvq[deg, :] - w_dr @ solved
     db_dp = w_dr @ dv_dp
+    dh_dq, dh_dp = -lq + res.pt.v_deg @ db_dq, res.V + res.pt.v_deg @ db_dp
     m = db_dq[:, deg].T
     pp = db_dq[:, reg] @ db_dp.T
     return {
         "W": w, "dV_dq": -solved, "dV_dp": dv_dp, "dB_dq": db_dq, "dB_dp": db_dp,
-        "dB_dq_reg": db_dq[:, reg],
-        "dH_dq": -lq + res.pt.v_deg @ db_dq, "dH_dp": res.V + res.pt.v_deg @ db_dp,
+        "dB_dq_reg": db_dq[:, reg], "dH_dq": dh_dq, "dH_dp": dh_dp,
         "F": (m - m.T) + (pp - pp.T),
+        "DH": dh_dq[deg] + db_dq[:, reg] @ dh_dp - db_dp @ dh_dq[reg],
     }
 
 
 class TestLeanDerivativeBlock:
     """One W_rr factorisation per resolution, one Newton evaluator call per
-    residual, and slots filled on first read: the same floats as before."""
+    residual, and slots filled on first read."""
 
     @pytest.mark.parametrize("name", BUNDLED)
-    def test_block_bit_equal_to_separate_solve_and_inv(self, name):
+    def test_block_matches_separate_solve_and_inv(self, name):
+        # the generated block eliminates on floats and numpy rounds as its
+        # BLAS does: equal to rounding, never bit for bit
         ct = transform(name)
         for pt in phase_probes(ct):
             res = ct.resolve(pt)
             for attr, want in reference_block(ct, res).items():
-                assert_bits(getattr(res, attr), want)
+                assert rel_error(getattr(res, attr), want) < 1e-12, attr
 
     def test_slots_fill_on_first_read(self, monkeypatch):
         ct = transform("christ_lee")
