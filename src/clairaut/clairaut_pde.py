@@ -22,13 +22,14 @@ from .expressions import (
     parse_expression,
     simplify,
 )
-from .numerics import NewtonConfig, newton_with_restarts, rank_and_pivots
+from .numerics import NewtonConfig, newton_pair, newton_with_restarts, rank_and_pivots
 
 RESIDUAL_STEP = 1e-6
 
 
 class ClairautProblem:
-    """Problem data: dimension n and the function f over z1..zn."""
+    """Problem data: dimension n and the function f over z1..zn.  f compiles
+    alone: general solutions need f defined, not its derivatives."""
 
     def __init__(self, n, f):
         n = int(n)
@@ -45,17 +46,16 @@ class ClairautProblem:
         grad = [differentiate(self.f, z) for z in self.names]
         hess = [differentiate(g, z) for g in grad for z in self.names]
         self._f = compile_evaluator(self.f, self.names)
-        self._grad = compile_evaluator(grad, self.names)
-        self._hess = compile_evaluator(hess, self.names)
+        self._derivs = compile_evaluator(grad + hess, self.names)  # Hessian row-major
 
     def f_value(self, z):
         return self._f(z)
 
     def f_gradient(self, z):
-        return np.array(self._grad(z))
+        return np.array(self._derivs(z)[:self.n])
 
     def f_hessian(self, z):
-        return np.array(self._hess(z)).reshape(self.n, self.n)
+        return np.array(self._derivs(z)[self.n:]).reshape(self.n, self.n)
 
     def hessian_rank(self, z):
         rank, _ = rank_and_pivots(self.f_hessian(z))
@@ -114,29 +114,25 @@ def mixed_solution(prob, s, c_tail, x, cfg=NewtonConfig()):
 
 
 def _resolve_slopes(prob, idx, c_tail, x, cfg):
-    """Newton solve x_i = df/dz_i over the index block idx, tail frozen."""
-    s = len(idx)
+    """Newton solve x_i = df/dz_i over the leading index block idx, tail
+    frozen; residual and Jacobian from one _derivs call per iterate."""
+    s, n, rows = len(idx), prob.n, idx.tolist()
+    args = [0.0] * s + list(c_tail)
+    residual, jacobian, last = newton_pair(
+        prob._derivs, args, range(s), rows,
+        [n + i * n + j for i in rows for j in rows], x[idx].tolist())
 
-    def assemble(head):
-        return np.concatenate([head, c_tail])
-
-    def residual(head):
-        return prob.f_gradient(assemble(head))[idx] - x[idx]
-
-    def jacobian(head):
-        return prob.f_hessian(assemble(head))[np.ix_(idx, idx)]
+    def check_rank(at):
+        rank, _ = rank_and_pivots(np.reshape(jacobian(at), (s, s)))
+        if rank < s:
+            raise RankDeficiencyError(
+                f"slope conditions unresolvable: Hessian block rank {rank} < {s}")
 
     guess = x[idx] / 2.0
-    rank, _ = rank_and_pivots(jacobian(guess))
-    if rank < s:
-        raise RankDeficiencyError(
-            f"slope conditions unresolvable: Hessian block rank {rank} < {s}")
+    check_rank(guess)
     head = newton_with_restarts(residual, jacobian, guess, cfg,
                                 box=1.0 + float(np.max(np.abs(x))))
-    rank, _ = rank_and_pivots(jacobian(head))
-    if rank < s:
-        raise RankDeficiencyError(
-            f"slope conditions unresolvable: Hessian block rank {rank} < {s}")
+    check_rank(last[0])  # the root: no new evaluation
     return head
 
 

@@ -15,9 +15,9 @@ model's invariant surface.
 
 The sector solve is the generated stage kernel for the gauge's plan
 (numerics.stage_kernel), on Python floats.  degenerate_velocities runs it on
-a Resolution's core; an RK4 stage of integrate runs it after one
-damped-Newton resolve (ClairautTransform._resolve_args) and one call of the
-derivative core, builds no PhasePoint or Resolution, and evaluates each
+a Resolution's core; an RK4 stage of integrate runs it on the core values
+of its damped-Newton resolve's last call (ClairautTransform._resolve_args),
+at the root, builds no PhasePoint or Resolution, and evaluates each
 prescribed velocity once.  Both give the same floats.
 """
 
@@ -225,7 +225,7 @@ def integrate(ct, initial, gauge=None, cfg=None, cls=None):
     q = np.asarray(initial.q, dtype=float).tolist()
     p = np.asarray(initial.p, dtype=float).tolist()
     warm = [np.asarray(initial.v_deg, dtype=float).tolist(), None]  # last v, last V
-    f_core, velocity = ct._f_core, gauge.velocity
+    velocity = gauge.velocity
 
     def stage(t, q, p):
         # H, B and their gradients ignore the degenerate velocities, but the
@@ -235,8 +235,8 @@ def integrate(ct, initial, gauge=None, cfg=None, cls=None):
         vd = list(warm[0])
         for a, val in zip(other, vo):
             vd[a] = val
-        args, warm[1] = ct._resolve_args(q, p, vd, warm[1])
-        out = kernel(f_core(args), warm[1], vd, vo, p)
+        _, warm[1], core = ct._resolve_args(q, p, vd, warm[1])
+        out = kernel(core, warm[1], vd, vo, p)
         warm[0] = out[2]
         return out  # dq, dp, v, residual, H, F's solved subblock
 

@@ -537,18 +537,6 @@ def _simplify_call(fn, arg):
 # ------------------------------------------------------------------ printing
 
 
-def _prec(e):
-    if isinstance(e, Sum):
-        return _P_SUM
-    if isinstance(e, Neg):
-        return _P_UNARY
-    if isinstance(e, (Prod, Quot)):
-        return _P_TERM
-    if isinstance(e, Pow):
-        return _P_POWER
-    return _P_ATOM
-
-
 def _render(e, min_prec):
     if isinstance(e, Const):
         v = e.value

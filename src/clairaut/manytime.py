@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import d_alpha_h
+from .errors import ModelError
 from .gauge import BObservable, field_strength, phase_probes
 
 
@@ -130,7 +131,7 @@ def integrability_report(mts, probes=None):
     if probes is None:
         probes = phase_probes(ct)
     if not probes:
-        raise ValueError("integrability_report needs at least one probe")
+        raise ModelError("integrability_report needs at least one probe")
     max_g = 0.0
     f_defect = 0.0
     dh_defect = 0.0

@@ -3,7 +3,9 @@ antisymmetric matrix, damped Newton iteration, and generated straight-line
 kernels for the tiny dense solves of the mixed transform.
 
 Everything is deterministic for fixed inputs; the Newton restarts draw from
-a generator seeded per call, never from global state.
+a generator seeded per call, never from global state.  Every Newton resolve
+(transform velocities, Fenchel oracle, PDE slopes) builds its residual and
+Jacobian with newton_pair: one evaluator call per iterate feeds both.
 
 The generated kernels (solver, block_kernel, stage_kernel) run on Python
 floats: Gauss elimination with partial pivoting and dot products summed left
@@ -127,7 +129,8 @@ def damped_newton(residual, jacobian, x0, cfg=NewtonConfig()):
     Jacobian goes singular.  The Jacobian is only ever asked for at the very
     point (the same object) of the latest residual call, so a caller may
     evaluate both at once and hand the Jacobian over from that call.
-    Returns the root as an ndarray.
+    Returns the root as an ndarray; the latest residual call is at it, past
+    any rejected backtrack or restart.
     """
     x = np.ravel(np.asarray(x0, dtype=float)).tolist()
     fx = _floats(residual(x))
@@ -163,6 +166,32 @@ def damped_newton(residual, jacobian, x0, cfg=NewtonConfig()):
     if norm <= cfg.tol:
         return np.array(x)
     raise NewtonError("newton did not converge", residual=norm, iterations=cfg.max_iter)
+
+
+def newton_pair(fn, args, at, rows, jac, target):
+    """(residual, jacobian, last) for damped_newton on one evaluator.
+
+    The iterate fills the slots at of the argument list args (mutated in
+    place) and fn(args) returns a flat sequence: the residual is its entries
+    rows minus target, the Jacobian its entries jac (row-major) from the same
+    call.  last holds the point and the values of the latest call; after
+    damped_newton returns, they are its root and fn there.
+    """
+    last = [None, None]
+
+    def residual(x):
+        for i, val in zip(at, x):
+            args[i] = val
+        vals = fn(args)
+        last[:] = x, vals
+        return [vals[i] - t for i, t in zip(rows, target)]
+
+    def jacobian(x):
+        if x is not last[0]:  # damped_newton never asks elsewhere
+            residual(x)
+        return [last[1][i] for i in jac]
+
+    return residual, jacobian, last
 
 
 def newton_with_restarts(residual, jacobian, x0, cfg=NewtonConfig(), box=1.0, seed=0):

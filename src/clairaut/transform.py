@@ -14,15 +14,14 @@ identities dH/dp_i = V^i, dH/dq = -dL/dq when all v^alpha vanish.
 
 Every derivative block of L that a resolved point needs (L, L_v, L_q, the
 velocity Hessian W = L_vv and L_vq) comes from the model's derivative core,
-so a resolution makes a single evaluator call.  Newton runs on one smaller
-evaluator, compiled from the core's expressions, that returns the regular
-rows of L_v and W_rr together: one call per residual, none per Jacobian,
-with the iterate and the step on Python floats (numerics.solver).  The
-implicit-function derivative block, the field strength F and D_a H come from
-one call of a generated float kernel (numerics.block_kernel) that factors
-W_rr once for both dV_dq and dV_dp.  The RK4 stage of dynamics.integrate
-shares the Newton resolve (_resolve_args) and the emitted block
-(numerics.stage_kernel), so the two round alike.
+and Newton runs on it: the core's regular rows of L_v and W_rr give the
+residual and the Jacobian from one call per iterate (numerics.newton_pair),
+and the values of the last call, at the root, are the resolution's.  The
+implicit-function derivative block, F and D_a H come from one call of a
+generated float kernel (numerics.block_kernel) that factors W_rr once for
+both dV_dq and dV_dp.  The RK4 stage of dynamics.integrate shares the
+Newton resolve (_resolve_args) and the emitted block (numerics.stage_kernel),
+so the two round alike.
 """
 
 import itertools
@@ -31,9 +30,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, FenchelError, NewtonError
-from .expressions import compile_evaluator
 from .model import CORE_BLOCKS, split_variables
-from .numerics import NewtonConfig, block_kernel, damped_newton, newton_with_restarts
+from .numerics import (NewtonConfig, block_kernel, damped_newton, newton_pair,
+                       newton_with_restarts)
 
 
 @dataclass(frozen=True)
@@ -60,21 +59,21 @@ _BLOCK = ("W", "dV_dq", "dV_dp", "dB_dq", "dB_dp", "dB_dq_reg", "dH_dq", "dH_dp"
 class Resolution:
     """Everything the transform knows at one resolved phase point.
 
-    Velocity resolution and one call of the transform's derivative core run
-    eagerly.  The derivative block (implicit-function solves; dB_dq_reg is
-    dB_dq's regular columns), the field strength F and D_a H (DH) fill
+    Velocity resolution runs eagerly and hands over core, the derivative
+    core's values at the point.  The derivative block (implicit-function
+    solves; dB_dq_reg is dB_dq's regular columns), F and D_a H (DH) fill
     their slots together, from one call of the generated block kernel, on
     the first read of any of them.  F and DH are shared, so read-only.
     """
 
     __slots__ = ("ct", "pt", "args", "V", "B", "L", "H", "_core", "_W") + _BLOCK
 
-    def __init__(self, ct, pt, args, V):
+    def __init__(self, ct, pt, args, V, core):
         self.ct = ct
         self.pt = pt
         self.args = args
         self.V = V
-        core = self._core = ct._f_core(args)
+        self._core = core
         self.B = np.array([core[i] for i in ct._b_pos])
         self.L = core[0]
         self.H = float(pt.p @ V + self.B @ pt.v_deg - self.L)
@@ -126,13 +125,12 @@ class ClairautTransform:
         self.core_exprs = core.exprs
         self.core_slices = core.slices
         self._f_core = core.fn
-        self._b_pos = [self.core_slices["L_v"].start + a for a in self.deg_idx]
-        self._reg_at = [self.n + int(i) for i in self.reg_idx]
+        lv, w = core.slices["L_v"].start, core.slices["W"].start
+        self._b_pos = [lv + int(a) for a in self.deg_idx]
+        self._lv_reg = [lv + i for i in self._reg]  # Newton's residual rows
+        self._w_rr = [w + i * self.n + j for i in self._reg for j in self._reg]  # Jacobian
+        self._reg_at = [self.n + i for i in self._reg]
         self._deg_at = [self.n + int(a) for a in self.deg_idx]
-        lv, w = core.exprs["L_v"], core.w_rows
-        self._f_newton = compile_evaluator(
-            [lv[i] for i in self.reg_idx]
-            + [w[i][j] for i in self.reg_idx for j in self.reg_idx], self.arg_names)
         self._last = None
 
     # ------------------------------------------------------------ points
@@ -167,8 +165,9 @@ class ClairautTransform:
         cached = self._last
         if cached is not None and cached[0] is pt and v_init is None:
             return cached[1]
-        args, v = self._resolve_args(pt.q.tolist(), pt.p.tolist(), pt.v_deg.tolist(), v_init)
-        res = Resolution(self, pt, args, np.array(v))
+        args, v, core = self._resolve_args(pt.q.tolist(), pt.p.tolist(), pt.v_deg.tolist(),
+                                           v_init)
+        res = Resolution(self, pt, args, np.array(v), core)
         self._last = (pt, res)
         return res
 
@@ -180,38 +179,22 @@ class ClairautTransform:
         return args
 
     def _resolve_args(self, q, p, v_deg, v_init=None):
-        """(args, V): the evaluator arguments at (q, V, v_deg), with the
-        regular velocities V solving p_i = dL/dv^i; lists of floats."""
+        """(args, V, core): the evaluator arguments at (q, V, v_deg), with V
+        solving p_i = dL/dv^i, and the core there (Newton's last call)."""
         args = self._args(q, v_deg)
-        reg_at, r, f_newton = self._reg_at, self.r, self._f_newton
-        if not r:
-            return args, []
-        last = [None, None]  # the point and the values of the latest evaluation
-
-        def residual(x):
-            for at, val in zip(reg_at, x):
-                args[at] = val
-            vals = f_newton(args)
-            last[:] = x, vals
-            return [vals[i] - p[i] for i in range(r)]
-
-        def jacobian(x):
-            # damped_newton asks at the point of its latest residual call
-            if x is not last[0]:
-                residual(x)
-            return last[1][r:]
-
-        x0 = [0.0] * r if v_init is None else v_init
+        if not self.r:
+            return args, [], self._f_core(args)
+        residual, jacobian, last = newton_pair(self._f_core, args, self._reg_at,
+                                               self._lv_reg, self._w_rr, p)
+        x0 = [0.0] * self.r if v_init is None else v_init
         v = newton_with_restarts(residual, jacobian, x0, self.newton).tolist()
-        for at, val in zip(reg_at, v):
-            args[at] = val
-        return args, v
+        return args, v, last[1]  # damped_newton's last call is at its root
 
     def start_in_domain(self, pt):
-        """Whether the Newton evaluator is defined where resolve(pt) starts
+        """Whether the derivative core is defined where resolve(pt) starts
         without v_init: the regular velocities 0, the point's v_deg."""
         try:
-            self._f_newton(self._args(pt.q.tolist(), pt.v_deg.tolist()))
+            self._f_core(self._args(pt.q.tolist(), pt.v_deg.tolist()))
         except DomainError:
             return False
         return True
@@ -302,18 +285,12 @@ def fenchel_conjugate(model, q, p, box=2.0, grid=5, newton=None, pd_tol=1e-10):
     newton = newton or NewtonConfig()
     n = model.n
     core = model.core
-    lv_at, w_at = core.slices["L_v"], core.slices["W"]
-    q = np.asarray(q, dtype=float)
+    lv, w = core.slices["L_v"], core.slices["W"]
     p = np.asarray(p, dtype=float)
-    args = list(q) + [0.0] * n
-
-    def residual(v):
-        args[n:] = list(v)
-        return np.array(core.fn(args)[lv_at]) - p
-
-    def jacobian(v):
-        args[n:] = list(v)
-        return np.array(core.fn(args)[w_at]).reshape(n, n)
+    args = np.asarray(q, dtype=float).tolist() + [0.0] * n
+    residual, jacobian, last = newton_pair(core.fn, args, range(n, 2 * n),
+                                           range(lv.start, lv.stop), range(w.start, w.stop),
+                                           p.tolist())
 
     axes = [np.linspace(-box, box, grid)] * n
     starts = [np.array(combo) for combo in itertools.product(*axes)]
@@ -321,14 +298,13 @@ def fenchel_conjugate(model, q, p, box=2.0, grid=5, newton=None, pd_tol=1e-10):
     for start in starts:
         try:
             v = damped_newton(residual, jacobian, start, newton)
-            hess = jacobian(v)
-            scale = max(1.0, float(np.max(np.abs(hess))))
-            if np.min(np.linalg.eigvalsh(hess)) <= pd_tol * scale:
-                continue  # not a strict local maximum of p.v - L
-            args[n:] = list(v)
-            value = float(p @ v - core.fn(args)[0])
         except (NewtonError, DomainError):
             continue
+        hess = np.reshape(jacobian(last[0]), (n, n))  # at v, from Newton's last call
+        scale = max(1.0, float(np.max(np.abs(hess))))
+        if np.min(np.linalg.eigvalsh(hess)) <= pd_tol * scale:
+            continue  # not a strict local maximum of p.v - L
+        value = float(p @ v - last[1][0])
         if best is None or value > best:
             best = value
     if best is None:

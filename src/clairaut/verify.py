@@ -443,7 +443,10 @@ def _project_to_surface(ct, pt, levels, iters=18, step=1e-6):
     return PhasePoint(u[:n], u[n:], pt.v_deg)
 
 
-def _constraint_preservation(ctx, tol=1e-5):
+PRESERVATION_TOL = 1e-5
+
+
+def _constraint_preservation(ctx):
     """Start on the invariant set and watch the consistency stream.
 
     The projection depth escalates until a short trial run stays flat:
@@ -465,7 +468,7 @@ def _constraint_preservation(ctx, tol=1e-5):
         trial = integrate(ct, cand, gauge,
                           IntegratorConfig(t1=0.05, dt=5e-3,
                                            consistency_tol=1e30), cls)
-        if float(np.max(trial.consistency)) <= 0.1 * tol:
+        if float(np.max(trial.consistency)) <= 0.1 * PRESERVATION_TOL:
             break
     traj = integrate(ct, cand, gauge,
                      IntegratorConfig(t1=0.5, dt=1e-3,
@@ -516,7 +519,7 @@ def _check_table(ctx):
         rows += [
             ("gauge_bracket_reduction", 1e-12, _gauge_bracket_reduction, True),
             ("consistency_functions", None, _consistency_functions, True),
-            ("constraint_preservation", 1e-5, _constraint_preservation, True),
+            ("constraint_preservation", PRESERVATION_TOL, _constraint_preservation, True),
         ]
         if _b_vanishes(ctx):
             rows += [

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from clairaut import DomainError, ModelError, NewtonError, RankDeficiencyError
+from clairaut import clairaut_pde as pde_module
 from clairaut.clairaut_pde import (
     ClairautProblem,
     envelope_solution,
@@ -230,3 +231,40 @@ class TestNewtonFailure:
         prob = ClairautProblem(1, "exp(z1)")
         with pytest.raises(NewtonError):
             envelope_solution(prob, [-1.0])
+
+
+class TestOneEvaluator:
+    def test_one_call_per_iterate(self, monkeypatch):
+        # gradient and Hessian come from one call; besides Newton's residual
+        # calls the resolve evaluates once, for the rank check at the guess
+        prob = ClairautProblem(2, "exp(z1) + z1*z2 + z2^2")
+        calls, residuals = [], []
+        derivs = prob._derivs
+        monkeypatch.setattr(prob, "_derivs", lambda z: calls.append(1) or derivs(z))
+        real_newton = pde_module.newton_with_restarts
+
+        def counted_newton(residual, jacobian, x0, cfg, box):
+            def jac(x):
+                before = len(calls)
+                out = jacobian(x)
+                assert len(calls) == before
+                return out
+
+            return real_newton(lambda x: residuals.append(1) or residual(x), jac, x0, cfg,
+                               box=box)
+
+        monkeypatch.setattr(pde_module, "newton_with_restarts", counted_newton)
+        x = np.array([2.0, 1.5])
+        for solve in (lambda: envelope_solution(prob, x),
+                      lambda: mixed_solution(prob, 1, [0.25], x)):
+            calls.clear()
+            residuals.clear()
+            assert np.isfinite(solve())
+            assert residuals and len(calls) == len(residuals) + 1
+
+    def test_general_solution_where_only_f_is_defined(self):
+        # sqrt(z1) is defined at 0, its derivatives are not
+        prob = ClairautProblem(1, "sqrt(z1)")
+        assert general_solution(prob, [0.0])([2.0]) == 0.0
+        with pytest.raises(DomainError):
+            prob.f_gradient([0.0])

@@ -158,6 +158,16 @@ class TestTransform:
         assert code == 2
         assert "p_q" in err
 
+    def test_newton_trial_outside_the_lagrangians_domain_exits_3(self, capsys, tmp_path):
+        # at p_x = -2.5 the root of v + 1/v = p_x has v < 0, where log(v) and
+        # so L is undefined although L_v is not: Newton backtracks and fails
+        path = tmp_path / "log.lag"
+        path.write_text("coord x; lagrangian = d(x)^2/2 + log(d(x));\n")
+        code, out, err = run_cli(capsys, "transform", str(path), "--at", "x=0.3,p_x=-2.5")
+        assert code == 3 and not out
+        assert err.startswith("error: ") and "newton" in err
+        assert "Traceback" not in err
+
     def test_newton_failure_exits_3(self, capsys):
         # the exponential momentum map only reaches p*x > 0
         code, _, err = run_cli(capsys, "transform",

@@ -17,6 +17,7 @@ from clairaut import (
     parse_expression,
     phase_probes,
 )
+from clairaut import transform as transform_module
 
 PROBES = 6
 PROBE_SEED = 7
@@ -116,12 +117,32 @@ class TestDerivativeCore:
             assert [v.hex() for v in got] == [evaluate(e, bindings).hex() for e in exprs]
 
     def test_one_core_call_per_resolve(self, transform, monkeypatch):
+        # Newton evaluates the core once per residual, none per Jacobian, and
+        # hands the values of its last call, at the root, to the Resolution:
+        # no call after Newton, none for the derivative block; one call and
+        # no Newton when no velocity is regular
         ct = transform
         points = phase_probes(ct, count=3, seed=PROBE_SEED)
-        calls = []
+        calls, residuals = [], []
         core = ct._f_core
         monkeypatch.setattr(ct, "_f_core", lambda args: calls.append(1) or core(args))
+        real_newton = transform_module.newton_with_restarts
+
+        def counted_newton(residual, jacobian, x0, cfg):
+            def jac(x):
+                before = len(calls)
+                out = jacobian(x)
+                assert len(calls) == before
+                return out
+
+            return real_newton(lambda x: residuals.append(1) or residual(x), jac, x0, cfg)
+
+        monkeypatch.setattr(transform_module, "newton_with_restarts", counted_newton)
         for pt in points:
+            calls.clear()
+            residuals.clear()
             res = ct.resolve(pt)
+            assert len(calls) == (len(residuals) if ct.r else 1)
             _ = res.dH_dq, res.dB_dp, res.W, res.F
-        assert len(calls) == 3
+            assert len(calls) == (len(residuals) if ct.r else 1)
+            assert res._core == core(res.args)

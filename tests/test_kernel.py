@@ -241,6 +241,38 @@ class TestTypedFailures:
         assert any(x <= 0.0 for x in trials)  # the full step left the domain
 
 
+class TestNewtonPair:
+    def test_latest_call_is_at_the_root(self):
+        # x^3 = 1: the Jacobian 3x^2 is singular at the start x = 0, so the
+        # root comes from a restart, whose first full steps overshoot and are
+        # rejected; the last evaluation is still the root's
+        calls, jacobians = [], []
+
+        def fn(args):
+            x = args[0]
+            calls.append(x)
+            return (x ** 3 - 1.0, 3.0 * x * x)
+
+        residual, jacobian, last = numerics.newton_pair(fn, [0.0], [0], [0], [1], [0.0])
+
+        def jac(x):
+            jacobians.append(len(calls))
+            before = len(calls)
+            out = jacobian(x)
+            assert len(calls) == before
+            return out
+
+        root = numerics.newton_with_restarts(residual, jac, [0.0])
+        assert abs(root[0] - 1.0) < 1e-12
+        assert calls[0] == 0.0 and jacobians[0] == 1  # the singular first run
+        restart = calls[1:]
+        # the restart's calls: its start, then one accepted trial per Jacobian
+        # (the last one's is the root) and the rejected ones
+        assert len(restart) > 1 + (len(jacobians) - 1)
+        assert last[0] == root.tolist() and calls[-1] == root[0]
+        assert last[1] == (root[0] ** 3 - 1.0, 3.0 * root[0] * root[0])
+
+
 class TestTransformStart:
     def test_no_doomed_restarts_on_particle(self, monkeypatch, capsys):
         runs, solves = [], []

@@ -5,7 +5,7 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from clairaut import ClairautTransform, load_bundled, parse_model
+from clairaut import ClairautTransform, ModelError, load_bundled, parse_model
 from clairaut.dynamics import d_alpha_h
 from clairaut.gauge import FiniteDifferenceObservable, field_strength, phase_probes
 from clairaut.manytime import (
@@ -193,7 +193,7 @@ class TestIntegrabilityReport:
         assert rep.dh_defect == 0.0
 
     def test_empty_probes_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ModelError, match="at least one probe"):
             integrability_report(system("mixed"), probes=[])
 
     def test_system_is_frozen(self):

@@ -301,6 +301,29 @@ class TestFenchelOracle:
         with pytest.raises(FenchelError):
             fenchel_conjugate(load_bundled("mixed"), [0.5, 1.0], [1.0, 2.0])
 
+    def test_one_core_call_per_iterate(self, monkeypatch):
+        # the residual's core call feeds the Jacobian, the convexity check
+        # and the value at the root
+        model = load_bundled("exponential")
+        calls, residuals = [], []
+        core = model.core.fn
+        monkeypatch.setattr(model.core, "fn", lambda args: calls.append(1) or core(args))
+        real_newton = transform_module.damped_newton
+
+        def counted_newton(residual, jacobian, x0, cfg):
+            def jac(x):
+                before = len(calls)
+                out = jacobian(x)
+                assert len(calls) == before
+                return out
+
+            return real_newton(lambda x: residuals.append(1) or residual(x), jac, x0, cfg)
+
+        monkeypatch.setattr(transform_module, "damped_newton", counted_newton)
+        value = fenchel_conjugate(model, [1.0], [1.0])
+        assert abs(value + 1.0) < 1e-8
+        assert residuals and len(calls) == len(residuals)
+
 
 class TestPhasePointImmutability:
     """resolve memoizes by point identity, so a point must not change."""
@@ -400,10 +423,12 @@ class TestLeanDerivativeBlock:
 
     @pytest.mark.parametrize("name", ["particle", "christ_lee", "exponential"])
     def test_one_evaluator_call_per_residual_none_per_jacobian(self, name, monkeypatch):
+        # Newton runs on the derivative core; a warm resolve makes one core
+        # call per residual and hands the last one's values, at the root, on
         ct = transform(name)
         evaluations, counts = [], {"residual": 0, "jacobian": 0}
-        fused = ct._f_newton
-        monkeypatch.setattr(ct, "_f_newton", lambda args: evaluations.append(1) or fused(args))
+        core = ct._f_core
+        monkeypatch.setattr(ct, "_f_core", lambda args: evaluations.append(1) or core(args))
         real_newton = transform_module.newton_with_restarts
 
         def counted_newton(residual, jacobian, x0, cfg):
@@ -424,8 +449,12 @@ class TestLeanDerivativeBlock:
         pt = phase_probes(ct)[0]
         start = ct.resolve(pt).V
         moved = ct.point(pt.q, pt.p + 0.05, pt.v_deg)
+        evaluations.clear()
+        counts["residual"] = counts["jacobian"] = 0
         warm = ct.resolve(moved, v_init=start)
+        warm.F
         assert counts["jacobian"] >= 1
         assert len(evaluations) == counts["residual"]
-        lv = np.array(ct._f_core(warm.args)[ct.core_slices["L_v"]])
+        assert warm._core == core(warm.args)
+        lv = np.array(warm._core[ct.core_slices["L_v"]])
         assert np.max(np.abs(lv[ct.reg_idx] - moved.p)) <= ct.newton.tol
