@@ -14,11 +14,12 @@ residual: nonzero values on the unsolved rows flag initial data off the
 model's invariant surface.
 
 The sector solve is the generated stage kernel for the gauge's plan
-(numerics.stage_kernel), on Python floats.  degenerate_velocities runs it on
-a Resolution's core; an RK4 stage of integrate runs it on the core values
-of its damped-Newton resolve's last call (ClairautTransform._resolve_args),
-at the root, builds no PhasePoint or Resolution, and evaluates each
-prescribed velocity once.  Both give the same floats.
+(numerics.stage_kernel), on Python floats, run on the core values at the
+root: a Resolution's in degenerate_velocities and, in an RK4 stage of
+integrate, those of the resolve's last call (ClairautTransform._resolve_args,
+one W_rr solve where the regular sector is linear, else damped Newton), so
+both give the same floats.  The stage builds no PhasePoint or Resolution and
+evaluates each prescribed velocity once.
 """
 
 import math
@@ -63,7 +64,7 @@ class GaugeInput:
             return 0.0
         if mode == "prescribed":
             return float(self.values[alpha]([t]))
-        raise ValueError("slot is solved, not prescribed")
+        raise GaugeInputError(f"degenerate slot {alpha} is solved, not prescribed")
 
     @cached_property
     def _plan(self):

@@ -5,7 +5,7 @@ kernels for the tiny dense solves of the mixed transform.
 Everything is deterministic for fixed inputs; the Newton restarts draw from
 a generator seeded per call, never from global state.  Every Newton resolve
 (transform velocities, Fenchel oracle, PDE slopes) builds its residual and
-Jacobian with newton_pair: one evaluator call per iterate feeds both.
+Jacobian with newton_pair: flat float lists from one evaluator call per point.
 
 The generated kernels (solver, block_kernel, stage_kernel) run on Python
 floats: Gauss elimination with partial pivoting and dot products summed left
@@ -101,9 +101,9 @@ class NewtonConfig:
 
 
 def _floats(values):
-    """A flat list (or tuple) of floats from an array-like, row-major."""
-    if isinstance(values, (list, tuple)) and not (
-            values and isinstance(values[0], (list, tuple, np.ndarray))):
+    """A flat list of floats from an array-like, row-major; such a list
+    itself passes through without numpy work."""
+    if type(values) is list and (not values or type(values[0]) is float):
         return values
     return np.asarray(values, dtype=float).ravel().tolist()
 
@@ -123,24 +123,23 @@ def damped_newton(residual, jacobian, x0, cfg=NewtonConfig()):
 
     The iterate is a list of floats: residual(x) returns k values and
     jacobian(x) the k x k matrix, each as an array or a flat row-major
-    sequence.  Steps come from the generated elimination (solver).  A step
-    is halved (cfg.damping) whenever it raises a DomainError or grows the
-    residual norm.  Raises NewtonError when out of iterations or the
-    Jacobian goes singular.  The Jacobian is only ever asked for at the very
-    point (the same object) of the latest residual call, so a caller may
-    evaluate both at once and hand the Jacobian over from that call.
-    Returns the root as an ndarray; the latest residual call is at it, past
-    any rejected backtrack or restart.
+    sequence; flat lists, x0 too, are used as they are.  Steps come from
+    solver.  A step is halved (cfg.damping) whenever it raises a DomainError
+    or grows the residual norm.  Raises NewtonError when out of iterations
+    or the Jacobian goes singular.  The Jacobian is only ever asked for at
+    the very point (the same object) of the latest residual call, so a
+    caller may evaluate both at once and hand the Jacobian over from that
+    call.  Returns the root as an ndarray; the latest residual call is at
+    it, past any rejected backtrack or restart.
     """
-    x = np.ravel(np.asarray(x0, dtype=float)).tolist()
+    x = _floats(x0)
     fx = _floats(residual(x))
     norm = _max_abs(fx)
-    solve = solver(len(x))
     for _ in range(cfg.max_iter):
         if norm <= cfg.tol:
-            return np.array(x)
+            return np.array(x, dtype=float)
         try:
-            step = solve(_floats(jacobian(x)), [-f for f in fx])
+            step = solver(len(x))(_floats(jacobian(x)), [-f for f in fx])
         except np.linalg.LinAlgError as exc:
             raise NewtonError(f"singular jacobian: {exc}", residual=norm) from exc
         if not all(map(math.isfinite, step)):
@@ -164,7 +163,7 @@ def damped_newton(residual, jacobian, x0, cfg=NewtonConfig()):
         else:
             raise NewtonError("newton line search stalled", residual=norm)
     if norm <= cfg.tol:
-        return np.array(x)
+        return np.array(x, dtype=float)
     raise NewtonError("newton did not converge", residual=norm, iterations=cfg.max_iter)
 
 

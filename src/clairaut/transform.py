@@ -13,26 +13,29 @@ make them exact at any admissible v^alpha, and reduce to the envelope
 identities dH/dp_i = V^i, dH/dq = -dL/dq when all v^alpha vanish.
 
 Every derivative block of L that a resolved point needs (L, L_v, L_q, the
-velocity Hessian W = L_vv and L_vq) comes from the model's derivative core,
-and Newton runs on it: the core's regular rows of L_v and W_rr give the
-residual and the Jacobian from one call per iterate (numerics.newton_pair),
-and the values of the last call, at the root, are the resolution's.  The
-implicit-function derivative block, F and D_a H come from one call of a
-generated float kernel (numerics.block_kernel) that factors W_rr once for
-both dV_dq and dV_dp.  The RK4 stage of dynamics.integrate shares the
-Newton resolve (_resolve_args) and the emitted block (numerics.stage_kernel),
-so the two round alike.
+velocity Hessian W = L_vv and L_vq) comes from the model's derivative core.
+Its regular rows of L_v and W_rr give the resolve's residual and Jacobian
+from one call per point (numerics.newton_pair); the last call, at the root,
+fills the resolution.  Where no regular velocity enters W_rr, p = W_rr V + b
+is linear: damped Newton's first step, one W_rr solve, is kept when it meets
+the tolerance, and Newton runs only when it does not.  The implicit-function
+derivative block, F and D_a H come from one call of a generated float kernel
+(numerics.block_kernel) that factors W_rr once for both dV_dq and dV_dp.
+The RK4 stage of dynamics.integrate shares the resolve (_resolve_args) and
+the emitted block (numerics.stage_kernel), so the two round alike.
 """
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, FenchelError, NewtonError
+from .expressions import free_symbols
 from .model import CORE_BLOCKS, split_variables
-from .numerics import (NewtonConfig, block_kernel, damped_newton, newton_pair,
-                       newton_with_restarts)
+from .numerics import (NewtonConfig, _floats, _max_abs, block_kernel, damped_newton,
+                       newton_pair, newton_with_restarts, solver)
 
 
 @dataclass(frozen=True)
@@ -131,6 +134,8 @@ class ClairautTransform:
         self._w_rr = [w + i * self.n + j for i in self._reg for j in self._reg]  # Jacobian
         self._reg_at = [self.n + i for i in self._reg]
         self._deg_at = [self.n + int(a) for a in self.deg_idx]
+        v_reg = {self.arg_names[i] for i in self._reg_at}  # p = W_rr V + b if W_rr is V-free
+        self._linear = not any(v_reg & free_symbols(core.exprs["W"][k - w]) for k in self._w_rr)
         self._last = None
 
     # ------------------------------------------------------------ points
@@ -180,15 +185,25 @@ class ClairautTransform:
 
     def _resolve_args(self, q, p, v_deg, v_init=None):
         """(args, V, core): the evaluator arguments at (q, V, v_deg), with V
-        solving p_i = dL/dv^i, and the core there (Newton's last call)."""
+        solving p_i = dL/dv^i, and the core there (the last core call)."""
         args = self._args(q, v_deg)
         if not self.r:
             return args, [], self._f_core(args)
         residual, jacobian, last = newton_pair(self._f_core, args, self._reg_at,
                                                self._lv_reg, self._w_rr, p)
-        x0 = [0.0] * self.r if v_init is None else v_init
-        v = newton_with_restarts(residual, jacobian, x0, self.newton).tolist()
-        return args, v, last[1]  # damped_newton's last call is at its root
+        x0 = [0.0] * self.r if v_init is None else _floats(v_init)
+        if self._linear:
+            try:
+                fx = residual(x0)
+                if _max_abs(fx) <= self.newton.tol:
+                    return args, x0, last[1]
+                v = [a + s for a, s in zip(x0, solver(self.r)(jacobian(x0), [-f for f in fx]))]
+                if all(map(math.isfinite, v)) and _max_abs(residual(v)) <= self.newton.tol:
+                    return args, v, last[1]
+            except (DomainError, np.linalg.LinAlgError):
+                pass  # damped Newton from x0 takes over, as for a nonlinear sector
+        newton_with_restarts(residual, jacobian, x0, self.newton)
+        return args, last[0], last[1]  # damped_newton's last call is at its root
 
     def start_in_domain(self, pt):
         """Whether the derivative core is defined where resolve(pt) starts

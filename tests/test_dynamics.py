@@ -7,7 +7,7 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from clairaut import ClairautTransform, IntegrabilityError, load_bundled
+from clairaut import BUNDLED, ClairautTransform, IntegrabilityError, load_bundled
 from clairaut.dynamics import (
     DiracReport,
     GaugeInput,
@@ -25,6 +25,7 @@ from clairaut.errors import GaugeInputError, RankDeficiencyError
 from clairaut.gauge import ExprObservable, classify, field_strength, phase_probes
 from clairaut.model import momentum_name
 from clairaut.numerics import pfaffian
+from clairaut.verify import run_verification
 
 
 @lru_cache(maxsize=None)
@@ -82,7 +83,7 @@ class TestGaugeInput:
     def test_asking_prescribed_value_of_solved_slot(self):
         gi = gauge_input(transform("synthetic_gaugeless"),
                          classification("synthetic_gaugeless"))
-        with pytest.raises(ValueError):
+        with pytest.raises(GaugeInputError, match="slot 0 is solved, not prescribed"):
             gi.velocity(0, 0.0)
 
 
@@ -289,6 +290,45 @@ class TestIntegrate:
             errs.append(abs(traj.q[-1, 0] - math.cos(1.0)))
         ratio = errs[0] / errs[1]
         assert 12 < ratio < 20  # RK4: halving dt cuts the error ~16x
+
+
+class TestLinearRegularSector:
+    """A linear regular sector resolves with one W_rr solve where damped
+    Newton would take the same single step: integrate and verify give the
+    same floats with the linear path off."""
+
+    @staticmethod
+    def newton_only(monkeypatch):
+        init = ClairautTransform.__init__
+
+        def without_linear_path(ct, *args, **kwargs):
+            init(ct, *args, **kwargs)
+            ct._linear = False
+
+        monkeypatch.setattr(ClairautTransform, "__init__", without_linear_path)
+
+    @pytest.mark.parametrize("name, q, p", [
+        ("christ_lee", {"x1": 0.8, "x2": -0.6, "x3": 1.0, "y1": 0.2, "y2": -0.1, "y3": 0.3},
+         {"x1": 0.4, "x2": -0.3, "x3": 0.5}),
+        ("synthetic_gaugeless", {"x": 0.3, "a": 0.1, "b": -0.2}, {"x": 0.4}),
+    ])
+    def test_integrate_same_floats_as_newton(self, name, q, p, monkeypatch):
+        cfg = IntegratorConfig(t1=0.5, dt=1e-3)
+        ct = ClairautTransform(load_bundled(name))
+        assert ct._linear
+        got = integrate(ct, ct.point(q, p), cfg=cfg)
+        self.newton_only(monkeypatch)
+        ct = ClairautTransform(load_bundled(name))
+        assert not ct._linear
+        want = integrate(ct, ct.point(q, p), cfg=cfg)
+        for field in ("t", "q", "p", "v_deg", "h_phys", "consistency"):
+            assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
+        assert got.flagged == want.flagged
+
+    def test_verify_same_report_as_newton(self, monkeypatch):
+        got = [repr(run_verification(load_bundled(name))) for name in BUNDLED]
+        self.newton_only(monkeypatch)
+        assert [repr(run_verification(load_bundled(name))) for name in BUNDLED] == got
 
 
 class TestElResidual:

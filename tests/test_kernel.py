@@ -241,6 +241,22 @@ class TestTypedFailures:
         assert any(x <= 0.0 for x in trials)  # the full step left the domain
 
 
+class TestNewtonContract:
+    def test_ndarray_callables_and_start(self):
+        # x^2 = 2, y = x: the residual an ndarray, the Jacobian a 2-D one
+        def residual(x):
+            return np.array([x[0] ** 2 - 2.0, x[1] - x[0]])
+
+        def jacobian(x):
+            return np.array([[2.0 * x[0], 0.0], [-1.0, 1.0]])
+
+        root = damped_newton(residual, jacobian, np.array([1.0, 0.0]))
+        assert isinstance(root, np.ndarray) and root.dtype == float and root.shape == (2,)
+        assert np.max(np.abs(root - math.sqrt(2.0))) < 1e-12
+        start = damped_newton(residual, jacobian, np.array([root.tolist()]))  # 2-D x0
+        assert isinstance(start, np.ndarray) and start.tolist() == root.tolist()
+
+
 class TestNewtonPair:
     def test_latest_call_is_at_the_root(self):
         # x^3 = 1: the Jacobian 3x^2 is singular at the start x = 0, so the

@@ -421,10 +421,12 @@ class TestLeanDerivativeBlock:
         with pytest.raises(AttributeError):
             res.not_an_attribute
 
-    @pytest.mark.parametrize("name", ["particle", "christ_lee", "exponential"])
+    @pytest.mark.parametrize("name", ["particle", "exponential"])
     def test_one_evaluator_call_per_residual_none_per_jacobian(self, name, monkeypatch):
         # Newton runs on the derivative core; a warm resolve makes one core
-        # call per residual and hands the last one's values, at the root, on
+        # call per residual and hands the last one's values, at the root, on.
+        # These two models are the nonlinear ones: a linear regular sector
+        # (TestLinearRegularSector) runs no Newton
         ct = transform(name)
         evaluations, counts = [], {"residual": 0, "jacobian": 0}
         core = ct._f_core
@@ -458,3 +460,90 @@ class TestLeanDerivativeBlock:
         assert warm._core == core(warm.args)
         lv = np.array(warm._core[ct.core_slices["L_v"]])
         assert np.max(np.abs(lv[ct.reg_idx] - moved.p)) <= ct.newton.tol
+
+
+NONLINEAR = ("exponential", "particle")
+
+
+def newton_only(ct):
+    """ct with the linear regular sector path off: every resolve runs
+    damped Newton."""
+    ct._linear = False
+    return ct
+
+
+class TestLinearRegularSector:
+    """Where no regular velocity enters W_rr, p = W_rr V + b: damped
+    Newton's first step, one W_rr solve, is the root, and the resolve keeps
+    it alone when it meets the tolerance."""
+
+    def test_detection_table(self):
+        nonlinear = [name for name in BUNDLED if not transform(name)._linear]
+        assert sorted(nonlinear) == list(NONLINEAR)
+
+    @pytest.mark.parametrize("name", ["christ_lee", "cawley", "synthetic_gaugeless"])
+    def test_warm_resolve_two_core_calls_no_newton(self, name, monkeypatch):
+        ct = transform(name)
+        calls, newtons = [], []
+        core = ct._f_core
+        monkeypatch.setattr(ct, "_f_core", lambda args: calls.append(1) or core(args))
+        monkeypatch.setattr(transform_module, "newton_with_restarts",
+                            lambda *args, **kwargs: newtons.append(1))
+        pt = phase_probes(ct)[0]
+        start = ct.resolve(pt).V
+        moved = ct.point(pt.q, pt.p + 0.05, pt.v_deg)
+        calls.clear()
+        warm = ct.resolve(moved, v_init=start)
+        warm.F
+        assert len(calls) == 2 and not newtons
+        assert warm._core == core(warm.args)
+        lv = np.array(warm._core[ct.core_slices["L_v"]])
+        assert np.max(np.abs(lv[ct.reg_idx] - moved.p)) <= ct.newton.tol
+        # started at the root: the start's call is the last one
+        calls.clear()
+        again = ct.resolve(ct.point(moved.q, moved.p, moved.v_deg), v_init=warm.V)
+        assert len(calls) == 1 and not newtons
+        assert again.V.tolist() == warm.V.tolist() and again._core == warm._core
+
+    @pytest.mark.parametrize("name", sorted(set(BUNDLED) - set(NONLINEAR)))
+    def test_same_floats_as_newton(self, name):
+        ct, newton = transform(name), newton_only(transform(name))
+        for pt in phase_probes(ct):
+            for v_init in (None, np.full(ct.r, 0.3)):
+                got = ct._resolve_args(pt.q.tolist(), pt.p.tolist(), pt.v_deg.tolist(), v_init)
+                want = newton._resolve_args(pt.q.tolist(), pt.p.tolist(), pt.v_deg.tolist(),
+                                            v_init)
+                assert [list(map(float.hex, x)) for x in got] == \
+                    [list(map(float.hex, x)) for x in want]
+
+    def test_step_above_tolerance_runs_newton(self, monkeypatch):
+        # momenta of order 1e4 leave a few single steps some ulps above the
+        # 1e-12 tolerance; Newton then runs from the same start
+        ct, newton = transform("christ_lee"), newton_only(transform("christ_lee"))
+        runs = []
+        real = transform_module.newton_with_restarts
+        monkeypatch.setattr(transform_module, "newton_with_restarts",
+                            lambda *args: runs.append(1) or real(*args))
+        fallbacks = 0
+        for pt in phase_probes(ct):
+            q, p, vd = pt.q.tolist(), (pt.p * 1e4).tolist(), pt.v_deg.tolist()
+            runs.clear()
+            got = ct._resolve_args(q, p, vd)
+            fallbacks += len(runs)
+            assert got == newton._resolve_args(q, p, vd)
+        assert fallbacks >= 1
+
+    @pytest.mark.parametrize("lagrangian, q, error", [
+        ("x^2*d(x)^2/2 - x^2/2", 0.0, "singular jacobian"),  # W_rr = x^2 = 0
+        ("d(x)^2/2 - log(x)", -1.0, "math domain error"),  # L at x < 0
+    ])
+    def test_failures_as_newtons(self, lagrangian, q, error):
+        model = parse_model(f"coord x; lagrangian = {lagrangian};", name="inline")
+        ct = ClairautTransform(model)
+        assert ct._linear
+        pt = ct.point([q], [1.0])
+        with pytest.raises(NewtonError, match=error) as got:
+            ct.resolve(pt)
+        with pytest.raises(NewtonError) as want:
+            newton_only(ClairautTransform(model)).resolve(pt)
+        assert str(got.value) == str(want.value)
