@@ -90,16 +90,17 @@ def _parse_float(text, what):
 
 
 def _check_numeric_flags(args):
-    """--dt, --t1 and --tol finite and positive; --probes from 1 to MAX_PROBES."""
+    """--dt, --t1, --tol finite and positive; --probes in 1..MAX_PROBES; --seed >= 0."""
     for flag in ("dt", "t1", "tol"):
         value = getattr(args, flag, None)
         if value is not None and not (math.isfinite(value) and value > 0):
             raise UsageError(f"--{flag} must be finite and positive, got {value}")
-    probes = getattr(args, "probes", None)
-    if probes is not None and probes < 1:
-        raise UsageError(f"--probes must be at least 1, got {probes}")
-    if probes is not None and probes > MAX_PROBES:
-        raise UsageError(f"--probes must be at most {MAX_PROBES}, got {probes}")
+    for flag, low, high in (("probes", 1, MAX_PROBES), ("seed", 0, math.inf)):
+        value = getattr(args, flag, None)
+        if value is not None and value < low:
+            raise UsageError(f"--{flag} must be at least {low}, got {value}")
+        if value is not None and value > high:
+            raise UsageError(f"--{flag} must be at most {high}, got {value}")
 
 
 def _load(spec):

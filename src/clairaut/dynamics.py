@@ -16,10 +16,10 @@ model's invariant surface.
 The sector solve is the generated stage kernel for the gauge's plan
 (numerics.stage_kernel), on Python floats, run on the core values at the
 root: a Resolution's in degenerate_velocities and, in an RK4 stage of
-integrate, those of the resolve's last call (ClairautTransform._resolve_args,
-one W_rr solve where the regular sector is linear, else damped Newton), so
-both give the same floats.  The stage builds no PhasePoint or Resolution and
-evaluates each prescribed velocity once.
+integrate, those of the resolve's last call (ClairautTransform._resolve_args:
+full Newton steps, damped Newton where one fails), so both give the same
+floats.  The stage builds no PhasePoint or Resolution and evaluates each
+prescribed velocity once.
 """
 
 import math

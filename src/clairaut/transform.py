@@ -1,7 +1,7 @@
 """Mixed Legendre transform for a split Lagrangian.
 
 Given a model and its velocity split, this module resolves the regular
-velocities from their momenta (damped Newton on p_i = dL/dv^i), and evaluates
+velocities from their momenta (Newton on p_i = dL/dv^i), and evaluates
 
     B_alpha(q, p)  = dL/dv^alpha at the resolved point,
     H_phys(q, p)   = sum_i p_i V^i + sum_alpha B_alpha v^alpha - L,
@@ -16,13 +16,13 @@ Every derivative block of L that a resolved point needs (L, L_v, L_q, the
 velocity Hessian W = L_vv and L_vq) comes from the model's derivative core.
 Its regular rows of L_v and W_rr give the resolve's residual and Jacobian
 from one call per point (numerics.newton_pair); the last call, at the root,
-fills the resolution.  Where no regular velocity enters W_rr, p = W_rr V + b
-is linear: damped Newton's first step, one W_rr solve, is kept when it meets
-the tolerance, and Newton runs only when it does not.  The implicit-function
-derivative block, F and D_a H come from one call of a generated float kernel
-(numerics.block_kernel) that factors W_rr once for both dV_dq and dV_dp.
-The RK4 stage of dynamics.integrate shares the resolve (_resolve_args) and
-the emitted block (numerics.stage_kernel), so the two round alike.
+fills the resolution.  Every model resolves by full Newton steps, damped
+Newton's own iterates while each lowers the residual norm, and falls back to
+damped Newton with restarts from the same start where one does not.  The
+implicit-function derivative block, F and D_a H come from one call of a
+generated float kernel (numerics.block_kernel) that factors W_rr once for
+both dV_dq and dV_dp.  The RK4 stage of dynamics.integrate shares the
+resolve (_resolve_args) and the emitted block (numerics.stage_kernel).
 """
 
 import itertools
@@ -32,7 +32,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, FenchelError, NewtonError
-from .expressions import free_symbols
 from .model import CORE_BLOCKS, split_variables
 from .numerics import (NewtonConfig, _floats, _max_abs, block_kernel, damped_newton,
                        newton_pair, newton_with_restarts, solver)
@@ -134,8 +133,6 @@ class ClairautTransform:
         self._w_rr = [w + i * self.n + j for i in self._reg for j in self._reg]  # Jacobian
         self._reg_at = [self.n + i for i in self._reg]
         self._deg_at = [self.n + int(a) for a in self.deg_idx]
-        v_reg = {self.arg_names[i] for i in self._reg_at}  # p = W_rr V + b if W_rr is V-free
-        self._linear = not any(v_reg & free_symbols(core.exprs["W"][k - w]) for k in self._w_rr)
         self._last = None
 
     # ------------------------------------------------------------ points
@@ -163,6 +160,7 @@ class ClairautTransform:
     def resolve(self, pt, v_init=None):
         """Newton-resolve the regular velocities; returns a Resolution.
 
+        Full Newton steps from v_init (or zeros), damped Newton if one fails.
         The most recent resolution is memoized by point identity, so helpers
         that interrogate the same PhasePoint object repeatedly (brackets,
         long derivatives) pay for one Newton solve.
@@ -192,17 +190,23 @@ class ClairautTransform:
         residual, jacobian, last = newton_pair(self._f_core, args, self._reg_at,
                                                self._lv_reg, self._w_rr, p)
         x0 = [0.0] * self.r if v_init is None else _floats(v_init)
-        if self._linear:
-            try:
-                fx = residual(x0)
-                if _max_abs(fx) <= self.newton.tol:
-                    return args, x0, last[1]
-                v = [a + s for a, s in zip(x0, solver(self.r)(jacobian(x0), [-f for f in fx]))]
-                if all(map(math.isfinite, v)) and _max_abs(residual(v)) <= self.newton.tol:
-                    return args, v, last[1]
-            except (DomainError, np.linalg.LinAlgError):
-                pass  # damped Newton from x0 takes over, as for a nonlinear sector
-        newton_with_restarts(residual, jacobian, x0, self.newton)
+        tol, step = self.newton.tol, solver(self.r)
+        try:  # full steps, damped Newton's own iterates while the norm falls
+            x, fx = x0, residual(x0)
+            norm = _max_abs(fx)
+            for _ in range(self.newton.max_iter):
+                if norm <= tol:
+                    break
+                x = [a + s for a, s in zip(x, step(jacobian(x), [-f for f in fx]))]
+                fx = residual(x)
+                norm, prev = _max_abs(fx), norm
+                if not norm < prev:  # damped Newton backtracks here (nan too)
+                    break
+            if norm <= tol and all(map(math.isfinite, x)):  # damped Newton's step check
+                return args, x, last[1]
+        except (DomainError, np.linalg.LinAlgError):
+            pass
+        newton_with_restarts(residual, jacobian, x0, self.newton)  # repeats the kept steps
         return args, last[0], last[1]  # damped_newton's last call is at its root
 
     def start_in_domain(self, pt):
@@ -233,11 +237,6 @@ class ClairautTransform:
         res = self.resolve(pt)
         pbar_deg = np.asarray(pbar_deg, dtype=float)
         return float(res.H + (pbar_deg - res.B) @ pt.v_deg)
-
-    def grad_h_phys(self, pt):
-        """(dH/dq over all coordinates, dH/dp over regular momenta)."""
-        res = self.resolve(pt)
-        return res.dH_dq.copy(), res.dH_dp.copy()
 
     def grad_b(self, pt):
         """(dB/dq, dB/dp): rows are degenerate directions in split order."""

@@ -402,6 +402,13 @@ class TestNumericFlags:
         assert f"--probes must be at most {MAX_PROBES}" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["analyze", "verify"])
+    def test_negative_seed_is_a_usage_error(self, capsys, command):
+        code, _, err = run_cli(capsys, command, "christ_lee", "--seed", "-1")
+        assert code == 2
+        assert err.splitlines() == ["error: --seed must be at least 0, got -1"]
+        assert run_cli(capsys, command, "oscillator", "--seed", "0")[0] == 0
+
 
 class TestNestingLimit:
     @staticmethod

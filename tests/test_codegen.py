@@ -117,18 +117,27 @@ class TestDerivativeCore:
             assert [v.hex() for v in got] == [evaluate(e, bindings).hex() for e in exprs]
 
     def test_one_core_call_per_resolve(self, transform, monkeypatch):
-        # Newton evaluates the core once per residual, none per Jacobian, and
-        # hands the values of its last call, at the root, to the Resolution:
-        # no call after Newton, none for the derivative block.  A linear
-        # regular sector makes two calls, at the start and after one W_rr
-        # solve, and no Newton; one call and no Newton when no velocity is
-        # regular
+        # the resolve evaluates the core at its start and once per full
+        # Newton step; where it falls back, damped Newton adds one call per
+        # residual and none per Jacobian.  The values of the last call, at
+        # the root, go to the Resolution: no call after it, none for the
+        # derivative block.  One call and no Newton when no velocity is regular
         ct = transform
         points = phase_probes(ct, count=3, seed=PROBE_SEED)
-        calls, residuals = [], []
+        calls, steps, residuals = [], [], []
         core = ct._f_core
         monkeypatch.setattr(ct, "_f_core", lambda args: calls.append(1) or core(args))
-        real_newton = transform_module.newton_with_restarts
+        real_solver, real_newton = transform_module.solver, transform_module.newton_with_restarts
+
+        def counted_solver(k):
+            solve = real_solver(k)
+
+            def step(a, b):
+                x = solve(a, b)
+                steps.append(1)
+                return x
+
+            return step
 
         def counted_newton(residual, jacobian, x0, cfg):
             def jac(x):
@@ -139,18 +148,14 @@ class TestDerivativeCore:
 
             return real_newton(lambda x: residuals.append(1) or residual(x), jac, x0, cfg)
 
+        monkeypatch.setattr(transform_module, "solver", counted_solver)
         monkeypatch.setattr(transform_module, "newton_with_restarts", counted_newton)
         for pt in points:
             calls.clear()
+            steps.clear()
             residuals.clear()
             res = ct.resolve(pt)
-            if not ct.r:
-                want = 1
-            elif ct._linear:
-                assert not residuals
-                want = 2
-            else:
-                want = len(residuals)
+            want = 1 + len(steps) + len(residuals)
             assert len(calls) == want
             _ = res.dH_dq, res.dB_dp, res.W, res.F
             assert len(calls) == want

@@ -26,6 +26,7 @@ from clairaut.gauge import ExprObservable, classify, field_strength, phase_probe
 from clairaut.model import momentum_name
 from clairaut.numerics import pfaffian
 from clairaut.verify import run_verification
+from conftest import reference_resolve
 
 
 @lru_cache(maxsize=None)
@@ -292,42 +293,35 @@ class TestIntegrate:
         assert 12 < ratio < 20  # RK4: halving dt cuts the error ~16x
 
 
-class TestLinearRegularSector:
-    """A linear regular sector resolves with one W_rr solve where damped
-    Newton would take the same single step: integrate and verify give the
-    same floats with the linear path off."""
+class TestOneResolvePath:
+    """The RK4 stage and verify resolve by full Newton steps and fall back
+    to damped Newton: the same floats as damped Newton alone."""
 
-    @staticmethod
-    def newton_only(monkeypatch):
-        init = ClairautTransform.__init__
-
-        def without_linear_path(ct, *args, **kwargs):
-            init(ct, *args, **kwargs)
-            ct._linear = False
-
-        monkeypatch.setattr(ClairautTransform, "__init__", without_linear_path)
-
-    @pytest.mark.parametrize("name, q, p", [
+    @pytest.mark.parametrize("name, q, p, v_deg, spec", [
         ("christ_lee", {"x1": 0.8, "x2": -0.6, "x3": 1.0, "y1": 0.2, "y2": -0.1, "y3": 0.3},
-         {"x1": 0.4, "x2": -0.3, "x3": 0.5}),
-        ("synthetic_gaugeless", {"x": 0.3, "a": 0.1, "b": -0.2}, {"x": 0.4}),
+         {"x1": 0.4, "x2": -0.3, "x3": 0.5}, None, None),
+        ("synthetic_gaugeless", {"x": 0.3, "a": 0.1, "b": -0.2}, {"x": 0.4}, None, None),
+        ("particle", {}, {"x": 0.4, "y": 0.1, "z": 0.2}, {"x0": 1.0}, {"x0": "1+0.1*sin(t)"}),
     ])
-    def test_integrate_same_floats_as_newton(self, name, q, p, monkeypatch):
+    def test_integrate_same_floats_as_reference(self, name, q, p, v_deg, spec, monkeypatch):
         cfg = IntegratorConfig(t1=0.5, dt=1e-3)
-        ct = ClairautTransform(load_bundled(name))
-        assert ct._linear
-        got = integrate(ct, ct.point(q, p), cfg=cfg)
-        self.newton_only(monkeypatch)
-        ct = ClairautTransform(load_bundled(name))
-        assert not ct._linear
-        want = integrate(ct, ct.point(q, p), cfg=cfg)
+
+        def run():
+            ct = ClairautTransform(load_bundled(name))
+            cls = classify(ct)
+            gauge = gauge_input(ct, cls, spec) if spec else None
+            return integrate(ct, ct.point(q, p, v_deg), gauge, cfg, cls)
+
+        got = run()
+        monkeypatch.setattr(ClairautTransform, "_resolve_args", reference_resolve)
+        want = run()
         for field in ("t", "q", "p", "v_deg", "h_phys", "consistency"):
             assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
         assert got.flagged == want.flagged
 
-    def test_verify_same_report_as_newton(self, monkeypatch):
+    def test_verify_same_report_as_reference(self, monkeypatch):
         got = [repr(run_verification(load_bundled(name))) for name in BUNDLED]
-        self.newton_only(monkeypatch)
+        monkeypatch.setattr(ClairautTransform, "_resolve_args", reference_resolve)
         assert [repr(run_verification(load_bundled(name))) for name in BUNDLED] == got
 
 

@@ -18,6 +18,7 @@ from clairaut import transform as transform_module
 from clairaut.fixtures import BUNDLED
 from clairaut.gauge import phase_probes
 from clairaut.transform import Resolution
+from conftest import reference_resolve
 
 RNG_SEED = 1234
 
@@ -392,8 +393,7 @@ def reference_block(ct, res):
 
 
 class TestLeanDerivativeBlock:
-    """One W_rr factorisation per resolution, one Newton evaluator call per
-    residual, and slots filled on first read."""
+    """One W_rr factorisation per resolution, and slots filled on first read."""
 
     @pytest.mark.parametrize("name", BUNDLED)
     def test_block_matches_separate_solve_and_inv(self, name):
@@ -421,129 +421,163 @@ class TestLeanDerivativeBlock:
         with pytest.raises(AttributeError):
             res.not_an_attribute
 
-    @pytest.mark.parametrize("name", ["particle", "exponential"])
-    def test_one_evaluator_call_per_residual_none_per_jacobian(self, name, monkeypatch):
-        # Newton runs on the derivative core; a warm resolve makes one core
-        # call per residual and hands the last one's values, at the root, on.
-        # These two models are the nonlinear ones: a linear regular sector
-        # (TestLinearRegularSector) runs no Newton
+
+def hexed(resolved):
+    return [list(map(float.hex, part)) for part in resolved]
+
+
+def outcome(resolve, *args):
+    """A resolve's floats in hex, or its error's type and text."""
+    try:
+        return hexed(resolve(*args))
+    except NewtonError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def counted(monkeypatch, ct):
+    """Count ct's core calls, the resolve's full steps, its fallbacks and
+    their residual calls; a Jacobian may make no core call."""
+    log = {"core": 0, "steps": 0, "fallbacks": 0, "residuals": 0, "jacobians": 0}
+    core, real_solver = ct._f_core, transform_module.solver
+    real_pair, real_newton = transform_module.newton_pair, transform_module.newton_with_restarts
+
+    def f_core(args):
+        log["core"] += 1
+        return core(args)
+
+    def solver(k):
+        solve = real_solver(k)
+
+        def step(a, b):
+            out = solve(a, b)
+            log["steps"] += 1
+            return out
+
+        return step
+
+    def newton_pair(*args):
+        residual, jacobian, last = real_pair(*args)
+
+        def jac(x):
+            before = log["core"]
+            out = jacobian(x)
+            assert log["core"] == before
+            return out
+
+        return residual, jac, last
+
+    def newton_with_restarts(residual, jacobian, x0, cfg):
+        log["fallbacks"] += 1
+
+        def counted_residual(x):
+            log["residuals"] += 1
+            return residual(x)
+
+        def counted_jacobian(x):
+            log["jacobians"] += 1
+            return jacobian(x)
+
+        return real_newton(counted_residual, counted_jacobian, x0, cfg)
+
+    monkeypatch.setattr(ct, "_f_core", f_core)
+    monkeypatch.setattr(transform_module, "solver", solver)
+    monkeypatch.setattr(transform_module, "newton_pair", newton_pair)
+    monkeypatch.setattr(transform_module, "newton_with_restarts", newton_with_restarts)
+    return log
+
+
+class TestOneResolvePath:
+    """Every resolve takes full Newton steps while the residual norm falls,
+    which are damped Newton's own iterates, and reruns newton_with_restarts
+    from the same start otherwise: the floats are damped Newton's."""
+
+    @pytest.mark.parametrize("name", BUNDLED)
+    def test_same_floats_as_reference(self, name):
         ct = transform(name)
-        evaluations, counts = [], {"residual": 0, "jacobian": 0}
-        core = ct._f_core
-        monkeypatch.setattr(ct, "_f_core", lambda args: evaluations.append(1) or core(args))
-        real_newton = transform_module.newton_with_restarts
+        for pt in phase_probes(ct):
+            q, p, vd = pt.q.tolist(), pt.p.tolist(), pt.v_deg.tolist()
+            for v_init in (None, np.full(ct.r, 0.3)):
+                assert outcome(ct._resolve_args, q, p, vd, v_init) == \
+                    outcome(reference_resolve, ct, q, p, vd, v_init)
 
-        def counted_newton(residual, jacobian, x0, cfg):
-            def r(x):
-                counts["residual"] += 1
-                return residual(x)
-
-            def j(x):
-                counts["jacobian"] += 1
-                before = len(evaluations)
-                jac = jacobian(x)
-                assert len(evaluations) == before
-                return jac
-
-            return real_newton(r, j, x0, cfg)
-
-        monkeypatch.setattr(transform_module, "newton_with_restarts", counted_newton)
+    @pytest.mark.parametrize("name", ["christ_lee", "cawley", "synthetic_gaugeless",
+                                      "particle", "exponential"])
+    def test_warm_resolve_full_steps_no_fallback(self, name, monkeypatch):
+        # regular sectors linear in V (the first three) and not alike: one
+        # core call at the start and one per full step
+        ct = transform(name)
         pt = phase_probes(ct)[0]
         start = ct.resolve(pt).V
         moved = ct.point(pt.q, pt.p + 0.05, pt.v_deg)
-        evaluations.clear()
-        counts["residual"] = counts["jacobian"] = 0
+        log = counted(monkeypatch, ct)
         warm = ct.resolve(moved, v_init=start)
         warm.F
-        assert counts["jacobian"] >= 1
-        assert len(evaluations) == counts["residual"]
-        assert warm._core == core(warm.args)
+        assert log["steps"] >= 1 and not log["fallbacks"]
+        assert log["core"] == log["steps"] + 1
+        assert warm._core == ct._f_core(warm.args)
         lv = np.array(warm._core[ct.core_slices["L_v"]])
         assert np.max(np.abs(lv[ct.reg_idx] - moved.p)) <= ct.newton.tol
-
-
-NONLINEAR = ("exponential", "particle")
-
-
-def newton_only(ct):
-    """ct with the linear regular sector path off: every resolve runs
-    damped Newton."""
-    ct._linear = False
-    return ct
-
-
-class TestLinearRegularSector:
-    """Where no regular velocity enters W_rr, p = W_rr V + b: damped
-    Newton's first step, one W_rr solve, is the root, and the resolve keeps
-    it alone when it meets the tolerance."""
-
-    def test_detection_table(self):
-        nonlinear = [name for name in BUNDLED if not transform(name)._linear]
-        assert sorted(nonlinear) == list(NONLINEAR)
-
-    @pytest.mark.parametrize("name", ["christ_lee", "cawley", "synthetic_gaugeless"])
-    def test_warm_resolve_two_core_calls_no_newton(self, name, monkeypatch):
-        ct = transform(name)
-        calls, newtons = [], []
-        core = ct._f_core
-        monkeypatch.setattr(ct, "_f_core", lambda args: calls.append(1) or core(args))
-        monkeypatch.setattr(transform_module, "newton_with_restarts",
-                            lambda *args, **kwargs: newtons.append(1))
-        pt = phase_probes(ct)[0]
-        start = ct.resolve(pt).V
-        moved = ct.point(pt.q, pt.p + 0.05, pt.v_deg)
-        calls.clear()
-        warm = ct.resolve(moved, v_init=start)
-        warm.F
-        assert len(calls) == 2 and not newtons
-        assert warm._core == core(warm.args)
-        lv = np.array(warm._core[ct.core_slices["L_v"]])
-        assert np.max(np.abs(lv[ct.reg_idx] - moved.p)) <= ct.newton.tol
+        want = reference_resolve(ct, moved.q.tolist(), moved.p.tolist(),
+                                 moved.v_deg.tolist(), start)
+        assert hexed((warm.args, warm.V.tolist(), warm._core)) == hexed(want)
         # started at the root: the start's call is the last one
-        calls.clear()
+        log.update(core=0, steps=0)
         again = ct.resolve(ct.point(moved.q, moved.p, moved.v_deg), v_init=warm.V)
-        assert len(calls) == 1 and not newtons
+        assert log["core"] == 1 and not log["steps"] and not log["fallbacks"]
         assert again.V.tolist() == warm.V.tolist() and again._core == warm._core
 
-    @pytest.mark.parametrize("name", sorted(set(BUNDLED) - set(NONLINEAR)))
-    def test_same_floats_as_newton(self, name):
-        ct, newton = transform(name), newton_only(transform(name))
-        for pt in phase_probes(ct):
-            for v_init in (None, np.full(ct.r, 0.3)):
-                got = ct._resolve_args(pt.q.tolist(), pt.p.tolist(), pt.v_deg.tolist(), v_init)
-                want = newton._resolve_args(pt.q.tolist(), pt.p.tolist(), pt.v_deg.tolist(),
-                                            v_init)
-                assert [list(map(float.hex, x)) for x in got] == \
-                    [list(map(float.hex, x)) for x in want]
-
-    def test_step_above_tolerance_runs_newton(self, monkeypatch):
-        # momenta of order 1e4 leave a few single steps some ulps above the
-        # 1e-12 tolerance; Newton then runs from the same start
-        ct, newton = transform("christ_lee"), newton_only(transform("christ_lee"))
-        runs = []
-        real = transform_module.newton_with_restarts
-        monkeypatch.setattr(transform_module, "newton_with_restarts",
-                            lambda *args: runs.append(1) or real(*args))
-        fallbacks = 0
-        for pt in phase_probes(ct):
-            q, p, vd = pt.q.tolist(), (pt.p * 1e4).tolist(), pt.v_deg.tolist()
-            runs.clear()
-            got = ct._resolve_args(q, p, vd)
-            fallbacks += len(runs)
-            assert got == newton._resolve_args(q, p, vd)
-        assert fallbacks >= 1
-
-    @pytest.mark.parametrize("lagrangian, q, error", [
-        ("x^2*d(x)^2/2 - x^2/2", 0.0, "singular jacobian"),  # W_rr = x^2 = 0
-        ("d(x)^2/2 - log(x)", -1.0, "math domain error"),  # L at x < 0
+    @pytest.mark.parametrize("name, q, p, v_deg", [
+        ("particle", {"x0": 0.0, "x": 0.1, "y": 0.2, "z": 0.3}, {"x": 10.0}, {"x0": 1.0}),
+        ("exponential", [0.2], [0.5], None),
     ])
-    def test_failures_as_newtons(self, lagrangian, q, error):
-        model = parse_model(f"coord x; lagrangian = {lagrangian};", name="inline")
+    def test_cold_resolve_falls_back_once(self, name, q, p, v_deg, monkeypatch):
+        # a full step that does not lower the norm hands over to damped
+        # Newton, which evaluates the core once per residual, none per
+        # Jacobian, and ends on a call at its root
+        ct = transform(name)
+        pt = ct.point(q, p, v_deg)
+        want = reference_resolve(ct, pt.q.tolist(), pt.p.tolist(), pt.v_deg.tolist())
+        log = counted(monkeypatch, ct)
+        res = ct.resolve(pt)
+        res.F
+        assert log["fallbacks"] == 1 and log["jacobians"] >= 1
+        assert log["core"] == 1 + log["steps"] + log["residuals"]
+        assert hexed((res.args, res.V.tolist(), res._core)) == hexed(want)
+        lv = np.array(res._core[ct.core_slices["L_v"]])
+        assert np.max(np.abs(lv[ct.reg_idx] - pt.p)) <= ct.newton.tol
+
+    def test_non_finite_step_falls_back(self, monkeypatch):
+        # a core whose W_rr is subnormal at the start sends the full step to
+        # inf, where this fake L_v meets p; damped Newton refuses such a step
+        ct = transform("oscillator")
+        core = ct._f_core
+        w = ct.core_slices["W"].start
+
+        def f_core(args):
+            if math.isinf(args[1]):
+                return core([args[0], 1.0])
+            vals = list(core(args))
+            if args[1] == 0.0:
+                vals[w] = 1e-320
+            return tuple(vals)
+
+        monkeypatch.setattr(ct, "_f_core", f_core)
+        q, p = [0.0], [1.0]
+        want = reference_resolve(ct, q, p, [])
+        assert abs(want[1][0] - 1.0) <= ct.newton.tol  # from a restart
+        assert hexed(ct._resolve_args(q, p, [])) == hexed(want)
+
+    @pytest.mark.parametrize("name, lagrangian, q, p, error", [
+        ("exponential", None, 0.2, -3.0, "singular jacobian"),  # x exp(v) = p < 0: no root
+        ("inline", "x^2*d(x)^2/2 - x^2/2", 0.0, 1.0, "singular jacobian"),  # W_rr = x^2 = 0
+        ("inline", "d(x)^2/2 - log(x)", -1.0, 1.0, "math domain error"),  # L at x < 0
+    ])
+    def test_failures_as_reference(self, name, lagrangian, q, p, error):
+        model = (load_bundled(name) if lagrangian is None
+                 else parse_model(f"coord x; lagrangian = {lagrangian};", name=name))
         ct = ClairautTransform(model)
-        assert ct._linear
-        pt = ct.point([q], [1.0])
         with pytest.raises(NewtonError, match=error) as got:
-            ct.resolve(pt)
+            ct.resolve(ct.point([q], [p]))
         with pytest.raises(NewtonError) as want:
-            newton_only(ClairautTransform(model)).resolve(pt)
+            reference_resolve(ct, [q], [p], [])
         assert str(got.value) == str(want.value)
