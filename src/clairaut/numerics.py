@@ -123,14 +123,13 @@ def damped_newton(residual, jacobian, x0, cfg=NewtonConfig()):
 
     The iterate is a list of floats: residual(x) returns k values and
     jacobian(x) the k x k matrix, each as an array or a flat row-major
-    sequence; flat lists, x0 too, are used as they are.  Steps come from
-    solver.  A step is halved (cfg.damping) whenever it raises a DomainError
-    or grows the residual norm.  Raises NewtonError when out of iterations
-    or the Jacobian goes singular.  The Jacobian is only ever asked for at
-    the very point (the same object) of the latest residual call, so a
-    caller may evaluate both at once and hand the Jacobian over from that
-    call.  Returns the root as an ndarray; the latest residual call is at
-    it, past any rejected backtrack or restart.
+    sequence (flat lists, x0 too, are used as they are).  A step (solver's)
+    is halved (cfg.damping) whenever it raises a DomainError or does not
+    lower the residual norm; full_newton is the path where none is.  Raises
+    NewtonError when out of iterations or the Jacobian goes singular.  The
+    Jacobian is only asked for at the very point (the same object) of the
+    latest residual call, so a caller may evaluate both at once.  Returns
+    the root as an ndarray; the latest residual call is at it.
     """
     x = _floats(x0)
     fx = _floats(residual(x))
@@ -149,14 +148,10 @@ def damped_newton(residual, jacobian, x0, cfg=NewtonConfig()):
             trial = [xi + scale * si for xi, si in zip(x, step)]
             try:
                 ftrial = _floats(residual(trial))
+                new_norm = _max_abs(ftrial)
             except DomainError:
-                scale *= cfg.damping
-                continue
-            new_norm = _max_abs(ftrial)
-            if not math.isfinite(new_norm):
-                scale *= cfg.damping
-                continue
-            if new_norm < norm or new_norm <= cfg.tol:
+                new_norm = math.nan
+            if new_norm < norm or new_norm <= cfg.tol:  # never for nan or inf
                 x, fx, norm = trial, ftrial, new_norm
                 break
             scale *= cfg.damping
@@ -165,6 +160,29 @@ def damped_newton(residual, jacobian, x0, cfg=NewtonConfig()):
     if norm <= cfg.tol:
         return np.array(x, dtype=float)
     raise NewtonError("newton did not converge", residual=norm, iterations=cfg.max_iter)
+
+
+def full_newton(residual, jacobian, x0, cfg=NewtonConfig()):
+    """damped_newton's root from x0 (a list) when its every step is a full
+    one, else None: a step that does not lower the norm (nan neither), a
+    DomainError, a singular Jacobian or a non-finite root.  damped_newton
+    from x0 then repeats the kept steps (x + 1.0*s == x + s) and goes on.
+    residual and jacobian return lists; the latest residual call is at x."""
+    x, step = x0, solver(len(x0))
+    try:
+        fx = residual(x)
+        norm = _max_abs(fx)
+        for _ in range(cfg.max_iter):
+            if norm <= cfg.tol:
+                break
+            x = [a + s for a, s in zip(x, step(jacobian(x), [-f for f in fx]))]
+            fx = residual(x)
+            norm, prev = _max_abs(fx), norm
+            if not norm < prev:
+                return None
+    except (DomainError, np.linalg.LinAlgError):
+        return None
+    return x if norm <= cfg.tol and all(map(math.isfinite, x)) else None
 
 
 def newton_pair(fn, args, at, rows, jac, target):

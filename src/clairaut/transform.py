@@ -14,27 +14,25 @@ identities dH/dp_i = V^i, dH/dq = -dL/dq when all v^alpha vanish.
 
 Every derivative block of L that a resolved point needs (L, L_v, L_q, the
 velocity Hessian W = L_vv and L_vq) comes from the model's derivative core.
-Its regular rows of L_v and W_rr give the resolve's residual and Jacobian
-from one call per point (numerics.newton_pair); the last call, at the root,
-fills the resolution.  Every model resolves by full Newton steps, damped
-Newton's own iterates while each lowers the residual norm, and falls back to
-damped Newton with restarts from the same start where one does not.  The
-implicit-function derivative block, F and D_a H come from one call of a
-generated float kernel (numerics.block_kernel) that factors W_rr once for
-both dV_dq and dV_dp.  The RK4 stage of dynamics.integrate shares the
+Its regular rows of L_v and W_rr give the resolve's residual and Jacobian from
+one call per point (numerics.newton_pair); the last call, at the root, fills
+the resolution.  Every model resolves by full Newton steps
+(numerics.full_newton), with damped Newton and restarts from the same start as
+the fallback.  The implicit-function derivative block, F and D_a H come from
+one call of a generated float kernel (numerics.block_kernel) that factors W_rr
+once for both dV_dq and dV_dp.  The RK4 stage of dynamics.integrate shares the
 resolve (_resolve_args) and the emitted block (numerics.stage_kernel).
 """
 
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, FenchelError, NewtonError
 from .model import CORE_BLOCKS, split_variables
-from .numerics import (NewtonConfig, _floats, _max_abs, block_kernel, damped_newton,
-                       newton_pair, newton_with_restarts, solver)
+from .numerics import (NewtonConfig, _floats, block_kernel, damped_newton, full_newton,
+                       newton_pair, newton_with_restarts)
 
 
 @dataclass(frozen=True)
@@ -87,9 +85,7 @@ class Resolution:
         self._derivatives()
         return object.__getattribute__(self, name)
 
-    def _derivatives(self):
-        if self._W is not None:
-            return
+    def _derivatives(self):  # only from __getattr__, while _W is None
         ct = self.ct
         n, r, nd = ct.n, ct.r, ct.n - ct.r
         out = block_kernel(n, ct._reg)(self._core, self.V.tolist(), self.pt.v_deg.tolist())
@@ -190,24 +186,9 @@ class ClairautTransform:
         residual, jacobian, last = newton_pair(self._f_core, args, self._reg_at,
                                                self._lv_reg, self._w_rr, p)
         x0 = [0.0] * self.r if v_init is None else _floats(v_init)
-        tol, step = self.newton.tol, solver(self.r)
-        try:  # full steps, damped Newton's own iterates while the norm falls
-            x, fx = x0, residual(x0)
-            norm = _max_abs(fx)
-            for _ in range(self.newton.max_iter):
-                if norm <= tol:
-                    break
-                x = [a + s for a, s in zip(x, step(jacobian(x), [-f for f in fx]))]
-                fx = residual(x)
-                norm, prev = _max_abs(fx), norm
-                if not norm < prev:  # damped Newton backtracks here (nan too)
-                    break
-            if norm <= tol and all(map(math.isfinite, x)):  # damped Newton's step check
-                return args, x, last[1]
-        except (DomainError, np.linalg.LinAlgError):
-            pass
-        newton_with_restarts(residual, jacobian, x0, self.newton)  # repeats the kept steps
-        return args, last[0], last[1]  # damped_newton's last call is at its root
+        if full_newton(residual, jacobian, x0, self.newton) is None:
+            newton_with_restarts(residual, jacobian, x0, self.newton)
+        return args, last[0], last[1]  # either one's last call is at its root
 
     def start_in_domain(self, pt):
         """Whether the derivative core is defined where resolve(pt) starts

@@ -127,28 +127,27 @@ class TestDerivativeCore:
         calls, steps, residuals = [], [], []
         core = ct._f_core
         monkeypatch.setattr(ct, "_f_core", lambda args: calls.append(1) or core(args))
-        real_solver, real_newton = transform_module.solver, transform_module.newton_with_restarts
+        real_full, real_newton = transform_module.full_newton, transform_module.newton_with_restarts
 
-        def counted_solver(k):
-            solve = real_solver(k)
-
-            def step(a, b):
-                x = solve(a, b)
-                steps.append(1)
-                return x
-
-            return step
-
-        def counted_newton(residual, jacobian, x0, cfg):
+        def no_core_call(jacobian):
             def jac(x):
                 before = len(calls)
                 out = jacobian(x)
                 assert len(calls) == before
                 return out
 
-            return real_newton(lambda x: residuals.append(1) or residual(x), jac, x0, cfg)
+            return jac
 
-        monkeypatch.setattr(transform_module, "solver", counted_solver)
+        def counted_full(residual, jacobian, x0, cfg):
+            # one Jacobian per full step
+            jac = no_core_call(jacobian)
+            return real_full(residual, lambda x: steps.append(1) or jac(x), x0, cfg)
+
+        def counted_newton(residual, jacobian, x0, cfg):
+            return real_newton(lambda x: residuals.append(1) or residual(x),
+                               no_core_call(jacobian), x0, cfg)
+
+        monkeypatch.setattr(transform_module, "full_newton", counted_full)
         monkeypatch.setattr(transform_module, "newton_with_restarts", counted_newton)
         for pt in points:
             calls.clear()

@@ -257,6 +257,37 @@ class TestNewtonContract:
         assert isinstance(start, np.ndarray) and start.tolist() == root.tolist()
 
 
+def log(x):
+    if x <= 0.0:
+        raise DomainError("log of a non-positive number")
+    return math.log(x)
+
+
+class TestFullNewton:
+    """full_newton returns damped_newton's root where damped_newton takes
+    only full steps, and None where it would backtrack or fail."""
+
+    @staticmethod
+    def pair(f, df):
+        return (lambda x: [f(x[0])]), (lambda x: [df(x[0])])
+
+    @pytest.mark.parametrize("x0", [1.0, 3.0, 1e4])
+    def test_root_as_damped_newton(self, x0):
+        residual, jacobian = self.pair(lambda x: x * x - 2.0, lambda x: 2.0 * x)
+        root = numerics.full_newton(residual, jacobian, [x0])
+        assert type(root) is list
+        assert root == damped_newton(residual, jacobian, [x0]).tolist()
+
+    @pytest.mark.parametrize("f, df, x0", [
+        (math.atan, lambda x: 1.0 / (1.0 + x * x), 2.0),  # the full step overshoots
+        (lambda x: x * x - 2.0, lambda x: 2.0 * x, 0.0),  # singular at the start
+        (lambda x: log(x) - 1.0, lambda x: 1.0 / x, 10.0),  # steps to x < 0
+        (lambda x: x * x + 1.0, lambda x: 2.0 * x, 0.5),  # no root
+    ])
+    def test_none_where_damped_newton_backtracks_or_fails(self, f, df, x0):
+        residual, jacobian = self.pair(f, df)
+        assert numerics.full_newton(residual, jacobian, [x0]) is None
+
 class TestNewtonPair:
     def test_latest_call_is_at_the_root(self):
         # x^3 = 1: the Jacobian 3x^2 is singular at the start x = 0, so the

@@ -438,22 +438,13 @@ def counted(monkeypatch, ct):
     """Count ct's core calls, the resolve's full steps, its fallbacks and
     their residual calls; a Jacobian may make no core call."""
     log = {"core": 0, "steps": 0, "fallbacks": 0, "residuals": 0, "jacobians": 0}
-    core, real_solver = ct._f_core, transform_module.solver
-    real_pair, real_newton = transform_module.newton_pair, transform_module.newton_with_restarts
+    core = ct._f_core
+    real_pair, real_full = transform_module.newton_pair, transform_module.full_newton
+    real_newton = transform_module.newton_with_restarts
 
     def f_core(args):
         log["core"] += 1
         return core(args)
-
-    def solver(k):
-        solve = real_solver(k)
-
-        def step(a, b):
-            out = solve(a, b)
-            log["steps"] += 1
-            return out
-
-        return step
 
     def newton_pair(*args):
         residual, jacobian, last = real_pair(*args)
@@ -465,6 +456,13 @@ def counted(monkeypatch, ct):
             return out
 
         return residual, jac, last
+
+    def full_newton(residual, jacobian, x0, cfg):
+        def counted_jacobian(x):  # one per full step
+            log["steps"] += 1
+            return jacobian(x)
+
+        return real_full(residual, counted_jacobian, x0, cfg)
 
     def newton_with_restarts(residual, jacobian, x0, cfg):
         log["fallbacks"] += 1
@@ -480,8 +478,8 @@ def counted(monkeypatch, ct):
         return real_newton(counted_residual, counted_jacobian, x0, cfg)
 
     monkeypatch.setattr(ct, "_f_core", f_core)
-    monkeypatch.setattr(transform_module, "solver", solver)
     monkeypatch.setattr(transform_module, "newton_pair", newton_pair)
+    monkeypatch.setattr(transform_module, "full_newton", full_newton)
     monkeypatch.setattr(transform_module, "newton_with_restarts", newton_with_restarts)
     return log
 
@@ -499,6 +497,24 @@ class TestOneResolvePath:
             for v_init in (None, np.full(ct.r, 0.3)):
                 assert outcome(ct._resolve_args, q, p, vd, v_init) == \
                     outcome(reference_resolve, ct, q, p, vd, v_init)
+
+    @pytest.mark.parametrize("name, most_steps", [("christ_lee", 2), ("particle", 1)])
+    def test_large_momenta_same_floats_as_reference(self, name, most_steps, monkeypatch):
+        # momenta of order 1e4: on christ_lee some first steps land a few
+        # ulps above the 1e-12 tolerance, and the second must be kept or
+        # refused as damped Newton would; particle has no root there and
+        # must fail with the reference's error
+        ct = transform(name)
+        log = counted(monkeypatch, ct)
+        steps = []
+        for pt in phase_probes(ct):
+            q, p, vd = pt.q.tolist(), (pt.p * 1e4).tolist(), pt.v_deg.tolist()
+            for v_init in (None, np.full(ct.r, 0.3)):
+                log["steps"] = 0
+                got = outcome(ct._resolve_args, q, p, vd, v_init)
+                steps.append(log["steps"])
+                assert got == outcome(reference_resolve, ct, q, p, vd, v_init)
+        assert max(steps) == most_steps
 
     @pytest.mark.parametrize("name", ["christ_lee", "cawley", "synthetic_gaugeless",
                                       "particle", "exponential"])
