@@ -84,9 +84,12 @@ def _parse_bindings(text, what):
 
 def _parse_float(text, what):
     try:
-        return float(text)
+        value = float(text)
     except (TypeError, ValueError):
         raise UsageError(f"{what} must be a number, got {text!r}") from None
+    if not math.isfinite(value):
+        raise UsageError(f"{what} must be finite, got {text!r}")
+    return value
 
 
 def _check_numeric_flags(args):

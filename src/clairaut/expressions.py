@@ -785,13 +785,32 @@ def _parse_atom(cur):
 # ----------------------------------------------------------------- compiling
 
 
-def _leaf_text(e, index_of):
-    if isinstance(e, Const):
-        return repr(e.value)  # inf and nan are names in _COMPILE_ENV
-    try:
-        return f"A[{index_of[e.name]}]"
-    except KeyError:
-        raise UnboundSymbolError(e.name) from None
+class _Code:
+    """Straight-line source under construction, the package's one emitter
+    (evaluators here, float kernels in numerics): calling it assigns an
+    expression to a fresh local and returns the local's name."""
+
+    def __init__(self):
+        self.lines = []
+        self.indent = "    "
+
+    def __call__(self, expr):
+        name = f"t{len(self.lines)}"
+        self.line(f"{name} = {expr}")
+        return name
+
+    def line(self, text):
+        self.lines.append(self.indent + text)
+
+    def build(self, params, ret, env):
+        """def kernel(params) over the lines, returning ret, with globals env;
+        the source is kept on it as ``source``."""
+        source = f"def kernel({params}):\n" + "\n".join(self.lines) + f"\n    return {ret}\n"
+        namespace = dict(env)
+        exec(compile(source, "<clairaut-code>", "exec"), namespace)  # noqa: S102 (our own codegen)
+        kernel = namespace["kernel"]
+        kernel.source = source
+        return kernel
 
 
 def _node_text(e, kids):
@@ -810,22 +829,28 @@ def _node_text(e, kids):
     return f"{e.fn}({kids[0]})"
 
 
-def _emit_cse(seq, index_of):
-    """Assignment lines and one result text per root, sharing common subtrees.
+def _emit_cse(code, seq, index_of):
+    """Assign the roots of seq through code, sharing common subtrees; returns
+    one text per root (a local name or a constant literal).
 
     Nodes are interned, so structurally equal subtrees are one node and get
-    one local.  The walk is iterative and visits each node once.
+    one local; each symbol used is read once, as float(A[i]).  The walk is
+    iterative and visits each node once.
     """
-    lines = []
-    text_of = {}  # node -> leaf literal or local name
+    text_of = {}  # node -> constant literal or local name
     for root in seq:
         stack = [(root, False)]
         while stack:
             e, expanded = stack.pop()
             if e in text_of:
                 continue
-            if isinstance(e, (Const, Sym)):
-                text_of[e] = _leaf_text(e, index_of)
+            if isinstance(e, Const):
+                text_of[e] = repr(e.value)  # inf and nan are names in _COMPILE_ENV
+                continue
+            if isinstance(e, Sym):
+                if e.name not in index_of:
+                    raise UnboundSymbolError(e.name)
+                text_of[e] = code(f"float(A[{index_of[e.name]}])")
                 continue
             kids = _children(e)
             if not expanded:
@@ -835,60 +860,39 @@ def _emit_cse(seq, index_of):
             if len(kids) == 1 and isinstance(e, (Sum, Prod)):
                 text_of[e] = text_of[kids[0]]
                 continue
-            name = f"t{len(lines)}"
-            lines.append(f"    {name} = {_node_text(e, [text_of[k] for k in kids])}\n")
-            text_of[e] = name
-    return lines, [text_of[root] for root in seq]
+            text_of[e] = code(_node_text(e, [text_of[k] for k in kids]))
+    return [text_of[root] for root in seq]
 
 
-_COMPILE_ENV = {
-    "sin": math.sin,
-    "cos": math.cos,
-    "exp": math.exp,
-    "log": math.log,
-    "sqrt": math.sqrt,
-    "pow": math.pow,
-    "inf": math.inf,
-    "nan": math.nan,
-    "__builtins__": {},
-}
+# the globals of an evaluator: its functions, math.pow (which raises where
+# the ** operator would return a complex), the inf and nan literals
+_COMPILE_ENV = {name: getattr(math, name) for name in _FUNCTIONS + ("pow", "inf", "nan")}
+_COMPILE_ENV["DomainError"] = DomainError
 
 
 def compile_evaluator(exprs, names):
-    """Compile one expression or a sequence into a fast callable.
+    """Compile one expression or a sequence into a fast function.
 
-    The callable takes a single indexable of values ordered like names and
-    returns a float (single expression) or a tuple of floats.  Math-domain
-    violations surface as DomainError, like the interpreted evaluator.
+    The function takes a single indexable of values ordered like names and
+    returns a float (single expression) or a tuple of floats.  It converts
+    each value it reads with float(), so numpy scalars and arrays are
+    accepted and math-domain violations surface as DomainError for every
+    input type, like the interpreted evaluator.
 
     Code generation eliminates common subexpressions across the whole
     sequence: every distinct non-leaf node (nodes are interned, so equal
     subtrees are one node) is computed once, into its own local on its own
-    line, and each result reads the locals it needs.  Each
-    node keeps its operands in tree order, so every result is bit-identical
-    to evaluating its tree alone.  The generated source is kept on the
-    callable as ``source``.
+    line, and each result reads the locals it needs.  Each node keeps its
+    operands in tree order, so every result is bit-identical to evaluating
+    its tree alone.  The function keeps its source as ``source``.
     """
     single = isinstance(exprs, Expr)
     seq = [exprs] if single else list(exprs)
-    index_of = {name: i for i, name in enumerate(names)}
-    lines, results = _emit_cse(seq, index_of)
-    if single:
-        ret = results[0]
-    else:
-        ret = "(" + ", ".join(results) + ("," if len(results) == 1 else "") + ")"
-    source = "def _fn(A):\n" + "".join(lines) + f"    return {ret}\n"
-    namespace = dict(_COMPILE_ENV)
-    exec(compile(source, "<clairaut-expr>", "exec"), namespace)  # noqa: S102 (codegen of our own AST)
-    raw = namespace["_fn"]
-
-    def call(values):
-        # plain floats keep zero-division and domain faults as exceptions;
-        # numpy scalars would degrade them to silent nan results
-        try:
-            return raw(list(map(float, values)))
-        except (ValueError, ZeroDivisionError, OverflowError) as exc:
-            raise DomainError(str(exc) or "math domain error") from exc
-
-    call.source = source
-    return call
+    code = _Code()
+    code.line("try:")
+    code.indent += "    "
+    results = _emit_cse(code, seq, {name: i for i, name in enumerate(names)})
+    ret = code(results[0] if single else "(" + "".join(f"{t}, " for t in results) + ")")
+    code.lines += ["    except (ValueError, ZeroDivisionError, OverflowError) as exc:",
+                   "        raise DomainError(str(exc) or 'math domain error') from exc"]
+    return code.build("A", ret, _COMPILE_ENV)

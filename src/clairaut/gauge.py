@@ -277,16 +277,18 @@ def bracket_gauge(ct, x, y, pt, cls):
 
 def _corrected_bracket(ct, x, y, pt, solved, singular):
     """{X,Y}_phys corrected over the solved degenerate directions."""
-    base = poisson_phys(ct, x, y, pt)
+    xq, xp, yq, yp = x.d_dq(pt), x.d_dp(pt), y.d_dq(pt), y.d_dp(pt)
+    base = _poisson(ct, xq, xp, yq, yp)
     sub = list(solved)
     if not sub:
         return base
-    f = field_strength(ct, pt)[np.ix_(sub, sub)]
+    res = ct.resolve(pt)
+    f = res.F[np.ix_(sub, sub)]
     # {X, B_a} = -{B_a, X}
-    a = np.array([-delta_b(ct, alpha, x, pt) for alpha in sub])
+    a = np.array([-_poisson(ct, res.dB_dq[al], res.dB_dp[al], xq, xp) for al in sub])
     if not a.any():
         return base  # B acts trivially on X, no correction regardless of F
-    d = np.array([long_derivative(ct, y, beta, pt) for beta in sub])
+    d = np.array([_long_derivative(ct, res, beta, yq, yp) for beta in sub])
     try:
         correction = a @ np.linalg.solve(f, d)
     except np.linalg.LinAlgError:

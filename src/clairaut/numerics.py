@@ -9,11 +9,12 @@ Jacobian with newton_pair: flat float lists from one evaluator call per point.
 
 The generated kernels (solver, block_kernel, stage_kernel) run on Python
 floats: Gauss elimination with partial pivoting and dot products summed left
-to right, unrolled for one shape and compiled once.  They round the same way
-on every machine.  block_kernel and stage_kernel emit the derivative block
-from one emitter (_block), so they give the same floats for it; numpy
-computing the same formulas rounds as its BLAS does and agrees to a few units
-in the last place.
+to right, unrolled for one shape and compiled once.  They come from the
+package's one source emitter, expressions._Code, as the compiled evaluators
+do.  They round the same way on every machine.  block_kernel and
+stage_kernel emit the derivative block from one function (_block), so they
+give the same floats for it; numpy computing the same formulas rounds as its
+BLAS does and agrees to a few units in the last place.
 """
 
 import functools
@@ -23,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NewtonError, RankDeficiencyError
+from .expressions import _Code
 
 
 def rank_and_pivots(matrix, rel_tol=1e-9):
@@ -233,32 +235,7 @@ def newton_with_restarts(residual, jacobian, x0, cfg=NewtonConfig(), box=1.0, se
 
 # ------------------------------------------------------- generated kernels
 
-
-class _Code:
-    """Straight-line source under construction; calling it assigns an
-    expression to a fresh local and returns the local's name."""
-
-    def __init__(self):
-        self.lines = []
-        self.count = 0
-
-    def __call__(self, expr):
-        name = f"t{self.count}"
-        self.count += 1
-        self.line(f"{name} = {expr}")
-        return name
-
-    def line(self, text):
-        self.lines.append("    " + text)
-
-    def build(self, params, ret):
-        source = f"def kernel({params}):\n" + "\n".join(self.lines) + f"\n    return {ret}\n"
-        namespace = {"LinAlgError": np.linalg.LinAlgError,
-                     "RankDeficiencyError": RankDeficiencyError}
-        exec(compile(source, "<clairaut-kernel>", "exec"), namespace)  # noqa: S102 (our own codegen)
-        kernel = namespace["kernel"]
-        kernel.source = source
-        return kernel
+_KERNEL_ENV = {"LinAlgError": np.linalg.LinAlgError, "RankDeficiencyError": RankDeficiencyError}
 
 
 def _dot(pairs):
@@ -304,11 +281,10 @@ def solver(k, m=1):
     raises numpy.linalg.LinAlgError, like numpy.linalg.solve."""
     code = _Code()
     a, b = _names("a", k, k), _names("b", k, m)
-    flat_b = sum(b, [])
     code.line(f"{', '.join(sum(a, []))}, = A")
-    code.line(f"{', '.join(flat_b)}, = B")
+    code.line(f"{', '.join(sum(b, []))}, = B")
     _lu_solve(code, a, b, "raise LinAlgError('Singular matrix')")
-    return code.build("A, B", "[" + ", ".join(flat_b) + "]")
+    return code.build("A, B", _flat(b), _KERNEL_ENV)
 
 
 def _block(code, n, reg):
@@ -364,7 +340,7 @@ def block_kernel(n, reg):
     x, db_dq, db_dp, dh_dq, dh_dp, f, dah, _ = _block(code, n, reg)
     dv_dq = [[f"-{name}" for name in row[:n]] for row in x]
     outs = (dv_dq, [row[n:] for row in x], db_dq, db_dp, [dh_dq], [dh_dp], f, [dah])
-    return code.build("c, V, vd", ", ".join(map(_flat, outs)))
+    return code.build("c, V, vd", ", ".join(map(_flat, outs)), _KERNEL_ENV)
 
 
 @functools.lru_cache(maxsize=None)
@@ -406,4 +382,4 @@ def stage_kernel(n, reg, solve, other):
          f" + {_dot((f'c[{1 + i}]', vd[k]) for k, i in enumerate(deg))}) - c[0]")
     sub = ", ".join(f[s][t] for s in solve for t in solve)
     return code.build("c, V, vd, vo, p", f"[{', '.join(dq)}], [{', '.join(dp)}], "
-                      f"[{', '.join(v)}], {resid}, {h}, [{sub}]")
+                      f"[{', '.join(v)}], {resid}, {h}, [{sub}]", _KERNEL_ENV)

@@ -15,6 +15,7 @@ Everything is seeded, so two runs with the same model, seed, and probe
 count produce byte-identical reports.
 """
 
+import functools
 import json
 
 import numpy as np
@@ -56,8 +57,6 @@ from .transform import ClairautTransform, PhasePoint, fenchel_conjugate
 
 
 class _Context:
-    __slots__ = ("ct", "cls", "probes", "seed")
-
     def __init__(self, ct, cls, probes, seed):
         self.ct = ct
         self.cls = cls
@@ -66,6 +65,15 @@ class _Context:
 
     def rng(self, salt):
         return np.random.default_rng(self.seed * 1000 + salt)
+
+    # each report feeds two rows; one that raises is recomputed and raises again
+    @functools.cached_property
+    def integrability(self):
+        return integrability_report(map_to_manytime(self.ct), self.probes)
+
+    @functools.cached_property
+    def dirac(self):
+        return [dirac_report(self.ct, pt) for pt in self.probes]
 
 
 def _random_observables(ctx, salt, count):
@@ -184,19 +192,19 @@ def _field_antisymmetry(ctx):
 
 
 def _extra_time_f(ctx):
-    return integrability_report(map_to_manytime(ctx.ct), ctx.probes).f_defect
+    return ctx.integrability.f_defect
 
 
 def _extra_time_dh(ctx):
-    return integrability_report(map_to_manytime(ctx.ct), ctx.probes).dh_defect
+    return ctx.integrability.dh_defect
 
 
 def _dirac_fab(ctx):
-    return max(dirac_report(ctx.ct, pt).fab_residual for pt in ctx.probes)
+    return max(d.fab_residual for d in ctx.dirac)
 
 
 def _dirac_dhf(ctx):
-    return max(dirac_report(ctx.ct, pt).dhf_residual for pt in ctx.probes)
+    return max(d.dhf_residual for d in ctx.dirac)
 
 
 def _commutator(ctx):
@@ -451,8 +459,11 @@ def _constraint_preservation(ctx):
 
     The projection depth escalates until a short trial run stays flat:
     models whose consistency functions close under one bracket need depth
-    1, a genuinely higher-stage model needs the tower.
+    1, a genuinely higher-stage model needs the tower.  The drift grows like
+    t^2, so the trial's bound is a tenth of the tolerance scaled by the
+    squared ratio of the run lengths.
     """
+    trial_t1, run_t1 = 0.05, 0.5
     ct, cls = ctx.ct, ctx.cls
     pt0 = ctx.probes[0]
     deg = ct.split.degenerate
@@ -466,12 +477,12 @@ def _constraint_preservation(ctx):
     for levels in (1, 2, 3):
         cand = _project_to_surface(ct, pt0, levels)
         trial = integrate(ct, cand, gauge,
-                          IntegratorConfig(t1=0.05, dt=5e-3,
+                          IntegratorConfig(t1=trial_t1, dt=5e-3,
                                            consistency_tol=1e30), cls)
-        if float(np.max(trial.consistency)) <= 0.1 * PRESERVATION_TOL:
+        if float(np.max(trial.consistency)) <= 0.1 * PRESERVATION_TOL * (trial_t1 / run_t1) ** 2:
             break
     traj = integrate(ct, cand, gauge,
-                     IntegratorConfig(t1=0.5, dt=1e-3,
+                     IntegratorConfig(t1=run_t1, dt=1e-3,
                                       consistency_tol=1e30), cls)
     return float(np.max(traj.consistency))
 

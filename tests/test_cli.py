@@ -386,6 +386,20 @@ class TestNumericFlags:
         assert any(line.startswith("error: ") for line in err.splitlines())
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("binding, argv", [
+        ("x1", ("pde", "--f", "z1^2", "--mode", "envelope", "--at", "x1=nan")),
+        ("c2", ("pde", "--f", "z1^2+z2", "--mode", "mixed", "--s", "1", "--c", "c2=nan",
+                "--at", "x1=1,x2=2")),
+        ("param k", ("analyze", "mixed", "--param", "k=inf")),
+        ("p_x", ("transform", "particle", "--at", "x0=0,x=0,y=0,z=0,p_x=-inf,p_y=0,p_z=4")),
+        ("x", ("simulate", "cawley", "--init", "x=1e999")),
+    ], ids=lambda v: v if isinstance(v, str) else " ".join(v))
+    def test_non_finite_binding_exits_2(self, capsys, binding, argv):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert err.startswith(f"error: {binding} must be finite, got ")
+        assert "Traceback" not in err
+
     def test_probes_message_names_the_flag(self, capsys):
         _, _, err = run_cli(capsys, "analyze", "mixed", "--probes", "-3")
         assert "--probes must be at least 1" in err

@@ -6,6 +6,7 @@ import pickle
 import random
 import threading
 
+import numpy as np
 import pytest
 
 from clairaut import (
@@ -346,6 +347,14 @@ class TestCompile:
         fn = compile_evaluator(parse_expression("1/x"), ["x"])
         with pytest.raises(DomainError):
             fn([0.0])
+
+    @pytest.mark.parametrize("text, x", [("1/x", 0.0), ("log(x)", -1.0)])
+    @pytest.mark.parametrize("container", [list, np.array], ids=["list", "ndarray"])
+    def test_domain_error_for_numpy_inputs(self, text, x, container):
+        # numpy scalars would turn these faults into silent inf or nan
+        fn = compile_evaluator(parse_expression(text), ["x"])
+        with pytest.raises(DomainError):
+            fn(container([np.float64(x)]))
 
 
 class TestInterning:

@@ -271,6 +271,25 @@ class TestBracketNew:
             got = bracket_new(ct, ExprObservable(ct, "x"), h, pt)
             assert abs(got - expected) < 1e-12
 
+    def test_each_gradient_taken_once(self):
+        # a finite-difference observable pays a full sweep per gradient
+        ct = transform("synthetic_coupled")
+        calls = []
+
+        class Counted(ExprObservable):
+            def d_dq(self, pt):
+                calls.append((self, "q"))
+                return super().d_dq(pt)
+
+            def d_dp(self, pt):
+                calls.append((self, "p"))
+                return super().d_dp(pt)
+
+        x, y = Counted(ct, "x*p_x"), Counted(ct, "x^2 + p_x")
+        bracket_new(ct, x, y, sample_points("synthetic_coupled")[0])
+        assert len(calls) == len(set(calls)) == 4
+
+
 
 def _brute_bracket_px_h(ct, pt, h=1e-6):
     """Assemble {p_x, H}_new for a 1-regular 2-degenerate model from plain

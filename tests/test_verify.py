@@ -1,11 +1,13 @@
 """Report structure, determinism, and per-class check coverage."""
 
 import json
+from collections import Counter
 from functools import lru_cache
 
 import pytest
 
 from clairaut import load_bundled
+from clairaut import verify
 from clairaut.verify import render_report, run_verification
 
 
@@ -61,6 +63,20 @@ class TestDeterminism:
 
     def test_seed_is_recorded(self):
         assert report("oscillator", seed=7)["seed"] == 7
+
+
+class TestSharedReports:
+    def test_each_report_computed_once_per_run(self, monkeypatch):
+        # the two extra_time rows share one integrability report, the two
+        # constraint rows one Dirac report per probe
+        calls = Counter()
+        for name in ("integrability_report", "dirac_report"):
+            def counted(*args, _name=name, _fn=getattr(verify, name)):
+                calls[_name] += 1
+                return _fn(*args)
+            monkeypatch.setattr(verify, name, counted)
+        rep = run_verification(load_bundled("synthetic_gaugeless"))
+        assert calls == {"integrability_report": 1, "dirac_report": rep["probe_count"]}
 
 
 class TestAllFixturesPass:
@@ -128,6 +144,14 @@ class TestConstraintPreservation:
                  if c["name"] == "constraint_preservation")
         assert c["passed"]
         assert c["residual"] <= 1e-5
+
+    @pytest.mark.parametrize("seed", range(100, 130))
+    def test_cawley_passes_at_other_probe_seeds(self, seed):
+        # the trial run that picks the projection depth lasts a tenth of the
+        # checked run, and the drift grows like t^2
+        c = next(c for c in report("cawley", seed)["checks"]
+                 if c["name"] == "constraint_preservation")
+        assert c["passed"], c
 
     def test_raw_consistency_is_reported_not_gated(self):
         # off the invariant set the consistency functions are O(1); the
