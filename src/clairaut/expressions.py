@@ -792,7 +792,6 @@ class _Code:
 
     def __init__(self):
         self.lines = []
-        self.indent = "    "
 
     def __call__(self, expr):
         name = f"t{len(self.lines)}"
@@ -800,7 +799,7 @@ class _Code:
         return name
 
     def line(self, text):
-        self.lines.append(self.indent + text)
+        self.lines.append("    " + text)
 
     def build(self, params, ret, env):
         """def kernel(params) over the lines, returning ret, with globals env;
@@ -889,10 +888,9 @@ def compile_evaluator(exprs, names):
     single = isinstance(exprs, Expr)
     seq = [exprs] if single else list(exprs)
     code = _Code()
-    code.line("try:")
-    code.indent += "    "
     results = _emit_cse(code, seq, {name: i for i, name in enumerate(names)})
     ret = code(results[0] if single else "(" + "".join(f"{t}, " for t in results) + ")")
-    code.lines += ["    except (ValueError, ZeroDivisionError, OverflowError) as exc:",
-                   "        raise DomainError(str(exc) or 'math domain error') from exc"]
+    code.lines = (["    try:"] + ["    " + line for line in code.lines]
+                  + ["    except (ValueError, ZeroDivisionError, OverflowError) as exc:",
+                     "        raise DomainError(str(exc) or 'math domain error') from exc"])
     return code.build("A", ret, _COMPILE_ENV)

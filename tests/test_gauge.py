@@ -290,7 +290,6 @@ class TestBracketNew:
         assert len(calls) == len(set(calls)) == 4
 
 
-
 def _brute_bracket_px_h(ct, pt, h=1e-6):
     """Assemble {p_x, H}_new for a 1-regular 2-degenerate model from plain
     central differences of h_phys and b_values only."""

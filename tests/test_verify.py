@@ -6,8 +6,7 @@ from functools import lru_cache
 
 import pytest
 
-from clairaut import load_bundled
-from clairaut import verify
+from clairaut import load_bundled, verify
 from clairaut.verify import render_report, run_verification
 
 
