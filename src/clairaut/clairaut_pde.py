@@ -12,9 +12,11 @@ three families track the regular/degenerate split elsewhere in the
 package.
 """
 
+import math
+
 import numpy as np
 
-from .errors import ModelError, RankDeficiencyError
+from .errors import DomainError, ModelError, RankDeficiencyError
 from .expressions import (
     compile_evaluator,
     differentiate,
@@ -63,14 +65,19 @@ class ClairautProblem:
 
 
 def general_solution(prob, c):
-    """Affine solution with slope vector c; returns an evaluator of x."""
+    """Affine solution with slope vector c; returns an evaluator of x, which
+    raises DomainError where the value is not a finite float."""
     c = np.asarray(c, dtype=float)
     if c.shape != (prob.n,):
         raise ModelError(f"expected {prob.n} slope constants, got {c.shape}")
     fc = prob.f_value(c)
 
     def value(x):
-        return float(np.asarray(x, dtype=float) @ c - fc)
+        with np.errstate(over="ignore", invalid="ignore"):
+            y = float(np.asarray(x, dtype=float) @ c - fc)
+        if not math.isfinite(y):
+            raise DomainError(f"the general solution overflows at this point (y = {y})")
+        return y
 
     return value
 

@@ -27,6 +27,7 @@ from .clairaut_pde import (
 )
 from .dynamics import IntegratorConfig, d_alpha_h, el_residual, gauge_input, integrate
 from .errors import (
+    ArgumentError,
     DomainError,
     ExprSyntaxError,
     FenchelError,
@@ -59,7 +60,7 @@ class UsageError(Exception):
 _NUMERIC_ERRORS = (NewtonError, DomainError, FenchelError, RankDeficiencyError,
                    RankVariationError, IntegrabilityError)
 _USAGE_ERRORS = (UsageError, OSError, ExprSyntaxError, UnboundSymbolError,
-                 ModelError, GaugeInputError)
+                 ModelError, GaugeInputError, ArgumentError)
 # each probe may take up to 400 draws, each running the domain guards
 MAX_PROBES = 10_000
 
@@ -273,10 +274,7 @@ def _svg_plot(traj, path):
 def cmd_simulate(args):
     model = _apply_params(_load(args.model), args.param)
     halt_tol = args.tol if args.tol is not None else 1e-6
-    try:
-        cfg = IntegratorConfig(t1=args.t1, dt=args.dt, consistency_tol=halt_tol)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    cfg = IntegratorConfig(t1=args.t1, dt=args.dt, consistency_tol=halt_tol)
     ct = ClairautTransform(model)
     cls = classify(ct)
     pt, _ = _bind_point(ct, args.init, "--init")

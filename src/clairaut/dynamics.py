@@ -13,13 +13,15 @@ The infinity norm of F v - D H over all degenerate rows is the consistency
 residual: nonzero values on the unsolved rows flag initial data off the
 model's invariant surface.
 
-The sector solve is the generated stage kernel for the gauge's plan
-(numerics.stage_kernel), on Python floats, run on the core values at the
-root: a Resolution's in degenerate_velocities and, in an RK4 stage of
-integrate, those of the resolve's last call (ClairautTransform._resolve_args:
-full Newton steps, damped Newton where one fails), so both give the same
-floats.  The stage builds no PhasePoint or Resolution and evaluates each
-prescribed velocity once.
+An RK4 stage of integrate is one call of the generated stage kernel for the
+gauge's plan (numerics.stage_kernel), on Python floats: full Newton steps for
+the regular velocities from the last stage's, then the sector solve on the
+core values at the root.  Where the steps give up, the stage resolves by
+damped Newton (ClairautTransform._damped_resolve) and enters the kernel again
+at that root, where it takes no step.  degenerate_velocities enters it at a
+Resolution's root the same way, so both give the same floats.  The stage
+builds no PhasePoint or Resolution and evaluates each prescribed velocity
+once.
 """
 
 import math
@@ -28,7 +30,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import GaugeInputError, IntegrabilityError, NewtonError
+from .errors import ArgumentError, GaugeInputError, IntegrabilityError, NewtonError
 from .expressions import compile_evaluator, free_symbols, parse_expression
 from .gauge import bracket_gauge, classify, field_strength
 from .numerics import pfaffian, stage_kernel
@@ -138,9 +140,10 @@ def degenerate_velocities(ct, pt, gauge=None, cls=None, t=0.0, res=None):
     if res is None:
         res = ct.resolve(pt)
     solve, other = gauge._plan
-    _, _, v, residual, _, _ = stage_kernel(ct.n, ct._reg, solve, other)(
-        res._core, res.V.tolist(), pt.v_deg.tolist(), [gauge.velocity(a, t) for a in other],
-        pt.p.tolist())
+    # entered at the resolution's root, the kernel takes no Newton step
+    _, _, v, residual, *_ = stage_kernel(ct.n, ct._reg, solve, other)(
+        lambda args: res._core, ct.newton, pt.q.tolist(), pt.v_deg.tolist(), res.V.tolist(),
+        pt.p.tolist(), [gauge.velocity(a, t) for a in other])
     return np.array(v), residual
 
 
@@ -156,15 +159,15 @@ class IntegratorConfig:
 
     def __post_init__(self):
         if not all(math.isfinite(x) for x in (self.t0, self.t1, self.dt)):
-            raise ValueError("t0, t1 and dt must be finite")
+            raise ArgumentError("t0, t1 and dt must be finite")
         if self.dt <= 0:
-            raise ValueError("dt must be positive")
+            raise ArgumentError("dt must be positive")
         if (self.t1 - self.t0) / self.dt > 1e8:
-            raise ValueError("more than 1e8 steps requested")
+            raise ArgumentError("more than 1e8 steps requested")
         if self.t1 <= self.t0:
-            raise ValueError("t1 must exceed t0")
+            raise ArgumentError("t1 must exceed t0")
         if int(round((self.t1 - self.t0) / self.dt)) < 1:
-            raise ValueError("time span shorter than one step")
+            raise ArgumentError("time span shorter than one step")
 
 
 @dataclass(frozen=True)
@@ -225,8 +228,8 @@ def integrate(ct, initial, gauge=None, cfg=None, cls=None):
 
     q = np.asarray(initial.q, dtype=float).tolist()
     p = np.asarray(initial.p, dtype=float).tolist()
-    warm = [np.asarray(initial.v_deg, dtype=float).tolist(), None]  # last v, last V
-    velocity = gauge.velocity
+    warm = [np.asarray(initial.v_deg, dtype=float).tolist(), [0.0] * r]  # last v, last V
+    velocity, f_core, newton = gauge.velocity, ct._f_core, ct.newton
 
     def stage(t, q, p):
         # H, B and their gradients ignore the degenerate velocities, but the
@@ -236,10 +239,12 @@ def integrate(ct, initial, gauge=None, cfg=None, cls=None):
         vd = list(warm[0])
         for a, val in zip(other, vo):
             vd[a] = val
-        _, warm[1], core = ct._resolve_args(q, p, vd, warm[1])
-        out = kernel(core, warm[1], vd, vo, p)
-        warm[0] = out[2]
-        return out  # dq, dp, v, residual, H, F's solved subblock
+        out = kernel(f_core, newton, q, vd, warm[1], p, vo)
+        if out is None:  # enter again at damped Newton's root: no full step
+            root = ct._damped_resolve(q, p, vd, warm[1])[1]
+            out = kernel(f_core, newton, q, vd, root, p, vo)
+        warm[0], warm[1] = out[2], out[6]
+        return out  # dq, dp, v, residual, H, F's solved subblock, V
 
     def build(count, flagged):
         return Trajectory(out_t[:count].copy(), out_q[:count].copy(),
@@ -257,7 +262,7 @@ def integrate(ct, initial, gauge=None, cfg=None, cls=None):
     for k in range(steps + 1):
         t = float(out_t[k])
         try:
-            dq1, dp1, v1, c1, h1, f1 = stage(t, q, p)
+            dq1, dp1, v1, c1, h1, f1, _ = stage(t, q, p)
         except NewtonError as exc:
             raise IntegrabilityError(
                 f"velocity resolution failed at t={t:.6g}: {exc}",

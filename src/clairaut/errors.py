@@ -34,6 +34,12 @@ class DomainError(ClairautError):
     """Evaluation left the real domain (division by zero, log/sqrt of a negative)."""
 
 
+class ArgumentError(ClairautError, ValueError):
+    """A function was handed a value it does not take: an unknown function
+    name, a non-matrix, an integrator setting out of range.  Also a
+    ValueError, so callers that catch that keep working."""
+
+
 class ModelError(ClairautError):
     """Model file failed validation (undeclared coordinate, duplicates, ...)."""
 

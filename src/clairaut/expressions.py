@@ -24,7 +24,7 @@ import operator
 import threading
 import weakref
 
-from .errors import DomainError, ExprSyntaxError, UnboundSymbolError
+from .errors import ArgumentError, DomainError, ExprSyntaxError, UnboundSymbolError
 
 _FUNCTIONS = ("sin", "cos", "exp", "log", "sqrt")
 
@@ -173,7 +173,7 @@ class Call(Expr):
 
     def __new__(cls, fn, arg):
         if fn not in _FUNCTIONS:
-            raise ValueError(f"unknown function {fn!r}")
+            raise ArgumentError(f"unknown function {fn!r}")
         return _intern((cls, fn, arg))
 
 
@@ -801,6 +801,11 @@ class _Code:
     def line(self, text):
         self.lines.append("    " + text)
 
+    def indent(self, start):
+        """Indent the lines from index start on one level: the body of the
+        block statement on the line before them, once it is complete."""
+        self.lines[start:] = ["    " + line for line in self.lines[start:]]
+
     def build(self, params, ret, env):
         """def kernel(params) over the lines, returning ret, with globals env;
         the source is kept on it as ``source``."""
@@ -888,9 +893,10 @@ def compile_evaluator(exprs, names):
     single = isinstance(exprs, Expr)
     seq = [exprs] if single else list(exprs)
     code = _Code()
+    code.line("try:")
     results = _emit_cse(code, seq, {name: i for i, name in enumerate(names)})
     ret = code(results[0] if single else "(" + "".join(f"{t}, " for t in results) + ")")
-    code.lines = (["    try:"] + ["    " + line for line in code.lines]
-                  + ["    except (ValueError, ZeroDivisionError, OverflowError) as exc:",
-                     "        raise DomainError(str(exc) or 'math domain error') from exc"])
+    code.indent(1)
+    code.line("except (ValueError, ZeroDivisionError, OverflowError) as exc:")
+    code.line("    raise DomainError(str(exc) or 'math domain error') from exc")
     return code.build("A", ret, _COMPILE_ENV)

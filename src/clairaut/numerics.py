@@ -3,18 +3,22 @@ antisymmetric matrix, damped Newton iteration, and generated straight-line
 kernels for the tiny dense solves of the mixed transform.
 
 Everything is deterministic for fixed inputs; the Newton restarts draw from
-a generator seeded per call, never from global state.  Every Newton resolve
-(transform velocities, Fenchel oracle, PDE slopes) builds its residual and
-Jacobian with newton_pair: flat float lists from one evaluator call per point.
+a generator seeded per call, never from global state.  damped_newton and its
+restarts (transform fallback, Fenchel oracle, PDE slopes) build their
+residual and Jacobian with newton_pair: flat float lists from one evaluator
+call per point.
 
-The generated kernels (solver, block_kernel, stage_kernel) run on Python
-floats: Gauss elimination with partial pivoting and dot products summed left
-to right, unrolled for one shape and compiled once.  They come from the
-package's one source emitter, expressions._Code, as the compiled evaluators
-do.  They round the same way on every machine.  block_kernel and
-stage_kernel emit the derivative block from one function (_block), so they
-give the same floats for it; numpy computing the same formulas rounds as its
-BLAS does and agrees to a few units in the last place.
+The generated kernels (solver, resolve_kernel, block_kernel, stage_kernel)
+run on Python floats: Gauss elimination with partial pivoting and dot
+products summed left to right, unrolled for one shape and compiled once.
+They come from the package's one source emitter, expressions._Code, as the
+compiled evaluators do.  They round the same way on every machine.  One
+function emits each shared part: _newton the full Newton steps of the
+velocity resolve (resolve_kernel, stage_kernel), which are damped_newton's
+iterates wherever it takes no shorter step, and _block the derivative block
+(block_kernel, stage_kernel), so the kernels give the same floats for them;
+numpy computing the same formulas rounds as its BLAS does and agrees to a
+few units in the last place.
 """
 
 import functools
@@ -23,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NewtonError, RankDeficiencyError
+from .errors import ArgumentError, DomainError, NewtonError, RankDeficiencyError
 from .expressions import _Code
 
 
@@ -37,7 +41,7 @@ def rank_and_pivots(matrix, rel_tol=1e-9):
     """
     a = np.array(matrix, dtype=float)
     if a.ndim != 2:
-        raise ValueError("rank_and_pivots expects a matrix")
+        raise ArgumentError("rank_and_pivots expects a matrix")
     scale = float(np.max(np.abs(a))) if a.size else 0.0
     if scale == 0.0:
         return 0, []
@@ -127,11 +131,12 @@ def damped_newton(residual, jacobian, x0, cfg=NewtonConfig()):
     jacobian(x) the k x k matrix, each as an array or a flat row-major
     sequence (flat lists, x0 too, are used as they are).  A step (solver's)
     is halved (cfg.damping) whenever it raises a DomainError or does not
-    lower the residual norm; full_newton is the path where none is.  Raises
-    NewtonError when out of iterations or the Jacobian goes singular.  The
-    Jacobian is only asked for at the very point (the same object) of the
-    latest residual call, so a caller may evaluate both at once.  Returns
-    the root as an ndarray; the latest residual call is at it.
+    lower the residual norm; the full steps the generated kernels emit
+    (_newton) are the path where none is.  Raises NewtonError when out of
+    iterations or the Jacobian goes singular.  The Jacobian is only asked
+    for at the very point (the same object) of the latest residual call, so
+    a caller may evaluate both at once.  Returns the root as an ndarray;
+    the latest residual call is at it.
     """
     x = _floats(x0)
     fx = _floats(residual(x))
@@ -162,29 +167,6 @@ def damped_newton(residual, jacobian, x0, cfg=NewtonConfig()):
     if norm <= cfg.tol:
         return np.array(x, dtype=float)
     raise NewtonError("newton did not converge", residual=norm, iterations=cfg.max_iter)
-
-
-def full_newton(residual, jacobian, x0, cfg=NewtonConfig()):
-    """damped_newton's root from x0 (a list) when its every step is a full
-    one, else None: a step that does not lower the norm (nan neither), a
-    DomainError, a singular Jacobian or a non-finite root.  damped_newton
-    from x0 then repeats the kept steps (x + 1.0*s == x + s) and goes on.
-    residual and jacobian return lists; the latest residual call is at x."""
-    x, step = x0, solver(len(x0))
-    try:
-        fx = residual(x)
-        norm = _max_abs(fx)
-        for _ in range(cfg.max_iter):
-            if norm <= cfg.tol:
-                break
-            x = [a + s for a, s in zip(x, step(jacobian(x), [-f for f in fx]))]
-            fx = residual(x)
-            norm, prev = _max_abs(fx), norm
-            if not norm < prev:
-                return None
-    except (DomainError, np.linalg.LinAlgError):
-        return None
-    return x if norm <= cfg.tol and all(map(math.isfinite, x)) else None
 
 
 def newton_pair(fn, args, at, rows, jac, target):
@@ -235,7 +217,8 @@ def newton_with_restarts(residual, jacobian, x0, cfg=NewtonConfig(), box=1.0, se
 
 # ------------------------------------------------------- generated kernels
 
-_KERNEL_ENV = {"LinAlgError": np.linalg.LinAlgError, "RankDeficiencyError": RankDeficiencyError}
+_KERNEL_ENV = {"LinAlgError": np.linalg.LinAlgError, "RankDeficiencyError": RankDeficiencyError,
+               "DomainError": DomainError, "isfinite": math.isfinite}
 
 
 def _dot(pairs):
@@ -268,6 +251,75 @@ def _lu_solve(code, a, b, singular):
         for c, name in enumerate(b[i]):
             rest = "".join(f" - {a[i][t]} * {b[t][c]}" for t in range(i + 1, k))
             code.line(f"{name} = ({name}{rest}) / {a[i][i]}")
+
+
+def _emit_max_abs(code, values):
+    """A fresh local holding max |v| over the expressions values, nan as
+    soon as any is nan: _max_abs, unrolled."""
+    worst = code("0.0")
+    for value in values:
+        err = code(f"abs({value})")
+        code.line(f"if {err} > {worst} or {err} != {err}: {worst} = {err}")
+    return worst
+
+
+def _newton(code, n, reg):
+    """Emit full Newton steps for the regular velocities into code.
+
+    The kernel's parameters fn, cfg, q, vd, x0 and p are the derivative core
+    evaluator (model.DerivativeCore.fn), the NewtonConfig, the coordinates,
+    the degenerate velocities, the start and the regular momenta, as lists
+    of floats.  Each iterate goes into the regular slots of the argument
+    list A, c = fn(A) gives the residual L_v - p and the Jacobian W_rr, and
+    the step solves W_rr s = -(L_v - p): damped_newton's iterate at scale 1.
+    A step is kept while the residual's max-abs norm falls.  The kernel
+    returns None where damped_newton would backtrack or fail: a step that
+    does not lower the norm (nan neither), a DomainError, a singular W_rr,
+    cfg.max_iter steps, or a non-finite root.  Past the loop, A and c are at
+    the root, fn's last call was there, and V lists the regular velocities.
+    """
+    deg = [i for i in range(n) if i not in reg]
+    x = [code(f"x0[{s}]") for s in range(len(reg))]
+    p = [code(f"p[{s}]") for s in range(len(reg))]
+    vel = dict(zip(reg, x)) | {i: f"vd[{k}]" for k, i in enumerate(deg)}
+    code.line(f"A = q + [{', '.join(vel[i] for i in range(n))}]")
+    code.line("try:")
+    body = len(code.lines)
+    code.line("c = fn(A)")
+    f = [code(f"c[{1 + i}] - {ps}") for i, ps in zip(reg, p)]
+    norm = _emit_max_abs(code, f)
+    code.line("for _ in range(cfg.max_iter):")
+    loop = len(code.lines)
+    code.line(f"if {norm} <= cfg.tol: break")
+    b = [[code(f"-{fs}")] for fs in f]
+    _lu_solve(code, [[code(f"c[{1 + 2 * n + i * n + j}]") for j in reg] for i in reg], b,
+              "return None")
+    for i, xs, (step,) in zip(reg, x, b):
+        code.line(f"{xs} = {xs} + {step}")
+        code.line(f"A[{n + i}] = {xs}")
+    code.line("c = fn(A)")
+    for i, ps, fs in zip(reg, p, f):
+        code.line(f"{fs} = c[{1 + i}] - {ps}")
+    new = _emit_max_abs(code, f)
+    code.line(f"if not {new} < {norm}: return None")
+    code.line(f"{norm} = {new}")
+    code.indent(loop)
+    code.indent(body)
+    code.line("except DomainError: return None")
+    code.line(f"if not ({' and '.join([f'{norm} <= cfg.tol'] + [f'isfinite({xs})' for xs in x])}):"
+              " return None")
+    code.line(f"V = [{', '.join(x)}]")
+
+
+@functools.lru_cache(maxsize=None)
+def resolve_kernel(n, reg):
+    """Generated velocity resolve for one split, cached by it: reg lists
+    the regular coordinates.  The kernel takes (fn, cfg, q, vd, x0, p) as
+    _newton describes and returns (A, V, c), the argument list, the regular
+    velocities and the core at the root, or None where _newton gives up."""
+    code = _Code()
+    _newton(code, n, reg)
+    return code.build("fn, cfg, q, vd, x0, p", "A, V, c", _KERNEL_ENV)
 
 
 def _names(prefix, rows, cols):
@@ -345,17 +397,20 @@ def block_kernel(n, reg):
 
 @functools.lru_cache(maxsize=None)
 def stage_kernel(n, reg, solve, other):
-    """Generated RK4 stage of the mixed equations for one layout, cached by it.
+    """Generated RK4 stage of the mixed equations for one layout, cached by
+    it: the velocity resolve by full Newton steps from x0, then the stage.
 
     reg lists the regular coordinates; solve and other the degenerate slots
-    solved from F v = D H and supplied from outside.  The kernel takes
-    (c, V, vd, vo, p): c, V and vd as for block_kernel, the values of the
-    other slots and the regular momenta, all floats.  It returns (dq, dp, v,
-    residual ||F v - D H||_inf, H, F's solved subblock flat).
+    solved from F v = D H and supplied from outside.  The kernel takes (fn,
+    cfg, q, vd, x0, p, vo): the first six as for resolve_kernel, then the
+    values of the other slots, all floats.  It returns (dq, dp, v, residual
+    ||F v - D H||_inf, H, F's solved subblock flat, V), or None where the
+    full steps give up; entered at a root, it takes no step.
     """
     r, nd = len(reg), n - len(reg)
     deg = [i for i in range(n) if i not in reg]
     code = _Code()
+    _newton(code, n, reg)
     _, db_dq, db_dp, dh_dq, dh_dp, f, dah, vd = _block(code, n, reg)
     db_dq_reg = [[row[j] for j in reg] for row in db_dq]
     v = [None] * nd
@@ -367,10 +422,7 @@ def stage_kernel(n, reg, solve, other):
               "constant-rank classification does not hold here')")
     for k, s in enumerate(solve):
         v[s] = rhs[k][0]
-    resid = code("0.0")
-    for k in range(nd):
-        err = code(f"abs({_dot(zip(f[k], v))} - {dah[k]})")
-        code.line(f"if {err} > {resid} or {err} != {err}: {resid} = {err}")
+    resid = _emit_max_abs(code, (f"{_dot(zip(f[k], v))} - {dah[k]}" for k in range(nd)))
     dq = [None] * n
     for s, i in enumerate(reg):
         dq[i] = f"{dh_dp[s]} - ({_dot((v[k], row[s]) for k, row in enumerate(db_dp))})"
@@ -381,5 +433,5 @@ def stage_kernel(n, reg, solve, other):
     h = (f"({_dot((f'p[{s}]', f'V[{s}]') for s in range(r))}"
          f" + {_dot((f'c[{1 + i}]', vd[k]) for k, i in enumerate(deg))}) - c[0]")
     sub = ", ".join(f[s][t] for s in solve for t in solve)
-    return code.build("c, V, vd, vo, p", f"[{', '.join(dq)}], [{', '.join(dp)}], "
-                      f"[{', '.join(v)}], {resid}, {h}, [{sub}]", _KERNEL_ENV)
+    return code.build("fn, cfg, q, vd, x0, p, vo", f"[{', '.join(dq)}], [{', '.join(dp)}], "
+                      f"[{', '.join(v)}], {resid}, {h}, [{sub}], V", _KERNEL_ENV)

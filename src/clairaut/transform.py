@@ -15,13 +15,15 @@ identities dH/dp_i = V^i, dH/dq = -dL/dq when all v^alpha vanish.
 Every derivative block of L that a resolved point needs (L, L_v, L_q, the
 velocity Hessian W = L_vv and L_vq) comes from the model's derivative core.
 Its regular rows of L_v and W_rr give the resolve's residual and Jacobian from
-one call per point (numerics.newton_pair); the last call, at the root, fills
-the resolution.  Every model resolves by full Newton steps
-(numerics.full_newton), with damped Newton and restarts from the same start as
-the fallback.  The implicit-function derivative block, F and D_a H come from
-one call of a generated float kernel (numerics.block_kernel) that factors W_rr
-once for both dV_dq and dV_dp.  The RK4 stage of dynamics.integrate shares the
-resolve (_resolve_args) and the emitted block (numerics.stage_kernel).
+one call per point; the last call, at the root, fills the resolution.  Every
+model resolves by full Newton steps in a generated float kernel
+(numerics.resolve_kernel), with damped Newton and restarts from the same start
+(numerics.newton_pair, newton_with_restarts) as the fallback.  The
+implicit-function derivative block, F and D_a H come from one call of a
+generated float kernel (numerics.block_kernel) that factors W_rr once for both
+dV_dq and dV_dp.  The RK4 stage of dynamics.integrate is one generated kernel
+with the same emitted steps and block (numerics.stage_kernel), and takes the
+same fallback (_damped_resolve).
 """
 
 import itertools
@@ -31,8 +33,8 @@ import numpy as np
 
 from .errors import DomainError, FenchelError, NewtonError
 from .model import CORE_BLOCKS, split_variables
-from .numerics import (NewtonConfig, _floats, block_kernel, damped_newton, full_newton,
-                       newton_pair, newton_with_restarts)
+from .numerics import (NewtonConfig, _floats, block_kernel, damped_newton, newton_pair,
+                       newton_with_restarts, resolve_kernel)
 
 
 @dataclass(frozen=True)
@@ -179,16 +181,20 @@ class ClairautTransform:
 
     def _resolve_args(self, q, p, v_deg, v_init=None):
         """(args, V, core): the evaluator arguments at (q, V, v_deg), with V
-        solving p_i = dL/dv^i, and the core there (the last core call)."""
+        solving p_i = dL/dv^i, and the core there (the last core call).
+        Full Newton steps from v_init (or zeros) in the generated resolve
+        kernel, damped Newton from the same start where they give up."""
+        x0 = [0.0] * self.r if v_init is None else _floats(v_init)
+        return (resolve_kernel(self.n, self._reg)(self._f_core, self.newton, q, v_deg, x0, p)
+                or self._damped_resolve(q, p, v_deg, x0))
+
+    def _damped_resolve(self, q, p, v_deg, x0):
+        """_resolve_args by newton_with_restarts from the list x0 alone."""
         args = self._args(q, v_deg)
-        if not self.r:
-            return args, [], self._f_core(args)
         residual, jacobian, last = newton_pair(self._f_core, args, self._reg_at,
                                                self._lv_reg, self._w_rr, p)
-        x0 = [0.0] * self.r if v_init is None else _floats(v_init)
-        if full_newton(residual, jacobian, x0, self.newton) is None:
-            newton_with_restarts(residual, jacobian, x0, self.newton)
-        return args, last[0], last[1]  # either one's last call is at its root
+        newton_with_restarts(residual, jacobian, x0, self.newton)
+        return args, last[0], last[1]  # its last call is at its root
 
     def start_in_domain(self, pt):
         """Whether the derivative core is defined where resolve(pt) starts

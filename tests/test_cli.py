@@ -349,6 +349,17 @@ class TestPde:
                                "--at", "x1=3")
         assert code == 2
 
+    @pytest.mark.parametrize("c, at, y", [
+        ("c1=1e200,c2=1", "x1=1e200,x2=1", "inf"),
+        ("c1=-1e308,c2=1", "x1=1e308,x2=1", "-inf"),
+    ])
+    def test_general_overflow_exits_3(self, capsys, c, at, y):
+        # x.c - f(c) overflows: a numeric error, without a numpy warning
+        code, out, err = run_cli(capsys, "pde", "--f", "z1+z2", "--mode", "general",
+                                 "--c", c, "--at", at)
+        assert code == 3 and out == ""
+        assert err.splitlines() == [f"error: the general solution overflows at this point (y = {y})"]
+
     def test_s_out_of_range_exits_2(self, capsys):
         code, _, _ = run_cli(capsys, "pde", "--f", "z1^2", "--mode", "mixed",
                              "--s", "5", "--c", "", "--at", "x1=1")

@@ -18,6 +18,7 @@ from clairaut import (
     parse_expression,
     phase_probes,
 )
+from clairaut import numerics
 from clairaut import transform as transform_module
 
 PROBES = 6
@@ -119,44 +120,45 @@ class TestDerivativeCore:
 
     def test_one_core_call_per_resolve(self, transform, monkeypatch):
         # the resolve evaluates the core at its start and once per full
-        # Newton step; where it falls back, damped Newton adds one call per
-        # residual and none per Jacobian.  The values of the last call, at
-        # the root, go to the Resolution: no call after it, none for the
-        # derivative block.  One call and no Newton when no velocity is regular
+        # Newton step, as many as damped Newton's iterations from there;
+        # where it falls back, damped Newton adds one call per residual and
+        # none per Jacobian.  The values of the last call, at the root, go
+        # to the Resolution: no call after it, none for the derivative block
         ct = transform
         points = phase_probes(ct, count=3, seed=PROBE_SEED)
-        calls, steps, residuals = [], [], []
+        calls, fallback, residuals = [], [], []
         core = ct._f_core
         monkeypatch.setattr(ct, "_f_core", lambda args: calls.append(1) or core(args))
-        real_full, real_newton = transform_module.full_newton, transform_module.newton_with_restarts
+        real_newton = transform_module.newton_with_restarts
 
-        def no_core_call(jacobian):
+        def counted_newton(residual, jacobian, x0, cfg):
+            fallback.append(len(calls))  # the resolve kernel's calls
+
             def jac(x):
                 before = len(calls)
                 out = jacobian(x)
                 assert len(calls) == before
                 return out
 
-            return jac
+            return real_newton(lambda x: residuals.append(1) or residual(x), jac, x0, cfg)
 
-        def counted_full(residual, jacobian, x0, cfg):
-            # one Jacobian per full step
-            jac = no_core_call(jacobian)
-            return real_full(residual, lambda x: steps.append(1) or jac(x), x0, cfg)
-
-        def counted_newton(residual, jacobian, x0, cfg):
-            return real_newton(lambda x: residuals.append(1) or residual(x),
-                               no_core_call(jacobian), x0, cfg)
-
-        monkeypatch.setattr(transform_module, "full_newton", counted_full)
         monkeypatch.setattr(transform_module, "newton_with_restarts", counted_newton)
         for pt in points:
             calls.clear()
-            steps.clear()
+            fallback.clear()
             residuals.clear()
             res = ct.resolve(pt)
-            want = 1 + len(steps) + len(residuals)
-            assert len(calls) == want
+            want = len(calls)
+            if fallback:
+                assert fallback[0] >= 1 and want == fallback[0] + len(residuals)
+            else:
+                jacobians = []
+                residual, jacobian, _ = numerics.newton_pair(
+                    core, ct._args(pt.q.tolist(), pt.v_deg.tolist()), ct._reg_at, ct._lv_reg,
+                    ct._w_rr, pt.p.tolist())
+                numerics.damped_newton(residual, lambda x: jacobians.append(1) or jacobian(x),
+                                       [0.0] * ct.r, ct.newton)
+                assert want == 1 + len(jacobians)
             _ = res.dH_dq, res.dB_dp, res.W, res.F
             assert len(calls) == want
             assert res._core == core(res.args)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from clairaut import BUNDLED, ClairautTransform, IntegrabilityError, load_bundled
+from clairaut import dynamics as dynamics_module
 from clairaut.dynamics import (
     DiracReport,
     GaugeInput,
@@ -21,12 +22,12 @@ from clairaut.dynamics import (
     gauge_input,
     integrate,
 )
-from clairaut.errors import GaugeInputError, RankDeficiencyError
+from clairaut.errors import ArgumentError, ClairautError, GaugeInputError, RankDeficiencyError
 from clairaut.gauge import ExprObservable, classify, field_strength, phase_probes
 from clairaut.model import momentum_name
 from clairaut.numerics import pfaffian
 from clairaut.verify import run_verification
-from conftest import reference_resolve
+from conftest import reference_resolve, reference_stage_kernel
 
 
 @lru_cache(maxsize=None)
@@ -194,6 +195,13 @@ class TestIntegratorConfig:
         with pytest.raises(ValueError, match="one step"):
             IntegratorConfig(t1=1e-5, dt=1e-3)
 
+    @pytest.mark.parametrize("kwargs", [{"dt": 0.0}, {"t1": -1.0}, {"t1": 1e6, "dt": 1e-3}])
+    def test_rejections_are_typed(self, kwargs):
+        # an ArgumentError, which the CLI maps to exit 2, and still a ValueError
+        with pytest.raises(ArgumentError) as exc:
+            IntegratorConfig(**kwargs)
+        assert isinstance(exc.value, ClairautError) and isinstance(exc.value, ValueError)
+
 
 class TestIntegrate:
     def test_oscillator_cosine(self):
@@ -295,33 +303,69 @@ class TestIntegrate:
 
 class TestOneResolvePath:
     """The RK4 stage and verify resolve by full Newton steps and fall back
-    to damped Newton: the same floats as damped Newton alone."""
+    to damped Newton: the same floats as integrate and verify with every
+    resolve by damped Newton alone (conftest's reference_resolve and
+    reference_stage_kernel)."""
 
-    @pytest.mark.parametrize("name, q, p, v_deg, spec", [
+    CASES = [
         ("christ_lee", {"x1": 0.8, "x2": -0.6, "x3": 1.0, "y1": 0.2, "y2": -0.1, "y3": 0.3},
          {"x1": 0.4, "x2": -0.3, "x3": 0.5}, None, None),
         ("synthetic_gaugeless", {"x": 0.3, "a": 0.1, "b": -0.2}, {"x": 0.4}, None, None),
         ("particle", {}, {"x": 0.4, "y": 0.1, "z": 0.2}, {"x0": 1.0}, {"x0": "1+0.1*sin(t)"}),
-    ])
-    def test_integrate_same_floats_as_reference(self, name, q, p, v_deg, spec, monkeypatch):
-        cfg = IntegratorConfig(t1=0.5, dt=1e-3)
+        # 111 of its 2,001 stages start between tol and 4 tol and take one step
+        ("exponential", [0.5], [1.0], None, None),
+    ]
 
-        def run():
-            ct = ClairautTransform(load_bundled(name))
-            cls = classify(ct)
-            gauge = gauge_input(ct, cls, spec) if spec else None
-            return integrate(ct, ct.point(q, p, v_deg), gauge, cfg, cls)
+    @staticmethod
+    def run(name, q, p, v_deg, spec, t1=0.5):
+        ct = ClairautTransform(load_bundled(name))
+        cls = classify(ct)
+        gauge = gauge_input(ct, cls, spec) if spec else None
+        return integrate(ct, ct.point(q, p, v_deg), gauge, IntegratorConfig(t1=t1, dt=1e-3), cls)
 
-        got = run()
-        monkeypatch.setattr(ClairautTransform, "_resolve_args", reference_resolve)
-        want = run()
+    @staticmethod
+    def assert_same(got, want):
         for field in ("t", "q", "p", "v_deg", "h_phys", "consistency"):
             assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
         assert got.flagged == want.flagged
 
+    @pytest.mark.parametrize("name, q, p, v_deg, spec", CASES, ids=[c[0] for c in CASES])
+    def test_integrate_same_floats_as_reference(self, name, q, p, v_deg, spec, monkeypatch):
+        got = self.run(name, q, p, v_deg, spec)
+        monkeypatch.setattr(dynamics_module, "stage_kernel", reference_stage_kernel)
+        self.assert_same(got, self.run(name, q, p, v_deg, spec))
+
+    def test_cold_stage_falls_back_and_reenters_at_the_root(self, monkeypatch):
+        # particle's full steps from V = 0 do not lower the norm at p_x = 10:
+        # the first stage resolves by damped Newton and enters the kernel
+        # again at its root, with one core call and no step
+        case = ("particle", {"x0": 0.0, "x": 0.1, "y": 0.2, "z": 0.3}, {"x": 10.0},
+                {"x0": 1.0}, {"x0": "1+0.1*sin(t)"})
+        real_kernel = dynamics_module.stage_kernel
+        calls = []
+
+        def stage_kernel(*layout):
+            kernel = real_kernel(*layout)
+
+            def counted(fn, *args):
+                cores = []
+                out = kernel(lambda a: cores.append(1) or fn(a), *args)
+                calls.append((out is None, len(cores)))
+                return out
+
+            return counted
+
+        monkeypatch.setattr(dynamics_module, "stage_kernel", stage_kernel)
+        got = self.run(*case, t1=0.05)
+        assert calls[0][0] and calls[1] == (False, 1)
+        assert not any(none for none, _ in calls[2:])
+        monkeypatch.setattr(dynamics_module, "stage_kernel", reference_stage_kernel)
+        self.assert_same(got, self.run(*case, t1=0.05))
+
     def test_verify_same_report_as_reference(self, monkeypatch):
         got = [repr(run_verification(load_bundled(name))) for name in BUNDLED]
         monkeypatch.setattr(ClairautTransform, "_resolve_args", reference_resolve)
+        monkeypatch.setattr(dynamics_module, "stage_kernel", reference_stage_kernel)
         assert [repr(run_verification(load_bundled(name))) for name in BUNDLED] == got
 
 

@@ -11,6 +11,7 @@ import pytest
 
 from clairaut import (
     Call,
+    ClairautError,
     Const,
     DomainError,
     ExprSyntaxError,
@@ -29,6 +30,7 @@ from clairaut import (
     simplify,
 )
 from clairaut import expressions
+from clairaut.errors import ArgumentError
 from clairaut.expressions import MAX_NESTING
 
 SYMBOL_POOL = ("x", "y", "z", "w", "d(x)")
@@ -365,6 +367,11 @@ class TestInterning:
         assert Const(2) is Const(2.0)
         assert Call("sin", Prod((x, y))) is Call("sin", Prod((x, y)))
         assert Sum((x, y)) is not Sum((y, x))
+
+    def test_unknown_function_is_a_typed_error(self):
+        with pytest.raises(ArgumentError, match="unknown function 'tan'") as exc:
+            Call("tan", Sym("x"))
+        assert isinstance(exc.value, ClairautError) and isinstance(exc.value, ValueError)
 
     def test_signed_zeros_stay_apart(self):
         assert Const(-0.0) is not Const(0.0)

@@ -18,6 +18,7 @@ from clairaut import (
     ClairautTransform,
     DomainError,
     IntegratorConfig,
+    NewtonConfig,
     NewtonError,
     PhasePoint,
     RankDeficiencyError,
@@ -26,6 +27,7 @@ from clairaut import (
     gauge_input,
     integrate,
     load_bundled,
+    parse_model,
 )
 from clairaut import cli, numerics
 from clairaut import dynamics as dynamics_module
@@ -93,8 +95,11 @@ class TestStageKernel:
         for pt in phase_probes(ct):
             res = ct.resolve(pt)
             v, resid = degenerate_velocities(ct, pt, gauge, cls, res=res)
-            dq, dp, v_k, resid_k, h, f_sub = kernel(
-                res._core, res.V.tolist(), pt.v_deg.tolist(), [0.0] * len(other), pt.p.tolist())
+            # entered at the root: no Newton step, the core evaluated there once
+            dq, dp, v_k, resid_k, h, f_sub, root = kernel(
+                ct._f_core, ct.newton, pt.q.tolist(), pt.v_deg.tolist(), res.V.tolist(),
+                pt.p.tolist(), [0.0] * len(other))
+            assert root == res.V.tolist()
             want_dq = np.empty(ct.n)
             want_dq[ct.reg_idx] = res.dH_dp - v @ res.dB_dp
             want_dq[ct.deg_idx] = v
@@ -225,7 +230,8 @@ class TestTypedFailures:
             degenerate_velocities(ct, pt, cls=cls, res=res)
         kernel = stage_kernel(ct.n, (0,), (0, 1), ())
         with pytest.raises(RankDeficiencyError, match="W_rr"):
-            kernel(res._core, res.V.tolist(), [0.0, 0.0], [], pt.p.tolist())
+            kernel(lambda args: res._core, ct.newton, pt.q.tolist(), [0.0, 0.0],
+                   res.V.tolist(), pt.p.tolist(), [])
 
     def test_domain_error_inside_backtracking(self):
         trials = []
@@ -257,36 +263,35 @@ class TestNewtonContract:
         assert isinstance(start, np.ndarray) and start.tolist() == root.tolist()
 
 
-def log(x):
-    if x <= 0.0:
-        raise DomainError("log of a non-positive number")
-    return math.log(x)
-
-
 class TestFullNewton:
-    """full_newton returns damped_newton's root where damped_newton takes
-    only full steps, and None where it would backtrack or fail."""
+    """The generated resolve kernel on one-coordinate models, where the
+    Newton residual is L_v - p: damped_newton's root where damped_newton
+    takes only full steps, and None where it would backtrack or fail."""
 
     @staticmethod
-    def pair(f, df):
-        return (lambda x: [f(x[0])]), (lambda x: [df(x[0])])
+    def resolve(lagrangian, p, x0):
+        """The kernel's outcome and damped_newton's pair on the same core."""
+        fn = parse_model(f"coord x; lagrangian = {lagrangian};").core.fn
+        got = numerics.resolve_kernel(1, (0,))(fn, NewtonConfig(), [0.0], [], [x0], [p])
+        residual, jacobian, last = numerics.newton_pair(fn, [0.0, 0.0], [1], [1], [3], [p])
+        return got, residual, jacobian, last
 
     @pytest.mark.parametrize("x0", [1.0, 3.0, 1e4])
     def test_root_as_damped_newton(self, x0):
-        residual, jacobian = self.pair(lambda x: x * x - 2.0, lambda x: 2.0 * x)
-        root = numerics.full_newton(residual, jacobian, [x0])
+        (args, root, core), residual, jacobian, last = self.resolve("d(x)^3/3", 2.0, x0)
         assert type(root) is list
         assert root == damped_newton(residual, jacobian, [x0]).tolist()
+        assert args == [0.0] + root and core == last[1]  # both at the root
 
-    @pytest.mark.parametrize("f, df, x0", [
-        (math.atan, lambda x: 1.0 / (1.0 + x * x), 2.0),  # the full step overshoots
-        (lambda x: x * x - 2.0, lambda x: 2.0 * x, 0.0),  # singular at the start
-        (lambda x: log(x) - 1.0, lambda x: 1.0 / x, 10.0),  # steps to x < 0
-        (lambda x: x * x + 1.0, lambda x: 2.0 * x, 0.5),  # no root
+    @pytest.mark.parametrize("lagrangian, p, x0", [
+        ("sqrt(1 + d(x)^2)", 0.0, 2.0),  # L_v = v/sqrt(1+v^2): the full step overshoots
+        ("d(x)^3/3", 2.0, 0.0),  # W = 2v: singular at the start
+        ("d(x)*log(d(x)) - d(x)", 1.0, 10.0),  # L_v = log(v): steps to v < 0
+        ("d(x)^3/3 + d(x)", 0.0, 0.5),  # L_v = v^2 + 1 = 0: no root
     ])
-    def test_none_where_damped_newton_backtracks_or_fails(self, f, df, x0):
-        residual, jacobian = self.pair(f, df)
-        assert numerics.full_newton(residual, jacobian, [x0]) is None
+    def test_none_where_damped_newton_backtracks_or_fails(self, lagrangian, p, x0):
+        assert self.resolve(lagrangian, p, x0)[0] is None
+
 
 class TestNewtonPair:
     def test_latest_call_is_at_the_root(self):

@@ -18,6 +18,7 @@ from clairaut import (
     parse_expression,
 )
 from clairaut.dynamics import el_residual, integrate
+from clairaut.errors import ArgumentError, ClairautError
 from clairaut.fixtures import BUNDLED, load_bundled
 from clairaut import model as model_module
 from clairaut.model import (
@@ -232,6 +233,11 @@ class TestRankKernel:
     def test_zero_matrix(self):
         rank, cols = rank_and_pivots(np.zeros((3, 3)))
         assert (rank, cols) == (0, [])
+
+    def test_non_matrix_is_a_typed_error(self):
+        with pytest.raises(ArgumentError, match="expects a matrix") as exc:
+            rank_and_pivots([1.0, 2.0])
+        assert isinstance(exc.value, ClairautError) and isinstance(exc.value, ValueError)
 
 
 def count_calls(monkeypatch, *names):

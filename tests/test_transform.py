@@ -435,11 +435,12 @@ def outcome(resolve, *args):
 
 
 def counted(monkeypatch, ct):
-    """Count ct's core calls, the resolve's full steps, its fallbacks and
-    their residual calls; a Jacobian may make no core call."""
+    """Count ct's core calls, the full steps of the resolve kernel (its core
+    calls after the first), the fallbacks and their residual calls; a
+    Jacobian may make no core call."""
     log = {"core": 0, "steps": 0, "fallbacks": 0, "residuals": 0, "jacobians": 0}
     core = ct._f_core
-    real_pair, real_full = transform_module.newton_pair, transform_module.full_newton
+    real_pair, real_kernel = transform_module.newton_pair, transform_module.resolve_kernel
     real_newton = transform_module.newton_with_restarts
 
     def f_core(args):
@@ -457,12 +458,17 @@ def counted(monkeypatch, ct):
 
         return residual, jac, last
 
-    def full_newton(residual, jacobian, x0, cfg):
-        def counted_jacobian(x):  # one per full step
-            log["steps"] += 1
-            return jacobian(x)
+    def resolve_kernel(n, reg):
+        kernel = real_kernel(n, reg)
 
-        return real_full(residual, counted_jacobian, x0, cfg)
+        def counted_kernel(*args):
+            before = log["core"]
+            try:
+                return kernel(*args)
+            finally:
+                log["steps"] += log["core"] - before - 1
+
+        return counted_kernel
 
     def newton_with_restarts(residual, jacobian, x0, cfg):
         log["fallbacks"] += 1
@@ -479,7 +485,7 @@ def counted(monkeypatch, ct):
 
     monkeypatch.setattr(ct, "_f_core", f_core)
     monkeypatch.setattr(transform_module, "newton_pair", newton_pair)
-    monkeypatch.setattr(transform_module, "full_newton", full_newton)
+    monkeypatch.setattr(transform_module, "resolve_kernel", resolve_kernel)
     monkeypatch.setattr(transform_module, "newton_with_restarts", newton_with_restarts)
     return log
 
