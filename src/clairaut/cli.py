@@ -288,12 +288,10 @@ def cmd_simulate(args):
               + [f"p:{c}" for c in traj.regular]
               + [f"v:{c}" for c in traj.degenerate]
               + ["H_phys", "consistency_residual", "el_residual"])
-    rows = [",".join(header)]
-    for k in range(len(traj.t)):
-        cells = ([traj.t[k]] + list(traj.q[k]) + list(traj.p[k])
-                 + list(traj.v_deg[k])
-                 + [traj.h_phys[k], traj.consistency[k], el[k]])
-        rows.append(",".join(f"{c:.17g}" for c in cells))
+    table = np.column_stack([traj.t, traj.q, traj.p, traj.v_deg, traj.h_phys,
+                             traj.consistency, el])
+    rows = [",".join(header)] + [",".join([format(c, ".17g") for c in row.tolist()])
+                                 for row in table]
     _write_output("\n".join(rows) + "\n", args.out)
     if args.plot:
         _svg_plot(traj, args.plot)

@@ -13,18 +13,23 @@ The infinity norm of F v - D H over all degenerate rows is the consistency
 residual: nonzero values on the unsolved rows flag initial data off the
 model's invariant surface.
 
-An RK4 stage of integrate is one call of the generated stage kernel for the
-gauge's plan (numerics.stage_kernel), on Python floats: full Newton steps for
-the regular velocities from the last stage's, then the sector solve on the
-core values at the root.  Where the steps give up, the stage resolves by
-damped Newton (ClairautTransform._damped_resolve) and enters the kernel again
+integrate is one call of the generated RK4 loop for the gauge's plan
+(numerics.rk4_kernel), on Python floats, which writes the trajectory's rows
+into an array of doubles; integrate maps its exit status to the trajectory
+or to an IntegrabilityError carrying the rows written.  Each stage of the
+loop is one call of the generated stage kernel (numerics.stage_kernel, looked
+up here as stage_kernel when integrate runs): full Newton steps for the
+regular velocities from the last stage's, then the sector solve on the core
+values at the root.  Where the steps give up, the loop resolves by damped
+Newton (ClairautTransform._damped_resolve) and enters the stage kernel again
 at that root, where it takes no step.  degenerate_velocities enters it at a
-Resolution's root the same way, so both give the same floats.  The stage
-builds no PhasePoint or Resolution and evaluates each prescribed velocity
-once.
+Resolution's root the same way, so both give the same floats.  No stage
+builds a PhasePoint or Resolution, and each prescribed velocity is evaluated
+once per distinct time of a step.
 """
 
 import math
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -33,7 +38,7 @@ import numpy as np
 from .errors import ArgumentError, GaugeInputError, IntegrabilityError, NewtonError
 from .expressions import compile_evaluator, free_symbols, parse_expression
 from .gauge import bracket_gauge, classify, field_strength
-from .numerics import pfaffian, stage_kernel
+from .numerics import _floats, rk4_kernel, stage_kernel
 from .transform import PhasePoint
 
 # Sign relating the extended-bracket action of the constraints p_a - B_a to
@@ -214,92 +219,42 @@ def integrate(ct, initial, gauge=None, cfg=None, cls=None):
     else:
         check_gauge_input(ct, gauge, cls)
     solve, other = gauge._plan
-    kernel = stage_kernel(ct.n, ct._reg, solve, other)
-    steps = int(round((cfg.t1 - cfg.t0) / cfg.dt))
-    n, r = ct.n, ct.r
-    n_deg = n - r
-    m = steps + 1
-    out_t = cfg.t0 + cfg.dt * np.arange(m)
-    out_q = np.empty((m, n))
-    out_p = np.empty((m, r))
-    out_v = np.empty((m, n_deg))
-    out_h = np.empty(m)
-    out_c = np.empty(m)
+    n, width = ct.n, 2 * ct.n + 3  # a row: t, q, p, v_deg, H, consistency
+    rows = array("d")
 
-    q = np.asarray(initial.q, dtype=float).tolist()
-    p = np.asarray(initial.p, dtype=float).tolist()
-    warm = [np.asarray(initial.v_deg, dtype=float).tolist(), [0.0] * r]  # last v, last V
-    velocity, f_core, newton = gauge.velocity, ct._f_core, ct.newton
+    def fallback(q, p, vd, x0):  # damped Newton's root, where the stage takes no step
+        return ct._damped_resolve(q, p, vd, x0)[1]
 
-    def stage(t, q, p):
-        # H, B and their gradients ignore the degenerate velocities, but the
-        # Lagrangian evaluations inside Newton may need an admissible value;
-        # seed the point with prescribed values and the last solved ones
-        vo = [velocity(a, t) for a in other]
-        vd = list(warm[0])
-        for a, val in zip(other, vo):
-            vd[a] = val
-        out = kernel(f_core, newton, q, vd, warm[1], p, vo)
-        if out is None:  # enter again at damped Newton's root: no full step
-            root = ct._damped_resolve(q, p, vd, warm[1])[1]
-            out = kernel(f_core, newton, q, vd, root, p, vo)
-        warm[0], warm[1] = out[2], out[6]
-        return out  # dq, dp, v, residual, H, F's solved subblock, V
+    def build(count):
+        table = np.frombuffer(rows, count=count * width).reshape(count, width)
+        cols = np.cumsum([1, n, ct.r, n - ct.r, 1])
+        t, q, p, v, h, c = (col.copy() for col in np.split(table, cols, axis=1))
+        return Trajectory(t[:, 0], q, p, v, h[:, 0], c[:, 0], ct.model.coords,
+                          ct.split.regular, ct.split.degenerate,
+                          bool(count and c[0, 0] > cfg.consistency_tol))
 
-    def build(count, flagged):
-        return Trajectory(out_t[:count].copy(), out_q[:count].copy(),
-                          out_p[:count].copy(), out_v[:count].copy(),
-                          out_h[:count].copy(), out_c[:count].copy(),
-                          ct.model.coords, ct.split.regular,
-                          ct.split.degenerate, flagged)
-
-    def shift(x, h, dx):
-        return [a + h * b for a, b in zip(x, dx)]
-
-    pf_sign = None
-    flagged = False
-    half, sixth = cfg.dt / 2, cfg.dt / 6
-    for k in range(steps + 1):
-        t = float(out_t[k])
-        try:
-            dq1, dp1, v1, c1, h1, f1, _ = stage(t, q, p)
-        except NewtonError as exc:
-            raise IntegrabilityError(
-                f"velocity resolution failed at t={t:.6g}: {exc}",
-                trajectory=build(k, flagged)) from exc
-        if solve:
-            # f1 is the matrix the sector solve of this stage used
-            sign = np.sign(pfaffian(np.reshape(f1, (len(solve), -1))))
-            if pf_sign is not None and sign != pf_sign:
-                raise IntegrabilityError(
-                    "Pfaffian of the solved F subblock changed sign between "
-                    f"t={float(out_t[k - 1]):.6g} and t={t:.6g}: the sector "
-                    "system went singular inside that step",
-                    trajectory=build(k, flagged))
-            pf_sign = sign
-        out_q[k], out_p[k] = q, p
-        out_v[k], out_c[k], out_h[k] = v1, c1, h1
-        if c1 > cfg.consistency_tol:
-            if k == 0:
-                flagged = True
-            elif not flagged:
-                raise IntegrabilityError(
-                    f"consistency residual {c1:.3e} exceeded "
-                    f"{cfg.consistency_tol:.3e} at t={t:.6g}",
-                    trajectory=build(k + 1, flagged))
-        if k == steps:
-            break
-        try:
-            dq2, dp2, *_ = stage(t + half, shift(q, half, dq1), shift(p, half, dp1))
-            dq3, dp3, *_ = stage(t + half, shift(q, half, dq2), shift(p, half, dp2))
-            dq4, dp4, *_ = stage(t + cfg.dt, shift(q, cfg.dt, dq3), shift(p, cfg.dt, dp3))
-        except NewtonError as exc:
-            raise IntegrabilityError(
-                f"velocity resolution failed inside step at t={t:.6g}: {exc}",
-                trajectory=build(k + 1, flagged)) from exc
-        q = [x + sixth * (a + 2 * b + 2 * c + d) for x, a, b, c, d in zip(q, dq1, dq2, dq3, dq4)]
-        p = [x + sixth * (a + 2 * b + 2 * c + d) for x, a, b, c, d in zip(p, dp1, dp2, dp3, dp4)]
-    return build(m, flagged)
+    try:
+        status = rk4_kernel(n, ct._reg, solve, other)(
+            stage_kernel(n, ct._reg, solve, other), fallback, ct._f_core, ct.newton,
+            gauge.velocity, _floats(initial.q), _floats(initial.p), _floats(initial.v_deg),
+            cfg.t0, cfg.dt, int(round((cfg.t1 - cfg.t0) / cfg.dt)), cfg.consistency_tol, rows)
+    except NewtonError as exc:
+        count, cut = divmod(len(rows), width)  # cut: stage 1 of the step raised
+        where = "" if cut else "inside step "
+        raise IntegrabilityError(
+            f"velocity resolution failed {where}at t={rows[-1 if cut else -width]:.6g}: {exc}",
+            trajectory=build(count)) from exc
+    count = len(rows) // width
+    if status == 1:
+        raise IntegrabilityError(
+            f"consistency residual {rows[-1]:.3e} exceeded "
+            f"{cfg.consistency_tol:.3e} at t={rows[-width]:.6g}", trajectory=build(count))
+    if status == 2:
+        raise IntegrabilityError(
+            "Pfaffian of the solved F subblock changed sign between "
+            f"t={rows[-1 - width]:.6g} and t={rows[-1]:.6g}: the sector "
+            "system went singular inside that step", trajectory=build(count))
+    return build(count)
 
 
 # ------------------------------------------------------------- verification

@@ -8,9 +8,10 @@ restarts (transform fallback, Fenchel oracle, PDE slopes) build their
 residual and Jacobian with newton_pair: flat float lists from one evaluator
 call per point.
 
-The generated kernels (solver, resolve_kernel, block_kernel, stage_kernel)
-run on Python floats: Gauss elimination with partial pivoting and dot
-products summed left to right, unrolled for one shape and compiled once.
+The generated kernels (solver, resolve_kernel, block_kernel, stage_kernel,
+and rk4_kernel, integrate's whole fixed-step loop around stage_kernel's
+stages) run on Python floats: Gauss elimination with partial pivoting and
+dot products summed left to right, unrolled for one shape and compiled once.
 They come from the package's one source emitter, expressions._Code, as the
 compiled evaluators do.  They round the same way on every machine.  One
 function emits each shared part: _newton the full Newton steps of the
@@ -18,7 +19,8 @@ velocity resolve (resolve_kernel, stage_kernel), which are damped_newton's
 iterates wherever it takes no shorter step, and _block the derivative block
 (block_kernel, stage_kernel), so the kernels give the same floats for them;
 numpy computing the same formulas rounds as its BLAS does and agrees to a
-few units in the last place.
+few units in the last place.  rk4_kernel's Pfaffian sign (_pfaffian_sign)
+is pfaffian's elimination unrolled, with its pivots and floats.
 """
 
 import functools
@@ -435,3 +437,127 @@ def stage_kernel(n, reg, solve, other):
     sub = ", ".join(f[s][t] for s in solve for t in solve)
     return code.build("fn, cfg, q, vd, x0, p, vo", f"[{', '.join(dq)}], [{', '.join(dp)}], "
                       f"[{', '.join(v)}], {resid}, {h}, [{sub}], V", _KERNEL_ENV)
+
+
+def _pfaffian_sign(code, f):
+    """A fresh local holding np.sign(pfaffian(F)) for the names f (m x m, m
+    even): pfaffian's Parlett-Reid on names, with its pivot rule (the first
+    largest |entry|, a nan the largest) and its arithmetic, so the same
+    floats; a zero pivot makes it 0.0."""
+    m = len(f)
+    a = [list(row) for row in f]
+    pf = code("1.0")
+    opened = []
+    for k in range(0, m - 1, 2):
+        if k + 2 < m:
+            top, row = code(f"abs({a[k][k + 1]})"), code(str(k + 1))
+            for i in range(k + 2, m):
+                cand = code(f"abs({a[k][i]})")
+                code.line(f"if {top} == {top} and not {cand} <= {top}: "
+                          f"{top}, {row} = {cand}, {i}")
+            for i in range(k + 2, m):  # rows and columns k + 1 and i trade places
+                swap = {k + 1: i, i: k + 1}
+                lhs, rhs = zip(*[(a[x][y], a[swap.get(x, x)][swap.get(y, y)])
+                                 for x in range(k, m) for y in range(k, m)
+                                 if x in swap or y in swap])
+                code.line(f"{'if' if i == k + 2 else 'elif'} {row} == {i}: "
+                          f"{', '.join(lhs)}, {pf} = {', '.join(rhs)}, -{pf}")
+        pivot = a[k][k + 1]
+        code.line(f"if {pivot} == 0.0: {pf} = 0.0")
+        code.line("else:")
+        opened.append(len(code.lines))
+        code.line(f"{pf} = {pf} * {pivot}")
+        if k + 2 < m:
+            tau = {j: code(f"{a[k][j]} / {pivot}") for j in range(k + 2, m)}
+            col = {i: a[i][k + 1] for i in range(k + 2, m)}
+            for i in range(k + 2, m):
+                for j in range(k + 2, m):
+                    code.line(f"{a[i][j]} = {a[i][j]} + "
+                              f"({tau[i]} * {col[j]} - {col[i]} * {tau[j]})")
+    for start in reversed(opened):
+        code.indent(start)
+    return code(f"1.0 if {pf} > 0.0 else -1.0 if {pf} < 0.0 else {pf} * 0.0")
+
+
+@functools.lru_cache(maxsize=None)
+def rk4_kernel(n, reg, solve, other):
+    """Generated fixed-step RK4 loop of integrate for one layout, cached by
+    it (the layout as for stage_kernel).
+
+    The kernel takes (stage, fallback, fn, cfg, velocity, q, p, w, start,
+    dt, steps, tol, rows).  stage is stage_kernel's kernel for the layout, and
+    fallback(q, p, vd, x0) the regular velocities by damped Newton from x0,
+    where stage is entered again when its full steps give up; fn and cfg
+    are passed on to stage.  velocity(a, t) is the prescribed velocity of
+    degenerate slot a, evaluated once per distinct time of a step (t, t +
+    dt/2, t + dt).  q, p and w are the start and its degenerate velocities,
+    as lists of floats.  Step k runs at t = start + dt * k for k up to steps:
+    it appends t to rows (an array of doubles), runs stage 1 (regular
+    velocities from the last stage's, the solved degenerate ones too),
+    compares the sign of the Pfaffian of the solved F subblock with the
+    last step's, appends q, p, v, H and the consistency residual, tests the
+    residual against tol, then runs stages 2 to 4 and the RK4 update.
+
+    Returns 0 after the last step's row, 1 where a residual above tol
+    after step 0 aborts (step 0's residual above tol only flags the run), and
+    2 where the Pfaffian's sign changed, with row k cut after its t.  A
+    NewtonError from fallback propagates, with row k cut after its t where
+    stage 1 raised it and whole where a later stage did.
+    """
+    r, nd = len(reg), n - len(reg)
+    code = _Code()
+    q = [code(f"q[{i}]") for i in range(n)]
+    p = [code(f"p[{s}]") for s in range(r)]
+    code.line(f"V = [{', '.join(['0.0'] * r)}]")
+    code.line("half = dt / 2")
+    code.line("sixth = dt / 6")
+    code.line("flagged = False")
+    code.line("for k in range(steps + 1):")
+    loop = len(code.lines)
+    t = code("start + dt * k")
+    code.line(f"rows.append({t})")
+
+    def velocities(time):
+        return [code(f"velocity({a}, {time})") for a in other]
+
+    def stage(vo, qs, ps):
+        """One stage at the coordinates qs and momenta ps; the names of its
+        dq and dp lists, then of the whole stage output."""
+        slot = {s: f"w[{s}]" for s in solve} | dict(zip(other, vo))
+        at, mom = code(f"[{', '.join(qs)}]"), code(f"[{', '.join(ps)}]")
+        vd, given = code(f"[{', '.join(slot[s] for s in range(nd))}]"), code(f"[{', '.join(vo)}]")
+        out = code(f"stage(fn, cfg, {at}, {vd}, V, {mom}, {given})")
+        code.line(f"if {out} is None: {out} = stage(fn, cfg, {at}, {vd}, "
+                  f"fallback({at}, {mom}, {vd}, V), {mom}, {given})")
+        code.line(f"w, V = {out}[2], {out}[6]")
+        return code(f"{out}[0]"), code(f"{out}[1]"), out
+
+    def shifted(x, h, dx):
+        return [f"{a} + {h} * {dx}[{i}]" for i, a in enumerate(x)]
+
+    dq1, dp1, out = stage(velocities(t), q, p)
+    if solve and len(solve) % 2 == 0:  # an odd pfaffian is 0.0 at every step
+        m = len(solve)
+        sign = _pfaffian_sign(code, [[code(f"{out}[5][{i * m + j}]") for j in range(m)]
+                                     for i in range(m)])
+        code.line(f"if k and {sign} != last: return 2")  # a nan sign never matches
+        code.line(f"last = {sign}")
+    res = code(f"{out}[3]")
+    code.line(f"rows.extend(({', '.join(q + p + [f'w[{s}]' for s in range(nd)])}, "
+              f"{out}[4], {res}))")
+    code.line(f"if {res} > tol:")
+    code.line("    if k == 0: flagged = True")
+    code.line("    elif not flagged: return 1")
+    code.line("if k == steps: break")
+    vo = velocities(code(f"{t} + half"))
+    dq2, dp2, _ = stage(vo, shifted(q, "half", dq1), shifted(p, "half", dp1))
+    dq3, dp3, _ = stage(vo, shifted(q, "half", dq2), shifted(p, "half", dp2))
+    dq4, dp4, _ = stage(velocities(code(f"{t} + dt")), shifted(q, "dt", dq3),
+                        shifted(p, "dt", dp3))
+    for x, ds in ((q, (dq1, dq2, dq3, dq4)), (p, (dp1, dp2, dp3, dp4))):
+        for i, name in enumerate(x):
+            a, b, c, d = (f"{dx}[{i}]" for dx in ds)
+            code.line(f"{name} = {name} + sixth * ({a} + 2 * {b} + 2 * {c} + {d})")
+    code.indent(loop)
+    return code.build("stage, fallback, fn, cfg, velocity, q, p, w, start, dt, steps, tol, rows",
+                      "0", _KERNEL_ENV)

@@ -246,6 +246,13 @@ class TestSimulate:
         assert code == 3
         assert err
 
+    def test_resolution_failure_exits_3_and_names_the_time(self, capsys):
+        code, out, err = run_cli(capsys, "simulate", bundled_model_path("particle"),
+                                 "--gauge", "x0=1+0.1*sin(t)", "--init", "p_x=100",
+                                 "--t1", "0.01")
+        assert code == 3 and out == ""
+        assert err.startswith("error: velocity resolution failed at t=0: newton failed")
+
     def test_singular_sector_crossing_exits_3(self, capsys):
         code, _, err = run_cli(capsys, "simulate",
                                bundled_model_path("synthetic_coupled"),

@@ -22,7 +22,8 @@ from clairaut.dynamics import (
     gauge_input,
     integrate,
 )
-from clairaut.errors import ArgumentError, ClairautError, GaugeInputError, RankDeficiencyError
+from clairaut.errors import (ArgumentError, ClairautError, GaugeInputError, NewtonError,
+                             RankDeficiencyError)
 from clairaut.gauge import ExprObservable, classify, field_strength, phase_probes
 from clairaut.model import momentum_name
 from clairaut.numerics import pfaffian
@@ -289,6 +290,51 @@ class TestIntegrate:
         start = ct.point({"x": 0.4, "a": 0.2, "b": 0.1}, {"x": 0.3})
         traj = integrate(ct, start, cfg=IntegratorConfig(t1=0.5, dt=1e-3))
         assert len(traj) == 501
+
+    def test_resolution_failure_at_the_first_stage_of_a_step(self):
+        # particle at p_x = 100 does not resolve (FOUND in CHANGES.md): the
+        # failure is in stage 1 of step 0, before its row is written
+        ct = transform("particle")
+        cls = classification("particle")
+        start = ct.point({}, {"x": 100.0}, {"x0": 1.0})
+        with pytest.raises(IntegrabilityError) as info:
+            integrate(ct, start, gauge_input(ct, cls, {"x0": "1+0.1*sin(t)"}),
+                      IntegratorConfig(t1=0.01, dt=1e-3), cls)
+        assert str(info.value).startswith("velocity resolution failed at t=0: ")
+        traj = info.value.trajectory
+        assert len(traj) == 0 and traj.q.shape == (0, 4) and traj.v_deg.shape == (0, 1)
+
+    def test_resolution_failure_inside_a_step(self, monkeypatch):
+        # the full steps of stage 2 of step 2 give up and damped Newton
+        # fails: rows 0 to 2 are written, the message names step 2's t
+        real_kernel, calls = dynamics_module.stage_kernel, []
+
+        def stage_kernel(*layout):
+            kernel = real_kernel(*layout)
+
+            def stage(*args):
+                calls.append(1)
+                return None if len(calls) == 4 * 2 + 2 else kernel(*args)
+
+            return stage
+
+        def damped_resolve(*args):
+            raise NewtonError("newton line search stalled")
+
+        monkeypatch.setattr(dynamics_module, "stage_kernel", stage_kernel)
+        monkeypatch.setattr(ClairautTransform, "_damped_resolve", damped_resolve)
+        ct = transform("christ_lee")
+        start = ct.point({"x1": 0.8, "x2": -0.6, "x3": 1.0, "y1": 0.2, "y2": -0.1, "y3": 0.3},
+                         {"x1": 0.4, "x2": -0.3, "x3": 0.5})
+        with pytest.raises(IntegrabilityError) as info:
+            integrate(ct, start, cfg=IntegratorConfig(t1=0.01, dt=1e-3))
+        assert str(info.value) == ("velocity resolution failed inside step at t=0.002: "
+                                   "newton line search stalled")
+        traj = info.value.trajectory
+        assert len(traj) == 3 and traj.t[-1] == 0.002
+        full = integrate(ct, start, cfg=IntegratorConfig(t1=0.002, dt=1e-3))
+        for field in ("t", "q", "p", "v_deg", "h_phys", "consistency"):
+            assert getattr(traj, field).tobytes() == getattr(full, field).tobytes()
 
     def test_convergence_is_fourth_order(self):
         ct = transform("oscillator")

@@ -9,6 +9,7 @@ RK4 stage share one emitted formula (numerics._block), so where they report
 the same quantity they agree bit for bit.
 """
 
+import array
 import math
 
 import numpy as np
@@ -29,7 +30,7 @@ from clairaut import (
     load_bundled,
     parse_model,
 )
-from clairaut import cli, numerics
+from clairaut import cli, expressions, numerics
 from clairaut import dynamics as dynamics_module
 from clairaut import transform as transform_module
 from clairaut.gauge import classify, phase_probes
@@ -178,7 +179,7 @@ class TestFloatStage:
         assert rel_error(got, want[:, :-1]) < 1e-12
         assert np.max(np.abs(traj.consistency - want[:, -1])) < 1e-12
 
-    def test_one_gauge_call_per_stage_and_one_gauge_check(self, monkeypatch):
+    def test_one_gauge_call_per_distinct_time_and_one_gauge_check(self, monkeypatch):
         ct = ClairautTransform(load_bundled("particle"))
         cls = classify(ct)
         compiled = gauge_input(ct, cls, {"x0": "1+0.1*sin(t)"})
@@ -194,9 +195,95 @@ class TestFloatStage:
                             lambda *args: checks.append(1) or check(*args))
         traj = integrate(ct, ct.point({"x": 0.1}, {"x": 0.4, "y": 0.1, "z": 0.2}), gauge,
                          IntegratorConfig(t1=0.1, dt=1e-3), cls)
-        stages = 4 * (len(traj.t) - 1) + 1
-        assert len(calls) == stages == 401
+        # stages 2 and 3 share t + dt/2; the next step's t is its own time
+        steps = len(traj.t) - 1
+        assert len(calls) == 3 * steps + 1 == 301
+        assert calls[:4] == [0.0, 0.0 + 1e-3 / 2, 0.0 + 1e-3, 1e-3 * 1]
+        assert calls[-1] == traj.t[-1]
         assert len(checks) == 1  # once before the loop, never per stage
+
+
+class TestPfaffianSign:
+    """The RK4 loop's unrolled Parlett-Reid gives np.sign(pfaffian(F))
+    exactly, ties, zero pivots and nan entries included."""
+
+    @staticmethod
+    def generated(m):
+        code = expressions._Code()
+        f = [[code(f"F[{i * m + j}]") for j in range(m)] for i in range(m)]
+        return code.build("F", numerics._pfaffian_sign(code, f), {})
+
+    @pytest.mark.parametrize("m", [2, 4, 6])
+    def test_same_sign_as_pfaffian(self, m):
+        rng = np.random.default_rng(m)
+        sign = self.generated(m)
+        for trial in range(300):
+            a = rng.integers(-2, 3, size=(m, m)).astype(float) if trial % 2 else \
+                rng.standard_normal((m, m))
+            a = a - a.T
+            if trial % 7 == 0:
+                a[rng.integers(m), rng.integers(m)] = math.nan
+            want = np.sign(numerics.pfaffian(a))
+            got = sign(a.ravel().tolist())
+            assert got == want or (math.isnan(got) and math.isnan(want)), (a, got, want)
+
+    @pytest.mark.parametrize("row, want", [
+        ([0.0, 0.0, 0.0, math.nan], math.nan),  # the nan is the pivot, not the first 0
+        ([0.0, 0.0, 0.0, 0.0], 0.0),
+        ([0.0, 0.0, 1.0, -1.0], -1.0),  # a tie: the first largest is the pivot; Pf = -5
+    ])
+    def test_pivot_rule_edge_cases(self, row, want):
+        a = np.zeros((4, 4))
+        a[0] = row
+        a[1:, 0] = -a[0, 1:]
+        a[1, 2:], a[2:, 1] = [2.0, 3.0], [-2.0, -3.0]
+        for got in (np.sign(numerics.pfaffian(a)), self.generated(4)(a.ravel().tolist())):
+            assert got == want or (math.isnan(got) and math.isnan(want))
+
+
+class TestRK4Loop:
+    """rk4_kernel's exit statuses on a stand-in stage with dq = (1, 0, 0)
+    and dp = 0, whose F subblock [[0, f], [-f, 0]] and residual at step k
+    come from schedules; a row is t, q (3), p (1), v (2), H, residual."""
+
+    WIDTH = 9
+
+    def run(self, f, residual=None, steps=3):
+        residual = residual or [0.0] * len(f)
+        calls = []
+
+        def stage(fn, cfg, q, vd, x0, p, vo):
+            k = len(calls) // 4
+            calls.append(k)
+            return [1.0, 0.0, 0.0], [0.0], [0.0, 0.0], residual[k], 0.0, \
+                [0.0, f[k], -f[k], 0.0], [0.0]
+
+        rows = array.array("d")
+        status = numerics.rk4_kernel(3, (0,), (0, 1), ())(
+            stage, None, None, None, None, [0.0] * 3, [0.0], [0.0, 0.0], 0.0, 1.0, steps,
+            1e-6, rows)
+        return status, list(rows)
+
+    def test_a_whole_run(self):
+        status, rows = self.run([1.0, 2.0, 3.0, 4.0])
+        assert status == 0 and len(rows) == 4 * self.WIDTH
+        assert rows[::self.WIDTH] == [0.0, 1.0, 2.0, 3.0] == rows[1::self.WIDTH]
+
+    @pytest.mark.parametrize("f, k", [([1.0, 1.0, -1.0, 1.0], 2), ([1.0, 0.0, 0.0, 0.0], 1),
+                                      ([math.nan, 1.0, 1.0, 1.0], 1),
+                                      ([1.0, math.nan, math.nan, 1.0], 1)])
+    def test_a_sign_change_stops_before_the_row(self, f, k):
+        status, rows = self.run(f)
+        assert status == 2 and len(rows) == k * self.WIDTH + 1 and rows[-1] == k
+
+    def test_a_singular_start_that_stays_singular_runs(self):
+        assert self.run([0.0, 0.0, 0.0, 0.0])[0] == 0
+
+    def test_residual_flags_at_the_start_and_aborts_later(self):
+        status, rows = self.run([1.0] * 4, [1.0, 1.0, 0.0, 0.0])
+        assert status == 0  # flagged: step 0 was already off the surface
+        status, rows = self.run([1.0] * 4, [0.0, 0.0, 1.0, 0.0])
+        assert status == 1 and len(rows) == 3 * self.WIDTH and rows[-1] == 1.0
 
 
 class TestTypedFailures:

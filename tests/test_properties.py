@@ -1,11 +1,17 @@
-"""Property tests of the expression core over generated trees.
+"""Property tests of the expression core over generated trees, and of
+``simulate`` over generated argument lists.
 
 Hypothesis runs derandomized and without an example database, so every run
-draws the same trees.  SymPy serves only as an independent oracle for the
-derivatives; the package itself does not use it.
+draws the same trees and argument lists.  SymPy serves only as an
+independent oracle for the derivatives; the package itself does not use it.
 """
 
+import contextlib
+import functools
+import io
 import math
+import os
+import tempfile
 
 import pytest
 
@@ -17,6 +23,7 @@ from hypothesis import strategies as st
 
 from clairaut import (
     Call,
+    ClairautTransform,
     Const,
     DomainError,
     Neg,
@@ -28,9 +35,11 @@ from clairaut import (
     compile_evaluator,
     differentiate,
     evaluate,
+    load_bundled,
     parse_expression,
     simplify,
 )
+from clairaut.cli import main
 
 NAMES = ("x", "y", "d(x)")
 FUNCTIONS = ("sin", "cos", "exp", "log", "sqrt")
@@ -131,3 +140,71 @@ def test_derivative_matches_sympy(e, name, b):
     assert abs(want.imag) <= 1e-9 * (1.0 + abs(want.real))
     assert got == pytest.approx(want.real, rel=1e-8, abs=1e-8)
 
+
+
+# ------------------------------------------------------- simulate from argv
+
+SIMULATED = ("particle", "christ_lee", "synthetic_gaugeless")
+
+
+@functools.lru_cache(maxsize=None)
+def csv_header(name):
+    split = ClairautTransform(load_bundled(name)).split
+    return ",".join(["t"] + [f"q:{c}" for c in load_bundled(name).coords]
+                    + [f"p:{c}" for c in split.regular] + [f"v:{c}" for c in split.degenerate]
+                    + ["H_phys", "consistency_residual", "el_residual"])
+
+
+def now_and_then(good, bad):
+    """Draws from good, and about one time in sixteen from the list bad."""
+    return st.sampled_from(range(16)).flatmap(
+        lambda i: st.sampled_from(bad) if i == 15 else good)
+
+
+@st.composite
+def simulate_argv(draw):
+    """simulate on one of SIMULATED, with --t1 <= 0.05 (so at most 50 steps
+    at the smallest --dt drawn), --init over the model's names and --gauge
+    over its degenerate coordinates, each now and then a bad one."""
+    name = draw(st.sampled_from(SIMULATED))
+    split = ClairautTransform(load_bundled(name)).split
+    names = (list(load_bundled(name).coords) + [f"p_{c}" for c in split.regular]
+             + [f"d({c})" for c in split.degenerate])
+    init = draw(st.dictionaries(
+        now_and_then(st.sampled_from(names), ["bogus", "p_bogus"]),
+        now_and_then(st.floats(-1.0, 1.0, width=32).map(repr),
+                     ["100", "1e300", "nan", "inf", "x", ""]),
+        max_size=4))
+    gauge = draw(st.dictionaries(
+        now_and_then(st.sampled_from(split.degenerate), ["bogus"]),
+        now_and_then(st.one_of(st.sampled_from(["solve", "zero", "1"]),
+                               st.builds("{}+{}*sin(t)".format, st.floats(1.0, 2.0, width=32),
+                                         st.floats(-0.5, 0.5, width=32))),
+                     ["log(t)", "y", "1/0", "sin(", "nan"]),
+        max_size=2))
+    argv = ["simulate", name,
+            "--t1", draw(now_and_then(st.floats(0.01, 0.05).map(repr), ["0", "1e-4", "nan"])),
+            "--dt", draw(now_and_then(st.sampled_from(["1e-3", "2.5e-3", "0.01"]), ["0", "inf"]))]
+    if init:
+        argv += ["--init", ",".join(f"{k}={v}" for k, v in init.items())]
+    if gauge:
+        argv += ["--gauge", ",".join(f"{k}={v}" for k, v in gauge.items())]
+    return argv
+
+
+@settings(SETTINGS, max_examples=60)
+@given(simulate_argv())
+def test_simulate_exits_with_a_documented_code_and_a_whole_csv(argv):
+    with tempfile.TemporaryDirectory() as workdir:
+        path = os.path.join(workdir, "out.csv")
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv + ["--out", path])
+        assert code in (0, 1, 2, 3)
+        assert "Traceback" not in err.getvalue()
+        if code == 0:
+            with open(path, encoding="utf-8") as fh:
+                lines = fh.read().splitlines()
+            t1, dt = float(argv[argv.index("--t1") + 1]), float(argv[argv.index("--dt") + 1])
+            assert lines[0] == csv_header(argv[1])
+            assert len(lines) == 1 + int(round(t1 / dt)) + 1
