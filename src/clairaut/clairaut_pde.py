@@ -66,7 +66,8 @@ class ClairautProblem:
 
 def general_solution(prob, c):
     """Affine solution with slope vector c; returns an evaluator of x, which
-    raises DomainError where the value is not a finite float."""
+    raises DomainError where the value is not a finite float.  The envelope
+    and mixed families evaluate through it at their resolved slopes."""
     c = np.asarray(c, dtype=float)
     if c.shape != (prob.n,):
         raise ModelError(f"expected {prob.n} slope constants, got {c.shape}")
@@ -93,8 +94,7 @@ def envelope_solution(prob, x, cfg=NewtonConfig()):
     x = np.asarray(x, dtype=float)
     if x.shape != (prob.n,):
         raise ModelError(f"expected a point with {prob.n} components, got {x.shape}")
-    z = _resolve_slopes(prob, np.arange(prob.n), (), x, cfg)
-    return float(x @ z - prob.f_value(z))
+    return general_solution(prob, _resolve_slopes(prob, np.arange(prob.n), (), x, cfg))(x)
 
 
 def mixed_solution(prob, s, c_tail, x, cfg=NewtonConfig()):
@@ -116,8 +116,7 @@ def mixed_solution(prob, s, c_tail, x, cfg=NewtonConfig()):
     if s == 0:
         return general_solution(prob, c_tail)(x)
     head = _resolve_slopes(prob, np.arange(s), c_tail, x, cfg)
-    z = np.concatenate([head, c_tail])
-    return float(x @ z - prob.f_value(z))
+    return general_solution(prob, np.concatenate([head, c_tail]))(x)
 
 
 def _resolve_slopes(prob, idx, c_tail, x, cfg):

@@ -202,28 +202,31 @@ def cmd_transform(args):
     ones = ct.point(pt.q, pt.p, np.ones(ct.n - ct.r)) if free_v else None
     if free_v and not ct.start_in_domain(pt) and ct.start_in_domain(ones):
         pt = ones  # rather than Newton restarts at v_deg = 0
-    try:
-        res = ct.resolve(pt)
-    except (NewtonError, DomainError):
-        if not free_v or pt is ones:
-            raise
-        pt = ones
-        res = ct.resolve(pt)
-    deg = ct.split.degenerate
-    lines = [f"H_phys = {res.H:.17g}"]
-    for a, name in enumerate(deg):
-        lines.append(f"B_{name} = {res.B[a]:.17g}")
-    f = field_strength(ct, pt)
-    for a in range(len(deg)):
-        for b in range(a + 1, len(deg)):
-            lines.append(f"F[{deg[a]},{deg[b]}] = {f[a, b]:.17g}")
-    dh = d_alpha_h(ct, res)
-    for a, name in enumerate(deg):
-        lines.append(f"D_{name} H_phys = {dh[a]:.17g}")
-    pbar = np.empty(ct.n)
-    pbar[ct.reg_idx] = pt.p
-    pbar[ct.deg_idx] = res.B
-    residual = ct.clairaut_residual(pt.q, pbar, v_deg=pt.v_deg)
+    # huge bindings can overflow the numpy sums: a non-finite value is
+    # refused below, so numpy need not warn about it
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            res = ct.resolve(pt)
+        except (NewtonError, DomainError):
+            if not free_v or pt is ones:
+                raise
+            pt = ones
+            res = ct.resolve(pt)
+        deg = ct.split.degenerate
+        values = [("H_phys", res.H)] + [(f"B_{name}", res.B[a]) for a, name in enumerate(deg)]
+        f = field_strength(ct, pt)
+        values += [(f"F[{deg[a]},{deg[b]}]", f[a, b])
+                   for a in range(len(deg)) for b in range(a + 1, len(deg))]
+        dh = d_alpha_h(ct, res)
+        values += [(f"D_{name} H_phys", dh[a]) for a, name in enumerate(deg)]
+        pbar = np.empty(ct.n)
+        pbar[ct.reg_idx] = pt.p
+        pbar[ct.deg_idx] = res.B
+        residual = ct.clairaut_residual(pt.q, pbar, v_deg=pt.v_deg)
+    for label, value in values + [("clairaut_residual", residual)]:
+        if not math.isfinite(value):
+            raise DomainError(f"the transform overflows at this point ({label} = {value})")
+    lines = [f"{label} = {value:.17g}" for label, value in values]
     lines.append(f"clairaut_residual = {residual:.6g}")
     _write_output("\n".join(lines) + "\n", args.out)
     return 0
@@ -275,6 +278,10 @@ def cmd_simulate(args):
     model = _apply_params(_load(args.model), args.param)
     halt_tol = args.tol if args.tol is not None else 1e-6
     cfg = IntegratorConfig(t1=args.t1, dt=args.dt, consistency_tol=halt_tol)
+    samples = int(round((cfg.t1 - cfg.t0) / cfg.dt)) + 1
+    if args.tol is not None and samples < 5:
+        raise UsageError("--tol needs at least 5 samples for the Euler-Lagrange residual's "
+                         f"stencil; --t1 {args.t1} at --dt {args.dt} gives {samples}")
     ct = ClairautTransform(model)
     cls = classify(ct)
     pt, _ = _bind_point(ct, args.init, "--init")

@@ -17,15 +17,13 @@ integrate is one call of the generated RK4 loop for the gauge's plan
 (numerics.rk4_kernel), on Python floats, which writes the trajectory's rows
 into an array of doubles; integrate maps its exit status to the trajectory
 or to an IntegrabilityError carrying the rows written.  Each stage of the
-loop is one call of the generated stage kernel (numerics.stage_kernel, looked
-up here as stage_kernel when integrate runs): full Newton steps for the
-regular velocities from the last stage's, then the sector solve on the core
-values at the root.  Where the steps give up, the loop resolves by damped
-Newton (ClairautTransform._damped_resolve) and enters the stage kernel again
-at that root, where it takes no step.  degenerate_velocities enters it at a
-Resolution's root the same way, so both give the same floats.  No stage
-builds a PhasePoint or Resolution, and each prescribed velocity is evaluated
-once per distinct time of a step.
+loop resolves the regular velocities from the last stage's
+(ClairautTransform._resolve_args: full Newton steps, damped Newton where
+they give up), then makes one call of the generated stage kernel
+(numerics.stage_kernel) for the sector solve on the core values at the root.
+degenerate_velocities runs the same kernel on a Resolution's core, so both
+give the same floats.  No stage builds a PhasePoint or Resolution, and each
+prescribed velocity is evaluated once per distinct time of a step.
 """
 
 import math
@@ -37,7 +35,7 @@ import numpy as np
 
 from .errors import ArgumentError, GaugeInputError, IntegrabilityError, NewtonError
 from .expressions import compile_evaluator, free_symbols, parse_expression
-from .gauge import bracket_gauge, classify, field_strength
+from .gauge import _poisson, bracket_gauge, classify, field_strength
 from .numerics import _floats, rk4_kernel, stage_kernel
 from .transform import PhasePoint
 
@@ -145,10 +143,9 @@ def degenerate_velocities(ct, pt, gauge=None, cls=None, t=0.0, res=None):
     if res is None:
         res = ct.resolve(pt)
     solve, other = gauge._plan
-    # entered at the resolution's root, the kernel takes no Newton step
     _, _, v, residual, *_ = stage_kernel(ct.n, ct._reg, solve, other)(
-        lambda args: res._core, ct.newton, pt.q.tolist(), pt.v_deg.tolist(), res.V.tolist(),
-        pt.p.tolist(), [gauge.velocity(a, t) for a in other])
+        res._core, res.V.tolist(), pt.v_deg.tolist(), pt.p.tolist(),
+        [gauge.velocity(a, t) for a in other])
     return np.array(v), residual
 
 
@@ -222,9 +219,6 @@ def integrate(ct, initial, gauge=None, cfg=None, cls=None):
     n, width = ct.n, 2 * ct.n + 3  # a row: t, q, p, v_deg, H, consistency
     rows = array("d")
 
-    def fallback(q, p, vd, x0):  # damped Newton's root, where the stage takes no step
-        return ct._damped_resolve(q, p, vd, x0)[1]
-
     def build(count):
         table = np.frombuffer(rows, count=count * width).reshape(count, width)
         cols = np.cumsum([1, n, ct.r, n - ct.r, 1])
@@ -235,9 +229,9 @@ def integrate(ct, initial, gauge=None, cfg=None, cls=None):
 
     try:
         status = rk4_kernel(n, ct._reg, solve, other)(
-            stage_kernel(n, ct._reg, solve, other), fallback, ct._f_core, ct.newton,
-            gauge.velocity, _floats(initial.q), _floats(initial.p), _floats(initial.v_deg),
-            cfg.t0, cfg.dt, int(round((cfg.t1 - cfg.t0) / cfg.dt)), cfg.consistency_tol, rows)
+            ct._resolve_args, stage_kernel(n, ct._reg, solve, other), gauge.velocity,
+            _floats(initial.q), _floats(initial.p), _floats(initial.v_deg), cfg.t0, cfg.dt,
+            int(round((cfg.t1 - cfg.t0) / cfg.dt)), cfg.consistency_tol, rows)
     except NewtonError as exc:
         count, cut = divmod(len(rows), width)  # cut: stage 1 of the step raised
         where = "" if cut else "inside step "
@@ -327,8 +321,9 @@ class DiracReport:
 
 
 def _full_bracket(ct, xq, xp_reg, xp_deg, yq, yp_reg, yp_deg):
-    """Canonical bracket over all n pairs; momenta indexed like coords."""
-    return (float(xq[ct.reg_idx] @ yp_reg - yq[ct.reg_idx] @ xp_reg)
+    """Canonical bracket over all n pairs: the regular ones' _poisson plus
+    the degenerate ones'; momenta indexed like coords."""
+    return (_poisson(ct, xq, xp_reg, yq, yp_reg)
             + float(xq[ct.deg_idx] @ yp_deg - yq[ct.deg_idx] @ xp_deg))
 
 

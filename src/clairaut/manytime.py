@@ -26,7 +26,7 @@ import numpy as np
 
 from .dynamics import d_alpha_h
 from .errors import ModelError
-from .gauge import BObservable, field_strength, phase_probes
+from .gauge import BObservable, _poisson, field_strength, phase_probes
 
 
 class _Negated:
@@ -84,7 +84,6 @@ def map_to_manytime(ct):
 def g_matrix(mts, pt):
     """Evaluate G_mu_nu at a phase point.  Exactly antisymmetric."""
     ct = mts.ct
-    reg = ct.reg_idx
     deg = ct.deg_idx
     m = mts.m
     gq = [h.d_dq(pt) for h in mts.hamiltonians]
@@ -101,7 +100,7 @@ def g_matrix(mts, pt):
     pb = np.zeros((m, m))
     for mu in range(m):
         for nu in range(mu + 1, m):
-            pb[mu, nu] = gq[mu][reg] @ gp[nu] - gq[nu][reg] @ gp[mu]
+            pb[mu, nu] = _poisson(ct, gq[mu], gp[mu], gq[nu], gp[nu])
             pb[nu, mu] = -pb[mu, nu]
     return (e - e.T) + pb
 

@@ -9,18 +9,18 @@ residual and Jacobian with newton_pair: flat float lists from one evaluator
 call per point.
 
 The generated kernels (solver, resolve_kernel, block_kernel, stage_kernel,
-and rk4_kernel, integrate's whole fixed-step loop around stage_kernel's
-stages) run on Python floats: Gauss elimination with partial pivoting and
-dot products summed left to right, unrolled for one shape and compiled once.
-They come from the package's one source emitter, expressions._Code, as the
-compiled evaluators do.  They round the same way on every machine.  One
-function emits each shared part: _newton the full Newton steps of the
-velocity resolve (resolve_kernel, stage_kernel), which are damped_newton's
-iterates wherever it takes no shorter step, and _block the derivative block
-(block_kernel, stage_kernel), so the kernels give the same floats for them;
-numpy computing the same formulas rounds as its BLAS does and agrees to a
-few units in the last place.  rk4_kernel's Pfaffian sign (_pfaffian_sign)
-is pfaffian's elimination unrolled, with its pivots and floats.
+and rk4_kernel, integrate's whole fixed-step loop around a resolve and a
+stage_kernel call per stage) run on Python floats: Gauss elimination with
+partial pivoting and dot products summed left to right, unrolled for one
+shape and compiled once.  They come from the package's one source emitter,
+expressions._Code, as the compiled evaluators do.  They round the same way
+on every machine.  resolve_kernel's full Newton steps are damped_newton's
+iterates wherever it takes no shorter step.  One function, _block, emits the
+derivative block for block_kernel and stage_kernel, so the two give the same
+floats for it; numpy computing the same formulas rounds as its BLAS does and
+agrees to a few units in the last place.  rk4_kernel's Pfaffian sign
+(_pfaffian_sign) is pfaffian's elimination unrolled, with its pivots and
+floats.
 """
 
 import functools
@@ -133,12 +133,12 @@ def damped_newton(residual, jacobian, x0, cfg=NewtonConfig()):
     jacobian(x) the k x k matrix, each as an array or a flat row-major
     sequence (flat lists, x0 too, are used as they are).  A step (solver's)
     is halved (cfg.damping) whenever it raises a DomainError or does not
-    lower the residual norm; the full steps the generated kernels emit
-    (_newton) are the path where none is.  Raises NewtonError when out of
-    iterations or the Jacobian goes singular.  The Jacobian is only asked
-    for at the very point (the same object) of the latest residual call, so
-    a caller may evaluate both at once.  Returns the root as an ndarray;
-    the latest residual call is at it.
+    lower the residual norm; resolve_kernel's full steps are the path where
+    none is.  Raises NewtonError when out of iterations or the Jacobian goes
+    singular.  The Jacobian is only asked for at the very point (the same
+    object) of the latest residual call, so a caller may evaluate both at
+    once.  Returns the root as an ndarray; the latest residual call is at
+    it.
     """
     x = _floats(x0)
     fx = _floats(residual(x))
@@ -265,21 +265,24 @@ def _emit_max_abs(code, values):
     return worst
 
 
-def _newton(code, n, reg):
-    """Emit full Newton steps for the regular velocities into code.
+@functools.lru_cache(maxsize=None)
+def resolve_kernel(n, reg):
+    """Generated velocity resolve by full Newton steps for one split, cached
+    by it: reg lists the regular coordinates.
 
-    The kernel's parameters fn, cfg, q, vd, x0 and p are the derivative core
-    evaluator (model.DerivativeCore.fn), the NewtonConfig, the coordinates,
-    the degenerate velocities, the start and the regular momenta, as lists
-    of floats.  Each iterate goes into the regular slots of the argument
-    list A, c = fn(A) gives the residual L_v - p and the Jacobian W_rr, and
-    the step solves W_rr s = -(L_v - p): damped_newton's iterate at scale 1.
-    A step is kept while the residual's max-abs norm falls.  The kernel
-    returns None where damped_newton would backtrack or fail: a step that
-    does not lower the norm (nan neither), a DomainError, a singular W_rr,
-    cfg.max_iter steps, or a non-finite root.  Past the loop, A and c are at
-    the root, fn's last call was there, and V lists the regular velocities.
+    The kernel takes (fn, cfg, q, vd, x0, p): the derivative core evaluator
+    (model.DerivativeCore.fn), the NewtonConfig, the coordinates, the
+    degenerate velocities, the start and the regular momenta, as lists of
+    floats.  Each iterate goes into the regular slots of the argument list
+    A, c = fn(A) gives the residual L_v - p and the Jacobian W_rr, and the
+    step solves W_rr s = -(L_v - p): damped_newton's iterate at scale 1.  A
+    step is kept while the residual's max-abs norm falls.  The kernel
+    returns (A, V, c), the argument list, the regular velocities and the
+    core at the root (fn's last call), or None where damped_newton would
+    backtrack or fail: a step that does not lower the norm (nan neither), a
+    DomainError, a singular W_rr, cfg.max_iter steps, or a non-finite root.
     """
+    code = _Code()
     deg = [i for i in range(n) if i not in reg]
     x = [code(f"x0[{s}]") for s in range(len(reg))]
     p = [code(f"p[{s}]") for s in range(len(reg))]
@@ -310,18 +313,7 @@ def _newton(code, n, reg):
     code.line("except DomainError: return None")
     code.line(f"if not ({' and '.join([f'{norm} <= cfg.tol'] + [f'isfinite({xs})' for xs in x])}):"
               " return None")
-    code.line(f"V = [{', '.join(x)}]")
-
-
-@functools.lru_cache(maxsize=None)
-def resolve_kernel(n, reg):
-    """Generated velocity resolve for one split, cached by it: reg lists
-    the regular coordinates.  The kernel takes (fn, cfg, q, vd, x0, p) as
-    _newton describes and returns (A, V, c), the argument list, the regular
-    velocities and the core at the root, or None where _newton gives up."""
-    code = _Code()
-    _newton(code, n, reg)
-    return code.build("fn, cfg, q, vd, x0, p", "A, V, c", _KERNEL_ENV)
+    return code.build("fn, cfg, q, vd, x0, p", f"A, [{', '.join(x)}], c", _KERNEL_ENV)
 
 
 def _names(prefix, rows, cols):
@@ -400,19 +392,17 @@ def block_kernel(n, reg):
 @functools.lru_cache(maxsize=None)
 def stage_kernel(n, reg, solve, other):
     """Generated RK4 stage of the mixed equations for one layout, cached by
-    it: the velocity resolve by full Newton steps from x0, then the stage.
+    it: the derivative block and the sector solve at a resolved point.
 
     reg lists the regular coordinates; solve and other the degenerate slots
-    solved from F v = D H and supplied from outside.  The kernel takes (fn,
-    cfg, q, vd, x0, p, vo): the first six as for resolve_kernel, then the
-    values of the other slots, all floats.  It returns (dq, dp, v, residual
-    ||F v - D H||_inf, H, F's solved subblock flat, V), or None where the
-    full steps give up; entered at a root, it takes no step.
+    solved from F v = D H and supplied from outside.  The kernel takes (c,
+    V, vd, p, vo): c, V and vd as _block describes, the regular momenta and
+    the values of the other slots, all floats.  It returns (dq, dp, v,
+    residual ||F v - D H||_inf, H, F's solved subblock flat).
     """
     r, nd = len(reg), n - len(reg)
     deg = [i for i in range(n) if i not in reg]
     code = _Code()
-    _newton(code, n, reg)
     _, db_dq, db_dp, dh_dq, dh_dp, f, dah, vd = _block(code, n, reg)
     db_dq_reg = [[row[j] for j in reg] for row in db_dq]
     v = [None] * nd
@@ -435,8 +425,8 @@ def stage_kernel(n, reg, solve, other):
     h = (f"({_dot((f'p[{s}]', f'V[{s}]') for s in range(r))}"
          f" + {_dot((f'c[{1 + i}]', vd[k]) for k, i in enumerate(deg))}) - c[0]")
     sub = ", ".join(f[s][t] for s in solve for t in solve)
-    return code.build("fn, cfg, q, vd, x0, p, vo", f"[{', '.join(dq)}], [{', '.join(dp)}], "
-                      f"[{', '.join(v)}], {resid}, {h}, [{sub}], V", _KERNEL_ENV)
+    return code.build("c, V, vd, p, vo", f"[{', '.join(dq)}], [{', '.join(dp)}], "
+                      f"[{', '.join(v)}], {resid}, {h}, [{sub}]", _KERNEL_ENV)
 
 
 def _pfaffian_sign(code, f):
@@ -484,24 +474,24 @@ def rk4_kernel(n, reg, solve, other):
     """Generated fixed-step RK4 loop of integrate for one layout, cached by
     it (the layout as for stage_kernel).
 
-    The kernel takes (stage, fallback, fn, cfg, velocity, q, p, w, start,
-    dt, steps, tol, rows).  stage is stage_kernel's kernel for the layout, and
-    fallback(q, p, vd, x0) the regular velocities by damped Newton from x0,
-    where stage is entered again when its full steps give up; fn and cfg
-    are passed on to stage.  velocity(a, t) is the prescribed velocity of
-    degenerate slot a, evaluated once per distinct time of a step (t, t +
-    dt/2, t + dt).  q, p and w are the start and its degenerate velocities,
-    as lists of floats.  Step k runs at t = start + dt * k for k up to steps:
-    it appends t to rows (an array of doubles), runs stage 1 (regular
-    velocities from the last stage's, the solved degenerate ones too),
-    compares the sign of the Pfaffian of the solved F subblock with the
-    last step's, appends q, p, v, H and the consistency residual, tests the
-    residual against tol, then runs stages 2 to 4 and the RK4 update.
+    The kernel takes (resolve, stage, velocity, q, p, w, start, dt, steps,
+    tol, rows).  resolve(q, p, vd, x0) is ClairautTransform._resolve_args,
+    the regular velocities from the start x0 with the core there, and stage
+    is stage_kernel's kernel for the layout: each stage is one call of each.
+    velocity(a, t) is the prescribed velocity of degenerate slot a,
+    evaluated once per distinct time of a step (t, t + dt/2, t + dt).  q, p
+    and w are the start and its degenerate velocities, as lists of floats.
+    Step k runs at t = start + dt * k for k up to steps: it appends t to
+    rows (an array of doubles), runs stage 1 (regular velocities from the
+    last stage's, the solved degenerate ones too), compares the sign of the
+    Pfaffian of the solved F subblock with the last step's, appends q, p, v,
+    H and the consistency residual, tests the residual against tol, then
+    runs stages 2 to 4 and the RK4 update.
 
     Returns 0 after the last step's row, 1 where a residual above tol
     after step 0 aborts (step 0's residual above tol only flags the run), and
     2 where the Pfaffian's sign changed, with row k cut after its t.  A
-    NewtonError from fallback propagates, with row k cut after its t where
+    NewtonError from resolve propagates, with row k cut after its t where
     stage 1 raised it and whole where a later stage did.
     """
     r, nd = len(reg), n - len(reg)
@@ -526,10 +516,9 @@ def rk4_kernel(n, reg, solve, other):
         slot = {s: f"w[{s}]" for s in solve} | dict(zip(other, vo))
         at, mom = code(f"[{', '.join(qs)}]"), code(f"[{', '.join(ps)}]")
         vd, given = code(f"[{', '.join(slot[s] for s in range(nd))}]"), code(f"[{', '.join(vo)}]")
-        out = code(f"stage(fn, cfg, {at}, {vd}, V, {mom}, {given})")
-        code.line(f"if {out} is None: {out} = stage(fn, cfg, {at}, {vd}, "
-                  f"fallback({at}, {mom}, {vd}, V), {mom}, {given})")
-        code.line(f"w, V = {out}[2], {out}[6]")
+        code.line(f"_, V, c = resolve({at}, {mom}, {vd}, V)")
+        out = code(f"stage(c, V, {vd}, {mom}, {given})")
+        code.line(f"w = {out}[2]")
         return code(f"{out}[0]"), code(f"{out}[1]"), out
 
     def shifted(x, h, dx):
@@ -559,5 +548,5 @@ def rk4_kernel(n, reg, solve, other):
             a, b, c, d = (f"{dx}[{i}]" for dx in ds)
             code.line(f"{name} = {name} + sixth * ({a} + 2 * {b} + 2 * {c} + {d})")
     code.indent(loop)
-    return code.build("stage, fallback, fn, cfg, velocity, q, p, w, start, dt, steps, tol, rows",
+    return code.build("resolve, stage, velocity, q, p, w, start, dt, steps, tol, rows",
                       "0", _KERNEL_ENV)

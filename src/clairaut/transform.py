@@ -21,9 +21,9 @@ model resolves by full Newton steps in a generated float kernel
 (numerics.newton_pair, newton_with_restarts) as the fallback.  The
 implicit-function derivative block, F and D_a H come from one call of a
 generated float kernel (numerics.block_kernel) that factors W_rr once for both
-dV_dq and dV_dp.  The RK4 stage of dynamics.integrate is one generated kernel
-with the same emitted steps and block (numerics.stage_kernel), and takes the
-same fallback (_damped_resolve).
+dV_dq and dV_dp.  Every RK4 stage of dynamics.integrate resolves through
+the same _resolve_args, then runs the sector solve in one generated kernel
+with the same emitted block (numerics.stage_kernel).
 """
 
 import itertools
@@ -131,6 +131,7 @@ class ClairautTransform:
         self._w_rr = [w + i * self.n + j for i in self._reg for j in self._reg]  # Jacobian
         self._reg_at = [self.n + i for i in self._reg]
         self._deg_at = [self.n + int(a) for a in self.deg_idx]
+        self._resolve_kernel = resolve_kernel(self.n, self._reg)
         self._last = None
 
     # ------------------------------------------------------------ points
@@ -166,8 +167,8 @@ class ClairautTransform:
         cached = self._last
         if cached is not None and cached[0] is pt and v_init is None:
             return cached[1]
-        args, v, core = self._resolve_args(pt.q.tolist(), pt.p.tolist(), pt.v_deg.tolist(),
-                                           v_init)
+        x0 = [0.0] * self.r if v_init is None else _floats(v_init)
+        args, v, core = self._resolve_args(pt.q.tolist(), pt.p.tolist(), pt.v_deg.tolist(), x0)
         res = Resolution(self, pt, args, np.array(v), core)
         self._last = (pt, res)
         return res
@@ -179,13 +180,14 @@ class ClairautTransform:
             args[at] = val
         return args
 
-    def _resolve_args(self, q, p, v_deg, v_init=None):
+    def _resolve_args(self, q, p, v_deg, x0):
         """(args, V, core): the evaluator arguments at (q, V, v_deg), with V
         solving p_i = dL/dv^i, and the core there (the last core call).
-        Full Newton steps from v_init (or zeros) in the generated resolve
-        kernel, damped Newton from the same start where they give up."""
-        x0 = [0.0] * self.r if v_init is None else _floats(v_init)
-        return (resolve_kernel(self.n, self._reg)(self._f_core, self.newton, q, v_deg, x0, p)
+        Full Newton steps from the float list x0 in the generated resolve
+        kernel, damped Newton from the same start where they give up: the
+        one place that chooses between them, for resolve and every RK4
+        stage of dynamics.integrate."""
+        return (self._resolve_kernel(self._f_core, self.newton, q, v_deg, x0, p)
                 or self._damped_resolve(q, p, v_deg, x0))
 
     def _damped_resolve(self, q, p, v_deg, x0):

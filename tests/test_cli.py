@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import jsonschema
@@ -176,6 +177,16 @@ class TestTransform:
         assert code == 3
         assert err
 
+    def test_overflowing_value_exits_3(self, capsys):
+        # p_y^2 overflows in H_phys: no inf printed, no numpy warning
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(capsys, "transform", bundled_model_path("cawley"),
+                                     "--at", "x=0,y=0,z=0,p_x=1,p_y=1e308")
+        assert code == 3 and out == ""
+        assert err == "error: the transform overflows at this point (H_phys = inf)\n"
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
 
 class TestSimulate:
     def test_oscillator_matches_cosine(self, capsys):
@@ -230,6 +241,22 @@ class TestSimulate:
                                bundled_model_path("oscillator"),
                                "--init", "x=1,p_x=0", "--tol", "1e-12")
         assert code == 1  # RK4 EL residual ~ dt^2 scale, way above 1e-12
+
+    @pytest.mark.parametrize("t1", ["0.001", "0.003", "0.0034"])
+    def test_tol_on_fewer_than_five_samples_exits_2(self, capsys, t1):
+        # the Euler-Lagrange residual is nan on every sample there, and a
+        # nan never exceeds the tolerance
+        code, out, err = run_cli(capsys, "simulate", bundled_model_path("christ_lee"),
+                                 "--t1", t1, "--tol", "1e-12")
+        assert code == 2 and out == ""
+        assert err == (f"error: --tol needs at least 5 samples for the Euler-Lagrange "
+                       f"residual's stencil; --t1 {float(t1)} at --dt 0.001 gives "
+                       f"{round(float(t1) / 1e-3) + 1}\n")
+
+    def test_tol_on_five_samples_gates_on_the_residual(self, capsys):
+        code, _, err = run_cli(capsys, "simulate", bundled_model_path("oscillator"),
+                               "--init", "x=1,p_x=0", "--t1", "0.004", "--tol", "1e-12")
+        assert code == 1 and "max_el_residual = nan" not in err
 
     def test_nonpositive_dt_exits_2(self, capsys):
         for bad in ("0", "-1e-3"):
@@ -366,6 +393,21 @@ class TestPde:
                                  "--c", c, "--at", at)
         assert code == 3 and out == ""
         assert err.splitlines() == [f"error: the general solution overflows at this point (y = {y})"]
+
+    @pytest.mark.parametrize("argv, message", [
+        (("--f", "z1^2+z2", "--mode", "mixed", "--s", "1", "--c", "c2=1e300",
+          "--at", "x1=1,x2=1e300"), "the general solution overflows at this point (y = inf)"),
+        (("--f", "z1^2", "--mode", "envelope", "--at", "x1=1e308"), "math range error"),
+    ], ids=["mixed", "envelope"])
+    def test_resolved_family_overflow_exits_3(self, capsys, argv, message):
+        # the envelope and mixed families evaluate x.z - f(z) through the
+        # general solution's guard: no inf printed, no numpy warning
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(capsys, "pde", *argv)
+        assert code == 3 and out == ""
+        assert err.splitlines() == [f"error: {message}"]
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
     def test_s_out_of_range_exits_2(self, capsys):
         code, _, _ = run_cli(capsys, "pde", "--f", "z1^2", "--mode", "mixed",

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from clairaut import BUNDLED, ClairautTransform, IntegrabilityError, load_bundled
-from clairaut import dynamics as dynamics_module
 from clairaut.dynamics import (
     DiracReport,
     GaugeInput,
@@ -28,7 +27,7 @@ from clairaut.gauge import ExprObservable, classify, field_strength, phase_probe
 from clairaut.model import momentum_name
 from clairaut.numerics import pfaffian
 from clairaut.verify import run_verification
-from conftest import reference_resolve, reference_stage_kernel
+from conftest import reference_resolve
 
 
 @lru_cache(maxsize=None)
@@ -305,34 +304,28 @@ class TestIntegrate:
         assert len(traj) == 0 and traj.q.shape == (0, 4) and traj.v_deg.shape == (0, 1)
 
     def test_resolution_failure_inside_a_step(self, monkeypatch):
-        # the full steps of stage 2 of step 2 give up and damped Newton
-        # fails: rows 0 to 2 are written, the message names step 2's t
-        real_kernel, calls = dynamics_module.stage_kernel, []
-
-        def stage_kernel(*layout):
-            kernel = real_kernel(*layout)
-
-            def stage(*args):
-                calls.append(1)
-                return None if len(calls) == 4 * 2 + 2 else kernel(*args)
-
-            return stage
-
-        def damped_resolve(*args):
-            raise NewtonError("newton line search stalled")
-
-        monkeypatch.setattr(dynamics_module, "stage_kernel", stage_kernel)
-        monkeypatch.setattr(ClairautTransform, "_damped_resolve", damped_resolve)
+        # the resolve of stage 2 of step 2 fails: rows 0 to 2 are written,
+        # the message names step 2's t
         ct = transform("christ_lee")
+        cls = classification("christ_lee")
         start = ct.point({"x1": 0.8, "x2": -0.6, "x3": 1.0, "y1": 0.2, "y2": -0.1, "y3": 0.3},
                          {"x1": 0.4, "x2": -0.3, "x3": 0.5})
+        real_resolve, calls = ClairautTransform._resolve_args, []
+
+        def resolve_args(*args):
+            calls.append(1)
+            if len(calls) == 4 * 2 + 2:
+                raise NewtonError("newton line search stalled")
+            return real_resolve(*args)
+
+        monkeypatch.setattr(ClairautTransform, "_resolve_args", resolve_args)
         with pytest.raises(IntegrabilityError) as info:
-            integrate(ct, start, cfg=IntegratorConfig(t1=0.01, dt=1e-3))
+            integrate(ct, start, cfg=IntegratorConfig(t1=0.01, dt=1e-3), cls=cls)
         assert str(info.value) == ("velocity resolution failed inside step at t=0.002: "
                                    "newton line search stalled")
         traj = info.value.trajectory
         assert len(traj) == 3 and traj.t[-1] == 0.002
-        full = integrate(ct, start, cfg=IntegratorConfig(t1=0.002, dt=1e-3))
+        full = integrate(ct, start, cfg=IntegratorConfig(t1=0.002, dt=1e-3), cls=cls)
         for field in ("t", "q", "p", "v_deg", "h_phys", "consistency"):
             assert getattr(traj, field).tobytes() == getattr(full, field).tobytes()
 
@@ -348,10 +341,11 @@ class TestIntegrate:
 
 
 class TestOneResolvePath:
-    """The RK4 stage and verify resolve by full Newton steps and fall back
-    to damped Newton: the same floats as integrate and verify with every
-    resolve by damped Newton alone (conftest's reference_resolve and
-    reference_stage_kernel)."""
+    """Every RK4 stage and every verify resolve goes through
+    ClairautTransform._resolve_args, which takes full Newton steps and falls
+    back to damped Newton: the same floats as integrate and verify with that
+    one method patched to resolve by damped Newton alone (conftest's
+    reference_resolve)."""
 
     CASES = [
         ("christ_lee", {"x1": 0.8, "x2": -0.6, "x3": 1.0, "y1": 0.2, "y2": -0.1, "y3": 0.3},
@@ -378,40 +372,46 @@ class TestOneResolvePath:
     @pytest.mark.parametrize("name, q, p, v_deg, spec", CASES, ids=[c[0] for c in CASES])
     def test_integrate_same_floats_as_reference(self, name, q, p, v_deg, spec, monkeypatch):
         got = self.run(name, q, p, v_deg, spec)
-        monkeypatch.setattr(dynamics_module, "stage_kernel", reference_stage_kernel)
+        monkeypatch.setattr(ClairautTransform, "_resolve_args", reference_resolve)
         self.assert_same(got, self.run(name, q, p, v_deg, spec))
 
-    def test_cold_stage_falls_back_and_reenters_at_the_root(self, monkeypatch):
+    @pytest.mark.parametrize("steps", [1, 7])
+    def test_one_resolve_per_stage(self, steps, monkeypatch):
+        # four stages a step and stage 1 of the last row's step; none of
+        # them resolves anywhere else
+        ct = transform("christ_lee")
+        cls = classification("christ_lee")
+        start = ct.point({"x1": 0.8, "x2": -0.6, "x3": 1.0, "y1": 0.2, "y2": -0.1, "y3": 0.3},
+                         {"x1": 0.4, "x2": -0.3, "x3": 0.5})
+        real_resolve, calls = ClairautTransform._resolve_args, []
+        monkeypatch.setattr(ClairautTransform, "_resolve_args",
+                            lambda *args: calls.append(1) or real_resolve(*args))
+        traj = integrate(ct, start, cfg=IntegratorConfig(t1=steps * 1e-3, dt=1e-3), cls=cls)
+        assert len(traj) == steps + 1 and len(calls) == 4 * steps + 1
+
+    def test_cold_stage_falls_back_to_damped_newton(self, monkeypatch):
         # particle's full steps from V = 0 do not lower the norm at p_x = 10:
-        # the first stage resolves by damped Newton and enters the kernel
-        # again at its root, with one core call and no step
+        # the first stage resolves by damped Newton, every later one by the
+        # full steps from the last stage's velocities
         case = ("particle", {"x0": 0.0, "x": 0.1, "y": 0.2, "z": 0.3}, {"x": 10.0},
                 {"x0": 1.0}, {"x0": "1+0.1*sin(t)"})
-        real_kernel = dynamics_module.stage_kernel
-        calls = []
-
-        def stage_kernel(*layout):
-            kernel = real_kernel(*layout)
-
-            def counted(fn, *args):
-                cores = []
-                out = kernel(lambda a: cores.append(1) or fn(a), *args)
-                calls.append((out is None, len(cores)))
-                return out
-
-            return counted
-
-        monkeypatch.setattr(dynamics_module, "stage_kernel", stage_kernel)
-        got = self.run(*case, t1=0.05)
-        assert calls[0][0] and calls[1] == (False, 1)
-        assert not any(none for none, _ in calls[2:])
-        monkeypatch.setattr(dynamics_module, "stage_kernel", reference_stage_kernel)
+        ct = ClairautTransform(load_bundled("particle"))
+        cls = classify(ct)
+        gauge = gauge_input(ct, cls, case[-1])
+        real_resolve, real_damped, calls = (ClairautTransform._resolve_args,
+                                            ClairautTransform._damped_resolve, [])
+        monkeypatch.setattr(ClairautTransform, "_resolve_args",
+                            lambda *args: calls.append(False) or real_resolve(*args))
+        monkeypatch.setattr(ClairautTransform, "_damped_resolve",
+                            lambda *args: calls.append(True) or real_damped(*args))
+        got = integrate(ct, ct.point(*case[1:4]), gauge, IntegratorConfig(t1=0.05, dt=1e-3), cls)
+        assert calls[:3] == [False, True, False] and not any(calls[3:])
+        monkeypatch.setattr(ClairautTransform, "_resolve_args", reference_resolve)
         self.assert_same(got, self.run(*case, t1=0.05))
 
     def test_verify_same_report_as_reference(self, monkeypatch):
         got = [repr(run_verification(load_bundled(name))) for name in BUNDLED]
         monkeypatch.setattr(ClairautTransform, "_resolve_args", reference_resolve)
-        monkeypatch.setattr(dynamics_module, "stage_kernel", reference_stage_kernel)
         assert [repr(run_verification(load_bundled(name))) for name in BUNDLED] == got
 
 

@@ -96,11 +96,8 @@ class TestStageKernel:
         for pt in phase_probes(ct):
             res = ct.resolve(pt)
             v, resid = degenerate_velocities(ct, pt, gauge, cls, res=res)
-            # entered at the root: no Newton step, the core evaluated there once
-            dq, dp, v_k, resid_k, h, f_sub, root = kernel(
-                ct._f_core, ct.newton, pt.q.tolist(), pt.v_deg.tolist(), res.V.tolist(),
-                pt.p.tolist(), [0.0] * len(other))
-            assert root == res.V.tolist()
+            dq, dp, v_k, resid_k, h, f_sub = kernel(
+                res._core, res.V.tolist(), pt.v_deg.tolist(), pt.p.tolist(), [0.0] * len(other))
             want_dq = np.empty(ct.n)
             want_dq[ct.reg_idx] = res.dH_dp - v @ res.dB_dp
             want_dq[ct.deg_idx] = v
@@ -252,16 +249,18 @@ class TestRK4Loop:
         residual = residual or [0.0] * len(f)
         calls = []
 
-        def stage(fn, cfg, q, vd, x0, p, vo):
+        def stage(c, V, vd, p, vo):
             k = len(calls) // 4
             calls.append(k)
             return [1.0, 0.0, 0.0], [0.0], [0.0, 0.0], residual[k], 0.0, \
-                [0.0, f[k], -f[k], 0.0], [0.0]
+                [0.0, f[k], -f[k], 0.0]
+
+        def resolve(q, p, vd, x0):
+            return None, [0.0], None
 
         rows = array.array("d")
         status = numerics.rk4_kernel(3, (0,), (0, 1), ())(
-            stage, None, None, None, None, [0.0] * 3, [0.0], [0.0, 0.0], 0.0, 1.0, steps,
-            1e-6, rows)
+            resolve, stage, None, [0.0] * 3, [0.0], [0.0, 0.0], 0.0, 1.0, steps, 1e-6, rows)
         return status, list(rows)
 
     def test_a_whole_run(self):
@@ -317,8 +316,7 @@ class TestTypedFailures:
             degenerate_velocities(ct, pt, cls=cls, res=res)
         kernel = stage_kernel(ct.n, (0,), (0, 1), ())
         with pytest.raises(RankDeficiencyError, match="W_rr"):
-            kernel(lambda args: res._core, ct.newton, pt.q.tolist(), [0.0, 0.0],
-                   res.V.tolist(), pt.p.tolist(), [])
+            kernel(res._core, res.V.tolist(), [0.0, 0.0], pt.p.tolist(), [])
 
     def test_domain_error_inside_backtracking(self):
         trials = []

@@ -11,6 +11,7 @@ import functools
 import io
 import math
 import os
+import re
 import tempfile
 
 import pytest
@@ -208,3 +209,89 @@ def test_simulate_exits_with_a_documented_code_and_a_whole_csv(argv):
             t1, dt = float(argv[argv.index("--t1") + 1]), float(argv[argv.index("--dt") + 1])
             assert lines[0] == csv_header(argv[1])
             assert len(lines) == 1 + int(round(t1 / dt)) + 1
+
+
+# ---------------------------------------------- transform and pde from argv
+
+TRANSFORMED = ("oscillator", "exponential", "cawley", "particle", "christ_lee",
+               "synthetic_gaugeless")
+
+# values from ordinary to huge and tiny magnitudes, subnormals included
+values = st.one_of(
+    st.floats(-2.0, 2.0, width=32).map(repr),
+    st.builds(lambda m, e: repr(m * 10.0 ** e), st.floats(-9.99, 9.99), st.integers(-320, 307)),
+    st.sampled_from(["1e308", "-1e308", "1e154", "1e-308", "5e-324", "0"]),
+)
+
+
+def run_main(argv):
+    """(exit code, stdout, stderr) of main(argv)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def assert_documented(code, out, err):
+    """An exit code from the README, no traceback, and no inf or nan printed
+    by a run that succeeded."""
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err
+    if code == 0:
+        assert not re.search(r"\b(inf|nan)\b", out), out
+
+
+@st.composite
+def transform_argv(draw):
+    """transform on one of TRANSFORMED with every coordinate and regular
+    momentum bound (now and then one missing or a bogus name), and the
+    degenerate velocities now and then."""
+    name = draw(st.sampled_from(TRANSFORMED))
+    split = ClairautTransform(load_bundled(name)).split
+    names = list(load_bundled(name).coords) + [f"p_{c}" for c in split.regular]
+    names += draw(st.lists(st.sampled_from([f"d({c})" for c in split.degenerate] or [""]),
+                           max_size=2, unique=True))
+    names = [n for n in names if n]
+    names = draw(now_and_then(st.just(names), [names[1:], names + ["bogus"]]))
+    at = ",".join(f"{n}={draw(values)}" for n in names)
+    return ["transform", name, "--at", at]
+
+
+@settings(SETTINGS, max_examples=60)
+@given(transform_argv())
+def test_transform_exits_with_a_documented_code(argv):
+    assert_documented(*run_main(argv))
+
+
+PDE_F = {1: ("z1^2", "exp(z1)", "z1^4/4 + z1", "log(1 + z1^2)"),
+         2: ("z1^2+z2", "z1^2+z2^2", "z1*z2", "exp(z1)+z2^2"),
+         3: ("z1^2+z2^2+z3", "z1^2+z2^2+z3^2")}
+
+
+@st.composite
+def pde_argv(draw):
+    """pde with an f of one to three slopes in each mode, the constants the
+    mode needs (now and then one too many or too few) and --at over x1..xn,
+    all from values."""
+    n = draw(st.sampled_from(sorted(PDE_F)))
+    mode = draw(st.sampled_from(["general", "envelope", "mixed"]))
+    argv = ["pde", "--f", draw(st.sampled_from(PDE_F[n])), "--mode", mode]
+    first = 1
+    if mode == "mixed":
+        s = draw(now_and_then(st.integers(0, n), [-1, n + 1]))
+        argv += ["--s", str(s)]
+        first = s + 1
+    elif mode == "envelope":
+        first = n + 1
+    slots = draw(now_and_then(st.just(range(first, n + 1)),
+                              [range(first + 1, n + 1), range(first - 1, n + 1)]))
+    constants = ",".join(f"c{j}={draw(values)}" for j in slots if j >= 1)
+    if constants:
+        argv += ["--c", constants]
+    return argv + ["--at", ",".join(f"x{j}={draw(values)}" for j in range(1, n + 1))]
+
+
+@settings(SETTINGS, max_examples=100)
+@given(pde_argv())
+def test_pde_exits_with_a_documented_code(argv):
+    assert_documented(*run_main(argv))

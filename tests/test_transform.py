@@ -440,7 +440,7 @@ def counted(monkeypatch, ct):
     Jacobian may make no core call."""
     log = {"core": 0, "steps": 0, "fallbacks": 0, "residuals": 0, "jacobians": 0}
     core = ct._f_core
-    real_pair, real_kernel = transform_module.newton_pair, transform_module.resolve_kernel
+    real_pair, kernel = transform_module.newton_pair, ct._resolve_kernel
     real_newton = transform_module.newton_with_restarts
 
     def f_core(args):
@@ -458,17 +458,12 @@ def counted(monkeypatch, ct):
 
         return residual, jac, last
 
-    def resolve_kernel(n, reg):
-        kernel = real_kernel(n, reg)
-
-        def counted_kernel(*args):
-            before = log["core"]
-            try:
-                return kernel(*args)
-            finally:
-                log["steps"] += log["core"] - before - 1
-
-        return counted_kernel
+    def resolve_kernel(*args):
+        before = log["core"]
+        try:
+            return kernel(*args)
+        finally:
+            log["steps"] += log["core"] - before - 1
 
     def newton_with_restarts(residual, jacobian, x0, cfg):
         log["fallbacks"] += 1
@@ -485,7 +480,7 @@ def counted(monkeypatch, ct):
 
     monkeypatch.setattr(ct, "_f_core", f_core)
     monkeypatch.setattr(transform_module, "newton_pair", newton_pair)
-    monkeypatch.setattr(transform_module, "resolve_kernel", resolve_kernel)
+    monkeypatch.setattr(ct, "_resolve_kernel", resolve_kernel)
     monkeypatch.setattr(transform_module, "newton_with_restarts", newton_with_restarts)
     return log
 
@@ -500,9 +495,9 @@ class TestOneResolvePath:
         ct = transform(name)
         for pt in phase_probes(ct):
             q, p, vd = pt.q.tolist(), pt.p.tolist(), pt.v_deg.tolist()
-            for v_init in (None, np.full(ct.r, 0.3)):
-                assert outcome(ct._resolve_args, q, p, vd, v_init) == \
-                    outcome(reference_resolve, ct, q, p, vd, v_init)
+            for x0 in ([0.0] * ct.r, [0.3] * ct.r):
+                assert outcome(ct._resolve_args, q, p, vd, x0) == \
+                    outcome(reference_resolve, ct, q, p, vd, x0)
 
     @pytest.mark.parametrize("name, most_steps", [("christ_lee", 2), ("particle", 1)])
     def test_large_momenta_same_floats_as_reference(self, name, most_steps, monkeypatch):
@@ -515,11 +510,11 @@ class TestOneResolvePath:
         steps = []
         for pt in phase_probes(ct):
             q, p, vd = pt.q.tolist(), (pt.p * 1e4).tolist(), pt.v_deg.tolist()
-            for v_init in (None, np.full(ct.r, 0.3)):
+            for x0 in ([0.0] * ct.r, [0.3] * ct.r):
                 log["steps"] = 0
-                got = outcome(ct._resolve_args, q, p, vd, v_init)
+                got = outcome(ct._resolve_args, q, p, vd, x0)
                 steps.append(log["steps"])
-                assert got == outcome(reference_resolve, ct, q, p, vd, v_init)
+                assert got == outcome(reference_resolve, ct, q, p, vd, x0)
         assert max(steps) == most_steps
 
     @pytest.mark.parametrize("name", ["christ_lee", "cawley", "synthetic_gaugeless",
@@ -540,7 +535,7 @@ class TestOneResolvePath:
         lv = np.array(warm._core[ct.core_slices["L_v"]])
         assert np.max(np.abs(lv[ct.reg_idx] - moved.p)) <= ct.newton.tol
         want = reference_resolve(ct, moved.q.tolist(), moved.p.tolist(),
-                                 moved.v_deg.tolist(), start)
+                                 moved.v_deg.tolist(), start.tolist())
         assert hexed((warm.args, warm.V.tolist(), warm._core)) == hexed(want)
         # started at the root: the start's call is the last one
         log.update(core=0, steps=0)
@@ -558,7 +553,8 @@ class TestOneResolvePath:
         # Jacobian, and ends on a call at its root
         ct = transform(name)
         pt = ct.point(q, p, v_deg)
-        want = reference_resolve(ct, pt.q.tolist(), pt.p.tolist(), pt.v_deg.tolist())
+        want = reference_resolve(ct, pt.q.tolist(), pt.p.tolist(), pt.v_deg.tolist(),
+                                 [0.0] * ct.r)
         log = counted(monkeypatch, ct)
         res = ct.resolve(pt)
         res.F
@@ -585,9 +581,9 @@ class TestOneResolvePath:
 
         monkeypatch.setattr(ct, "_f_core", f_core)
         q, p = [0.0], [1.0]
-        want = reference_resolve(ct, q, p, [])
+        want = reference_resolve(ct, q, p, [], [0.0])
         assert abs(want[1][0] - 1.0) <= ct.newton.tol  # from a restart
-        assert hexed(ct._resolve_args(q, p, [])) == hexed(want)
+        assert hexed(ct._resolve_args(q, p, [], [0.0])) == hexed(want)
 
     @pytest.mark.parametrize("name, lagrangian, q, p, error", [
         ("exponential", None, 0.2, -3.0, "singular jacobian"),  # x exp(v) = p < 0: no root
@@ -601,5 +597,5 @@ class TestOneResolvePath:
         with pytest.raises(NewtonError, match=error) as got:
             ct.resolve(ct.point([q], [p]))
         with pytest.raises(NewtonError) as want:
-            reference_resolve(ct, [q], [p], [])
+            reference_resolve(ct, [q], [p], [], [0.0])
         assert str(got.value) == str(want.value)
