@@ -17,13 +17,7 @@ import math
 import numpy as np
 
 from .errors import DomainError, ModelError, RankDeficiencyError
-from .expressions import (
-    compile_evaluator,
-    differentiate,
-    free_symbols,
-    parse_expression,
-    simplify,
-)
+from .expressions import _Derivatives, compile_evaluator, free_symbols, parse_expression, simplify
 from .numerics import NewtonConfig, newton_pair, newton_with_restarts, rank_and_pivots
 
 RESIDUAL_STEP = 1e-6
@@ -45,8 +39,9 @@ class ClairautProblem:
             raise ModelError(
                 f"f may only use {', '.join(self.names)}; found {', '.join(sorted(extra))}")
         self.f = simplify(expr)
-        grad = [differentiate(self.f, z) for z in self.names]
-        hess = [differentiate(g, z) for g in grad for z in self.names]
+        d = [_Derivatives(z) for z in self.names]  # one memo per symbol
+        grad = [dz(self.f) for dz in d]
+        hess = [dz(g) for g in grad for dz in d]
         self._f = compile_evaluator(self.f, self.names)
         self._derivs = compile_evaluator(grad + hess, self.names)  # Hessian row-major
 
@@ -60,24 +55,32 @@ class ClairautProblem:
         return np.array(self._derivs(z)[self.n:]).reshape(self.n, self.n)
 
     def hessian_rank(self, z):
-        rank, _ = rank_and_pivots(self.f_hessian(z))
-        return rank
+        return rank_and_pivots(self.f_hessian(z))[0]
 
 
 def general_solution(prob, c):
     """Affine solution with slope vector c; returns an evaluator of x, which
     raises DomainError where the value is not a finite float.  The envelope
-    and mixed families evaluate through it at their resolved slopes."""
+    and mixed families evaluate the same formula at their resolved slopes."""
     c = np.asarray(c, dtype=float)
     if c.shape != (prob.n,):
         raise ModelError(f"expected {prob.n} slope constants, got {c.shape}")
-    fc = prob.f_value(c)
+    return _affine(prob, c, "general")
+
+
+def _affine(prob, c, family):
+    """x -> x . c - f(c), the family's solution at the slopes c; a DomainError
+    where f(c) or the value is not a finite float names the family."""
+    try:
+        fc = prob.f_value(c)
+    except DomainError as exc:
+        raise DomainError(f"f is not defined at the {family} solution's slopes ({exc})") from None
 
     def value(x):
         with np.errstate(over="ignore", invalid="ignore"):
             y = float(np.asarray(x, dtype=float) @ c - fc)
         if not math.isfinite(y):
-            raise DomainError(f"the general solution overflows at this point (y = {y})")
+            raise DomainError(f"the {family} solution overflows at this point (y = {y})")
         return y
 
     return value
@@ -94,7 +97,7 @@ def envelope_solution(prob, x, cfg=NewtonConfig()):
     x = np.asarray(x, dtype=float)
     if x.shape != (prob.n,):
         raise ModelError(f"expected a point with {prob.n} components, got {x.shape}")
-    return general_solution(prob, _resolve_slopes(prob, np.arange(prob.n), (), x, cfg))(x)
+    return _affine(prob, _resolve_slopes(prob, np.arange(prob.n), (), x, cfg), "envelope")(x)
 
 
 def mixed_solution(prob, s, c_tail, x, cfg=NewtonConfig()):
@@ -113,10 +116,8 @@ def mixed_solution(prob, s, c_tail, x, cfg=NewtonConfig()):
     x = np.asarray(x, dtype=float)
     if x.shape != (prob.n,):
         raise ModelError(f"expected a point with {prob.n} components, got {x.shape}")
-    if s == 0:
-        return general_solution(prob, c_tail)(x)
-    head = _resolve_slopes(prob, np.arange(s), c_tail, x, cfg)
-    return general_solution(prob, np.concatenate([head, c_tail]))(x)
+    head = _resolve_slopes(prob, np.arange(s), c_tail, x, cfg) if s else ()
+    return _affine(prob, np.concatenate([head, c_tail]), "mixed")(x)
 
 
 def _resolve_slopes(prob, idx, c_tail, x, cfg):

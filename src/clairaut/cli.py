@@ -11,6 +11,7 @@ parse error, 3 numeric failure.
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -369,6 +370,7 @@ def cmd_pde(args):
 # ------------------------------------------------------------------- wiring
 
 
+@functools.cache  # built on the first main call, reused by later ones
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="clairaut",

@@ -10,7 +10,7 @@ Nodes are interned when they are built: one table holds the live node for
 each kind and fields, so structurally equal trees are the same object and
 equality is identity.  A tree is therefore a DAG of shared nodes, and the
 walks over it do work per distinct node: simplify keeps its result on the
-node, and differentiate memoizes per call.
+node, and differentiate memoizes per call (a derivation, per symbol).
 
 Differentiation is purely syntactic.  Simplification performs constant
 folding, identity elimination, flattening, and like-term collection, and is
@@ -271,15 +271,19 @@ def _eval(e, b):
 
 def differentiate(expr, name):
     """Exact partial derivative with respect to the symbol called name."""
-    return simplify(_Derivatives(name)[simplify(expr)])
+    return _Derivatives(name)(expr)
 
 
 class _Derivatives(dict):
     """Derivative of each node with respect to one symbol, derived on first
-    lookup, so each distinct node is differentiated once per call."""
+    lookup; a memo kept for a whole derivation differentiates each node once."""
 
     def __init__(self, x):
         self.x = x
+
+    def __call__(self, expr):
+        """differentiate(expr, x), reading and filling this memo."""
+        return simplify(self[simplify(expr)])
 
     def __missing__(self, e):
         out = self[e] = _diff(e, self.x, self)

@@ -41,9 +41,8 @@ from .model import (
     DEFAULT_RANK_TOL,
     default_probes,
     momentum_name,
-    velocity_name,
 )
-from .numerics import rank_and_pivots
+from .numerics import probe_ranks
 from .transform import PhasePoint
 
 FD_STEP = 1e-5
@@ -71,21 +70,20 @@ class ExprObservable:
         names = list(coords) + pnames
         self.ct = ct
         self.expr = expr
-        self._value = compile_evaluator(expr, names)
-        self._dq = compile_evaluator([differentiate(expr, c) for c in coords], names)
-        self._dp = compile_evaluator([differentiate(expr, c) for c in pnames], names)
+        # value, then the q- and p-partials, from one evaluator
+        self._fn = compile_evaluator([expr] + [differentiate(expr, c) for c in names], names)
 
-    def _args(self, pt):
-        return list(pt.q) + list(pt.p)
+    def _eval(self, pt):
+        return self._fn(list(pt.q) + list(pt.p))
 
     def value(self, pt):
-        return self._value(self._args(pt))
+        return self._eval(pt)[0]
 
     def d_dq(self, pt):
-        return np.array(self._dq(self._args(pt)))
+        return np.array(self._eval(pt)[1:1 + self.ct.n])
 
     def d_dp(self, pt):
-        return np.array(self._dp(self._args(pt)))
+        return np.array(self._eval(pt)[1 + self.ct.n:])
 
 
 class BObservable:
@@ -185,8 +183,7 @@ def phase_probes(ct, count=DEFAULT_PROBE_COUNT, seed=DEFAULT_PROBE_SEED):
     points = []
     n = ct.n
     for probe in default_probes(ct.model, count=count, seed=seed):
-        args = [probe[c] for c in ct.model.coords]
-        args += [probe[velocity_name(c)] for c in ct.model.coords]
+        args = [probe[name] for name in ct.model.core.arg_names]
         lv = ct._f_core(args)[ct.core_slices["L_v"]]
         q = np.array(args[:n])
         p = np.array([lv[i] for i in ct.reg_idx])
@@ -223,37 +220,26 @@ def classify(ct, probes=None, tol=DEFAULT_RANK_TOL):
         probes = phase_probes(ct)
     if not probes:
         raise ModelError("classification needs at least one probe point")
-    mats = [field_strength(ct, pt) for pt in probes]
-    ranks = []
-    pivots0 = None
-    for k, f in enumerate(mats):
-        rank, pivots = rank_and_pivots(f, rel_tol=tol)
-        ranks.append((k, rank))
-        if pivots0 is None:
-            pivots0 = pivots
-    if len({rank for _, rank in ranks}) > 1:
-        raise RankVariationError(ranks)
-    r_f = ranks[0][1]
+    pivots, ranks, block_ranks = probe_ranks(
+        (field_strength(ct, pt).tolist() for pt in probes), None, tol)
+    if len(set(ranks)) > 1:
+        raise RankVariationError(list(enumerate(ranks)))
+    r_f = ranks[0]
     if r_f % 2:
         raise ModelError(
             f"field strength rank {r_f} is odd; an antisymmetric matrix "
             "cannot have odd rank, so the tolerance is misjudging this model")
-    deg_names = ct.split.degenerate
-    if r_f == n_deg:
-        subblock = tuple(range(n_deg))
-        return GaugeClassification("gaugeless", r_f, subblock,
-                                   tuple(deg_names), n_deg)
     if r_f == 0:
         return GaugeClassification("limit", 0, (), (), n_deg)
-    subblock = tuple(sorted(pivots0))
     # antisymmetric rank-r_f: any r_f independent columns give a nonsingular
     # principal minor, but verify at every probe rather than trust the lemma
-    for k, f in enumerate(mats):
-        sub = f[np.ix_(subblock, subblock)]
-        if rank_and_pivots(sub, rel_tol=tol)[0] != r_f:
+    # (at full rank the block is all of F and holds it)
+    for k, block_rank in enumerate(block_ranks):
+        if block_rank != r_f:
             raise ModelError(f"field-strength subblock singular at probe {k}")
-    return GaugeClassification("gauge", r_f, subblock,
-                               tuple(deg_names[a] for a in subblock), n_deg)
+    deg_names = ct.split.degenerate
+    return GaugeClassification("gaugeless" if r_f == n_deg else "gauge", r_f, tuple(pivots),
+                               tuple(deg_names[a] for a in pivots), n_deg)
 
 
 def bracket_new(ct, x, y, pt):
@@ -309,15 +295,9 @@ def maxwell_current(ct, pt, fd_step=FD_STEP):
     differences of the assembled field strength, one F Jacobian per call."""
     n_deg = ct.n - ct.r
     d = _long_derivatives_of_f(ct, pt, fd_step)
-    out = np.zeros(n_deg)
-    for b in range(n_deg):
-        total = 0.0
-        for a in range(n_deg):
-            if a == b:
-                continue  # F_aa == 0 identically
-            total += d(a, a, b)
-        out[b] = total
-    return out
+    # summed from 0.0 in order of alpha, skipping F_bb == 0
+    return np.array([sum((d(a, a, b) for a in range(n_deg) if a != b), 0.0)
+                     for b in range(n_deg)])
 
 
 def bianchi_residual(ct, pt, fd_step=1e-4):

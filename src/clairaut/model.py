@@ -10,22 +10,22 @@ A model file is a sequence of statements:
 Each model derives its Lagrangian once, into ``model.core``: L, L_v, L_q,
 the velocity Hessian W = L_vv and L_vq, compiled into one evaluator that the
 split, the rank report, the transform, the Fenchel oracle and the
-Euler-Lagrange residual all read.  The rank of W, probed numerically at
-random admissible points, decides which velocities can be resolved for
+Euler-Lagrange residual all read; one derivative memo per symbol serves the
+whole derivation.  The rank of W, probed numerically at random admissible
+points (numerics.probe_ranks), decides which velocities can be resolved for
 momenta; the pivot order of the first probe selects the regular block unless
 the file pins one.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from . import expressions as ex
 from .errors import ExprSyntaxError, ModelError, RankVariationError, UnboundSymbolError
-from .expressions import (compile_evaluator, differentiate, evaluate, free_symbols,
-                          simplify, substitute)
-from .numerics import rank_and_pivots
+from .expressions import compile_evaluator, evaluate, free_symbols, simplify, substitute
+from .numerics import probe_ranks
 
 DEFAULT_RANK_TOL = 1e-9
 DEFAULT_PROBE_COUNT = 17
@@ -85,27 +85,21 @@ class DerivativeCore:
     """
 
     def __init__(self, model):
-        n = model.n
-        coords = model.coords
-        vnames = model.velocity_names
+        n, coords, vnames = model.n, model.coords, model.velocity_names
         lag = simplify(substitute(model.lagrangian, model.params))
-        lv = [differentiate(lag, v) for v in vnames]
-        lq = [differentiate(lag, c) for c in coords]
-        w = [[None] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(i, n):
-                w[i][j] = w[j][i] = differentiate(lv[i], vnames[j])
-        lvq = [[differentiate(lv[i], c) for c in coords] for i in range(n)]
-        self.w_rows = w
         self.arg_names = list(coords) + list(vnames)
-        blocks = ([lag], lv, lq, [e for row in w for e in row],
-                  [e for row in lvq for e in row])
+        d = {x: ex._Derivatives(x) for x in self.arg_names}  # one memo per symbol
+        lv = [d[v](lag) for v in vnames]
+        lq = [d[c](lag) for c in coords]
+        # W is mirrored: an entry below the diagonal is its upper twin, a memo hit
+        w = self.w_rows = [[d[vnames[max(i, j)]](lv[min(i, j)]) for j in range(n)]
+                           for i in range(n)]
+        lvq = [d[c](e) for e in lv for c in coords]  # row-major
+        blocks = ([lag], lv, lq, [e for row in w for e in row], lvq)
         self.exprs = dict(zip(CORE_BLOCKS, blocks))
-        self.slices = {}
-        start = 0
+        self.slices, start = {}, 0
         for name, exprs in self.exprs.items():
-            self.slices[name] = slice(start, start + len(exprs))
-            start += len(exprs)
+            self.slices[name] = slice(start, start := start + len(exprs))
         self.fn = compile_evaluator([e for exprs in blocks for e in exprs], self.arg_names)
 
 
@@ -137,7 +131,7 @@ class RankReport:
 
     passed: bool
     expected_rank: int
-    ranks: list = field(default_factory=list)  # (probe_index, rank, leading_minor_ok)
+    ranks: list  # (probe_index, rank, leading_minor_ok)
 
 
 # ------------------------------------------------------------------- loading
@@ -312,30 +306,25 @@ def _draw_probes(model, count, seed, exclusion):
 
 
 def _probe_ranks(model, probes, tol, regular=None):
-    """Rank of W and of its regular block at every probe, in one pass.
-
-    Without a regular set, the pinned declaration gives it, or else the pivot
-    order of W at the first probe.  Returns the regular set in declaration
-    order and one (rank, block_rank) pair per probe.
-    """
-    coords = model.coords
+    """numerics.probe_ranks over W at the probes, its block the regular set:
+    the one given, the pinned declaration's, or else W's pivot order at the
+    first probe.  Returns the regular set in declaration order, then the
+    rank of W and that of its regular block at each probe."""
+    coords, n, core = model.coords, model.n, model.core
     if regular is None and model.pinned_degenerate is not None:
         regular = tuple(c for c in coords if c not in model.pinned_degenerate)
-    reg_idx = None if regular is None else [coords.index(c) for c in regular]
-    core = model.core
-    ranks = []
-    for bindings in probes:
+
+    def hessian(bindings):
         try:
             args = [bindings[name] for name in core.arg_names]
         except KeyError as exc:
             raise UnboundSymbolError(exc.args[0]) from None
-        w = np.array(core.fn(args)[core.slices["W"]]).reshape(model.n, model.n)
-        rank, cols = rank_and_pivots(w, tol)
-        if reg_idx is None:
-            reg_idx = sorted(cols[:rank])
-        block_rank, _ = rank_and_pivots(w[np.ix_(reg_idx, reg_idx)], tol)
-        ranks.append((rank, block_rank))
-    return tuple(coords[i] for i in reg_idx), ranks
+        w = core.fn(args)[core.slices["W"]]
+        return [w[i * n:i * n + n] for i in range(n)]
+
+    block = None if regular is None else [coords.index(c) for c in regular]
+    block, ranks, block_ranks = probe_ranks(map(hessian, probes), block, tol)
+    return tuple(coords[i] for i in block), ranks, block_ranks
 
 
 def split_variables(model, probes=None, tol=DEFAULT_RANK_TOL):
@@ -350,20 +339,17 @@ def split_variables(model, probes=None, tol=DEFAULT_RANK_TOL):
         probes = default_probes(model)
     if not probes:
         raise ModelError("the velocity split needs at least one probe")
-    regular, ranks = _probe_ranks(model, probes, tol)
-    if len({rank for rank, _ in ranks}) > 1:
-        raise RankVariationError([(k, rank) for k, (rank, _) in enumerate(ranks)])
-    r = ranks[0][0]
+    regular, ranks, block_ranks = _probe_ranks(model, probes, tol)
+    if len(set(ranks)) > 1:
+        raise RankVariationError(list(enumerate(ranks)))
+    r = ranks[0]
     if len(regular) != r:
-        raise ModelError(
-            f"pinned degenerate set implies rank {len(regular)} but probes give rank {r}"
-        )
-    for k, (_, block_rank) in enumerate(ranks):
+        raise ModelError(f"pinned degenerate set implies rank {len(regular)} "
+                         f"but probes give rank {r}")
+    for k, block_rank in enumerate(block_ranks):
         if block_rank != r:
-            raise ModelError(
-                f"regular velocity block singular at probe {k} "
-                f"(rank {block_rank}, expected {r})"
-            )
+            raise ModelError(f"regular velocity block singular at probe {k} "
+                             f"(rank {block_rank}, expected {r})")
     coords = model.coords
     degenerate = tuple(c for c in coords if c not in regular)
     order = tuple(coords.index(c) for c in regular + degenerate)
@@ -374,11 +360,7 @@ def check_rank_constancy(model, split, probes=None, tol=DEFAULT_RANK_TOL):
     """Probe report for rank and regular-block invertibility; never raises."""
     if probes is None:
         probes = default_probes(model)
-    _, ranks = _probe_ranks(model, probes, tol, split.regular)
-    report = RankReport(passed=True, expected_rank=split.r)
-    for k, (rank, block_rank) in enumerate(ranks):
-        leading_ok = block_rank == split.r
-        if rank != split.r or not leading_ok:
-            report.passed = False
-        report.ranks.append((k, rank, leading_ok))
-    return report
+    _, ranks, block_ranks = _probe_ranks(model, probes, tol, split.regular)
+    rows = [(k, rank, block_rank == split.r)
+            for k, (rank, block_rank) in enumerate(zip(ranks, block_ranks))]
+    return RankReport(all(rank == split.r and ok for _, rank, ok in rows), split.r, rows)

@@ -2,6 +2,11 @@
 antisymmetric matrix, damped Newton iteration, and generated straight-line
 kernels for the tiny dense solves of the mixed transform.
 
+rank_and_pivots eliminates on Python floats, entry by entry as numpy would.
+probe_ranks is the one constant-rank routine over probe matrices: the
+velocity split and rank report (W) and the gauge classification (F) read
+their ranks and principal-block ranks from it.
+
 Everything is deterministic for fixed inputs; the Newton restarts draw from
 a generator seeded per call, never from global state.  damped_newton and its
 restarts (transform fallback, Fenchel oracle, PDE slopes) build their
@@ -34,37 +39,60 @@ from .expressions import _Code
 
 
 def rank_and_pivots(matrix, rel_tol=1e-9):
-    """Numeric rank via Gaussian elimination with complete pivoting.
+    """Numeric rank via Gaussian elimination with complete pivoting, on
+    Python floats.
 
     A pivot counts while its magnitude exceeds rel_tol times the largest
-    absolute entry of the input matrix.  Returns (rank, pivot_columns) with
-    columns listed in selection order; the greedy order is what callers use
-    to pick a regular velocity block.
+    absolute entry of the input matrix.  The pivot is the first largest
+    |entry| in row-major order over the rows and columns left, a nan the
+    largest.  Returns (rank, pivot_columns) with columns listed in selection
+    order; the greedy order is what callers use to pick a regular velocity
+    block.
     """
     a = np.array(matrix, dtype=float)
     if a.ndim != 2:
         raise ArgumentError("rank_and_pivots expects a matrix")
-    scale = float(np.max(np.abs(a))) if a.size else 0.0
-    if scale == 0.0:
-        return 0, []
-    threshold = rel_tol * scale
-    rows = list(range(a.shape[0]))
-    cols = list(range(a.shape[1]))
+    a = a.tolist()
+    threshold = rel_tol * _max_abs(v for row in a for v in row)
+    rows, cols = list(range(len(a))), list(range(len(a[0]) if a else 0))
     pivot_cols = []
     while rows and cols:
-        sub = np.abs(a[np.ix_(rows, cols)])
-        flat = int(np.argmax(sub))
-        ri, ci = divmod(flat, sub.shape[1])
-        if sub[ri, ci] <= threshold:
+        top = -1.0
+        for i in rows:
+            row = a[i]
+            for j in cols:
+                v = abs(row[j])
+                if top == top and not v <= top:
+                    top, pr, pc = v, i, j
+        if top <= threshold:
             break
-        pr, pc = rows[ri], cols[ci]
         pivot_cols.append(pc)
-        rows.pop(ri)
-        cols.pop(ci)
-        if rows:
-            ratios = a[rows, pc] / a[pr, pc]
-            a[np.ix_(rows, cols)] -= np.outer(ratios, a[pr, cols])
+        rows.remove(pr)
+        cols.remove(pc)
+        prow, pivot = a[pr], a[pr][pc]
+        for i in rows:
+            row = a[i]
+            # a zero pivot (nan threshold) leaves only zeros: numpy's 0/0
+            ratio = row[pc] / pivot if pivot else math.nan
+            for j in cols:
+                row[j] -= ratio * prow[j]
     return len(pivot_cols), pivot_cols
+
+
+def probe_ranks(matrices, block, rel_tol):
+    """The numbers of the constant-rank rule over square probe matrices
+    (rows of floats): the rank of each and of its principal block, the
+    index list block or, if that is None, the first matrix's sorted pivot
+    columns.  Returns (block, ranks, block_ranks)."""
+    ranks, block_ranks = [], []
+    for m in matrices:
+        rank, pivots = rank_and_pivots(m, rel_tol)
+        if block is None:
+            block = sorted(pivots)
+        ranks.append(rank)
+        sub = [[m[i][j] for j in block] for i in block]
+        block_ranks.append(rank_and_pivots(np.reshape(sub, (len(block),) * 2), rel_tol)[0])
+    return block, ranks, block_ranks
 
 
 def pfaffian(matrix):

@@ -12,6 +12,7 @@ from clairaut.clairaut_pde import (
     mixed_solution,
     pde_residual,
 )
+from clairaut.expressions import compile_evaluator, differentiate
 
 RNG_SEED = 4242
 
@@ -43,6 +44,13 @@ class TestProblem:
         assert rank2_problem.f_value(z) == 8.0
         assert np.all(rank2_problem.f_gradient(z) == [2.0, 4.0, 1.0])
         assert np.all(rank2_problem.f_hessian(z) == np.diag([2.0, 2.0, 0.0]))
+
+    @pytest.mark.parametrize("f", ["z1^2 + z2^2 + z3", "exp(z1*z2)/(1 + z3^2) + sin(z1)*z3"])
+    def test_shared_memos_give_the_per_call_derivatives(self, f):
+        prob = ClairautProblem(3, f)
+        grad = [differentiate(prob.f, z) for z in prob.names]
+        hess = [differentiate(g, z) for g in grad for z in prob.names]
+        assert prob._derivs.source == compile_evaluator(grad + hess, prob.names).source
 
     def test_hessian_rank(self, rank2_problem, quadratic_problem):
         assert rank2_problem.hessian_rank([0.3, -0.7, 1.1]) == 2
@@ -231,6 +239,20 @@ class TestNewtonFailure:
         prob = ClairautProblem(1, "exp(z1)")
         with pytest.raises(NewtonError):
             envelope_solution(prob, [-1.0])
+
+
+class TestFamilyErrors:
+    # the envelope and mixed families evaluate the general solution's
+    # formula; their failures name the family, not the general solution
+    def test_mixed_overflow_names_the_family(self):
+        prob = ClairautProblem(2, "z1^2 + z2")
+        with pytest.raises(DomainError, match=r"^the mixed solution overflows at this point"):
+            mixed_solution(prob, 1, [1e300], [1.0, 1e300])
+
+    def test_envelope_overflow_names_the_family(self):
+        with pytest.raises(DomainError, match=r"^f is not defined at the envelope solution's "
+                                              r"slopes \(math range error\)$"):
+            envelope_solution(ClairautProblem(1, "z1^2"), [1e308])
 
 
 class TestOneEvaluator:

@@ -15,7 +15,9 @@ import pytest
 
 from clairaut import bundled_model_path
 from clairaut import model as model_module
+from clairaut import cli
 from clairaut.cli import MAX_PROBES, main
+from clairaut.model import DEFAULT_PROBE_COUNT
 from clairaut.expressions import MAX_NESTING
 from clairaut.fixtures import BUNDLED
 
@@ -396,12 +398,14 @@ class TestPde:
 
     @pytest.mark.parametrize("argv, message", [
         (("--f", "z1^2+z2", "--mode", "mixed", "--s", "1", "--c", "c2=1e300",
-          "--at", "x1=1,x2=1e300"), "the general solution overflows at this point (y = inf)"),
-        (("--f", "z1^2", "--mode", "envelope", "--at", "x1=1e308"), "math range error"),
+          "--at", "x1=1,x2=1e300"), "the mixed solution overflows at this point (y = inf)"),
+        (("--f", "z1^2", "--mode", "envelope", "--at", "x1=1e308"),
+         "f is not defined at the envelope solution's slopes (math range error)"),
     ], ids=["mixed", "envelope"])
     def test_resolved_family_overflow_exits_3(self, capsys, argv, message):
         # the envelope and mixed families evaluate x.z - f(z) through the
-        # general solution's guard: no inf printed, no numpy warning
+        # general solution's guard, and its texts name the family: no inf
+        # printed, no numpy warning
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             code, out, err = run_cli(capsys, "pde", *argv)
@@ -518,16 +522,46 @@ class TestWiring:
     def test_help_exits_0(self, capsys):
         assert run_cli(capsys, "--help")[0] == 0
 
-    def test_installed_module_entry_point(self):
+    def test_one_parser_per_process(self, capsys):
+        # later calls reuse the first call's parser, and no flag value of
+        # one call carries over to the next
+        runs = [("analyze", "mixed", "--probes", "3"), ("analyze", "mixed"),
+                ("pde", "--f", "z1^2+z2^2+z3", "--mode", "mixed", "--s", "2", "--c", "c3=1",
+                 "--at", "x1=2,x2=2,x3=3"),
+                ("simulate", "particle", "--gauge", "x0=1+0.1*sin(t)",
+                 "--init", "p_x=0.4,p_y=0.1,p_z=0.2", "--t1", "0.01"),
+                ("verify", "mixed")]
+        cli._build_parser.cache_clear()
+        shared = [run_cli(capsys, *argv) for argv in runs]
+        assert cli._build_parser.cache_info().misses == 1
+        fresh = []
+        for argv in runs:
+            cli._build_parser.cache_clear()
+            fresh.append(run_cli(capsys, *argv))
+        assert shared == fresh
+        assert [code for code, _, _ in shared] == [0] * len(runs)
+        assert json.loads(shared[1][1])["probes"]["count"] == DEFAULT_PROBE_COUNT
+
+    def test_no_parser_built_at_import(self):
+        proc = subprocess.run(
+            [sys.executable, "-c", "import clairaut.cli as cli; "
+             "print(cli._build_parser.cache_info().currsize)"],
+            capture_output=True, text=True, env=self._child_env())
+        assert proc.returncode == 0 and proc.stdout == "0\n"
+
+    def _child_env(self):
         # pytest's pythonpath setting does not reach a child interpreter, so
         # put the checkout's src/ on the child's path explicitly
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
             [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+        return env
+
+    def test_installed_module_entry_point(self):
         proc = subprocess.run(
             [sys.executable, "-m", "clairaut.cli", "analyze",
              bundled_model_path("oscillator")],
-            capture_output=True, text=True, env=env)
+            capture_output=True, text=True, env=self._child_env())
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["hessian_rank"] == 1

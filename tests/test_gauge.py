@@ -13,7 +13,9 @@ from clairaut import (
     RankVariationError,
     load_bundled,
 )
+from clairaut.expressions import differentiate, evaluate
 from clairaut.fixtures import BUNDLED
+from clairaut.model import momentum_name
 from clairaut.gauge import (
     FD_STEP,
     BObservable,
@@ -56,6 +58,25 @@ class TestObservables:
         assert abs(obs.value(pt) - (0.49 * 2.0 + 1.5)) < 1e-12
         assert np.max(np.abs(obs.d_dq(pt) - np.array([2 * 0.7 * 2.0, 1.0]))) < 1e-12
         assert np.max(np.abs(obs.d_dp(pt) - np.array([0.49]))) < 1e-12
+
+    @pytest.mark.parametrize("name", ["mixed", "particle", "christ_lee"])
+    def test_one_evaluator_bit_equal_to_interpreted(self, name):
+        # value and both gradients come from one compiled evaluator; each
+        # matches the interpreted expression and its partials bit for bit
+        ct = transform(name)
+        qs = ct.model.coords
+        ps = [momentum_name(c) for c in ct.split.regular]
+        obs = ExprObservable(ct, f"{qs[-1]}^2*{ps[0]} + sin({qs[0]})/(1 + {ps[-1]}^2)"
+                                 f" - exp({qs[0]}*{ps[0]})*{qs[-1]}")
+        rng = np.random.default_rng(RNG_SEED)
+        for _ in range(5):
+            q, p = rng.uniform(-1.0, 1.0, ct.n).tolist(), rng.uniform(-1.0, 1.0, ct.r).tolist()
+            b = dict(zip(qs, q)) | dict(zip(ps, p))
+            pt = ct.point(q, p)
+            assert obs.value(pt).hex() == evaluate(obs.expr, b).hex()
+            for got, names in ((obs.d_dq(pt), qs), (obs.d_dp(pt), ps)):
+                want = [evaluate(differentiate(obs.expr, x), b) for x in names]
+                assert [v.hex() for v in got.tolist()] == [v.hex() for v in want]
 
     def test_velocity_symbols_rejected(self):
         with pytest.raises(ModelError):

@@ -18,6 +18,7 @@ from clairaut import (
     parse_expression,
 )
 from clairaut.dynamics import el_residual, integrate
+from clairaut.expressions import differentiate, simplify, substitute
 from clairaut.errors import ArgumentError, ClairautError
 from clairaut.fixtures import BUNDLED, load_bundled
 from clairaut import model as model_module
@@ -275,16 +276,35 @@ class TestDerivativeCore:
             traj = integrate(ct, ct.point([1.0], [0.0]),
                              cfg=IntegratorConfig(t1=0.01, dt=1e-3))
         probes = default_probes(m, count=3)
-        counts = count_calls(monkeypatch, "differentiate", "compile_evaluator")
+        # a derivation opens derivative memos: one per differentiate call,
+        # one per symbol in a core
+        counts = count_calls(monkeypatch, "_Derivatives", "compile_evaluator")
         split = split_variables(m, probes)
         check_rank_constancy(m, split, probes)
         hessian_matrix(m)
         if traj is not None:
             fenchel_conjugate(m, [1.0], [0.5], grid=3)
             el_residual(m, traj)
-        assert counts == {"differentiate": 0, "compile_evaluator": 0}
+        assert counts == {"_Derivatives": 0, "compile_evaluator": 0}
         clairaut.model.DerivativeCore(m)  # the counters do see a rebuild
-        assert counts["differentiate"] > 0 and counts["compile_evaluator"] == 1
+        assert counts == {"_Derivatives": 2 * m.n, "compile_evaluator": 1}
+
+    @pytest.mark.parametrize("name", BUNDLED)
+    def test_shared_memos_give_the_per_call_derivatives(self, name):
+        m = load_bundled(name)
+        lag = simplify(substitute(m.lagrangian, m.params))
+        qs, vs = m.coords, m.velocity_names
+        lv = [differentiate(lag, v) for v in vs]
+        want = {"L": [lag], "L_v": lv, "L_q": [differentiate(lag, c) for c in qs],
+                # W's lower triangle mirrors the upper one
+                "W": [differentiate(lv[min(i, j)], vs[max(i, j)])
+                      for i in range(m.n) for j in range(m.n)],
+                "L_vq": [differentiate(d, c) for d in lv for c in qs]}
+        got = m.core.exprs
+        assert list(got) == list(want)
+        for block, exprs in want.items():
+            assert len(got[block]) == len(exprs)
+            assert all(g is e for g, e in zip(got[block], exprs)), block
 
     @pytest.mark.parametrize("name", BUNDLED)
     def test_rank_report_sees_the_split_ranks(self, name):

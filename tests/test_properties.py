@@ -1,5 +1,6 @@
-"""Property tests of the expression core over generated trees, and of
-``simulate`` over generated argument lists.
+"""Property tests of the expression core over generated trees, of
+``simulate`` over generated argument lists, and of the float rank against
+numpy's elimination.
 
 Hypothesis runs derandomized and without an example database, so every run
 draws the same trees and argument lists.  SymPy serves only as an
@@ -19,7 +20,8 @@ import pytest
 pytest.importorskip("hypothesis")
 sympy = pytest.importorskip("sympy")
 
-from hypothesis import HealthCheck, assume, given, settings
+import numpy as np
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from clairaut import (
@@ -41,6 +43,7 @@ from clairaut import (
     simplify,
 )
 from clairaut.cli import main
+from clairaut.numerics import rank_and_pivots
 
 NAMES = ("x", "y", "d(x)")
 FUNCTIONS = ("sin", "cos", "exp", "log", "sqrt")
@@ -295,3 +298,69 @@ def pde_argv(draw):
 @given(pde_argv())
 def test_pde_exits_with_a_documented_code(argv):
     assert_documented(*run_main(argv))
+
+
+# ------------------------------------------------------------ float rank
+
+def numpy_rank_and_pivots(matrix, rel_tol=1e-9):
+    """Complete-pivoting rank on numpy arrays: the elimination that
+    rank_and_pivots runs on Python floats, as numpy computes it."""
+    a = np.array(matrix, dtype=float)
+    scale = float(np.max(np.abs(a))) if a.size else 0.0
+    if scale == 0.0:
+        return 0, []
+    threshold = rel_tol * scale
+    rows, cols = list(range(a.shape[0])), list(range(a.shape[1]))
+    pivot_cols = []
+    with np.errstate(all="ignore"):
+        while rows and cols:
+            sub = np.abs(a[np.ix_(rows, cols)])
+            ri, ci = divmod(int(np.argmax(sub)), sub.shape[1])
+            if sub[ri, ci] <= threshold:
+                break
+            pr, pc = rows.pop(ri), cols.pop(ci)
+            pivot_cols.append(pc)
+            if rows:
+                ratios = a[rows, pc] / a[pr, pc]
+                a[np.ix_(rows, cols)] -= np.outer(ratios, a[pr, cols])
+    return len(pivot_cols), pivot_cols
+
+
+SPECIAL = [0.0, -0.0, 1.0, -1.0, 2.0, math.nan, math.inf, -math.inf]
+
+
+@st.composite
+def rank_inputs(draw):
+    """(matrix, rel_tol): up to 7 x 7, empty shapes included; entries from
+    special values, small integers (ties) and any float, or a product of
+    integer factors (rank k, exact cancellations), now and then scaled to
+    1e-300."""
+    rows, cols = draw(st.integers(0, 7)), draw(st.integers(0, 7))
+    if draw(st.booleans()):
+        k = draw(st.integers(0, 3))
+        ints = st.integers(-3, 3)
+        u = np.array(draw(st.lists(ints, min_size=rows * k, max_size=rows * k)), dtype=float)
+        v = np.array(draw(st.lists(ints, min_size=k * cols, max_size=k * cols)), dtype=float)
+        a = u.reshape(rows, k) @ v.reshape(k, cols)
+    else:
+        entry = st.one_of(st.sampled_from(SPECIAL), st.integers(-2, 2).map(float), st.floats())
+        a = np.array(draw(st.lists(entry, min_size=rows * cols, max_size=rows * cols)),
+                     dtype=float).reshape(rows, cols)
+    if draw(st.booleans()):
+        with np.errstate(all="ignore"):
+            a = a * 1e-300
+    matrix = a.tolist() if rows and draw(st.booleans()) else a  # list or ndarray
+    return matrix, draw(st.sampled_from([0.0, 1e-9, 1e-3]))
+
+
+@settings(SETTINGS, max_examples=400)
+@given(rank_inputs())
+@example(([[math.inf, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]], 0.0))  # zero pivots, nan threshold
+@example(([[math.nan, 1.0], [2.0, math.nan]], 1e-9))
+@example(([[1.0, 1.0, 1.0], [1.0, 1.0, 1.0]], 1e-9))  # ties: the first largest
+@example((np.empty((0, 0)), 1e-9))
+@example((np.empty((0, 3)), 1e-9))
+@example((np.empty((3, 0)), 1e-9))
+def test_float_rank_is_numpys(case):
+    matrix, rel_tol = case
+    assert rank_and_pivots(matrix, rel_tol) == numpy_rank_and_pivots(matrix, rel_tol)
