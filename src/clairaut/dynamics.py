@@ -144,7 +144,7 @@ def degenerate_velocities(ct, pt, gauge=None, cls=None, t=0.0, res=None):
         res = ct.resolve(pt)
     solve, other = gauge._plan
     _, _, v, residual, *_ = stage_kernel(ct.n, ct._reg, solve, other)(
-        res._core, res.V.tolist(), pt.v_deg.tolist(), pt.p.tolist(),
+        res._core, res._v, pt.v_deg.tolist(), pt.p.tolist(),
         [gauge.velocity(a, t) for a in other])
     return np.array(v), residual
 

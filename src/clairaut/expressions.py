@@ -307,7 +307,7 @@ def _diff(e, x, d):
     if isinstance(e, Quot):
         da, db = d[e.num], d[e.den]
         num = Sum((Prod((da, e.den)), Neg(Prod((e.num, db)))))
-        return Quot(num, Pow(e.den, Const(2.0)))
+        return _dquot(num, Pow(e.den, Const(2.0)))
     if isinstance(e, Pow):
         c = _signed_const(e.exponent)
         du = d[e.base]
@@ -315,7 +315,7 @@ def _diff(e, x, d):
             # power rule with a constant exponent
             return Prod((Const(c), Pow(e.base, Const(c - 1.0)), du))
         dw = d[e.exponent]
-        bracket = Sum((Prod((dw, Call("log", e.base))), Prod((e.exponent, Quot(du, e.base)))))
+        bracket = Sum((Prod((dw, Call("log", e.base))), Prod((e.exponent, _dquot(du, e.base)))))
         return Prod((e, bracket))
     # Call
     u, du = e.arg, d[e.arg]
@@ -326,9 +326,14 @@ def _diff(e, x, d):
     if e.fn == "exp":
         return Prod((e, du))
     if e.fn == "log":
-        return Quot(du, u)
+        return _dquot(du, u)
     # sqrt
-    return Quot(du, Prod((Const(2.0), Call("sqrt", u))))
+    return _dquot(du, Prod((Const(2.0), Call("sqrt", u))))
+
+
+def _dquot(num, den):
+    """num/den in a derivative, folded to 0 where num simplifies to 0."""
+    return _ZERO if simplify(num) is _ZERO else Quot(num, den)
 
 
 # ---------------------------------------------------------------- simplifier

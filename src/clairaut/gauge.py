@@ -123,10 +123,10 @@ class FiniteDifferenceObservable:
         return self.fn(pt)
 
     def d_dq(self, pt):
-        return self._differences(pt, pt.q, lambda x: PhasePoint(x, pt.p, pt.v_deg))
+        return self._differences(pt, pt.q, lambda x: pt._replace(q=x))
 
     def d_dp(self, pt):
-        return self._differences(pt, pt.p, lambda x: PhasePoint(pt.q, x, pt.v_deg))
+        return self._differences(pt, pt.p, lambda x: pt._replace(p=x))
 
     def _differences(self, pt, base, at):
         if not len(base):

@@ -13,17 +13,17 @@ make them exact at any admissible v^alpha, and reduce to the envelope
 identities dH/dp_i = V^i, dH/dq = -dL/dq when all v^alpha vanish.
 
 Every derivative block of L that a resolved point needs (L, L_v, L_q, the
-velocity Hessian W = L_vv and L_vq) comes from the model's derivative core.
-Its regular rows of L_v and W_rr give the resolve's residual and Jacobian from
-one call per point; the last call, at the root, fills the resolution.  Every
-model resolves by full Newton steps in a generated float kernel
-(numerics.resolve_kernel), with damped Newton and restarts from the same start
-(numerics.newton_pair, newton_with_restarts) as the fallback.  The
-implicit-function derivative block, F and D_a H come from one call of a
-generated float kernel (numerics.block_kernel) that factors W_rr once for both
-dV_dq and dV_dp.  Every RK4 stage of dynamics.integrate resolves through
-the same _resolve_args, then runs the sector solve in one generated kernel
-with the same emitted block (numerics.stage_kernel).
+velocity Hessian W = L_vv and L_vq) comes from the model's derivative core,
+whose regular rows of L_v and W_rr give the resolve's residual and Jacobian
+from one call per point.  A resolution keeps the call at the root and builds
+each of its arrays on first read.  Every model resolves by full Newton steps
+in a generated float kernel (numerics.resolve_kernel), with damped Newton and
+restarts from the same start (newton_pair, newton_with_restarts) as the
+fallback.  The implicit-function derivative block, F and D_a H come from one
+call of a generated float kernel (numerics.block_kernel) that factors W_rr
+once.  Every RK4 stage of dynamics.integrate resolves through the same
+_resolve_args, then runs the sector solve in one generated kernel with the
+same emitted block (numerics.stage_kernel).
 """
 
 import itertools
@@ -41,62 +41,77 @@ from .numerics import (NewtonConfig, _floats, block_kernel, damped_newton, newto
 class PhasePoint:
     """State in mixed variables: all coordinates, regular momenta, and the
     degenerate velocities (free inputs, defaulting to zero), each a read-only
-    float64 copy: resolve memoizes by point identity."""
+    float64 copy: resolve memoizes by point identity.  A point displaced from
+    another by _replace copies its new fields and shares the other arrays."""
 
     q: np.ndarray
     p: np.ndarray
     v_deg: np.ndarray
 
-    def __post_init__(self):
-        for name in ("q", "p", "v_deg"):
+    def __post_init__(self, names=("q", "p", "v_deg")):
+        for name in names:
             arr = np.array(getattr(self, name), dtype=float)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
+    def _replace(self, **fields):
+        new = object.__new__(PhasePoint)
+        new.__dict__.update(self.__dict__, **fields)
+        new.__post_init__(fields)
+        return new
 
-# Derivative-block slots of a Resolution, left unset until first read.
-_BLOCK = ("W", "dV_dq", "dV_dp", "dB_dq", "dB_dp", "dB_dq_reg", "dH_dq", "dH_dp", "F", "DH")
+
+# A Resolution's slots built on first read, the block kernel's outputs last.
+_KERNEL = ("dV_dq", "dV_dp", "dB_dq", "dB_dp", "dH_dq", "dH_dp", "F", "DH")
+_LAZY = ("V", "B", "H", "W", "dB_dq_reg") + _KERNEL
 
 
 class Resolution:
     """Everything the transform knows at one resolved phase point.
 
-    Velocity resolution runs eagerly and hands over core, the derivative
-    core's values at the point.  The derivative block (implicit-function
-    solves; dB_dq_reg is dB_dq's regular columns), F and D_a H (DH) fill
-    their slots together, from one call of the generated block kernel, on
-    the first read of any of them.  F and DH are shared, so read-only.
+    Velocity resolution hands over the point, args, the regular velocities
+    as floats (_v) and core, the derivative core's values there.  Every
+    other slot is built from these on its first read and kept: V, B, H, W,
+    dB_dq_reg (dB_dq's regular columns), and each of the derivative block,
+    F and D_a H (DH) from the flat outputs (_W) of the one block-kernel call
+    that _derivatives makes.  F and DH are shared, so read-only.  Threads
+    may share a resolution: a race at worst builds a slot twice.
     """
 
-    __slots__ = ("ct", "pt", "args", "V", "B", "L", "H", "_core", "_W") + _BLOCK
+    __slots__ = ("ct", "pt", "args", "L", "_v", "_core", "_W") + _LAZY
 
-    def __init__(self, ct, pt, args, V, core):
-        self.ct = ct
-        self.pt = pt
-        self.args = args
-        self.V = V
-        self._core = core
-        self.B = np.array([core[i] for i in ct._b_pos])
+    def __init__(self, ct, pt, args, v, core):
+        self.ct, self.pt, self.args, self._v, self._core = ct, pt, args, v, core
         self.L = core[0]
-        self.H = float(pt.p @ V + self.B @ pt.v_deg - self.L)
         self._W = None
 
-    def __getattr__(self, name):
-        if name not in _BLOCK or self._W is not None:
+    def __getattr__(self, name):  # a slot not yet set: build it, then keep it
+        if name not in _LAZY:
             raise AttributeError(name)
-        self._derivatives()
-        return object.__getattribute__(self, name)
+        ct, core = self.ct, self._core
+        if name == "V":
+            value = np.array(self._v)
+        elif name == "B":
+            value = np.array([core[i] for i in ct._b_pos])
+        elif name == "H":
+            value = float(self.pt.p @ self.V + self.B @ self.pt.v_deg - self.L)
+        elif name == "W":
+            value = np.array(core[ct.core_slices["W"]]).reshape(ct.n, ct.n)
+        elif name == "dB_dq_reg":
+            value = self.dB_dq[:, ct.reg_idx]
+        else:
+            if self._W is None:
+                self._derivatives()
+            k = _KERNEL.index(name)
+            value = np.array(self._W[k]).reshape(ct._block_shapes[k])
+            if name in ("F", "DH"):
+                value.flags.writeable = False
+        setattr(self, name, value)
+        return value
 
     def _derivatives(self):  # only from __getattr__, while _W is None
         ct = self.ct
-        n, r, nd = ct.n, ct.r, ct.n - ct.r
-        out = block_kernel(n, ct._reg)(self._core, self.V.tolist(), self.pt.v_deg.tolist())
-        shapes = ((r, n), (r, r), (nd, n), (nd, r), n, r, (nd, nd), nd)
-        (self.dV_dq, self.dV_dp, self.dB_dq, self.dB_dp, self.dH_dq, self.dH_dp,
-         self.F, self.DH) = (np.array(flat).reshape(shape) for flat, shape in zip(out, shapes))
-        self.F.flags.writeable = self.DH.flags.writeable = False
-        self.dB_dq_reg = self.dB_dq[:, ct.reg_idx]
-        self._W = self.W = np.array(self._core[ct.core_slices["W"]]).reshape(n, n)
+        self._W = block_kernel(ct.n, ct._reg)(self._core, self._v, self.pt.v_deg.tolist())
 
 
 class ClairautTransform:
@@ -104,7 +119,9 @@ class ClairautTransform:
 
     The derivative core is the model's: core_exprs, core_slices and _f_core
     are its blocks, their positions in the flat tuple (L, L_v[n], L_q[n],
-    W[n*n], L_vq[n*n]) and its compiled evaluator.
+    W[n*n], L_vq[n*n]) and its compiled evaluator.  Threads may share a
+    transform: the resolve memo _last is one (point, resolution) tuple,
+    replaced whole and matched by point identity.
     """
 
     CORE_BLOCKS = CORE_BLOCKS
@@ -131,6 +148,8 @@ class ClairautTransform:
         self._w_rr = [w + i * self.n + j for i in self._reg for j in self._reg]  # Jacobian
         self._reg_at = [self.n + i for i in self._reg]
         self._deg_at = [self.n + int(a) for a in self.deg_idx]
+        r, nd = self.r, self.n - self.r
+        self._block_shapes = ((r, self.n), (r, r), (nd, self.n), (nd, r), self.n, r, (nd, nd), nd)
         self._resolve_kernel = resolve_kernel(self.n, self._reg)
         self._last = None
 
@@ -138,20 +157,16 @@ class ClairautTransform:
 
     def point(self, q, p=None, v_deg=None):
         """Build a PhasePoint from arrays or name-keyed dicts."""
-        coords = self.model.coords
         if isinstance(q, dict):
-            q = [q.get(c, 0.0) for c in coords]
-        q = np.asarray(q, dtype=float)
+            q = [q.get(c, 0.0) for c in self.model.coords]
         if p is None:
             p = np.zeros(self.r)
         elif isinstance(p, dict):
             p = [p.get(c, 0.0) for c in self.split.regular]
-        p = np.asarray(p, dtype=float)
         if v_deg is None:
             v_deg = np.zeros(len(self.deg_idx))
         elif isinstance(v_deg, dict):
             v_deg = [v_deg.get(c, 0.0) for c in self.split.degenerate]
-        v_deg = np.asarray(v_deg, dtype=float)
         return PhasePoint(q=q, p=p, v_deg=v_deg)
 
     # ---------------------------------------------------------- resolution
@@ -167,9 +182,9 @@ class ClairautTransform:
         cached = self._last
         if cached is not None and cached[0] is pt and v_init is None:
             return cached[1]
-        x0 = [0.0] * self.r if v_init is None else _floats(v_init)
-        args, v, core = self._resolve_args(pt.q.tolist(), pt.p.tolist(), pt.v_deg.tolist(), x0)
-        res = Resolution(self, pt, args, np.array(v), core)
+        x0 = [0.0] * self.r if v_init is None else list(_floats(v_init))
+        res = Resolution(self, pt, *self._resolve_args(pt.q.tolist(), pt.p.tolist(),
+                                                       pt.v_deg.tolist(), x0))
         self._last = (pt, res)
         return res
 

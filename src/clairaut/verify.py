@@ -53,7 +53,7 @@ from .model import (
     check_rank_constancy,
     momentum_name,
 )
-from .transform import ClairautTransform, PhasePoint, fenchel_conjugate
+from .transform import ClairautTransform, fenchel_conjugate
 
 
 class _Context:
@@ -107,7 +107,7 @@ def _zero_vdeg_admissible(ctx):
         return True
     pt = ctx.probes[0]
     try:
-        ctx.ct.resolve(ctx.ct.point(pt.q, pt.p))
+        ctx.ct.resolve(pt._replace(v_deg=np.zeros(ctx.ct.n - ctx.ct.r)))
     except ClairautError:
         return False
     return True
@@ -118,7 +118,7 @@ def _envelope_gradients(ctx):
     ct = ctx.ct
     worst = 0.0
     for pt in ctx.probes:
-        zpt = ct.point(pt.q, pt.p)
+        zpt = pt._replace(v_deg=np.zeros(ct.n - ct.r))
         try:
             res = ct.resolve(zpt)
         except ClairautError:
@@ -173,7 +173,7 @@ def _degenerate_independence(ctx):
         h_vals, b_vals = [], []
         for _ in range(5):
             scale = rng.uniform(0.7, 1.7, size=ct.n - ct.r)
-            vpt = PhasePoint(pt.q, pt.p, pt.v_deg * scale)
+            vpt = pt._replace(v_deg=pt.v_deg * scale)
             h_vals.append(ct.h_phys(vpt))
             b_vals.append(ct.b_values(vpt))
         worst = max(worst, max(h_vals) - min(h_vals))
@@ -438,7 +438,7 @@ def _project_to_surface(ct, pt, levels, iters=18, step=1e-6):
     tower = FiniteDifferenceObservable(_consistency_tower(ct, levels), ct, step)
     u = np.concatenate([pt.q, pt.p])
     for _ in range(iters):
-        cur = PhasePoint(u[:n], u[n:], pt.v_deg)
+        cur = pt._replace(q=u[:n], p=u[n:])
         f0 = tower.value(cur)
         if float(np.max(np.abs(f0))) < 1e-12:
             break
@@ -448,7 +448,7 @@ def _project_to_surface(ct, pt, levels, iters=18, step=1e-6):
         if norm > 1.0:
             delta *= 1.0 / norm
         u = u + delta
-    return PhasePoint(u[:n], u[n:], pt.v_deg)
+    return pt._replace(q=u[:n], p=u[n:])
 
 
 PRESERVATION_TOL = 1e-5
@@ -468,7 +468,7 @@ def _constraint_preservation(ctx):
     pt0 = ctx.probes[0]
     deg = ct.split.degenerate
     try:
-        ct.resolve(PhasePoint(pt0.q, pt0.p, np.zeros(len(deg))))
+        ct.resolve(pt0._replace(v_deg=np.zeros(len(deg))))
         gauge = None
     except (NewtonError, ClairautError):
         # zero degenerate velocities are inadmissible for this Lagrangian

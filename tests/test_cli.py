@@ -171,6 +171,17 @@ class TestTransform:
         assert err.startswith("error: ") and "newton" in err
         assert "Traceback" not in err
 
+    def test_zero_quotient_written_in_the_lagrangian_keeps_its_domain(self, capsys, tmp_path):
+        # derivatives fold their dead 0/u terms; L as written keeps its 0/x,
+        # so its core still fails at x = 0
+        path = tmp_path / "zero.lag"
+        path.write_text("coord x; lagrangian = d(x)^2/2 + 0/x;\n")
+        code, out, err = run_cli(capsys, "transform", str(path), "--at", "x=0,p_x=1")
+        assert code == 3 and not out
+        assert err.startswith("error: ") and "Traceback" not in err
+        code, out, _ = run_cli(capsys, "transform", str(path), "--at", "x=1,p_x=1")
+        assert code == 0 and out.startswith("H_phys = 0.5\n")
+
     def test_newton_failure_exits_3(self, capsys):
         # the exponential momentum map only reaches p*x > 0
         code, _, err = run_cli(capsys, "transform",

@@ -18,7 +18,7 @@ from clairaut import (
     parse_expression,
 )
 from clairaut.dynamics import el_residual, integrate
-from clairaut.expressions import differentiate, simplify, substitute
+from clairaut.expressions import Const, differentiate, simplify, substitute
 from clairaut.errors import ArgumentError, ClairautError
 from clairaut.fixtures import BUNDLED, load_bundled
 from clairaut import model as model_module
@@ -213,6 +213,46 @@ class TestProbes:
         assert len(again) == 5 and again[0]["x"] != 99.0
         assert again[0] is not default_probes(m, count=5, seed=3)[0]
         assert default_probes(m, count=5, seed=None) != default_probes(m, count=5, seed=None)
+
+
+# Models whose derivatives fold 0/u terms, with points at the zeros of every
+# folded denominator: particle's 2*sqrt(d(x0)^2 - |d(x)|^2) (the light cone),
+# 2*sqrt(x) and x.
+FOLDED = {
+    "particle": (load_bundled("particle"),
+                 [[0.0, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 1.0], [2.0, 2.0, 0.0, 0.0],
+                  [-3.0, 0.0, 3.0, 0.0], [5.0, 3.0, 4.0, 0.0]]),
+    "sqrt": (parse_model("coord x; lagrangian = sqrt(x)*d(x)^2/2;"), [[0.0], [-0.0]]),
+    "log": (parse_model("coord x; lagrangian = log(x)*d(x)^2/2;"), [[0.0], [-0.0]]),
+}
+
+
+class TestFoldedQuotients:
+    """Derivatives drop the 0/u terms that the quotient and chain rules leave."""
+
+    def test_folded_blocks(self):
+        particle = FOLDED["particle"][0].core.exprs
+        assert all(e is Const(0.0) for e in particle["L_q"] + particle["L_vq"])
+        assert str(FOLDED["sqrt"][0].core.exprs["W"][0]) == "sqrt(x)"
+        assert str(FOLDED["log"][0].core.exprs["W"][0]) == "log(x)"
+
+    @pytest.mark.parametrize("name", sorted(FOLDED))
+    def test_core_still_fails_where_a_folded_denominator_vanishes(self, name):
+        model, zeros = FOLDED[name]
+        assert "0.0/" not in model.core.fn.source
+        rng = np.random.default_rng(7)
+        for zero in zeros:
+            # particle's zeros are velocities, the others' coordinates
+            fixed = zero + rng.uniform(-1.0, 1.0, model.n).tolist()
+            args = fixed[model.n:] + fixed[:model.n] if name == "particle" else fixed
+            with pytest.raises(DomainError):
+                model.core.fn(args)
+
+    def test_lagrangian_as_written_keeps_its_zero_quotient(self):
+        m = parse_model("coord x; lagrangian = d(x)^2/2 + 0/x;")
+        assert [str(e) for e in m.core.exprs["L_v"] + m.core.exprs["L_q"]] == ["d(x)", "0"]
+        with pytest.raises(DomainError):
+            m.core.fn([0.0, 1.0])
 
 
 class TestRankKernel:

@@ -134,7 +134,10 @@ def to_sympy(e):
 @SETTINGS
 @given(trees(), st.sampled_from(NAMES), bindings)
 def test_derivative_matches_sympy(e, name, b):
+    # only where e itself is defined: a derivative folds its dead 0/u terms,
+    # so the derivative of 0/0 is 0 while sympy cannot even build 0/0
     try:
+        evaluate(e, b)
         got = evaluate(differentiate(e, name), b)
     except DomainError:
         assume(False)

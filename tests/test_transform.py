@@ -1,6 +1,9 @@
 """Velocity resolution, physical Hamiltonian, and conjugate identities."""
 
 import math
+import random
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -17,6 +20,7 @@ from clairaut import (
 from clairaut import transform as transform_module
 from clairaut.fixtures import BUNDLED
 from clairaut.gauge import phase_probes
+from clairaut.numerics import block_kernel
 from clairaut.transform import Resolution
 from conftest import reference_resolve
 
@@ -344,6 +348,21 @@ class TestPhasePointImmutability:
         q[0] = 9.0
         assert pt.q[0] == 0.1
 
+    def test_displaced_point_shares_only_its_unchanged_arrays(self):
+        pt = PhasePoint(np.array([0.1, 0.2]), np.array([0.3]), np.array([0.4]))
+        q = np.array([0.5, 0.6])
+        moved = pt._replace(q=q)
+        assert moved.p is pt.p and moved.v_deg is pt.v_deg
+        assert moved.q is not q and not moved.q.flags.writeable
+        q[0] = 9.0
+        assert moved.q.tolist() == [0.5, 0.6] and pt.q.tolist() == [0.1, 0.2]
+        both = pt._replace(q=[1, 2], p=[3])
+        assert both.v_deg is pt.v_deg and both.p.dtype == np.float64
+        # the public constructor copies even another point's arrays
+        again = PhasePoint(pt.q, pt.p, pt.v_deg)
+        assert all(a is not b for a, b in zip((again.q, again.p, again.v_deg),
+                                              (pt.q, pt.p, pt.v_deg)))
+
     def test_new_point_from_modified_data_resolves_afresh(self):
         ct = transform("mixed")
         q, p = np.array([0.3, 1.2]), np.array([0.7])
@@ -420,6 +439,110 @@ class TestLeanDerivativeBlock:
         assert res.F is res.F and len(calls) == 1
         with pytest.raises(AttributeError):
             res.not_an_attribute
+
+    @pytest.mark.parametrize("name", BUNDLED)
+    def test_lazy_slots_equal_the_eager_build(self, name):
+        # each slot read in a shuffled order, against all of them built at
+        # once from the resolve's floats, as a Resolution once built them
+        ct = transform(name)
+        rng = random.Random(42)
+        for pt in phase_probes(ct):
+            want = eager_slots(ct, pt)
+            res = ct.resolve(pt)
+            order = list(want)
+            rng.shuffle(order)
+            for attr in order:
+                got = getattr(res, attr)
+                assert np.shape(got) == np.shape(want[attr]), attr
+                assert hexes(got) == hexes(want[attr]), attr
+            assert not res.F.flags.writeable and not res.DH.flags.writeable
+
+    def test_reading_dh_builds_dh_alone(self, monkeypatch):
+        ct = transform("christ_lee")
+        calls = []
+        build = Resolution._derivatives
+        monkeypatch.setattr(Resolution, "_derivatives",
+                            lambda res: calls.append(1) or build(res))
+        res = ct.resolve(phase_probes(ct)[0])
+        res.DH
+        assert len(calls) == 1
+        for attr in LAZY_SLOTS:
+            if attr != "DH":
+                with pytest.raises(AttributeError):
+                    getattr(Resolution, attr).__get__(res)
+
+    def test_reading_v_b_h_and_w_runs_no_kernel(self, monkeypatch):
+        ct = transform("christ_lee")
+        monkeypatch.setattr(Resolution, "_derivatives", lambda res: pytest.fail("kernel ran"))
+        res = ct.resolve(phase_probes(ct)[0])
+        res.V, res.B, res.H, res.W
+        assert res._W is None
+
+    def test_threads_sharing_a_transform_read_the_same_floats(self):
+        # the resolve memo is one tuple matched by identity and every slot a
+        # pure function of the resolution's floats: threads resolving
+        # interleaved points, and reading shared resolutions in opposite slot
+        # orders, see a single thread's values
+        points = phase_probes(transform("christ_lee"))
+        single = transform("christ_lee")
+        want = [{attr: hexes(getattr(single.resolve(pt), attr)) for attr in LAZY_SLOTS}
+                for pt in points]
+        ct = transform("christ_lee")
+        shared = [ct.resolve(pt) for pt in points]
+        got = {}
+        start = threading.Barrier(4)
+
+        def work(key, step, slots):
+            start.wait()
+            out = []
+            for k in range(len(points))[::step]:
+                for res in (shared[k], ct.resolve(points[k])):
+                    out.append((k, {attr: hexes(getattr(res, attr)) for attr in slots}))
+            got[key] = out
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = []  # more threads than cores, half in the opposite orders
+            for key in range(4):
+                step = -1 if key % 2 else 1
+                threads.append(threading.Thread(target=work, args=(key, step, LAZY_SLOTS[::step])))
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(t.is_alive() for t in threads)
+        for key in range(4):
+            assert len(got[key]) == 2 * len(points)
+            for k, values in got[key]:
+                assert values == want[k]
+
+
+LAZY_SLOTS = ("V", "B", "H", "W", "dV_dq", "dV_dp", "dB_dq", "dB_dp", "dB_dq_reg",
+              "dH_dq", "dH_dp", "F", "DH")
+
+
+def hexes(value):
+    return [float(x).hex() for x in np.ravel(value)]
+
+
+def eager_slots(ct, pt):
+    """Every slot of ct.resolve(pt), built at once by the formulas of the
+    eager Resolution: V, B and H, then one block-kernel call reshaped."""
+    n, r = ct.n, ct.r
+    _, v, core = ct._resolve_args(pt.q.tolist(), pt.p.tolist(), pt.v_deg.tolist(), [0.0] * r)
+    V = np.array(v)
+    B = np.array([core[i] for i in ct._b_pos])
+    out = block_kernel(n, ct._reg)(core, V.tolist(), pt.v_deg.tolist())
+    shapes = ((r, n), (r, r), (n - r, n), (n - r, r), n, r, (n - r, n - r), n - r)
+    slots = dict(zip(("dV_dq", "dV_dp", "dB_dq", "dB_dp", "dH_dq", "dH_dp", "F", "DH"),
+                     (np.array(flat).reshape(shape) for flat, shape in zip(out, shapes))))
+    slots.update(V=V, B=B, H=float(pt.p @ V + B @ pt.v_deg - core[0]),
+                 W=np.array(core[ct.core_slices["W"]]).reshape(n, n),
+                 dB_dq_reg=slots["dB_dq"][:, ct.reg_idx])
+    return slots
 
 
 def hexed(resolved):
