@@ -61,9 +61,11 @@ class PhasePoint:
         return new
 
 
-# A Resolution's slots built on first read, the block kernel's outputs last.
-_KERNEL = ("dV_dq", "dV_dp", "dB_dq", "dB_dp", "dH_dq", "dH_dp", "F", "DH")
-_LAZY = ("V", "B", "H", "W", "dB_dq_reg") + _KERNEL
+# numerics.block_kernel's outputs: name -> (index in its result, shape over n, r, d = n - r).
+_KERNEL = {name: (k, dims) for k, (name, dims) in enumerate((
+    ("dV_dq", "rn"), ("dV_dp", "rr"), ("dB_dq", "dn"), ("dB_dp", "dr"),
+    ("dH_dq", "n"), ("dH_dp", "r"), ("F", "dd"), ("DH", "d")))}
+_LAZY = ("V", "B", "H", "W", "dB_dq_reg") + tuple(_KERNEL)  # slots built on first read
 
 
 class Resolution:
@@ -82,8 +84,7 @@ class Resolution:
 
     def __init__(self, ct, pt, args, v, core):
         self.ct, self.pt, self.args, self._v, self._core = ct, pt, args, v, core
-        self.L = core[0]
-        self._W = None
+        self.L, self._W = core[0], None
 
     def __getattr__(self, name):  # a slot not yet set: build it, then keep it
         if name not in _LAZY:
@@ -102,8 +103,9 @@ class Resolution:
         else:
             if self._W is None:
                 self._derivatives()
-            k = _KERNEL.index(name)
-            value = np.array(self._W[k]).reshape(ct._block_shapes[k])
+            k, dims = _KERNEL[name]
+            size = {"n": ct.n, "r": ct.r, "d": ct.n - ct.r}
+            value = np.array(self._W[k]).reshape([size[c] for c in dims])
             if name in ("F", "DH"):
                 value.flags.writeable = False
         setattr(self, name, value)
@@ -148,8 +150,6 @@ class ClairautTransform:
         self._w_rr = [w + i * self.n + j for i in self._reg for j in self._reg]  # Jacobian
         self._reg_at = [self.n + i for i in self._reg]
         self._deg_at = [self.n + int(a) for a in self.deg_idx]
-        r, nd = self.r, self.n - self.r
-        self._block_shapes = ((r, self.n), (r, r), (nd, self.n), (nd, r), self.n, r, (nd, nd), nd)
         self._resolve_kernel = resolve_kernel(self.n, self._reg)
         self._last = None
 
