@@ -18,7 +18,8 @@ import numpy as np
 
 from .errors import DomainError, ModelError, RankDeficiencyError
 from .expressions import _Derivatives, compile_evaluator, free_symbols, parse_expression, simplify
-from .numerics import NewtonConfig, newton_pair, newton_with_restarts, rank_and_pivots
+from .numerics import (NewtonConfig, central_differences, newton_pair, newton_with_restarts,
+                       rank_and_pivots)
 
 RESIDUAL_STEP = 1e-6
 
@@ -86,7 +87,7 @@ def _affine(prob, c, family):
     return value
 
 
-def envelope_solution(prob, x, cfg=NewtonConfig()):
+def envelope_solution(prob, x):
     """Resolve every slope condition x_i = df/dz_i and evaluate the result.
 
     Only exists when f's Hessian has full rank: the conditions are solved
@@ -97,10 +98,10 @@ def envelope_solution(prob, x, cfg=NewtonConfig()):
     x = np.asarray(x, dtype=float)
     if x.shape != (prob.n,):
         raise ModelError(f"expected a point with {prob.n} components, got {x.shape}")
-    return _affine(prob, _resolve_slopes(prob, np.arange(prob.n), (), x, cfg), "envelope")(x)
+    return _affine(prob, _resolve_slopes(prob, np.arange(prob.n), (), x), "envelope")(x)
 
 
-def mixed_solution(prob, s, c_tail, x, cfg=NewtonConfig()):
+def mixed_solution(prob, s, c_tail, x):
     """Resolve the first s slope conditions, keep constants for the rest.
 
     The resolvable block must lead: the top-left s-by-s Hessian minor of
@@ -116,13 +117,14 @@ def mixed_solution(prob, s, c_tail, x, cfg=NewtonConfig()):
     x = np.asarray(x, dtype=float)
     if x.shape != (prob.n,):
         raise ModelError(f"expected a point with {prob.n} components, got {x.shape}")
-    head = _resolve_slopes(prob, np.arange(s), c_tail, x, cfg) if s else ()
+    head = _resolve_slopes(prob, np.arange(s), c_tail, x) if s else ()
     return _affine(prob, np.concatenate([head, c_tail]), "mixed")(x)
 
 
-def _resolve_slopes(prob, idx, c_tail, x, cfg):
+def _resolve_slopes(prob, idx, c_tail, x):
     """Newton solve x_i = df/dz_i over the leading index block idx, tail
-    frozen; residual and Jacobian from one _derivs call per iterate."""
+    frozen, by newton_with_restarts at the default NewtonConfig; residual
+    and Jacobian from one _derivs call per iterate."""
     s, n, rows = len(idx), prob.n, idx.tolist()
     args = [0.0] * s + list(c_tail)
     residual, jacobian, last = newton_pair(
@@ -137,20 +139,15 @@ def _resolve_slopes(prob, idx, c_tail, x, cfg):
 
     guess = x[idx] / 2.0
     check_rank(guess)
-    head = newton_with_restarts(residual, jacobian, guess, cfg,
+    head = newton_with_restarts(residual, jacobian, guess, NewtonConfig(),
                                 box=1.0 + float(np.max(np.abs(x))))
     check_rank(last[0])  # the root: no new evaluation
     return head
 
 
-def pde_residual(prob, y_fn, x, step=RESIDUAL_STEP):
-    """Defect |y - Sum x_j dy/dx_j + f(dy/dx)| with central-difference dy/dx."""
+def pde_residual(prob, y_fn, x):
+    """Defect |y - Sum x_j dy/dx_j + f(dy/dx)| with dy/dx by central
+    differences (numerics.central_differences, step RESIDUAL_STEP)."""
     x = np.asarray(x, dtype=float)
-    grad = np.empty(prob.n)
-    for j in range(prob.n):
-        h = step * (1 + abs(x[j]))
-        xp, xm = x.copy(), x.copy()
-        xp[j] += h
-        xm[j] -= h
-        grad[j] = (y_fn(xp) - y_fn(xm)) / (2 * h)
+    grad = central_differences(y_fn, x, RESIDUAL_STEP)
     return abs(y_fn(x) - x @ grad + prob.f_value(grad))

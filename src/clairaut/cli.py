@@ -5,8 +5,9 @@ Subcommands: analyze (split and classification as JSON), transform
 (trajectory CSV plus an optional SVG plot), verify (property-suite JSON),
 and pde (Clairaut equation solution families).
 
-Exit codes: 0 success, 1 a verification or tolerance failure, 2 usage or
-parse error, 3 numeric failure.
+Exit codes: 0 success, 1 a verification or tolerance failure, otherwise
+the exit_code of the error raised (errors.py: 2 usage or parse error, 3
+numeric failure); an OSError exits 2.
 """
 
 import argparse
@@ -27,19 +28,7 @@ from .clairaut_pde import (
     pde_residual,
 )
 from .dynamics import IntegratorConfig, d_alpha_h, el_residual, gauge_input, integrate
-from .errors import (
-    ArgumentError,
-    DomainError,
-    ExprSyntaxError,
-    FenchelError,
-    GaugeInputError,
-    IntegrabilityError,
-    ModelError,
-    NewtonError,
-    RankDeficiencyError,
-    RankVariationError,
-    UnboundSymbolError,
-)
+from .errors import ArgumentError, ClairautError, DomainError, NewtonError
 from .fixtures import BUNDLED, load_bundled
 from .gauge import classify, field_strength, phase_probes
 from .model import (
@@ -54,14 +43,6 @@ from .transform import ClairautTransform
 from .verify import render_report, run_verification
 
 
-class UsageError(Exception):
-    """Bad flags or bindings; maps to exit code 2."""
-
-
-_NUMERIC_ERRORS = (NewtonError, DomainError, FenchelError, RankDeficiencyError,
-                   RankVariationError, IntegrabilityError)
-_USAGE_ERRORS = (UsageError, OSError, ExprSyntaxError, UnboundSymbolError,
-                 ModelError, GaugeInputError, ArgumentError)
 # each probe may take up to 400 draws, each running the domain guards
 MAX_PROBES = 10_000
 
@@ -70,7 +51,8 @@ MAX_PROBES = 10_000
 
 
 def _parse_bindings(text, what):
-    """Comma-separated name=value pairs, values kept as strings."""
+    """Comma-separated name=value pairs, values kept as strings; a name
+    bound twice is an ArgumentError."""
     out = {}
     for part in (text or "").split(","):
         part = part.strip()
@@ -79,7 +61,9 @@ def _parse_bindings(text, what):
         name, eq, value = part.partition("=")
         name, value = name.strip(), value.strip()
         if not eq or not name or not value:
-            raise UsageError(f"bad {what} entry {part!r}: expected name=value")
+            raise ArgumentError(f"bad {what} entry {part!r}: expected name=value")
+        if name in out:
+            raise ArgumentError(f"{what} binds {name!r} more than once")
         out[name] = value
     return out
 
@@ -88,9 +72,9 @@ def _parse_float(text, what):
     try:
         value = float(text)
     except (TypeError, ValueError):
-        raise UsageError(f"{what} must be a number, got {text!r}") from None
+        raise ArgumentError(f"{what} must be a number, got {text!r}") from None
     if not math.isfinite(value):
-        raise UsageError(f"{what} must be finite, got {text!r}")
+        raise ArgumentError(f"{what} must be finite, got {text!r}")
     return value
 
 
@@ -99,13 +83,13 @@ def _check_numeric_flags(args):
     for flag in ("dt", "t1", "tol"):
         value = getattr(args, flag, None)
         if value is not None and not (math.isfinite(value) and value > 0):
-            raise UsageError(f"--{flag} must be finite and positive, got {value}")
+            raise ArgumentError(f"--{flag} must be finite and positive, got {value}")
     for flag, low, high in (("probes", 1, MAX_PROBES), ("seed", 0, math.inf)):
         value = getattr(args, flag, None)
         if value is not None and value < low:
-            raise UsageError(f"--{flag} must be at least {low}, got {value}")
+            raise ArgumentError(f"--{flag} must be at least {low}, got {value}")
         if value is not None and value > high:
-            raise UsageError(f"--{flag} must be at most {high}, got {value}")
+            raise ArgumentError(f"--{flag} must be at most {high}, got {value}")
 
 
 def _load(spec):
@@ -115,7 +99,7 @@ def _load(spec):
     stem = os.path.splitext(os.path.basename(path))[0]
     if stem in BUNDLED and path in (stem, stem + ".lag"):
         return load_bundled(stem)
-    raise UsageError(f"model file not found: {path}")
+    raise ArgumentError(f"model file not found: {path}")
 
 
 def _apply_params(model, text):
@@ -126,7 +110,7 @@ def _apply_params(model, text):
     for name, value in overrides.items():
         if name not in params:
             have = ", ".join(params) or "none"
-            raise UsageError(f"unknown parameter {name!r}; model has: {have}")
+            raise ArgumentError(f"unknown parameter {name!r}; model has: {have}")
         params[name] = _parse_float(value, f"param {name}")
     return dataclasses.replace(model, params=params)
 
@@ -149,15 +133,15 @@ def _bind_point(ct, text, what, require_all=False):
             valid = (list(coords)
                      + [momentum_name(c) for c in ct.split.regular]
                      + [velocity_name(c) for c in ct.split.degenerate])
-            raise UsageError(
+            raise ArgumentError(
                 f"unknown binding {name!r} in {what}; valid names: "
                 + ", ".join(valid))
     if require_all:
         missing = [c for c in coords if c not in q]
         missing += [momentum_name(c) for c in ct.split.regular if c not in p]
         if missing:
-            raise UsageError(f"{what} must bind every coordinate and regular "
-                             "momentum; missing: " + ", ".join(missing))
+            raise ArgumentError(f"{what} must bind every coordinate and regular "
+                                "momentum; missing: " + ", ".join(missing))
     return ct.point(q, p, v), bool(v)
 
 
@@ -281,8 +265,9 @@ def cmd_simulate(args):
     cfg = IntegratorConfig(t1=args.t1, dt=args.dt, consistency_tol=halt_tol)
     samples = int(round((cfg.t1 - cfg.t0) / cfg.dt)) + 1
     if args.tol is not None and samples < 5:
-        raise UsageError("--tol needs at least 5 samples for the Euler-Lagrange residual's "
-                         f"stencil; --t1 {args.t1} at --dt {args.dt} gives {samples}")
+        raise ArgumentError("--tol needs at least 5 samples for the Euler-Lagrange "
+                            f"residual's stencil; --t1 {args.t1} at --dt {args.dt} "
+                            f"gives {samples}")
     ct = ClairautTransform(model)
     cls = classify(ct)
     pt, _ = _bind_point(ct, args.init, "--init")
@@ -325,11 +310,11 @@ def cmd_pde(args):
     at = _parse_bindings(args.at, "--at")
     n = len(at)
     if n == 0:
-        raise UsageError("--at must bind x1..xn")
+        raise ArgumentError("--at must bind x1..xn")
     want = [f"x{j}" for j in range(1, n + 1)]
     if set(at) != set(want):
-        raise UsageError("--at must bind exactly x1..x%d, got: %s"
-                         % (n, ", ".join(sorted(at))))
+        raise ArgumentError("--at must bind exactly x1..x%d, got: %s"
+                            % (n, ", ".join(sorted(at))))
     x = np.array([_parse_float(at[name], name) for name in want])
     prob = ClairautProblem(n, args.f)
     constants = _parse_bindings(args.c, "--c")
@@ -339,11 +324,11 @@ def cmd_pde(args):
         for j in indices:
             key = f"c{j}"
             if key not in constants:
-                raise UsageError(f"--c must provide {key} for this mode")
+                raise ArgumentError(f"--c must provide {key} for this mode")
             vals.append(_parse_float(constants[key], key))
         extra = set(constants) - {f"c{j}" for j in indices}
         if extra:
-            raise UsageError("unused --c entries: " + ", ".join(sorted(extra)))
+            raise ArgumentError("unused --c entries: " + ", ".join(sorted(extra)))
         return np.array(vals)
 
     if args.mode == "general":
@@ -355,9 +340,9 @@ def cmd_pde(args):
             return envelope_solution(prob, xx)
     else:
         if args.s is None:
-            raise UsageError("--s is required for mixed mode")
+            raise ArgumentError("--s is required for mixed mode")
         if not 0 <= args.s <= n:
-            raise UsageError(f"--s must lie in 0..{n}, got {args.s}")
+            raise ArgumentError(f"--s must lie in 0..{n}, got {args.s}")
         c_tail = pull_constants(range(args.s + 1, n + 1))
         def y_fn(xx):
             return mixed_solution(prob, args.s, c_tail, xx)
@@ -449,10 +434,10 @@ def main(argv=None):
     try:
         _check_numeric_flags(args)
         return args.func(args)
-    except _NUMERIC_ERRORS as exc:
+    except ClairautError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except _USAGE_ERRORS as exc:
+        return exc.exit_code
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

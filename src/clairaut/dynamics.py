@@ -128,18 +128,24 @@ def check_gauge_input(ct, gauge, cls):
             f"from the sector system, but the gauge input solves {{{got}}}")
 
 
+def _gauge_for(ct, gauge, cls):
+    """The gauge input a run uses: gauge, checked against the classification
+    cls (classify(ct) if None), or else that classification's default."""
+    if cls is None:
+        cls = classify(ct)
+    if gauge is None:
+        return gauge_input(ct, cls)
+    check_gauge_input(ct, gauge, cls)
+    return gauge
+
+
 # ---------------------------------------------------------- sector velocities
 
 
 def degenerate_velocities(ct, pt, gauge=None, cls=None, t=0.0, res=None):
     """Velocities of the degenerate sector at one point, plus the residual
     ||F v - D H||_inf over all rows (solved and unsolved alike)."""
-    if cls is None:
-        cls = classify(ct)
-    if gauge is None:
-        gauge = gauge_input(ct, cls)
-    else:
-        check_gauge_input(ct, gauge, cls)
+    gauge = _gauge_for(ct, gauge, cls)
     if res is None:
         res = ct.resolve(pt)
     solve, other = gauge._plan
@@ -210,11 +216,7 @@ def integrate(ct, initial, gauge=None, cfg=None, cls=None):
     starts of two steps: the determinant, Pf^2, cannot see it.
     """
     cfg = cfg if cfg is not None else IntegratorConfig()
-    cls = cls if cls is not None else classify(ct)
-    if gauge is None:
-        gauge = gauge_input(ct, cls)
-    else:
-        check_gauge_input(ct, gauge, cls)
+    gauge = _gauge_for(ct, gauge, cls)
     solve, other = gauge._plan
     n, width = ct.n, 2 * ct.n + 3  # a row: t, q, p, v_deg, H, consistency
     rows = array("d")
@@ -358,7 +360,7 @@ def dirac_report(ct, pt, p_deg=None):
     p_deg = np.asarray(p_deg, dtype=float)
     phi = p_deg - res.B
     v = pt.v_deg
-    h_t = float(res.H + v @ phi)
+    h_t = ct.h_mix(pt, p_deg)
     f = field_strength(ct, pt)
     dh = d_alpha_h(ct, res)
     fab, dhf = _constraint_brackets(ct, res)

@@ -1,16 +1,21 @@
 """Exception types shared across the engine.
 
-Every failure mode callers are expected to handle gets its own class so the
-CLI can map them onto exit codes without string matching.
+Every failure mode callers are expected to handle gets its own class, and
+each class holds the CLI's exit code for it in ``exit_code``: 3 for a
+numeric failure unless the class sets 2, a usage or input error.
 """
 
 
 class ClairautError(Exception):
     """Base class for all engine errors."""
 
+    exit_code = 3
+
 
 class ExprSyntaxError(ClairautError):
     """Raised by the expression and model parsers on malformed input."""
+
+    exit_code = 2
 
     def __init__(self, message, line, column, expected=()):
         self.line = line
@@ -25,6 +30,8 @@ class ExprSyntaxError(ClairautError):
 class UnboundSymbolError(ClairautError):
     """Evaluation hit a symbol with no value bound."""
 
+    exit_code = 2
+
     def __init__(self, name):
         self.name = name
         super().__init__(f"unbound symbol: {name}")
@@ -36,23 +43,29 @@ class DomainError(ClairautError):
 
 class ArgumentError(ClairautError, ValueError):
     """A function was handed a value it does not take: an unknown function
-    name, a non-matrix, an integrator setting out of range.  Also a
-    ValueError, so callers that catch that keep working."""
+    name, a non-matrix, an integrator setting out of range; or the CLI a
+    flag or binding it does not take.  Also a ValueError, so callers that
+    catch that keep working."""
+
+    exit_code = 2
 
 
 class ModelError(ClairautError):
     """Model file failed validation (undeclared coordinate, duplicates, ...)."""
 
+    exit_code = 2
+
 
 class RankVariationError(ClairautError):
-    """Hessian rank disagreed between probe points."""
+    """The rank of a probed matrix (the velocity Hessian or the field
+    strength) disagreed between probe points."""
 
-    def __init__(self, ranks):
+    def __init__(self, ranks, matrix="velocity Hessian"):
         # ranks: list of (probe_index, rank)
         self.ranks = list(ranks)
         seen = sorted({r for _, r in self.ranks})
         detail = ", ".join(f"probe {i}: rank {r}" for i, r in self.ranks)
-        super().__init__(f"velocity Hessian rank varies across probes (ranks {seen}): {detail}")
+        super().__init__(f"{matrix} rank varies across probes (ranks {seen}): {detail}")
 
 
 class NewtonError(ClairautError):
@@ -85,3 +98,5 @@ class RankDeficiencyError(ClairautError):
 
 class GaugeInputError(ClairautError):
     """Gauge velocity assignment does not match the model's classification."""
+
+    exit_code = 2

@@ -42,10 +42,11 @@ from .model import (
     default_probes,
     momentum_name,
 )
-from .numerics import probe_ranks
+from .numerics import central_differences, probe_ranks
 from .transform import PhasePoint
 
 FD_STEP = 1e-5
+BIANCHI_STEP = 1e-4
 
 
 class ExprObservable:
@@ -72,9 +73,13 @@ class ExprObservable:
         self.expr = expr
         # value, then the q- and p-partials, from one evaluator
         self._fn = compile_evaluator([expr] + [differentiate(expr, c) for c in names], names)
+        self._last = None
 
-    def _eval(self, pt):
-        return self._fn(list(pt.q) + list(pt.p))
+    def _eval(self, pt):  # the last (point, values), one tuple matched by identity
+        last = self._last
+        if last is None or last[0] is not pt:
+            last = self._last = (pt, self._fn(list(pt.q) + list(pt.p)))
+        return last[1]
 
     def value(self, pt):
         return self._eval(pt)[0]
@@ -107,9 +112,8 @@ class FiniteDifferenceObservable:
     """Central-difference gradients of a scalar or an array of the phase point.
 
     For fn(pt) of shape S, d_dq and d_dp have shapes S + (n,) and S + (r,):
-    each displaced point is evaluated once, (fn(plus) - fn(minus)) / (2h), and
-    the direction axis is last, so one entry's gradient is a contiguous
-    vector.  Step is scaled by (1 + |varied component|).  Used to take outer
+    each displaced point is evaluated once by numerics.central_differences,
+    whose step is scaled by (1 + |varied component|).  Used to take outer
     derivatives of quantities that are themselves assembled numerically,
     where analytic derivatives would need third partials of L.
     """
@@ -131,14 +135,7 @@ class FiniteDifferenceObservable:
     def _differences(self, pt, base, at):
         if not len(base):
             return np.empty(np.shape(self.fn(pt)) + (0,))
-        cols = []
-        for k in range(len(base)):
-            h = self.step * (1 + abs(base[k]))
-            xp, xm = base.copy(), base.copy()
-            xp[k] += h
-            xm[k] -= h
-            cols.append((self.fn(at(xp)) - self.fn(at(xm))) / (2 * h))
-        return np.stack(cols, axis=-1)
+        return central_differences(lambda x: self.fn(at(x)), base, self.step)
 
 
 def _poisson(ct, xq, xp, yq, yp):
@@ -211,8 +208,8 @@ class GaugeClassification:
     n_deg: int
 
 
-def classify(ct, probes=None, tol=DEFAULT_RANK_TOL):
-    """Rank F at every probe and sort the model into its sector class."""
+def classify(ct, probes=None):
+    """Rank F at every probe (DEFAULT_RANK_TOL); sort the model into its sector class."""
     n_deg = ct.n - ct.r
     if n_deg == 0:
         return GaugeClassification("gaugeless", 0, (), (), 0)
@@ -221,9 +218,9 @@ def classify(ct, probes=None, tol=DEFAULT_RANK_TOL):
     if not probes:
         raise ModelError("classification needs at least one probe point")
     pivots, ranks, block_ranks = probe_ranks(
-        (field_strength(ct, pt).tolist() for pt in probes), None, tol)
+        (field_strength(ct, pt).tolist() for pt in probes), None, DEFAULT_RANK_TOL)
     if len(set(ranks)) > 1:
-        raise RankVariationError(list(enumerate(ranks)))
+        raise RankVariationError(list(enumerate(ranks)), "field strength")
     r_f = ranks[0]
     if r_f % 2:
         raise ModelError(
@@ -282,31 +279,32 @@ def _corrected_bracket(ct, x, y, pt, solved, singular):
     return base - float(correction)
 
 
-def _long_derivatives_of_f(ct, pt, fd_step):
+def _long_derivatives_of_f(ct, pt, step):
     """(a, b, c) -> D_a F_bc at pt, all read from one F Jacobian."""
     res = ct.resolve(pt)
-    f = FiniteDifferenceObservable(lambda s: field_strength(ct, s), ct, step=fd_step)
+    f = FiniteDifferenceObservable(lambda s: field_strength(ct, s), ct, step=step)
     fq, fp = f.d_dq(pt), f.d_dp(pt)
     return lambda a, b, c: _long_derivative(ct, res, a, fq[b, c], fp[b, c])
 
 
-def maxwell_current(ct, pt, fd_step=FD_STEP):
+def maxwell_current(ct, pt):
     """J_beta = sum_alpha D_alpha F_alphabeta, outer derivatives by central
-    differences of the assembled field strength, one F Jacobian per call."""
+    differences (FD_STEP) of the assembled field strength, one F Jacobian."""
     n_deg = ct.n - ct.r
-    d = _long_derivatives_of_f(ct, pt, fd_step)
+    d = _long_derivatives_of_f(ct, pt, FD_STEP)
     # summed from 0.0 in order of alpha, skipping F_bb == 0
     return np.array([sum((d(a, a, b) for a in range(n_deg) if a != b), 0.0)
                      for b in range(n_deg)])
 
 
-def bianchi_residual(ct, pt, fd_step=1e-4):
-    """Max cyclic defect D_a F_bc + D_c F_ab + D_b F_ca over index triples;
-    zero by convention when the degenerate sector has fewer than 3 directions."""
+def bianchi_residual(ct, pt):
+    """Max cyclic defect D_a F_bc + D_c F_ab + D_b F_ca over index triples,
+    outer derivatives by central differences (step BIANCHI_STEP); zero by
+    convention when the degenerate sector has fewer than 3 directions."""
     n_deg = ct.n - ct.r
     if n_deg < 3:
         return 0.0
-    d = _long_derivatives_of_f(ct, pt, fd_step)
+    d = _long_derivatives_of_f(ct, pt, BIANCHI_STEP)
     worst = 0.0
     for a in range(n_deg):
         for b in range(a + 1, n_deg):

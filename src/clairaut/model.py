@@ -71,7 +71,7 @@ class LagrangianModel:
 
     @cached_property
     def _probe_draws(self):
-        """default_probes' admissible draws, by (count, seed, exclusion)."""
+        """default_probes' admissible draws, by (count, seed)."""
         return {}
 
 
@@ -262,23 +262,22 @@ def _domain_guards(expr):
     return away_from_zero, nonnegative
 
 
-def default_probes(model, count=DEFAULT_PROBE_COUNT, seed=DEFAULT_PROBE_SEED,
-                   exclusion=PROBE_EXCLUSION):
+def default_probes(model, count=DEFAULT_PROBE_COUNT, seed=DEFAULT_PROBE_SEED):
     """Random coordinate/velocity bindings in [-1, 1], rejecting draws that sit
-    within the exclusion margin of a domain boundary of the Lagrangian.
+    within PROBE_EXCLUSION of a domain boundary of the Lagrangian.
 
-    Each model draws a given (count, integer seed, exclusion) once; every
-    call gets its own copies of the bindings."""
+    Each model draws a given (count, integer seed) once; every call gets its
+    own copies of the bindings."""
     if not isinstance(seed, int):  # None or a Generator: draw afresh each call
-        return _draw_probes(model, count, seed, exclusion)
-    key = (count, seed, exclusion)
+        return _draw_probes(model, count, seed)
+    key = (count, seed)
     probes = model._probe_draws.get(key)
     if probes is None:
-        probes = model._probe_draws[key] = _draw_probes(model, count, seed, exclusion)
+        probes = model._probe_draws[key] = _draw_probes(model, count, seed)
     return [dict(bindings) for bindings in probes]
 
 
-def _draw_probes(model, count, seed, exclusion):
+def _draw_probes(model, count, seed):
     rng = np.random.default_rng(seed)
     names = list(model.coords) + list(model.velocity_names)
     away, nonneg = _domain_guards(model.lagrangian)
@@ -291,8 +290,8 @@ def _draw_probes(model, count, seed, exclusion):
         bindings = model.base_bindings()
         bindings.update(zip(names, draw))
         try:
-            ok = (all(not abs(evaluate(g, bindings)) < exclusion for g in away)
-                  and all(not evaluate(g, bindings) < exclusion for g in nonneg))
+            ok = (all(not abs(evaluate(g, bindings)) < PROBE_EXCLUSION for g in away)
+                  and all(not evaluate(g, bindings) < PROBE_EXCLUSION for g in nonneg))
         except ex.DomainError:
             ok = False
         if ok:
@@ -305,11 +304,11 @@ def _draw_probes(model, count, seed, exclusion):
     return probes
 
 
-def _probe_ranks(model, probes, tol, regular=None):
-    """numerics.probe_ranks over W at the probes, its block the regular set:
-    the one given, the pinned declaration's, or else W's pivot order at the
-    first probe.  Returns the regular set in declaration order, then the
-    rank of W and that of its regular block at each probe."""
+def _probe_ranks(model, probes, regular=None):
+    """numerics.probe_ranks over W at the probes (DEFAULT_RANK_TOL), its block
+    the regular set: the one given, the pinned declaration's, or else W's
+    pivot order at the first probe.  Returns the regular set in declaration
+    order, then the rank of W and that of its regular block at each probe."""
     coords, n, core = model.coords, model.n, model.core
     if regular is None and model.pinned_degenerate is not None:
         regular = tuple(c for c in coords if c not in model.pinned_degenerate)
@@ -323,12 +322,13 @@ def _probe_ranks(model, probes, tol, regular=None):
         return [w[i * n:i * n + n] for i in range(n)]
 
     block = None if regular is None else [coords.index(c) for c in regular]
-    block, ranks, block_ranks = probe_ranks(map(hessian, probes), block, tol)
+    block, ranks, block_ranks = probe_ranks(map(hessian, probes), block, DEFAULT_RANK_TOL)
     return tuple(coords[i] for i in block), ranks, block_ranks
 
 
-def split_variables(model, probes=None, tol=DEFAULT_RANK_TOL):
-    """Choose regular and degenerate coordinate sets from Hessian probes.
+def split_variables(model, probes=None):
+    """Choose regular and degenerate coordinate sets from Hessian probes
+    (ranks to DEFAULT_RANK_TOL).
 
     The pivot order at the first probe selects which velocities form the
     regular block; the sets themselves are reported in declaration order.
@@ -339,7 +339,7 @@ def split_variables(model, probes=None, tol=DEFAULT_RANK_TOL):
         probes = default_probes(model)
     if not probes:
         raise ModelError("the velocity split needs at least one probe")
-    regular, ranks, block_ranks = _probe_ranks(model, probes, tol)
+    regular, ranks, block_ranks = _probe_ranks(model, probes)
     if len(set(ranks)) > 1:
         raise RankVariationError(list(enumerate(ranks)))
     r = ranks[0]
@@ -356,11 +356,11 @@ def split_variables(model, probes=None, tol=DEFAULT_RANK_TOL):
     return VariableSplit(r=r, regular=regular, degenerate=degenerate, order=order)
 
 
-def check_rank_constancy(model, split, probes=None, tol=DEFAULT_RANK_TOL):
-    """Probe report for rank and regular-block invertibility; never raises."""
+def check_rank_constancy(model, split, probes=None):
+    """Probe report (DEFAULT_RANK_TOL) for rank and regular-block invertibility; never raises."""
     if probes is None:
         probes = default_probes(model)
-    _, ranks, block_ranks = _probe_ranks(model, probes, tol, split.regular)
+    _, ranks, block_ranks = _probe_ranks(model, probes, split.regular)
     rows = [(k, rank, block_rank == split.r)
             for k, (rank, block_rank) in enumerate(zip(ranks, block_ranks))]
     return RankReport(all(rank == split.r and ok for _, rank, ok in rows), split.r, rows)

@@ -1,6 +1,7 @@
 """Small numeric kernels: pivoted rank detection, the Pfaffian of an
-antisymmetric matrix, damped Newton iteration, and generated straight-line
-kernels for the tiny dense solves of the mixed transform.
+antisymmetric matrix, the one central-difference stencil, damped Newton
+iteration, and generated straight-line kernels for the tiny dense solves of
+the mixed transform.
 
 rank_and_pivots eliminates on Python floats, entry by entry as numpy would.
 probe_ranks is the one constant-rank routine over probe matrices: the
@@ -123,6 +124,21 @@ def pfaffian(matrix):
             col = a[k + 2:, k + 1]
             a[k + 2:, k + 2:] += np.outer(tau, col) - np.outer(col, tau)
     return float(pf)
+
+
+def central_differences(fn, x, step):
+    """Central-difference derivatives of fn at the float array x: for each
+    component k, h = step * (1 + |x_k|) and (fn(x + h e_k) - fn(x - h e_k))
+    / (2h).  fn may return a scalar or an array; the direction axis is last,
+    so one entry's gradient is a contiguous vector."""
+    cols = []
+    for k in range(len(x)):
+        h = step * (1 + abs(x[k]))
+        xp, xm = x.copy(), x.copy()
+        xp[k] += h
+        xm[k] -= h
+        cols.append((fn(xp) - fn(xm)) / (2 * h))
+    return np.stack(cols, axis=-1)
 
 
 @dataclass(frozen=True)

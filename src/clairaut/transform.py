@@ -266,7 +266,7 @@ class ClairautTransform:
         grad[self.reg_idx] = res.V
         grad[self.deg_idx] = pt.v_deg
         if h_value is None:
-            h = res.H + float((pbar[self.deg_idx] - res.B) @ pt.v_deg)
+            h = self.h_mix(pt, pbar[self.deg_idx])
         else:
             h = float(h_value(q, pbar))
         return abs(h - float(pbar @ grad) + res.L)
@@ -293,14 +293,15 @@ class _HamiltonianObservable:
 # ------------------------------------------------------- numeric conjugate
 
 
-def fenchel_conjugate(model, q, p, box=2.0, grid=5, newton=None, pd_tol=1e-10):
-    """sup_v (p . v - L) by multi-start Newton; test oracle for convex models.
+def fenchel_conjugate(model, q, p, box=2.0, grid=5):
+    """sup_v (p . v - L) by multi-start Newton (default NewtonConfig); test
+    oracle for convex models.
 
     Requires L strictly convex in the velocities near the maximizer, i.e. the
-    velocity Hessian positive definite there; candidate stationary points
-    failing that check are discarded.  L, L_v and W come from model.core.
+    least eigenvalue of the velocity Hessian there above 1e-10 times its
+    largest |entry| (or 1); candidate stationary points failing that check
+    are discarded.  L, L_v and W come from model.core.
     """
-    newton = newton or NewtonConfig()
     n = model.n
     core = model.core
     lv, w = core.slices["L_v"], core.slices["W"]
@@ -315,12 +316,12 @@ def fenchel_conjugate(model, q, p, box=2.0, grid=5, newton=None, pd_tol=1e-10):
     best = None
     for start in starts:
         try:
-            v = damped_newton(residual, jacobian, start, newton)
+            v = damped_newton(residual, jacobian, start, NewtonConfig())
         except (NewtonError, DomainError):
             continue
         hess = np.reshape(jacobian(last[0]), (n, n))  # at v, from Newton's last call
         scale = max(1.0, float(np.max(np.abs(hess))))
-        if np.min(np.linalg.eigvalsh(hess)) <= pd_tol * scale:
+        if np.min(np.linalg.eigvalsh(hess)) <= 1e-10 * scale:
             continue  # not a strict local maximum of p.v - L
         value = float(p @ v - last[1][0])
         if best is None or value > best:

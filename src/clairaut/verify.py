@@ -28,7 +28,7 @@ from .dynamics import (
     gauge_input,
     integrate,
 )
-from .errors import ClairautError, NewtonError
+from .errors import ClairautError
 from .gauge import (
     BObservable,
     ExprObservable,
@@ -75,6 +75,34 @@ class _Context:
     def dirac(self):
         return [dirac_report(self.ct, pt) for pt in self.probes]
 
+    @functools.cached_property
+    def zero_vdeg_ok(self):
+        """Whether the first probe resolves with its degenerate velocities
+        zeroed (True when there are none)."""
+        ct = self.ct
+        if ct.n == ct.r:
+            return True
+        try:
+            ct.resolve(self.probes[0]._replace(v_deg=np.zeros(ct.n - ct.r)))
+        except ClairautError:
+            return False
+        return True
+
+    @functools.cached_property
+    def sector_defects(self):
+        """The worst |F v - D H| at the first five probes, v from the sector
+        solve: over the solved rows, then over the other rows."""
+        ct, sub = self.ct, list(self.cls.subblock)
+        rest = [a for a in range(self.cls.n_deg) if a not in sub]
+        worst = [0.0, 0.0]
+        for pt in self.probes[:5]:
+            v, _ = degenerate_velocities(ct, pt, cls=self.cls)
+            defect = field_strength(ct, pt) @ v - d_alpha_h(ct, ct.resolve(pt))
+            for k, rows in enumerate((sub, rest)):
+                if rows:
+                    worst[k] = max(worst[k], float(np.max(np.abs(defect[rows]))))
+        return worst
+
 
 def _random_observables(ctx, salt, count):
     """Seeded quadratic observables over coordinates and regular momenta."""
@@ -100,17 +128,6 @@ def _random_observables(ctx, salt, count):
 def _rank_constancy(ctx):
     report = check_rank_constancy(ctx.ct.model, ctx.ct.split)
     return 0.0 if report.passed else 1.0
-
-
-def _zero_vdeg_admissible(ctx):
-    if ctx.ct.n == ctx.ct.r:
-        return True
-    pt = ctx.probes[0]
-    try:
-        ctx.ct.resolve(pt._replace(v_deg=np.zeros(ctx.ct.n - ctx.ct.r)))
-    except ClairautError:
-        return False
-    return True
 
 
 def _envelope_gradients(ctx):
@@ -156,13 +173,26 @@ def _conjugate_residual(ctx):
     return worst
 
 
-def _poisson_antisymmetry(ctx):
-    x, y = _random_observables(ctx, 5, 2)
-    worst = 0.0
-    for pt in ctx.probes[:5]:
-        worst = max(worst, abs(poisson_phys(ctx.ct, x, y, pt)
-                               + poisson_phys(ctx.ct, y, x, pt)))
-    return worst
+def _pair_check(salt, count, defect):
+    """A check: the worst |defect(ct, x, y, pt)| over the first count probes,
+    for two seeded random observables x and y."""
+    def check(ctx):
+        x, y = _random_observables(ctx, salt, 2)
+        worst = 0.0
+        for pt in ctx.probes[:count]:
+            worst = max(worst, abs(defect(ctx, x, y, pt)))
+        return worst
+    return check
+
+
+_poisson_antisymmetry = _pair_check(5, 5, lambda ctx, x, y, pt: (
+    poisson_phys(ctx.ct, x, y, pt) + poisson_phys(ctx.ct, y, x, pt)))
+_bracket_defect_antisymmetry = _pair_check(13, 2, lambda ctx, x, y, pt: (
+    bracket_new(ctx.ct, x, y, pt) + bracket_new(ctx.ct, y, x, pt)))
+_gauge_bracket_reduction = _pair_check(19, 3, lambda ctx, x, y, pt: (
+    bracket_gauge(ctx.ct, x, y, pt, ctx.cls) - poisson_phys(ctx.ct, x, y, pt)))
+_new_bracket_reduction = _pair_check(23, 3, lambda ctx, x, y, pt: (
+    bracket_new(ctx.ct, x, y, pt) - poisson_phys(ctx.ct, x, y, pt)))
 
 
 def _degenerate_independence(ctx):
@@ -310,45 +340,17 @@ def _fenchel(ctx):
     return worst
 
 
-def _sector_rows(ctx, pt):
-    v, _ = degenerate_velocities(ctx.ct, pt, cls=ctx.cls)
-    defect = field_strength(ctx.ct, pt) @ v - d_alpha_h(ctx.ct, ctx.ct.resolve(pt))
-    return defect
-
-
 def _sector_solved(ctx):
-    sub = list(ctx.cls.subblock)
-    worst = 0.0
-    for pt in ctx.probes[:5]:
-        defect = _sector_rows(ctx, pt)
-        if sub:
-            worst = max(worst, float(np.max(np.abs(defect[sub]))))
-    return worst
+    return ctx.sector_defects[0]
 
 
 def _sector_dependent(ctx):
-    sub = set(ctx.cls.subblock)
-    rest = [a for a in range(ctx.cls.n_deg) if a not in sub]
-    worst = 0.0
-    for pt in ctx.probes[:5]:
-        defect = _sector_rows(ctx, pt)
-        if rest:
-            worst = max(worst, float(np.max(np.abs(defect[rest]))))
-    return worst
+    return ctx.sector_defects[1]
 
 
 def _consistency_functions(ctx):
     return max(float(np.max(np.abs(d_alpha_h(ctx.ct, ctx.ct.resolve(pt)))))
                for pt in ctx.probes)
-
-
-def _bracket_defect_antisymmetry(ctx):
-    x, y = _random_observables(ctx, 13, 2)
-    worst = 0.0
-    for pt in ctx.probes[:2]:
-        worst = max(worst, abs(bracket_new(ctx.ct, x, y, pt)
-                               + bracket_new(ctx.ct, y, x, pt)))
-    return worst
 
 
 def _bracket_jacobiator(ctx):
@@ -365,27 +367,9 @@ def _bracket_jacobiator(ctx):
                + bracket_new(ct, nested(y, z), x, pt))
 
 
-def _gauge_bracket_reduction(ctx):
-    x, y = _random_observables(ctx, 19, 2)
-    worst = 0.0
-    for pt in ctx.probes[:3]:
-        worst = max(worst, abs(bracket_gauge(ctx.ct, x, y, pt, ctx.cls)
-                               - poisson_phys(ctx.ct, x, y, pt)))
-    return worst
-
-
 def _b_vanishes(ctx):
     return all(float(np.max(np.abs(ctx.ct.b_values(pt)))) <= 1e-12
                for pt in ctx.probes[:3])
-
-
-def _new_bracket_reduction(ctx):
-    x, y = _random_observables(ctx, 23, 2)
-    worst = 0.0
-    for pt in ctx.probes[:3]:
-        worst = max(worst, abs(bracket_new(ctx.ct, x, y, pt)
-                               - poisson_phys(ctx.ct, x, y, pt)))
-    return worst
 
 
 def _limit_partials(ctx):
@@ -466,13 +450,9 @@ def _constraint_preservation(ctx):
     trial_t1, run_t1 = 0.05, 0.5
     ct, cls = ctx.ct, ctx.cls
     pt0 = ctx.probes[0]
-    deg = ct.split.degenerate
-    try:
-        ct.resolve(pt0._replace(v_deg=np.zeros(len(deg))))
-        gauge = None
-    except (NewtonError, ClairautError):
-        # zero degenerate velocities are inadmissible for this Lagrangian
-        gauge = gauge_input(ct, cls, {name: 1.0 for name in deg})
+    # where zero degenerate velocities are inadmissible, prescribe them as 1
+    gauge = None if ctx.zero_vdeg_ok else gauge_input(
+        ct, cls, {name: 1.0 for name in ct.split.degenerate})
     cand = pt0
     for levels in (1, 2, 3):
         cand = _project_to_surface(ct, pt0, levels)
@@ -497,7 +477,7 @@ def _check_table(ctx):
     rows = [
         ("hessian_rank_constant", 0.5, _rank_constancy, True),
         ("envelope_gradient_matches_velocities", 1e-12, _envelope_gradients,
-         r > 0 and _zero_vdeg_admissible(ctx)),
+         r > 0 and ctx.zero_vdeg_ok),
         ("gradient_finite_difference_agreement", 1e-5, _gradient_fd, True),
         ("conjugate_equation_residual", 1e-8, _conjugate_residual, True),
         ("poisson_bracket_antisymmetry", 1e-10, _poisson_antisymmetry, r > 0),

@@ -5,6 +5,7 @@ installed entry point."""
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -17,6 +18,7 @@ from clairaut import bundled_model_path
 from clairaut import model as model_module
 from clairaut import cli
 from clairaut.cli import MAX_PROBES, main
+from clairaut.errors import ClairautError
 from clairaut.model import DEFAULT_PROBE_COUNT
 from clairaut.expressions import MAX_NESTING
 from clairaut.fixtures import BUNDLED
@@ -79,6 +81,15 @@ class TestAnalyze:
                                "--param", "nope=1")
         assert code == 2
         assert "nope" in err
+
+    def test_field_strength_rank_variation_exits_3(self, capsys, tmp_path):
+        # W has constant rank 1 here; the rank of F varies
+        path = tmp_path / "varying.lag"
+        path.write_text("coord x, a, b;\n"
+                        "lagrangian = d(x)^2/2 + a*(x + sqrt(x^2))*d(b)/2 - x^2/2;\n")
+        code, _, err = run_cli(capsys, "analyze", str(path))
+        assert code == 3
+        assert err.startswith("error: field strength rank varies across probes (ranks [0, 2])")
 
     def test_out_flag_writes_file(self, capsys, tmp_path):
         target = tmp_path / "report.json"
@@ -497,6 +508,54 @@ class TestNumericFlags:
         assert code == 2
         assert err.splitlines() == ["error: --seed must be at least 0, got -1"]
         assert run_cli(capsys, command, "oscillator", "--seed", "0")[0] == 0
+
+
+class TestRepeatedBinding:
+    @pytest.mark.parametrize("flag, name, argv", [
+        ("--at", "x", ("transform", "oscillator", "--at", "x=1,x=2,p_x=1")),
+        ("--init", "x", ("simulate", "oscillator", "--init", "x=1,p_x=0,x=2")),
+        ("--param", "k", ("analyze", "mixed", "--param", "k=1,k=3")),
+        ("--gauge", "y1", ("simulate", "christ_lee", "--gauge", "y1=1,y1=zero")),
+        ("--c", "c1", ("pde", "--f", "z1^2", "--mode", "general", "--c", "c1=1,c1=2",
+                       "--at", "x1=1")),
+    ], ids=["at", "init", "param", "gauge", "c"])
+    def test_name_bound_twice_exits_2(self, capsys, flag, name, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: {flag} binds {name!r} more than once\n"
+
+
+def error_classes(cls=ClairautError):
+    """cls and every subclass of it, depth first, each once."""
+    out = {cls: None}
+    for sub in cls.__subclasses__():
+        out.update(dict.fromkeys(error_classes(sub)))
+    return list(out)
+
+
+class TestExitCodeTable:
+    @pytest.mark.parametrize("error", error_classes(), ids=lambda cls: cls.__name__)
+    def test_main_returns_the_error_types_exit_code(self, capsys, monkeypatch, error):
+        exc = error.__new__(error)
+        Exception.__init__(exc, "injected")
+
+        def load(spec):
+            raise exc
+
+        monkeypatch.setattr(cli, "_load", load)
+        code, out, err = run_cli(capsys, "analyze", "oscillator")
+        assert (code, out) == (error.exit_code, "")
+        assert err.startswith("error: ")
+
+    def test_usage_types_are_the_readmes(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        paragraph = readme[readme.index("Exit codes:"):].split("\n\n")[0]
+        usage, numeric = paragraph.split(" and 3 for ", 1)
+        assert "2 for a usage or parse error" in usage
+        assert "`ClairautError`" in numeric.split(";")[0]
+        named = set(re.findall(r"`(\w+Error)`", usage))
+        assert named == {cls.__name__ for cls in error_classes() if cls.exit_code == 2}
+        assert {cls.exit_code for cls in error_classes()} == {2, 3}
 
 
 class TestNestingLimit:

@@ -23,7 +23,6 @@ from clairaut.errors import ArgumentError, ClairautError
 from clairaut.fixtures import BUNDLED, load_bundled
 from clairaut import model as model_module
 from clairaut.model import (
-    PROBE_EXCLUSION,
     check_rank_constancy,
     default_probes,
     hessian_matrix,
@@ -197,16 +196,15 @@ class TestProbes:
         monkeypatch.setattr(model_module, "_draw_probes",
                             lambda *args: draws.append(args[1:]) or draw(*args))
         run_verification(load_bundled(name), seed=42)
-        assert draws == [(17, 42, PROBE_EXCLUSION)]
+        assert draws == [(17, 42)]
         draws.clear()
         run_verification(load_bundled(name), seed=7)  # the split keeps seed 42
-        assert draws == [(17, 42, PROBE_EXCLUSION), (17, 7, PROBE_EXCLUSION)]
+        assert draws == [(17, 42), (17, 7)]
 
     def test_cached_draw_equals_fresh_draw_and_hands_out_copies(self):
         m = load_bundled("particle")
         first = default_probes(m, count=5, seed=3)
-        assert first == model_module._draw_probes(load_bundled("particle"), 5, 3,
-                                                  PROBE_EXCLUSION)
+        assert first == model_module._draw_probes(load_bundled("particle"), 5, 3)
         first[0]["x"] = 99.0
         first.append({})
         again = default_probes(m, count=5, seed=3)

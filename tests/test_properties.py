@@ -1,5 +1,5 @@
-"""Property tests of the expression core over generated trees, of
-``simulate`` over generated argument lists, and of the float rank against
+"""Property tests of the expression core over generated trees, of every
+subcommand over generated argument lists, and of the float rank against
 numpy's elimination.
 
 Hypothesis runs derandomized and without an example database, so every run
@@ -10,15 +10,18 @@ independent oracle for the derivatives; the package itself does not use it.
 import contextlib
 import functools
 import io
+import json
 import math
 import os
 import re
 import tempfile
+from importlib import resources
 
 import pytest
 
 pytest.importorskip("hypothesis")
 sympy = pytest.importorskip("sympy")
+jsonschema = pytest.importorskip("jsonschema")
 
 import numpy as np
 from hypothesis import HealthCheck, assume, example, given, settings
@@ -43,6 +46,7 @@ from clairaut import (
     simplify,
 )
 from clairaut.cli import main
+from clairaut.fixtures import BUNDLED
 from clairaut.numerics import rank_and_pivots
 
 NAMES = ("x", "y", "d(x)")
@@ -306,6 +310,54 @@ def pde_argv(draw):
 @given(pde_argv())
 def test_pde_exits_with_a_documented_code(argv):
     assert_documented(*run_main(argv))
+
+
+# ------------------------------------------------- analyze and verify from argv
+
+SCHEMAS = {name: json.loads(resources.files("clairaut").joinpath(
+    f"schemas/{name}.schema.json").read_text(encoding="utf-8")) for name in ("analyze", "verify")}
+
+
+@st.composite
+def model_argv(draw, command):
+    """command on a bundled model with --seed, --probes in 1..40 and --param
+    overrides of the model's parameters, each now and then a bad one."""
+    name = draw(st.sampled_from(BUNDLED))
+    argv = [command, name]
+    if draw(st.booleans()):
+        argv += ["--seed", draw(now_and_then(st.integers(0, 2 ** 32).map(str),
+                                             ["-1", "1e20", "x"]))]
+    if draw(st.booleans()):
+        argv += ["--probes", draw(now_and_then(st.integers(1, 40).map(str), ["0", "-3", "2.5"]))]
+    params = draw(st.dictionaries(
+        now_and_then(st.sampled_from(sorted(load_bundled(name).params) or ["bogus"]), ["bogus"]),
+        now_and_then(st.floats(-3.0, 3.0, width=32).map(repr), ["0", "1e300", "nan", "x"]),
+        max_size=2))
+    if params:
+        argv += ["--param", ",".join(f"{k}={v}" for k, v in params.items())]
+    return argv
+
+
+def assert_reported(command, argv):
+    """A documented exit code, no traceback, and on 0 or 1 a report that
+    validates against the command's schema."""
+    code, out, err = run_main(argv)
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err
+    if code in (0, 1):
+        jsonschema.validate(json.loads(out), SCHEMAS[command])
+
+
+@settings(SETTINGS, max_examples=40)
+@given(model_argv("analyze"))
+def test_analyze_exits_with_a_documented_code_and_a_valid_report(argv):
+    assert_reported("analyze", argv)
+
+
+@settings(SETTINGS, max_examples=25)
+@given(model_argv("verify"))
+def test_verify_exits_with_a_documented_code_and_a_valid_report(argv):
+    assert_reported("verify", argv)
 
 
 # ------------------------------------------------------------ float rank
