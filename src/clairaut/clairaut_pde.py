@@ -18,8 +18,8 @@ import numpy as np
 
 from .errors import DomainError, ModelError, RankDeficiencyError
 from .expressions import _Derivatives, compile_evaluator, free_symbols, parse_expression, simplify
-from .numerics import (NewtonConfig, central_differences, newton_pair, newton_with_restarts,
-                       rank_and_pivots)
+from .numerics import (NewtonConfig, central_differences, dot, newton_pair,
+                       newton_with_restarts, rank_and_pivots)
 
 RESIDUAL_STEP = 1e-6
 
@@ -78,8 +78,7 @@ def _affine(prob, c, family):
         raise DomainError(f"f is not defined at the {family} solution's slopes ({exc})") from None
 
     def value(x):
-        with np.errstate(over="ignore", invalid="ignore"):
-            y = float(np.asarray(x, dtype=float) @ c - fc)
+        y = dot(np.asarray(x, dtype=float), c) - fc
         if not math.isfinite(y):
             raise DomainError(f"the {family} solution overflows at this point (y = {y})")
         return y
@@ -150,4 +149,4 @@ def pde_residual(prob, y_fn, x):
     differences (numerics.central_differences, step RESIDUAL_STEP)."""
     x = np.asarray(x, dtype=float)
     grad = central_differences(y_fn, x, RESIDUAL_STEP)
-    return abs(y_fn(x) - x @ grad + prob.f_value(grad))
+    return abs(y_fn(x) - dot(x, grad) + prob.f_value(grad))

@@ -36,7 +36,7 @@ import numpy as np
 from .errors import ArgumentError, GaugeInputError, IntegrabilityError, NewtonError
 from .expressions import compile_evaluator, free_symbols, parse_expression
 from .gauge import _poisson, bracket_gauge, classify, field_strength
-from .numerics import _floats, rk4_kernel, stage_kernel
+from .numerics import _floats, dot, rk4_kernel, stage_kernel
 from .transform import PhasePoint
 
 # Sign relating the extended-bracket action of the constraints p_a - B_a to
@@ -326,7 +326,7 @@ def _full_bracket(ct, xq, xp_reg, xp_deg, yq, yp_reg, yp_deg):
     """Canonical bracket over all n pairs: the regular ones' _poisson plus
     the degenerate ones'; momenta indexed like coords."""
     return (_poisson(ct, xq, xp_reg, yq, yp_reg)
-            + float(xq[ct.deg_idx] @ yp_deg - yq[ct.deg_idx] @ xp_deg))
+            + (dot(xq[ct.deg_idx], yp_deg) - dot(yq[ct.deg_idx], xp_deg)))
 
 
 def _constraint_brackets(ct, res):
@@ -359,14 +359,13 @@ def dirac_report(ct, pt, p_deg=None):
         p_deg = res.B.copy()
     p_deg = np.asarray(p_deg, dtype=float)
     phi = p_deg - res.B
-    v = pt.v_deg
     h_t = ct.h_mix(pt, p_deg)
     f = field_strength(ct, pt)
     dh = d_alpha_h(ct, res)
     fab, dhf = _constraint_brackets(ct, res)
     fab_residual = float(np.max(np.abs(fab - f))) if n_deg else 0.0
     dhf_residual = float(np.max(np.abs(dhf - SIGMA * dh))) if n_deg else 0.0
-    second_stage = dhf + fab @ v
+    second_stage = dhf + np.array([dot(row, pt.v_deg) for row in fab.tolist()])
     return DiracReport(phi, h_t, SIGMA, fab_residual, dhf_residual, second_stage)
 
 

@@ -42,7 +42,7 @@ from .model import (
     default_probes,
     momentum_name,
 )
-from .numerics import central_differences, probe_ranks
+from .numerics import central_differences, dot, probe_ranks, solver
 from .transform import PhasePoint
 
 FD_STEP = 1e-5
@@ -140,14 +140,13 @@ class FiniteDifferenceObservable:
 
 def _poisson(ct, xq, xp, yq, yp):
     """{X, Y}_phys from the gradients of X and Y."""
-    reg = ct.reg_idx
-    return float(xq[reg] @ yp - yq[reg] @ xp)
+    return dot(xq[ct.reg_idx], yp) - dot(yq[ct.reg_idx], xp)
 
 
 def _long_derivative(ct, res, alpha, xq, xp):
     """D_alpha X at the resolution res, from the gradients of X there."""
     bq, bp = res.dB_dq[alpha], res.dB_dp[alpha]
-    return float(xq[ct.deg_idx[alpha]] + bq[ct.reg_idx] @ xp - xq[ct.reg_idx] @ bp)
+    return float(xq[ct.deg_idx[alpha]]) + dot(bq[ct.reg_idx], xp) - dot(xq[ct.reg_idx], bp)
 
 
 def poisson_phys(ct, x, y, pt):
@@ -266,17 +265,16 @@ def _corrected_bracket(ct, x, y, pt, solved, singular):
     if not sub:
         return base
     res = ct.resolve(pt)
-    f = res.F[np.ix_(sub, sub)]
     # {X, B_a} = -{B_a, X}
-    a = np.array([-_poisson(ct, res.dB_dq[al], res.dB_dp[al], xq, xp) for al in sub])
-    if not a.any():
+    a = [-_poisson(ct, res.dB_dq[al], res.dB_dp[al], xq, xp) for al in sub]
+    if not any(a):
         return base  # B acts trivially on X, no correction regardless of F
-    d = np.array([_long_derivative(ct, res, beta, yq, yp) for beta in sub])
+    d = [_long_derivative(ct, res, beta, yq, yp) for beta in sub]
     try:
-        correction = a @ np.linalg.solve(f, d)
+        fbar_d = solver(len(sub))(res.F[np.ix_(sub, sub)].ravel().tolist(), d)
     except np.linalg.LinAlgError:
         raise RankDeficiencyError(singular) from None
-    return base - float(correction)
+    return base - dot(a, fbar_d)
 
 
 def _long_derivatives_of_f(ct, pt, step):
@@ -288,12 +286,12 @@ def _long_derivatives_of_f(ct, pt, step):
 
 
 def maxwell_current(ct, pt):
-    """J_beta = sum_alpha D_alpha F_alphabeta, outer derivatives by central
+    """J_beta = sum_alpha D_alpha F_alphabeta, summed by dot (against ones) in
+    order of alpha, skipping F_bb == 0; outer derivatives by central
     differences (FD_STEP) of the assembled field strength, one F Jacobian."""
     n_deg = ct.n - ct.r
     d = _long_derivatives_of_f(ct, pt, FD_STEP)
-    # summed from 0.0 in order of alpha, skipping F_bb == 0
-    return np.array([sum((d(a, a, b) for a in range(n_deg) if a != b), 0.0)
+    return np.array([dot([d(a, a, b) for a in range(n_deg) if a != b], [1.0] * (n_deg - 1))
                      for b in range(n_deg)])
 
 

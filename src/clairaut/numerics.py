@@ -1,7 +1,7 @@
 """Small numeric kernels: pivoted rank detection, the Pfaffian of an
-antisymmetric matrix, the one central-difference stencil, damped Newton
-iteration, and generated straight-line kernels for the tiny dense solves of
-the mixed transform.
+antisymmetric matrix, the one central-difference stencil, the one float dot
+product, damped Newton iteration, and generated straight-line kernels for the
+tiny dense solves of the mixed transform.
 
 rank_and_pivots eliminates on Python floats, entry by entry as numpy would.
 probe_ranks is the one constant-rank routine over probe matrices: the
@@ -19,18 +19,20 @@ and rk4_kernel, integrate's whole fixed-step loop around a resolve and a
 stage_kernel call per stage) run on Python floats: Gauss elimination with
 partial pivoting and dot products summed left to right, unrolled for one
 shape and compiled once.  They come from the package's one source emitter,
-expressions._Code, as the compiled evaluators do.  They round the same way
-on every machine.  resolve_kernel's full Newton steps are damped_newton's
-iterates wherever it takes no shorter step.  One function, _block, emits the
-derivative block for block_kernel and stage_kernel, so the two give the same
-floats for it; numpy computing the same formulas rounds as its BLAS does and
-agrees to a few units in the last place.  rk4_kernel's Pfaffian sign
-(_pfaffian_sign) is pfaffian's elimination unrolled, with its pivots and
-floats.
+expressions._Code, as the compiled evaluators do.  resolve_kernel's full
+Newton steps are damped_newton's iterates wherever it takes no shorter step.
+One function, _block, emits the derivative block for block_kernel and
+stage_kernel, so the two give the same floats for it.  rk4_kernel's Pfaffian
+sign (_pfaffian_sign) is pfaffian's elimination unrolled, with its pivots and
+floats.  dot (the sum _dot emits, on floats), solver and verify's
+minimal-norm step (Gram-Schmidt on dot) own every reported sum and solve, so
+each reported number rounds the same way on every machine: none goes through
+numpy's BLAS or LAPACK.
 """
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -150,6 +152,17 @@ class NewtonConfig:
     damping: float = 0.5
     retries: int = 8
     max_backtracks: int = 40
+
+
+def dot(a, b):
+    """sum(a[k] * b[k]) over float sequences or 1-D arrays, added left to right
+    from the first product as _dot emits it (never compensated, as sum() is
+    from Python 3.12 on); 0.0 for empty operands."""
+    if isinstance(a, np.ndarray):
+        a = a.tolist()
+    if isinstance(b, np.ndarray):
+        b = b.tolist()
+    return float(functools.reduce(operator.add, map(operator.mul, a, b))) if len(a) else 0.0
 
 
 def _floats(values):

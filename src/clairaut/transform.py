@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import DomainError, FenchelError, NewtonError
 from .model import CORE_BLOCKS, split_variables
-from .numerics import (NewtonConfig, _floats, block_kernel, damped_newton, newton_pair,
+from .numerics import (NewtonConfig, _floats, block_kernel, damped_newton, dot, newton_pair,
                        newton_with_restarts, resolve_kernel)
 
 
@@ -65,7 +65,7 @@ class PhasePoint:
 _KERNEL = {name: (k, dims) for k, (name, dims) in enumerate((
     ("dV_dq", "rn"), ("dV_dp", "rr"), ("dB_dq", "dn"), ("dB_dp", "dr"),
     ("dH_dq", "n"), ("dH_dp", "r"), ("F", "dd"), ("DH", "d")))}
-_LAZY = ("V", "B", "H", "W", "dB_dq_reg") + tuple(_KERNEL)  # slots built on first read
+_LAZY = ("V", "B", "H", "W") + tuple(_KERNEL)  # slots built on first read
 
 
 class Resolution:
@@ -73,8 +73,9 @@ class Resolution:
 
     Velocity resolution hands over the point, args, the regular velocities
     as floats (_v) and core, the derivative core's values there.  Every
-    other slot is built from these on its first read and kept: V, B, H, W,
-    dB_dq_reg (dB_dq's regular columns), and each of the derivative block,
+    other slot is built from these on its first read and kept: V, B, H
+    (numerics.dot over the pairs (p, V), then (B, v_deg), minus L: the stage
+    kernel's sum, so the same float), W, and each of the derivative block,
     F and D_a H (DH) from the flat outputs (_W) of the one block-kernel call
     that _derivatives makes.  F and DH are shared, so read-only.  Threads
     may share a resolution: a race at worst builds a slot twice.
@@ -95,11 +96,10 @@ class Resolution:
         elif name == "B":
             value = np.array([core[i] for i in ct._b_pos])
         elif name == "H":
-            value = float(self.pt.p @ self.V + self.B @ self.pt.v_deg - self.L)
+            pt = self.pt
+            value = dot(pt.p.tolist() + self.B.tolist(), self._v + pt.v_deg.tolist()) - self.L
         elif name == "W":
             value = np.array(core[ct.core_slices["W"]]).reshape(ct.n, ct.n)
-        elif name == "dB_dq_reg":
-            value = self.dB_dq[:, ct.reg_idx]
         else:
             if self._W is None:
                 self._derivatives()
@@ -239,8 +239,7 @@ class ClairautTransform:
     def h_mix(self, pt, pbar_deg):
         """Mixed Hamiltonian at conjugate values pbar for the degenerate slots."""
         res = self.resolve(pt)
-        pbar_deg = np.asarray(pbar_deg, dtype=float)
-        return float(res.H + (pbar_deg - res.B) @ pt.v_deg)
+        return res.H + dot(np.asarray(pbar_deg, dtype=float) - res.B, pt.v_deg)
 
     def grad_b(self, pt):
         """(dB/dq, dB/dp): rows are degenerate directions in split order."""
@@ -258,9 +257,7 @@ class ClairautTransform:
         """
         q = np.asarray(q, dtype=float)
         pbar = np.asarray(pbar, dtype=float)
-        if v_deg is None:
-            v_deg = np.zeros(len(self.deg_idx))
-        pt = PhasePoint(q=q, p=pbar[self.reg_idx], v_deg=v_deg)
+        pt = self.point(q, pbar[self.reg_idx], v_deg)
         res = self.resolve(pt)
         grad = np.empty(self.n)
         grad[self.reg_idx] = res.V
@@ -269,7 +266,7 @@ class ClairautTransform:
             h = self.h_mix(pt, pbar[self.deg_idx])
         else:
             h = float(h_value(q, pbar))
-        return abs(h - float(pbar @ grad) + res.L)
+        return abs(h - dot(pbar, grad) + res.L)
 
     def hamiltonian_observable(self):
         """H_phys wrapped with the Observable interface (value, d_dq, d_dp)."""
@@ -323,7 +320,7 @@ def fenchel_conjugate(model, q, p, box=2.0, grid=5):
         scale = max(1.0, float(np.max(np.abs(hess))))
         if np.min(np.linalg.eigvalsh(hess)) <= 1e-10 * scale:
             continue  # not a strict local maximum of p.v - L
-        value = float(p @ v - last[1][0])
+        value = dot(p, v) - last[1][0]
         if best is None or value > best:
             best = value
     if best is None:

@@ -17,6 +17,7 @@ count produce byte-identical reports.
 
 import functools
 import json
+import math
 
 import numpy as np
 
@@ -53,6 +54,7 @@ from .model import (
     check_rank_constancy,
     momentum_name,
 )
+from .numerics import dot
 from .transform import ClairautTransform, fenchel_conjugate
 
 
@@ -96,8 +98,9 @@ class _Context:
         rest = [a for a in range(self.cls.n_deg) if a not in sub]
         worst = [0.0, 0.0]
         for pt in self.probes[:5]:
-            v, _ = degenerate_velocities(ct, pt, cls=self.cls)
-            defect = field_strength(ct, pt) @ v - d_alpha_h(ct, ct.resolve(pt))
+            v = degenerate_velocities(ct, pt, cls=self.cls)[0].tolist()
+            fv = [dot(row, v) for row in field_strength(ct, pt).tolist()]
+            defect = np.array(fv) - d_alpha_h(ct, ct.resolve(pt))
             for k, rows in enumerate((sub, rest)):
                 if rows:
                     worst[k] = max(worst[k], float(np.max(np.abs(defect[rows]))))
@@ -415,6 +418,24 @@ def _consistency_tower(ct, levels):
     return stacked
 
 
+def _min_norm_step(jac, rhs):
+    """The minimal-norm x with jac x = rhs, jac's rows lists of floats of
+    full row rank: the rows orthonormalised by modified Gram-Schmidt on dot
+    (jac^T = Q R), then R^T z = rhs by forward substitution and x = Q z.  A
+    row that falls to zero is dependent on the earlier ones and is dropped."""
+    basis, z = [], []
+    for row, b in zip(jac, rhs):
+        r = []
+        for u in basis:
+            r.append(dot(u, row))
+            row = [x - r[-1] * y for x, y in zip(row, u)]
+        norm = math.sqrt(dot(row, row))
+        if norm:
+            basis.append([x / norm for x in row])
+            z.append((b - dot(r, z)) / norm)
+    return [dot(col, z) for col in zip(*basis)] if basis else [0.0] * len(jac[0])
+
+
 def _project_to_surface(ct, pt, levels, iters=18, step=1e-6):
     """Gauss-Newton projection of (q, p) onto the zero set of the
     consistency tower; minimal-norm steps, best effort."""
@@ -427,11 +448,8 @@ def _project_to_surface(ct, pt, levels, iters=18, step=1e-6):
         if float(np.max(np.abs(f0))) < 1e-12:
             break
         jac = np.hstack([tower.d_dq(cur), tower.d_dp(cur)])
-        delta, *_ = np.linalg.lstsq(jac, -f0, rcond=None)
-        norm = float(np.linalg.norm(delta))
-        if norm > 1.0:
-            delta *= 1.0 / norm
-        u = u + delta
+        delta = _min_norm_step(jac.tolist(), (-f0).tolist())
+        u = u + np.multiply(delta, 1.0 / max(math.sqrt(dot(delta, delta)), 1.0))  # at most 1 long
     return pt._replace(q=u[:n], p=u[n:])
 
 

@@ -1,6 +1,6 @@
 """Exit codes, output formats, and the spec'd worked examples for each
-subcommand.  Tests drive main() in process; one subprocess test covers the
-installed entry point."""
+subcommand.  Tests drive main() in process; subprocess tests cover the
+installed entry point, the import-time work and OpenBLAS's kernel sets."""
 
 import json
 import math
@@ -28,6 +28,16 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def child_env(**extra):
+    """os.environ plus extra, with the checkout's src/ on PYTHONPATH: pytest's
+    pythonpath setting does not reach a child interpreter."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, **extra)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return env
 
 
 def parse_kv_lines(text):
@@ -358,6 +368,21 @@ class TestVerify:
                                "--seed", "7")
         assert first == second
 
+    @pytest.mark.parametrize("coretype", ["Haswell", "Sandybridge"])
+    def test_reports_do_not_depend_on_the_blas_kernel_set(self, capsys, coretype):
+        # every reported sum and solve is the package's own float arithmetic,
+        # so the kernel set OpenBLAS picks for the CPU changes no byte; these
+        # six reports went through numpy's BLAS and LAPACK before
+        models = ["cawley", "particle", "christ_lee", "synthetic_coupled",
+                  "synthetic_bianchi", "synthetic_gauge"]
+        want = "".join(run_cli(capsys, "verify", m, "--seed", "42")[1] for m in models)
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys; from clairaut.cli import main\n"
+             "for m in sys.argv[1:]: main(['verify', m, '--seed', '42'])", *models],
+            capture_output=True, text=True, env=child_env(OPENBLAS_CORETYPE=coretype))
+        assert proc.returncode == 0 and proc.stderr == ""
+        assert proc.stdout == want
+
     def test_any_failed_check_exits_1(self, capsys, monkeypatch):
         monkeypatch.setattr(
             "clairaut.cli.run_verification",
@@ -616,22 +641,13 @@ class TestWiring:
         proc = subprocess.run(
             [sys.executable, "-c", "import clairaut.cli as cli; "
              "print(cli._build_parser.cache_info().currsize)"],
-            capture_output=True, text=True, env=self._child_env())
+            capture_output=True, text=True, env=child_env())
         assert proc.returncode == 0 and proc.stdout == "0\n"
-
-    def _child_env(self):
-        # pytest's pythonpath setting does not reach a child interpreter, so
-        # put the checkout's src/ on the child's path explicitly
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-        return env
 
     def test_installed_module_entry_point(self):
         proc = subprocess.run(
             [sys.executable, "-m", "clairaut.cli", "analyze",
              bundled_model_path("oscillator")],
-            capture_output=True, text=True, env=self._child_env())
+            capture_output=True, text=True, env=child_env())
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["hessian_rank"] == 1

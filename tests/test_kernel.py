@@ -1,12 +1,14 @@
-"""Generated straight-line kernels: the elimination against LAPACK, the
-float RK4 stage against Resolution and degenerate_velocities, and their
-typed failures.
+"""The package's own float arithmetic: numerics.dot against the sums the
+kernels emit, verify's minimal-norm step against LAPACK's least squares, the
+generated elimination against LAPACK, the float RK4 stage against Resolution
+and degenerate_velocities, and their typed failures.
 
-The kernels round on their own, the same way on every machine; numpy rounds
-as its BLAS does.  So every comparison with numpy here has a bound scaled to
-the rounding, never bit equality.  Resolution, degenerate_velocities and the
-RK4 stage share one emitted formula (numerics._block), so where they report
-the same quantity they agree bit for bit.
+dot, the kernels and the minimal-norm step round on their own, the same way
+on every machine; numpy rounds as its BLAS does.  So every comparison with
+numpy here has a bound scaled to the rounding, never bit equality.
+Resolution, degenerate_velocities and the RK4 stage share one emitted formula
+(numerics._block) and one sum for H, so where they report the same quantity
+they agree bit for bit.
 """
 
 import array
@@ -30,12 +32,12 @@ from clairaut import (
     load_bundled,
     parse_model,
 )
-from clairaut import cli, expressions, numerics
+from clairaut import cli, expressions, numerics, verify
 from clairaut import dynamics as dynamics_module
 from clairaut import transform as transform_module
 from clairaut.gauge import classify, phase_probes
 from clairaut.fixtures import BUNDLED
-from clairaut.numerics import solver, stage_kernel
+from clairaut.numerics import dot, solver, stage_kernel
 
 EPS = np.finfo(float).eps
 
@@ -52,6 +54,64 @@ def rel_error(got, want):
     """max |got - want| over max(1, |want|), entry by entry."""
     got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
     return float(np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want)), initial=0.0))
+
+
+class TestDot:
+    def test_adds_left_to_right_uncompensated(self):
+        terms = [1e16, 1.0, -1e16]
+        assert math.fsum(terms) == 1.0  # what a compensated sum gives
+        assert dot(terms, [1.0, 1.0, 1.0]) == 0.0
+
+    def test_empty_operands_give_zero(self):
+        assert dot([], []) == 0.0 and dot(np.empty(0), np.empty(0)) == 0.0
+
+    def test_bit_equal_to_the_emitted_sum(self):
+        # from the first product, not from 0.0, so a zero sum keeps its sign
+        emitted = eval(numerics._dot([("-0.0", "1.0")] * 2))
+        assert dot([-0.0, -0.0], [1.0, 1.0]).hex() == emitted.hex() == (-0.0).hex()
+        rng = np.random.default_rng(7)
+        for m in range(1, 10):
+            source = numerics._dot((f"a[{k}]", f"b[{k}]") for k in range(m))
+            for _ in range(50):
+                a = rng.standard_normal(m) * 10.0 ** rng.integers(-8, 9, m)
+                b = rng.standard_normal(m)
+                want = eval(source, {"a": a.tolist(), "b": b.tolist()})
+                assert dot(a, b).hex() == want.hex() == dot(a.tolist(), b).hex()
+
+
+class TestMinNormStep:
+    def test_matches_lstsq_on_full_row_rank_systems(self):
+        # lstsq is only the oracle: both give the minimal-norm solution
+        rng = np.random.default_rng(11)
+        for rows in (1, 2, 3):
+            for cols in range(3, 10):
+                for _ in range(20):
+                    jac, rhs = rng.standard_normal((rows, cols)), rng.standard_normal(rows)
+                    want = np.linalg.lstsq(jac, rhs, rcond=None)[0]
+                    got = verify._min_norm_step(jac.tolist(), rhs.tolist())
+                    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_a_row_that_falls_to_zero_is_dropped(self):
+        # as lstsq drops it; for L = x every row of the tower's Jacobian is zero
+        assert verify._min_norm_step([[0.0, 0.0]], [1.0]) == [0.0, 0.0]
+        step = verify._min_norm_step([[1.0, 0.0, 0.0], [2.0, 0.0, 0.0]], [2.0, 4.0])
+        assert step == [2.0, 0.0, 0.0]
+
+    def test_nearly_dependent_rows_where_the_normal_equations_fail(self, monkeypatch):
+        # christ_lee at seed 127: the fourth projection step's Jacobian has
+        # singular values 1.60, 1.60 and 3.6e-9, so J J^T is singular to
+        # working precision and the elimination raises on it
+        seen, step = [], verify._min_norm_step
+        monkeypatch.setattr(verify, "_min_norm_step",
+                            lambda jac, rhs: seen.append((jac, rhs)) or step(jac, rhs))
+        ct = ClairautTransform(load_bundled("christ_lee"))
+        verify._project_to_surface(ct, phase_probes(ct, seed=127)[0], 1)
+        jac, rhs = np.array(seen[3][0]), np.array(seen[3][1])
+        with pytest.raises(np.linalg.LinAlgError):
+            solver(3)((jac @ jac.T).ravel().tolist(), rhs.tolist())
+        x = step(jac.tolist(), rhs.tolist())
+        assert all(map(math.isfinite, x))
+        assert np.max(np.abs(jac @ x - rhs)) <= 1e-6 * np.max(np.abs(rhs))
 
 
 class TestElimination:
@@ -101,13 +161,28 @@ class TestStageKernel:
             want_dq = np.empty(ct.n)
             want_dq[ct.reg_idx] = res.dH_dp - v @ res.dB_dp
             want_dq[ct.deg_idx] = v
-            want_dp = -res.dH_dq[ct.reg_idx] + v @ res.dB_dq_reg
+            want_dp = -res.dH_dq[ct.reg_idx] + v @ res.dB_dq[:, ct.reg_idx]
             # one emitted formula: the same floats
             assert res.F[np.ix_(solve, solve)].ravel().tolist() == f_sub
             assert v.tolist() == v_k and resid == resid_k
             for got, want in ((dq, want_dq), (dp, want_dp), (h, res.H)):
                 worst = max(worst, rel_error(got, want))
         assert worst < 1e-12, f"{name}: {worst:.2e}"
+
+
+    @pytest.mark.parametrize("name", BUNDLED)
+    def test_h_is_bit_equal_to_the_resolution(self, name):
+        # Resolution.H sums the stage kernel's pairs in its order: (p, V),
+        # then (B, v_deg), minus L
+        ct = ClairautTransform(load_bundled(name))
+        solve, other = gauge_input(ct, classify(ct))._plan
+        kernel = stage_kernel(ct.n, ct._reg, solve, other)
+        probes = phase_probes(ct)
+        assert len(probes) == 17
+        for pt in probes:
+            res = ct.resolve(pt)
+            h = kernel(res._core, res._v, pt.v_deg.tolist(), pt.p.tolist(), [0.0] * len(other))[4]
+            assert h.hex() == res.H.hex()
 
 
 def reference_trajectory(ct, initial, gauge, cls, dt, steps):
@@ -131,7 +206,7 @@ def reference_trajectory(ct, initial, gauge, cls, dt, steps):
         dq = np.empty(ct.n)
         dq[ct.reg_idx] = res.dH_dp - v @ res.dB_dp
         dq[ct.deg_idx] = v
-        dp = -res.dH_dq[ct.reg_idx] + v @ res.dB_dq_reg
+        dp = -res.dH_dq[ct.reg_idx] + v @ res.dB_dq[:, ct.reg_idx]
         return dq, dp, v, resid, res.H
 
     for k in range(steps + 1):
