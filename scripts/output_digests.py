@@ -11,7 +11,10 @@ give the same bytes on every one of these outputs:
   starting points for seeds 1 and 2, and the synthetic_coupled run that
   exits 3 (the argument lists of perfbench's ``trajectory`` rounds);
 - ``verify --seed 42`` and ``analyze`` on all ten bundled models;
-- the README ``transform`` and ``pde``.
+- the README ``transform`` and ``pde``, and a ``pde`` envelope whose
+  slopes resolve from a start inside f's domain.
+
+That is 29 digests.
 
 Usage (from the root of a checkout; compare two checkouts with diff):
 
@@ -50,6 +53,7 @@ def commands(workdir):
     out.append(["transform", "particle", "--at", "x0=0,x=0,y=0,z=0,p_x=3,p_y=0,p_z=4"])
     out.append(["pde", "--f", "z1^2+z2^2+z3", "--mode", "mixed", "--s", "2",
                 "--c", "c3=1", "--at", "x1=2,x2=2,x3=3"])
+    out.append(["pde", "--f", "-(5*sqrt(1 - z1^2))", "--mode", "envelope", "--at", "x1=3"])
     return out
 
 

@@ -9,30 +9,32 @@ conditions x_i = df/dz_i can be resolved; doing each on a complementary
 block of indices gives the s-mixed family.  The velocity Hessian of a
 degenerate Lagrangian plays the role of f's Hessian, which is why these
 three families track the regular/degenerate split elsewhere in the
-package.
+package: the slopes resolve as the regular velocities of L = f(d(z)).
 """
 
 import math
 
 import numpy as np
 
-from .errors import DomainError, ModelError, RankDeficiencyError
-from .expressions import _Derivatives, compile_evaluator, free_symbols, parse_expression, simplify
-from .numerics import (NewtonConfig, central_differences, dot, newton_pair,
-                       newton_with_restarts, rank_and_pivots)
+from .errors import DomainError, ModelError, NewtonError, RankDeficiencyError
+from .expressions import (Sym, compile_evaluator, free_symbols, parse_expression, simplify,
+                          substitute)
+from .model import LagrangianModel, VariableSplit, velocity_name
+from .numerics import central_differences, dot, rank_and_pivots
+from .transform import ClairautTransform
 
 RESIDUAL_STEP = 1e-6
 
 
 class ClairautProblem:
     """Problem data: dimension n and the function f over z1..zn.  f compiles
-    alone: general solutions need f defined, not its derivatives."""
+    alone: general solutions need f defined, not its derivatives, which are
+    L_v and W of model's core, derived on first use."""
 
     def __init__(self, n, f):
-        n = int(n)
+        self.n = n = int(n)
         if n < 1:
             raise ModelError("a Clairaut problem needs at least one variable")
-        self.n = n
         self.names = tuple(f"z{j + 1}" for j in range(n))
         expr = parse_expression(f) if isinstance(f, str) else f
         extra = free_symbols(expr) - set(self.names)
@@ -40,20 +42,22 @@ class ClairautProblem:
             raise ModelError(
                 f"f may only use {', '.join(self.names)}; found {', '.join(sorted(extra))}")
         self.f = simplify(expr)
-        d = [_Derivatives(z) for z in self.names]  # one memo per symbol
-        grad = [dz(self.f) for dz in d]
-        hess = [dz(g) for g in grad for dz in d]
         self._f = compile_evaluator(self.f, self.names)
-        self._derivs = compile_evaluator(grad + hess, self.names)  # Hessian row-major
+        vel = {z: Sym(velocity_name(z)) for z in self.names}
+        self.model = LagrangianModel(self.names, {}, substitute(self.f, vel))  # L = f(d(z))
+        self._transforms = {}  # s -> the transform with z1..zs regular, built on first use
 
     def f_value(self, z):
         return self._f(z)
 
+    def _core(self, z):  # the model's core at q = 0, v = z
+        return self.model.core.fn([0.0] * self.n + np.asarray(z, dtype=float).tolist())
+
     def f_gradient(self, z):
-        return np.array(self._derivs(z)[:self.n])
+        return np.array(self._core(z)[self.model.core.slices["L_v"]])
 
     def f_hessian(self, z):
-        return np.array(self._derivs(z)[self.n:]).reshape(self.n, self.n)
+        return np.array(self._core(z)[self.model.core.slices["W"]]).reshape(self.n, self.n)
 
     def hessian_rank(self, z):
         return rank_and_pivots(self.f_hessian(z))[0]
@@ -87,25 +91,18 @@ def _affine(prob, c, family):
 
 
 def envelope_solution(prob, x):
-    """Resolve every slope condition x_i = df/dz_i and evaluate the result.
-
-    Only exists when f's Hessian has full rank: the conditions are solved
-    for z by Newton iteration and a rank-deficient Hessian at the
-    solution (or at the initial guess when Newton cannot even start)
-    leaves some condition unresolvable.
-    """
-    x = np.asarray(x, dtype=float)
-    if x.shape != (prob.n,):
-        raise ModelError(f"expected a point with {prob.n} components, got {x.shape}")
-    return _affine(prob, _resolve_slopes(prob, np.arange(prob.n), (), x), "envelope")(x)
+    """Resolve every slope condition x_i = df/dz_i and evaluate the result:
+    only where f's Hessian has full rank at the solution (and, where Newton
+    fails, at its start)."""
+    return _resolved(prob, prob.n, np.empty(0), x, "envelope")
 
 
 def mixed_solution(prob, s, c_tail, x):
     """Resolve the first s slope conditions, keep constants for the rest.
 
     The resolvable block must lead: the top-left s-by-s Hessian minor of
-    f has to be nonsingular along the Newton path.  s = 0 reduces to the
-    general solution and s = n to the envelope.
+    f has to be nonsingular at the solution.  s = 0 reduces to the general
+    solution and s = n to the envelope.
     """
     s = int(s)
     if not 0 <= s <= prob.n:
@@ -113,35 +110,38 @@ def mixed_solution(prob, s, c_tail, x):
     c_tail = np.asarray(c_tail, dtype=float)
     if c_tail.shape != (prob.n - s,):
         raise ModelError(f"expected {prob.n - s} tail constants, got {c_tail.shape}")
-    x = np.asarray(x, dtype=float)
-    if x.shape != (prob.n,):
-        raise ModelError(f"expected a point with {prob.n} components, got {x.shape}")
-    head = _resolve_slopes(prob, np.arange(s), c_tail, x) if s else ()
-    return _affine(prob, np.concatenate([head, c_tail]), "mixed")(x)
+    return _resolved(prob, s, c_tail, x, "mixed")
 
 
-def _resolve_slopes(prob, idx, c_tail, x):
-    """Newton solve x_i = df/dz_i over the leading index block idx, tail
-    frozen, by newton_with_restarts at the default NewtonConfig; residual
-    and Jacobian from one _derivs call per iterate."""
-    s, n, rows = len(idx), prob.n, idx.tolist()
-    args = [0.0] * s + list(c_tail)
-    residual, jacobian, last = newton_pair(
-        prob._derivs, args, range(s), rows,
-        [n + i * n + j for i in rows for j in rows], x[idx].tolist())
+def _resolved(prob, s, c_tail, x, family):
+    """The family's value at x at the slopes (z_1..z_s, c_tail), x_i = df/dz_i
+    for i < s: the transform's regular velocities at momenta x[:s], from z =
+    0.  The leading s-by-s block of W is rank-checked at the root, and at
+    the start where Newton fails; a NewtonError names the family."""
+    n, x, c = prob.n, np.asarray(x, dtype=float), c_tail.tolist()
+    if x.shape != (n,):
+        raise ModelError(f"expected a point with {n} components, got {x.shape}")
 
-    def check_rank(at):
-        rank, _ = rank_and_pivots(np.reshape(jacobian(at), (s, s)))
-        if rank < s:
+    def check_block(w):  # f's Hessian, n x n
+        if (rank := rank_and_pivots(w[:s, :s])[0]) < s:
             raise RankDeficiencyError(
                 f"slope conditions unresolvable: Hessian block rank {rank} < {s}")
 
-    guess = x[idx] / 2.0
-    check_rank(guess)
-    head = newton_with_restarts(residual, jacobian, guess, NewtonConfig(),
-                                box=1.0 + float(np.max(np.abs(x))))
-    check_rank(last[0])  # the root: no new evaluation
-    return head
+    if s:
+        ct = prob._transforms.get(s)
+        if ct is None:
+            split = VariableSplit(s, prob.names[:s], prob.names[s:], tuple(range(n)))
+            ct = prob._transforms[s] = ClairautTransform(prob.model, split)
+        q, p = [0.0] * n, x[:s].tolist()
+        try:
+            _, head, core = ct._resolve_args(q, p, c, [0.0] * s)
+        except NewtonError as exc:
+            if ct.start_in_domain(ct.point(q, p, c)):
+                check_block(prob.f_hessian([0.0] * s + c))
+            raise NewtonError(f"the {family} solution's slopes: {exc}", exc.residual) from None
+        check_block(np.reshape(core[ct.core_slices["W"]], (n, n)))
+        c = head + c
+    return _affine(prob, np.array(c), family)(x)
 
 
 def pde_residual(prob, y_fn, x):

@@ -1,7 +1,6 @@
-"""Small numeric kernels: pivoted rank detection, the Pfaffian of an
-antisymmetric matrix, the one central-difference stencil, the one float dot
-product, damped Newton iteration, and generated straight-line kernels for the
-tiny dense solves of the mixed transform.
+"""Small numeric kernels: pivoted rank detection, the one central-difference
+stencil, the one float dot product, damped Newton iteration, and generated
+straight-line kernels for the tiny dense solves of the mixed transform.
 
 rank_and_pivots eliminates on Python floats, entry by entry as numpy would.
 probe_ranks is the one constant-rank routine over probe matrices: the
@@ -10,9 +9,9 @@ their ranks and principal-block ranks from it.
 
 Everything is deterministic for fixed inputs; the Newton restarts draw from
 a generator seeded per call, never from global state.  damped_newton and its
-restarts (transform fallback, Fenchel oracle, PDE slopes) build their
-residual and Jacobian with newton_pair: flat float lists from one evaluator
-call per point.
+restarts (transform fallback, Fenchel oracle) build their residual and
+Jacobian with newton_pair: flat float lists from one evaluator call per
+point.
 
 The generated kernels (solver, resolve_kernel, block_kernel, stage_kernel,
 and rk4_kernel, integrate's whole fixed-step loop around a resolve and a
@@ -23,11 +22,10 @@ expressions._Code, as the compiled evaluators do.  resolve_kernel's full
 Newton steps are damped_newton's iterates wherever it takes no shorter step.
 One function, _block, emits the derivative block for block_kernel and
 stage_kernel, so the two give the same floats for it.  rk4_kernel's Pfaffian
-sign (_pfaffian_sign) is pfaffian's elimination unrolled, with its pivots and
-floats.  dot (the sum _dot emits, on floats), solver and verify's
-minimal-norm step (Gram-Schmidt on dot) own every reported sum and solve, so
-each reported number rounds the same way on every machine: none goes through
-numpy's BLAS or LAPACK.
+sign (_pfaffian_sign) is Parlett-Reid elimination unrolled.  dot (the sum
+_dot emits, on floats), solver and verify's minimal-norm step (Gram-Schmidt
+on dot) own every reported sum and solve, so each reported number rounds the
+same way on every machine: none goes through numpy's BLAS or LAPACK.
 """
 
 import functools
@@ -96,36 +94,6 @@ def probe_ranks(matrices, block, rel_tol):
         sub = [[m[i][j] for j in block] for i in block]
         block_ranks.append(rank_and_pivots(np.reshape(sub, (len(block),) * 2), rel_tol)[0])
     return block, ranks, block_ranks
-
-
-def pfaffian(matrix):
-    """Pfaffian of an antisymmetric matrix; 0.0 for odd sizes.
-
-    Skew-symmetric Gaussian elimination with partial pivoting (Parlett-Reid),
-    two rows and columns per step.  Pf(A)^2 = det(A), but unlike the
-    determinant the Pfaffian changes sign when A passes through a singular
-    antisymmetric matrix.
-    """
-    a = np.array(matrix, dtype=float)
-    n = a.shape[0]
-    if n % 2:
-        return 0.0
-    pf = 1.0
-    for k in range(0, n - 1, 2):
-        kp = k + 1 + int(np.argmax(np.abs(a[k, k + 1:])))
-        if kp != k + 1:
-            a[[k + 1, kp]] = a[[kp, k + 1]]
-            a[:, [k + 1, kp]] = a[:, [kp, k + 1]]
-            pf = -pf
-        pivot = a[k, k + 1]
-        if pivot == 0.0:
-            return 0.0
-        pf *= pivot
-        if k + 2 < n:
-            tau = a[k, k + 2:] / pivot
-            col = a[k + 2:, k + 1]
-            a[k + 2:, k + 2:] += np.outer(tau, col) - np.outer(col, tau)
-    return float(pf)
 
 
 def central_differences(fn, x, step):
@@ -487,10 +455,10 @@ def stage_kernel(n, reg, solve, other):
 
 
 def _pfaffian_sign(code, f):
-    """A fresh local holding np.sign(pfaffian(F)) for the names f (m x m, m
-    even): pfaffian's Parlett-Reid on names, with its pivot rule (the first
-    largest |entry|, a nan the largest) and its arithmetic, so the same
-    floats; a zero pivot makes it 0.0."""
+    """A fresh local holding the sign of the Pfaffian of F for the names f
+    (m x m, m even): skew-symmetric Gauss elimination (Parlett-Reid), two
+    rows and columns per step, pivoting on the first largest |entry| of the
+    row, a nan the largest; a zero pivot makes it 0.0."""
     m = len(f)
     a = [list(row) for row in f]
     pf = code("1.0")

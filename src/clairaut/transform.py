@@ -23,7 +23,9 @@ fallback.  The implicit-function derivative block, F and D_a H come from one
 call of a generated float kernel (numerics.block_kernel) that factors W_rr
 once.  Every RK4 stage of dynamics.integrate resolves through the same
 _resolve_args, then runs the sector solve in one generated kernel with the
-same emitted block (numerics.stage_kernel).
+same emitted block (numerics.stage_kernel).  clairaut_pde resolves the
+envelope and mixed slopes of the Clairaut equation through _resolve_args
+too, as the regular velocities of L = f(d(z)).
 """
 
 import itertools
@@ -200,8 +202,8 @@ class ClairautTransform:
         solving p_i = dL/dv^i, and the core there (the last core call).
         Full Newton steps from the float list x0 in the generated resolve
         kernel, damped Newton from the same start where they give up: the
-        one place that chooses between them, for resolve and every RK4
-        stage of dynamics.integrate."""
+        one place that chooses between them, for resolve, every RK4 stage
+        of dynamics.integrate and the slopes of the pde families."""
         return (self._resolve_kernel(self._f_core, self.newton, q, v_deg, x0, p)
                 or self._damped_resolve(q, p, v_deg, x0))
 

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from clairaut import DomainError, ModelError, NewtonError, RankDeficiencyError
-from clairaut import clairaut_pde as pde_module
 from clairaut.clairaut_pde import (
     ClairautProblem,
     envelope_solution,
@@ -12,7 +11,11 @@ from clairaut.clairaut_pde import (
     mixed_solution,
     pde_residual,
 )
-from clairaut.expressions import compile_evaluator, differentiate
+from clairaut.expressions import Const, Sym, differentiate, substitute
+from clairaut.fixtures import BUNDLED, load_bundled
+from clairaut.model import default_probes
+from clairaut.numerics import damped_newton
+from clairaut.transform import ClairautTransform
 
 RNG_SEED = 4242
 
@@ -47,10 +50,17 @@ class TestProblem:
 
     @pytest.mark.parametrize("f", ["z1^2 + z2^2 + z3", "exp(z1*z2)/(1 + z3^2) + sin(z1)*z3"])
     def test_shared_memos_give_the_per_call_derivatives(self, f):
+        # the gradient and Hessian are the core's L_v and W of f(d(z)); W's
+        # lower triangle mirrors the upper one
         prob = ClairautProblem(3, f)
+        vel = {z: Sym(f"d({z})") for z in prob.names}
         grad = [differentiate(prob.f, z) for z in prob.names]
-        hess = [differentiate(g, z) for g in grad for z in prob.names]
-        assert prob._derivs.source == compile_evaluator(grad + hess, prob.names).source
+        hess = [differentiate(grad[min(i, j)], prob.names[max(i, j)])
+                for i in range(3) for j in range(3)]
+        core = prob.model.core
+        assert core.exprs["L_v"] == [substitute(g, vel) for g in grad]
+        assert core.exprs["W"] == [substitute(h, vel) for h in hess]
+        assert set(core.exprs["L_q"] + core.exprs["L_vq"]) == {Const(0.0)}
 
     def test_hessian_rank(self, rank2_problem, quadratic_problem):
         assert rank2_problem.hessian_rank([0.3, -0.7, 1.1]) == 2
@@ -233,11 +243,52 @@ def _fd_hessian(fn, z, step=1e-4):
     return out
 
 
+class TestStartRule:
+    """Every resolve starts at z = 0, the transform's start, and checks the
+    Hessian block at the root and, where Newton fails, at the start."""
+
+    @pytest.mark.parametrize("f, x, y", [
+        ("z1*log(z1)", -0.5, np.exp(-1.5)),  # log(z) + 1 = x: z = y = e^(x - 1)
+        ("z1^4", 2.0, 1.5 * 0.5 ** (1 / 3)),  # 4 z^3 = 2: a singular start
+        ("1/z1 + z1^2", 1.0, -1.0),  # -1/z^2 + 2 z = 1 at z = 1: no f at the start
+        ("-(5*sqrt(1 - z1^2))", 3.0, np.sqrt(34.0)),  # 5 z / sqrt(1 - z^2) = 3
+    ])
+    def test_resolves(self, f, x, y):
+        assert envelope_solution(ClairautProblem(1, f), [x]) == pytest.approx(y, rel=1e-12)
+
+    @pytest.mark.parametrize("f, x", [("z1^4", [0.0]), ("z1^2 + z2^2 + z3", [2.0, 2.0, 3.0])])
+    def test_singular_block_raises(self, f, x):
+        with pytest.raises(RankDeficiencyError, match="Hessian block rank"):
+            envelope_solution(ClairautProblem(len(x), f), x)
+
+
+class TestTransformAgreement:
+    @pytest.mark.parametrize("name", BUNDLED)
+    def test_mixed_solution_is_h_mix(self, name):
+        # f(z) = L(q, z) with the slots in split order: the mixed solution at
+        # (p, pbar) with the degenerate slopes v_deg is H_mix at the probe
+        model = load_bundled(name)
+        ct = ClairautTransform(model)
+        core, order, r = model.core, list(ct.split.order), ct.r
+        for probe in default_probes(model):
+            q = [probe[c] for c in model.coords]
+            v = [probe[d] for d in model.velocity_names]
+            lv = core.fn(q + v)[core.slices["L_v"]]
+            mapping = model.base_bindings() | dict(zip(model.coords, q))
+            mapping |= {model.velocity_names[i]: Sym(f"z{k + 1}") for k, i in enumerate(order)}
+            prob = ClairautProblem(model.n, substitute(model.lagrangian, mapping))
+            pt = ct.point(q, [lv[i] for i in order[:r]], [v[i] for i in order[r:]])
+            pbar = [lv[i] for i in order[r:]]
+            h = ct.h_mix(pt, pbar)
+            got = mixed_solution(prob, r, pt.v_deg, np.concatenate([pt.p, pbar]))
+            assert abs(got - h) <= 1e-12 * max(1.0, abs(h)), (probe, got, h)
+
+
 class TestNewtonFailure:
     def test_unreachable_slope_reports_newton_failure(self):
         # x = exp(z) has no real solution for negative x
         prob = ClairautProblem(1, "exp(z1)")
-        with pytest.raises(NewtonError):
+        with pytest.raises(NewtonError, match="^the envelope solution's slopes: "):
             envelope_solution(prob, [-1.0])
 
 
@@ -250,39 +301,33 @@ class TestFamilyErrors:
             mixed_solution(prob, 1, [1e300], [1.0, 1e300])
 
     def test_envelope_overflow_names_the_family(self):
-        with pytest.raises(DomainError, match=r"^f is not defined at the envelope solution's "
-                                              r"slopes \(math range error\)$"):
+        # the resolve evaluates f at every iterate, and f overflows at the
+        # root z = 5e307: the resolve fails, and says for which family
+        with pytest.raises(NewtonError, match=r"^the envelope solution's slopes: newton failed "):
             envelope_solution(ClairautProblem(1, "z1^2"), [1e308])
 
 
 class TestOneEvaluator:
     def test_one_call_per_iterate(self, monkeypatch):
-        # gradient and Hessian come from one call; besides Newton's residual
-        # calls the resolve evaluates once, for the rank check at the guess
-        prob = ClairautProblem(2, "exp(z1) + z1*z2 + z2^2")
-        calls, residuals = [], []
-        derivs = prob._derivs
-        monkeypatch.setattr(prob, "_derivs", lambda z: calls.append(1) or derivs(z))
-        real_newton = pde_module.newton_with_restarts
-
-        def counted_newton(residual, jacobian, x0, cfg, box):
-            def jac(x):
-                before = len(calls)
-                out = jacobian(x)
-                assert len(calls) == before
-                return out
-
-            return real_newton(lambda x: residuals.append(1) or residual(x), jac, x0, cfg,
-                               box=box)
-
-        monkeypatch.setattr(pde_module, "newton_with_restarts", counted_newton)
+        # gradient and Hessian come from one core call per Newton iterate,
+        # the full steps of damped_newton from z = 0; the rank check at the
+        # root reads the root's call
         x = np.array([2.0, 1.5])
-        for solve in (lambda: envelope_solution(prob, x),
-                      lambda: mixed_solution(prob, 1, [0.25], x)):
-            calls.clear()
-            residuals.clear()
-            assert np.isfinite(solve())
-            assert residuals and len(calls) == len(residuals) + 1
+        for s, tail, solve in ((2, [], lambda prob: envelope_solution(prob, x)),
+                               (1, [0.25], lambda prob: mixed_solution(prob, 1, [0.25], x))):
+            prob = ClairautProblem(2, "exp(z1) + z1*z2 + z2^2")
+            iterates, calls = [], []
+
+            def residual(head):
+                iterates.append(list(head) + tail)
+                return prob.f_gradient(iterates[-1])[:s] - x[:s]
+
+            damped_newton(residual, lambda _: prob.f_hessian(iterates[-1])[:s, :s], [0.0] * s)
+            core = prob.model.core.fn
+            monkeypatch.setattr(prob.model.core, "fn",
+                                lambda args: calls.append(args[2:]) or core(args))
+            assert np.isfinite(solve(prob))
+            assert len(iterates) > 2 and calls == iterates
 
     def test_general_solution_where_only_f_is_defined(self):
         # sqrt(z1) is defined at 0, its derivatives are not

@@ -407,6 +407,14 @@ class TestPde:
         assert code == 0
         assert abs(parse_kv_lines(out)["y"] - 2.25) < 1e-10
 
+    def test_envelope_on_a_bounded_domain(self, capsys):
+        # z1 = 3/sqrt(34) solves 5 z1 / sqrt(1 - z1^2) = 3; most of the
+        # line lies outside f's domain, the resolve's start z1 = 0 inside
+        code, out, err = run_cli(capsys, "pde", "--f", "-(5*sqrt(1 - z1^2))",
+                                 "--mode", "envelope", "--at", "x1=3")
+        assert code == 0 and err == ""
+        assert parse_kv_lines(out)["y"] == pytest.approx(math.sqrt(34.0), rel=1e-15)
+
     def test_envelope_needs_full_rank(self, capsys):
         code, _, err = run_cli(capsys, "pde", "--f", "z1^2+z2^2+z3",
                                "--mode", "envelope", "--at", "x1=2,x2=2,x3=3")
@@ -447,11 +455,13 @@ class TestPde:
         (("--f", "z1^2+z2", "--mode", "mixed", "--s", "1", "--c", "c2=1e300",
           "--at", "x1=1,x2=1e300"), "the mixed solution overflows at this point (y = inf)"),
         (("--f", "z1^2", "--mode", "envelope", "--at", "x1=1e308"),
-         "f is not defined at the envelope solution's slopes (math range error)"),
+         "the envelope solution's slopes: newton failed from initial guess and 8 restarts: "
+         "newton line search stalled"),
     ], ids=["mixed", "envelope"])
     def test_resolved_family_overflow_exits_3(self, capsys, argv, message):
         # the envelope and mixed families evaluate x.z - f(z) through the
-        # general solution's guard, and its texts name the family: no inf
+        # general solution's guard, and f at every Newton iterate (z1^2
+        # overflows at the root 5e307): the texts name the family, no inf
         # printed, no numpy warning
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")

@@ -25,9 +25,8 @@ from clairaut.errors import (ArgumentError, ClairautError, GaugeInputError, Newt
                              RankDeficiencyError)
 from clairaut.gauge import ExprObservable, classify, field_strength, phase_probes
 from clairaut.model import momentum_name
-from clairaut.numerics import pfaffian
 from clairaut.verify import run_verification
-from conftest import reference_resolve
+from conftest import pfaffian, reference_resolve
 
 
 @lru_cache(maxsize=None)

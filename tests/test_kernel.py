@@ -38,6 +38,7 @@ from clairaut import transform as transform_module
 from clairaut.gauge import classify, phase_probes
 from clairaut.fixtures import BUNDLED
 from clairaut.numerics import dot, solver, stage_kernel
+from conftest import pfaffian
 
 EPS = np.finfo(float).eps
 
@@ -295,7 +296,7 @@ class TestPfaffianSign:
             a = a - a.T
             if trial % 7 == 0:
                 a[rng.integers(m), rng.integers(m)] = math.nan
-            want = np.sign(numerics.pfaffian(a))
+            want = np.sign(pfaffian(a))
             got = sign(a.ravel().tolist())
             assert got == want or (math.isnan(got) and math.isnan(want)), (a, got, want)
 
@@ -309,7 +310,7 @@ class TestPfaffianSign:
         a[0] = row
         a[1:, 0] = -a[0, 1:]
         a[1, 2:], a[2:, 1] = [2.0, 3.0], [-2.0, -3.0]
-        for got in (np.sign(numerics.pfaffian(a)), self.generated(4)(a.ravel().tolist())):
+        for got in (np.sign(pfaffian(a)), self.generated(4)(a.ravel().tolist())):
             assert got == want or (math.isnan(got) and math.isnan(want))
 
 
