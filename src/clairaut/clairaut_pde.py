@@ -14,13 +14,11 @@ package: the slopes resolve as the regular velocities of L = f(d(z)).
 
 import math
 
-import numpy as np
-
 from .errors import DomainError, ModelError, NewtonError, RankDeficiencyError
 from .expressions import (Sym, compile_evaluator, free_symbols, parse_expression, simplify,
                           substitute)
 from .model import LagrangianModel, VariableSplit, velocity_name
-from .numerics import central_differences, dot, rank_and_pivots
+from .numerics import _floats, central_differences, dot, rank_and_pivots
 from .transform import ClairautTransform
 
 RESIDUAL_STEP = 1e-6
@@ -51,12 +49,14 @@ class ClairautProblem:
         return self._f(z)
 
     def _core(self, z):  # the model's core at q = 0, v = z
-        return self.model.core.fn([0.0] * self.n + np.asarray(z, dtype=float).tolist())
+        return self.model.core.fn([0.0] * self.n + _floats(z))
 
     def f_gradient(self, z):
+        import numpy as np
         return np.array(self._core(z)[self.model.core.slices["L_v"]])
 
     def f_hessian(self, z):
+        import numpy as np
         return np.array(self._core(z)[self.model.core.slices["W"]]).reshape(self.n, self.n)
 
     def hessian_rank(self, z):
@@ -67,6 +67,7 @@ def general_solution(prob, c):
     """Affine solution with slope vector c; returns an evaluator of x, which
     raises DomainError where the value is not a finite float.  The envelope
     and mixed families evaluate the same formula at their resolved slopes."""
+    import numpy as np
     c = np.asarray(c, dtype=float)
     if c.shape != (prob.n,):
         raise ModelError(f"expected {prob.n} slope constants, got {c.shape}")
@@ -76,6 +77,7 @@ def general_solution(prob, c):
 def _affine(prob, c, family):
     """x -> x . c - f(c), the family's solution at the slopes c; a DomainError
     where f(c) or the value is not a finite float names the family."""
+    import numpy as np
     try:
         fc = prob.f_value(c)
     except DomainError as exc:
@@ -94,6 +96,7 @@ def envelope_solution(prob, x):
     """Resolve every slope condition x_i = df/dz_i and evaluate the result:
     only where f's Hessian has full rank at the solution (and, where Newton
     fails, at its start)."""
+    import numpy as np
     return _resolved(prob, prob.n, np.empty(0), x, "envelope")
 
 
@@ -104,6 +107,7 @@ def mixed_solution(prob, s, c_tail, x):
     f has to be nonsingular at the solution.  s = 0 reduces to the general
     solution and s = n to the envelope.
     """
+    import numpy as np
     s = int(s)
     if not 0 <= s <= prob.n:
         raise ModelError(f"s must lie in [0, {prob.n}], got {s}")
@@ -118,6 +122,7 @@ def _resolved(prob, s, c_tail, x, family):
     for i < s: the transform's regular velocities at momenta x[:s], from z =
     0.  The leading s-by-s block of W is rank-checked at the root, and at
     the start where Newton fails; a NewtonError names the family."""
+    import numpy as np
     n, x, c = prob.n, np.asarray(x, dtype=float), c_tail.tolist()
     if x.shape != (n,):
         raise ModelError(f"expected a point with {n} components, got {x.shape}")
@@ -147,6 +152,7 @@ def _resolved(prob, s, c_tail, x, family):
 def pde_residual(prob, y_fn, x):
     """Defect |y - Sum x_j dy/dx_j + f(dy/dx)| with dy/dx by central
     differences (numerics.central_differences, step RESIDUAL_STEP)."""
+    import numpy as np
     x = np.asarray(x, dtype=float)
     grad = central_differences(y_fn, x, RESIDUAL_STEP)
     return abs(y_fn(x) - dot(x, grad) + prob.f_value(grad))

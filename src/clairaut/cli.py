@@ -18,8 +18,6 @@ import math
 import os
 import sys
 
-import numpy as np
-
 from .clairaut_pde import (
     ClairautProblem,
     envelope_solution,
@@ -178,6 +176,7 @@ def cmd_analyze(args):
 
 
 def cmd_transform(args):
+    import numpy as np
     model = _apply_params(_load(args.model), args.param)
     ct = ClairautTransform(model)
     pt, bound_v = _bind_point(ct, args.at, "--at", require_all=True)
@@ -219,6 +218,7 @@ def cmd_transform(args):
 
 def _svg_plot(traj, path):
     """Polylines of each coordinate against t; purely cosmetic."""
+    import numpy as np
     width, height, margin = 640, 360, 40
     t = traj.t
     cols = [(name, traj.q[:, k]) for k, name in enumerate(traj.coords)]
@@ -260,6 +260,7 @@ def _svg_plot(traj, path):
 
 
 def cmd_simulate(args):
+    import numpy as np
     model = _apply_params(_load(args.model), args.param)
     halt_tol = args.tol if args.tol is not None else 1e-6
     cfg = IntegratorConfig(t1=args.t1, dt=args.dt, consistency_tol=halt_tol)
@@ -307,6 +308,7 @@ def cmd_verify(args):
 
 
 def cmd_pde(args):
+    import numpy as np
     at = _parse_bindings(args.at, "--at")
     n = len(at)
     if n == 0:

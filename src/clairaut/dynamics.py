@@ -31,8 +31,6 @@ from array import array
 from dataclasses import dataclass
 from functools import cached_property
 
-import numpy as np
-
 from .errors import ArgumentError, GaugeInputError, IntegrabilityError, NewtonError
 from .expressions import compile_evaluator, free_symbols, parse_expression
 from .gauge import _poisson, bracket_gauge, classify, field_strength
@@ -145,6 +143,7 @@ def _gauge_for(ct, gauge, cls):
 def degenerate_velocities(ct, pt, gauge=None, cls=None, t=0.0, res=None):
     """Velocities of the degenerate sector at one point, plus the residual
     ||F v - D H||_inf over all rows (solved and unsolved alike)."""
+    import numpy as np
     gauge = _gauge_for(ct, gauge, cls)
     if res is None:
         res = ct.resolve(pt)
@@ -182,12 +181,12 @@ class IntegratorConfig:
 class Trajectory:
     """Uniformly sampled solution with per-sample diagnostics."""
 
-    t: np.ndarray
-    q: np.ndarray
-    p: np.ndarray
-    v_deg: np.ndarray
-    h_phys: np.ndarray
-    consistency: np.ndarray
+    t: "np.ndarray"
+    q: "np.ndarray"
+    p: "np.ndarray"
+    v_deg: "np.ndarray"
+    h_phys: "np.ndarray"
+    consistency: "np.ndarray"
     coords: tuple
     regular: tuple
     degenerate: tuple
@@ -215,6 +214,7 @@ def integrate(ct, initial, gauge=None, cfg=None, cls=None):
     solved F subblock, seen as a sign change of its Pfaffian between the
     starts of two steps: the determinant, Pf^2, cannot see it.
     """
+    import numpy as np
     cfg = cfg if cfg is not None else IntegratorConfig()
     gauge = _gauge_for(ct, gauge, cls)
     solve, other = gauge._plan
@@ -267,6 +267,7 @@ def el_residual(model, traj):
     the model's derivative core per sample.  The first two and last two
     samples are NaN (stencil width).
     """
+    import numpy as np
     m = len(traj.t)
     out = np.full(m, np.nan)
     if m < 5:
@@ -293,6 +294,7 @@ def el_residual(model, traj):
 def evolve_observable(ct, x, traj, cls):
     """Per-sample |dX/dt - {X, H_phys}_bracket| with the bracket picked by
     the classification; NaN at the stencil edges."""
+    import numpy as np
     m = len(traj.t)
     out = np.full(m, np.nan)
     if m < 3:
@@ -314,12 +316,12 @@ class DiracReport:
     """Cross-check of the sector identities against the extended phase space
     where every coordinate gets a conjugate momentum."""
 
-    phi: np.ndarray            # constraint values p_a - B_a
+    phi: "np.ndarray"          # constraint values p_a - B_a
     h_t: float                 # H_phys + v . phi
     sigma: float
     fab_residual: float        # max |{phi_a, phi_b}_full - F_ab|
     dhf_residual: float        # max |{phi_a, H}_full - sigma D_a H|
-    second_stage: np.ndarray   # {phi_a, H_T}_full given the point's v_deg
+    second_stage: "np.ndarray" # {phi_a, H_T}_full given the point's v_deg
 
 
 def _full_bracket(ct, xq, xp_reg, xp_deg, yq, yp_reg, yp_deg):
@@ -331,6 +333,7 @@ def _full_bracket(ct, xq, xp_reg, xp_deg, yq, yp_reg, yp_deg):
 
 def _constraint_brackets(ct, res):
     """Raw {phi_a, phi_b}_full matrix and {phi_a, H_phys}_full vector."""
+    import numpy as np
     n_deg = ct.n - ct.r
     eye = np.eye(n_deg)
     fab = np.empty((n_deg, n_deg))
@@ -353,6 +356,7 @@ def dirac_report(ct, pt, p_deg=None):
     default takes them on the constraint surface (p_deg = B), making every
     phi vanish.  The point's own v_deg enters the second-stage values.
     """
+    import numpy as np
     res = ct.resolve(pt)
     n_deg = ct.n - ct.r
     if p_deg is None:

@@ -24,8 +24,6 @@ Bianchi defect take one F Jacobian per point, not one per entry.
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import ModelError, RankDeficiencyError, RankVariationError
 from .expressions import (
     compile_evaluator,
@@ -42,7 +40,7 @@ from .model import (
     default_probes,
     momentum_name,
 )
-from .numerics import central_differences, dot, probe_ranks, solver
+from .numerics import SingularMatrixError, central_differences, dot, probe_ranks, solver
 from .transform import PhasePoint
 
 FD_STEP = 1e-5
@@ -85,9 +83,11 @@ class ExprObservable:
         return self._eval(pt)[0]
 
     def d_dq(self, pt):
+        import numpy as np
         return np.array(self._eval(pt)[1:1 + self.ct.n])
 
     def d_dp(self, pt):
+        import numpy as np
         return np.array(self._eval(pt)[1 + self.ct.n:])
 
 
@@ -133,6 +133,7 @@ class FiniteDifferenceObservable:
         return self._differences(pt, pt.p, lambda x: pt._replace(p=x))
 
     def _differences(self, pt, base, at):
+        import numpy as np
         if not len(base):
             return np.empty(np.shape(self.fn(pt)) + (0,))
         return central_differences(lambda x: self.fn(at(x)), base, self.step)
@@ -181,10 +182,8 @@ def phase_probes(ct, count=DEFAULT_PROBE_COUNT, seed=DEFAULT_PROBE_SEED):
     for probe in default_probes(ct.model, count=count, seed=seed):
         args = [probe[name] for name in ct.model.core.arg_names]
         lv = ct._f_core(args)[ct.core_slices["L_v"]]
-        q = np.array(args[:n])
-        p = np.array([lv[i] for i in ct.reg_idx])
-        v_deg = np.array([args[n + a] for a in ct.deg_idx])
-        points.append(PhasePoint(q, p, v_deg))
+        points.append(PhasePoint(args[:n], [lv[i] for i in ct.reg_idx],
+                                 [args[n + a] for a in ct.deg_idx]))
     return points
 
 
@@ -270,9 +269,10 @@ def _corrected_bracket(ct, x, y, pt, solved, singular):
     if not any(a):
         return base  # B acts trivially on X, no correction regardless of F
     d = [_long_derivative(ct, res, beta, yq, yp) for beta in sub]
+    f = res.F.tolist()
     try:
-        fbar_d = solver(len(sub))(res.F[np.ix_(sub, sub)].ravel().tolist(), d)
-    except np.linalg.LinAlgError:
+        fbar_d = solver(len(sub))([f[a][b] for a in sub for b in sub], d)
+    except SingularMatrixError:
         raise RankDeficiencyError(singular) from None
     return base - dot(a, fbar_d)
 
@@ -289,6 +289,7 @@ def maxwell_current(ct, pt):
     """J_beta = sum_alpha D_alpha F_alphabeta, summed by dot (against ones) in
     order of alpha, skipping F_bb == 0; outer derivatives by central
     differences (FD_STEP) of the assembled field strength, one F Jacobian."""
+    import numpy as np
     n_deg = ct.n - ct.r
     d = _long_derivatives_of_f(ct, pt, FD_STEP)
     return np.array([dot([d(a, a, b) for a in range(n_deg) if a != b], [1.0] * (n_deg - 1))

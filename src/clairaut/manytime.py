@@ -22,8 +22,6 @@ checks.
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .dynamics import d_alpha_h
 from .errors import ModelError
 from .gauge import BObservable, _poisson, field_strength, phase_probes
@@ -65,6 +63,7 @@ class ManyTimeSystem:
         return len(self.times)
 
     def hamiltonian_values(self, pt):
+        import numpy as np
         return np.array([h.value(pt) for h in self.hamiltonians])
 
 
@@ -83,6 +82,7 @@ def map_to_manytime(ct):
 
 def g_matrix(mts, pt):
     """Evaluate G_mu_nu at a phase point.  Exactly antisymmetric."""
+    import numpy as np
     ct = mts.ct
     deg = ct.deg_idx
     m = mts.m
@@ -126,6 +126,7 @@ class IntegrabilityReport:
 
 
 def integrability_report(mts, probes=None):
+    import numpy as np
     ct = mts.ct
     if probes is None:
         probes = phase_probes(ct)

@@ -20,12 +20,10 @@ the file pins one.
 from dataclasses import dataclass
 from functools import cached_property
 
-import numpy as np
-
 from . import expressions as ex
 from .errors import ExprSyntaxError, ModelError, RankVariationError, UnboundSymbolError
 from .expressions import compile_evaluator, evaluate, free_symbols, simplify, substitute
-from .numerics import probe_ranks
+from .numerics import Rng, probe_ranks
 
 DEFAULT_RANK_TOL = 1e-9
 DEFAULT_PROBE_COUNT = 17
@@ -266,9 +264,10 @@ def default_probes(model, count=DEFAULT_PROBE_COUNT, seed=DEFAULT_PROBE_SEED):
     """Random coordinate/velocity bindings in [-1, 1], rejecting draws that sit
     within PROBE_EXCLUSION of a domain boundary of the Lagrangian.
 
-    Each model draws a given (count, integer seed) once; every call gets its
-    own copies of the bindings."""
-    if not isinstance(seed, int):  # None or a Generator: draw afresh each call
+    seed is an int, None (fresh entropy) or a generator with numpy's
+    uniform(lo, hi, size), used as it is.  Each model draws a given (count,
+    integer seed) once; every call gets its own copies of the bindings."""
+    if not isinstance(seed, int):  # None or a generator: draw afresh each call
         return _draw_probes(model, count, seed)
     key = (count, seed)
     probes = model._probe_draws.get(key)
@@ -278,7 +277,7 @@ def default_probes(model, count=DEFAULT_PROBE_COUNT, seed=DEFAULT_PROBE_SEED):
 
 
 def _draw_probes(model, count, seed):
-    rng = np.random.default_rng(seed)
+    rng = seed if hasattr(seed, "uniform") else Rng(seed)
     names = list(model.coords) + list(model.velocity_names)
     away, nonneg = _domain_guards(model.lagrangian)
     probes = []

@@ -8,9 +8,14 @@ velocity split and rank report (W) and the gauge classification (F) read
 their ranks and principal-block ranks from it.
 
 Everything is deterministic for fixed inputs; the Newton restarts draw from
-a generator seeded per call, never from global state.  damped_newton and its
-restarts (transform fallback, Fenchel oracle) build their residual and
-Jacobian with newton_pair: flat float lists from one evaluator call per
+a generator seeded per call, never from global state.  That generator, Rng,
+is numpy.random.default_rng rebuilt on Python ints (SeedSequence, then
+PCG64), bit for bit in the two draws the package makes, uniform and
+integers; the probes, the restarts and verify's random observables draw
+from it, so importing the package loads no numpy.  numpy loads inside the
+functions that build or read an array, on their first call.  damped_newton
+and its restarts (transform fallback, Fenchel oracle) build their residual
+and Jacobian with newton_pair: flat float lists from one evaluator call per
 point.
 
 The generated kernels (solver, resolve_kernel, block_kernel, stage_kernel,
@@ -25,15 +30,17 @@ stage_kernel, so the two give the same floats for it.  rk4_kernel's Pfaffian
 sign (_pfaffian_sign) is Parlett-Reid elimination unrolled.  dot (the sum
 _dot emits, on floats), solver and verify's minimal-norm step (Gram-Schmidt
 on dot) own every reported sum and solve, so each reported number rounds the
-same way on every machine: none goes through numpy's BLAS or LAPACK.
+same way on every machine: none goes through numpy's BLAS or LAPACK.  A zero
+pivot in solver raises the internal SingularMatrixError ('Singular matrix',
+numpy.linalg.solve's text), which damped_newton reports as a NewtonError and
+the corrected brackets as a RankDeficiencyError.
 """
 
 import functools
 import math
 import operator
+import secrets
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import ArgumentError, DomainError, NewtonError, RankDeficiencyError
 from .expressions import _Code
@@ -41,7 +48,7 @@ from .expressions import _Code
 
 def rank_and_pivots(matrix, rel_tol=1e-9):
     """Numeric rank via Gaussian elimination with complete pivoting, on
-    Python floats.
+    Python floats: matrix is a sequence of rows or a 2-D ndarray.
 
     A pivot counts while its magnitude exceeds rel_tol times the largest
     absolute entry of the input matrix.  The pivot is the first largest
@@ -50,10 +57,14 @@ def rank_and_pivots(matrix, rel_tol=1e-9):
     order; the greedy order is what callers use to pick a regular velocity
     block.
     """
-    a = np.array(matrix, dtype=float)
-    if a.ndim != 2:
+    try:
+        if not isinstance(matrix, (list, tuple)):
+            matrix = matrix.tolist()  # an ndarray
+        a = [list(map(float, row)) for row in matrix]
+    except (AttributeError, TypeError, ValueError):
+        a = None
+    if a is None or any(len(row) != len(a[0]) for row in a):
         raise ArgumentError("rank_and_pivots expects a matrix")
-    a = a.tolist()
     threshold = rel_tol * _max_abs(v for row in a for v in row)
     rows, cols = list(range(len(a))), list(range(len(a[0]) if a else 0))
     pivot_cols = []
@@ -92,7 +103,7 @@ def probe_ranks(matrices, block, rel_tol):
             block = sorted(pivots)
         ranks.append(rank)
         sub = [[m[i][j] for j in block] for i in block]
-        block_ranks.append(rank_and_pivots(np.reshape(sub, (len(block),) * 2), rel_tol)[0])
+        block_ranks.append(rank_and_pivots(sub, rel_tol)[0])
     return block, ranks, block_ranks
 
 
@@ -101,6 +112,7 @@ def central_differences(fn, x, step):
     component k, h = step * (1 + |x_k|) and (fn(x + h e_k) - fn(x - h e_k))
     / (2h).  fn may return a scalar or an array; the direction axis is last,
     so one entry's gradient is a contiguous vector."""
+    import numpy as np
     cols = []
     for k in range(len(x)):
         h = step * (1 + abs(x[k]))
@@ -126,9 +138,9 @@ def dot(a, b):
     """sum(a[k] * b[k]) over float sequences or 1-D arrays, added left to right
     from the first product as _dot emits it (never compensated, as sum() is
     from Python 3.12 on); 0.0 for empty operands."""
-    if isinstance(a, np.ndarray):
-        a = a.tolist()
-    if isinstance(b, np.ndarray):
+    if not isinstance(a, (list, tuple)):
+        a = a.tolist()  # an ndarray
+    if not isinstance(b, (list, tuple)):
         b = b.tolist()
     return float(functools.reduce(operator.add, map(operator.mul, a, b))) if len(a) else 0.0
 
@@ -138,6 +150,7 @@ def _floats(values):
     itself passes through without numpy work."""
     if type(values) is list and (not values or type(values[0]) is float):
         return values
+    import numpy as np
     return np.asarray(values, dtype=float).ravel().tolist()
 
 
@@ -149,6 +162,114 @@ def _max_abs(values):
         if value > worst or value != value:
             worst = value
     return worst
+
+
+class SingularMatrixError(ArithmeticError):
+    """A generated elimination met a zero pivot.  Internal: damped_newton
+    and the corrected brackets turn it into their own typed errors."""
+
+
+# numpy's SeedSequence (hashmix, mix) and PCG64 (XSL-RR output) constants
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_M32, _M53, _M64, _M128 = (1 << 32) - 1, (1 << 53) - 1, (1 << 64) - 1, (1 << 128) - 1
+_TO_UNIT = 1.0 / 9007199254740992.0  # 2**-53
+
+
+def _seed_state(seed):
+    """numpy's SeedSequence(seed).generate_state(4, np.uint64) for an int
+    seed >= 0, as four Python ints."""
+    if seed < 0:
+        raise ValueError("expected non-negative integer")
+    entropy = [(seed >> shift) & _M32 for shift in range(0, max(seed.bit_length(), 1), 32)]
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value ^= hash_const
+        hash_const = hash_const * _MULT_A & _M32
+        value = value * hash_const & _M32
+        return value ^ value >> 16
+
+    def mix(x, y):
+        value = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _M32
+        return value ^ value >> 16
+
+    pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    hash_const, words = _INIT_B, []
+    for k in range(8):
+        value = pool[k % 4] ^ hash_const
+        hash_const = hash_const * _MULT_B & _M32
+        value = value * hash_const & _M32
+        words.append(value ^ value >> 16)
+    return [words[k] | words[k + 1] << 32 for k in range(0, 8, 2)]
+
+
+class Rng:
+    """The draws of numpy.random.default_rng(seed), bit for bit, on Python
+    ints: SeedSequence, then PCG64 (128-bit LCG, XSL-RR output).  seed is
+    an int >= 0, or None for 128 bits from secrets.  Only the two draws the
+    package makes: uniform and integers."""
+
+    __slots__ = ("_state", "_inc", "_half")
+
+    def __init__(self, seed=None):
+        if seed is None:
+            seed = secrets.randbits(128)
+        w0, w1, w2, w3 = _seed_state(operator.index(seed))
+        # PCG's srandom: state 0, step, add the initial state, step
+        self._inc = inc = ((w2 << 64 | w3) << 1 | 1) & _M128
+        self._state = ((inc + (w0 << 64 | w1)) * _PCG_MULT + inc) & _M128
+        self._half = None  # the high half of a 64-bit draw, kept for the next 32-bit one
+
+    def _next64(self):
+        # XSL-RR: the xor of the state's halves, rotated right by its top 6 bits
+        self._state = state = (self._state * _PCG_MULT + self._inc) & _M128
+        x = (state >> 64 ^ state) & _M64
+        return (x | x << 64) >> (state >> 122) & _M64
+
+    def _next32(self):
+        if self._half is not None:
+            half, self._half = self._half, None
+            return half
+        x = self._next64()
+        self._half = x >> 32
+        return x & _M32
+
+    def uniform(self, lo=0.0, hi=1.0, size=None):
+        """lo + (hi - lo) * u, u = (next64 >> 11) * 2**-53: a float, or a
+        list of size floats."""
+        lo, scale = float(lo), float(hi) - float(lo)
+        state, inc, out = self._state, self._inc, []
+        mult, m53, m64, m128, unit = _PCG_MULT, _M53, _M64, _M128, _TO_UNIT
+        for _ in range(1 if size is None else size):  # _next64 >> 11, inlined
+            state = (state * mult + inc) & m128
+            x = (state >> 64 ^ state) & m64
+            out.append(lo + scale * (((x | x << 64) >> ((state >> 122) + 11) & m53) * unit))
+        self._state = state
+        return out[0] if size is None else out
+
+    def integers(self, k):
+        """An int in [0, k) for 1 <= k <= 2**32, as numpy draws an int64
+        there: Lemire's rejection on the buffered 32-bit draw."""
+        if not 1 <= k <= 1 << 32:
+            raise ValueError(f"integers takes 1 <= k <= 2**32, not {k}")
+        if k == 1:
+            return 0  # numpy draws nothing for a one-value range
+        m = self._next32() * k
+        if m & _M32 < k:
+            threshold = (1 << 32) % k
+            while m & _M32 < threshold:
+                m = self._next32() * k
+        return m >> 32
 
 
 def damped_newton(residual, jacobian, x0, cfg=NewtonConfig()):
@@ -165,6 +286,7 @@ def damped_newton(residual, jacobian, x0, cfg=NewtonConfig()):
     once.  Returns the root as an ndarray; the latest residual call is at
     it.
     """
+    import numpy as np
     x = _floats(x0)
     fx = _floats(residual(x))
     norm = _max_abs(fx)
@@ -173,7 +295,7 @@ def damped_newton(residual, jacobian, x0, cfg=NewtonConfig()):
             return np.array(x, dtype=float)
         try:
             step = solver(len(x))(_floats(jacobian(x)), [-f for f in fx])
-        except np.linalg.LinAlgError as exc:
+        except SingularMatrixError as exc:
             raise NewtonError(f"singular jacobian: {exc}", residual=norm) from exc
         if not all(map(math.isfinite, step)):
             raise NewtonError("non-finite newton step", residual=norm)
@@ -228,8 +350,8 @@ def newton_with_restarts(residual, jacobian, x0, cfg=NewtonConfig(), box=1.0, se
         return damped_newton(residual, jacobian, x0, cfg)
     except (NewtonError, DomainError) as first_failure:
         failure = first_failure
-    rng = np.random.default_rng(seed)
-    dim = len(np.atleast_1d(x0))
+    rng = Rng(seed)
+    dim = len(_floats(x0))
     for _ in range(cfg.retries):
         start = rng.uniform(-box, box, size=dim)
         try:
@@ -244,8 +366,9 @@ def newton_with_restarts(residual, jacobian, x0, cfg=NewtonConfig(), box=1.0, se
 
 # ------------------------------------------------------- generated kernels
 
-_KERNEL_ENV = {"LinAlgError": np.linalg.LinAlgError, "RankDeficiencyError": RankDeficiencyError,
-               "DomainError": DomainError, "isfinite": math.isfinite}
+_KERNEL_ENV = {"SingularMatrixError": SingularMatrixError,
+               "RankDeficiencyError": RankDeficiencyError, "DomainError": DomainError,
+               "isfinite": math.isfinite}
 
 
 def _dot(pairs):
@@ -348,13 +471,13 @@ def _names(prefix, rows, cols):
 @functools.lru_cache(maxsize=None)
 def solver(k, m=1):
     """Generated x = A^-1 B for a k x k A and a k x m B, both flat row-major
-    sequences of floats; returns x as a flat row-major list.  A singular A
-    raises numpy.linalg.LinAlgError, like numpy.linalg.solve."""
+    sequences of floats; returns x as a flat row-major list.  A zero pivot
+    raises SingularMatrixError('Singular matrix'), numpy.linalg.solve's text."""
     code = _Code()
     a, b = _names("a", k, k), _names("b", k, m)
     code.line(f"{', '.join(sum(a, []))}, = A")
     code.line(f"{', '.join(sum(b, []))}, = B")
-    _lu_solve(code, a, b, "raise LinAlgError('Singular matrix')")
+    _lu_solve(code, a, b, "raise SingularMatrixError('Singular matrix')")
     return code.build("A, B", _flat(b), _KERNEL_ENV)
 
 

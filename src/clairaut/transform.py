@@ -31,8 +31,6 @@ too, as the regular velocities of L = f(d(z)).
 import itertools
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import DomainError, FenchelError, NewtonError
 from .model import CORE_BLOCKS, split_variables
 from .numerics import (NewtonConfig, _floats, block_kernel, damped_newton, dot, newton_pair,
@@ -46,11 +44,12 @@ class PhasePoint:
     float64 copy: resolve memoizes by point identity.  A point displaced from
     another by _replace copies its new fields and shares the other arrays."""
 
-    q: np.ndarray
-    p: np.ndarray
-    v_deg: np.ndarray
+    q: "np.ndarray"
+    p: "np.ndarray"
+    v_deg: "np.ndarray"
 
     def __post_init__(self, names=("q", "p", "v_deg")):
+        import numpy as np
         for name in names:
             arr = np.array(getattr(self, name), dtype=float)
             arr.setflags(write=False)
@@ -92,6 +91,7 @@ class Resolution:
     def __getattr__(self, name):  # a slot not yet set: build it, then keep it
         if name not in _LAZY:
             raise AttributeError(name)
+        import numpy as np
         ct, core = self.ct, self._core
         if name == "V":
             value = np.array(self._v)
@@ -131,6 +131,7 @@ class ClairautTransform:
     CORE_BLOCKS = CORE_BLOCKS
 
     def __init__(self, model, split=None, newton=None, probes=None):
+        import numpy as np
         self.model = model
         self.split = split if split is not None else split_variables(model, probes=probes)
         self.newton = newton if newton is not None else NewtonConfig()
@@ -162,11 +163,11 @@ class ClairautTransform:
         if isinstance(q, dict):
             q = [q.get(c, 0.0) for c in self.model.coords]
         if p is None:
-            p = np.zeros(self.r)
+            p = [0.0] * self.r
         elif isinstance(p, dict):
             p = [p.get(c, 0.0) for c in self.split.regular]
         if v_deg is None:
-            v_deg = np.zeros(len(self.deg_idx))
+            v_deg = [0.0] * len(self.deg_idx)
         elif isinstance(v_deg, dict):
             v_deg = [v_deg.get(c, 0.0) for c in self.split.degenerate]
         return PhasePoint(q=q, p=p, v_deg=v_deg)
@@ -240,6 +241,7 @@ class ClairautTransform:
 
     def h_mix(self, pt, pbar_deg):
         """Mixed Hamiltonian at conjugate values pbar for the degenerate slots."""
+        import numpy as np
         res = self.resolve(pt)
         return res.H + dot(np.asarray(pbar_deg, dtype=float) - res.B, pt.v_deg)
 
@@ -257,6 +259,7 @@ class ClairautTransform:
         h_value, a callable (q, pbar) -> float, substitutes a candidate
         Hamiltonian for the transform's own, for use as a defect detector.
         """
+        import numpy as np
         q = np.asarray(q, dtype=float)
         pbar = np.asarray(pbar, dtype=float)
         pt = self.point(q, pbar[self.reg_idx], v_deg)
@@ -301,6 +304,7 @@ def fenchel_conjugate(model, q, p, box=2.0, grid=5):
     largest |entry| (or 1); candidate stationary points failing that check
     are discarded.  L, L_v and W come from model.core.
     """
+    import numpy as np
     n = model.n
     core = model.core
     lv, w = core.slices["L_v"], core.slices["W"]

@@ -19,8 +19,6 @@ import functools
 import json
 import math
 
-import numpy as np
-
 from .dynamics import (
     IntegratorConfig,
     d_alpha_h,
@@ -54,7 +52,7 @@ from .model import (
     check_rank_constancy,
     momentum_name,
 )
-from .numerics import dot
+from .numerics import Rng, dot
 from .transform import ClairautTransform, fenchel_conjugate
 
 
@@ -66,7 +64,7 @@ class _Context:
         self.seed = seed
 
     def rng(self, salt):
-        return np.random.default_rng(self.seed * 1000 + salt)
+        return Rng(self.seed * 1000 + salt)
 
     # each report feeds two rows; one that raises is recomputed and raises again
     @functools.cached_property
@@ -85,7 +83,7 @@ class _Context:
         if ct.n == ct.r:
             return True
         try:
-            ct.resolve(self.probes[0]._replace(v_deg=np.zeros(ct.n - ct.r)))
+            ct.resolve(self.probes[0]._replace(v_deg=[0.0] * (ct.n - ct.r)))
         except ClairautError:
             return False
         return True
@@ -94,6 +92,7 @@ class _Context:
     def sector_defects(self):
         """The worst |F v - D H| at the first five probes, v from the sector
         solve: over the solved rows, then over the other rows."""
+        import numpy as np
         ct, sub = self.ct, list(self.cls.subblock)
         rest = [a for a in range(self.cls.n_deg) if a not in sub]
         worst = [0.0, 0.0]
@@ -134,6 +133,7 @@ def _rank_constancy(ctx):
 
 
 def _envelope_gradients(ctx):
+    import numpy as np
     # dH/dp_i == V^i holds once the degenerate velocities are zeroed
     ct = ctx.ct
     worst = 0.0
@@ -149,6 +149,7 @@ def _envelope_gradients(ctx):
 
 
 def _gradient_fd(ctx):
+    import numpy as np
     # one Jacobian of the vector (H, B_1, ..., B_k) per probe
     ct = ctx.ct
     fd = FiniteDifferenceObservable(
@@ -164,6 +165,7 @@ def _gradient_fd(ctx):
 
 
 def _conjugate_residual(ctx):
+    import numpy as np
     ct = ctx.ct
     rng = ctx.rng(3)
     worst = 0.0
@@ -199,6 +201,7 @@ _new_bracket_reduction = _pair_check(23, 3, lambda ctx, x, y, pt: (
 
 
 def _degenerate_independence(ctx):
+    import numpy as np
     ct = ctx.ct
     rng = ctx.rng(7)
     worst = 0.0
@@ -217,6 +220,7 @@ def _degenerate_independence(ctx):
 
 
 def _field_antisymmetry(ctx):
+    import numpy as np
     worst = 0.0
     for pt in ctx.probes:
         f = field_strength(ctx.ct, pt)
@@ -241,6 +245,7 @@ def _dirac_dhf(ctx):
 
 
 def _commutator(ctx):
+    import numpy as np
     # [D_a, D_b] X = {F_ab, X}: per probe, one Jacobian of the vector D X
     # and one of F serve every pair
     ct = ctx.ct
@@ -266,6 +271,7 @@ def _commutator(ctx):
 
 
 def _leibniz(ctx):
+    import numpy as np
     # D_a {B_0, B_1} = {D_a B_0, B_1} + {B_0, D_a B_1}; one D_a B_b Jacobian per probe
     ct = ctx.ct
     dirs = range(min(ct.n - ct.r, 3))
@@ -288,6 +294,7 @@ def _leibniz(ctx):
 
 
 def _delta_commutator(ctx):
+    import numpy as np
     # delta_0 {B_1, B_c} - delta_1 {B_0, B_c} = {{B_0, B_1}, B_c}; one Jacobian per probe
     ct = ctx.ct
     cs = range(min(ct.n - ct.r, 2))
@@ -328,6 +335,7 @@ def _bianchi(ctx):
 
 
 def _fenchel(ctx):
+    import numpy as np
     # the conjugate is a supremum only where L is convex in the velocities,
     # so concave-branch probes are out of scope for this identity
     ct = ctx.ct
@@ -352,6 +360,7 @@ def _sector_dependent(ctx):
 
 
 def _consistency_functions(ctx):
+    import numpy as np
     return max(float(np.max(np.abs(d_alpha_h(ctx.ct, ctx.ct.resolve(pt)))))
                for pt in ctx.probes)
 
@@ -371,6 +380,7 @@ def _bracket_jacobiator(ctx):
 
 
 def _b_vanishes(ctx):
+    import numpy as np
     return all(float(np.max(np.abs(ctx.ct.b_values(pt)))) <= 1e-12
                for pt in ctx.probes[:3])
 
@@ -393,6 +403,7 @@ def _limit_partials(ctx):
 def _consistency_tower(ct, levels):
     """The consistency functions D_a H and their repeated brackets with
     H_phys: successive time derivatives along the frozen-gauge flow."""
+    import numpy as np
     h_obs = ct.hamiltonian_observable()
     n_deg = ct.n - ct.r
 
@@ -439,6 +450,7 @@ def _min_norm_step(jac, rhs):
 def _project_to_surface(ct, pt, levels, iters=18, step=1e-6):
     """Gauss-Newton projection of (q, p) onto the zero set of the
     consistency tower; minimal-norm steps, best effort."""
+    import numpy as np
     n = ct.n
     tower = FiniteDifferenceObservable(_consistency_tower(ct, levels), ct, step)
     u = np.concatenate([pt.q, pt.p])
@@ -465,6 +477,7 @@ def _constraint_preservation(ctx):
     t^2, so the trial's bound is a tenth of the tolerance scaled by the
     squared ratio of the run lengths.
     """
+    import numpy as np
     trial_t1, run_t1 = 0.05, 0.5
     ct, cls = ctx.ct, ctx.cls
     pt0 = ctx.probes[0]

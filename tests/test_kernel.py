@@ -32,10 +32,10 @@ from clairaut import (
     load_bundled,
     parse_model,
 )
-from clairaut import cli, expressions, numerics, verify
+from clairaut import cli, expressions, gauge, numerics, verify
 from clairaut import dynamics as dynamics_module
 from clairaut import transform as transform_module
-from clairaut.gauge import classify, phase_probes
+from clairaut.gauge import ExprObservable, classify, phase_probes
 from clairaut.fixtures import BUNDLED
 from clairaut.numerics import dot, solver, stage_kernel
 from conftest import pfaffian
@@ -108,7 +108,7 @@ class TestMinNormStep:
         ct = ClairautTransform(load_bundled("christ_lee"))
         verify._project_to_surface(ct, phase_probes(ct, seed=127)[0], 1)
         jac, rhs = np.array(seen[3][0]), np.array(seen[3][1])
-        with pytest.raises(np.linalg.LinAlgError):
+        with pytest.raises(numerics.SingularMatrixError, match="Singular matrix"):
             solver(3)((jac @ jac.T).ravel().tolist(), rhs.tolist())
         x = step(jac.tolist(), rhs.tolist())
         assert all(map(math.isfinite, x))
@@ -133,8 +133,8 @@ class TestElimination:
                 worst = max(worst, rel / (EPS * np.linalg.cond(a)))
         assert worst < 8.0, f"k={k}: max {worst_ulp} ulp, {worst:.2f} eps * cond"
 
-    def test_zero_pivot_raises_like_numpy(self):
-        with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
+    def test_zero_pivot_raises_singular_matrix(self):
+        with pytest.raises(numerics.SingularMatrixError, match="Singular matrix"):
             solver(2)([1.0, 2.0, 2.0, 4.0], [1.0, 1.0])
 
     def test_pivoting_swaps_rows(self):
@@ -366,6 +366,23 @@ class TestTypedFailures:
         with pytest.raises(NewtonError, match="singular jacobian"):
             damped_newton(lambda x: [x[0] + 1.0, x[1] - 1.0], lambda x: [1.0, 2.0, 2.0, 4.0],
                           [0.0, 0.0])
+
+    def test_singular_jacobian_keeps_its_message(self):
+        with pytest.raises(NewtonError) as exc:
+            damped_newton(lambda x: [x[0] + 1.0, x[1] - 1.0], lambda x: [1.0, 2.0, 2.0, 4.0],
+                          [0.0, 0.0])
+        assert str(exc.value) == "singular jacobian: Singular matrix"
+        assert isinstance(exc.value.__cause__, numerics.SingularMatrixError)
+
+    def test_singular_field_strength_in_the_corrected_bracket(self):
+        # synthetic_gauge's F has rank 2 of 4: a bracket corrected over every
+        # degenerate direction solves with a singular F
+        ct = ClairautTransform(load_bundled("synthetic_gauge"))
+        pt = phase_probes(ct, count=1)[0]
+        x, h = ExprObservable(ct, "p_x"), ct.hamiltonian_observable()
+        with pytest.raises(RankDeficiencyError) as exc:
+            gauge._corrected_bracket(ct, x, h, pt, range(ct.n - ct.r), "F is singular here")
+        assert str(exc.value) == "F is singular here" and exc.value.__cause__ is None
 
     def test_singular_sector_subblock_in_integrate(self):
         ct = ClairautTransform(load_bundled("synthetic_gaugeless"))
