@@ -49,7 +49,7 @@ class ClairautProblem:
         return self._f(z)
 
     def _core(self, z):  # the model's core at q = 0, v = z
-        return self.model.core.fn([0.0] * self.n + _floats(z))
+        return self.model.core.fn([0.0] * self.n + list(_floats(z)))
 
     def f_gradient(self, z):
         import numpy as np
@@ -63,28 +63,34 @@ class ClairautProblem:
         return rank_and_pivots(self.f_hessian(z))[0]
 
 
+def _vector(values, n, what):
+    """values, a flat sequence or 1-D array of n numbers, as n floats; else
+    a ModelError."""
+    try:
+        if getattr(values, "ndim", 1) == 1 and len(out := _floats(values)) == n:
+            return out
+    except (TypeError, ValueError):
+        pass
+    raise ModelError(f"expected {n} {what}, got {values!r}")
+
+
 def general_solution(prob, c):
     """Affine solution with slope vector c; returns an evaluator of x, which
     raises DomainError where the value is not a finite float.  The envelope
     and mixed families evaluate the same formula at their resolved slopes."""
-    import numpy as np
-    c = np.asarray(c, dtype=float)
-    if c.shape != (prob.n,):
-        raise ModelError(f"expected {prob.n} slope constants, got {c.shape}")
-    return _affine(prob, c, "general")
+    return _affine(prob, _vector(c, prob.n, "slope constants"), "general")
 
 
 def _affine(prob, c, family):
     """x -> x . c - f(c), the family's solution at the slopes c; a DomainError
     where f(c) or the value is not a finite float names the family."""
-    import numpy as np
     try:
         fc = prob.f_value(c)
     except DomainError as exc:
         raise DomainError(f"f is not defined at the {family} solution's slopes ({exc})") from None
 
     def value(x):
-        y = dot(np.asarray(x, dtype=float), c) - fc
+        y = dot(_vector(x, prob.n, "point components"), c) - fc
         if not math.isfinite(y):
             raise DomainError(f"the {family} solution overflows at this point (y = {y})")
         return y
@@ -96,8 +102,7 @@ def envelope_solution(prob, x):
     """Resolve every slope condition x_i = df/dz_i and evaluate the result:
     only where f's Hessian has full rank at the solution (and, where Newton
     fails, at its start)."""
-    import numpy as np
-    return _resolved(prob, prob.n, np.empty(0), x, "envelope")
+    return _resolved(prob, prob.n, (), x, "envelope")
 
 
 def mixed_solution(prob, s, c_tail, x):
@@ -107,14 +112,10 @@ def mixed_solution(prob, s, c_tail, x):
     f has to be nonsingular at the solution.  s = 0 reduces to the general
     solution and s = n to the envelope.
     """
-    import numpy as np
     s = int(s)
     if not 0 <= s <= prob.n:
         raise ModelError(f"s must lie in [0, {prob.n}], got {s}")
-    c_tail = np.asarray(c_tail, dtype=float)
-    if c_tail.shape != (prob.n - s,):
-        raise ModelError(f"expected {prob.n - s} tail constants, got {c_tail.shape}")
-    return _resolved(prob, s, c_tail, x, "mixed")
+    return _resolved(prob, s, _vector(c_tail, prob.n - s, "tail constants"), x, "mixed")
 
 
 def _resolved(prob, s, c_tail, x, family):
@@ -122,13 +123,11 @@ def _resolved(prob, s, c_tail, x, family):
     for i < s: the transform's regular velocities at momenta x[:s], from z =
     0.  The leading s-by-s block of W is rank-checked at the root, and at
     the start where Newton fails; a NewtonError names the family."""
-    import numpy as np
-    n, x, c = prob.n, np.asarray(x, dtype=float), c_tail.tolist()
-    if x.shape != (n,):
-        raise ModelError(f"expected a point with {n} components, got {x.shape}")
+    n, x, c = prob.n, _vector(x, prob.n, "point components"), list(c_tail)
 
-    def check_block(w):  # f's Hessian, n x n
-        if (rank := rank_and_pivots(w[:s, :s])[0]) < s:
+    def check_block(core):  # the core at some slopes: f's Hessian is its W
+        w = core[prob.model.core.slices["W"]]
+        if (rank := rank_and_pivots([w[i * n:i * n + s] for i in range(s)])[0]) < s:
             raise RankDeficiencyError(
                 f"slope conditions unresolvable: Hessian block rank {rank} < {s}")
 
@@ -137,22 +136,22 @@ def _resolved(prob, s, c_tail, x, family):
         if ct is None:
             split = VariableSplit(s, prob.names[:s], prob.names[s:], tuple(range(n)))
             ct = prob._transforms[s] = ClairautTransform(prob.model, split)
-        q, p = [0.0] * n, x[:s].tolist()
+        q, p = [0.0] * n, x[:s]
         try:
             _, head, core = ct._resolve_args(q, p, c, [0.0] * s)
         except NewtonError as exc:
             if ct.start_in_domain(ct.point(q, p, c)):
-                check_block(prob.f_hessian([0.0] * s + c))
+                check_block(prob._core([0.0] * s + c))
             raise NewtonError(f"the {family} solution's slopes: {exc}", exc.residual) from None
-        check_block(np.reshape(core[ct.core_slices["W"]], (n, n)))
+        check_block(core)
         c = head + c
-    return _affine(prob, np.array(c), family)(x)
+    return _affine(prob, c, family)(x)
 
 
 def pde_residual(prob, y_fn, x):
     """Defect |y - Sum x_j dy/dx_j + f(dy/dx)| with dy/dx by central
-    differences (numerics.central_differences, step RESIDUAL_STEP)."""
-    import numpy as np
-    x = np.asarray(x, dtype=float)
+    differences (numerics.central_differences, step RESIDUAL_STEP); y_fn
+    takes each point as a list of floats."""
+    x = list(_vector(x, prob.n, "point components"))
     grad = central_differences(y_fn, x, RESIDUAL_STEP)
     return abs(y_fn(x) - dot(x, grad) + prob.f_value(grad))

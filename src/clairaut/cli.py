@@ -25,10 +25,10 @@ from .clairaut_pde import (
     mixed_solution,
     pde_residual,
 )
-from .dynamics import IntegratorConfig, d_alpha_h, el_residual, gauge_input, integrate
+from .dynamics import IntegratorConfig, el_residual, gauge_input, integrate
 from .errors import ArgumentError, ClairautError, DomainError, NewtonError
 from .fixtures import BUNDLED, load_bundled
-from .gauge import classify, field_strength, phase_probes
+from .gauge import classify, phase_probes
 from .model import (
     DEFAULT_PROBE_COUNT,
     DEFAULT_PROBE_SEED,
@@ -176,37 +176,30 @@ def cmd_analyze(args):
 
 
 def cmd_transform(args):
-    import numpy as np
     model = _apply_params(_load(args.model), args.param)
     ct = ClairautTransform(model)
     pt, bound_v = _bind_point(ct, args.at, "--at", require_all=True)
     # the default v_deg = 0 can sit outside the Lagrangian's domain; any
     # admissible value gives the same H and B, so fall back to v_deg = 1
     free_v = not bound_v and ct.n > ct.r
-    ones = ct.point(pt.q, pt.p, np.ones(ct.n - ct.r)) if free_v else None
+    ones = pt._replace(v_deg=[1.0] * (ct.n - ct.r)) if free_v else None
     if free_v and not ct.start_in_domain(pt) and ct.start_in_domain(ones):
         pt = ones  # rather than Newton restarts at v_deg = 0
-    # huge bindings can overflow the numpy sums: a non-finite value is
-    # refused below, so numpy need not warn about it
-    with np.errstate(over="ignore", invalid="ignore"):
-        try:
-            res = ct.resolve(pt)
-        except (NewtonError, DomainError):
-            if not free_v or pt is ones:
-                raise
-            pt = ones
-            res = ct.resolve(pt)
-        deg = ct.split.degenerate
-        values = [("H_phys", res.H)] + [(f"B_{name}", res.B[a]) for a, name in enumerate(deg)]
-        f = field_strength(ct, pt)
-        values += [(f"F[{deg[a]},{deg[b]}]", f[a, b])
-                   for a in range(len(deg)) for b in range(a + 1, len(deg))]
-        dh = d_alpha_h(ct, res)
-        values += [(f"D_{name} H_phys", dh[a]) for a, name in enumerate(deg)]
-        pbar = np.empty(ct.n)
-        pbar[ct.reg_idx] = pt.p
-        pbar[ct.deg_idx] = res.B
-        residual = ct.clairaut_residual(pt.q, pbar, v_deg=pt.v_deg)
+    try:
+        res = ct.resolve(pt)
+    except (NewtonError, DomainError):
+        if not free_v or pt is ones:
+            raise
+        pt = ones
+        res = ct.resolve(pt)
+    deg, nd = ct.split.degenerate, ct.n - ct.r
+    b, f = res._flat("B"), res._flat("F")
+    values = [("H_phys", res.H)] + [(f"B_{name}", b[a]) for a, name in enumerate(deg)]
+    values += [(f"F[{deg[a]},{deg[c]}]", f[a * nd + c])
+               for a in range(nd) for c in range(a + 1, nd)]
+    values += [(f"D_{name} H_phys", dh) for name, dh in zip(deg, res._flat("DH"))]
+    pbar = [v for _, v in sorted(zip(ct._reg + ct._deg, [*pt._p, *b]))]
+    residual = ct.clairaut_residual(pt._q, pbar, v_deg=pt._v)
     for label, value in values + [("clairaut_residual", residual)]:
         if not math.isfinite(value):
             raise DomainError(f"the transform overflows at this point ({label} = {value})")
@@ -308,7 +301,6 @@ def cmd_verify(args):
 
 
 def cmd_pde(args):
-    import numpy as np
     at = _parse_bindings(args.at, "--at")
     n = len(at)
     if n == 0:
@@ -317,7 +309,7 @@ def cmd_pde(args):
     if set(at) != set(want):
         raise ArgumentError("--at must bind exactly x1..x%d, got: %s"
                             % (n, ", ".join(sorted(at))))
-    x = np.array([_parse_float(at[name], name) for name in want])
+    x = [_parse_float(at[name], name) for name in want]
     prob = ClairautProblem(n, args.f)
     constants = _parse_bindings(args.c, "--c")
 
@@ -331,7 +323,7 @@ def cmd_pde(args):
         extra = set(constants) - {f"c{j}" for j in indices}
         if extra:
             raise ArgumentError("unused --c entries: " + ", ".join(sorted(extra)))
-        return np.array(vals)
+        return vals
 
     if args.mode == "general":
         c = pull_constants(range(1, n + 1))

@@ -34,7 +34,7 @@ from functools import cached_property
 from .errors import ArgumentError, GaugeInputError, IntegrabilityError, NewtonError
 from .expressions import compile_evaluator, free_symbols, parse_expression
 from .gauge import _poisson, bracket_gauge, classify, field_strength
-from .numerics import _floats, dot, rk4_kernel, stage_kernel
+from .numerics import dot, rk4_kernel, stage_kernel
 from .transform import PhasePoint
 
 # Sign relating the extended-bracket action of the constraints p_a - B_a to
@@ -149,7 +149,7 @@ def degenerate_velocities(ct, pt, gauge=None, cls=None, t=0.0, res=None):
         res = ct.resolve(pt)
     solve, other = gauge._plan
     _, _, v, residual, *_ = stage_kernel(ct.n, ct._reg, solve, other)(
-        res._core, res._v, pt.v_deg.tolist(), pt.p.tolist(),
+        res._core, res._v, pt._v, pt._p,
         [gauge.velocity(a, t) for a in other])
     return np.array(v), residual
 
@@ -216,6 +216,7 @@ def integrate(ct, initial, gauge=None, cfg=None, cls=None):
     """
     import numpy as np
     cfg = cfg if cfg is not None else IntegratorConfig()
+    ct._check_point(initial)
     gauge = _gauge_for(ct, gauge, cls)
     solve, other = gauge._plan
     n, width = ct.n, 2 * ct.n + 3  # a row: t, q, p, v_deg, H, consistency
@@ -232,7 +233,7 @@ def integrate(ct, initial, gauge=None, cfg=None, cls=None):
     try:
         status = rk4_kernel(n, ct._reg, solve, other)(
             ct._resolve_args, stage_kernel(n, ct._reg, solve, other), gauge.velocity,
-            _floats(initial.q), _floats(initial.p), _floats(initial.v_deg), cfg.t0, cfg.dt,
+            initial._q, initial._p, initial._v, cfg.t0, cfg.dt,
             int(round((cfg.t1 - cfg.t0) / cfg.dt)), cfg.consistency_tol, rows)
     except NewtonError as exc:
         count, cut = divmod(len(rows), width)  # cut: stage 1 of the step raised

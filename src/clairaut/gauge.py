@@ -18,8 +18,9 @@ Observables are duck-typed: anything with value(pt), d_dq(pt) -> n-vector in
 coordinate declaration order, and d_dp(pt) -> r-vector over the regular
 momenta.  A finite-difference wrapper lifts plain callables into the same
 interface so identities can be nested without symbolic third derivatives;
-it differences array-valued callables whole, so the Maxwell current and the
-Bianchi defect take one F Jacobian per point, not one per entry.
+it stacks the columns of the float-list stencil, differencing array-valued
+callables whole, so the Maxwell current and the Bianchi defect take one F
+Jacobian per point, not one per entry.
 """
 
 from dataclasses import dataclass
@@ -76,7 +77,7 @@ class ExprObservable:
     def _eval(self, pt):  # the last (point, values), one tuple matched by identity
         last = self._last
         if last is None or last[0] is not pt:
-            last = self._last = (pt, self._fn(list(pt.q) + list(pt.p)))
+            last = self._last = (pt, self._fn([*pt._q, *pt._p]))
         return last[1]
 
     def value(self, pt):
@@ -99,7 +100,7 @@ class BObservable:
         self.alpha = alpha
 
     def value(self, pt):
-        return float(self.ct.resolve(pt).B[self.alpha])
+        return self.ct.resolve(pt)._flat("B")[self.alpha]
 
     def d_dq(self, pt):
         return self.ct.resolve(pt).dB_dq[self.alpha]
@@ -111,11 +112,12 @@ class BObservable:
 class FiniteDifferenceObservable:
     """Central-difference gradients of a scalar or an array of the phase point.
 
-    For fn(pt) of shape S, d_dq and d_dp have shapes S + (n,) and S + (r,):
-    each displaced point is evaluated once by numerics.central_differences,
-    whose step is scaled by (1 + |varied component|).  Used to take outer
-    derivatives of quantities that are themselves assembled numerically,
-    where analytic derivatives would need third partials of L.
+    For fn(pt) of shape S, d_dq and d_dp have shapes S + (n,) and S + (r,),
+    the columns of numerics.central_differences stacked: each displaced
+    point is evaluated once, the step scaled by (1 + |varied component|).
+    Used to take outer derivatives of quantities that are themselves
+    assembled numerically, where analytic derivatives would need third
+    partials of L.
     """
 
     def __init__(self, fn, ct, step=FD_STEP):
@@ -127,16 +129,16 @@ class FiniteDifferenceObservable:
         return self.fn(pt)
 
     def d_dq(self, pt):
-        return self._differences(pt, pt.q, lambda x: pt._replace(q=x))
+        return self._differences(pt, pt._q, lambda x: pt._replace(q=x))
 
     def d_dp(self, pt):
-        return self._differences(pt, pt.p, lambda x: pt._replace(p=x))
+        return self._differences(pt, pt._p, lambda x: pt._replace(p=x))
 
     def _differences(self, pt, base, at):
         import numpy as np
-        if not len(base):
+        if not base:
             return np.empty(np.shape(self.fn(pt)) + (0,))
-        return central_differences(lambda x: self.fn(at(x)), base, self.step)
+        return np.stack(central_differences(lambda x: self.fn(at(x)), base, self.step), axis=-1)
 
 
 def _poisson(ct, xq, xp, yq, yp):
@@ -182,8 +184,8 @@ def phase_probes(ct, count=DEFAULT_PROBE_COUNT, seed=DEFAULT_PROBE_SEED):
     for probe in default_probes(ct.model, count=count, seed=seed):
         args = [probe[name] for name in ct.model.core.arg_names]
         lv = ct._f_core(args)[ct.core_slices["L_v"]]
-        points.append(PhasePoint(args[:n], [lv[i] for i in ct.reg_idx],
-                                 [args[n + a] for a in ct.deg_idx]))
+        points.append(PhasePoint(args[:n], [lv[i] for i in ct._reg],
+                                 [args[n + a] for a in ct._deg]))
     return points
 
 
@@ -216,7 +218,7 @@ def classify(ct, probes=None):
     if not probes:
         raise ModelError("classification needs at least one probe point")
     pivots, ranks, block_ranks = probe_ranks(
-        (field_strength(ct, pt).tolist() for pt in probes), None, DEFAULT_RANK_TOL)
+        (ct.resolve(pt)._flat("F") for pt in probes), None, DEFAULT_RANK_TOL)
     if len(set(ranks)) > 1:
         raise RankVariationError(list(enumerate(ranks)), "field strength")
     r_f = ranks[0]
@@ -269,9 +271,9 @@ def _corrected_bracket(ct, x, y, pt, solved, singular):
     if not any(a):
         return base  # B acts trivially on X, no correction regardless of F
     d = [_long_derivative(ct, res, beta, yq, yp) for beta in sub]
-    f = res.F.tolist()
+    f, nd = res._flat("F"), ct.n - ct.r
     try:
-        fbar_d = solver(len(sub))([f[a][b] for a in sub for b in sub], d)
+        fbar_d = solver(len(sub))([f[a * nd + b] for a in sub for b in sub], d)
     except SingularMatrixError:
         raise RankDeficiencyError(singular) from None
     return base - dot(a, fbar_d)

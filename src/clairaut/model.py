@@ -308,7 +308,7 @@ def _probe_ranks(model, probes, regular=None):
     the regular set: the one given, the pinned declaration's, or else W's
     pivot order at the first probe.  Returns the regular set in declaration
     order, then the rank of W and that of its regular block at each probe."""
-    coords, n, core = model.coords, model.n, model.core
+    coords, core = model.coords, model.core
     if regular is None and model.pinned_degenerate is not None:
         regular = tuple(c for c in coords if c not in model.pinned_degenerate)
 
@@ -317,8 +317,7 @@ def _probe_ranks(model, probes, regular=None):
             args = [bindings[name] for name in core.arg_names]
         except KeyError as exc:
             raise UnboundSymbolError(exc.args[0]) from None
-        w = core.fn(args)[core.slices["W"]]
-        return [w[i * n:i * n + n] for i in range(n)]
+        return core.fn(args)[core.slices["W"]]
 
     block = None if regular is None else [coords.index(c) for c in regular]
     block, ranks, block_ranks = probe_ranks(map(hessian, probes), block, DEFAULT_RANK_TOL)

@@ -12,11 +12,11 @@ a generator seeded per call, never from global state.  That generator, Rng,
 is numpy.random.default_rng rebuilt on Python ints (SeedSequence, then
 PCG64), bit for bit in the two draws the package makes, uniform and
 integers; the probes, the restarts and verify's random observables draw
-from it, so importing the package loads no numpy.  numpy loads inside the
-functions that build or read an array, on their first call.  damped_newton
-and its restarts (transform fallback, Fenchel oracle) build their residual
-and Jacobian with newton_pair: flat float lists from one evaluator call per
-point.
+from it, so importing the package loads no numpy.  _floats reads a flat
+sequence or an array as a tuple of floats, central_differences displaces
+float lists, and damped_newton and its restarts (transform fallback, Fenchel
+oracle) return the root as a list of floats, with the residual and Jacobian
+from newton_pair: flat float lists from one evaluator call per point.
 
 The generated kernels (solver, resolve_kernel, block_kernel, stage_kernel,
 and rk4_kernel, integrate's whole fixed-step loop around a resolve and a
@@ -92,35 +92,35 @@ def rank_and_pivots(matrix, rel_tol=1e-9):
 
 
 def probe_ranks(matrices, block, rel_tol):
-    """The numbers of the constant-rank rule over square probe matrices
-    (rows of floats): the rank of each and of its principal block, the
-    index list block or, if that is None, the first matrix's sorted pivot
-    columns.  Returns (block, ranks, block_ranks)."""
+    """The numbers of the constant-rank rule over square probe matrices,
+    each a flat row-major sequence of floats: the rank of each and of its
+    principal block, the index list block or, if that is None, the first
+    matrix's sorted pivot columns.  Returns (block, ranks, block_ranks)."""
     ranks, block_ranks = [], []
     for m in matrices:
-        rank, pivots = rank_and_pivots(m, rel_tol)
+        k = math.isqrt(len(m))
+        rank, pivots = rank_and_pivots([m[i * k:i * k + k] for i in range(k)], rel_tol)
         if block is None:
             block = sorted(pivots)
         ranks.append(rank)
-        sub = [[m[i][j] for j in block] for i in block]
+        sub = [[m[i * k + j] for j in block] for i in block]
         block_ranks.append(rank_and_pivots(sub, rel_tol)[0])
     return block, ranks, block_ranks
 
 
 def central_differences(fn, x, step):
-    """Central-difference derivatives of fn at the float array x: for each
+    """Central-difference derivatives of fn at the floats x: for each
     component k, h = step * (1 + |x_k|) and (fn(x + h e_k) - fn(x - h e_k))
-    / (2h).  fn may return a scalar or an array; the direction axis is last,
-    so one entry's gradient is a contiguous vector."""
-    import numpy as np
+    / (2h), the displaced points as lists.  fn may return a float or an
+    array; the result is the list of these columns, one per component."""
     cols = []
     for k in range(len(x)):
         h = step * (1 + abs(x[k]))
-        xp, xm = x.copy(), x.copy()
+        xp, xm = list(x), list(x)
         xp[k] += h
         xm[k] -= h
         cols.append((fn(xp) - fn(xm)) / (2 * h))
-    return np.stack(cols, axis=-1)
+    return cols
 
 
 @dataclass(frozen=True)
@@ -137,21 +137,23 @@ class NewtonConfig:
 def dot(a, b):
     """sum(a[k] * b[k]) over float sequences or 1-D arrays, added left to right
     from the first product as _dot emits it (never compensated, as sum() is
-    from Python 3.12 on); 0.0 for empty operands."""
+    from Python 3.12 on); 0.0 for empty operands.  Operands of unequal
+    lengths are an ArgumentError."""
     if not isinstance(a, (list, tuple)):
         a = a.tolist()  # an ndarray
     if not isinstance(b, (list, tuple)):
         b = b.tolist()
-    return float(functools.reduce(operator.add, map(operator.mul, a, b))) if len(a) else 0.0
+    if len(a) != len(b):
+        raise ArgumentError(f"dot of sequences of lengths {len(a)} and {len(b)}")
+    return float(functools.reduce(operator.add, map(operator.mul, a, b))) if a else 0.0
 
 
 def _floats(values):
-    """A flat list of floats from an array-like, row-major; such a list
-    itself passes through without numpy work."""
-    if type(values) is list and (not values or type(values[0]) is float):
-        return values
-    import numpy as np
-    return np.asarray(values, dtype=float).ravel().tolist()
+    """A tuple of floats from a flat sequence of numbers or, without numpy,
+    an array read row-major."""
+    if hasattr(values, "ravel"):  # an array
+        values = values.ravel().tolist()
+    return tuple(map(float, values))
 
 
 def _max_abs(values):
@@ -277,22 +279,20 @@ def damped_newton(residual, jacobian, x0, cfg=NewtonConfig()):
 
     The iterate is a list of floats: residual(x) returns k values and
     jacobian(x) the k x k matrix, each as an array or a flat row-major
-    sequence (flat lists, x0 too, are used as they are).  A step (solver's)
-    is halved (cfg.damping) whenever it raises a DomainError or does not
-    lower the residual norm; resolve_kernel's full steps are the path where
-    none is.  Raises NewtonError when out of iterations or the Jacobian goes
-    singular.  The Jacobian is only asked for at the very point (the same
-    object) of the latest residual call, so a caller may evaluate both at
-    once.  Returns the root as an ndarray; the latest residual call is at
-    it.
+    sequence, x0 too (each read by _floats).  A step (solver's) is halved
+    (cfg.damping) whenever it raises a DomainError or does not lower the
+    residual norm; resolve_kernel's full steps are the path where none is.
+    Raises NewtonError when out of iterations or the Jacobian goes singular.
+    The Jacobian is only asked for at the very point (the same object) of
+    the latest residual call, so a caller may evaluate both at once.
+    Returns the root as a list of floats; the latest residual call is at it.
     """
-    import numpy as np
-    x = _floats(x0)
+    x = list(_floats(x0))
     fx = _floats(residual(x))
     norm = _max_abs(fx)
     for _ in range(cfg.max_iter):
         if norm <= cfg.tol:
-            return np.array(x, dtype=float)
+            return x
         try:
             step = solver(len(x))(_floats(jacobian(x)), [-f for f in fx])
         except SingularMatrixError as exc:
@@ -314,7 +314,7 @@ def damped_newton(residual, jacobian, x0, cfg=NewtonConfig()):
         else:
             raise NewtonError("newton line search stalled", residual=norm)
     if norm <= cfg.tol:
-        return np.array(x, dtype=float)
+        return x
     raise NewtonError("newton did not converge", residual=norm, iterations=cfg.max_iter)
 
 
@@ -420,8 +420,8 @@ def resolve_kernel(n, reg):
 
     The kernel takes (fn, cfg, q, vd, x0, p): the derivative core evaluator
     (model.DerivativeCore.fn), the NewtonConfig, the coordinates, the
-    degenerate velocities, the start and the regular momenta, as lists of
-    floats.  Each iterate goes into the regular slots of the argument list
+    degenerate velocities, the start and the regular momenta, as sequences
+    of floats.  Each iterate goes into the regular slots of the argument list
     A, c = fn(A) gives the residual L_v - p and the Jacobian W_rr, and the
     step solves W_rr s = -(L_v - p): damped_newton's iterate at scale 1.  A
     step is kept while the residual's max-abs norm falls.  The kernel
@@ -435,7 +435,7 @@ def resolve_kernel(n, reg):
     x = [code(f"x0[{s}]") for s in range(len(reg))]
     p = [code(f"p[{s}]") for s in range(len(reg))]
     vel = dict(zip(reg, x)) | {i: f"vd[{k}]" for k, i in enumerate(deg)}
-    code.line(f"A = q + [{', '.join(vel[i] for i in range(n))}]")
+    code.line(f"A = [*q, {', '.join(vel[i] for i in range(n))}]")
     code.line("try:")
     body = len(code.lines)
     code.line("c = fn(A)")

@@ -15,8 +15,9 @@ identities dH/dp_i = V^i, dH/dq = -dL/dq when all v^alpha vanish.
 Every derivative block of L that a resolved point needs (L, L_v, L_q, the
 velocity Hessian W = L_vv and L_vq) comes from the model's derivative core,
 whose regular rows of L_v and W_rr give the resolve's residual and Jacobian
-from one call per point.  A resolution keeps the call at the root and builds
-each of its arrays on first read.  Every model resolves by full Newton steps
+from one call per point.  A PhasePoint keeps float tuples and a resolution
+the call at the root; the package reads those floats, and both build their
+arrays on first read.  Every model resolves by full Newton steps
 in a generated float kernel (numerics.resolve_kernel), with damped Newton and
 restarts from the same start (newton_pair, newton_with_restarts) as the
 fallback.  The implicit-function derivative block, F and D_a H come from one
@@ -29,44 +30,51 @@ too, as the regular velocities of L = f(d(z)).
 """
 
 import itertools
-from dataclasses import dataclass
+from functools import cached_property
 
-from .errors import DomainError, FenchelError, NewtonError
+from .errors import ArgumentError, DomainError, FenchelError, NewtonError
 from .model import CORE_BLOCKS, split_variables
 from .numerics import (NewtonConfig, _floats, block_kernel, damped_newton, dot, newton_pair,
                        newton_with_restarts, resolve_kernel)
 
+def _array(values, dtype=float):
+    """A read-only array copy of values."""
+    import numpy as np
+    value = np.array(values, dtype=dtype)
+    value.flags.writeable = False
+    return value
 
-@dataclass(frozen=True)
+
 class PhasePoint:
     """State in mixed variables: all coordinates, regular momenta, and the
-    degenerate velocities (free inputs, defaulting to zero), each a read-only
-    float64 copy: resolve memoizes by point identity.  A point displaced from
-    another by _replace copies its new fields and shares the other arrays."""
+    degenerate velocities (free inputs, defaulting to zero) as tuples of
+    floats (_q, _p, _v), which the package reads; q, p and v_deg are their
+    read-only float64 copies, built on first read.  Frozen, as resolve
+    memoizes by point identity; _replace shares the unchanged tuples."""
 
-    q: "np.ndarray"
-    p: "np.ndarray"
-    v_deg: "np.ndarray"
+    def __init__(self, q, p, v_deg):
+        self.__dict__.update(_q=_floats(q), _p=_floats(p), _v=_floats(v_deg))
 
-    def __post_init__(self, names=("q", "p", "v_deg")):
-        import numpy as np
-        for name in names:
-            arr = np.array(getattr(self, name), dtype=float)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign {name}: a PhasePoint is frozen")
 
-    def _replace(self, **fields):
+    q = cached_property(lambda self: _array(self._q))
+    p = cached_property(lambda self: _array(self._p))
+    v_deg = cached_property(lambda self: _array(self._v))
+
+    def _replace(self, q=None, p=None, v_deg=None):
         new = object.__new__(PhasePoint)
-        new.__dict__.update(self.__dict__, **fields)
-        new.__post_init__(fields)
+        for name, old, values in (("_q", self._q, q), ("_p", self._p, p), ("_v", self._v, v_deg)):
+            new.__dict__[name] = old if values is None else _floats(values)
         return new
 
 
-# numerics.block_kernel's outputs: name -> (index in its result, shape over n, r, d = n - r).
-_KERNEL = {name: (k, dims) for k, (name, dims) in enumerate((
-    ("dV_dq", "rn"), ("dV_dp", "rr"), ("dB_dq", "dn"), ("dB_dp", "dr"),
-    ("dH_dq", "n"), ("dH_dp", "r"), ("F", "dd"), ("DH", "d")))}
-_LAZY = ("V", "B", "H", "W") + tuple(_KERNEL)  # slots built on first read
+# each array slot's shape over n, r and d = n - r: V, B and W from the core,
+# then numerics.block_kernel's outputs in the order of its result (_BLOCK)
+_SHAPES = {"V": "r", "B": "d", "W": "nn", "dV_dq": "rn", "dV_dp": "rr", "dB_dq": "dn",
+           "dB_dp": "dr", "dH_dq": "n", "dH_dp": "r", "F": "dd", "DH": "d"}
+_BLOCK = tuple(_SHAPES)[3:]
+_LAZY = ("H",) + tuple(_SHAPES)  # slots built on first read
 
 
 class Resolution:
@@ -74,12 +82,12 @@ class Resolution:
 
     Velocity resolution hands over the point, args, the regular velocities
     as floats (_v) and core, the derivative core's values there.  Every
-    other slot is built from these on its first read and kept: V, B, H
+    other slot is built from these on its first read and kept: H
     (numerics.dot over the pairs (p, V), then (B, v_deg), minus L: the stage
-    kernel's sum, so the same float), W, and each of the derivative block,
-    F and D_a H (DH) from the flat outputs (_W) of the one block-kernel call
-    that _derivatives makes.  F and DH are shared, so read-only.  Threads
-    may share a resolution: a race at worst builds a slot twice.
+    kernel's sum, so the same float), and arrays copying _flat's floats: V,
+    B, W, the derivative block, F and D_a H (DH).  F and DH are shared, so
+    read-only.  Threads may share a resolution: a race at worst builds a
+    slot twice.
     """
 
     __slots__ = ("ct", "pt", "args", "L", "_v", "_core", "_W") + _LAZY
@@ -91,31 +99,30 @@ class Resolution:
     def __getattr__(self, name):  # a slot not yet set: build it, then keep it
         if name not in _LAZY:
             raise AttributeError(name)
-        import numpy as np
-        ct, core = self.ct, self._core
-        if name == "V":
-            value = np.array(self._v)
-        elif name == "B":
-            value = np.array([core[i] for i in ct._b_pos])
-        elif name == "H":
-            pt = self.pt
-            value = dot(pt.p.tolist() + self.B.tolist(), self._v + pt.v_deg.tolist()) - self.L
-        elif name == "W":
-            value = np.array(core[ct.core_slices["W"]]).reshape(ct.n, ct.n)
+        if name == "H":
+            value = dot([*self.pt._p, *self._flat("B")], [*self._v, *self.pt._v]) - self.L
         else:
-            if self._W is None:
-                self._derivatives()
-            k, dims = _KERNEL[name]
-            size = {"n": ct.n, "r": ct.r, "d": ct.n - ct.r}
-            value = np.array(self._W[k]).reshape([size[c] for c in dims])
+            import numpy as np
+            size = {"n": self.ct.n, "r": self.ct.r, "d": self.ct.n - self.ct.r}
+            value = np.array(self._flat(name)).reshape([size[c] for c in _SHAPES[name]])
             if name in ("F", "DH"):
                 value.flags.writeable = False
         setattr(self, name, value)
         return value
 
-    def _derivatives(self):  # only from __getattr__, while _W is None
-        ct = self.ct
-        self._W = block_kernel(ct.n, ct._reg)(self._core, self._v, self.pt.v_deg.tolist())
+    def _flat(self, name):
+        """Slot name but H as a flat row-major sequence of floats, no numpy:
+        the core's entries, or the block kernel's output."""
+        if name in ("V", "W"):
+            return self._v if name == "V" else self._core[self.ct.core_slices["W"]]
+        if name == "B":
+            return [self._core[i] for i in self.ct._b_pos]
+        if self._W is None:
+            self._derivatives()
+        return self._W[_BLOCK.index(name)]
+
+    def _derivatives(self):  # only from _flat, while _W is None
+        self._W = block_kernel(self.ct.n, self.ct._reg)(self._core, self._v, self.pt._v)
 
 
 class ClairautTransform:
@@ -131,16 +138,14 @@ class ClairautTransform:
     CORE_BLOCKS = CORE_BLOCKS
 
     def __init__(self, model, split=None, newton=None, probes=None):
-        import numpy as np
         self.model = model
         self.split = split if split is not None else split_variables(model, probes=probes)
         self.newton = newton if newton is not None else NewtonConfig()
         self.n = model.n
         self.r = self.split.r
         coords = model.coords
-        self.reg_idx = np.array([coords.index(c) for c in self.split.regular], dtype=int)
-        self.deg_idx = np.array([coords.index(c) for c in self.split.degenerate], dtype=int)
-        self._reg = tuple(self.reg_idx.tolist())  # the generated kernels' layout key
+        self._reg = tuple(coords.index(c) for c in self.split.regular)  # the kernels' layout key
+        self._deg = tuple(coords.index(c) for c in self.split.degenerate)
 
         core = model.core
         self.arg_names = core.arg_names
@@ -148,18 +153,22 @@ class ClairautTransform:
         self.core_slices = core.slices
         self._f_core = core.fn
         lv, w = core.slices["L_v"].start, core.slices["W"].start
-        self._b_pos = [lv + int(a) for a in self.deg_idx]
+        self._b_pos = [lv + a for a in self._deg]
         self._lv_reg = [lv + i for i in self._reg]  # Newton's residual rows
         self._w_rr = [w + i * self.n + j for i in self._reg for j in self._reg]  # Jacobian
         self._reg_at = [self.n + i for i in self._reg]
-        self._deg_at = [self.n + int(a) for a in self.deg_idx]
+        self._deg_at = [self.n + a for a in self._deg]
         self._resolve_kernel = resolve_kernel(self.n, self._reg)
         self._last = None
+
+    # _reg and _deg as int arrays, built on first read
+    reg_idx = cached_property(lambda self: _array(self._reg, int))
+    deg_idx = cached_property(lambda self: _array(self._deg, int))
 
     # ------------------------------------------------------------ points
 
     def point(self, q, p=None, v_deg=None):
-        """Build a PhasePoint from arrays or name-keyed dicts."""
+        """Build a PhasePoint from sequences, arrays or name-keyed dicts."""
         if isinstance(q, dict):
             q = [q.get(c, 0.0) for c in self.model.coords]
         if p is None:
@@ -167,7 +176,7 @@ class ClairautTransform:
         elif isinstance(p, dict):
             p = [p.get(c, 0.0) for c in self.split.regular]
         if v_deg is None:
-            v_deg = [0.0] * len(self.deg_idx)
+            v_deg = [0.0] * len(self._deg)
         elif isinstance(v_deg, dict):
             v_deg = [v_deg.get(c, 0.0) for c in self.split.degenerate]
         return PhasePoint(q=q, p=p, v_deg=v_deg)
@@ -185,15 +194,20 @@ class ClairautTransform:
         cached = self._last
         if cached is not None and cached[0] is pt and v_init is None:
             return cached[1]
+        self._check_point(pt)
         x0 = [0.0] * self.r if v_init is None else list(_floats(v_init))
-        res = Resolution(self, pt, *self._resolve_args(pt.q.tolist(), pt.p.tolist(),
-                                                       pt.v_deg.tolist(), x0))
+        res = Resolution(self, pt, *self._resolve_args(pt._q, pt._p, pt._v, x0))
         self._last = (pt, res)
         return res
 
+    def _check_point(self, pt):  # an ArgumentError where zip would truncate
+        if (got := (len(pt._q), len(pt._p), len(pt._v))) != (self.n, self.r, self.n - self.r):
+            raise ArgumentError(f"a point of this split has {self.n}, {self.r} and "
+                                f"{self.n - self.r} values in q, p and v_deg, not {got}")
+
     def _args(self, q, v_deg):
         """Evaluator arguments at (q, 0, v_deg): coordinates, then velocities."""
-        args = q + [0.0] * self.n
+        args = list(q) + [0.0] * self.n
         for at, val in zip(self._deg_at, v_deg):
             args[at] = val
         return args
@@ -220,7 +234,7 @@ class ClairautTransform:
         """Whether the derivative core is defined where resolve(pt) starts
         without v_init: the regular velocities 0, the point's v_deg."""
         try:
-            self._f_core(self._args(pt.q.tolist(), pt.v_deg.tolist()))
+            self._f_core(self._args(pt._q, pt._v))
         except DomainError:
             return False
         return True
@@ -241,9 +255,10 @@ class ClairautTransform:
 
     def h_mix(self, pt, pbar_deg):
         """Mixed Hamiltonian at conjugate values pbar for the degenerate slots."""
-        import numpy as np
-        res = self.resolve(pt)
-        return res.H + dot(np.asarray(pbar_deg, dtype=float) - res.B, pt.v_deg)
+        res, pbar_deg = self.resolve(pt), _floats(pbar_deg)
+        if len(pbar_deg) != len(pt._v):
+            raise ArgumentError(f"h_mix takes {len(pt._v)} degenerate values, not {len(pbar_deg)}")
+        return res.H + dot([x - b for x, b in zip(pbar_deg, res._flat("B"))], pt._v)
 
     def grad_b(self, pt):
         """(dB/dq, dB/dp): rows are degenerate directions in split order."""
@@ -259,18 +274,15 @@ class ClairautTransform:
         h_value, a callable (q, pbar) -> float, substitutes a candidate
         Hamiltonian for the transform's own, for use as a defect detector.
         """
-        import numpy as np
-        q = np.asarray(q, dtype=float)
-        pbar = np.asarray(pbar, dtype=float)
-        pt = self.point(q, pbar[self.reg_idx], v_deg)
+        q, pbar = _floats(q), _floats(pbar)
+        pt = self.point(q, [pbar[i] for i in self._reg], v_deg)
         res = self.resolve(pt)
-        grad = np.empty(self.n)
-        grad[self.reg_idx] = res.V
-        grad[self.deg_idx] = pt.v_deg
+        grad = [v for _, v in sorted(zip(self._reg + self._deg, [*res._v, *pt._v]))]
         if h_value is None:
-            h = self.h_mix(pt, pbar[self.deg_idx])
+            h = self.h_mix(pt, [pbar[i] for i in self._deg])
         else:
-            h = float(h_value(q, pbar))
+            import numpy as np
+            h = float(h_value(np.array(q), np.array(pbar)))
         return abs(h - dot(pbar, grad) + res.L)
 
     def hamiltonian_observable(self):
@@ -308,16 +320,11 @@ def fenchel_conjugate(model, q, p, box=2.0, grid=5):
     n = model.n
     core = model.core
     lv, w = core.slices["L_v"], core.slices["W"]
-    p = np.asarray(p, dtype=float)
-    args = np.asarray(q, dtype=float).tolist() + [0.0] * n
+    p, args = _floats(p), list(_floats(q)) + [0.0] * n
     residual, jacobian, last = newton_pair(core.fn, args, range(n, 2 * n),
-                                           range(lv.start, lv.stop), range(w.start, w.stop),
-                                           p.tolist())
-
-    axes = [np.linspace(-box, box, grid)] * n
-    starts = [np.array(combo) for combo in itertools.product(*axes)]
+                                           range(lv.start, lv.stop), range(w.start, w.stop), p)
     best = None
-    for start in starts:
+    for start in itertools.product(np.linspace(-box, box, grid).tolist(), repeat=n):
         try:
             v = damped_newton(residual, jacobian, start, NewtonConfig())
         except (NewtonError, DomainError):

@@ -91,6 +91,24 @@ class TestGeneralSolution:
         with pytest.raises(ModelError):
             general_solution(rank2_problem, [1.0, 2.0])
 
+    def test_point_count_checked(self, quadratic_problem):
+        # 1 * 1 - f(1, 2) = -4.0 if the second component were dropped
+        y = general_solution(quadratic_problem, [1.0, 2.0])
+        with pytest.raises(ModelError, match="expected 2 point components"):
+            y([1.0])
+
+    @pytest.mark.parametrize("call", [
+        lambda prob: general_solution(prob, [[1.0, 2.0]]),
+        lambda prob: general_solution(prob, np.ones((1, 2))),
+        lambda prob: general_solution(prob, [1.0, 2.0])([[1.0], [2.0]]),
+        lambda prob: envelope_solution(prob, np.ones((2, 1))),
+        lambda prob: mixed_solution(prob, 1, [[1.0]], [1.0, 2.0]),
+        lambda prob: pde_residual(prob, lambda x: 0.0, 3.0),
+    ], ids=["constants", "constant-row", "point", "envelope-point", "tail", "scalar-point"])
+    def test_nested_input_is_a_model_error(self, quadratic_problem, call):
+        with pytest.raises(ModelError):
+            call(quadratic_problem)
+
     def test_domain_error_at_bad_constants(self):
         prob = ClairautProblem(1, "log(z1)")
         with pytest.raises(DomainError):

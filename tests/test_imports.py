@@ -1,8 +1,11 @@
 """numpy at the edge: importing the package and its CLI loads no numpy, nor
-does a command that fails before its first array; no command loads
-numpy.random, since the package draws from its own generator; and no
-module imports numpy at module level.  Each child runs isolated (-I), so
-neither the environment nor site-packages' .pth hooks can preload numpy."""
+does a command that fails before its first array, nor analyze, transform or
+pde, which run on floats; no command loads numpy.random, since the package
+draws from its own generator; and no module imports numpy at module level.
+Each child runs isolated (-I), so neither the environment nor site-packages'
+.pth hooks can preload numpy.  scripts/check_numpy_free.py pins the digests
+of the numpy-free reference commands, and a test here holds those pins to
+scripts/output_digests.py."""
 
 import ast
 import glob
@@ -12,6 +15,8 @@ import subprocess
 import sys
 
 import pytest
+
+from clairaut.fixtures import BUNDLED
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src")
@@ -46,6 +51,32 @@ def test_no_numpy_at_import_help_and_early_errors(tmp_path):
     runs = run_isolated("numpy", [["--help"], ["analyze"], ["analyze", str(bad)]])
     assert [code for _, code, _ in runs] == [0, 0, 2, 2]
     assert [what for what, _, loaded in runs if loaded] == []
+
+
+def test_analyze_transform_and_pde_load_no_numpy():
+    argvs = [["analyze", name] for name in BUNDLED] + [
+        ["transform", "particle", "--at", "x0=0,x=0,y=0,z=0,p_x=3,p_y=0,p_z=4"],
+        ["transform", "cawley", "--at", "x=0.4,y=0,z=2.0,p_x=1.1,p_y=-0.3"],
+        ["transform", "synthetic_gauge", "--at", "x=0.4,a=0.1,b=0.2,u=0.3,w=0.5,p_x=1.1"],
+        ["pde", "--f", "z1^2+z2^2", "--mode", "general", "--c", "c1=1,c2=2",
+         "--at", "x1=2,x2=2"],
+        ["pde", "--f", "-(5*sqrt(1 - z1^2))", "--mode", "envelope", "--at", "x1=3"],
+        ["pde", "--f", "z1^2+z2^2+z3", "--mode", "mixed", "--s", "2", "--c", "c3=1",
+         "--at", "x1=2,x2=2,x3=3"],
+    ]
+    runs = run_isolated("numpy", argvs)
+    assert [code for _, code, _ in runs] == [0] * (len(argvs) + 1)
+    assert [what for what, _, loaded in runs if loaded] == []
+
+
+def test_numpy_free_check_pins_the_output_digests():
+    # the script computes each pinned command's digest with output_digests
+    child = ("import sys; sys.path[:0] = sys.argv[1:]; import check_numpy_free as c; "
+             "assert len(c.PINNED_DIGESTS) == 13; c.main()")
+    proc = subprocess.run([sys.executable, "-I", "-c", child, os.path.join(ROOT, "scripts"), SRC],
+                          capture_output=True, text=True, cwd=ROOT)
+    assert proc.returncode == 0, proc.stderr
+    assert "13 numpy-free reference commands: the pinned digests" in proc.stdout
 
 
 def test_no_command_loads_numpy_random(tmp_path):

@@ -35,6 +35,7 @@ from clairaut import (
 from clairaut import cli, expressions, gauge, numerics, verify
 from clairaut import dynamics as dynamics_module
 from clairaut import transform as transform_module
+from clairaut.errors import ArgumentError
 from clairaut.gauge import ExprObservable, classify, phase_probes
 from clairaut.fixtures import BUNDLED
 from clairaut.numerics import dot, solver, stage_kernel
@@ -65,6 +66,12 @@ class TestDot:
 
     def test_empty_operands_give_zero(self):
         assert dot([], []) == 0.0 and dot(np.empty(0), np.empty(0)) == 0.0
+
+    def test_unequal_lengths_are_an_argument_error(self):
+        # zip would stop at the shorter operand: 1 * 3 = 3.0
+        with pytest.raises(ArgumentError, match="lengths 2 and 1") as exc:
+            dot([1.0, 2.0], [3.0])
+        assert exc.value.exit_code == 2
 
     def test_bit_equal_to_the_emitted_sum(self):
         # from the first product, not from 0.0, so a zero sum keeps its sign
@@ -421,7 +428,7 @@ class TestTypedFailures:
             return [math.log(x[0])]
 
         root = damped_newton(residual, lambda x: [1.0 / x[0]], [3.0])
-        assert abs(root[0] - 1.0) < 1e-12 and isinstance(root, np.ndarray)
+        assert abs(root[0] - 1.0) < 1e-12 and type(root) is list
         assert any(x <= 0.0 for x in trials)  # the full step left the domain
 
 
@@ -435,10 +442,10 @@ class TestNewtonContract:
             return np.array([[2.0 * x[0], 0.0], [-1.0, 1.0]])
 
         root = damped_newton(residual, jacobian, np.array([1.0, 0.0]))
-        assert isinstance(root, np.ndarray) and root.dtype == float and root.shape == (2,)
-        assert np.max(np.abs(root - math.sqrt(2.0))) < 1e-12
-        start = damped_newton(residual, jacobian, np.array([root.tolist()]))  # 2-D x0
-        assert isinstance(start, np.ndarray) and start.tolist() == root.tolist()
+        assert type(root) is list and len(root) == 2 and all(type(x) is float for x in root)
+        assert max(abs(x - math.sqrt(2.0)) for x in root) < 1e-12
+        start = damped_newton(residual, jacobian, np.array([root]))  # 2-D x0
+        assert type(start) is list and start == root
 
 
 class TestFullNewton:
@@ -458,7 +465,7 @@ class TestFullNewton:
     def test_root_as_damped_newton(self, x0):
         (args, root, core), residual, jacobian, last = self.resolve("d(x)^3/3", 2.0, x0)
         assert type(root) is list
-        assert root == damped_newton(residual, jacobian, [x0]).tolist()
+        assert root == damped_newton(residual, jacobian, [x0])
         assert args == [0.0] + root and core == last[1]  # both at the root
 
     @pytest.mark.parametrize("lagrangian, p, x0", [
@@ -499,7 +506,7 @@ class TestNewtonPair:
         # the restart's calls: its start, then one accepted trial per Jacobian
         # (the last one's is the root) and the rejected ones
         assert len(restart) > 1 + (len(jacobians) - 1)
-        assert last[0] == root.tolist() and calls[-1] == root[0]
+        assert type(root) is list and last[0] == root and calls[-1] == root[0]
         assert last[1] == (root[0] ** 3 - 1.0, 3.0 * root[0] * root[0])
 
 

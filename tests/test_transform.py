@@ -11,13 +11,16 @@ import pytest
 from clairaut import (
     ClairautTransform,
     FenchelError,
+    IntegratorConfig,
     NewtonError,
     PhasePoint,
     fenchel_conjugate,
+    integrate,
     load_bundled,
     parse_model,
 )
 from clairaut import transform as transform_module
+from clairaut.errors import ArgumentError
 from clairaut.fixtures import BUNDLED
 from clairaut.gauge import phase_probes
 from clairaut.numerics import block_kernel, dot
@@ -284,6 +287,31 @@ class TestConjugateIdentity:
         assert ct.clairaut_residual([0.3], [1.0]) < 1e-12
 
 
+class TestLengthsAgainstTheSplit:
+    """mixed splits (x, y) into regular x and degenerate y: a point has two
+    coordinates, one regular momentum and one degenerate velocity."""
+
+    def test_h_mix_takes_one_value_per_degenerate_slot(self):
+        ct = transform("mixed")
+        pt = ct.point([0.4, 1.2], [2.4], [0.0])
+        assert ct.h_mix(pt, [1.0]) == ct.h_phys(pt)  # v_deg = 0
+        with pytest.raises(ArgumentError, match="h_mix takes 1 degenerate values, not 3"):
+            ct.h_mix(pt, [1.0, 2.0, 3.0])
+
+    def test_resolve_refuses_an_extra_momentum(self):
+        ct = transform("mixed")
+        with pytest.raises(ArgumentError,
+                           match=r"2, 1 and 1 values in q, p and v_deg, not \(2, 2, 1\)"):
+            ct.resolve(PhasePoint([0.4, 1.2], [2.4, 1.0], [0.0]))
+
+    @pytest.mark.parametrize("q, p", [([0.4, 1.2], [2.4, 1.0]), ([0.4], [2.4])])
+    def test_integrate_refuses_a_point_of_other_lengths(self, q, p):
+        # the extra momentum was dropped and the short q raised an IndexError
+        ct = transform("mixed")
+        with pytest.raises(ArgumentError, match="values in q, p and v_deg"):
+            integrate(ct, PhasePoint(q, p, [0.0]), cfg=IntegratorConfig(t1=0.01, dt=1e-3))
+
+
 class TestFenchelOracle:
     def test_oscillator_value(self):
         value = fenchel_conjugate(load_bundled("oscillator"), [1.0], [2.0])
@@ -340,6 +368,13 @@ class TestPhasePointImmutability:
             with pytest.raises(ValueError):
                 arr[0] = 1.0
 
+    def test_fields_cannot_be_rebound(self):
+        pt = PhasePoint([0.1, 0.2], [0.3], [0.4])
+        for name in ("q", "p", "v_deg", "_q"):
+            with pytest.raises(AttributeError):
+                setattr(pt, name, [9.0, 9.0])
+        assert pt._q == (0.1, 0.2) and pt.q.tolist() == [0.1, 0.2]
+
     def test_caller_arrays_stay_writeable_and_detached(self):
         q, p, v = np.array([0.1, 0.2]), np.array([0.3]), np.array([0.4])
         pt = PhasePoint(q, p, v)
@@ -352,12 +387,13 @@ class TestPhasePointImmutability:
         pt = PhasePoint(np.array([0.1, 0.2]), np.array([0.3]), np.array([0.4]))
         q = np.array([0.5, 0.6])
         moved = pt._replace(q=q)
-        assert moved.p is pt.p and moved.v_deg is pt.v_deg
+        assert moved._p is pt._p and moved._v is pt._v and moved._q == (0.5, 0.6)
+        assert all(type(x) is float for x in moved._q + moved._p + moved._v)
         assert moved.q is not q and not moved.q.flags.writeable
         q[0] = 9.0
         assert moved.q.tolist() == [0.5, 0.6] and pt.q.tolist() == [0.1, 0.2]
         both = pt._replace(q=[1, 2], p=[3])
-        assert both.v_deg is pt.v_deg and both.p.dtype == np.float64
+        assert both._v is pt._v and both._p == (3.0,) and both.p.dtype == np.float64
         # the public constructor copies even another point's arrays
         again = PhasePoint(pt.q, pt.p, pt.v_deg)
         assert all(a is not b for a, b in zip((again.q, again.p, again.v_deg),
