@@ -19,6 +19,10 @@ That is 29 digests.
 Usage (from the root of a checkout; compare two checkouts with diff):
 
     python3 scripts/output_digests.py > digests.txt
+    diff scripts/output_digests.txt digests.txt
+
+scripts/output_digests.txt holds the lines this checkout prints; CI diffs
+against it, so a change that moves an output byte updates it in its diff.
 """
 
 import contextlib

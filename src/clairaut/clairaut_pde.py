@@ -14,7 +14,7 @@ package: the slopes resolve as the regular velocities of L = f(d(z)).
 
 import math
 
-from .errors import DomainError, ModelError, NewtonError, RankDeficiencyError
+from .errors import ArgumentError, DomainError, ModelError, NewtonError, RankDeficiencyError
 from .expressions import (Sym, compile_evaluator, free_symbols, parse_expression, simplify,
                           substitute)
 from .model import LagrangianModel, VariableSplit, velocity_name
@@ -46,10 +46,15 @@ class ClairautProblem:
         self._transforms = {}  # s -> the transform with z1..zs regular, built on first use
 
     def f_value(self, z):
-        return self._f(z)
+        return self._f(self._z(z))
+
+    def _z(self, z):  # z as n floats, else an ArgumentError
+        if len(z := _floats(z)) != self.n:
+            raise ArgumentError(f"f takes {self.n} values, not {len(z)}")
+        return z
 
     def _core(self, z):  # the model's core at q = 0, v = z
-        return self.model.core.fn([0.0] * self.n + list(_floats(z)))
+        return self.model.core.fn([0.0] * self.n + list(self._z(z)))
 
     def f_gradient(self, z):
         import numpy as np

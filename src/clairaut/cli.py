@@ -199,7 +199,7 @@ def cmd_transform(args):
                for a in range(nd) for c in range(a + 1, nd)]
     values += [(f"D_{name} H_phys", dh) for name, dh in zip(deg, res._flat("DH"))]
     pbar = [v for _, v in sorted(zip(ct._reg + ct._deg, [*pt._p, *b]))]
-    residual = ct.clairaut_residual(pt._q, pbar, v_deg=pt._v)
+    residual = ct._residual(pt, pbar)  # at the point resolved above
     for label, value in values + [("clairaut_residual", residual)]:
         if not math.isfinite(value):
             raise DomainError(f"the transform overflows at this point ({label} = {value})")

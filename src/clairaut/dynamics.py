@@ -16,14 +16,14 @@ model's invariant surface.
 integrate is one call of the generated RK4 loop for the gauge's plan
 (numerics.rk4_kernel), on Python floats, which writes the trajectory's rows
 into an array of doubles; integrate maps its exit status to the trajectory
-or to an IntegrabilityError carrying the rows written.  Each stage of the
-loop resolves the regular velocities from the last stage's
-(ClairautTransform._resolve_args: full Newton steps, damped Newton where
-they give up), then makes one call of the generated stage kernel
-(numerics.stage_kernel) for the sector solve on the core values at the root.
-degenerate_velocities runs the same kernel on a Resolution's core, so both
-give the same floats.  No stage builds a PhasePoint or Resolution, and each
-prescribed velocity is evaluated once per distinct time of a step.
+or to an IntegrabilityError carrying the rows written.  Each stage is one
+call of the transform's fused stage (ClairautTransform._stage: full Newton
+steps from the last stage's velocities, then the sector solve, the core
+inline) or, where it gives up, of ClairautTransform._resolve_args (damped
+Newton where the full steps fail) and numerics.stage_kernel, which
+degenerate_velocities runs on a Resolution's core: the same floats on every
+path.  No stage builds a PhasePoint or Resolution, and each prescribed
+velocity is evaluated once per distinct time of a step.
 """
 
 import math
@@ -230,10 +230,17 @@ def integrate(ct, initial, gauge=None, cfg=None, cls=None):
                           ct.split.regular, ct.split.degenerate,
                           bool(count and c[0, 0] > cfg.consistency_tol))
 
+    fused, tail = ct._stage(solve, other), stage_kernel(n, ct._reg, solve, other)
+
+    def stage(q, p, vd, vo, V):  # where the fused stage gives up: a resolve, then tail
+        if (out := fused(q, p, vd, vo, V)) is None:
+            _, V, c = ct._resolve_args(q, p, vd, V)
+            out = (*tail(c, V, vd, p, vo), V)
+        return out
+
     try:
         status = rk4_kernel(n, ct._reg, solve, other)(
-            ct._resolve_args, stage_kernel(n, ct._reg, solve, other), gauge.velocity,
-            initial._q, initial._p, initial._v, cfg.t0, cfg.dt,
+            stage, gauge.velocity, initial._q, initial._p, initial._v, cfg.t0, cfg.dt,
             int(round((cfg.t1 - cfg.t0) / cfg.dt)), cfg.consistency_tol, rows)
     except NewtonError as exc:
         count, cut = divmod(len(rows), width)  # cut: stage 1 of the step raised

@@ -179,15 +179,18 @@ class Call(Expr):
 
 def free_symbols(expr):
     """Set of symbol names occurring in expr."""
-    out = set()
-    stack = [expr]
+    return {e.name for e in _walk([expr]) if isinstance(e, Sym)}
+
+
+def _walk(seq):
+    """Every node of the trees in seq, once each, as a dict's keys."""
+    nodes, stack = {}, list(seq)
     while stack:
         e = stack.pop()
-        if isinstance(e, Sym):
-            out.add(e.name)
-        else:
+        if e not in nodes:
+            nodes[e] = None
             stack.extend(_children(e))
-    return out
+    return nodes
 
 
 def _children(e):
@@ -842,15 +845,17 @@ def _node_text(e, kids):
     return f"{e.fn}({kids[0]})"
 
 
-def _emit_cse(code, seq, index_of):
+def _emit_cse(code, seq, index_of=None, text_of=None):
     """Assign the roots of seq through code, sharing common subtrees; returns
     one text per root (a local name or a constant literal).
 
     Nodes are interned, so structurally equal subtrees are one node and get
-    one local; each symbol used is read once, as float(A[i]).  The walk is
+    one local.  text_of (node -> text), if given, holds the symbols' texts
+    and is shared: a later call reuses the locals of an earlier one.  Other
+    symbols are read once, as float(A[index_of[name]]).  The walk is
     iterative and visits each node once.
     """
-    text_of = {}  # node -> constant literal or local name
+    text_of = {} if text_of is None else text_of
     for root in seq:
         stack = [(root, False)]
         while stack:
@@ -861,7 +866,7 @@ def _emit_cse(code, seq, index_of):
                 text_of[e] = repr(e.value)  # inf and nan are names in _COMPILE_ENV
                 continue
             if isinstance(e, Sym):
-                if e.name not in index_of:
+                if e.name not in (index_of or ()):
                     raise UnboundSymbolError(e.name)
                 text_of[e] = code(f"float(A[{index_of[e.name]}])")
                 continue

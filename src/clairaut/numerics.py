@@ -19,21 +19,21 @@ oracle) return the root as a list of floats, with the residual and Jacobian
 from newton_pair: flat float lists from one evaluator call per point.
 
 The generated kernels (solver, resolve_kernel, block_kernel, stage_kernel,
-and rk4_kernel, integrate's whole fixed-step loop around a resolve and a
-stage_kernel call per stage) run on Python floats: Gauss elimination with
-partial pivoting and dot products summed left to right, unrolled for one
-shape and compiled once.  They come from the package's one source emitter,
-expressions._Code, as the compiled evaluators do.  resolve_kernel's full
-Newton steps are damped_newton's iterates wherever it takes no shorter step.
-One function, _block, emits the derivative block for block_kernel and
-stage_kernel, so the two give the same floats for it.  rk4_kernel's Pfaffian
-sign (_pfaffian_sign) is Parlett-Reid elimination unrolled.  dot (the sum
-_dot emits, on floats), solver and verify's minimal-norm step (Gram-Schmidt
-on dot) own every reported sum and solve, so each reported number rounds the
-same way on every machine: none goes through numpy's BLAS or LAPACK.  A zero
-pivot in solver raises the internal SingularMatrixError ('Singular matrix',
-numpy.linalg.solve's text), which damped_newton reports as a NewtonError and
-the corrected brackets as a RankDeficiencyError.
+fused_stage, and rk4_kernel, integrate's loop of one stage call per stage)
+run on Python floats: Gauss elimination with partial pivoting and dot
+products summed left to right, unrolled for one shape, compiled once and
+emitted through expressions._Code.  One emitter per algorithm gives each of
+its kernels the same floats: _newton the full Newton steps (damped_newton's
+iterates where it takes no shorter step), _block the derivative block and
+_stage_tail the sector solve; fused_stage inlines a model's derivative core
+around them.  rk4_kernel's Pfaffian sign (_pfaffian_sign) is Parlett-Reid
+elimination unrolled.  dot (the sum _dot emits, on floats), solver and
+verify's minimal-norm step (Gram-Schmidt on dot) own every reported sum and
+solve, so each reported number rounds the same way on every machine: none
+goes through numpy's BLAS or LAPACK.  A zero pivot in solver raises the
+internal SingularMatrixError ('Singular matrix', numpy.linalg.solve's text),
+which damped_newton reports as a NewtonError and the corrected brackets as a
+RankDeficiencyError.
 """
 
 import functools
@@ -43,7 +43,8 @@ import secrets
 from dataclasses import dataclass
 
 from .errors import ArgumentError, DomainError, NewtonError, RankDeficiencyError
-from .expressions import _Code
+from .expressions import (_COMPILE_ENV, Call, Const, Pow, Quot, Sym, _Code, _emit_cse, _walk,
+                          free_symbols)
 
 
 def rank_and_pivots(matrix, rel_tol=1e-9):
@@ -413,59 +414,59 @@ def _emit_max_abs(code, values):
     return worst
 
 
+def _newton(code, n, reg, x, p, evaluate, core, tol, max_iter):
+    """Emit damped_newton's steps at scale 1 for the velocities reg, locals x,
+    and momenta p: evaluate() emits the core at each iterate, core(k) is the
+    text of its entry k.  A norm that does not fall (nan too), a singular
+    W_rr, or a last iterate above tol or not finite returns None."""
+    code.line(f"for it in range({max_iter} + 1):")
+    loop = len(code.lines)
+    evaluate()
+    f = [code(f"{core(1 + i)} - {ps}") for i, ps in zip(reg, p)]
+    new = _emit_max_abs(code, f)
+    code.line(f"if it and not {new} < norm: return None")
+    code.line(f"norm = {new}")
+    code.line(f"if norm <= {tol} or it == {max_iter}: break")
+    b = [[code(f"-{fs}")] for fs in f]
+    _lu_solve(code, [[code(core(1 + 2 * n + i * n + j)) for j in reg] for i in reg], b,
+              "return None")
+    for xs, (step,) in zip(x, b):
+        code.line(f"{xs} = {xs} + {step}")
+    code.indent(loop)
+    code.line(f"if not ({' and '.join([f'norm <= {tol}'] + [f'isfinite({xs})' for xs in x])}):"
+              " return None")
+
+
 @functools.lru_cache(maxsize=None)
 def resolve_kernel(n, reg):
-    """Generated velocity resolve by full Newton steps for one split, cached
-    by it: reg lists the regular coordinates.
-
-    The kernel takes (fn, cfg, q, vd, x0, p): the derivative core evaluator
-    (model.DerivativeCore.fn), the NewtonConfig, the coordinates, the
-    degenerate velocities, the start and the regular momenta, as sequences
-    of floats.  Each iterate goes into the regular slots of the argument list
-    A, c = fn(A) gives the residual L_v - p and the Jacobian W_rr, and the
-    step solves W_rr s = -(L_v - p): damped_newton's iterate at scale 1.  A
-    step is kept while the residual's max-abs norm falls.  The kernel
-    returns (A, V, c), the argument list, the regular velocities and the
-    core at the root (fn's last call), or None where damped_newton would
-    backtrack or fail: a step that does not lower the norm (nan neither), a
-    DomainError, a singular W_rr, cfg.max_iter steps, or a non-finite root.
-    """
-    code = _Code()
-    deg = [i for i in range(n) if i not in reg]
-    x = [code(f"x0[{s}]") for s in range(len(reg))]
-    p = [code(f"p[{s}]") for s in range(len(reg))]
+    """Generated velocity resolve by full Newton steps (_newton) for one
+    split, cached by it: reg lists the regular coordinates.  The kernel takes
+    (fn, cfg, q, vd, x0, p): the derivative core evaluator, the NewtonConfig,
+    the coordinates, the degenerate velocities, the start and the regular
+    momenta, as sequences of floats; c = fn(A) at each iterate.  Returns (A,
+    V, c), the argument list, the regular velocities and the core at the
+    root, or None where damped_newton would backtrack or fail: where _newton
+    gives up, or on a DomainError."""
+    code, deg = _Code(), [i for i in range(n) if i not in reg]
+    x, p = _unpack(code, "x0", len(reg)), _unpack(code, "p", len(reg))
     vel = dict(zip(reg, x)) | {i: f"vd[{k}]" for k, i in enumerate(deg)}
-    code.line(f"A = [*q, {', '.join(vel[i] for i in range(n))}]")
     code.line("try:")
     body = len(code.lines)
-    code.line("c = fn(A)")
-    f = [code(f"c[{1 + i}] - {ps}") for i, ps in zip(reg, p)]
-    norm = _emit_max_abs(code, f)
-    code.line("for _ in range(cfg.max_iter):")
-    loop = len(code.lines)
-    code.line(f"if {norm} <= cfg.tol: break")
-    b = [[code(f"-{fs}")] for fs in f]
-    _lu_solve(code, [[code(f"c[{1 + 2 * n + i * n + j}]") for j in reg] for i in reg], b,
-              "return None")
-    for i, xs, (step,) in zip(reg, x, b):
-        code.line(f"{xs} = {xs} + {step}")
-        code.line(f"A[{n + i}] = {xs}")
-    code.line("c = fn(A)")
-    for i, ps, fs in zip(reg, p, f):
-        code.line(f"{fs} = c[{1 + i}] - {ps}")
-    new = _emit_max_abs(code, f)
-    code.line(f"if not {new} < {norm}: return None")
-    code.line(f"{norm} = {new}")
-    code.indent(loop)
+
+    def evaluate():
+        code.line(f"A = [*q, {', '.join(vel[i] for i in range(n))}]")
+        code.line("c = fn(A)")
+
+    _newton(code, n, reg, x, p, evaluate, "c[{}]".format, "cfg.tol", "cfg.max_iter")
     code.indent(body)
     code.line("except DomainError: return None")
-    code.line(f"if not ({' and '.join([f'{norm} <= cfg.tol'] + [f'isfinite({xs})' for xs in x])}):"
-              " return None")
     return code.build("fn, cfg, q, vd, x0, p", f"A, [{', '.join(x)}], c", _KERNEL_ENV)
 
 
-def _names(prefix, rows, cols):
-    return [[f"{prefix}{i}_{j}" for j in range(cols)] for i in range(rows)]
+def _unpack(code, seq, count):
+    """Locals seq_0 .. seq_(count-1) holding the items of the sequence seq."""
+    code.line(f"[{', '.join(names := [f'{seq}_{k}' for k in range(count)])}] = {seq}")
+    return names
 
 
 @functools.lru_cache(maxsize=None)
@@ -474,42 +475,40 @@ def solver(k, m=1):
     sequences of floats; returns x as a flat row-major list.  A zero pivot
     raises SingularMatrixError('Singular matrix'), numpy.linalg.solve's text."""
     code = _Code()
-    a, b = _names("a", k, k), _names("b", k, m)
-    code.line(f"{', '.join(sum(a, []))}, = A")
-    code.line(f"{', '.join(sum(b, []))}, = B")
+    a, b = _unpack(code, "A", k * k), _unpack(code, "B", k * m)
+    a, b = [a[i * k:i * k + k] for i in range(k)], [b[i * m:i * m + m] for i in range(k)]
     _lu_solve(code, a, b, "raise SingularMatrixError('Singular matrix')")
     return code.build("A, B", _flat(b), _KERNEL_ENV)
 
 
-def _block(code, n, reg):
+def _block(code, n, reg, core, V, vd):
     """Emit the implicit-function derivative block for one split into code.
 
-    The kernel's parameters c, V and vd are the derivative core tuple (L,
-    L_v, L_q, W, L_vq; model.DerivativeCore) at the resolved point, the
-    regular velocities and the point's degenerate velocities.  Returns the
-    names of X = [-dV_dq | dV_dp] (r rows), dB_dq (nd x n), dB_dp (nd x r),
-    dH_dq (n), dH_dp (r), F (nd x nd) and D_a H (nd), with vd.  F is exactly
-    antisymmetric: each of its terms enters as (T - T^t)."""
+    core(k) is the text of entry k of the derivative core (L, L_v, L_q, W,
+    L_vq; model.DerivativeCore) at the resolved point, V and vd the texts of
+    the regular velocities and of the point's degenerate velocities.
+    Returns the names of X = [-dV_dq | dV_dp] (r rows), dB_dq (nd x n),
+    dB_dp (nd x r), dH_dq (n), dH_dp (r), F (nd x nd) and D_a H (nd).  F is
+    exactly antisymmetric: each of its terms enters as (T - T^t)."""
     r, deg = len(reg), [i for i in range(n) if i not in reg]
     nd = len(deg)
 
-    def core(block, i, j):  # block 0: W, block 1: L_vq
-        return f"c[{1 + 2 * n + (block * n + i) * n + j}]"
+    def entry(block, i, j):  # block 0: W, block 1: L_vq
+        return core(1 + 2 * n + (block * n + i) * n + j)
 
     # W_rr X = [L_vq regular rows | I_r]: X = [-dV_dq | dV_dp]
-    a = [[code(core(0, i, j)) for j in reg] for i in reg]
-    x = [[code(core(1, i, j)) for j in range(n)] + [code("1.0" if i == j else "0.0") for j in reg] for i in reg]
+    a = [[code(entry(0, i, j)) for j in reg] for i in reg]
+    x = [[code(entry(1, i, j)) for j in range(n)] + [code("1.0" if i == j else "0.0") for j in reg] for i in reg]
     _lu_solve(code, a, x, "raise RankDeficiencyError("
               "'regular velocity Hessian block W_rr is singular at this point')")
-    w_dr = [[code(core(0, i, j)) for j in reg] for i in deg]
-    db_dq = [[code(f"{core(1, i, j)} - ({_dot((w, x[t][j]) for t, w in enumerate(row))})")
+    w_dr = [[code(entry(0, i, j)) for j in reg] for i in deg]
+    db_dq = [[code(f"{entry(1, i, j)} - ({_dot((w, x[t][j]) for t, w in enumerate(row))})")
               for j in range(n)] for i, row in zip(deg, w_dr)]
     db_dp = [[code(_dot((w, x[t][n + s]) for t, w in enumerate(row))) for s in range(r)]
              for row in w_dr]
-    vd = [code(f"vd[{k}]") for k in range(nd)]
-    dh_dq = [code(f"-c[{1 + n + j}] + ({_dot((vd[k], row[j]) for k, row in enumerate(db_dq))})")
+    dh_dq = [code(f"-{core(1 + n + j)} + ({_dot((vd[k], row[j]) for k, row in enumerate(db_dq))})")
              for j in range(n)]
-    dh_dp = [code(f"V[{s}] + ({_dot((vd[k], row[s]) for k, row in enumerate(db_dp))})")
+    dh_dp = [code(f"{V[s]} + ({_dot((vd[k], row[s]) for k, row in enumerate(db_dp))})")
              for s in range(r)]
     db_dq_reg = [[row[j] for j in reg] for row in db_dq]
     pp = [[code(_dot(zip(ra, rb))) for rb in db_dp] for ra in db_dq_reg]
@@ -517,7 +516,7 @@ def _block(code, n, reg):
           for b in range(nd)] for a in range(nd)]
     dah = [code(f"({dh_dq[i]} + ({_dot(zip(db_dq_reg[k], dh_dp))}))"
                 f" - ({_dot(zip(db_dp[k], (dh_dq[j] for j in reg)))})") for k, i in enumerate(deg)]
-    return x, db_dq, db_dp, dh_dq, dh_dp, f, dah, vd
+    return x, db_dq, db_dp, dh_dq, dh_dp, f, dah
 
 
 def _flat(rows):
@@ -527,31 +526,23 @@ def _flat(rows):
 @functools.lru_cache(maxsize=None)
 def block_kernel(n, reg):
     """Generated derivative block at a resolved point for one split, cached
-    by it: reg lists the regular coordinates.  The kernel takes (c, V, vd)
-    as _block describes and returns dV_dq (r x n), dV_dp (r x r), dB_dq,
-    dB_dp, dH_dq, dH_dp, F and D_a H as flat row-major lists of floats."""
+    by it: reg lists the regular coordinates.  The kernel takes (c, V, vd),
+    the derivative core tuple, the regular velocities and the degenerate
+    ones, and returns dV_dq (r x n), dV_dp (r x r), dB_dq, dB_dp, dH_dq,
+    dH_dp, F and D_a H as flat row-major lists of floats."""
     code = _Code()
-    x, db_dq, db_dp, dh_dq, dh_dp, f, dah, _ = _block(code, n, reg)
+    V, vd = _unpack(code, "V", len(reg)), _unpack(code, "vd", n - len(reg))
+    x, db_dq, db_dp, dh_dq, dh_dp, f, dah = _block(code, n, reg, "c[{}]".format, V, vd)
     dv_dq = [[f"-{name}" for name in row[:n]] for row in x]
     outs = (dv_dq, [row[n:] for row in x], db_dq, db_dp, [dh_dq], [dh_dp], f, [dah])
     return code.build("c, V, vd", ", ".join(map(_flat, outs)), _KERNEL_ENV)
 
 
-@functools.lru_cache(maxsize=None)
-def stage_kernel(n, reg, solve, other):
-    """Generated RK4 stage of the mixed equations for one layout, cached by
-    it: the derivative block and the sector solve at a resolved point.
-
-    reg lists the regular coordinates; solve and other the degenerate slots
-    solved from F v = D H and supplied from outside.  The kernel takes (c,
-    V, vd, p, vo): c, V and vd as _block describes, the regular momenta and
-    the values of the other slots, all floats.  It returns (dq, dp, v,
-    residual ||F v - D H||_inf, H, F's solved subblock flat).
-    """
-    r, nd = len(reg), n - len(reg)
-    deg = [i for i in range(n) if i not in reg]
-    code = _Code()
-    _, db_dq, db_dp, dh_dq, dh_dp, f, dah, vd = _block(code, n, reg)
+def _stage_tail(code, n, reg, solve, other, core, V, vd, p):
+    """Emit an RK4 stage at a resolved point (core, V and vd as _block takes
+    them, p the momenta's texts); returns the text of stage_kernel's result."""
+    nd, deg = n - len(reg), [i for i in range(n) if i not in reg]
+    _, db_dq, db_dp, dh_dq, dh_dp, f, dah = _block(code, n, reg, core, V, vd)
     db_dq_reg = [[row[j] for j in reg] for row in db_dq]
     v = [None] * nd
     for k, s in enumerate(other):
@@ -570,11 +561,56 @@ def stage_kernel(n, reg, solve, other):
         dq[i] = v[k]
     dp = [f"-{dh_dq[i]} + ({_dot((v[k], row[s]) for k, row in enumerate(db_dq_reg))})"
           for s, i in enumerate(reg)]
-    h = (f"({_dot((f'p[{s}]', f'V[{s}]') for s in range(r))}"
-         f" + {_dot((f'c[{1 + i}]', vd[k]) for k, i in enumerate(deg))}) - c[0]")
+    h = (f"({_dot(zip(p, V))} + {_dot((core(1 + i), vd[k]) for k, i in enumerate(deg))})"
+         f" - {core(0)}")
     sub = ", ".join(f[s][t] for s in solve for t in solve)
-    return code.build("c, V, vd, p, vo", f"[{', '.join(dq)}], [{', '.join(dp)}], "
-                      f"[{', '.join(v)}], {resid}, {h}, [{sub}]", _KERNEL_ENV)
+    return f"[{', '.join(dq)}], [{', '.join(dp)}], [{', '.join(v)}], {resid}, {h}, [{sub}]"
+
+
+@functools.lru_cache(maxsize=None)
+def stage_kernel(n, reg, solve, other):
+    """Generated RK4 stage at a resolved point for one layout, cached by it:
+    reg lists the regular coordinates, solve and other the degenerate slots
+    solved from F v = D H and given.  The kernel takes (c, V, vd, p, vo), the
+    core tuple, regular and degenerate velocities, regular momenta and given
+    slots' values, and returns (dq, dp, v, ||F v - D H||_inf, H, F's solved
+    subblock flat)."""
+    code, r = _Code(), len(reg)
+    V, vd, p = _unpack(code, "V", r), _unpack(code, "vd", n - r), _unpack(code, "p", r)
+    tail = _stage_tail(code, n, reg, solve, other, "c[{}]".format, V, vd, p)
+    return code.build("c, V, vd, p, vo", tail, _KERNEL_ENV)
+
+
+def fused_stage(exprs, names, reg, solve, other, tol, max_iter):
+    """Generated RK4 stage for a layout (as for stage_kernel) with the core
+    inline, exprs over names (model.DerivativeCore's flat tuple): (q, p, vd,
+    vo, V) -> stage_kernel's result and the velocities _newton resolves from
+    V, or None where resolve_kernel gives up.  A pass evaluates L_v's regular
+    rows, W_rr and each node that can raise, so it raises where fn would; the
+    nodes that do not read V precede the loop, and what the tail reads of
+    the rest follows it, sums and products only: every value is fn's."""
+    n, r, code = len(names) // 2, len(reg), _Code()
+    deg = [i for i in range(n) if i not in reg]
+    q, p, vd, x = (_unpack(code, *arg) for arg in (("q", n), ("p", r), ("vd", n - r), ("V", r)))
+    vel = dict(zip(reg, x)) | dict(zip(deg, vd))
+    text_of = {Sym(name): text for name, text in zip(names, q + [vel[i] for i in range(n)])}
+    roots = [exprs[1 + i] for i in reg] + [exprs[1 + 2 * n + i * n + j] for i in reg for j in reg]
+    roots += [e for e in _walk(exprs) if isinstance(e, (Pow, Call)) or isinstance(e, Quot)
+              and not (isinstance(e.den, Const) and e.den.value)]  # x / c, c != 0, never raises
+    iterate = {names[n + i] for i in reg}
+    code.line("try:")
+    body = len(code.lines)
+    _emit_cse(code, [e for e in _walk(roots) if not iterate & free_symbols(e)], text_of=text_of)
+
+    def core(k):  # the text of core entry k, emitted where the loop has not
+        return _emit_cse(code, [exprs[k]], text_of=text_of)[0]
+
+    _newton(code, n, reg, x, p, lambda: _emit_cse(code, roots, text_of=text_of), core,
+            repr(float(tol)), repr(operator.index(max_iter)))
+    code.indent(body)
+    code.line("except (ValueError, ZeroDivisionError, OverflowError): return None")
+    tail = _stage_tail(code, n, reg, solve, other, core, x, vd, p)
+    return code.build("q, p, vd, vo, V", f"{tail}, [{', '.join(x)}]", _COMPILE_ENV | _KERNEL_ENV)
 
 
 def _pfaffian_sign(code, f):
@@ -622,12 +658,10 @@ def rk4_kernel(n, reg, solve, other):
     """Generated fixed-step RK4 loop of integrate for one layout, cached by
     it (the layout as for stage_kernel).
 
-    The kernel takes (resolve, stage, velocity, q, p, w, start, dt, steps,
-    tol, rows).  resolve(q, p, vd, x0) is ClairautTransform._resolve_args,
-    the regular velocities from the start x0 with the core there, and stage
-    is stage_kernel's kernel for the layout: each stage is one call of each.
-    velocity(a, t) is the prescribed velocity of degenerate slot a,
-    evaluated once per distinct time of a step (t, t + dt/2, t + dt).  q, p
+    The kernel takes (stage, velocity, q, p, w, start, dt, steps, tol,
+    rows).  stage(q, p, vd, vo, V) is one stage, fused_stage's kernel or its
+    fallback.  velocity(a, t) is the prescribed velocity of degenerate slot
+    a, evaluated once per distinct time of a step (t, t + dt/2, t + dt).  q, p
     and w are the start and its degenerate velocities, as lists of floats.
     Step k runs at t = start + dt * k for k up to steps: it appends t to
     rows (an array of doubles), runs stage 1 (regular velocities from the
@@ -639,13 +673,11 @@ def rk4_kernel(n, reg, solve, other):
     Returns 0 after the last step's row, 1 where a residual above tol
     after step 0 aborts (step 0's residual above tol only flags the run), and
     2 where the Pfaffian's sign changed, with row k cut after its t.  A
-    NewtonError from resolve propagates, with row k cut after its t where
+    NewtonError from stage propagates, with row k cut after its t where
     stage 1 raised it and whole where a later stage did.
     """
-    r, nd = len(reg), n - len(reg)
-    code = _Code()
-    q = [code(f"q[{i}]") for i in range(n)]
-    p = [code(f"p[{s}]") for s in range(r)]
+    r, nd, code = len(reg), n - len(reg), _Code()
+    q, p = _unpack(code, "q", n), _unpack(code, "p", r)
     code.line(f"V = [{', '.join(['0.0'] * r)}]")
     code.line("half = dt / 2")
     code.line("sixth = dt / 6")
@@ -659,14 +691,11 @@ def rk4_kernel(n, reg, solve, other):
         return [code(f"velocity({a}, {time})") for a in other]
 
     def stage(vo, qs, ps):
-        """One stage at the coordinates qs and momenta ps; the names of its
-        dq and dp lists, then of the whole stage output."""
+        """One stage at qs and ps: the names of its dq, dp and whole output."""
         slot = {s: f"w[{s}]" for s in solve} | dict(zip(other, vo))
-        at, mom = code(f"[{', '.join(qs)}]"), code(f"[{', '.join(ps)}]")
-        vd, given = code(f"[{', '.join(slot[s] for s in range(nd))}]"), code(f"[{', '.join(vo)}]")
-        code.line(f"_, V, c = resolve({at}, {mom}, {vd}, V)")
-        out = code(f"stage(c, V, {vd}, {mom}, {given})")
-        code.line(f"w = {out}[2]")
+        out = code(f"stage([{', '.join(qs)}], [{', '.join(ps)}], "
+                   f"[{', '.join(slot[s] for s in range(nd))}], [{', '.join(vo)}], V)")
+        code.line(f"w, V = {out}[2], {out}[6]")
         return code(f"{out}[0]"), code(f"{out}[1]"), out
 
     def shifted(x, h, dx):
@@ -696,5 +725,5 @@ def rk4_kernel(n, reg, solve, other):
             a, b, c, d = (f"{dx}[{i}]" for dx in ds)
             code.line(f"{name} = {name} + sixth * ({a} + 2 * {b} + 2 * {c} + {d})")
     code.indent(loop)
-    return code.build("resolve, stage, velocity, q, p, w, start, dt, steps, tol, rows",
+    return code.build("stage, velocity, q, p, w, start, dt, steps, tol, rows",
                       "0", _KERNEL_ENV)

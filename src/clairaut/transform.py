@@ -22,11 +22,11 @@ in a generated float kernel (numerics.resolve_kernel), with damped Newton and
 restarts from the same start (newton_pair, newton_with_restarts) as the
 fallback.  The implicit-function derivative block, F and D_a H come from one
 call of a generated float kernel (numerics.block_kernel) that factors W_rr
-once.  Every RK4 stage of dynamics.integrate resolves through the same
-_resolve_args, then runs the sector solve in one generated kernel with the
-same emitted block (numerics.stage_kernel).  clairaut_pde resolves the
-envelope and mixed slopes of the Clairaut equation through _resolve_args
-too, as the regular velocities of L = f(d(z)).
+once.  Every RK4 stage of dynamics.integrate calls the kernel _stage keeps
+per gauge plan (numerics.fused_stage: those full steps and that block, the
+core inline), or where it gives up _resolve_args and numerics.stage_kernel.
+clairaut_pde resolves the envelope and mixed slopes of the Clairaut
+equation through _resolve_args too, as the regular velocities of L = f(d(z)).
 """
 
 import itertools
@@ -34,8 +34,8 @@ from functools import cached_property
 
 from .errors import ArgumentError, DomainError, FenchelError, NewtonError
 from .model import CORE_BLOCKS, split_variables
-from .numerics import (NewtonConfig, _floats, block_kernel, damped_newton, dot, newton_pair,
-                       newton_with_restarts, resolve_kernel)
+from .numerics import (NewtonConfig, _floats, block_kernel, damped_newton, dot, fused_stage,
+                       newton_pair, newton_with_restarts, resolve_kernel)
 
 def _array(values, dtype=float):
     """A read-only array copy of values."""
@@ -160,6 +160,7 @@ class ClairautTransform:
         self._deg_at = [self.n + a for a in self._deg]
         self._resolve_kernel = resolve_kernel(self.n, self._reg)
         self._last = None
+        self._stages = {}  # _stage's kernels
 
     # _reg and _deg as int arrays, built on first read
     reg_idx = cached_property(lambda self: _array(self._reg, int))
@@ -222,6 +223,14 @@ class ClairautTransform:
         return (self._resolve_kernel(self._f_core, self.newton, q, v_deg, x0, p)
                 or self._damped_resolve(q, p, v_deg, x0))
 
+    def _stage(self, solve, other):
+        """numerics.fused_stage's kernel for a gauge plan, built once."""
+        if (key := (solve, other, self.newton)) not in self._stages:
+            self._stages[key] = fused_stage(
+                [e for block in self.core_exprs.values() for e in block], self.arg_names,
+                self._reg, solve, other, self.newton.tol, self.newton.max_iter)
+        return self._stages[key]
+
     def _damped_resolve(self, q, p, v_deg, x0):
         """_resolve_args by newton_with_restarts from the list x0 alone."""
         args = self._args(q, v_deg)
@@ -275,14 +284,19 @@ class ClairautTransform:
         Hamiltonian for the transform's own, for use as a defect detector.
         """
         q, pbar = _floats(q), _floats(pbar)
-        pt = self.point(q, [pbar[i] for i in self._reg], v_deg)
+        if len(pbar) != self.n:
+            raise ArgumentError(f"clairaut_residual takes {self.n} pbar values, not {len(pbar)}")
+        return self._residual(self.point(q, [pbar[i] for i in self._reg], v_deg), pbar, h_value)
+
+    def _residual(self, pt, pbar, h_value=None):
+        """clairaut_residual at pt, whose momenta are pbar's regular slots."""
         res = self.resolve(pt)
         grad = [v for _, v in sorted(zip(self._reg + self._deg, [*res._v, *pt._v]))]
         if h_value is None:
             h = self.h_mix(pt, [pbar[i] for i in self._deg])
         else:
             import numpy as np
-            h = float(h_value(np.array(q), np.array(pbar)))
+            h = float(h_value(np.array(pt._q), np.array(pbar)))
         return abs(h - dot(pbar, grad) + res.L)
 
     def hamiltonian_observable(self):

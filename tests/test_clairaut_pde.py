@@ -11,6 +11,7 @@ from clairaut.clairaut_pde import (
     mixed_solution,
     pde_residual,
 )
+from clairaut.errors import ArgumentError
 from clairaut.expressions import Const, Sym, differentiate, substitute
 from clairaut.fixtures import BUNDLED, load_bundled
 from clairaut.model import default_probes
@@ -61,6 +62,13 @@ class TestProblem:
         assert core.exprs["L_v"] == [substitute(g, vel) for g in grad]
         assert core.exprs["W"] == [substitute(h, vel) for h in hess]
         assert set(core.exprs["L_q"] + core.exprs["L_vq"]) == {Const(0.0)}
+
+    @pytest.mark.parametrize("z", [[1.0, 2.0, 3.0], [1.0]])
+    @pytest.mark.parametrize("method", ["f_value", "f_gradient", "f_hessian"])
+    def test_wrong_length_is_an_argument_error(self, quadratic_problem, method, z):
+        # three values gave f(1, 2) = 5.0 and the gradient [2, 4], one an IndexError
+        with pytest.raises(ArgumentError, match=f"f takes 2 values, not {len(z)}"):
+            getattr(quadratic_problem, method)(z)
 
     def test_hessian_rank(self, rank2_problem, quadratic_problem):
         assert rank2_problem.hessian_rank([0.3, -0.7, 1.1]) == 2

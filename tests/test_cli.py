@@ -14,7 +14,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from clairaut import bundled_model_path
+from clairaut import ClairautTransform, bundled_model_path
 from clairaut import model as model_module
 from clairaut import cli
 from clairaut.cli import MAX_PROBES, main
@@ -138,6 +138,15 @@ class TestTransform:
         assert abs(got["H_phys"]) < 1e-9
         assert abs(got["B_x0"] + math.sqrt(50.0)) < 1e-9
         assert got["clairaut_residual"] < 1e-10
+
+    def test_particle_point_resolves_once(self, capsys, monkeypatch):
+        # the residual is taken at the point already resolved: one solve
+        real, calls = ClairautTransform._resolve_args, []
+        monkeypatch.setattr(ClairautTransform, "_resolve_args",
+                            lambda *args: calls.append(1) or real(*args))
+        code, _, _ = run_cli(capsys, "transform", "particle",
+                             "--at", "x0=0,x=0,y=0,z=0,p_x=3,p_y=0,p_z=4")
+        assert code == 0 and len(calls) == 1
 
     def test_cawley_consistency_function_vanishes_at_y0(self, capsys):
         code, out, _ = run_cli(

@@ -1,13 +1,14 @@
 """Sector velocity solving, integration, trajectory verification, and the
 extended-phase-space constraint correspondence."""
 
+import itertools
 import math
 from functools import lru_cache
 
 import numpy as np
 import pytest
 
-from clairaut import BUNDLED, ClairautTransform, IntegrabilityError, load_bundled
+from clairaut import BUNDLED, ClairautTransform, IntegrabilityError, load_bundled, parse_model
 from clairaut.dynamics import (
     DiracReport,
     GaugeInput,
@@ -303,28 +304,27 @@ class TestIntegrate:
         assert len(traj) == 0 and traj.q.shape == (0, 4) and traj.v_deg.shape == (0, 1)
 
     def test_resolution_failure_inside_a_step(self, monkeypatch):
-        # the resolve of stage 2 of step 2 fails: rows 0 to 2 are written,
-        # the message names step 2's t
-        ct = transform("christ_lee")
+        # stage 2 of step 2, the 10th stage, gives up, and the resolve of its
+        # fallback fails: rows 0 to 2 are written, the message names step 2's t
+        ct = ClairautTransform(load_bundled("christ_lee"))
         cls = classification("christ_lee")
         start = ct.point({"x1": 0.8, "x2": -0.6, "x3": 1.0, "y1": 0.2, "y2": -0.1, "y3": 0.3},
                          {"x1": 0.4, "x2": -0.3, "x3": 0.5})
-        real_resolve, calls = ClairautTransform._resolve_args, []
+        full = integrate(ct, start, cfg=IntegratorConfig(t1=0.002, dt=1e-3), cls=cls)
+        log = spied_stages(monkeypatch, ct, [], give_up={4 * 2 + 2})
 
         def resolve_args(*args):
-            calls.append(1)
-            if len(calls) == 4 * 2 + 2:
-                raise NewtonError("newton line search stalled")
-            return real_resolve(*args)
+            log.append("resolve")
+            raise NewtonError("newton line search stalled")
 
         monkeypatch.setattr(ClairautTransform, "_resolve_args", resolve_args)
         with pytest.raises(IntegrabilityError) as info:
             integrate(ct, start, cfg=IntegratorConfig(t1=0.01, dt=1e-3), cls=cls)
+        assert log == ["fused"] * 9 + ["gave up", "resolve"]
         assert str(info.value) == ("velocity resolution failed inside step at t=0.002: "
                                    "newton line search stalled")
         traj = info.value.trajectory
         assert len(traj) == 3 and traj.t[-1] == 0.002
-        full = integrate(ct, start, cfg=IntegratorConfig(t1=0.002, dt=1e-3), cls=cls)
         for field in ("t", "q", "p", "v_deg", "h_phys", "consistency"):
             assert getattr(traj, field).tobytes() == getattr(full, field).tobytes()
 
@@ -339,11 +339,54 @@ class TestIntegrate:
         assert 12 < ratio < 20  # RK4: halving dt cuts the error ~16x
 
 
+def spied_stages(monkeypatch, ct, log, give_up=()):
+    """Append to log, per call of ct's fused RK4 stage, "fused" or, where it
+    gave up, "gave up"; the calls numbered (from 1) in give_up give up."""
+    real, calls = ct._stage, itertools.count(1)
+
+    def build(solve, other):
+        kernel = real(solve, other)
+
+        def stage(*args):
+            out = None if next(calls) in give_up else kernel(*args)
+            log.append("fused" if out is not None else "gave up")
+            return out
+
+        return stage
+
+    monkeypatch.setattr(ct, "_stage", build)
+    return log
+
+
+def forced_fallback(monkeypatch, resolve_args=None):
+    """Make every fused stage give up, so each RK4 stage runs the fallback:
+    ClairautTransform._resolve_args (resolve_args in its place if given),
+    then stage_kernel.  Returns the list that each stage appends to."""
+    stages = []
+    monkeypatch.setattr(ClairautTransform, "_stage",
+                        lambda ct, solve, other: lambda *args: stages.append(1))
+    if resolve_args is not None:
+        monkeypatch.setattr(ClairautTransform, "_resolve_args", resolve_args)
+    return stages
+
+
+def outcome(ct, pt, cls, gauge=None, t1=0.2):
+    """integrate's trajectory, or its IntegrabilityError's text and rows, as bytes."""
+    try:
+        traj, text = integrate(ct, pt, gauge, IntegratorConfig(t1=t1, dt=1e-3), cls), None
+    except IntegrabilityError as exc:
+        traj, text = exc.trajectory, str(exc)
+    return text, traj.flagged, [getattr(traj, field).tobytes() for field in
+                                ("t", "q", "p", "v_deg", "h_phys", "consistency")]
+
+
 class TestOneResolvePath:
-    """Every RK4 stage and every verify resolve goes through
-    ClairautTransform._resolve_args, which takes full Newton steps and falls
-    back to damped Newton: the same floats as integrate and verify with that
-    one method patched to resolve by damped Newton alone (conftest's
+    """Every RK4 stage is one call of the transform's fused stage, which
+    takes full Newton steps inside and gives up where they do; each stage
+    that gives up runs ClairautTransform._resolve_args, which falls back to
+    damped Newton, and stage_kernel.  So integrate and verify give the same
+    floats with every stage forced onto that fallback, and _resolve_args
+    patched to resolve by damped Newton alone (conftest's
     reference_resolve)."""
 
     CASES = [
@@ -371,47 +414,79 @@ class TestOneResolvePath:
     @pytest.mark.parametrize("name, q, p, v_deg, spec", CASES, ids=[c[0] for c in CASES])
     def test_integrate_same_floats_as_reference(self, name, q, p, v_deg, spec, monkeypatch):
         got = self.run(name, q, p, v_deg, spec)
-        monkeypatch.setattr(ClairautTransform, "_resolve_args", reference_resolve)
+        stages = forced_fallback(monkeypatch, reference_resolve)
         self.assert_same(got, self.run(name, q, p, v_deg, spec))
+        assert len(stages) == 4 * 500 + 1
+
+    @pytest.mark.parametrize("name", BUNDLED)
+    def test_fused_same_bytes_as_the_fallback(self, name, monkeypatch):
+        # from two probe points each: some runs are flagged, some stop with
+        # an IntegrabilityError (particle's at t=0, synthetic_coupled's at a
+        # Pfaffian sign change)
+        ct = ClairautTransform(load_bundled(name))
+        cls = classify(ct)
+        points = phase_probes(ct, count=2)
+        got = [outcome(ct, pt, cls) for pt in points]
+        stages = forced_fallback(monkeypatch)
+        assert [outcome(ClairautTransform(load_bundled(name)), pt, cls) for pt in points] == got
+        assert stages
+
+    @pytest.mark.parametrize("x, p", [(0.9, 1.0), (0.5, 2.0)])
+    def test_core_failing_outside_the_newton_loop(self, x, p, monkeypatch):
+        # L leaves its domain at |x| > 1 while L_v = (d(x), x) stays defined:
+        # the fused stage gives up there, and the fallback's resolve fails
+        # with the same text at the same row as with every stage on it
+        model = parse_model("coord x, y; lagrangian = d(x)^2/2 + x*d(y) - sqrt(1 - x^2);")
+        ct = ClairautTransform(model)
+        cls = classify(ct)
+        log = spied_stages(monkeypatch, ct, [])
+        got = outcome(ct, ct.point([x, 0.0], [p]), cls, t1=1.0)
+        assert got[0].startswith("velocity resolution failed inside step at t=")
+        assert got[0].endswith("math domain error") and log[-1] == "gave up"
+        forced_fallback(monkeypatch)
+        assert outcome(ClairautTransform(model), ct.point([x, 0.0], [p]), cls, t1=1.0) == got
 
     @pytest.mark.parametrize("steps", [1, 7])
     def test_one_resolve_per_stage(self, steps, monkeypatch):
-        # four stages a step and stage 1 of the last row's step; none of
-        # them resolves anywhere else
-        ct = transform("christ_lee")
+        # four stages a step and stage 1 of the last row's step, all fused:
+        # none resolves through _resolve_args
+        ct = ClairautTransform(load_bundled("christ_lee"))
         cls = classification("christ_lee")
         start = ct.point({"x1": 0.8, "x2": -0.6, "x3": 1.0, "y1": 0.2, "y2": -0.1, "y3": 0.3},
                          {"x1": 0.4, "x2": -0.3, "x3": 0.5})
-        real_resolve, calls = ClairautTransform._resolve_args, []
+        log = spied_stages(monkeypatch, ct, [])
         monkeypatch.setattr(ClairautTransform, "_resolve_args",
-                            lambda *args: calls.append(1) or real_resolve(*args))
+                            lambda *args: log.append("resolve"))
         traj = integrate(ct, start, cfg=IntegratorConfig(t1=steps * 1e-3, dt=1e-3), cls=cls)
-        assert len(traj) == steps + 1 and len(calls) == 4 * steps + 1
+        assert len(traj) == steps + 1 and log == ["fused"] * (4 * steps + 1)
 
     def test_cold_stage_falls_back_to_damped_newton(self, monkeypatch):
         # particle's full steps from V = 0 do not lower the norm at p_x = 10:
-        # the first stage resolves by damped Newton, every later one by the
-        # full steps from the last stage's velocities
+        # the first stage gives up and resolves by damped Newton, every later
+        # one is fused, its full steps from the last stage's velocities
         case = ("particle", {"x0": 0.0, "x": 0.1, "y": 0.2, "z": 0.3}, {"x": 10.0},
                 {"x0": 1.0}, {"x0": "1+0.1*sin(t)"})
         ct = ClairautTransform(load_bundled("particle"))
         cls = classify(ct)
         gauge = gauge_input(ct, cls, case[-1])
-        real_resolve, real_damped, calls = (ClairautTransform._resolve_args,
-                                            ClairautTransform._damped_resolve, [])
+        log = spied_stages(monkeypatch, ct, [])
+        real_resolve, real_damped = (ClairautTransform._resolve_args,
+                                     ClairautTransform._damped_resolve)
         monkeypatch.setattr(ClairautTransform, "_resolve_args",
-                            lambda *args: calls.append(False) or real_resolve(*args))
+                            lambda *args: log.append("resolve") or real_resolve(*args))
         monkeypatch.setattr(ClairautTransform, "_damped_resolve",
-                            lambda *args: calls.append(True) or real_damped(*args))
+                            lambda *args: log.append("damped") or real_damped(*args))
         got = integrate(ct, ct.point(*case[1:4]), gauge, IntegratorConfig(t1=0.05, dt=1e-3), cls)
-        assert calls[:3] == [False, True, False] and not any(calls[3:])
-        monkeypatch.setattr(ClairautTransform, "_resolve_args", reference_resolve)
+        assert log[:3] == ["gave up", "resolve", "damped"]
+        assert log[3:] == ["fused"] * (4 * 50)
+        forced_fallback(monkeypatch, reference_resolve)
         self.assert_same(got, self.run(*case, t1=0.05))
 
     def test_verify_same_report_as_reference(self, monkeypatch):
         got = [repr(run_verification(load_bundled(name))) for name in BUNDLED]
-        monkeypatch.setattr(ClairautTransform, "_resolve_args", reference_resolve)
+        stages = forced_fallback(monkeypatch, reference_resolve)
         assert [repr(run_verification(load_bundled(name))) for name in BUNDLED] == got
+        assert stages
 
 
 class TestElResidual:

@@ -332,18 +332,15 @@ class TestRK4Loop:
         residual = residual or [0.0] * len(f)
         calls = []
 
-        def stage(c, V, vd, p, vo):
+        def stage(q, p, vd, vo, V):
             k = len(calls) // 4
             calls.append(k)
             return [1.0, 0.0, 0.0], [0.0], [0.0, 0.0], residual[k], 0.0, \
-                [0.0, f[k], -f[k], 0.0]
-
-        def resolve(q, p, vd, x0):
-            return None, [0.0], None
+                [0.0, f[k], -f[k], 0.0], [0.0]
 
         rows = array.array("d")
         status = numerics.rk4_kernel(3, (0,), (0, 1), ())(
-            resolve, stage, None, [0.0] * 3, [0.0], [0.0, 0.0], 0.0, 1.0, steps, 1e-6, rows)
+            stage, None, [0.0] * 3, [0.0], [0.0, 0.0], 0.0, 1.0, steps, 1e-6, rows)
         return status, list(rows)
 
     def test_a_whole_run(self):

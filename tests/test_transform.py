@@ -312,6 +312,15 @@ class TestLengthsAgainstTheSplit:
             integrate(ct, PhasePoint(q, p, [0.0]), cfg=IntegratorConfig(t1=0.01, dt=1e-3))
 
 
+    @pytest.mark.parametrize("pbar", [[2.4], [2.4, 1.0, 0.5]])
+    def test_clairaut_residual_takes_one_value_per_coordinate(self, pbar):
+        # a short pbar raised an IndexError
+        ct = transform("mixed")
+        assert ct.clairaut_residual([0.4, 1.2], [2.4, 1.0]) < 1e-12
+        with pytest.raises(ArgumentError, match="takes 2 pbar values, not"):
+            ct.clairaut_residual([0.4, 1.2], pbar)
+
+
 class TestFenchelOracle:
     def test_oscillator_value(self):
         value = fenchel_conjugate(load_bundled("oscillator"), [1.0], [2.0])
