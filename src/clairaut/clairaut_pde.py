@@ -127,14 +127,15 @@ def _resolved(prob, s, c_tail, x, family):
     """The family's value at x at the slopes (z_1..z_s, c_tail), x_i = df/dz_i
     for i < s: the transform's regular velocities at momenta x[:s], from z =
     0.  The leading s-by-s block of W is rank-checked at the root, and at
-    the start where Newton fails; a NewtonError names the family."""
+    the start where Newton fails (that error then names the start and
+    Newton's failure); a NewtonError names the family."""
     n, x, c = prob.n, _vector(x, prob.n, "point components"), list(c_tail)
 
-    def check_block(core):  # the core at some slopes: f's Hessian is its W
+    def check_block(core, where=""):  # the core at some slopes: f's Hessian is its W
         w = core[prob.model.core.slices["W"]]
         if (rank := rank_and_pivots([w[i * n:i * n + s] for i in range(s)])[0]) < s:
             raise RankDeficiencyError(
-                f"slope conditions unresolvable: Hessian block rank {rank} < {s}")
+                f"slope conditions unresolvable: Hessian block rank {rank} < {s}{where}")
 
     if s:
         ct = prob._transforms.get(s)
@@ -146,7 +147,8 @@ def _resolved(prob, s, c_tail, x, family):
             _, head, core = ct._resolve_args(q, p, c, [0.0] * s)
         except NewtonError as exc:
             if ct.start_in_domain(ct.point(q, p, c)):
-                check_block(prob._core([0.0] * s + c))
+                check_block(prob._core([0.0] * s + c),
+                            f" at the start z = 0, where Newton failed: {exc}")
             raise NewtonError(f"the {family} solution's slopes: {exc}", exc.residual) from None
         check_block(core)
         c = head + c

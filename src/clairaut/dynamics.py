@@ -19,11 +19,12 @@ into an array of doubles; integrate maps its exit status to the trajectory
 or to an IntegrabilityError carrying the rows written.  Each stage is one
 call of the transform's fused stage (ClairautTransform._stage: full Newton
 steps from the last stage's velocities, then the sector solve, the core
-inline) or, where it gives up, of ClairautTransform._resolve_args (damped
-Newton where the full steps fail) and numerics.stage_kernel, which
-degenerate_velocities runs on a Resolution's core: the same floats on every
-path.  No stage builds a PhasePoint or Resolution, and each prescribed
+inline) or, where those steps give up, two: a second at tol inf from the
+root of ClairautTransform._resolve_args (damped Newton where the full steps
+fail).  No stage builds a PhasePoint or Resolution, and each prescribed
 velocity is evaluated once per distinct time of a step.
+degenerate_velocities solves the sector system on a Resolution's F and D_a H
+in the stage's order: the same floats.
 """
 
 import math
@@ -33,8 +34,8 @@ from functools import cached_property
 
 from .errors import ArgumentError, GaugeInputError, IntegrabilityError, NewtonError
 from .expressions import compile_evaluator, free_symbols, parse_expression
-from .gauge import _poisson, bracket_gauge, classify, field_strength
-from .numerics import dot, rk4_kernel, stage_kernel
+from .gauge import _poisson, _subblock_solve, bracket_gauge, classify, field_strength
+from .numerics import SECTOR_SINGULAR, _max_abs, dot, rk4_kernel
 from .transform import PhasePoint
 
 # Sign relating the extended-bracket action of the constraints p_a - B_a to
@@ -142,16 +143,19 @@ def _gauge_for(ct, gauge, cls):
 
 def degenerate_velocities(ct, pt, gauge=None, cls=None, t=0.0, res=None):
     """Velocities of the degenerate sector at one point, plus the residual
-    ||F v - D H||_inf over all rows (solved and unsolved alike)."""
+    ||F v - D H||_inf over all rows (solved and unsolved alike), on the
+    resolution res (ct.resolve(pt) if None): the RK4 stage's floats."""
     import numpy as np
     gauge = _gauge_for(ct, gauge, cls)
     if res is None:
         res = ct.resolve(pt)
     solve, other = gauge._plan
-    _, _, v, residual, *_ = stage_kernel(ct.n, ct._reg, solve, other)(
-        res._core, res._v, pt._v, pt._p,
-        [gauge.velocity(a, t) for a in other])
-    return np.array(v), residual
+    f, dh, nd = res._flat("F"), res._flat("DH"), ct.n - ct.r
+    v = [gauge.velocity(a, t) if a in other else 0.0 for a in range(nd)]
+    rhs = [dh[s] - dot([f[s * nd + o] for o in other], [v[o] for o in other]) for s in solve]
+    for s, x in zip(solve, _subblock_solve(res, solve, rhs, SECTOR_SINGULAR)):
+        v[s] = x
+    return np.array(v), _max_abs(dot(f[k * nd:k * nd + nd], v) - dh[k] for k in range(nd))
 
 
 # -------------------------------------------------------------- integration
@@ -230,13 +234,11 @@ def integrate(ct, initial, gauge=None, cfg=None, cls=None):
                           ct.split.regular, ct.split.degenerate,
                           bool(count and c[0, 0] > cfg.consistency_tol))
 
-    fused, tail = ct._stage(solve, other), stage_kernel(n, ct._reg, solve, other)
+    fused, tol = ct._stage(solve, other), ct.newton.tol
 
-    def stage(q, p, vd, vo, V):  # where the fused stage gives up: a resolve, then tail
-        if (out := fused(q, p, vd, vo, V)) is None:
-            _, V, c = ct._resolve_args(q, p, vd, V)
-            out = (*tail(c, V, vd, p, vo), V)
-        return out
+    def stage(q, p, vd, vo, V):
+        return (fused(q, p, vd, vo, V, tol)
+                or fused(q, p, vd, vo, ct._resolve_args(q, p, vd, V)[1], math.inf))
 
     try:
         status = rk4_kernel(n, ct._reg, solve, other)(
@@ -244,9 +246,14 @@ def integrate(ct, initial, gauge=None, cfg=None, cls=None):
             int(round((cfg.t1 - cfg.t0) / cfg.dt)), cfg.consistency_tol, rows)
     except NewtonError as exc:
         count, cut = divmod(len(rows), width)  # cut: stage 1 of the step raised
-        where = "" if cut else "inside step "
+        where, text = "" if cut else "inside step ", str(exc)
+        if cut and not count and other:  # the first stage: blame the gauge's velocities
+            v = [gauge.velocity(a, cfg.t0) if a in other else w for a, w in enumerate(initial._v)]
+            if not ct.start_in_domain(initial._replace(v_deg=v)):
+                text += "; the start lies outside the Lagrangian's domain at the gauge's " + \
+                    ", ".join(f"d({ct.split.degenerate[a]}) = {v[a]:.6g}" for a in other)
         raise IntegrabilityError(
-            f"velocity resolution failed {where}at t={rows[-1 if cut else -width]:.6g}: {exc}",
+            f"velocity resolution failed {where}at t={rows[-1 if cut else -width]:.6g}: {text}",
             trajectory=build(count)) from exc
     count = len(rows) // width
     if status == 1:

@@ -271,12 +271,18 @@ def _corrected_bracket(ct, x, y, pt, solved, singular):
     if not any(a):
         return base  # B acts trivially on X, no correction regardless of F
     d = [_long_derivative(ct, res, beta, yq, yp) for beta in sub]
-    f, nd = res._flat("F"), ct.n - ct.r
+    return base - dot(a, _subblock_solve(res, sub, d, singular))
+
+
+def _subblock_solve(res, sub, rhs, singular):
+    """x with F_sub x = rhs, F_sub the subblock of F at the resolution res
+    over the degenerate slots sub, by numerics.solver; a zero pivot raises
+    RankDeficiencyError(singular)."""
+    f, nd = res._flat("F"), res.ct.n - res.ct.r
     try:
-        fbar_d = solver(len(sub))([f[a * nd + b] for a in sub for b in sub], d)
+        return solver(len(sub))([f[a * nd + b] for a in sub for b in sub], rhs)
     except SingularMatrixError:
         raise RankDeficiencyError(singular) from None
-    return base - dot(a, fbar_d)
 
 
 def _long_derivatives_of_f(ct, pt, step):

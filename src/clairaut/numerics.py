@@ -18,22 +18,22 @@ float lists, and damped_newton and its restarts (transform fallback, Fenchel
 oracle) return the root as a list of floats, with the residual and Jacobian
 from newton_pair: flat float lists from one evaluator call per point.
 
-The generated kernels (solver, resolve_kernel, block_kernel, stage_kernel,
-fused_stage, and rk4_kernel, integrate's loop of one stage call per stage)
-run on Python floats: Gauss elimination with partial pivoting and dot
-products summed left to right, unrolled for one shape, compiled once and
-emitted through expressions._Code.  One emitter per algorithm gives each of
-its kernels the same floats: _newton the full Newton steps (damped_newton's
-iterates where it takes no shorter step), _block the derivative block and
-_stage_tail the sector solve; fused_stage inlines a model's derivative core
-around them.  rk4_kernel's Pfaffian sign (_pfaffian_sign) is Parlett-Reid
-elimination unrolled.  dot (the sum _dot emits, on floats), solver and
-verify's minimal-norm step (Gram-Schmidt on dot) own every reported sum and
-solve, so each reported number rounds the same way on every machine: none
-goes through numpy's BLAS or LAPACK.  A zero pivot in solver raises the
-internal SingularMatrixError ('Singular matrix', numpy.linalg.solve's text),
-which damped_newton reports as a NewtonError and the corrected brackets as a
-RankDeficiencyError.
+The generated kernels (solver, resolve_kernel, block_kernel, fused_stage,
+and rk4_kernel, integrate's loop of one stage call per stage) run on Python
+floats: Gauss elimination with partial pivoting and dot products summed
+left to right, unrolled for one shape, compiled once and emitted through
+expressions._Code.  One emitter per algorithm gives each of its kernels the
+same floats: _newton the full Newton steps (damped_newton's iterates where
+it takes no shorter step) and _block the derivative block; fused_stage,
+the one RK4 stage, inlines a model's derivative core around them and
+emits the sector solve at the root.  rk4_kernel's Pfaffian sign (_pfaffian_sign) is
+Parlett-Reid elimination unrolled.  dot (the sum _dot emits, on floats),
+solver and verify's minimal-norm step (Gram-Schmidt on dot) own every
+reported sum and solve, so each reported number rounds the same way on
+every machine: none goes through numpy's BLAS or LAPACK.  A zero pivot in
+solver raises the internal SingularMatrixError ('Singular matrix',
+numpy.linalg.solve's text), which damped_newton reports as a NewtonError
+and the sector solves as a RankDeficiencyError.
 """
 
 import functools
@@ -371,6 +371,10 @@ _KERNEL_ENV = {"SingularMatrixError": SingularMatrixError,
                "RankDeficiencyError": RankDeficiencyError, "DomainError": DomainError,
                "isfinite": math.isfinite}
 
+# the RK4 stage's text, and degenerate_velocities', where F's solved subblock is singular
+SECTOR_SINGULAR = ("sector subblock singular at this point; the constant-rank "
+                   "classification does not hold here")
+
 
 def _dot(pairs):
     """Source of sum(a * b) over the pairs, added left to right."""
@@ -538,60 +542,19 @@ def block_kernel(n, reg):
     return code.build("c, V, vd", ", ".join(map(_flat, outs)), _KERNEL_ENV)
 
 
-def _stage_tail(code, n, reg, solve, other, core, V, vd, p):
-    """Emit an RK4 stage at a resolved point (core, V and vd as _block takes
-    them, p the momenta's texts); returns the text of stage_kernel's result."""
-    nd, deg = n - len(reg), [i for i in range(n) if i not in reg]
-    _, db_dq, db_dp, dh_dq, dh_dp, f, dah = _block(code, n, reg, core, V, vd)
-    db_dq_reg = [[row[j] for j in reg] for row in db_dq]
-    v = [None] * nd
-    for k, s in enumerate(other):
-        v[s] = code(f"vo[{k}]")
-    rhs = [[code(f"{dah[s]} - ({_dot((f[s][o], v[o]) for o in other)})")] for s in solve]
-    _lu_solve(code, [[code(f[s][t]) for t in solve] for s in solve], rhs,
-              "raise RankDeficiencyError('sector subblock singular at this point; the "
-              "constant-rank classification does not hold here')")
-    for k, s in enumerate(solve):
-        v[s] = rhs[k][0]
-    resid = _emit_max_abs(code, (f"{_dot(zip(f[k], v))} - {dah[k]}" for k in range(nd)))
-    dq = [None] * n
-    for s, i in enumerate(reg):
-        dq[i] = f"{dh_dp[s]} - ({_dot((v[k], row[s]) for k, row in enumerate(db_dp))})"
-    for k, i in enumerate(deg):
-        dq[i] = v[k]
-    dp = [f"-{dh_dq[i]} + ({_dot((v[k], row[s]) for k, row in enumerate(db_dq_reg))})"
-          for s, i in enumerate(reg)]
-    h = (f"({_dot(zip(p, V))} + {_dot((core(1 + i), vd[k]) for k, i in enumerate(deg))})"
-         f" - {core(0)}")
-    sub = ", ".join(f[s][t] for s in solve for t in solve)
-    return f"[{', '.join(dq)}], [{', '.join(dp)}], [{', '.join(v)}], {resid}, {h}, [{sub}]"
-
-
-@functools.lru_cache(maxsize=None)
-def stage_kernel(n, reg, solve, other):
-    """Generated RK4 stage at a resolved point for one layout, cached by it:
-    reg lists the regular coordinates, solve and other the degenerate slots
-    solved from F v = D H and given.  The kernel takes (c, V, vd, p, vo), the
-    core tuple, regular and degenerate velocities, regular momenta and given
-    slots' values, and returns (dq, dp, v, ||F v - D H||_inf, H, F's solved
-    subblock flat)."""
-    code, r = _Code(), len(reg)
-    V, vd, p = _unpack(code, "V", r), _unpack(code, "vd", n - r), _unpack(code, "p", r)
-    tail = _stage_tail(code, n, reg, solve, other, "c[{}]".format, V, vd, p)
-    return code.build("c, V, vd, p, vo", tail, _KERNEL_ENV)
-
-
-def fused_stage(exprs, names, reg, solve, other, tol, max_iter):
-    """Generated RK4 stage for a layout (as for stage_kernel) with the core
-    inline, exprs over names (model.DerivativeCore's flat tuple): (q, p, vd,
-    vo, V) -> stage_kernel's result and the velocities _newton resolves from
-    V, or None where resolve_kernel gives up.  A pass evaluates L_v's regular
-    rows, W_rr and each node that can raise, so it raises where fn would; the
-    nodes that do not read V precede the loop, and what the tail reads of
-    the rest follows it, sums and products only: every value is fn's."""
+def fused_stage(exprs, names, reg, solve, other, max_iter):
+    """Generated RK4 stage for one layout (reg the regular coordinates, solve
+    and other the degenerate slots solved from F v = D H and given) with the
+    core inline, exprs over names (model.DerivativeCore's flat tuple): (q, p,
+    vd, vo, V, tol) -> (dq, dp, v, ||F v - D H||_inf, H, F's solved subblock
+    flat) and the velocities _newton resolves from V at tol, or None where
+    resolve_kernel gives up; at tol inf, V as it is.  A pass evaluates L_v's
+    regular rows, W_rr and each node that can raise, so it raises where fn
+    would; the nodes that do not read V precede the loop, and what the stage
+    reads of the rest follows it, sums and products only: every value is fn's."""
     n, r, code = len(names) // 2, len(reg), _Code()
-    deg = [i for i in range(n) if i not in reg]
-    q, p, vd, x = (_unpack(code, *arg) for arg in (("q", n), ("p", r), ("vd", n - r), ("V", r)))
+    nd, deg = n - r, [i for i in range(n) if i not in reg]
+    q, p, vd, x = (_unpack(code, *arg) for arg in (("q", n), ("p", r), ("vd", nd), ("V", r)))
     vel = dict(zip(reg, x)) | dict(zip(deg, vd))
     text_of = {Sym(name): text for name, text in zip(names, q + [vel[i] for i in range(n)])}
     roots = [exprs[1 + i] for i in reg] + [exprs[1 + 2 * n + i * n + j] for i in reg for j in reg]
@@ -606,11 +569,34 @@ def fused_stage(exprs, names, reg, solve, other, tol, max_iter):
         return _emit_cse(code, [exprs[k]], text_of=text_of)[0]
 
     _newton(code, n, reg, x, p, lambda: _emit_cse(code, roots, text_of=text_of), core,
-            repr(float(tol)), repr(operator.index(max_iter)))
+            "tol", repr(operator.index(max_iter)))
     code.indent(body)
     code.line("except (ValueError, ZeroDivisionError, OverflowError): return None")
-    tail = _stage_tail(code, n, reg, solve, other, core, x, vd, p)
-    return code.build("q, p, vd, vo, V", f"{tail}, [{', '.join(x)}]", _COMPILE_ENV | _KERNEL_ENV)
+    # the stage at the root x: the derivative block, then the sector solve
+    _, db_dq, db_dp, dh_dq, dh_dp, f, dah = _block(code, n, reg, core, x, vd)
+    db_dq_reg = [[row[j] for j in reg] for row in db_dq]
+    v = [None] * nd
+    for k, s in enumerate(other):
+        v[s] = code(f"vo[{k}]")
+    rhs = [[code(f"{dah[s]} - ({_dot((f[s][o], v[o]) for o in other)})")] for s in solve]
+    _lu_solve(code, [[code(f[s][t]) for t in solve] for s in solve], rhs,
+              f"raise RankDeficiencyError({SECTOR_SINGULAR!r})")
+    for k, s in enumerate(solve):
+        v[s] = rhs[k][0]
+    resid = _emit_max_abs(code, (f"{_dot(zip(f[k], v))} - {dah[k]}" for k in range(nd)))
+    dq = [None] * n
+    for s, i in enumerate(reg):
+        dq[i] = f"{dh_dp[s]} - ({_dot((v[k], row[s]) for k, row in enumerate(db_dp))})"
+    for k, i in enumerate(deg):
+        dq[i] = v[k]
+    dp = [f"-{dh_dq[i]} + ({_dot((v[k], row[s]) for k, row in enumerate(db_dq_reg))})"
+          for s, i in enumerate(reg)]
+    h = (f"({_dot(zip(p, x))} + {_dot((core(1 + i), vd[k]) for k, i in enumerate(deg))})"
+         f" - {core(0)}")
+    sub = ", ".join(f[s][t] for s in solve for t in solve)
+    return code.build("q, p, vd, vo, V, tol", f"[{', '.join(dq)}], [{', '.join(dp)}], "
+                      f"[{', '.join(v)}], {resid}, {h}, [{sub}], [{', '.join(x)}]",
+                      _COMPILE_ENV | _KERNEL_ENV)
 
 
 def _pfaffian_sign(code, f):
@@ -656,11 +642,11 @@ def _pfaffian_sign(code, f):
 @functools.lru_cache(maxsize=None)
 def rk4_kernel(n, reg, solve, other):
     """Generated fixed-step RK4 loop of integrate for one layout, cached by
-    it (the layout as for stage_kernel).
+    it (the layout as for fused_stage).
 
     The kernel takes (stage, velocity, q, p, w, start, dt, steps, tol,
-    rows).  stage(q, p, vd, vo, V) is one stage, fused_stage's kernel or its
-    fallback.  velocity(a, t) is the prescribed velocity of degenerate slot
+    rows).  stage(q, p, vd, vo, V) is one stage, as fused_stage's kernel
+    returns it.  velocity(a, t) is the prescribed velocity of degenerate slot
     a, evaluated once per distinct time of a step (t, t + dt/2, t + dt).  q, p
     and w are the start and its degenerate velocities, as lists of floats.
     Step k runs at t = start + dt * k for k up to steps: it appends t to

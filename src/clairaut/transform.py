@@ -24,9 +24,10 @@ fallback.  The implicit-function derivative block, F and D_a H come from one
 call of a generated float kernel (numerics.block_kernel) that factors W_rr
 once.  Every RK4 stage of dynamics.integrate calls the kernel _stage keeps
 per gauge plan (numerics.fused_stage: those full steps and that block, the
-core inline), or where it gives up _resolve_args and numerics.stage_kernel.
-clairaut_pde resolves the envelope and mixed slopes of the Clairaut
-equation through _resolve_args too, as the regular velocities of L = f(d(z)).
+core inline); where its full steps give up, _resolve_args finds the root and
+the same kernel runs the stage there.  clairaut_pde resolves the envelope
+and mixed slopes of the Clairaut equation through _resolve_args too, as the
+regular velocities of L = f(d(z)).
 """
 
 import itertools
@@ -218,17 +219,18 @@ class ClairautTransform:
         solving p_i = dL/dv^i, and the core there (the last core call).
         Full Newton steps from the float list x0 in the generated resolve
         kernel, damped Newton from the same start where they give up: the
-        one place that chooses between them, for resolve, every RK4 stage
-        of dynamics.integrate and the slopes of the pde families."""
+        one place that chooses between them, for resolve, each RK4 stage of
+        dynamics.integrate whose fused full steps give up, and the slopes of
+        the pde families."""
         return (self._resolve_kernel(self._f_core, self.newton, q, v_deg, x0, p)
                 or self._damped_resolve(q, p, v_deg, x0))
 
     def _stage(self, solve, other):
         """numerics.fused_stage's kernel for a gauge plan, built once."""
-        if (key := (solve, other, self.newton)) not in self._stages:
+        if (key := (solve, other, self.newton.max_iter)) not in self._stages:
             self._stages[key] = fused_stage(
                 [e for block in self.core_exprs.values() for e in block], self.arg_names,
-                self._reg, solve, other, self.newton.tol, self.newton.max_iter)
+                self._reg, solve, other, self.newton.max_iter)
         return self._stages[key]
 
     def _damped_resolve(self, q, p, v_deg, x0):

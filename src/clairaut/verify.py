@@ -52,7 +52,7 @@ from .model import (
     check_rank_constancy,
     momentum_name,
 )
-from .numerics import Rng, dot
+from .numerics import Rng, _max_abs, dot
 from .transform import ClairautTransform, fenchel_conjugate
 
 
@@ -92,18 +92,13 @@ class _Context:
     def sector_defects(self):
         """The worst |F v - D H| at the first five probes, v from the sector
         solve: over the solved rows, then over the other rows."""
-        import numpy as np
-        ct, sub = self.ct, list(self.cls.subblock)
-        rest = [a for a in range(self.cls.n_deg) if a not in sub]
-        worst = [0.0, 0.0]
+        ct, defects = self.ct, ([], [])
         for pt in self.probes[:5]:
             v = degenerate_velocities(ct, pt, cls=self.cls)[0].tolist()
-            fv = [dot(row, v) for row in field_strength(ct, pt).tolist()]
-            defect = np.array(fv) - d_alpha_h(ct, ct.resolve(pt))
-            for k, rows in enumerate((sub, rest)):
-                if rows:
-                    worst[k] = max(worst[k], float(np.max(np.abs(defect[rows]))))
-        return worst
+            res = ct.resolve(pt)
+            for a, (row, dh) in enumerate(zip(res.F.tolist(), res._flat("DH"))):
+                defects[a not in self.cls.subblock].append(dot(row, v) - dh)
+        return [_max_abs(rows) for rows in defects]
 
 
 def _random_observables(ctx, salt, count):

@@ -288,6 +288,16 @@ class TestStartRule:
             envelope_solution(ClairautProblem(len(x), f), x)
 
 
+    def test_singular_start_after_newton_failed_names_both(self):
+        # 3 z^2 + 1 = 0.5 has no root, and f'' = 6 z vanishes at the start
+        with pytest.raises(RankDeficiencyError, match="Hessian block rank") as info:
+            envelope_solution(ClairautProblem(1, "z1^3 + z1"), [0.5])
+        assert str(info.value) == (
+            "slope conditions unresolvable: Hessian block rank 0 < 1 at the start z = 0, "
+            "where Newton failed: newton failed from initial guess and 8 restarts: "
+            "newton line search stalled")
+
+
 class TestTransformAgreement:
     @pytest.mark.parametrize("name", BUNDLED)
     def test_mixed_solution_is_h_mix(self, name):

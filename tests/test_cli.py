@@ -323,6 +323,21 @@ class TestSimulate:
         assert code == 3 and out == ""
         assert err.startswith("error: velocity resolution failed at t=0: newton failed")
 
+    def test_start_outside_the_domain_names_the_gauge_velocity(self, capsys):
+        # the default gauge pins d(x0) = 0, where particle's square root is
+        # undefined; the point's own d(x0) = 1 is not used for that slot
+        for init in ("p_x=0.4,p_y=0.1,p_z=0.2", "p_x=0.4,p_y=0.1,p_z=0.2,d(x0)=1"):
+            code, out, err = run_cli(capsys, "simulate", bundled_model_path("particle"),
+                                     "--init", init, "--t1", "0.01")
+            assert code == 3 and out == ""
+            assert err == ("error: velocity resolution failed at t=0: newton failed from "
+                           "initial guess and 8 restarts: math domain error; the start lies "
+                           "outside the Lagrangian's domain at the gauge's d(x0) = 0\n")
+        # a gauge velocity inside the domain keeps the resolve's own text
+        code, _, err = run_cli(capsys, "simulate", bundled_model_path("particle"),
+                               "--gauge", "x0=1+0.1*sin(t)", "--init", "p_x=100", "--t1", "0.01")
+        assert code == 3 and "d(x0)" not in err
+
     def test_singular_sector_crossing_exits_3(self, capsys):
         code, _, err = run_cli(capsys, "simulate",
                                bundled_model_path("synthetic_coupled"),

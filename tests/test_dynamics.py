@@ -183,6 +183,18 @@ class TestDegenerateVelocities:
         with pytest.raises(RankDeficiencyError):
             degenerate_velocities(ct, pt, cls=classification("synthetic_gaugeless"))
 
+    def test_singular_sector_same_text_as_integrate(self):
+        ct = transform("synthetic_gaugeless")
+        cls = classification("synthetic_gaugeless")
+        pt = ct.point({"x": 0.0, "a": 1.0, "b": 0.0}, {"x": 1.0})
+        with pytest.raises(RankDeficiencyError) as sector:
+            degenerate_velocities(ct, pt, cls=cls)
+        with pytest.raises(RankDeficiencyError) as run:
+            integrate(ct, pt, cfg=IntegratorConfig(t1=0.01, dt=1e-3), cls=cls)
+        assert str(sector.value) == str(run.value) == (
+            "sector subblock singular at this point; the constant-rank classification "
+            "does not hold here")
+
 
 class TestIntegratorConfig:
     @pytest.mark.parametrize("field", ["t0", "t1", "dt"])
@@ -341,7 +353,8 @@ class TestIntegrate:
 
 def spied_stages(monkeypatch, ct, log, give_up=()):
     """Append to log, per call of ct's fused RK4 stage, "fused" or, where it
-    gave up, "gave up"; the calls numbered (from 1) in give_up give up."""
+    gave up, "gave up", and "at root" per call at tol = inf; the calls
+    numbered (from 1) in give_up give up."""
     real, calls = ct._stage, itertools.count(1)
 
     def build(solve, other):
@@ -349,7 +362,8 @@ def spied_stages(monkeypatch, ct, log, give_up=()):
 
         def stage(*args):
             out = None if next(calls) in give_up else kernel(*args)
-            log.append("fused" if out is not None else "gave up")
+            log.append("at root" if args[-1] == math.inf else
+                       "fused" if out is not None else "gave up")
             return out
 
         return stage
@@ -359,12 +373,23 @@ def spied_stages(monkeypatch, ct, log, give_up=()):
 
 
 def forced_fallback(monkeypatch, resolve_args=None):
-    """Make every fused stage give up, so each RK4 stage runs the fallback:
-    ClairautTransform._resolve_args (resolve_args in its place if given),
-    then stage_kernel.  Returns the list that each stage appends to."""
-    stages = []
-    monkeypatch.setattr(ClairautTransform, "_stage",
-                        lambda ct, solve, other: lambda *args: stages.append(1))
+    """Make every fused stage give up at a finite tol, so each RK4 stage runs
+    the fallback: ClairautTransform._resolve_args (resolve_args in its place
+    if given), then the fused stage at tol = inf from that root.  Returns the
+    list that each stage that gave up appends to."""
+    stages, real = [], ClairautTransform._stage
+
+    def build(ct, solve, other):
+        kernel = real(ct, solve, other)
+
+        def stage(*args):
+            if args[-1] != math.inf:
+                return stages.append(1)
+            return kernel(*args)
+
+        return stage
+
+    monkeypatch.setattr(ClairautTransform, "_stage", build)
     if resolve_args is not None:
         monkeypatch.setattr(ClairautTransform, "_resolve_args", resolve_args)
     return stages
@@ -384,10 +409,10 @@ class TestOneResolvePath:
     """Every RK4 stage is one call of the transform's fused stage, which
     takes full Newton steps inside and gives up where they do; each stage
     that gives up runs ClairautTransform._resolve_args, which falls back to
-    damped Newton, and stage_kernel.  So integrate and verify give the same
-    floats with every stage forced onto that fallback, and _resolve_args
-    patched to resolve by damped Newton alone (conftest's
-    reference_resolve)."""
+    damped Newton, and the fused stage again at tol = inf from that root.  So
+    integrate and verify give the same floats with every stage forced onto
+    that fallback, and _resolve_args patched to resolve by damped Newton
+    alone (conftest's reference_resolve)."""
 
     CASES = [
         ("christ_lee", {"x1": 0.8, "x2": -0.6, "x3": 1.0, "y1": 0.2, "y2": -0.1, "y3": 0.3},
@@ -462,8 +487,9 @@ class TestOneResolvePath:
 
     def test_cold_stage_falls_back_to_damped_newton(self, monkeypatch):
         # particle's full steps from V = 0 do not lower the norm at p_x = 10:
-        # the first stage gives up and resolves by damped Newton, every later
-        # one is fused, its full steps from the last stage's velocities
+        # the first stage gives up, resolves by damped Newton and runs at that
+        # root; every later one is fused, its full steps from the last stage's
+        # velocities
         case = ("particle", {"x0": 0.0, "x": 0.1, "y": 0.2, "z": 0.3}, {"x": 10.0},
                 {"x0": 1.0}, {"x0": "1+0.1*sin(t)"})
         ct = ClairautTransform(load_bundled("particle"))
@@ -477,8 +503,8 @@ class TestOneResolvePath:
         monkeypatch.setattr(ClairautTransform, "_damped_resolve",
                             lambda *args: log.append("damped") or real_damped(*args))
         got = integrate(ct, ct.point(*case[1:4]), gauge, IntegratorConfig(t1=0.05, dt=1e-3), cls)
-        assert log[:3] == ["gave up", "resolve", "damped"]
-        assert log[3:] == ["fused"] * (4 * 50)
+        assert log[:4] == ["gave up", "resolve", "damped", "at root"]
+        assert log[4:] == ["fused"] * (4 * 50)
         forced_fallback(monkeypatch, reference_resolve)
         self.assert_same(got, self.run(*case, t1=0.05))
 

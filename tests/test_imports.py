@@ -72,7 +72,7 @@ def test_analyze_transform_and_pde_load_no_numpy():
 def test_numpy_free_check_pins_the_output_digests():
     # the script computes each pinned command's digest with output_digests
     child = ("import sys; sys.path[:0] = sys.argv[1:]; import check_numpy_free as c; "
-             "assert len(c.PINNED_DIGESTS) == 13; c.main()")
+             "assert len(c.pinned_digests()) == 13; c.main()")
     proc = subprocess.run([sys.executable, "-I", "-c", child, os.path.join(ROOT, "scripts"), SRC],
                           capture_output=True, text=True, cwd=ROOT)
     assert proc.returncode == 0, proc.stderr

@@ -6,9 +6,10 @@ and degenerate_velocities, and their typed failures.
 dot, the kernels and the minimal-norm step round on their own, the same way
 on every machine; numpy rounds as its BLAS does.  So every comparison with
 numpy here has a bound scaled to the rounding, never bit equality.
-Resolution, degenerate_velocities and the RK4 stage share one emitted formula
-(numerics._block) and one sum for H, so where they report the same quantity
-they agree bit for bit.
+Resolution and the RK4 stage share one emitted formula (numerics._block) and
+one sum for H, and degenerate_velocities solves the stage's sector system on
+the Resolution's F and D_a H in the stage's order, so where they report the
+same quantity they agree bit for bit.
 """
 
 import array
@@ -38,7 +39,7 @@ from clairaut import transform as transform_module
 from clairaut.errors import ArgumentError
 from clairaut.gauge import ExprObservable, classify, phase_probes
 from clairaut.fixtures import BUNDLED
-from clairaut.numerics import dot, solver, stage_kernel
+from clairaut.numerics import dot, solver
 from conftest import pfaffian
 
 EPS = np.finfo(float).eps
@@ -153,44 +154,64 @@ class TestElimination:
 
 
 class TestStageKernel:
+    """The fused RK4 stage at tol = inf from a Resolution's own velocities:
+    its first pass accepts them, so it is the stage at that root."""
+
+    @staticmethod
+    def stage(ct, pt, res, plan, vo):
+        return ct._stage(*plan)(pt._q, pt._p, pt._v, vo, res._v, math.inf)
+
     @pytest.mark.parametrize("name", BUNDLED)
     def test_matches_resolution_and_sector_solve(self, name):
         ct = ClairautTransform(load_bundled(name))
         cls = classify(ct)
-        gauge = gauge_input(ct, cls)
+        # each given slot at 0.25, so the solved slots' right-hand side reads it
+        gauge = gauge_input(ct, cls, {c: 0.25 for a, c in enumerate(ct.split.degenerate)
+                                      if a not in cls.subblock})
         solve, other = gauge._plan
-        kernel = stage_kernel(ct.n, tuple(ct.reg_idx.tolist()), solve, other)
         worst = 0.0
         for pt in phase_probes(ct):
             res = ct.resolve(pt)
             v, resid = degenerate_velocities(ct, pt, gauge, cls, res=res)
-            dq, dp, v_k, resid_k, h, f_sub = kernel(
-                res._core, res.V.tolist(), pt.v_deg.tolist(), pt.p.tolist(), [0.0] * len(other))
+            dq, dp, v_k, resid_k, h, f_sub, V = self.stage(ct, pt, res, gauge._plan,
+                                                           [0.25] * len(other))
             want_dq = np.empty(ct.n)
             want_dq[ct.reg_idx] = res.dH_dp - v @ res.dB_dp
             want_dq[ct.deg_idx] = v
             want_dp = -res.dH_dq[ct.reg_idx] + v @ res.dB_dq[:, ct.reg_idx]
-            # one emitted formula: the same floats
+            # one emitted formula and one sector solve: the same floats
+            assert V == list(res._v)
             assert res.F[np.ix_(solve, solve)].ravel().tolist() == f_sub
-            assert v.tolist() == v_k and resid == resid_k
-            for got, want in ((dq, want_dq), (dp, want_dp), (h, res.H)):
+            assert v.tolist() == v_k and resid.hex() == resid_k.hex()
+            assert h.hex() == res.H.hex()
+            for got, want in ((dq, want_dq), (dp, want_dp)):
                 worst = max(worst, rel_error(got, want))
         assert worst < 1e-12, f"{name}: {worst:.2e}"
 
 
     @pytest.mark.parametrize("name", BUNDLED)
     def test_h_is_bit_equal_to_the_resolution(self, name):
-        # Resolution.H sums the stage kernel's pairs in its order: (p, V),
-        # then (B, v_deg), minus L
+        # Resolution.H sums the stage's pairs in its order: (p, V), then
+        # (B, v_deg), minus L
         ct = ClairautTransform(load_bundled(name))
-        solve, other = gauge_input(ct, classify(ct))._plan
-        kernel = stage_kernel(ct.n, ct._reg, solve, other)
+        plan = gauge_input(ct, classify(ct))._plan
         probes = phase_probes(ct)
         assert len(probes) == 17
         for pt in probes:
             res = ct.resolve(pt)
-            h = kernel(res._core, res._v, pt.v_deg.tolist(), pt.p.tolist(), [0.0] * len(other))[4]
-            assert h.hex() == res.H.hex()
+            assert self.stage(ct, pt, res, plan, [0.0] * len(plan[1]))[4].hex() == res.H.hex()
+
+    def test_a_root_above_tol_is_accepted(self):
+        # velocities 0.25 off the root, so the residual is far above 1e-12:
+        # tol = inf takes them as they are, a finite tol steps on from them
+        ct = ClairautTransform(load_bundled("christ_lee"))
+        pt = ct.point({"x1": 0.8, "x2": -0.6, "x3": 1.0}, {"x1": 0.4, "x2": -0.3, "x3": 0.5})
+        res = ct.resolve(pt)
+        solve, other = gauge_input(ct, classify(ct))._plan
+        vo, off = [0.0] * len(other), [v + 0.25 for v in res._v]
+        kernel = ct._stage(solve, other)
+        assert kernel(pt._q, pt._p, pt._v, vo, off, math.inf)[6] == off
+        assert kernel(pt._q, pt._p, pt._v, vo, off, 1e-12)[6] != off
 
 
 def reference_trajectory(ct, initial, gauge, cls, dt, steps):
@@ -402,7 +423,7 @@ class TestTypedFailures:
             res.dV_dq
 
     def test_singular_velocity_hessian_block_in_the_sector(self):
-        # W_rr = 0 is not a singular sector subblock, on either path
+        # W_rr = 0 is not a singular sector subblock
         ct = ClairautTransform(load_bundled("synthetic_gaugeless"))
         cls = classify(ct)
         pt = ct.point({"x": 0.3, "a": 0.1, "b": -0.2}, {"x": 0.4})
@@ -411,9 +432,6 @@ class TestTypedFailures:
         res._core = res._core[:w] + (0.0,) + res._core[w + 1:]
         with pytest.raises(RankDeficiencyError, match="W_rr"):
             degenerate_velocities(ct, pt, cls=cls, res=res)
-        kernel = stage_kernel(ct.n, (0,), (0, 1), ())
-        with pytest.raises(RankDeficiencyError, match="W_rr"):
-            kernel(res._core, res.V.tolist(), [0.0, 0.0], pt.p.tolist(), [])
 
     def test_domain_error_inside_backtracking(self):
         trials = []
