@@ -277,8 +277,8 @@ def cmd_simulate(args):
               + ["H_phys", "consistency_residual", "el_residual"])
     table = np.column_stack([traj.t, traj.q, traj.p, traj.v_deg, traj.h_phys,
                              traj.consistency, el])
-    rows = [",".join(header)] + [",".join([format(c, ".17g") for c in row.tolist()])
-                                 for row in table]
+    fmt = ",".join(["%.17g"] * len(header))  # one row's tolist() at a time: less peak memory
+    rows = [",".join(header)] + [fmt % tuple(row.tolist()) for row in table]
     _write_output("\n".join(rows) + "\n", args.out)
     if args.plot:
         _svg_plot(traj, args.plot)

@@ -20,8 +20,9 @@ or to an IntegrabilityError carrying the rows written.  Each stage is one
 call of the transform's fused stage (ClairautTransform._stage: full Newton
 steps from the last stage's velocities, then the sector solve, the core
 inline) or, where those steps give up, two: a second at tol inf from the
-root of ClairautTransform._resolve_args (damped Newton where the full steps
-fail).  No stage builds a PhasePoint or Resolution, and each prescribed
+root of ClairautTransform._damped_resolve, which the loop calls itself (the
+fused steps give up exactly where resolve_kernel's would, so damped Newton
+decides).  No stage builds a PhasePoint or Resolution, and each prescribed
 velocity is evaluated once per distinct time of a step.
 degenerate_velocities solves the sector system on a Resolution's F and D_a H
 in the stage's order: the same floats.
@@ -234,15 +235,10 @@ def integrate(ct, initial, gauge=None, cfg=None, cls=None):
                           ct.split.regular, ct.split.degenerate,
                           bool(count and c[0, 0] > cfg.consistency_tol))
 
-    fused, tol = ct._stage(solve, other), ct.newton.tol
-
-    def stage(q, p, vd, vo, V):
-        return (fused(q, p, vd, vo, V, tol)
-                or fused(q, p, vd, vo, ct._resolve_args(q, p, vd, V)[1], math.inf))
-
     try:
         status = rk4_kernel(n, ct._reg, solve, other)(
-            stage, gauge.velocity, initial._q, initial._p, initial._v, cfg.t0, cfg.dt,
+            ct._stage(solve, other), ct.newton.tol, ct._damped_resolve, gauge.velocity,
+            initial._q, initial._p, initial._v, cfg.t0, cfg.dt,
             int(round((cfg.t1 - cfg.t0) / cfg.dt)), cfg.consistency_tol, rows)
     except NewtonError as exc:
         count, cut = divmod(len(rows), width)  # cut: stage 1 of the step raised

@@ -19,15 +19,16 @@ oracle) return the root as a list of floats, with the residual and Jacobian
 from newton_pair: flat float lists from one evaluator call per point.
 
 The generated kernels (solver, resolve_kernel, block_kernel, fused_stage,
-and rk4_kernel, integrate's loop of one stage call per stage) run on Python
-floats: Gauss elimination with partial pivoting and dot products summed
-left to right, unrolled for one shape, compiled once and emitted through
-expressions._Code.  One emitter per algorithm gives each of its kernels the
-same floats: _newton the full Newton steps (damped_newton's iterates where
-it takes no shorter step) and _block the derivative block; fused_stage,
-the one RK4 stage, inlines a model's derivative core around them and
-emits the sector solve at the root.  rk4_kernel's Pfaffian sign (_pfaffian_sign) is
-Parlett-Reid elimination unrolled.  dot (the sum _dot emits, on floats),
+and rk4_kernel, integrate's loop) run on Python floats: Gauss elimination
+with partial pivoting and dot products summed left to right, unrolled for
+one shape, compiled once and emitted through expressions._Code.  One
+emitter per algorithm gives each of its kernels the same floats: _newton
+the full Newton steps (damped_newton's iterates where it takes no shorter
+step) and _block the derivative block; fused_stage, the one RK4 stage,
+inlines a model's derivative core around them and emits the sector solve at
+the root.  rk4_kernel calls it once per stage and, where its full steps give
+up, damped Newton and it again at that root; once per step it checks
+pfaffian_sign, Parlett-Reid elimination on floats.  dot (the sum _dot emits),
 solver and verify's minimal-norm step (Gram-Schmidt on dot) own every
 reported sum and solve, so each reported number rounds the same way on
 every machine: none goes through numpy's BLAS or LAPACK.  A zero pivot in
@@ -599,44 +600,32 @@ def fused_stage(exprs, names, reg, solve, other, max_iter):
                       _COMPILE_ENV | _KERNEL_ENV)
 
 
-def _pfaffian_sign(code, f):
-    """A fresh local holding the sign of the Pfaffian of F for the names f
-    (m x m, m even): skew-symmetric Gauss elimination (Parlett-Reid), two
-    rows and columns per step, pivoting on the first largest |entry| of the
-    row, a nan the largest; a zero pivot makes it 0.0."""
-    m = len(f)
-    a = [list(row) for row in f]
-    pf = code("1.0")
-    opened = []
+def pfaffian_sign(a, m):
+    """The sign of the Pfaffian of the m x m skew matrix a (flat row-major,
+    m even): 1.0, -1.0, 0.0 at a zero pivot, or nan.  Skew-symmetric Gauss
+    elimination (Parlett-Reid), two rows and columns per step, pivoting on
+    the first largest |entry| of the row, a nan the largest."""
+    a = [list(a[i * m:i * m + m]) for i in range(m)]
+    pf = 1.0
     for k in range(0, m - 1, 2):
-        if k + 2 < m:
-            top, row = code(f"abs({a[k][k + 1]})"), code(str(k + 1))
-            for i in range(k + 2, m):
-                cand = code(f"abs({a[k][i]})")
-                code.line(f"if {top} == {top} and not {cand} <= {top}: "
-                          f"{top}, {row} = {cand}, {i}")
-            for i in range(k + 2, m):  # rows and columns k + 1 and i trade places
-                swap = {k + 1: i, i: k + 1}
-                lhs, rhs = zip(*[(a[x][y], a[swap.get(x, x)][swap.get(y, y)])
-                                 for x in range(k, m) for y in range(k, m)
-                                 if x in swap or y in swap])
-                code.line(f"{'if' if i == k + 2 else 'elif'} {row} == {i}: "
-                          f"{', '.join(lhs)}, {pf} = {', '.join(rhs)}, -{pf}")
+        top, row = abs(a[k][k + 1]), k + 1
+        for i in range(k + 2, m):
+            if top == top and not abs(a[k][i]) <= top:
+                top, row = abs(a[k][i]), i
+        if row != k + 1:  # rows and columns k + 1 and row trade places
+            a[k + 1], a[row] = a[row], a[k + 1]
+            for x in a:
+                x[k + 1], x[row] = x[row], x[k + 1]
+            pf = -pf
         pivot = a[k][k + 1]
-        code.line(f"if {pivot} == 0.0: {pf} = 0.0")
-        code.line("else:")
-        opened.append(len(code.lines))
-        code.line(f"{pf} = {pf} * {pivot}")
-        if k + 2 < m:
-            tau = {j: code(f"{a[k][j]} / {pivot}") for j in range(k + 2, m)}
-            col = {i: a[i][k + 1] for i in range(k + 2, m)}
-            for i in range(k + 2, m):
-                for j in range(k + 2, m):
-                    code.line(f"{a[i][j]} = {a[i][j]} + "
-                              f"({tau[i]} * {col[j]} - {col[i]} * {tau[j]})")
-    for start in reversed(opened):
-        code.indent(start)
-    return code(f"1.0 if {pf} > 0.0 else -1.0 if {pf} < 0.0 else {pf} * 0.0")
+        if pivot == 0.0:
+            return 0.0
+        pf = pf * pivot
+        tau = {j: a[k][j] / pivot for j in range(k + 2, m)}
+        for i in range(k + 2, m):  # column k + 1 is read, never written, here
+            for j in range(k + 2, m):
+                a[i][j] = a[i][j] + (tau[i] * a[j][k + 1] - a[i][k + 1] * tau[j])
+    return 1.0 if pf > 0.0 else -1.0 if pf < 0.0 else pf * 0.0
 
 
 @functools.lru_cache(maxsize=None)
@@ -644,22 +633,23 @@ def rk4_kernel(n, reg, solve, other):
     """Generated fixed-step RK4 loop of integrate for one layout, cached by
     it (the layout as for fused_stage).
 
-    The kernel takes (stage, velocity, q, p, w, start, dt, steps, tol,
-    rows).  stage(q, p, vd, vo, V) is one stage, as fused_stage's kernel
-    returns it.  velocity(a, t) is the prescribed velocity of degenerate slot
-    a, evaluated once per distinct time of a step (t, t + dt/2, t + dt).  q, p
+    The kernel takes (fused, ntol, resolve, velocity, q, p, w, start, dt,
+    steps, tol, rows).  A stage is fused(Q, P, VD, VO, V, ntol), fused_stage's
+    kernel from the last stage's velocities V, or where that gives up, fused
+    at tol inf from resolve(Q, P, VD, V)[1], damped Newton's root.
+    velocity(a, t) is the prescribed velocity of degenerate slot a,
+    evaluated once per distinct time of a step (t, t + dt/2, t + dt).  q, p
     and w are the start and its degenerate velocities, as lists of floats.
     Step k runs at t = start + dt * k for k up to steps: it appends t to
-    rows (an array of doubles), runs stage 1 (regular velocities from the
-    last stage's, the solved degenerate ones too), compares the sign of the
-    Pfaffian of the solved F subblock with the last step's, appends q, p, v,
-    H and the consistency residual, tests the residual against tol, then
-    runs stages 2 to 4 and the RK4 update.
+    rows (an array of doubles), runs stage 1, compares pfaffian_sign of the
+    solved F subblock with the last step's, appends q, p, v, H and the
+    consistency residual, tests the residual against tol, then runs stages
+    2 to 4 and the RK4 update.
 
     Returns 0 after the last step's row, 1 where a residual above tol
     after step 0 aborts (step 0's residual above tol only flags the run), and
     2 where the Pfaffian's sign changed, with row k cut after its t.  A
-    NewtonError from stage propagates, with row k cut after its t where
+    NewtonError from resolve propagates, with row k cut after its t where
     stage 1 raised it and whole where a later stage did.
     """
     r, nd, code = len(reg), n - len(reg), _Code()
@@ -679,8 +669,10 @@ def rk4_kernel(n, reg, solve, other):
     def stage(vo, qs, ps):
         """One stage at qs and ps: the names of its dq, dp and whole output."""
         slot = {s: f"w[{s}]" for s in solve} | dict(zip(other, vo))
-        out = code(f"stage([{', '.join(qs)}], [{', '.join(ps)}], "
-                   f"[{', '.join(slot[s] for s in range(nd))}], [{', '.join(vo)}], V)")
+        Q, P, VD, VO = (code(f"[{', '.join(x)}]") for x in
+                        (qs, ps, [slot[s] for s in range(nd)], vo))
+        out = code(f"fused({Q}, {P}, {VD}, {VO}, V, ntol) or "
+                   f"fused({Q}, {P}, {VD}, {VO}, resolve({Q}, {P}, {VD}, V)[1], inf)")
         code.line(f"w, V = {out}[2], {out}[6]")
         return code(f"{out}[0]"), code(f"{out}[1]"), out
 
@@ -689,9 +681,7 @@ def rk4_kernel(n, reg, solve, other):
 
     dq1, dp1, out = stage(velocities(t), q, p)
     if solve and len(solve) % 2 == 0:  # an odd pfaffian is 0.0 at every step
-        m = len(solve)
-        sign = _pfaffian_sign(code, [[code(f"{out}[5][{i * m + j}]") for j in range(m)]
-                                     for i in range(m)])
+        sign = code(f"pfaffian_sign({out}[5], {len(solve)})")
         code.line(f"if k and {sign} != last: return 2")  # a nan sign never matches
         code.line(f"last = {sign}")
     res = code(f"{out}[3]")
@@ -711,5 +701,5 @@ def rk4_kernel(n, reg, solve, other):
             a, b, c, d = (f"{dx}[{i}]" for dx in ds)
             code.line(f"{name} = {name} + sixth * ({a} + 2 * {b} + 2 * {c} + {d})")
     code.indent(loop)
-    return code.build("stage, velocity, q, p, w, start, dt, steps, tol, rows",
-                      "0", _KERNEL_ENV)
+    return code.build("fused, ntol, resolve, velocity, q, p, w, start, dt, steps, tol, rows",
+                      "0", _KERNEL_ENV | {"inf": math.inf, "pfaffian_sign": pfaffian_sign})

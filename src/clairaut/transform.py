@@ -24,8 +24,8 @@ fallback.  The implicit-function derivative block, F and D_a H come from one
 call of a generated float kernel (numerics.block_kernel) that factors W_rr
 once.  Every RK4 stage of dynamics.integrate calls the kernel _stage keeps
 per gauge plan (numerics.fused_stage: those full steps and that block, the
-core inline); where its full steps give up, _resolve_args finds the root and
-the same kernel runs the stage there.  clairaut_pde resolves the envelope
+core inline); where its full steps give up, _damped_resolve finds the root
+and the same kernel runs the stage there.  clairaut_pde resolves the envelope
 and mixed slopes of the Clairaut equation through _resolve_args too, as the
 regular velocities of L = f(d(z)).
 """
@@ -219,9 +219,9 @@ class ClairautTransform:
         solving p_i = dL/dv^i, and the core there (the last core call).
         Full Newton steps from the float list x0 in the generated resolve
         kernel, damped Newton from the same start where they give up: the
-        one place that chooses between them, for resolve, each RK4 stage of
-        dynamics.integrate whose fused full steps give up, and the slopes of
-        the pde families."""
+        one place that chooses between them, for resolve and the slopes of
+        the pde families.  An RK4 stage, whose fused full steps give up where
+        these do, calls _damped_resolve itself."""
         return (self._resolve_kernel(self._f_core, self.newton, q, v_deg, x0, p)
                 or self._damped_resolve(q, p, v_deg, x0))
 

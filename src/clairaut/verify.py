@@ -50,6 +50,7 @@ from .model import (
     DEFAULT_PROBE_COUNT,
     DEFAULT_PROBE_SEED,
     check_rank_constancy,
+    default_probes,
     momentum_name,
 )
 from .numerics import Rng, _max_abs, dot
@@ -122,9 +123,9 @@ def _random_observables(ctx, salt, count):
 # ------------------------------------------------------------ check bodies
 
 
-def _rank_constancy(ctx):
-    report = check_rank_constancy(ctx.ct.model, ctx.ct.split)
-    return 0.0 if report.passed else 1.0
+def _rank_constancy(ctx):  # the run's own probe draws, not the split's
+    probes = default_probes(ctx.ct.model, count=len(ctx.probes), seed=ctx.seed)
+    return 0.0 if check_rank_constancy(ctx.ct.model, ctx.ct.split, probes).passed else 1.0
 
 
 def _envelope_gradients(ctx):

@@ -2,7 +2,7 @@
 here, and the summary hook prints the scoreboard after the run regardless
 of capture mode.  reference_resolve is the damped-Newton-only resolve that
 the transform's and integrate's full Newton steps are checked against, and
-pfaffian the reference of the RK4 loop's generated Pfaffian sign."""
+pfaffian the reference of the RK4 loop's Pfaffian sign."""
 
 import numpy as np
 
@@ -12,8 +12,8 @@ ACCEPTANCE_LINES = []
 
 
 def reference_resolve(ct, q, p, v_deg, x0):
-    """ClairautTransform._resolve_args by damped Newton alone, from the same
-    start: newton_pair on the derivative core, whose flat layout is (L,
+    """ClairautTransform._damped_resolve rebuilt, damped Newton alone from
+    the start x0: newton_pair on the derivative core, whose flat layout is (L,
     L_v[n], L_q[n], W[n*n], L_vq[n*n]), and numerics.newton_with_restarts
     from the list x0."""
     n, reg = ct.n, ct._reg

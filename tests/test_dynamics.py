@@ -316,8 +316,9 @@ class TestIntegrate:
         assert len(traj) == 0 and traj.q.shape == (0, 4) and traj.v_deg.shape == (0, 1)
 
     def test_resolution_failure_inside_a_step(self, monkeypatch):
-        # stage 2 of step 2, the 10th stage, gives up, and the resolve of its
-        # fallback fails: rows 0 to 2 are written, the message names step 2's t
+        # stage 2 of step 2, the 10th stage, gives up, and the damped resolve
+        # of its fallback fails: rows 0 to 2 are written, the message names
+        # step 2's t
         ct = ClairautTransform(load_bundled("christ_lee"))
         cls = classification("christ_lee")
         start = ct.point({"x1": 0.8, "x2": -0.6, "x3": 1.0, "y1": 0.2, "y2": -0.1, "y3": 0.3},
@@ -325,14 +326,14 @@ class TestIntegrate:
         full = integrate(ct, start, cfg=IntegratorConfig(t1=0.002, dt=1e-3), cls=cls)
         log = spied_stages(monkeypatch, ct, [], give_up={4 * 2 + 2})
 
-        def resolve_args(*args):
-            log.append("resolve")
+        def damped_resolve(*args):
+            log.append("damped")
             raise NewtonError("newton line search stalled")
 
-        monkeypatch.setattr(ClairautTransform, "_resolve_args", resolve_args)
+        monkeypatch.setattr(ClairautTransform, "_damped_resolve", damped_resolve)
         with pytest.raises(IntegrabilityError) as info:
             integrate(ct, start, cfg=IntegratorConfig(t1=0.01, dt=1e-3), cls=cls)
-        assert log == ["fused"] * 9 + ["gave up", "resolve"]
+        assert log == ["fused"] * 9 + ["gave up", "damped"]
         assert str(info.value) == ("velocity resolution failed inside step at t=0.002: "
                                    "newton line search stalled")
         traj = info.value.trajectory
@@ -372,11 +373,11 @@ def spied_stages(monkeypatch, ct, log, give_up=()):
     return log
 
 
-def forced_fallback(monkeypatch, resolve_args=None):
+def forced_fallback(monkeypatch, damped_resolve=None):
     """Make every fused stage give up at a finite tol, so each RK4 stage runs
-    the fallback: ClairautTransform._resolve_args (resolve_args in its place
-    if given), then the fused stage at tol = inf from that root.  Returns the
-    list that each stage that gave up appends to."""
+    the fallback: ClairautTransform._damped_resolve (damped_resolve in its
+    place if given), then the fused stage at tol = inf from that root.
+    Returns the list that each stage that gave up appends to."""
     stages, real = [], ClairautTransform._stage
 
     def build(ct, solve, other):
@@ -390,8 +391,8 @@ def forced_fallback(monkeypatch, resolve_args=None):
         return stage
 
     monkeypatch.setattr(ClairautTransform, "_stage", build)
-    if resolve_args is not None:
-        monkeypatch.setattr(ClairautTransform, "_resolve_args", resolve_args)
+    if damped_resolve is not None:
+        monkeypatch.setattr(ClairautTransform, "_damped_resolve", damped_resolve)
     return stages
 
 
@@ -407,12 +408,11 @@ def outcome(ct, pt, cls, gauge=None, t1=0.2):
 
 class TestOneResolvePath:
     """Every RK4 stage is one call of the transform's fused stage, which
-    takes full Newton steps inside and gives up where they do; each stage
-    that gives up runs ClairautTransform._resolve_args, which falls back to
-    damped Newton, and the fused stage again at tol = inf from that root.  So
-    integrate and verify give the same floats with every stage forced onto
-    that fallback, and _resolve_args patched to resolve by damped Newton
-    alone (conftest's reference_resolve)."""
+    takes full Newton steps inside and gives up where resolve_kernel's do;
+    each stage that gives up runs ClairautTransform._damped_resolve, then the
+    fused stage again at tol = inf from that root.  So integrate and verify
+    give the same floats with every stage forced onto that fallback, and
+    _damped_resolve replaced by conftest's reference_resolve."""
 
     CASES = [
         ("christ_lee", {"x1": 0.8, "x2": -0.6, "x3": 1.0, "y1": 0.2, "y2": -0.1, "y3": 0.3},
@@ -474,37 +474,38 @@ class TestOneResolvePath:
     @pytest.mark.parametrize("steps", [1, 7])
     def test_one_resolve_per_stage(self, steps, monkeypatch):
         # four stages a step and stage 1 of the last row's step, all fused:
-        # none resolves through _resolve_args
+        # none resolves through _resolve_args or _damped_resolve
         ct = ClairautTransform(load_bundled("christ_lee"))
         cls = classification("christ_lee")
         start = ct.point({"x1": 0.8, "x2": -0.6, "x3": 1.0, "y1": 0.2, "y2": -0.1, "y3": 0.3},
                          {"x1": 0.4, "x2": -0.3, "x3": 0.5})
         log = spied_stages(monkeypatch, ct, [])
-        monkeypatch.setattr(ClairautTransform, "_resolve_args",
-                            lambda *args: log.append("resolve"))
+        for name in ("_resolve_args", "_damped_resolve"):
+            monkeypatch.setattr(ClairautTransform, name, lambda *args: log.append("resolve"))
         traj = integrate(ct, start, cfg=IntegratorConfig(t1=steps * 1e-3, dt=1e-3), cls=cls)
         assert len(traj) == steps + 1 and log == ["fused"] * (4 * steps + 1)
 
     def test_cold_stage_falls_back_to_damped_newton(self, monkeypatch):
         # particle's full steps from V = 0 do not lower the norm at p_x = 10:
-        # the first stage gives up, resolves by damped Newton and runs at that
-        # root; every later one is fused, its full steps from the last stage's
+        # the first stage gives up, resolves by damped Newton alone (never
+        # replaying the full steps in resolve_kernel) and runs at that root;
+        # every later one is fused, its full steps from the last stage's
         # velocities
         case = ("particle", {"x0": 0.0, "x": 0.1, "y": 0.2, "z": 0.3}, {"x": 10.0},
                 {"x0": 1.0}, {"x0": "1+0.1*sin(t)"})
         ct = ClairautTransform(load_bundled("particle"))
         cls = classify(ct)
         gauge = gauge_input(ct, cls, case[-1])
+        start = ct.point(*case[1:4])
         log = spied_stages(monkeypatch, ct, [])
-        real_resolve, real_damped = (ClairautTransform._resolve_args,
-                                     ClairautTransform._damped_resolve)
-        monkeypatch.setattr(ClairautTransform, "_resolve_args",
-                            lambda *args: log.append("resolve") or real_resolve(*args))
+        real_kernel, real_damped = ct._resolve_kernel, ClairautTransform._damped_resolve
+        monkeypatch.setattr(ct, "_resolve_kernel",
+                            lambda *args: log.append("resolve kernel") or real_kernel(*args))
         monkeypatch.setattr(ClairautTransform, "_damped_resolve",
                             lambda *args: log.append("damped") or real_damped(*args))
-        got = integrate(ct, ct.point(*case[1:4]), gauge, IntegratorConfig(t1=0.05, dt=1e-3), cls)
-        assert log[:4] == ["gave up", "resolve", "damped", "at root"]
-        assert log[4:] == ["fused"] * (4 * 50)
+        got = integrate(ct, start, gauge, IntegratorConfig(t1=0.05, dt=1e-3), cls)
+        assert log[:3] == ["gave up", "damped", "at root"]
+        assert log[3:] == ["fused"] * (4 * 50)
         forced_fallback(monkeypatch, reference_resolve)
         self.assert_same(got, self.run(*case, t1=0.05))
 

@@ -33,7 +33,7 @@ from clairaut import (
     load_bundled,
     parse_model,
 )
-from clairaut import cli, expressions, gauge, numerics, verify
+from clairaut import cli, gauge, numerics, verify
 from clairaut import dynamics as dynamics_module
 from clairaut import transform as transform_module
 from clairaut.errors import ArgumentError
@@ -305,19 +305,13 @@ class TestFloatStage:
 
 
 class TestPfaffianSign:
-    """The RK4 loop's unrolled Parlett-Reid gives np.sign(pfaffian(F))
-    exactly, ties, zero pivots and nan entries included."""
-
-    @staticmethod
-    def generated(m):
-        code = expressions._Code()
-        f = [[code(f"F[{i * m + j}]") for j in range(m)] for i in range(m)]
-        return code.build("F", numerics._pfaffian_sign(code, f), {})
+    """numerics.pfaffian_sign, the RK4 loop's Parlett-Reid, gives
+    np.sign(pfaffian(F)) exactly, ties, zero pivots and nan entries
+    included."""
 
     @pytest.mark.parametrize("m", [2, 4, 6])
     def test_same_sign_as_pfaffian(self, m):
         rng = np.random.default_rng(m)
-        sign = self.generated(m)
         for trial in range(300):
             a = rng.integers(-2, 3, size=(m, m)).astype(float) if trial % 2 else \
                 rng.standard_normal((m, m))
@@ -325,7 +319,7 @@ class TestPfaffianSign:
             if trial % 7 == 0:
                 a[rng.integers(m), rng.integers(m)] = math.nan
             want = np.sign(pfaffian(a))
-            got = sign(a.ravel().tolist())
+            got = numerics.pfaffian_sign(a.ravel().tolist(), m)
             assert got == want or (math.isnan(got) and math.isnan(want)), (a, got, want)
 
     @pytest.mark.parametrize("row, want", [
@@ -338,34 +332,65 @@ class TestPfaffianSign:
         a[0] = row
         a[1:, 0] = -a[0, 1:]
         a[1, 2:], a[2:, 1] = [2.0, 3.0], [-2.0, -3.0]
-        for got in (np.sign(pfaffian(a)), self.generated(4)(a.ravel().tolist())):
+        for got in (np.sign(pfaffian(a)), numerics.pfaffian_sign(a.ravel().tolist(), 4)):
             assert got == want or (math.isnan(got) and math.isnan(want))
+
+    def test_a_tie_rounds_as_the_first_largest_pivot(self):
+        # Pf = 0.1*3 - 0.3*0.7 + 0.3*(-0.3) = 0: pivoting on a[0][2], the
+        # first 0.3, rounds it to 0.0, and on a[0][3] to a positive number
+        a = np.zeros((4, 4))
+        for (i, j), x in {(0, 1): 0.1, (0, 2): 0.3, (0, 3): 0.3, (1, 2): -0.3, (1, 3): 0.7,
+                          (2, 3): 3.0}.items():
+            a[i, j], a[j, i] = x, -x
+        assert np.sign(pfaffian(a)) == 0.0 == numerics.pfaffian_sign(a.ravel().tolist(), 4)
 
 
 class TestRK4Loop:
-    """rk4_kernel's exit statuses on a stand-in stage with dq = (1, 0, 0)
-    and dp = 0, whose F subblock [[0, f], [-f, 0]] and residual at step k
-    come from schedules; a row is t, q (3), p (1), v (2), H, residual."""
+    """rk4_kernel's routing and exit statuses on a stand-in fused stage with
+    dq = (1, 0, 0) and dp = 0, whose F subblock [[0, f], [-f, 0]] and
+    residual at step k come from schedules, and whose velocities V count the
+    stages run; a row is t, q (3), p (1), v (2), H, residual."""
 
     WIDTH = 9
 
-    def run(self, f, residual=None, steps=3):
+    def run(self, f, residual=None, steps=3, give_up=()):
+        """(status, rows, log): log holds each call of fused and resolve; the
+        fused calls numbered (from 1) in give_up give up at a finite tol."""
         residual = residual or [0.0] * len(f)
-        calls = []
+        stages, log = [], []
 
-        def stage(q, p, vd, vo, V):
-            k = len(calls) // 4
-            calls.append(k)
+        def fused(q, p, vd, vo, V, tol):
+            log.append((q, p, vd, V, tol))
+            if tol != math.inf and len(log) in give_up:
+                return None
+            k = len(stages) // 4
+            stages.append(k)
             return [1.0, 0.0, 0.0], [0.0], [0.0, 0.0], residual[k], 0.0, \
-                [0.0, f[k], -f[k], 0.0], [0.0]
+                [0.0, f[k], -f[k], 0.0], [float(len(stages))]
+
+        def resolve(q, p, vd, V):
+            log.append((q, p, vd, V, "resolve"))
+            return None, [-1.0], None
 
         rows = array.array("d")
         status = numerics.rk4_kernel(3, (0,), (0, 1), ())(
-            stage, None, [0.0] * 3, [0.0], [0.0, 0.0], 0.0, 1.0, steps, 1e-6, rows)
-        return status, list(rows)
+            fused, 1e-12, resolve, None, [0.0] * 3, [0.0], [0.0, 0.0], 0.0, 1.0, steps,
+            1e-6, rows)
+        return status, list(rows), log
+
+    def test_a_stage_that_gives_up_runs_at_the_damped_root(self):
+        # stage 2 gives up: resolve from its start V, then fused at tol inf from
+        # the root resolve returns second, on the same argument lists
+        status, rows, log = self.run([1.0] * 4, steps=1, give_up={2})
+        assert status == 0 and len(rows) == 2 * self.WIDTH
+        assert [entry[3:] for entry in log] == [
+            ([0.0], 1e-12), ([1.0], 1e-12), ([1.0], "resolve"), ([-1.0], math.inf),
+            ([2.0], 1e-12), ([3.0], 1e-12), ([4.0], 1e-12)]
+        assert log[1][:3] == log[2][:3] == log[3][:3] == ([0.5, 0.0, 0.0], [0.0], [0.0, 0.0])
 
     def test_a_whole_run(self):
-        status, rows = self.run([1.0, 2.0, 3.0, 4.0])
+        status, rows, log = self.run([1.0, 2.0, 3.0, 4.0])
+        assert len(log) == 4 * 3 + 1 and {entry[-1] for entry in log} == {1e-12}
         assert status == 0 and len(rows) == 4 * self.WIDTH
         assert rows[::self.WIDTH] == [0.0, 1.0, 2.0, 3.0] == rows[1::self.WIDTH]
 
@@ -373,16 +398,16 @@ class TestRK4Loop:
                                       ([math.nan, 1.0, 1.0, 1.0], 1),
                                       ([1.0, math.nan, math.nan, 1.0], 1)])
     def test_a_sign_change_stops_before_the_row(self, f, k):
-        status, rows = self.run(f)
+        status, rows, _ = self.run(f)
         assert status == 2 and len(rows) == k * self.WIDTH + 1 and rows[-1] == k
 
     def test_a_singular_start_that_stays_singular_runs(self):
         assert self.run([0.0, 0.0, 0.0, 0.0])[0] == 0
 
     def test_residual_flags_at_the_start_and_aborts_later(self):
-        status, rows = self.run([1.0] * 4, [1.0, 1.0, 0.0, 0.0])
+        status, rows, _ = self.run([1.0] * 4, [1.0, 1.0, 0.0, 0.0])
         assert status == 0  # flagged: step 0 was already off the surface
-        status, rows = self.run([1.0] * 4, [0.0, 0.0, 1.0, 0.0])
+        status, rows, _ = self.run([1.0] * 4, [0.0, 0.0, 1.0, 0.0])
         assert status == 1 and len(rows) == 3 * self.WIDTH and rows[-1] == 1.0
 
 

@@ -6,7 +6,8 @@ from functools import lru_cache
 
 import pytest
 
-from clairaut import load_bundled, verify
+from clairaut import load_bundled, parse_model, verify
+from clairaut.model import default_probes
 from clairaut.verify import render_report, run_verification
 
 
@@ -76,6 +77,33 @@ class TestSharedReports:
             monkeypatch.setattr(verify, name, counted)
         rep = run_verification(load_bundled("synthetic_gaugeless"))
         assert calls == {"integrability_report": 1, "dirac_report": rep["probe_count"]}
+
+
+class TestRankConstancyRow:
+    """hessian_rank_constant probes with the run's own seed and count, not
+    the default draws that the split itself passed."""
+
+    # W = diag(1, x^8) has rank 1 where x^8 drops under the rank tolerance
+    # (|x| below about 0.075): seed 42's probes miss that band, seed 0's hit it
+    MODEL = "coord x, y; lagrangian = d(x)^2/2 + x^8*d(y)^2/2;"
+
+    @staticmethod
+    def row(rep):
+        return next(c for c in rep["checks"] if c["name"] == "hessian_rank_constant")
+
+    def test_a_seed_whose_probes_drop_the_rank_fails(self):
+        rep = run_verification(parse_model(self.MODEL), seed=0)
+        assert self.row(rep)["residual"] == 1.0 and not self.row(rep)["passed"]
+        assert not rep["all_pass"]
+        assert self.row(run_verification(parse_model(self.MODEL), seed=42))["passed"]
+
+    def test_the_run_probe_count_and_seed(self, monkeypatch):
+        model, seen = load_bundled("cawley"), []
+        real = verify.check_rank_constancy
+        monkeypatch.setattr(verify, "check_rank_constancy",
+                            lambda *args: seen.append(args[2:]) or real(*args))
+        run_verification(model, seed=3, probe_count=5)
+        assert seen == [(default_probes(model, count=5, seed=3),)]
 
 
 class TestAllFixturesPass:
