@@ -610,7 +610,8 @@ class Token:
 
 
 def tokenize(text):
-    """Split source into tokens, tracking line and column; '#' starts a comment."""
+    """Split source into tokens, tracking line and column; '#' starts a
+    comment.  A number literal must be a finite double."""
     import re
 
     master = re.compile("|".join(f"(?P<{name}>{pat})" for name, pat in _TOKEN_KINDS))
@@ -638,6 +639,9 @@ def tokenize(text):
             raise ExprSyntaxError(f"illegal character {ch!r}", line, i - line_start + 1)
         kind = m.lastgroup
         tok_text = m.group()
+        if kind == "number" and math.isinf(float(tok_text)):
+            raise ExprSyntaxError(f"number {tok_text} is not a finite double",
+                                  line, i - line_start + 1)
         tokens.append(Token(kind if kind != "op" else tok_text, tok_text, line, i - line_start + 1))
         i = m.end()
     tokens.append(Token("end", "", line, n - line_start + 1))

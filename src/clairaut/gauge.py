@@ -23,6 +23,7 @@ callables whole, so the Maxwell current and the Bianchi defect take one F
 Jacobian per point, not one per entry.
 """
 
+import itertools
 from dataclasses import dataclass
 
 from .errors import ModelError, RankDeficiencyError, RankVariationError
@@ -41,7 +42,7 @@ from .model import (
     default_probes,
     momentum_name,
 )
-from .numerics import SingularMatrixError, central_differences, dot, probe_ranks, solver
+from .numerics import SingularMatrixError, _max_abs, central_differences, dot, probe_ranks, solver
 from .transform import PhasePoint
 
 FD_STEP = 1e-5
@@ -218,7 +219,7 @@ def classify(ct, probes=None):
     if not probes:
         raise ModelError("classification needs at least one probe point")
     pivots, ranks, block_ranks = probe_ranks(
-        (ct.resolve(pt)._flat("F") for pt in probes), None, DEFAULT_RANK_TOL)
+        (ct.resolve(pt)._flat("F") for pt in probes), None, DEFAULT_RANK_TOL, "field strength")
     if len(set(ranks)) > 1:
         raise RankVariationError(list(enumerate(ranks)), "field strength")
     r_f = ranks[0]
@@ -312,10 +313,5 @@ def bianchi_residual(ct, pt):
     if n_deg < 3:
         return 0.0
     d = _long_derivatives_of_f(ct, pt, BIANCHI_STEP)
-    worst = 0.0
-    for a in range(n_deg):
-        for b in range(a + 1, n_deg):
-            for c in range(b + 1, n_deg):
-                total = d(a, b, c) + d(c, a, b) + d(b, c, a)
-                worst = max(worst, abs(total))
-    return worst
+    return _max_abs(d(a, b, c) + d(c, a, b) + d(b, c, a)
+                    for a, b, c in itertools.combinations(range(n_deg), 3))

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from .dynamics import d_alpha_h
 from .errors import ModelError
 from .gauge import BObservable, _poisson, field_strength, phase_probes
+from .numerics import _max_abs
 
 
 class _Negated:
@@ -126,23 +127,17 @@ class IntegrabilityReport:
 
 
 def integrability_report(mts, probes=None):
-    import numpy as np
     ct = mts.ct
     if probes is None:
         probes = phase_probes(ct)
     if not probes:
         raise ModelError("integrability_report needs at least one probe")
-    max_g = 0.0
-    f_defect = 0.0
-    dh_defect = 0.0
+    g_entries, f_defects, dh_defects = [], [], []
     for pt in probes:
         g = g_matrix(mts, pt)
-        max_g = max(max_g, float(np.max(np.abs(g))))
-        f = field_strength(ct, pt)
-        if f.size:
-            f_defect = max(f_defect, float(np.max(np.abs(g[1:, 1:] - f))))
-        dh = d_alpha_h(ct, ct.resolve(pt))
-        if dh.size:
-            dh_defect = max(dh_defect, float(np.max(np.abs(g[0, 1:] - dh))))
-    return IntegrabilityReport(max_g=max_g, f_defect=f_defect,
-                               dh_defect=dh_defect, n_points=len(probes))
+        g_entries.extend(g.flat)
+        f_defects.extend((g[1:, 1:] - field_strength(ct, pt)).flat)
+        dh_defects.extend((g[0, 1:] - d_alpha_h(ct, ct.resolve(pt))).flat)
+    return IntegrabilityReport(max_g=float(_max_abs(g_entries)),
+                               f_defect=float(_max_abs(f_defects)),
+                               dh_defect=float(_max_abs(dh_defects)), n_points=len(probes))

@@ -320,7 +320,8 @@ def _probe_ranks(model, probes, regular=None):
         return core.fn(args)[core.slices["W"]]
 
     block = None if regular is None else [coords.index(c) for c in regular]
-    block, ranks, block_ranks = probe_ranks(map(hessian, probes), block, DEFAULT_RANK_TOL)
+    block, ranks, block_ranks = probe_ranks(map(hessian, probes), block, DEFAULT_RANK_TOL,
+                                            "velocity Hessian")
     return tuple(coords[i] for i in block), ranks, block_ranks
 
 
@@ -355,10 +356,16 @@ def split_variables(model, probes=None):
 
 
 def check_rank_constancy(model, split, probes=None):
-    """Probe report (DEFAULT_RANK_TOL) for rank and regular-block invertibility; never raises."""
+    """Probe report (DEFAULT_RANK_TOL) for rank and regular-block invertibility;
+    never raises: a probe whose W has a non-finite entry is a failing row
+    of rank None."""
     if probes is None:
         probes = default_probes(model)
-    _, ranks, block_ranks = _probe_ranks(model, probes, split.regular)
-    rows = [(k, rank, block_rank == split.r)
-            for k, (rank, block_rank) in enumerate(zip(ranks, block_ranks))]
+    rows = []
+    for k, probe in enumerate(probes):
+        try:
+            _, (rank,), (block_rank,) = _probe_ranks(model, [probe], split.regular)
+        except ModelError:
+            rank = block_rank = None
+        rows.append((k, rank, block_rank == split.r))
     return RankReport(all(rank == split.r and ok for _, rank, ok in rows), split.r, rows)

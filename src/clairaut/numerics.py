@@ -43,7 +43,7 @@ import operator
 import secrets
 from dataclasses import dataclass
 
-from .errors import ArgumentError, DomainError, NewtonError, RankDeficiencyError
+from .errors import ArgumentError, DomainError, ModelError, NewtonError, RankDeficiencyError
 from .expressions import (_COMPILE_ENV, Call, Const, Pow, Quot, Sym, _Code, _emit_cse, _walk,
                           free_symbols)
 
@@ -93,13 +93,17 @@ def rank_and_pivots(matrix, rel_tol=1e-9):
     return len(pivot_cols), pivot_cols
 
 
-def probe_ranks(matrices, block, rel_tol):
+def probe_ranks(matrices, block, rel_tol, matrix):
     """The numbers of the constant-rank rule over square probe matrices,
     each a flat row-major sequence of floats: the rank of each and of its
     principal block, the index list block or, if that is None, the first
-    matrix's sorted pivot columns.  Returns (block, ranks, block_ranks)."""
+    matrix's sorted pivot columns.  Returns (block, ranks, block_ranks).
+    A matrix with an inf or nan entry has no rank: ModelError, naming the
+    matrix (its name, as RankVariationError gives it) and the probe."""
     ranks, block_ranks = [], []
-    for m in matrices:
+    for index, m in enumerate(matrices):
+        if not all(map(math.isfinite, m)):
+            raise ModelError(f"{matrix} has a non-finite entry at probe {index}")
         k = math.isqrt(len(m))
         rank, pivots = rank_and_pivots([m[i * k:i * k + k] for i in range(k)], rel_tol)
         if block is None:

@@ -323,6 +323,13 @@ class _HamiltonianObservable:
 # ------------------------------------------------------- numeric conjugate
 
 
+def _not_convex(w):
+    """Whether the velocity Hessian w (an array) fails strict convexity: its
+    least eigenvalue at most 1e-10 times its largest |entry| (or 1)."""
+    import numpy as np
+    return np.min(np.linalg.eigvalsh(w)) <= 1e-10 * max(1.0, float(np.max(np.abs(w))))
+
+
 def fenchel_conjugate(model, q, p, box=2.0, grid=5):
     """sup_v (p . v - L) by multi-start Newton (default NewtonConfig); test
     oracle for convex models.
@@ -330,7 +337,7 @@ def fenchel_conjugate(model, q, p, box=2.0, grid=5):
     Requires L strictly convex in the velocities near the maximizer, i.e. the
     least eigenvalue of the velocity Hessian there above 1e-10 times its
     largest |entry| (or 1); candidate stationary points failing that check
-    are discarded.  L, L_v and W come from model.core.
+    (_not_convex) are discarded.  L, L_v and W come from model.core.
     """
     import numpy as np
     n = model.n
@@ -345,9 +352,7 @@ def fenchel_conjugate(model, q, p, box=2.0, grid=5):
             v = damped_newton(residual, jacobian, start, NewtonConfig())
         except (NewtonError, DomainError):
             continue
-        hess = np.reshape(jacobian(last[0]), (n, n))  # at v, from Newton's last call
-        scale = max(1.0, float(np.max(np.abs(hess))))
-        if np.min(np.linalg.eigvalsh(hess)) <= 1e-10 * scale:
+        if _not_convex(np.reshape(jacobian(last[0]), (n, n))):  # at v, from Newton's last call
             continue  # not a strict local maximum of p.v - L
         value = dot(p, v) - last[1][0]
         if best is None or value > best:

@@ -5,8 +5,11 @@ on one model: conjugate-equation residuals, gradient cross-checks, the
 sector identities (field strength, long derivatives, extra-time
 commutators, constraint brackets), the finite-difference identities
 (commutator, Leibniz, Bianchi, current conservation), and the
-class-specific reductions.  Each check reports a worst-case residual and
-its tolerance.  Checks with a null tolerance are recorded measurements:
+class-specific reductions.  Each check function returns or yields its raw
+defects, one per probe (or per probe and entry), and run_verification folds
+them into the row's residual, the largest |defect| (numerics._max_abs): a
+nan defect makes the residual nan, and a nan residual fails its tolerance.
+Checks with a null tolerance are recorded measurements:
 quantities the theory predicts to be nonzero in general (bracket
 antisymmetry defect, dependent-row defects, the raw consistency
 functions); they are informational and never fail the run.
@@ -18,6 +21,7 @@ count produce byte-identical reports.
 import functools
 import json
 import math
+import operator
 
 from .dynamics import (
     IntegratorConfig,
@@ -54,7 +58,7 @@ from .model import (
     momentum_name,
 )
 from .numerics import Rng, _max_abs, dot
-from .transform import ClairautTransform, fenchel_conjugate
+from .transform import ClairautTransform, _not_convex, fenchel_conjugate
 
 
 class _Context:
@@ -91,15 +95,15 @@ class _Context:
 
     @functools.cached_property
     def sector_defects(self):
-        """The worst |F v - D H| at the first five probes, v from the sector
-        solve: over the solved rows, then over the other rows."""
+        """F v - D H at the first five probes, v from the sector solve: the
+        solved rows' entries, then the other rows'."""
         ct, defects = self.ct, ([], [])
         for pt in self.probes[:5]:
             v = degenerate_velocities(ct, pt, cls=self.cls)[0].tolist()
             res = ct.resolve(pt)
             for a, (row, dh) in enumerate(zip(res.F.tolist(), res._flat("DH"))):
                 defects[a not in self.cls.subblock].append(dot(row, v) - dh)
-        return [_max_abs(rows) for rows in defects]
+        return defects
 
 
 def _random_observables(ctx, salt, count):
@@ -125,23 +129,18 @@ def _random_observables(ctx, salt, count):
 
 def _rank_constancy(ctx):  # the run's own probe draws, not the split's
     probes = default_probes(ctx.ct.model, count=len(ctx.probes), seed=ctx.seed)
-    return 0.0 if check_rank_constancy(ctx.ct.model, ctx.ct.split, probes).passed else 1.0
+    yield 0.0 if check_rank_constancy(ctx.ct.model, ctx.ct.split, probes).passed else 1.0
 
 
 def _envelope_gradients(ctx):
-    import numpy as np
     # dH/dp_i == V^i holds once the degenerate velocities are zeroed
     ct = ctx.ct
-    worst = 0.0
     for pt in ctx.probes:
-        zpt = pt._replace(v_deg=np.zeros(ct.n - ct.r))
         try:
-            res = ct.resolve(zpt)
+            res = ct.resolve(pt._replace(v_deg=[0.0] * (ct.n - ct.r)))
         except ClairautError:
             continue
-        if res.V.size:
-            worst = max(worst, float(np.max(np.abs(res.dH_dp - res.V))))
-    return worst
+        yield from map(operator.sub, res._flat("dH_dp"), res._v)
 
 
 def _gradient_fd(ctx):
@@ -150,39 +149,29 @@ def _gradient_fd(ctx):
     ct = ctx.ct
     fd = FiniteDifferenceObservable(
         lambda pt: np.concatenate([[ct.h_phys(pt)], ct.b_values(pt)]), ct, 1e-6)
-    worst = 0.0
     for pt in ctx.probes[:3]:
         res = ct.resolve(pt)
         for got, ref in ((np.vstack([res.dH_dq, res.dB_dq]), fd.d_dq(pt)),
                          (np.vstack([res.dH_dp, res.dB_dp]), fd.d_dp(pt))):
-            if ref.size:
-                worst = max(worst, float(np.max(np.abs(got - ref) / (1 + np.abs(ref)))))
-    return worst
+            yield from ((got - ref) / (1 + np.abs(ref))).flat
 
 
 def _conjugate_residual(ctx):
-    import numpy as np
     ct = ctx.ct
     rng = ctx.rng(3)
-    worst = 0.0
     for pt in ctx.probes:
         res = ct.resolve(pt)
-        pbar = np.empty(ct.n)
-        pbar[ct.reg_idx] = pt.p
-        pbar[ct.deg_idx] = res.B + rng.uniform(-1.0, 1.0, size=ct.n - ct.r)
-        worst = max(worst, ct.clairaut_residual(pt.q, pbar, v_deg=pt.v_deg))
-    return worst
+        free = [b + u for b, u in zip(res._flat("B"), rng.uniform(-1.0, 1.0, size=ct.n - ct.r))]
+        pbar = [v for _, v in sorted(zip(ct._reg + ct._deg, [*pt._p, *free]))]
+        yield ct.clairaut_residual(pt._q, pbar, v_deg=pt._v)
 
 
 def _pair_check(salt, count, defect):
-    """A check: the worst |defect(ct, x, y, pt)| over the first count probes,
-    for two seeded random observables x and y."""
+    """A check: defect(ctx, x, y, pt) at the first count probes, for two
+    seeded random observables x and y."""
     def check(ctx):
         x, y = _random_observables(ctx, salt, 2)
-        worst = 0.0
-        for pt in ctx.probes[:count]:
-            worst = max(worst, abs(defect(ctx, x, y, pt)))
-        return worst
+        return (defect(ctx, x, y, pt) for pt in ctx.probes[:count])
     return check
 
 
@@ -198,46 +187,38 @@ _new_bracket_reduction = _pair_check(23, 3, lambda ctx, x, y, pt: (
 
 def _degenerate_independence(ctx):
     import numpy as np
+    # the spread of H and of each B over five scalings of v_deg
     ct = ctx.ct
     rng = ctx.rng(7)
-    worst = 0.0
     for pt in ctx.probes[:5]:
-        h_vals, b_vals = [], []
+        rows = []
         for _ in range(5):
             scale = rng.uniform(0.7, 1.7, size=ct.n - ct.r)
             vpt = pt._replace(v_deg=pt.v_deg * scale)
-            h_vals.append(ct.h_phys(vpt))
-            b_vals.append(ct.b_values(vpt))
-        worst = max(worst, max(h_vals) - min(h_vals))
-        spread = np.max(b_vals, axis=0) - np.min(b_vals, axis=0)
-        if spread.size:
-            worst = max(worst, float(np.max(spread)))
-    return worst
+            rows.append([ct.h_phys(vpt), *ct.b_values(vpt)])
+        yield from np.ptp(rows, axis=0)
 
 
 def _field_antisymmetry(ctx):
-    import numpy as np
-    worst = 0.0
     for pt in ctx.probes:
         f = field_strength(ctx.ct, pt)
-        worst = max(worst, float(np.max(np.abs(f + f.T))) if f.size else 0.0)
-    return worst
+        yield from (f + f.T).flat
 
 
 def _extra_time_f(ctx):
-    return ctx.integrability.f_defect
+    yield ctx.integrability.f_defect
 
 
 def _extra_time_dh(ctx):
-    return ctx.integrability.dh_defect
+    yield ctx.integrability.dh_defect
 
 
 def _dirac_fab(ctx):
-    return max(d.fab_residual for d in ctx.dirac)
+    return (d.fab_residual for d in ctx.dirac)
 
 
 def _dirac_dhf(ctx):
-    return max(d.dhf_residual for d in ctx.dirac)
+    return (d.dhf_residual for d in ctx.dirac)
 
 
 def _commutator(ctx):
@@ -252,7 +233,6 @@ def _commutator(ctx):
         lambda pt: np.array([long_derivative(ct, x, a, pt) for a in range(n_deg)]),
         ct, 1e-5)
     f = FiniteDifferenceObservable(lambda pt: field_strength(ct, pt), ct, 1e-5)
-    worst = 0.0
     for pt in ctx.probes[:2]:
         dxq, dxp = d_x.d_dq(pt), d_x.d_dp(pt)
         fq, fp = f.d_dq(pt), f.d_dp(pt)
@@ -261,9 +241,7 @@ def _commutator(ctx):
         for a, b in pairs:
             lhs = (_long_derivative(ct, res, a, dxq[b], dxp[b])
                    - _long_derivative(ct, res, b, dxq[a], dxp[a]))
-            rhs = _poisson(ct, fq[a, b], fp[a, b], xq, xp)
-            worst = max(worst, abs(lhs - rhs))
-    return worst
+            yield lhs - _poisson(ct, fq[a, b], fp[a, b], xq, xp)
 
 
 def _leibniz(ctx):
@@ -275,18 +253,15 @@ def _leibniz(ctx):
     pair = FiniteDifferenceObservable(lambda pt: poisson_phys(ct, b0, b1, pt), ct, 1e-5)
     d_b = FiniteDifferenceObservable(lambda pt: np.array(
         [[long_derivative(ct, b, a, pt) for b in (b0, b1)] for a in dirs]), ct, 1e-5)
-    worst = 0.0
     for pt in ctx.probes[:2]:
         res = ct.resolve(pt)
         pq, pp = pair.d_dq(pt), pair.d_dp(pt)
         dq, dp = d_b.d_dq(pt), d_b.d_dp(pt)
         bq, bp = res.dB_dq, res.dB_dp
         for a in dirs:
-            lhs = _long_derivative(ct, res, a, pq, pp)
             rhs = (_poisson(ct, dq[a, 0], dp[a, 0], bq[1], bp[1])
                    + _poisson(ct, bq[0], bp[0], dq[a, 1], dp[a, 1]))
-            worst = max(worst, abs(lhs - rhs))
-    return worst
+            yield _long_derivative(ct, res, a, pq, pp) - rhs
 
 
 def _delta_commutator(ctx):
@@ -298,7 +273,6 @@ def _delta_commutator(ctx):
     inner = FiniteDifferenceObservable(lambda pt: np.array(
         [[delta_b(ct, x, b[c], pt) for c in cs] for x in (0, 1)]), ct, 1e-5)
     w = FiniteDifferenceObservable(lambda pt: poisson_phys(ct, b[0], b[1], pt), ct, 1e-5)
-    worst = 0.0
     for pt in ctx.probes[:2]:
         res = ct.resolve(pt)
         iq, ip = inner.d_dq(pt), inner.d_dp(pt)
@@ -307,44 +281,36 @@ def _delta_commutator(ctx):
         for c in cs:
             lhs = (_poisson(ct, bq[0], bp[0], iq[1, c], ip[1, c])
                    - _poisson(ct, bq[1], bp[1], iq[0, c], ip[0, c]))
-            rhs = _poisson(ct, wq, wp, bq[c], bp[c])
-            worst = max(worst, abs(lhs - rhs))
-    return worst
+            yield lhs - _poisson(ct, wq, wp, bq[c], bp[c])
 
 
 def _current_conservation(ctx):
     # sum_a D_a J_a from one Jacobian of the whole current vector
     ct = ctx.ct
-    n_deg = ct.n - ct.r
     pt = ctx.probes[0]
     j = FiniteDifferenceObservable(lambda s: maxwell_current(ct, s), ct, 1e-4)
     jq, jp = j.d_dq(pt), j.d_dp(pt)
     res = ct.resolve(pt)
     total = 0.0
-    for a in range(n_deg):
+    for a in range(ct.n - ct.r):
         total += _long_derivative(ct, res, a, jq[a], jp[a])
-    return abs(total)
+    yield total
 
 
 def _bianchi(ctx):
-    return bianchi_residual(ctx.ct, ctx.probes[0])
+    yield bianchi_residual(ctx.ct, ctx.probes[0])
 
 
 def _fenchel(ctx):
-    import numpy as np
     # the conjugate is a supremum only where L is convex in the velocities,
     # so concave-branch probes are out of scope for this identity
     ct = ctx.ct
-    worst = 0.0
     for pt in ctx.probes[:5]:
         res = ct.resolve(pt)
-        if float(np.min(np.linalg.eigvalsh(res.W))) <= 1e-10:
+        if _not_convex(res.W):
             continue
-        box = 2.0 + 2.0 * float(np.max(np.abs(pt.p), initial=0.0))
-        worst = max(worst, abs(res.H
-                               - fenchel_conjugate(ct.model, pt.q, pt.p,
-                                                   box=box, grid=9)))
-    return worst
+        box = 2.0 + 2.0 * _max_abs(pt._p)
+        yield res.H - fenchel_conjugate(ct.model, pt._q, pt._p, box=box, grid=9)
 
 
 def _sector_solved(ctx):
@@ -356,9 +322,7 @@ def _sector_dependent(ctx):
 
 
 def _consistency_functions(ctx):
-    import numpy as np
-    return max(float(np.max(np.abs(d_alpha_h(ctx.ct, ctx.ct.resolve(pt)))))
-               for pt in ctx.probes)
+    return (dh for pt in ctx.probes for dh in ctx.ct.resolve(pt)._flat("DH"))
 
 
 def _bracket_jacobiator(ctx):
@@ -370,27 +334,22 @@ def _bracket_jacobiator(ctx):
         return FiniteDifferenceObservable(
             lambda q: bracket_new(ct, u, v, q), ct, 1e-5)
 
-    return abs(bracket_new(ct, nested(x, y), z, pt)
-               + bracket_new(ct, nested(z, x), y, pt)
-               + bracket_new(ct, nested(y, z), x, pt))
+    yield (bracket_new(ct, nested(x, y), z, pt)
+           + bracket_new(ct, nested(z, x), y, pt)
+           + bracket_new(ct, nested(y, z), x, pt))
 
 
 def _b_vanishes(ctx):
-    import numpy as np
-    return all(float(np.max(np.abs(ctx.ct.b_values(pt)))) <= 1e-12
-               for pt in ctx.probes[:3])
+    return all(_max_abs(ctx.ct.b_values(pt)) <= 1e-12 for pt in ctx.probes[:3])
 
 
 def _limit_partials(ctx):
     ct = ctx.ct
     x, = _random_observables(ctx, 29, 1)
-    worst = 0.0
     for pt in ctx.probes[:3]:
         xq = x.d_dq(pt)
         for a in range(ct.n - ct.r):
-            worst = max(worst, abs(long_derivative(ct, x, a, pt)
-                                   - float(xq[ct.deg_idx[a]])))
-    return worst
+            yield long_derivative(ct, x, a, pt) - float(xq[ct.deg_idx[a]])
 
 
 # ----------------------------------------- invariant-surface trajectory check
@@ -473,7 +432,6 @@ def _constraint_preservation(ctx):
     t^2, so the trial's bound is a tenth of the tolerance scaled by the
     squared ratio of the run lengths.
     """
-    import numpy as np
     trial_t1, run_t1 = 0.05, 0.5
     ct, cls = ctx.ct, ctx.cls
     pt0 = ctx.probes[0]
@@ -486,12 +444,12 @@ def _constraint_preservation(ctx):
         trial = integrate(ct, cand, gauge,
                           IntegratorConfig(t1=trial_t1, dt=5e-3,
                                            consistency_tol=1e30), cls)
-        if float(np.max(trial.consistency)) <= 0.1 * PRESERVATION_TOL * (trial_t1 / run_t1) ** 2:
+        if _max_abs(trial.consistency) <= 0.1 * PRESERVATION_TOL * (trial_t1 / run_t1) ** 2:
             break
     traj = integrate(ct, cand, gauge,
                      IntegratorConfig(t1=run_t1, dt=1e-3,
                                       consistency_tol=1e30), cls)
-    return float(np.max(traj.consistency))
+    return traj.consistency
 
 
 # --------------------------------------------------------------- the suite
@@ -558,7 +516,7 @@ def run_verification(model, seed=DEFAULT_PROBE_SEED, probe_count=DEFAULT_PROBE_C
         if not applicable:
             continue
         try:
-            residual = float(fn(ctx))
+            residual = float(_max_abs(fn(ctx)))
             checks.append({
                 "name": name,
                 "residual": residual,

@@ -101,6 +101,23 @@ class TestAnalyze:
         assert code == 3
         assert err.startswith("error: field strength rank varies across probes (ranks [0, 2])")
 
+    def test_non_finite_velocity_hessian_exits_2(self, capsys, tmp_path):
+        # simplify folds 1e300*1e300 to inf, and inf*0 makes W nan at every
+        # probe: no rank, rather than every pivot counted
+        path = tmp_path / "overflow.lag"
+        path.write_text("coord x, a, b;\n"
+                        "lagrangian = d(x)^2/2 + 1e300*1e300*x*d(a) - b*d(a) + x*a*d(b);\n")
+        code, out, err = run_cli(capsys, "analyze", str(path))
+        assert code == 2 and out == ""
+        assert err == "error: velocity Hessian has a non-finite entry at probe 0\n"
+
+    def test_overflowing_literal_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "literal.lag"
+        path.write_text("coord x; param k = 1e400; lagrangian = d(x)^2/2 + k*x;\n")
+        code, out, err = run_cli(capsys, "analyze", str(path))
+        assert code == 2 and out == ""
+        assert "number 1e400 is not a finite double (line 1, column 20)" in err
+
     def test_out_flag_writes_file(self, capsys, tmp_path):
         target = tmp_path / "report.json"
         code, out, _ = run_cli(capsys, "analyze", bundled_model_path("cawley"),

@@ -17,6 +17,7 @@ from clairaut import (
     load_bundled,
     parse_expression,
     phase_probes,
+    simplify,
 )
 from clairaut import numerics
 from clairaut import transform as transform_module
@@ -64,15 +65,17 @@ class TestCommonSubexpressions:
 
 
 class TestNonFiniteConstants:
+    # a number literal must be finite: simplify folds the overflowing
+    # product 1e300*1e300 into the constant inf (and inf*0 into nan)
     @pytest.mark.parametrize("text, x", [
-        ("x*1e999", 2.0),
-        ("x*1e999", 0.0),
-        ("x - 1e999", 1.0),
-        ("-1e999 + 1e999*0", 1.0),
-        ("exp(-1e999*x)", 1.0),
+        ("x*(1e300*1e300)", 2.0),
+        ("x*(1e300*1e300)", 0.0),
+        ("x - 1e300*1e300", 1.0),
+        ("-(1e300*1e300) + 1e300*1e300*0", 1.0),
+        ("exp(-(1e300*1e300)*x)", 1.0),
     ])
     def test_compiled_matches_interpreted(self, text, x):
-        expr = parse_expression(text)
+        expr = simplify(parse_expression(text))
         got = compile_evaluator(expr, ["x"])([x])
         want = evaluate(expr, {"x": x})
         assert got == want or (math.isnan(got) and math.isnan(want))

@@ -113,6 +113,12 @@ class TestParse:
         assert err.value.line == 2
         assert err.value.column == 1
 
+    def test_overflowing_literal_error_position(self):
+        with pytest.raises(ExprSyntaxError, match="number 1e400 is not a finite double") as err:
+            parse_expression("x +\n  2*1e400")
+        assert (err.value.line, err.value.column) == (2, 5)
+        assert parse_expression("1e300") == Const(1e300)
+
     def test_roundtrip_random_trees(self):
         rng = random.Random(7)
         for _ in range(300):

@@ -1,5 +1,6 @@
 """Sector brackets, long derivatives, field strength, classification."""
 
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -13,6 +14,7 @@ from clairaut import (
     RankVariationError,
     load_bundled,
 )
+from clairaut import gauge
 from clairaut.expressions import differentiate, evaluate
 from clairaut.fixtures import BUNDLED
 from clairaut.model import momentum_name
@@ -529,6 +531,18 @@ class TestBianchiIdentity:
             ct = transform(name)
             pt = sample_points(name, 1)[0]
             assert bianchi_residual(ct, pt) == 0.0
+
+    def test_nan_on_a_later_triple_is_nan(self, monkeypatch):
+        # four directions give four triples; the second, (0, 1, 3), is nan
+        ct = transform("synthetic_gauge")
+        real = gauge._long_derivatives_of_f
+
+        def patched(ct, pt, step):
+            d = real(ct, pt, step)
+            return lambda a, b, c: math.nan if (a, b, c) == (0, 1, 3) else d(a, b, c)
+
+        monkeypatch.setattr(gauge, "_long_derivatives_of_f", patched)
+        assert math.isnan(bianchi_residual(ct, sample_points("synthetic_gauge", 1)[0]))
 
     def test_limit_fixture(self):
         ct = transform("christ_lee")

@@ -1,11 +1,13 @@
 """Extra-time Hamiltonians, the G matrix, and its cross-identities."""
 
+import math
 from functools import lru_cache
 
 import numpy as np
 import pytest
 
 from clairaut import ClairautTransform, ModelError, load_bundled, parse_model
+from clairaut import manytime
 from clairaut.dynamics import d_alpha_h
 from clairaut.gauge import FiniteDifferenceObservable, field_strength, phase_probes
 from clairaut.manytime import (
@@ -173,6 +175,16 @@ class TestCrossIdentities:
 
 
 class TestIntegrabilityReport:
+    def test_nan_on_the_second_probe_is_nan(self, monkeypatch):
+        mts = system("synthetic_gaugeless")
+        probes = phase_probes(mts.ct)[:3]
+        real = manytime.field_strength
+        monkeypatch.setattr(manytime, "field_strength", lambda ct, pt: (
+            real(ct, pt) * math.nan if pt is probes[1] else real(ct, pt)))
+        rep = integrability_report(mts, probes)
+        assert math.isnan(rep.f_defect)
+        assert rep.dh_defect <= 1e-9
+
     def test_particle_is_integrable(self):
         rep = integrability_report(system("particle"))
         assert rep.integrable

@@ -1,5 +1,6 @@
 """Model loading, Hessian construction, and the regular/degenerate split."""
 
+import math
 import sys
 
 import numpy as np
@@ -29,7 +30,7 @@ from clairaut.model import (
     parse_model,
     split_variables,
 )
-from clairaut.numerics import rank_and_pivots
+from clairaut.numerics import probe_ranks, rank_and_pivots
 from clairaut.verify import run_verification
 
 
@@ -169,6 +170,17 @@ class TestSplit:
         assert report.expected_rank == 1
         assert all(rank == 1 and ok for _, rank, ok in report.ranks)
 
+    def test_non_finite_hessian_has_no_rank(self):
+        # W = diag(1, x) at x = inf: the split refuses it, the report (which
+        # never raises) records that probe as a failing row of rank None
+        m = parse_model("coord x, y; lagrangian = d(x)^2/2 + x*d(y)^2/2;")
+        probes = [{"x": x, "y": 0.0, "d(x)": 0.5, "d(y)": 0.5} for x in (1.0, math.inf, 2.0)]
+        with pytest.raises(ModelError, match="^velocity Hessian has a non-finite entry at probe 1$"):
+            split_variables(m, probes)
+        report = check_rank_constancy(m, split_variables(m, probes[:1]), probes)
+        assert not report.passed
+        assert report.ranks == [(0, 2, True), (1, None, False), (2, 2, True)]
+
     def test_rank_report_failure(self):
         m = parse_model("coord x; lagrangian = d(x)^4/4;")
         s = split_variables(m, probes=[{"x": 0.0, "d(x)": 1.0}])
@@ -272,6 +284,11 @@ class TestRankKernel:
     def test_zero_matrix(self):
         rank, cols = rank_and_pivots(np.zeros((3, 3)))
         assert (rank, cols) == (0, [])
+
+    def test_probe_ranks_refuses_a_non_finite_matrix(self):
+        good, bad = [0.0, 1.0, -1.0, 0.0], [0.0, math.nan, -1.0, 0.0]
+        with pytest.raises(ModelError, match="^field strength has a non-finite entry at probe 1$"):
+            probe_ranks([good, bad], None, 1e-10, "field strength")
 
     def test_non_matrix_is_a_typed_error(self):
         with pytest.raises(ArgumentError, match="expects a matrix") as exc:

@@ -1,13 +1,17 @@
 """Report structure, determinism, and per-class check coverage."""
 
 import json
+import math
 from collections import Counter
+from collections.abc import Iterable
 from functools import lru_cache
 
 import pytest
 
-from clairaut import load_bundled, parse_model, verify
-from clairaut.model import default_probes
+from clairaut import ClairautTransform, classify, load_bundled, parse_model, verify
+from clairaut.fixtures import BUNDLED
+from clairaut.gauge import phase_probes
+from clairaut.model import DEFAULT_PROBE_COUNT, default_probes
 from clairaut.verify import render_report, run_verification
 
 
@@ -77,6 +81,44 @@ class TestSharedReports:
             monkeypatch.setattr(verify, name, counted)
         rep = run_verification(load_bundled("synthetic_gaugeless"))
         assert calls == {"integrability_report": 1, "dirac_report": rep["probe_count"]}
+
+
+class TestDefectFold:
+    """run_verification folds each row's defects into max |defect|: a nan at
+    any probe, not only the first, makes the row nan and failing."""
+
+    @staticmethod
+    def row_with_nan_at_probe_1(monkeypatch, model, name, row):
+        # verify's binding of name returns nan (times its value) at the
+        # run's second probe
+        probes, real_probes, real = [], verify.phase_probes, getattr(verify, name)
+        monkeypatch.setattr(verify, "phase_probes",
+                            lambda *args, **kwargs: probes.extend(real_probes(*args, **kwargs))
+                            or probes)
+        monkeypatch.setattr(verify, name, lambda ct, *args: (
+            real(ct, *args) * math.nan if args[-1] is probes[1] else real(ct, *args)))
+        rep = run_verification(load_bundled(model))
+        return next(c for c in rep["checks"] if c["name"] == row)
+
+    def test_pair_check_row(self, monkeypatch):
+        c = self.row_with_nan_at_probe_1(monkeypatch, "oscillator", "poisson_phys",
+                                         "poisson_bracket_antisymmetry")
+        assert math.isnan(c["residual"]) and not c["passed"]
+
+    def test_field_strength_antisymmetry(self, monkeypatch):
+        c = self.row_with_nan_at_probe_1(monkeypatch, "synthetic_gaugeless", "field_strength",
+                                         "field_strength_antisymmetry")
+        assert math.isnan(c["residual"]) and not c["passed"]
+
+    @pytest.mark.parametrize("name", BUNDLED)
+    def test_every_row_returns_its_defects(self, name):
+        # the fold stays in run_verification: no row folds to a float itself
+        ct = ClairautTransform(load_bundled(name))
+        probes = phase_probes(ct, count=DEFAULT_PROBE_COUNT, seed=42)
+        ctx = verify._Context(ct, classify(ct, probes=probes), probes, 42)
+        for row, _, fn, applicable in verify._check_table(ctx):
+            if applicable:
+                assert isinstance(fn(ctx), Iterable), row
 
 
 class TestRankConstancyRow:
