@@ -303,11 +303,12 @@ def _draw_probes(model, count, seed):
     return probes
 
 
-def _probe_ranks(model, probes, regular=None):
+def _probe_ranks(model, probes, regular=None, matrix="velocity Hessian"):
     """numerics.probe_ranks over W at the probes (DEFAULT_RANK_TOL), its block
     the regular set: the one given, the pinned declaration's, or else W's
     pivot order at the first probe.  Returns the regular set in declaration
-    order, then the rank of W and that of its regular block at each probe."""
+    order, then the rank of W and that of its regular block at each probe
+    (None for both where W is not finite and matrix is None)."""
     coords, core = model.coords, model.core
     if regular is None and model.pinned_degenerate is not None:
         regular = tuple(c for c in coords if c not in model.pinned_degenerate)
@@ -320,8 +321,7 @@ def _probe_ranks(model, probes, regular=None):
         return core.fn(args)[core.slices["W"]]
 
     block = None if regular is None else [coords.index(c) for c in regular]
-    block, ranks, block_ranks = probe_ranks(map(hessian, probes), block, DEFAULT_RANK_TOL,
-                                            "velocity Hessian")
+    block, ranks, block_ranks = probe_ranks(map(hessian, probes), block, DEFAULT_RANK_TOL, matrix)
     return tuple(coords[i] for i in block), ranks, block_ranks
 
 
@@ -361,11 +361,7 @@ def check_rank_constancy(model, split, probes=None):
     of rank None."""
     if probes is None:
         probes = default_probes(model)
-    rows = []
-    for k, probe in enumerate(probes):
-        try:
-            _, (rank,), (block_rank,) = _probe_ranks(model, [probe], split.regular)
-        except ModelError:
-            rank = block_rank = None
-        rows.append((k, rank, block_rank == split.r))
+    _, ranks, block_ranks = _probe_ranks(model, probes, split.regular, None)
+    rows = [(k, rank, block_rank == split.r)
+            for k, (rank, block_rank) in enumerate(zip(ranks, block_ranks))]
     return RankReport(all(rank == split.r and ok for _, rank, ok in rows), split.r, rows)

@@ -99,11 +99,16 @@ def probe_ranks(matrices, block, rel_tol, matrix):
     principal block, the index list block or, if that is None, the first
     matrix's sorted pivot columns.  Returns (block, ranks, block_ranks).
     A matrix with an inf or nan entry has no rank: ModelError, naming the
-    matrix (its name, as RankVariationError gives it) and the probe."""
+    matrix (its name, as RankVariationError gives it) and the probe, or,
+    with matrix None, None for both of its ranks."""
     ranks, block_ranks = [], []
     for index, m in enumerate(matrices):
         if not all(map(math.isfinite, m)):
-            raise ModelError(f"{matrix} has a non-finite entry at probe {index}")
+            if matrix is not None:
+                raise ModelError(f"{matrix} has a non-finite entry at probe {index}")
+            ranks.append(None)
+            block_ranks.append(None)
+            continue
         k = math.isqrt(len(m))
         rank, pivots = rank_and_pivots([m[i * k:i * k + k] for i in range(k)], rel_tol)
         if block is None:

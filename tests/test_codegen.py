@@ -17,7 +17,7 @@ from clairaut import (
     load_bundled,
     parse_expression,
     phase_probes,
-    simplify,
+    substitute,
 )
 from clairaut import numerics
 from clairaut import transform as transform_module
@@ -65,17 +65,18 @@ class TestCommonSubexpressions:
 
 
 class TestNonFiniteConstants:
-    # a number literal must be finite: simplify folds the overflowing
-    # product 1e300*1e300 into the constant inf (and inf*0 into nan)
+    # a number literal must be finite, so the inf constant k is put into the
+    # unsimplified tree by substitution and the compiled code does the inf
+    # arithmetic itself (inf*0 included)
     @pytest.mark.parametrize("text, x", [
-        ("x*(1e300*1e300)", 2.0),
-        ("x*(1e300*1e300)", 0.0),
-        ("x - 1e300*1e300", 1.0),
-        ("-(1e300*1e300) + 1e300*1e300*0", 1.0),
-        ("exp(-(1e300*1e300)*x)", 1.0),
+        ("x*k", 2.0),
+        ("x*k", 0.0),
+        ("x - k", 1.0),
+        ("-k + k*0", 1.0),
+        ("exp(-k*x)", 1.0),
     ])
     def test_compiled_matches_interpreted(self, text, x):
-        expr = simplify(parse_expression(text))
+        expr = substitute(parse_expression(text), {"k": math.inf})
         got = compile_evaluator(expr, ["x"])([x])
         want = evaluate(expr, {"x": x})
         assert got == want or (math.isnan(got) and math.isnan(want))

@@ -289,6 +289,8 @@ class TestRankKernel:
         good, bad = [0.0, 1.0, -1.0, 0.0], [0.0, math.nan, -1.0, 0.0]
         with pytest.raises(ModelError, match="^field strength has a non-finite entry at probe 1$"):
             probe_ranks([good, bad], None, 1e-10, "field strength")
+        # unnamed, the matrix gets no rank instead
+        assert probe_ranks([good, bad], None, 1e-10, None) == ([0, 1], [2, None], [2, None])
 
     def test_non_matrix_is_a_typed_error(self):
         with pytest.raises(ArgumentError, match="expects a matrix") as exc:
