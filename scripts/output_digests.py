@@ -10,11 +10,13 @@ give the same bytes on every one of these outputs:
 - ``simulate`` on christ_lee and synthetic_gaugeless from the benchmark's
   starting points for seeds 1 and 2, and the synthetic_coupled run that
   exits 3 (the argument lists of perfbench's ``trajectory`` rounds);
+- a particle ``simulate`` whose prescribed velocity d(x0) = 1/(t - 0.005)
+  is undefined at t = 0.005, which exits 3 naming the slot and the time;
 - ``verify --seed 42`` and ``analyze`` on all ten bundled models;
 - the README ``transform`` and ``pde``, and a ``pde`` envelope whose
   slopes resolve from a start inside f's domain.
 
-That is 29 digests.
+That is 30 digests.
 
 Usage (from the root of a checkout; compare two checkouts with diff):
 
@@ -50,6 +52,8 @@ def commands(workdir):
         for op in Trajectory(seed, workdir).round(0):
             if op.argv not in out:
                 out.append(op.argv)
+    out.append(["simulate", "particle", "--gauge", "x0=1/(t-0.005)", "--init", "p_x=0.4",
+                "--t1", "0.01", "--dt", "1e-3"])
     for model in BUNDLED:
         out.append(["verify", model, "--seed", "42"])
     for model in BUNDLED:

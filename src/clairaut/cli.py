@@ -257,7 +257,7 @@ def cmd_simulate(args):
     model = _apply_params(_load(args.model), args.param)
     halt_tol = args.tol if args.tol is not None else 1e-6
     cfg = IntegratorConfig(t1=args.t1, dt=args.dt, consistency_tol=halt_tol)
-    samples = int(round((cfg.t1 - cfg.t0) / cfg.dt)) + 1
+    samples = cfg._steps + 1
     if args.tol is not None and samples < 5:
         raise ArgumentError("--tol needs at least 5 samples for the Euler-Lagrange "
                             f"residual's stencil; --t1 {args.t1} at --dt {args.dt} "
@@ -270,11 +270,7 @@ def cmd_simulate(args):
     traj = integrate(ct, pt, gauge, cfg, cls)
 
     el = el_residual(model, traj)
-    header = (["t"]
-              + [f"q:{c}" for c in traj.coords]
-              + [f"p:{c}" for c in traj.regular]
-              + [f"v:{c}" for c in traj.degenerate]
-              + ["H_phys", "consistency_residual", "el_residual"])
+    header = traj.columns + ["el_residual"]
     table = np.column_stack([traj.t, traj.q, traj.p, traj.v_deg, traj.h_phys,
                              traj.consistency, el])
     fmt = ",".join(["%.17g"] * len(header))  # one row's tolist() at a time: less peak memory

@@ -28,14 +28,16 @@ degenerate_velocities solves the sector system on a Resolution's F and D_a H
 in the stage's order: the same floats.
 """
 
+import itertools
 import math
 from array import array
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import ArgumentError, GaugeInputError, IntegrabilityError, NewtonError
+from .errors import ArgumentError, DomainError, GaugeInputError, IntegrabilityError, NewtonError
 from .expressions import compile_evaluator, free_symbols, parse_expression
-from .gauge import _poisson, _subblock_solve, bracket_gauge, classify, field_strength
+from .gauge import _subblock_solve, bracket_gauge, classify, field_strength
+from .manytime import g_matrix, map_to_manytime
 from .numerics import SECTOR_SINGULAR, _max_abs, dot, rk4_kernel
 from .transform import PhasePoint
 
@@ -178,8 +180,10 @@ class IntegratorConfig:
             raise ArgumentError("more than 1e8 steps requested")
         if self.t1 <= self.t0:
             raise ArgumentError("t1 must exceed t0")
-        if int(round((self.t1 - self.t0) / self.dt)) < 1:
+        if self._steps < 1:
             raise ArgumentError("time span shorter than one step")
+
+    _steps = property(lambda self: int(round((self.t1 - self.t0) / self.dt)))
 
 
 @dataclass(frozen=True)
@@ -207,6 +211,12 @@ class Trajectory:
     def point(self, k):
         return PhasePoint(self.q[k], self.p[k], self.v_deg[k])
 
+    @property
+    def columns(self):
+        """The names of a row's values: the CSV header up to el_residual."""
+        return (["t"] + [f"q:{c}" for c in self.coords] + [f"p:{c}" for c in self.regular]
+                + [f"v:{c}" for c in self.degenerate] + ["H_phys", "consistency_residual"])
+
 
 def integrate(ct, initial, gauge=None, cfg=None, cls=None):
     """Fixed-step RK4 over the mixed equations of motion.
@@ -217,7 +227,9 @@ def integrate(ct, initial, gauge=None, cfg=None, cls=None):
     tolerance aborts with the truncated trajectory attached, as does a
     Newton failure mid-run.  So does a step across a singular point of the
     solved F subblock, seen as a sign change of its Pfaffian between the
-    starts of two steps: the determinant, Pf^2, cannot see it.
+    starts of two steps: the determinant, Pf^2, cannot see it.  A row with
+    a non-finite value, or a prescribed velocity undefined at a stage's
+    time, aborts with the rows written before it.
     """
     import numpy as np
     cfg = cfg if cfg is not None else IntegratorConfig()
@@ -229,6 +241,10 @@ def integrate(ct, initial, gauge=None, cfg=None, cls=None):
 
     def build(count):
         table = np.frombuffer(rows, count=count * width).reshape(count, width)
+        for k, col in np.argwhere(~np.isfinite(table))[:1].tolist():  # the first, row-major
+            traj = build(k)
+            raise IntegrabilityError(f"non-finite {traj.columns[col]} = {table[k, col]} at "
+                                     f"t={table[k, 0]:.6g}", trajectory=traj)
         cols = np.cumsum([1, n, ct.r, n - ct.r, 1])
         t, q, p, v, h, c = (col.copy() for col in np.split(table, cols, axis=1))
         return Trajectory(t[:, 0], q, p, v, h[:, 0], c[:, 0], ct.model.coords,
@@ -239,9 +255,19 @@ def integrate(ct, initial, gauge=None, cfg=None, cls=None):
         status = rk4_kernel(n, ct._reg, solve, other)(
             ct._stage(solve, other), ct.newton.tol, ct._damped_resolve, gauge.velocity,
             initial._q, initial._p, initial._v, cfg.t0, cfg.dt,
-            int(round((cfg.t1 - cfg.t0) / cfg.dt)), cfg.consistency_tol, rows)
-    except NewtonError as exc:
+            cfg._steps, cfg.consistency_tol, rows)
+    except (NewtonError, DomainError) as exc:
         count, cut = divmod(len(rows), width)  # cut: stage 1 of the step raised
+        t = rows[-1 if cut else -width]
+        if isinstance(exc, DomainError):  # raised by a prescribed velocity: find it
+            for time, a in itertools.product((t, t + cfg.dt / 2, t + cfg.dt), other):
+                try:
+                    gauge.velocity(a, time)
+                except DomainError as err:
+                    raise IntegrabilityError(
+                        f"prescribed velocity d({ct.split.degenerate[a]}) is not defined at "
+                        f"t={time:.6g}: {err}", trajectory=build(count)) from exc
+            raise
         where, text = "" if cut else "inside step ", str(exc)
         if cut and not count and other:  # the first stage: blame the gauge's velocities
             v = [gauge.velocity(a, cfg.t0) if a in other else w for a, w in enumerate(initial._v)]
@@ -249,7 +275,7 @@ def integrate(ct, initial, gauge=None, cfg=None, cls=None):
                 text += "; the start lies outside the Lagrangian's domain at the gauge's " + \
                     ", ".join(f"d({ct.split.degenerate[a]}) = {v[a]:.6g}" for a in other)
         raise IntegrabilityError(
-            f"velocity resolution failed {where}at t={rows[-1 if cut else -width]:.6g}: {text}",
+            f"velocity resolution failed {where}at t={t:.6g}: {text}",
             trajectory=build(count)) from exc
     count = len(rows) // width
     if status == 1:
@@ -335,29 +361,12 @@ class DiracReport:
     second_stage: "np.ndarray" # {phi_a, H_T}_full given the point's v_deg
 
 
-def _full_bracket(ct, xq, xp_reg, xp_deg, yq, yp_reg, yp_deg):
-    """Canonical bracket over all n pairs: the regular ones' _poisson plus
-    the degenerate ones'; momenta indexed like coords."""
-    return (_poisson(ct, xq, xp_reg, yq, yp_reg)
-            + (dot(xq[ct.deg_idx], yp_deg) - dot(yq[ct.deg_idx], xp_deg)))
-
-
-def _constraint_brackets(ct, res):
-    """Raw {phi_a, phi_b}_full matrix and {phi_a, H_phys}_full vector."""
-    import numpy as np
-    n_deg = ct.n - ct.r
-    eye = np.eye(n_deg)
-    fab = np.empty((n_deg, n_deg))
-    dhf = np.empty(n_deg)
-    zeros = np.zeros(n_deg)
-    for a in range(n_deg):
-        xq, xp_reg, xp_deg = -res.dB_dq[a], -res.dB_dp[a], eye[a]
-        dhf[a] = _full_bracket(ct, xq, xp_reg, xp_deg,
-                               res.dH_dq, res.dH_dp, zeros)
-        for b in range(n_deg):
-            yq, yp_reg, yp_deg = -res.dB_dq[b], -res.dB_dp[b], eye[b]
-            fab[a, b] = _full_bracket(ct, xq, xp_reg, xp_deg, yq, yp_reg, yp_deg)
-    return fab, dhf
+def _constraint_brackets(ct, pt):
+    """{phi_a, phi_b}_full matrix and {phi_a, H_phys}_full vector over all n
+    canonical pairs: the degenerate block of the many-time form G and minus
+    its first row (manytime), so G's bracket, gauge._poisson, is the only one."""
+    g = g_matrix(map_to_manytime(ct), pt)
+    return g[1:, 1:], -g[0, 1:]
 
 
 def dirac_report(ct, pt, p_deg=None):
@@ -369,19 +378,12 @@ def dirac_report(ct, pt, p_deg=None):
     """
     import numpy as np
     res = ct.resolve(pt)
-    n_deg = ct.n - ct.r
-    if p_deg is None:
-        p_deg = res.B.copy()
-    p_deg = np.asarray(p_deg, dtype=float)
-    phi = p_deg - res.B
-    h_t = ct.h_mix(pt, p_deg)
-    f = field_strength(ct, pt)
-    dh = d_alpha_h(ct, res)
-    fab, dhf = _constraint_brackets(ct, res)
-    fab_residual = float(np.max(np.abs(fab - f))) if n_deg else 0.0
-    dhf_residual = float(np.max(np.abs(dhf - SIGMA * dh))) if n_deg else 0.0
-    second_stage = dhf + np.array([dot(row, pt.v_deg) for row in fab.tolist()])
-    return DiracReport(phi, h_t, SIGMA, fab_residual, dhf_residual, second_stage)
+    p_deg = np.asarray(res.B if p_deg is None else p_deg, dtype=float)
+    fab, dhf = _constraint_brackets(ct, pt)
+    return DiracReport(p_deg - res.B, ct.h_mix(pt, p_deg), SIGMA,
+                       float(_max_abs((fab - field_strength(ct, pt)).flat)),
+                       float(_max_abs((dhf - SIGMA * d_alpha_h(ct, res)).flat)),
+                       dhf + np.array([dot(row, pt.v_deg) for row in fab.tolist()]))
 
 
 def calibrate_sigma(ct, points, tol=1e-6, floor=1e-8):
@@ -394,9 +396,8 @@ def calibrate_sigma(ct, points, tol=1e-6, floor=1e-8):
     """
     signs = set()
     for pt in points:
-        res = ct.resolve(pt)
-        dh = d_alpha_h(ct, res)
-        _, dhf = _constraint_brackets(ct, res)
+        dh = d_alpha_h(ct, ct.resolve(pt))
+        _, dhf = _constraint_brackets(ct, pt)
         for a in range(ct.n - ct.r):
             if abs(dh[a]) <= floor:
                 continue

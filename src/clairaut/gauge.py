@@ -149,8 +149,7 @@ def _poisson(ct, xq, xp, yq, yp):
 
 def _long_derivative(ct, res, alpha, xq, xp):
     """D_alpha X at the resolution res, from the gradients of X there."""
-    bq, bp = res.dB_dq[alpha], res.dB_dp[alpha]
-    return float(xq[ct.deg_idx[alpha]]) + dot(bq[ct.reg_idx], xp) - dot(xq[ct.reg_idx], bp)
+    return float(xq[ct.deg_idx[alpha]]) + _poisson(ct, res.dB_dq[alpha], res.dB_dp[alpha], xq, xp)
 
 
 def poisson_phys(ct, x, y, pt):

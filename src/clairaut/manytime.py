@@ -13,16 +13,16 @@ antisymmetric matrix
 
     G_mu_nu = dH_mu/dt^nu - dH_nu/dt^mu + {H_mu, H_nu}_phys,
 
-with the bracket taken over the regular pairs.  Evolution in all times
-simultaneously is consistent exactly when G vanishes; the degenerate
-block of G reproduces the field strength and the first row reproduces
-the long derivative of H_phys, which is what integrability_report
-checks.
+with the bracket taken over the regular pairs by gauge._poisson, the
+package's one canonical bracket.  Evolution in all times simultaneously
+is consistent exactly when G vanishes.  G's degenerate block is the
+field strength and its first row the long derivative of H_phys, which
+integrability_report checks; over all n canonical pairs they are also
+the constraint brackets {phi_a, phi_b} and -{phi_a, H_phys}, phi_a = p_a - B_a.
 """
 
 from dataclasses import dataclass
 
-from .dynamics import d_alpha_h
 from .errors import ModelError
 from .gauge import BObservable, _poisson, field_strength, phase_probes
 from .numerics import _max_abs
@@ -82,28 +82,21 @@ def map_to_manytime(ct):
 
 
 def g_matrix(mts, pt):
-    """Evaluate G_mu_nu at a phase point.  Exactly antisymmetric."""
+    """Evaluate G_mu_nu at a phase point.  Exactly antisymmetric: each pair
+    mu < nu is assembled once and (nu, mu) is its negation."""
     import numpy as np
-    ct = mts.ct
-    deg = ct.deg_idx
-    m = mts.m
+    ct, deg, m = mts.ct, mts.ct.deg_idx, mts.m
     gq = [h.d_dq(pt) for h in mts.hamiltonians]
     gp = [h.d_dp(pt) for h in mts.hamiltonians]
-
-    # explicit partials dH_mu/dt^nu: column 0 is the physical time and
-    # nothing depends on it explicitly; column 1+b is the degenerate
-    # coordinate promoted to a time
-    e = np.zeros((m, m))
-    for mu in range(m):
-        for nu in range(1, m):
-            e[mu, nu] = gq[mu][deg[nu - 1]]
-
-    pb = np.zeros((m, m))
+    g = np.zeros((m, m))
     for mu in range(m):
         for nu in range(mu + 1, m):
-            pb[mu, nu] = _poisson(ct, gq[mu], gp[mu], gq[nu], gp[nu])
-            pb[nu, mu] = -pb[mu, nu]
-    return (e - e.T) + pb
+            # e = dH_mu/dt^nu - dH_nu/dt^mu: nothing depends on the physical
+            # time t^0 explicitly; t^b (b >= 1) is degenerate coordinate deg[b - 1]
+            e = gq[mu][deg[nu - 1]] - (gq[nu][deg[mu - 1]] if mu else 0.0)
+            g[mu, nu] = e + _poisson(ct, gq[mu], gp[mu], gq[nu], gp[nu])
+            g[nu, mu] = -g[mu, nu]
+    return g
 
 
 @dataclass(frozen=True)
@@ -137,7 +130,7 @@ def integrability_report(mts, probes=None):
         g = g_matrix(mts, pt)
         g_entries.extend(g.flat)
         f_defects.extend((g[1:, 1:] - field_strength(ct, pt)).flat)
-        dh_defects.extend((g[0, 1:] - d_alpha_h(ct, ct.resolve(pt))).flat)
+        dh_defects.extend((g[0, 1:] - ct.resolve(pt).DH).flat)
     return IntegrabilityReport(max_g=float(_max_abs(g_entries)),
                                f_defect=float(_max_abs(f_defects)),
                                dh_defect=float(_max_abs(dh_defects)), n_points=len(probes))

@@ -367,6 +367,22 @@ class TestSimulate:
                                "--gauge", "x0=1+0.1*sin(t)", "--init", "p_x=100", "--t1", "0.01")
         assert code == 3 and "d(x0)" not in err
 
+    def test_non_finite_row_exits_3(self, capsys, tmp_path):
+        # x*x overflows at the start, so every H_phys would be nan
+        path = tmp_path / "overflow.lag"
+        path.write_text("coord x; lagrangian = d(x)*d(x)/2 - x*x/2;\n")
+        code, out, err = run_cli(capsys, "simulate", str(path), "--init", "x=1e200,p_x=1e200",
+                                 "--t1", "0.01", "--dt", "1e-3")
+        assert (code, out, err) == (3, "", "error: non-finite H_phys = nan at t=0\n")
+
+    def test_undefined_prescribed_velocity_exits_3(self, capsys):
+        code, out, err = run_cli(capsys, "simulate", bundled_model_path("particle"),
+                                 "--gauge", "x0=1/(t-0.005)", "--init", "p_x=0.4",
+                                 "--t1", "0.01", "--dt", "1e-3")
+        assert (code, out) == (3, "")
+        assert err == ("error: prescribed velocity d(x0) is not defined at t=0.005: "
+                       "float division by zero\n")
+
     def test_singular_sector_crossing_exits_3(self, capsys):
         code, _, err = run_cli(capsys, "simulate",
                                bundled_model_path("synthetic_coupled"),

@@ -25,7 +25,9 @@ from clairaut.dynamics import (
 from clairaut.errors import (ArgumentError, ClairautError, GaugeInputError, NewtonError,
                              RankDeficiencyError)
 from clairaut.gauge import ExprObservable, classify, field_strength, phase_probes
+from clairaut.manytime import g_matrix, map_to_manytime
 from clairaut.model import momentum_name
+from clairaut.numerics import dot
 from clairaut.verify import run_verification
 from conftest import pfaffian, reference_resolve
 
@@ -352,6 +354,56 @@ class TestIntegrate:
         assert 12 < ratio < 20  # RK4: halving dt cuts the error ~16x
 
 
+class TestUndefinedValuesEndTheRun:
+    """A row with a non-finite value, or a prescribed velocity undefined at a
+    stage's time, ends the run with an IntegrabilityError that says where and
+    when and carries the rows written before it."""
+
+    def test_nan_hamiltonian_at_the_start(self):
+        # x*x overflows, so H_phys = inf - inf on every row
+        ct = ClairautTransform(parse_model("coord x; lagrangian = d(x)*d(x)/2 - x*x/2;"))
+        with pytest.raises(IntegrabilityError) as info:
+            integrate(ct, ct.point([1e200], [1e200]), cfg=IntegratorConfig(t1=0.01, dt=1e-3))
+        assert str(info.value) == "non-finite H_phys = nan at t=0"
+        traj = info.value.trajectory
+        assert len(traj) == 0 and traj.q.shape == (0, 1)
+
+    def test_overflow_mid_run_keeps_the_finite_rows(self):
+        # x = p = 1.3e154 e^t: x*x overflows once x passes sqrt(max double)
+        ct = ClairautTransform(parse_model("coord x; lagrangian = d(x)*d(x)/2 + x*x/2;"))
+        with pytest.raises(IntegrabilityError) as info:
+            integrate(ct, ct.point([1.3e154], [1.3e154]), cfg=IntegratorConfig(t1=0.1, dt=1e-3))
+        assert str(info.value) == "non-finite H_phys = nan at t=0.031"
+        traj = info.value.trajectory
+        assert len(traj) == 31 and traj.t[-1] == pytest.approx(0.03)
+        assert np.all(np.isfinite(traj.h_phys)) and np.all(np.isfinite(traj.q))
+
+    def test_undefined_prescribed_velocity_names_the_slot_and_time(self):
+        # d(x0) = 1/(t - 0.005) is undefined at stage 4 of step 4, whose row
+        # (t = 0.004) is already written
+        ct = transform("particle")
+        cls = classification("particle")
+        start = ct.point({}, {"x": 0.4}, {"x0": 1.0})
+        with pytest.raises(IntegrabilityError) as info:
+            integrate(ct, start, gauge_input(ct, cls, {"x0": "1/(t-0.005)"}),
+                      IntegratorConfig(t1=0.01, dt=1e-3), cls)
+        assert str(info.value) == ("prescribed velocity d(x0) is not defined at t=0.005: "
+                                   "float division by zero")
+        traj = info.value.trajectory
+        assert len(traj) == 5 and traj.t[-1] == pytest.approx(0.004)
+
+    def test_prescribed_velocity_undefined_at_the_start(self):
+        ct = transform("particle")
+        cls = classification("particle")
+        start = ct.point({}, {"x": 0.4}, {"x0": 1.0})
+        with pytest.raises(IntegrabilityError) as info:
+            integrate(ct, start, gauge_input(ct, cls, {"x0": "1/t"}),
+                      IntegratorConfig(t1=0.01, dt=1e-3), cls)
+        assert str(info.value) == ("prescribed velocity d(x0) is not defined at t=0: "
+                                   "float division by zero")
+        assert len(info.value.trajectory) == 0
+
+
 def spied_stages(monkeypatch, ct, log, give_up=()):
     """Append to log, per call of ct's fused RK4 stage, "fused" or, where it
     gave up, "gave up", and "at root" per call at tol = inf; the calls
@@ -643,6 +695,58 @@ class TestDiracCorrespondence:
     def test_sign_unmeasurable_when_hamiltonian_vanishes(self):
         ct = transform("particle")
         assert calibrate_sigma(ct, phase_probes(ct)[:8]) is None
+
+
+def full_bracket_oracle(ct, res):
+    """{phi_a, phi_b} and {phi_a, H_phys} over all n canonical pairs,
+    phi_a = p_a - B_a, assembled as two brackets (the regular pairs', then
+    the degenerate pairs' with their momenta as rows of the identity)."""
+    n_deg = ct.n - ct.r
+    eye, zeros, deg = np.eye(n_deg), np.zeros(n_deg), ct.deg_idx
+
+    def full(xq, xp, xd, yq, yp, yd):
+        return (dot(xq[ct.reg_idx], yp) - dot(yq[ct.reg_idx], xp)) + (
+            dot(xq[deg], yd) - dot(yq[deg], xd))
+
+    phi = [(-res.dB_dq[a], -res.dB_dp[a], eye[a]) for a in range(n_deg)]
+    fab = np.array([[full(*x, *y) for y in phi] for x in phi]).reshape(n_deg, n_deg)
+    dhf = np.array([full(*x, res.dH_dq, res.dH_dp, zeros) for x in phi])
+    return fab, dhf
+
+
+# calibrate_sigma at the 17 seed-42 phase probes, as the two-bracket
+# assembly computed it
+SIGMA_AT_PROBES = {"oscillator": None, "exponential": None, "particle": None,
+                   "mixed": -1.0, "cawley": -1.0, "christ_lee": -1.0,
+                   "synthetic_gaugeless": -1.0, "synthetic_coupled": -1.0,
+                   "synthetic_bianchi": -1.0, "synthetic_gauge": -1.0}
+
+
+class TestConstraintBracketsAreGBlocks:
+    """The Dirac brackets are read off the many-time form G; these pin the
+    identity that makes that exact: G's degenerate block and minus its first
+    row equal the full-bracket assembly entry for entry."""
+
+    @pytest.mark.parametrize("name", BUNDLED)
+    def test_brackets_equal_g_blocks(self, name):
+        ct = transform(name)
+        mts = map_to_manytime(ct)
+        for pt in phase_probes(ct):
+            res = ct.resolve(pt)
+            fab, dhf = full_bracket_oracle(ct, res)
+            g = g_matrix(mts, pt)
+            assert np.array_equal(g[1:, 1:], fab) and np.array_equal(-g[0, 1:], dhf)
+            rep = dirac_report(ct, pt)
+            assert rep.fab_residual == float(np.max(np.abs(fab - res.F), initial=0.0))
+            assert rep.dhf_residual == float(np.max(np.abs(dhf + res.DH), initial=0.0))
+            assert np.array_equal(rep.second_stage,
+                                  dhf + np.array([dot(row, pt.v_deg) for row in fab]))
+            assert type(rep.fab_residual) is float and type(rep.dhf_residual) is float
+
+    @pytest.mark.parametrize("name", BUNDLED)
+    def test_calibrated_sign(self, name):
+        ct = transform(name)
+        assert calibrate_sigma(ct, phase_probes(ct)) == SIGMA_AT_PROBES[name]
 
 
 class TestPfaffian:

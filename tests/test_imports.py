@@ -133,3 +133,17 @@ def test_the_source_check_sees_what_it_looks_for():
               "def f():\n    import numpy\n    return np.random\n")
     assert numpy_uses(source) == [(1, "module-level numpy import"),
                                   (3, "module-level numpy import"), (6, "np.random")]
+
+
+def test_manytime_imports_nothing_from_dynamics():
+    # the Dirac constraint brackets are read off G, so imports run one way:
+    # dynamics -> manytime -> gauge
+    with open(os.path.join(SRC, "clairaut", "manytime.py"), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names += [node.module or ""] + [f"{node.module or ''}.{a.name}" for a in node.names]
+        elif isinstance(node, ast.Import):
+            names += [a.name for a in node.names]
+    assert [name for name in names if "dynamics" in name.split(".")] == []
