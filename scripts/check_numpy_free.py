@@ -1,7 +1,11 @@
 """Check that the package's numpy-free part runs, with or without numpy.
 
-Importing clairaut and its CLI loads no numpy; the expression layer parses,
-differentiates and compiles a Lagrangian; ``clairaut --help`` exits 0; the
+Importing clairaut and its CLI loads no numpy; the expression layer's
+intern table keeps one live node per key and drops the key when its node
+dies, from a callback that takes no lock (the table leans on the private
+_weakref._remove_dead_weakref, so every supported Python is checked); the
+expression layer parses, differentiates and compiles a Lagrangian;
+``clairaut --help`` exits 0; the
 package's own generator (numerics.Rng) draws the pinned doubles that
 numpy.random.default_rng(42) draws; and the 13 reference commands of
 scripts/output_digests.py that need no numpy (``analyze`` on every bundled
@@ -53,6 +57,25 @@ def numpy_free_digests():
                 for argv in output_digests.commands(workdir) if argv[0] in NUMPY_FREE}
 
 
+def check_intern():
+    """One live node per key, its key gone from the table when it dies, and
+    the death callback free of the table's lock (it runs while another
+    thread holds it)."""
+    import threading
+
+    from clairaut import expressions as ex
+
+    held = [ex.Sym("interned_once")]
+    key, gone = (ex.Sym, "interned_once"), []
+    assert ex.Sym("interned_once") is held[0] and ex._nodes[key]() is held[0], "two nodes"
+    worker = threading.Thread(target=lambda: gone.append(held.clear() or key not in ex._nodes))
+    with ex._nodes_lock:
+        worker.start()
+        worker.join(timeout=10)
+        assert not worker.is_alive(), "the death callback blocked on the table's lock"
+    assert gone == [True], "a dead node's key stayed in the table"
+
+
 def main():
     import clairaut
     import clairaut.cli
@@ -64,6 +87,9 @@ def main():
 
     no_numpy("import clairaut, clairaut.cli")
     print("import clairaut, clairaut.cli: no numpy")
+
+    check_intern()
+    print("intern table: one node per key, dropped at its death without the lock")
 
     model = clairaut.parse_model(MODEL)
     args, want = CORE_AT

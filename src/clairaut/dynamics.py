@@ -287,7 +287,7 @@ def integrate(ct, initial, gauge=None, cfg=None, cls=None):
             "Pfaffian of the solved F subblock changed sign between "
             f"t={rows[-1 - width]:.6g} and t={rows[-1]:.6g}: the sector "
             "system went singular inside that step", trajectory=build(count))
-    return build(count)
+    return build(count)  # status 3: build raises at the non-finite row
 
 
 # ------------------------------------------------------------- verification

@@ -6,14 +6,15 @@ products, powers, negation, quotients, and calls to a fixed set of unary
 functions (sin, cos, exp, log, sqrt).  Velocities are ordinary symbols whose
 names happen to render as d(coordinate); no node kind distinguishes them.
 
-Nodes are interned when they are built: one table holds the live node for
-each kind and fields, so structurally equal trees are the same object and
-equality is identity.  A tree is therefore a DAG of shared nodes, and the
-walks over it do work per distinct node: simplify keeps its result on the
-node, and differentiate memoizes per call (a derivation, per symbol).
+Nodes are interned when they are built: a dict of weak references holds the
+live node for each kind and fields, so structurally equal trees are the same
+object and equality is identity.  A tree is therefore a DAG of shared nodes,
+and the walks over it do work per distinct node: simplify keeps its result
+on the node, and differentiate memoizes per call (a derivation, per symbol).
 
-Differentiation is purely syntactic.  Simplification performs constant
-folding, identity elimination, flattening, and like-term collection, and is
+Differentiation is purely syntactic, less the terms simplify folds to 0 (but
+inf*0 and nan*0 are nan).  Simplification performs constant folding,
+identity elimination, flattening, and like-term collection, and is
 idempotent; it never folds a division by a zero constant or log/sqrt of a
 negative constant, leaving those to raise at evaluation time.
 """
@@ -23,6 +24,7 @@ import math
 import operator
 import threading
 import weakref
+from _weakref import _remove_dead_weakref
 
 from .errors import ArgumentError, DomainError, ExprSyntaxError, UnboundSymbolError
 
@@ -93,16 +95,27 @@ def _wrap(value):
     return Const(float(value))
 
 
-# The live node for each (class, fields) key.  Children are interned before
-# their parents, so a key compares them by identity.
-_nodes = weakref.WeakValueDictionary()
+class _Ref(weakref.ref):
+    __slots__ = ("key",)  # the key of the node it refers to
+
+
+def _drop(ref):
+    # one C call that takes no lock, so a node may die anywhere, inside
+    # _intern's locked store too; it keeps a live node that replaced this one
+    _remove_dead_weakref(_nodes, ref.key)
+
+
+# A weak reference to the live node for each (class, fields) key.  Children
+# are interned before their parents, so a key compares them by identity.
+_nodes = {}
 _nodes_lock = threading.Lock()
+_DEAD = type(None)  # called like a dead reference, it returns None
 
 
 def _intern(key, fields=None):
     """The live node for key = (class, *fields), built on a miss; fields
-    defaults to the rest of the key."""
-    node = _nodes.get(key)
+    defaults to the rest of the key.  A hit reads the table without a lock."""
+    node = _nodes.get(key, _DEAD)()
     if node is None:
         cls = key[0]
         node = object.__new__(cls)
@@ -110,7 +123,11 @@ def _intern(key, fields=None):
             object.__setattr__(node, slot, value)
         object.__setattr__(node, "_simple", None)
         with _nodes_lock:  # a node another thread stored first wins
-            node = _nodes.setdefault(key, node)
+            live = _nodes.get(key, _DEAD)()
+            if live is not None:
+                return live
+            ref = _nodes[key] = _Ref(node, _drop)
+            ref.key = key
     return node
 
 
@@ -294,19 +311,22 @@ class _Derivatives(dict):
 
 
 def _diff(e, x, d):
-    """Derivative of node e with respect to x, reading its children's from d."""
+    """Derivative of node e with respect to x, reading its children's from d.
+    The sum, negation and product rules leave out _ZERO terms, a product only
+    where its Const factor (at most one: e is simplified) is finite."""
     if isinstance(e, Const):
         return _ZERO
     if isinstance(e, Sym):
         return _ONE if e.name == x else _ZERO
     if isinstance(e, Sum):
-        return Sum(tuple(d[t] for t in e.terms))
+        return _dsum(d[t] for t in e.terms)
     if isinstance(e, Neg):
-        return Neg(d[e.child])
+        return _ZERO if (du := d[e.child]) is _ZERO else Neg(du)
     if isinstance(e, Prod):
         fs = e.factors
-        return Sum(tuple(Prod(tuple(d[f] if j == i else f for j, f in enumerate(fs)))
-                         for i in range(len(fs))))
+        prune = all(math.isfinite(f.value) for f in fs if isinstance(f, Const))
+        return _dsum(Prod(fs[:i] + (df,) + fs[i + 1:]) for i, f in enumerate(fs)
+                     if (df := d[f]) is not _ZERO or not prune)
     if isinstance(e, Quot):
         da, db = d[e.num], d[e.den]
         num = Sum((Prod((da, e.den)), Neg(Prod((e.num, db)))))
@@ -332,6 +352,13 @@ def _diff(e, x, d):
         return _dquot(du, u)
     # sqrt
     return _dquot(du, Prod((Const(2.0), Call("sqrt", u))))
+
+
+def _dsum(terms):
+    """Sum of the terms but _ZERO, which simplify adds exactly to its constant
+    sum (never -0.0)."""
+    terms = tuple(t for t in terms if t is not _ZERO)
+    return Sum(terms) if terms else _ZERO
 
 
 def _dquot(num, den):

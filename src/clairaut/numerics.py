@@ -656,8 +656,9 @@ def rk4_kernel(n, reg, solve, other):
     2 to 4 and the RK4 update.
 
     Returns 0 after the last step's row, 1 where a residual above tol
-    after step 0 aborts (step 0's residual above tol only flags the run), and
-    2 where the Pfaffian's sign changed, with row k cut after its t.  A
+    after step 0 aborts (step 0's residual above tol only flags the run), 2
+    where the Pfaffian's sign changed, with row k cut after its t, and 3
+    where row k, just written, holds a value that is not finite.  A
     NewtonError from resolve propagates, with row k cut after its t where
     stage 1 raised it and whole where a later stage did.
     """
@@ -694,8 +695,10 @@ def rk4_kernel(n, reg, solve, other):
         code.line(f"if k and {sign} != last: return 2")  # a nan sign never matches
         code.line(f"last = {sign}")
     res = code(f"{out}[3]")
-    code.line(f"rows.extend(({', '.join(q + p + [f'w[{s}]' for s in range(nd)])}, "
-              f"{out}[4], {res}))")
+    row = q + p + [f"w[{s}]" for s in range(nd)] + [f"{out}[4]", res]
+    code.line(f"rows.extend(({', '.join(row)}))")
+    zero = code(" + ".join(f"{x} * 0.0" for x in [t] + row))  # nan where a value is not finite
+    code.line(f"if {zero} != {zero}: return 3")
     code.line(f"if {res} > tol:")
     code.line("    if k == 0: flagged = True")
     code.line("    elif not flagged: return 1")

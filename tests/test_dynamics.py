@@ -378,6 +378,18 @@ class TestUndefinedValuesEndTheRun:
         assert len(traj) == 31 and traj.t[-1] == pytest.approx(0.03)
         assert np.all(np.isfinite(traj.h_phys)) and np.all(np.isfinite(traj.q))
 
+    @pytest.mark.parametrize("lagrangian, start, stages", [
+        ("d(x)*d(x)/2 - x*x/2", 1e200, 1),  # H_phys nan at row 0: stage 1 of step 0
+        ("d(x)*d(x)/2 + x*x/2", 1.3e154, 4 * 31 + 1),  # at row 31
+    ])
+    def test_the_loop_stops_at_the_first_non_finite_row(self, monkeypatch, lagrangian,
+                                                         start, stages):
+        ct = ClairautTransform(parse_model(f"coord x; lagrangian = {lagrangian};"))
+        log = spied_stages(monkeypatch, ct, [])
+        with pytest.raises(IntegrabilityError, match="non-finite H_phys"):
+            integrate(ct, ct.point([start], [start]), cfg=IntegratorConfig(t1=20.0, dt=1e-3))
+        assert log == ["fused"] * stages
+
     def test_undefined_prescribed_velocity_names_the_slot_and_time(self):
         # d(x0) = 1/(t - 0.005) is undefined at stage 4 of step 4, whose row
         # (t = 0.004) is already written

@@ -1,6 +1,7 @@
 """Expression core: parsing, differentiation, simplification, evaluation."""
 
 import copy
+import gc
 import math
 import pickle
 import random
@@ -8,6 +9,8 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from clairaut import (
     Call,
@@ -32,6 +35,7 @@ from clairaut import (
 from clairaut import expressions
 from clairaut.errors import ArgumentError
 from clairaut.expressions import MAX_NESTING
+from clairaut.fixtures import BUNDLED, load_bundled
 
 SYMBOL_POOL = ("x", "y", "z", "w", "d(x)")
 
@@ -302,6 +306,80 @@ class TestDifferentiate:
                 assert simplify(d) == d
 
 
+PRUNED_DIFF = expressions._diff
+
+
+def full_diff(e, x, d):
+    """expressions._diff with the full sum, negation and product rules,
+    which keep the terms whose derivative is 0."""
+    if isinstance(e, Sum):
+        return Sum(tuple(d[t] for t in e.terms))
+    if isinstance(e, Neg):
+        return Neg(d[e.child])
+    if isinstance(e, Prod):
+        fs = e.factors
+        return Sum(tuple(Prod(tuple(d[f] if j == i else f for j, f in enumerate(fs)))
+                         for i in range(len(fs))))
+    return PRUNED_DIFF(e, x, d)
+
+
+def by_full_rules(fn, *args):
+    """fn(*args) with full_diff in place of expressions._diff."""
+    expressions._diff = full_diff
+    try:
+        return fn(*args)
+    finally:
+        expressions._diff = PRUNED_DIFF
+
+
+def special_trees(depth=4):
+    """Trees over x, y and d(x) whose constants include -0.0, inf, nan and
+    1e308, whose square overflows."""
+    leaves = st.one_of(
+        st.sampled_from([0.0, -0.0, 0.5, 1.0, 2.0, 1e308, math.inf, math.nan]).map(Const),
+        st.sampled_from(["x", "y", "d(x)"]).map(Sym),
+    )
+    if depth == 0:
+        return leaves
+    sub = special_trees(depth - 1)
+    return st.one_of(
+        leaves,
+        st.lists(sub, min_size=2, max_size=3).map(Sum),
+        st.lists(sub, min_size=2, max_size=4).map(Prod),
+        st.builds(Pow, sub, st.sampled_from([2.0, 3.0, 0.5, -1.0]).map(Const)),
+        st.builds(Pow, sub, sub),
+        st.builds(Neg, sub),
+        st.builds(Quot, sub, sub),
+        st.builds(Call, st.sampled_from(["sin", "cos", "exp", "log", "sqrt"]), sub),
+    )
+
+
+class TestZeroPruning:
+    """The sum, negation and product rules leave out zero terms; the
+    derivative, first and second, is the very node the full rules give."""
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=400)
+    @given(special_trees(), st.sampled_from(["x", "y", "d(x)"]))
+    @example(parse_expression("1e308*x^2"), "x")
+    @example(parse_expression("1e300*1e300*x*d(y) - y*d(y)"), "d(y)")
+    @example(Prod((Const(-0.0), Sym("x"), Neg(Const(math.inf)), Sym("y"))), "x")
+    def test_the_node_of_the_full_rules(self, e, name):
+        for _ in range(2):
+            pruned = differentiate(e, name)
+            assert pruned is by_full_rules(differentiate, e, name), e
+            e = pruned
+
+    def test_an_inf_coefficient_keeps_its_nan(self):
+        # 1e300*1e300 folds to inf, and d(y)'s second derivative is inf*0
+        e = differentiate(parse_expression("1e300*1e300*x*d(y)"), "d(y)")
+        assert differentiate(e, "d(y)") is Const(math.nan)
+
+    @pytest.mark.parametrize("name", BUNDLED)
+    def test_bundled_cores_compile_to_the_same_source(self, name):
+        full = by_full_rules(lambda: load_bundled(name).core.fn.source)
+        assert load_bundled(name).core.fn.source == full
+
+
 class TestEvaluate:
     def test_unbound_symbol_names_it(self):
         with pytest.raises(UnboundSymbolError) as err:
@@ -413,6 +491,42 @@ class TestInterning:
         for t in threads:
             t.join()
         assert all(a is b for a, b in zip(*built))
+
+
+    def test_a_node_dying_under_the_lock_leaves_at_once(self):
+        # the death callback takes no lock: a node may die inside _intern's
+        # locked store, when a collection runs there
+        held = [Sum((Sym("dies_under_lock"), Const(0.5)))]
+        key, gone = (Sum, held[0].terms), []
+        assert expressions._nodes[key]() is held[0]
+        worker = threading.Thread(target=lambda: gone.append(
+            held.clear() or key not in expressions._nodes))
+        with expressions._nodes_lock:
+            worker.start()
+            worker.join(timeout=10)
+            blocked = worker.is_alive()
+        worker.join(timeout=10)
+        assert not blocked and gone == [True]
+
+    def test_no_dead_entries_after_a_collection(self):
+        cycle = [parse_expression("sin(in_a_cycle*d(in_a_cycle))^2")]
+        cycle.append(cycle)  # only the collector frees these nodes
+        del cycle
+        gc.collect()
+        assert (Sym, "in_a_cycle") not in expressions._nodes
+        assert all(ref() is not None for ref in list(expressions._nodes.values()))
+
+    def test_a_node_rebuilt_after_its_death_is_shared(self):
+        key = (Sym, "reborn")
+        Sym("reborn")
+        assert key not in expressions._nodes
+        again = Sym("reborn")
+        assert Sym("reborn") is again
+        # a late callback for the dead node keeps its live replacement
+        stale = expressions._Ref(Sym("stale"), None)
+        stale.key = key
+        expressions._drop(stale)
+        assert expressions._nodes[key]() is again and Sym("reborn") is again
 
 
 def _chain(kind, depth):
