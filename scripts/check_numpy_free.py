@@ -7,7 +7,9 @@ _weakref._remove_dead_weakref, so every supported Python is checked); the
 expression layer parses, differentiates and compiles a Lagrangian;
 ``clairaut --help`` exits 0; the
 package's own generator (numerics.Rng) draws the pinned doubles that
-numpy.random.default_rng(42) draws; and the 13 reference commands of
+numpy.random.default_rng(42) draws; the fused RK4 stage
+(numerics.fused_stage) gives the pinned outputs at the 17 phase probes of
+every bundled model; and the 13 reference commands of
 scripts/output_digests.py that need no numpy (``analyze`` on every bundled
 model, the README ``transform`` and both ``pde`` runs) give the digests that
 scripts/output_digests.txt pins for them, and still load no numpy.  It
@@ -28,6 +30,9 @@ import tempfile
 # numpy.random.default_rng(42).uniform(-1.0, 1.0, size=4), as float.hex
 PINNED_UNIFORM_42 = ("0x1.1887ef345b648p-1", "-0x1.f4b533cb0dc10p-4",
                      "0x1.6f344b09bb684p-1", "0x1.9435b070b0044p-2")
+
+# stage_digest(): 170 stages (ten bundled models, 17 probes each)
+PINNED_STAGE = (170, "a76652083d809d3c7a379fba17f09cdef5c86335ff62f74eca9b4401256d455b")
 
 # the reference commands output_digests.py runs without numpy
 NUMPY_FREE = ("analyze", "transform", "pde")
@@ -76,6 +81,29 @@ def check_intern():
     assert gone == [True], "a dead node's key stayed in the table"
 
 
+def stage_digest():
+    """sha256 of the fused RK4 stage's flat outputs (float.hex) at tol inf,
+    from the resolved velocities, at the phase probes of every bundled
+    model under its default gauge, the given degenerate velocities 0.25."""
+    import hashlib
+    import math
+
+    from clairaut import BUNDLED, ClairautTransform, load_bundled
+    from clairaut.dynamics import gauge_input
+    from clairaut.gauge import classify, phase_probes
+
+    lines = []
+    for name in BUNDLED:
+        ct = ClairautTransform(load_bundled(name))
+        solve, other = gauge_input(ct, classify(ct))._plan
+        stage = ct._stage(solve, other)
+        for pt in phase_probes(ct):
+            out = stage(*pt._q, *pt._p, *pt._v, *[0.25] * len(other), *ct.resolve(pt)._v,
+                        math.inf)
+            lines.append(f"{name} {' '.join(x.hex() for x in out)}")
+    return len(lines), hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
 def main():
     import clairaut
     import clairaut.cli
@@ -105,6 +133,10 @@ def main():
     draws = tuple(x.hex() for x in Rng(42).uniform(-1.0, 1.0, size=4))
     assert draws == PINNED_UNIFORM_42, f"Rng(42) drew {draws}"
     print("Rng(42): the pinned draws of numpy.random.default_rng(42)")
+
+    got = stage_digest()
+    assert got == PINNED_STAGE, f"fused stage outputs: {got}"
+    print(f"fused RK4 stage at {got[0]} probes of the bundled models: the pinned sha256")
 
     got, pinned = numpy_free_digests(), pinned_digests()
     assert got.keys() == pinned.keys(), f"commands {sorted(got)}"

@@ -22,8 +22,9 @@ steps from the last stage's velocities, then the sector solve, the core
 inline) or, where those steps give up, two: a second at tol inf from the
 root of ClairautTransform._damped_resolve, which the loop calls itself (the
 fused steps give up exactly where resolve_kernel's would, so damped Newton
-decides).  No stage builds a PhasePoint or Resolution, and each prescribed
-velocity is evaluated once per distinct time of a step.
+decides).  The stage takes and returns flat floats, and no stage builds a
+PhasePoint or Resolution; each prescribed velocity is evaluated once per
+distinct time of a step.
 degenerate_velocities solves the sector system on a Resolution's F and D_a H
 in the stage's order: the same floats.
 """
@@ -227,7 +228,9 @@ def integrate(ct, initial, gauge=None, cfg=None, cls=None):
     tolerance aborts with the truncated trajectory attached, as does a
     Newton failure mid-run.  So does a step across a singular point of the
     solved F subblock, seen as a sign change of its Pfaffian between the
-    starts of two steps: the determinant, Pf^2, cannot see it.  A row with
+    starts of two steps (the determinant, Pf^2, cannot see it), and one
+    across a singular point of W_rr, seen as a sign change of det W_rr (a
+    zero of even order keeps the sign, and passes).  A row with
     a non-finite value, or a prescribed velocity undefined at a stage's
     time, aborts with the rows written before it.
     """
@@ -282,11 +285,13 @@ def integrate(ct, initial, gauge=None, cfg=None, cls=None):
         raise IntegrabilityError(
             f"consistency residual {rows[-1]:.3e} exceeded "
             f"{cfg.consistency_tol:.3e} at t={rows[-width]:.6g}", trajectory=build(count))
-    if status == 2:
+    if status in (2, 4):
+        block, system = (("Pfaffian of the solved F subblock", "sector system") if status == 2
+                         else ("regular velocity Hessian block W_rr's determinant",
+                               "velocity resolution"))
         raise IntegrabilityError(
-            "Pfaffian of the solved F subblock changed sign between "
-            f"t={rows[-1 - width]:.6g} and t={rows[-1]:.6g}: the sector "
-            "system went singular inside that step", trajectory=build(count))
+            f"{block} changed sign between t={rows[-1 - width]:.6g} and t={rows[-1]:.6g}: "
+            f"the {system} went singular inside that step", trajectory=build(count))
     return build(count)  # status 3: build raises at the non-finite row
 
 

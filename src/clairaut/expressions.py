@@ -876,7 +876,10 @@ def _node_text(e, kids):
     return f"{e.fn}({kids[0]})"
 
 
-def _emit_cse(code, seq, index_of=None, text_of=None):
+INLINE_DEPTH = 3  # the most parentheses _emit_cse nests inline nodes in
+
+
+def _emit_cse(code, seq, index_of=None, text_of=None, inline=frozenset()):
     """Assign the roots of seq through code, sharing common subtrees; returns
     one text per root (a local name or a constant literal).
 
@@ -884,9 +887,13 @@ def _emit_cse(code, seq, index_of=None, text_of=None):
     one local.  text_of (node -> text), if given, holds the symbols' texts
     and is shared: a later call reuses the locals of an earlier one.  Other
     symbols are read once, as float(A[index_of[name]]).  The walk is
-    iterative and visits each node once.
+    iterative and visits each node once.  A node of inline (the caller
+    vouches that its one reader is emitted in the same call) gets no local:
+    its text, parenthesized, goes into its reader's, INLINE_DEPTH levels
+    deep at most; the operations and their order stay the tree's.
     """
     text_of = {} if text_of is None else text_of
+    depth = {}  # the parentheses of this call's inline texts
     for root in seq:
         stack = [(root, False)]
         while stack:
@@ -909,7 +916,11 @@ def _emit_cse(code, seq, index_of=None, text_of=None):
             if len(kids) == 1 and isinstance(e, (Sum, Prod)):
                 text_of[e] = text_of[kids[0]]
                 continue
-            text_of[e] = code(_node_text(e, [text_of[k] for k in kids]))
+            text = _node_text(e, [text_of[k] for k in kids])
+            if e in inline and (level := 1 + max(depth.get(k, 0) for k in kids)) <= INLINE_DEPTH:
+                text_of[e], depth[e] = f"({text})", level
+            else:
+                text_of[e] = code(text)
     return [text_of[root] for root in seq]
 
 

@@ -25,13 +25,17 @@ one shape, compiled once and emitted through expressions._Code.  One
 emitter per algorithm gives each of its kernels the same floats: _newton
 the full Newton steps (damped_newton's iterates where it takes no shorter
 step) and _block the derivative block; fused_stage, the one RK4 stage,
-inlines a model's derivative core around them and emits the sector solve at
-the root.  rk4_kernel calls it once per stage and, where its full steps give
-up, damped Newton and it again at that root; once per step it checks
-pfaffian_sign, Parlett-Reid elimination on floats.  dot (the sum _dot emits),
-solver and verify's minimal-norm step (Gram-Schmidt on dot) own every
-reported sum and solve, so each reported number rounds the same way on
-every machine: none goes through numpy's BLAS or LAPACK.  A zero pivot in
+inlines a model's derivative core around them (a sum, product or negation
+that one node reads written into that node's statement, the nodes that can
+raise each in its own) and emits the sector solve at the root.  It takes and
+returns flat floats, and rk4_kernel keeps its state in float locals: it
+calls the stage once per stage and, where its full steps give up, damped
+Newton and the stage again at that root, the one place it builds lists;
+once per step it checks the sign of det W_rr, which the stage's elimination
+of W_rr tracks, and pfaffian_sign, Parlett-Reid elimination on floats.  dot
+(the sum _dot emits), solver and verify's minimal-norm step (Gram-Schmidt on
+dot) own every reported sum and solve, so each reported number rounds the
+same way on every machine: none goes through numpy's BLAS or LAPACK.  A zero pivot in
 solver raises the internal SingularMatrixError ('Singular matrix',
 numpy.linalg.solve's text), which damped_newton reports as a NewtonError
 and the sector solves as a RankDeficiencyError.
@@ -44,8 +48,8 @@ import secrets
 from dataclasses import dataclass
 
 from .errors import ArgumentError, DomainError, ModelError, NewtonError, RankDeficiencyError
-from .expressions import (_COMPILE_ENV, Call, Const, Pow, Quot, Sym, _Code, _emit_cse, _walk,
-                          free_symbols)
+from .expressions import (_COMPILE_ENV, Call, Const, Neg, Pow, Prod, Quot, Sum, Sym, _children,
+                          _Code, _emit_cse, _walk, free_symbols)
 
 
 def rank_and_pivots(matrix, rel_tol=1e-9):
@@ -391,11 +395,14 @@ def _dot(pairs):
     return " + ".join(f"{a} * {b}" for a, b in pairs) or "0.0"
 
 
-def _lu_solve(code, a, b, singular):
+def _lu_solve(code, a, b, singular, sign=None):
     """Gauss elimination with partial pivoting on names: the k rows of
     right-hand sides b become A^-1 b, and a is overwritten.  A zero pivot
-    runs the statement singular."""
-    k = len(a)
+    runs the statement singular.  The local sign, if named, starts at 1.0
+    and is negated on each row swap and each negative pivot: det A's sign."""
+    k, flip = len(a), f"; {sign} = -{sign}" if sign else ""
+    if sign:
+        code.line(f"{sign} = 1.0")
     for j in range(k):
         if j + 1 < k:
             code.line(f"top, row = abs({a[j][j]}), {j}")
@@ -404,8 +411,10 @@ def _lu_solve(code, a, b, singular):
             for i in range(j + 1, k):
                 mine, theirs = ", ".join(a[j][j:] + b[j]), ", ".join(a[i][j:] + b[i])
                 code.line(f"{'if' if i == j + 1 else 'elif'} row == {i}: "
-                          f"{mine}, {theirs} = {theirs}, {mine}")
+                          f"{mine}, {theirs} = {theirs}, {mine}{flip}")
         code.line(f"if {a[j][j]} == 0.0: {singular}")
+        if sign:
+            code.line(f"if {a[j][j]} < 0.0: {sign} = -{sign}")
         for i in range(j + 1, k):
             factor = code(f"{a[i][j]} / {a[j][j]}")
             for c in range(j + 1, k):
@@ -495,7 +504,7 @@ def solver(k, m=1):
     return code.build("A, B", _flat(b), _KERNEL_ENV)
 
 
-def _block(code, n, reg, core, V, vd):
+def _block(code, n, reg, core, V, vd, sign=None):
     """Emit the implicit-function derivative block for one split into code.
 
     core(k) is the text of entry k of the derivative core (L, L_v, L_q, W,
@@ -503,7 +512,8 @@ def _block(code, n, reg, core, V, vd):
     the regular velocities and of the point's degenerate velocities.
     Returns the names of X = [-dV_dq | dV_dp] (r rows), dB_dq (nd x n),
     dB_dp (nd x r), dH_dq (n), dH_dp (r), F (nd x nd) and D_a H (nd).  F is
-    exactly antisymmetric: each of its terms enters as (T - T^t)."""
+    exactly antisymmetric: each of its terms enters as (T - T^t).  The
+    local sign, if named, is set to det W_rr's sign (_lu_solve's)."""
     r, deg = len(reg), [i for i in range(n) if i not in reg]
     nd = len(deg)
 
@@ -514,7 +524,7 @@ def _block(code, n, reg, core, V, vd):
     a = [[code(entry(0, i, j)) for j in reg] for i in reg]
     x = [[code(entry(1, i, j)) for j in range(n)] + [code("1.0" if i == j else "0.0") for j in reg] for i in reg]
     _lu_solve(code, a, x, "raise RankDeficiencyError("
-              "'regular velocity Hessian block W_rr is singular at this point')")
+              "'regular velocity Hessian block W_rr is singular at this point')", sign)
     w_dr = [[code(entry(0, i, j)) for j in reg] for i in deg]
     db_dq = [[code(f"{entry(1, i, j)} - ({_dot((w, x[t][j]) for t, w in enumerate(row))})")
               for j in range(n)] for i, row in zip(deg, w_dr)]
@@ -552,42 +562,70 @@ def block_kernel(n, reg):
     return code.build("c, V, vd", ", ".join(map(_flat, outs)), _KERNEL_ENV)
 
 
+def _single_use(exprs, hoisted):
+    """The Sum, Prod and Neg nodes under exprs that one operand of one node
+    reads, which fused_stage writes inline into that reader: not exprs' own
+    entries, whose texts the stage reads, nor the operand of a one-operand
+    Sum or Prod (the two share a text), nor a node of hoisted (emitted
+    before the Newton loop) under a reader that is not."""
+    readers = {}
+    for e in _walk(exprs):
+        for kid in _children(e):
+            readers.setdefault(kid, []).append(e)
+    entries = set(exprs)
+    return frozenset(e for e, (reader, *more) in readers.items()
+                     if not more and isinstance(e, (Sum, Prod, Neg)) and e not in entries
+                     and not (isinstance(reader, (Sum, Prod)) and len(_children(reader)) == 1)
+                     and (reader in hoisted or e not in hoisted))
+
+
 def fused_stage(exprs, names, reg, solve, other, max_iter):
     """Generated RK4 stage for one layout (reg the regular coordinates, solve
     and other the degenerate slots solved from F v = D H and given) with the
-    core inline, exprs over names (model.DerivativeCore's flat tuple): (q, p,
-    vd, vo, V, tol) -> (dq, dp, v, ||F v - D H||_inf, H, F's solved subblock
-    flat) and the velocities _newton resolves from V at tol, or None where
-    resolve_kernel gives up; at tol inf, V as it is.  A pass evaluates L_v's
-    regular rows, W_rr and each node that can raise, so it raises where fn
-    would; the nodes that do not read V precede the loop, and what the stage
-    reads of the rest follows it, sums and products only: every value is fn's."""
+    core inline, exprs over names (model.DerivativeCore's flat tuple).
+
+    The kernel takes flat floats, (q..., p..., vd..., vo..., V..., tol), and
+    returns one flat tuple: dq (n), dp (r), v (nd), the velocities V (r)
+    that _newton resolves from V at tol (at tol inf, V as it is), then the
+    diagnostics ||F v - D H||_inf, H, the sign of det W_rr (+-1.0) and F's
+    solved subblock (row-major); or None where resolve_kernel gives up.  A
+    pass evaluates L_v's regular rows, W_rr and each node that can raise
+    (Quot, Pow, Call), each in its own statement in the tree's order, so it
+    raises where fn would; the nodes that do not read V precede the loop,
+    and what the stage reads of the rest follows it.  A Sum, Prod or Neg
+    that one node reads (_single_use) is written inline into that node's
+    statement: the same operations, so every value is fn's."""
     n, r, code = len(names) // 2, len(reg), _Code()
     nd, deg = n - r, [i for i in range(n) if i not in reg]
-    q, p, vd, x = (_unpack(code, *arg) for arg in (("q", n), ("p", r), ("vd", nd), ("V", r)))
+    q, p, vd, vo, x = ([f"{seq}_{k}" for k in range(count)] for seq, count in
+                       (("q", n), ("p", r), ("vd", nd), ("vo", len(other)), ("V", r)))
     vel = dict(zip(reg, x)) | dict(zip(deg, vd))
     text_of = {Sym(name): text for name, text in zip(names, q + [vel[i] for i in range(n)])}
     roots = [exprs[1 + i] for i in reg] + [exprs[1 + 2 * n + i * n + j] for i in reg for j in reg]
     roots += [e for e in _walk(exprs) if isinstance(e, (Pow, Call)) or isinstance(e, Quot)
               and not (isinstance(e.den, Const) and e.den.value)]  # x / c, c != 0, never raises
     iterate = {names[n + i] for i in reg}
-    code.line("try:")
-    body = len(code.lines)
-    _emit_cse(code, [e for e in _walk(roots) if not iterate & free_symbols(e)], text_of=text_of)
+    hoisted = [e for e in _walk(roots) if not iterate & free_symbols(e)]
+    inline = _single_use(exprs, set(hoisted))
+
+    def emit(seq):
+        return _emit_cse(code, seq, text_of=text_of, inline=inline)
 
     def core(k):  # the text of core entry k, emitted where the loop has not
-        return _emit_cse(code, [exprs[k]], text_of=text_of)[0]
+        return emit([exprs[k]])[0]
 
-    _newton(code, n, reg, x, p, lambda: _emit_cse(code, roots, text_of=text_of), core,
-            "tol", repr(operator.index(max_iter)))
+    code.line("try:")
+    body = len(code.lines)
+    emit(hoisted)
+    _newton(code, n, reg, x, p, lambda: emit(roots), core, "tol", repr(operator.index(max_iter)))
     code.indent(body)
     code.line("except (ValueError, ZeroDivisionError, OverflowError): return None")
     # the stage at the root x: the derivative block, then the sector solve
-    _, db_dq, db_dp, dh_dq, dh_dp, f, dah = _block(code, n, reg, core, x, vd)
+    _, db_dq, db_dp, dh_dq, dh_dp, f, dah = _block(code, n, reg, core, x, vd, "wsign")
     db_dq_reg = [[row[j] for j in reg] for row in db_dq]
     v = [None] * nd
-    for k, s in enumerate(other):
-        v[s] = code(f"vo[{k}]")
+    for s, given in zip(other, vo):
+        v[s] = given
     rhs = [[code(f"{dah[s]} - ({_dot((f[s][o], v[o]) for o in other)})")] for s in solve]
     _lu_solve(code, [[code(f[s][t]) for t in solve] for s in solve], rhs,
               f"raise RankDeficiencyError({SECTOR_SINGULAR!r})")
@@ -603,9 +641,9 @@ def fused_stage(exprs, names, reg, solve, other, max_iter):
           for s, i in enumerate(reg)]
     h = (f"({_dot(zip(p, x))} + {_dot((core(1 + i), vd[k]) for k, i in enumerate(deg))})"
          f" - {core(0)}")
-    sub = ", ".join(f[s][t] for s in solve for t in solve)
-    return code.build("q, p, vd, vo, V, tol", f"[{', '.join(dq)}], [{', '.join(dp)}], "
-                      f"[{', '.join(v)}], {resid}, {h}, [{sub}], [{', '.join(x)}]",
+    sub = [f[s][t] for s in solve for t in solve]
+    return code.build(", ".join(q + p + vd + vo + x + ["tol"]),
+                      ", ".join(dq + dp + v + x + [resid, h, "wsign"] + sub),
                       _COMPILE_ENV | _KERNEL_ENV)
 
 
@@ -643,28 +681,32 @@ def rk4_kernel(n, reg, solve, other):
     it (the layout as for fused_stage).
 
     The kernel takes (fused, ntol, resolve, velocity, q, p, w, start, dt,
-    steps, tol, rows).  A stage is fused(Q, P, VD, VO, V, ntol), fused_stage's
-    kernel from the last stage's velocities V, or where that gives up, fused
-    at tol inf from resolve(Q, P, VD, V)[1], damped Newton's root.
-    velocity(a, t) is the prescribed velocity of degenerate slot a,
-    evaluated once per distinct time of a step (t, t + dt/2, t + dt).  q, p
-    and w are the start and its degenerate velocities, as lists of floats.
-    Step k runs at t = start + dt * k for k up to steps: it appends t to
-    rows (an array of doubles), runs stage 1, compares pfaffian_sign of the
-    solved F subblock with the last step's, appends q, p, v, H and the
-    consistency residual, tests the residual against tol, then runs stages
-    2 to 4 and the RK4 update.
+    steps, tol, rows).  A stage is fused(*Q, *P, *VD, *VO, *V, ntol),
+    fused_stage's kernel on the loop's float locals from the last stage's
+    velocities V, its tuple unpacked into locals; or where that gives up,
+    fused at tol inf from resolve(Q, P, VD, V)[1], damped Newton's root, the
+    one place that builds lists.  velocity(a, t) is the prescribed velocity
+    of degenerate slot a, evaluated once per distinct time of a step (t,
+    t + dt/2, t + dt).  q, p and w are the start and its degenerate
+    velocities, as sequences of floats.  Step k runs at t = start + dt * k
+    for k up to steps: it appends t to rows (an array of doubles), runs
+    stage 1, compares the sign of det W_rr and pfaffian_sign of the solved
+    F subblock with the last step's, appends q, p, v, H and the consistency
+    residual, tests the residual against tol, then runs stages 2 to 4 and
+    the RK4 update.
 
     Returns 0 after the last step's row, 1 where a residual above tol
     after step 0 aborts (step 0's residual above tol only flags the run), 2
-    where the Pfaffian's sign changed, with row k cut after its t, and 3
-    where row k, just written, holds a value that is not finite.  A
-    NewtonError from resolve propagates, with row k cut after its t where
-    stage 1 raised it and whole where a later stage did.
+    where the Pfaffian's sign changed and 4 where det W_rr's did, with row k
+    cut after its t, and 3 where row k, just written, holds a value that is
+    not finite.  A NewtonError from resolve propagates, with row k cut after
+    its t where stage 1 raised it and whole where a later stage did.
     """
-    r, nd, code = len(reg), n - len(reg), _Code()
-    q, p = _unpack(code, "q", n), _unpack(code, "p", r)
-    code.line(f"V = [{', '.join(['0.0'] * r)}]")
+    r, nd, m, code = len(reg), n - len(reg), len(solve), _Code()
+    q, p, w = _unpack(code, "q", n), _unpack(code, "p", r), _unpack(code, "w", nd)
+    V = [f"V_{i}" for i in range(r)]
+    if r:
+        code.line(f"{', '.join(V)} = {', '.join(['0.0'] * r)}")
     code.line("half = dt / 2")
     code.line("sixth = dt / 6")
     code.line("flagged = False")
@@ -676,41 +718,46 @@ def rk4_kernel(n, reg, solve, other):
     def velocities(time):
         return [code(f"velocity({a}, {time})") for a in other]
 
-    def stage(vo, qs, ps):
-        """One stage at qs and ps: the names of its dq, dp and whole output."""
-        slot = {s: f"w[{s}]" for s in solve} | dict(zip(other, vo))
-        Q, P, VD, VO = (code(f"[{', '.join(x)}]") for x in
-                        (qs, ps, [slot[s] for s in range(nd)], vo))
-        out = code(f"fused({Q}, {P}, {VD}, {VO}, V, ntol) or "
-                   f"fused({Q}, {P}, {VD}, {VO}, resolve({Q}, {P}, {VD}, V)[1], inf)")
-        code.line(f"w, V = {out}[2], {out}[6]")
-        return code(f"{out}[0]"), code(f"{out}[1]"), out
+    def stage(number, vo, qs, ps, diagnostics):
+        """One stage at qs and ps into w, V, the names of its dq and dp (which
+        it returns) and diagnostics (resid, H, det W_rr's sign, F's subblock)."""
+        slot = {s: w[s] for s in solve} | dict(zip(other, vo))
+        vd = [slot[s] for s in range(nd)]
+        dq, dp = [f"dq{number}_{i}" for i in range(n)], [f"dp{number}_{i}" for i in range(r)]
+        lists = ", ".join(f"[{', '.join(x)}]" for x in (qs, ps, vd, V))
+        code.line(f"{', '.join(dq + dp + w + V + diagnostics)} = "
+                  f"fused({', '.join(qs + ps + vd + vo + V)}, ntol) or "
+                  f"fused({', '.join(qs + ps + vd + vo)}, *resolve({lists})[1], inf)")
+        return dq, dp
 
     def shifted(x, h, dx):
-        return [f"{a} + {h} * {dx}[{i}]" for i, a in enumerate(x)]
+        return [f"{a} + {h} * {d}" for a, d in zip(x, dx)]
 
-    dq1, dp1, out = stage(velocities(t), q, p)
-    if solve and len(solve) % 2 == 0:  # an odd pfaffian is 0.0 at every step
-        sign = code(f"pfaffian_sign({out}[5], {len(solve)})")
+    f = [f"f_{k}" for k in range(m * m)]
+    dq1, dp1 = stage(1, velocities(t), q, p, ["res", "h", "wsign"] + f)
+    if r:
+        code.line("if k and wsign != wlast: return 4")
+        code.line("wlast = wsign")
+    if solve and m % 2 == 0:  # an odd pfaffian is 0.0 at every step
+        sign = code(f"pfaffian_sign([{', '.join(f)}], {m})")
         code.line(f"if k and {sign} != last: return 2")  # a nan sign never matches
         code.line(f"last = {sign}")
-    res = code(f"{out}[3]")
-    row = q + p + [f"w[{s}]" for s in range(nd)] + [f"{out}[4]", res]
+    row = q + p + w + ["h", "res"]
     code.line(f"rows.extend(({', '.join(row)}))")
     zero = code(" + ".join(f"{x} * 0.0" for x in [t] + row))  # nan where a value is not finite
     code.line(f"if {zero} != {zero}: return 3")
-    code.line(f"if {res} > tol:")
+    code.line("if res > tol:")
     code.line("    if k == 0: flagged = True")
     code.line("    elif not flagged: return 1")
     code.line("if k == steps: break")
+    unused = ["_"] * (3 + m * m)
     vo = velocities(code(f"{t} + half"))
-    dq2, dp2, _ = stage(vo, shifted(q, "half", dq1), shifted(p, "half", dp1))
-    dq3, dp3, _ = stage(vo, shifted(q, "half", dq2), shifted(p, "half", dp2))
-    dq4, dp4, _ = stage(velocities(code(f"{t} + dt")), shifted(q, "dt", dq3),
-                        shifted(p, "dt", dp3))
+    dq2, dp2 = stage(2, vo, shifted(q, "half", dq1), shifted(p, "half", dp1), unused)
+    dq3, dp3 = stage(3, vo, shifted(q, "half", dq2), shifted(p, "half", dp2), unused)
+    dq4, dp4 = stage(4, velocities(code(f"{t} + dt")), shifted(q, "dt", dq3),
+                     shifted(p, "dt", dp3), unused)
     for x, ds in ((q, (dq1, dq2, dq3, dq4)), (p, (dp1, dp2, dp3, dp4))):
-        for i, name in enumerate(x):
-            a, b, c, d = (f"{dx}[{i}]" for dx in ds)
+        for name, a, b, c, d in zip(x, *ds):
             code.line(f"{name} = {name} + sixth * ({a} + 2 * {b} + 2 * {c} + {d})")
     code.indent(loop)
     return code.build("fused, ntol, resolve, velocity, q, p, w, start, dt, steps, tol, rows",

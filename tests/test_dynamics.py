@@ -298,6 +298,19 @@ class TestIntegrate:
         f_end = field_strength(ct, traj.point(len(traj) - 1))[0, 1]
         assert f_start > 0 and f_end > 0
 
+    def test_a_w_rr_sign_change_halts_with_the_rows_before_the_step(self):
+        # W_rr = x: V = p_x / x drives x from 0.5 through 0 inside one step,
+        # where no stage meets the singular point itself
+        ct = ClairautTransform(parse_model("coord x; lagrangian = x*d(x)^2/2;"))
+        with pytest.raises(IntegrabilityError) as info:
+            integrate(ct, ct.point([0.5], [-1.0]), cfg=IntegratorConfig(t1=1.0, dt=0.01))
+        assert str(info.value) == (
+            "regular velocity Hessian block W_rr's determinant changed sign between t=0.16 "
+            "and t=0.17: the velocity resolution went singular inside that step")
+        traj = info.value.trajectory
+        assert len(traj) == 17 and traj.t[-1] == 16 * 0.01
+        assert np.all(traj.q[:, 0] > 0) and np.all(np.isfinite(traj.h_phys))
+
     def test_same_start_integrates_before_the_crossing(self):
         ct = transform("synthetic_coupled")
         start = ct.point({"x": 0.4, "a": 0.2, "b": 0.1}, {"x": 0.3})

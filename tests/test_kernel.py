@@ -13,7 +13,9 @@ same quantity they agree bit for bit.
 """
 
 import array
+import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -33,7 +35,7 @@ from clairaut import (
     load_bundled,
     parse_model,
 )
-from clairaut import cli, gauge, numerics, verify
+from clairaut import cli, expressions, gauge, numerics, verify
 from clairaut import dynamics as dynamics_module
 from clairaut import transform as transform_module
 from clairaut.errors import ArgumentError
@@ -159,7 +161,9 @@ class TestStageKernel:
 
     @staticmethod
     def stage(ct, pt, res, plan, vo):
-        return ct._stage(*plan)(pt._q, pt._p, pt._v, vo, res._v, math.inf)
+        """(dq, dp, v, resid, H, F's subblock, V) from the flat stage."""
+        out = ct._stage(*plan)(*pt._q, *pt._p, *pt._v, *vo, *res._v, math.inf)
+        return split_stage(ct, plan, out)[:-1]
 
     @pytest.mark.parametrize("name", BUNDLED)
     def test_matches_resolution_and_sector_solve(self, name):
@@ -201,6 +205,18 @@ class TestStageKernel:
             res = ct.resolve(pt)
             assert self.stage(ct, pt, res, plan, [0.0] * len(plan[1]))[4].hex() == res.H.hex()
 
+    @pytest.mark.parametrize("name", BUNDLED)
+    def test_w_rr_sign_is_the_sign_of_its_determinant(self, name):
+        ct = ClairautTransform(load_bundled(name))
+        plan = gauge_input(ct, classify(ct))._plan
+        for pt in phase_probes(ct):
+            res = ct.resolve(pt)
+            w = np.array(res._core[ct.core_slices["W"]]).reshape(ct.n, ct.n)
+            want = np.sign(np.linalg.det(w[np.ix_(ct.reg_idx, ct.reg_idx)]))
+            out = ct._stage(*plan)(*pt._q, *pt._p, *pt._v, *[0.0] * len(plan[1]), *res._v,
+                                   math.inf)
+            assert split_stage(ct, plan, out)[-1] == want != 0.0
+
     def test_a_root_above_tol_is_accepted(self):
         # velocities 0.25 off the root, so the residual is far above 1e-12:
         # tol = inf takes them as they are, a finite tol steps on from them
@@ -210,8 +226,81 @@ class TestStageKernel:
         solve, other = gauge_input(ct, classify(ct))._plan
         vo, off = [0.0] * len(other), [v + 0.25 for v in res._v]
         kernel = ct._stage(solve, other)
-        assert kernel(pt._q, pt._p, pt._v, vo, off, math.inf)[6] == off
-        assert kernel(pt._q, pt._p, pt._v, vo, off, 1e-12)[6] != off
+
+        def velocities(tol):
+            return split_stage(ct, (solve, other), kernel(*pt._q, *pt._p, *pt._v, *vo, *off,
+                                                          tol))[6]
+
+        assert velocities(math.inf) == off
+        assert velocities(1e-12) != off
+
+
+def split_stage(ct, plan, out):
+    """The flat tuple of a fused stage as (dq, dp, v, resid, H, F's solved
+    subblock, V, det W_rr's sign), each block a list."""
+    n, r, out = ct.n, ct.r, list(out)
+    dq, dp, v, V = out[:n], out[n:n + r], out[n + r:2 * n], out[2 * n:2 * n + r]
+    resid, h, sign = out[2 * n + r:2 * n + r + 3]
+    sub = out[2 * n + r + 3:]
+    assert len(sub) == len(plan[0]) ** 2
+    return dq, dp, v, resid, h, sub, V, sign
+
+
+class TestStageInlining:
+    """The fused stage writes single-use sums, products and negations into
+    their readers: the same floats as a local per node, the raising nodes in
+    their own statements and order, and a bounded parenthesis depth."""
+
+    RAISING = re.compile(r"\b(?:pow|" + "|".join(expressions._FUNCTIONS) + r")\(|/")
+
+    @staticmethod
+    def kernels(ct, plan, monkeypatch):
+        """The stage as built, then with no node inline."""
+        args = ([e for block in ct.core_exprs.values() for e in block], ct.arg_names, ct._reg,
+                *plan, ct.newton.max_iter)
+        inlined = numerics.fused_stage(*args)
+        with monkeypatch.context() as patch:
+            patch.setattr(numerics, "_single_use", lambda exprs, hoisted: frozenset())
+            return inlined, numerics.fused_stage(*args)
+
+    @staticmethod
+    def outcome(kernel, *args):
+        try:
+            out = kernel(*args)
+        except RankDeficiencyError as exc:
+            return str(exc)
+        return None if out is None else [x.hex() for x in out]
+
+    @pytest.mark.parametrize("name", BUNDLED)
+    def test_inlining_changes_no_bit(self, name, monkeypatch):
+        ct = ClairautTransform(load_bundled(name))
+        plan = gauge_input(ct, classify(ct))._plan
+        inlined, plain = self.kernels(ct, plan, monkeypatch)
+        lines = inlined.source.count("\n"), plain.source.count("\n")
+        assert lines[0] < lines[1] if name == "particle" else lines[0] <= lines[1]
+        vo = [0.25] * len(plan[1])
+        for pt in phase_probes(ct):
+            V = ct.resolve(pt)._v
+            for start, tol in ((V, math.inf), ([v + 1e-3 for v in V], ct.newton.tol)):
+                args = (*pt._q, *pt._p, *pt._v, *vo, *start, tol)
+                assert self.outcome(inlined, *args) == self.outcome(plain, *args)
+
+        def raising(source):
+            return [found for line in source.splitlines() if (found := self.RAISING.findall(line))]
+
+        assert raising(inlined.source) == raising(plain.source)
+
+    def test_a_model_nested_to_the_limit_compiles_and_simulates(self):
+        inner = "x"
+        for _ in range(expressions.MAX_NESTING - 1):
+            inner = f"(x+0.01*d(x)*{inner})"
+        ct = ClairautTransform(parse_model(f"coord x; lagrangian = d(x)^2/2 + {inner};"))
+        traj = integrate(ct, ct.point([0.1], [0.2]), cfg=IntegratorConfig(t1=0.01, dt=1e-3))
+        assert len(traj) == 11 and np.all(np.isfinite(traj.q))
+        # the stage reads every level: uncapped, its inline texts nest 95 deep
+        source = ct._stage((), ()).source
+        depth = max(itertools.accumulate({"(": 1, ")": -1}.get(c, 0) for c in source))
+        assert depth <= expressions.INLINE_DEPTH
 
 
 def reference_trajectory(ct, initial, gauge, cls, dt, steps):
@@ -347,26 +436,31 @@ class TestPfaffianSign:
 
 class TestRK4Loop:
     """rk4_kernel's routing and exit statuses on a stand-in fused stage with
-    dq = (1, 0, 0) and dp = 0, whose F subblock [[0, f], [-f, 0]] and
-    residual at step k come from schedules, and whose velocities V count the
-    stages run; a row is t, q (3), p (1), v (2), H, residual."""
+    dq = (1, 0, 0) and dp = 0, whose F subblock [[0, f], [-f, 0]], sign of
+    det W_rr and residual at step k come from schedules, and whose
+    velocities V count the stages run; a row is t, q (3), p (1), v (2), H,
+    residual."""
 
     WIDTH = 9
 
-    def run(self, f, residual=None, steps=3, give_up=()):
-        """(status, rows, log): log holds each call of fused and resolve; the
-        fused calls numbered (from 1) in give_up give up at a finite tol."""
+    def run(self, f, residual=None, steps=3, give_up=(), w_sign=None):
+        """(status, rows, log): log holds each call of fused and resolve, the
+        fused stage's flat floats as the lists q, p, vd and V; the fused
+        calls numbered (from 1) in give_up give up at a finite tol."""
         residual = residual or [0.0] * len(f)
+        w_sign = w_sign or [1.0] * len(f)
         stages, log = [], []
 
-        def fused(q, p, vd, vo, V, tol):
+        def fused(*args):  # q (3), p (1), vd (2), no vo, V (1), tol
+            q, p, vd, V, tol = list(args[:3]), list(args[3:4]), list(args[4:6]), \
+                list(args[6:7]), args[7]
             log.append((q, p, vd, V, tol))
             if tol != math.inf and len(log) in give_up:
                 return None
             k = len(stages) // 4
             stages.append(k)
-            return [1.0, 0.0, 0.0], [0.0], [0.0, 0.0], residual[k], 0.0, \
-                [0.0, f[k], -f[k], 0.0], [float(len(stages))]
+            return 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, float(len(stages)), residual[k], 0.0, \
+                w_sign[k], 0.0, f[k], -f[k], 0.0
 
         def resolve(q, p, vd, V):
             log.append((q, p, vd, V, "resolve"))
@@ -400,6 +494,16 @@ class TestRK4Loop:
     def test_a_sign_change_stops_before_the_row(self, f, k):
         status, rows, _ = self.run(f)
         assert status == 2 and len(rows) == k * self.WIDTH + 1 and rows[-1] == k
+
+    @pytest.mark.parametrize("w_sign, k", [([1.0, 1.0, -1.0, -1.0], 2),
+                                           ([-1.0, 1.0, 1.0, 1.0], 1)])
+    def test_a_w_rr_sign_change_stops_before_the_row(self, w_sign, k):
+        # checked before the Pfaffian's, which changes at the same step here
+        status, rows, _ = self.run([1.0] * k + [-1.0] * (4 - k), w_sign=w_sign)
+        assert status == 4 and len(rows) == k * self.WIDTH + 1 and rows[-1] == k
+
+    def test_a_w_rr_sign_that_holds_runs(self):
+        assert self.run([1.0] * 4, w_sign=[-1.0] * 4)[0] == 0
 
     def test_a_singular_start_that_stays_singular_runs(self):
         assert self.run([0.0, 0.0, 0.0, 0.0])[0] == 0
