@@ -27,7 +27,6 @@ from .dynamics import (
     IntegratorConfig,
     d_alpha_h,
     degenerate_velocities,
-    dirac_report,
     gauge_input,
     integrate,
 )
@@ -71,14 +70,10 @@ class _Context:
     def rng(self, salt):
         return Rng(self.seed * 1000 + salt)
 
-    # each report feeds two rows; one that raises is recomputed and raises again
+    # the report feeds four rows; one that raises is recomputed and raises again
     @functools.cached_property
     def integrability(self):
         return integrability_report(map_to_manytime(self.ct), self.probes)
-
-    @functools.cached_property
-    def dirac(self):
-        return [dirac_report(self.ct, pt) for pt in self.probes]
 
     @functools.cached_property
     def zero_vdeg_ok(self):
@@ -99,10 +94,11 @@ class _Context:
         solved rows' entries, then the other rows'."""
         ct, defects = self.ct, ([], [])
         for pt in self.probes[:5]:
-            v = degenerate_velocities(ct, pt, cls=self.cls)[0].tolist()
             res = ct.resolve(pt)
-            for a, (row, dh) in enumerate(zip(res.F.tolist(), res._flat("DH"))):
-                defects[a not in self.cls.subblock].append(dot(row, v) - dh)
+            v = degenerate_velocities(ct, pt, cls=self.cls, res=res)[0].tolist()
+            f, nd = res._flat("F"), len(v)
+            for a, dh in enumerate(res._flat("DH")):
+                defects[a not in self.cls.subblock].append(dot(f[a * nd:a * nd + nd], v) - dh)
         return defects
 
 
@@ -213,14 +209,6 @@ def _extra_time_dh(ctx):
     yield ctx.integrability.dh_defect
 
 
-def _dirac_fab(ctx):
-    return (d.fab_residual for d in ctx.dirac)
-
-
-def _dirac_dhf(ctx):
-    return (d.dhf_residual for d in ctx.dirac)
-
-
 def _commutator(ctx):
     import numpy as np
     # [D_a, D_b] X = {F_ab, X}: per probe, one Jacobian of the vector D X
@@ -311,14 +299,6 @@ def _fenchel(ctx):
             continue
         box = 2.0 + 2.0 * _max_abs(pt._p)
         yield res.H - fenchel_conjugate(ct.model, pt._q, pt._p, box=box, grid=9)
-
-
-def _sector_solved(ctx):
-    return ctx.sector_defects[0]
-
-
-def _sector_dependent(ctx):
-    return ctx.sector_defects[1]
 
 
 def _consistency_functions(ctx):
@@ -470,8 +450,10 @@ def _check_table(ctx):
         ("field_strength_antisymmetry", 1e-15, _field_antisymmetry, n_deg > 0),
         ("extra_time_block_matches_field_strength", 1e-9, _extra_time_f, True),
         ("extra_time_row_matches_long_derivative", 1e-9, _extra_time_dh, True),
-        ("constraint_bracket_matches_field_strength", 1e-9, _dirac_fab, n_deg > 0),
-        ("constraint_hamiltonian_bracket_sign", 1e-9, _dirac_dhf, n_deg > 0),
+        # the constraint brackets are G's degenerate block and minus its first
+        # row (dynamics._constraint_brackets): the extra-time defects, sigma = -1
+        ("constraint_bracket_matches_field_strength", 1e-9, _extra_time_f, n_deg > 0),
+        ("constraint_hamiltonian_bracket_sign", 1e-9, _extra_time_dh, n_deg > 0),
         ("long_derivative_commutator", 1e-4, _commutator, n_deg >= 2),
         ("leibniz_rule", 1e-4, _leibniz, n_deg >= 2),
         ("delta_transformation_commutator", 1e-4, _delta_commutator, n_deg >= 2),
@@ -481,15 +463,15 @@ def _check_table(ctx):
     ]
     if n_deg > 0 and cls.kind == "gaugeless":
         rows += [
-            ("sector_solve_consistency", 1e-10, _sector_solved, True),
+            ("sector_solve_consistency", 1e-10, lambda ctx: ctx.sector_defects[0], True),
             ("corrected_bracket_antisymmetry_defect", None,
              _bracket_defect_antisymmetry, True),
             ("corrected_bracket_jacobiator", None, _bracket_jacobiator, True),
         ]
     if cls.kind == "gauge":
         rows += [
-            ("solved_sector_consistency", 1e-10, _sector_solved, True),
-            ("dependent_row_defect", None, _sector_dependent, True),
+            ("solved_sector_consistency", 1e-10, lambda ctx: ctx.sector_defects[0], True),
+            ("dependent_row_defect", None, lambda ctx: ctx.sector_defects[1], True),
         ]
     if cls.kind == "limit":
         rows += [

@@ -1,6 +1,7 @@
 """Sector brackets, long derivatives, field strength, classification."""
 
 import math
+import re
 from functools import lru_cache
 
 import numpy as np
@@ -13,10 +14,11 @@ from clairaut import (
     RankDeficiencyError,
     RankVariationError,
     load_bundled,
+    parse_model,
 )
 from clairaut import gauge
 from clairaut.expressions import differentiate, evaluate
-from clairaut.fixtures import BUNDLED
+from clairaut.fixtures import BUNDLED, bundled_model_text
 from clairaut.model import momentum_name
 from clairaut.gauge import (
     FD_STEP,
@@ -548,6 +550,58 @@ class TestBianchiIdentity:
         ct = transform("christ_lee")
         pt = sample_points("christ_lee", 1)[0]
         assert bianchi_residual(ct, pt) < 1e-12
+
+
+def total_derivative_shift(name):
+    """The bundled model with d f(q)/dt added to L, for the fixed quadratic
+    f = sum_k (k+1)/4 q_k^2 + 3/8 sum_k q_k q_k+1 + sum_k (1/2 - k/8) q_k over
+    every coordinate, and grad f as a function of q."""
+    coords = load_bundled(name).coords
+    n = len(coords)
+
+    def partial(k):  # df/dq_k: (coefficient, coordinate) pairs, then a constant
+        return [(0.5 * (k + 1), k)] + [(0.375, j) for j in (k - 1, k + 1) if 0 <= j < n], \
+            0.5 - 0.125 * k
+
+    rate = " + ".join(
+        "(" + " + ".join(f"{c!r}*{coords[j]}" for c, j in pairs) + f" + {b!r})*d({x})"
+        for x, (pairs, b) in zip(coords, map(partial, range(n))))
+    text = re.sub(r"lagrangian\s*=(.*?);", lambda m: f"lagrangian = ({m.group(1)}) + {rate};",
+                  bundled_model_text(name), flags=re.S)
+
+    def grad(q):
+        return [sum(c * q[j] for c, j in pairs) + b for pairs, b in map(partial, range(n))]
+
+    return ClairautTransform(parse_model(text, name=name)), grad
+
+
+class TestTotalDerivative:
+    """L' = L + d f(q)/dt is the canonical shift p -> p + grad f: at
+    (q, p + d_r f), V' = V, H' = H, B' = B + d_a f, F' = F and D'H' = DH.
+    The second model's core reaches F and D_a H by its own derivatives, a
+    route the many-time rows cannot give, since G shares the block's."""
+
+    ULPS = 16
+
+    @pytest.mark.parametrize("name", BUNDLED)
+    def test_a_total_derivative_leaves_the_sector_unchanged(self, name):
+        ct = transform(name)
+        shifted, grad = total_derivative_shift(name)
+        assert shifted.split == ct.split
+        for pt in phase_probes(ct, seed=42):
+            g = grad(pt._q)
+            moved = pt._replace(p=[p + g[i] for p, i in zip(pt._p, ct.reg_idx)])
+            res, new = ct.resolve(pt), shifted.resolve(moved)
+            # H' sums p' V, B' v_deg and -L': its rounding scales with theirs
+            h_scale = (1 + np.abs(moved.p) @ np.abs(new.V) + np.abs(new.B) @ np.abs(pt.v_deg)
+                       + abs(new.L))
+            for slot, got, want, scale in (
+                    ("V", new.V, res.V, 1 + np.abs(res.V)),
+                    ("H", new.H, res.H, h_scale),
+                    ("B", new.B, res.B + [g[a] for a in ct.deg_idx], 1 + np.abs(new.B)),
+                    ("F", new.F, res.F, 1 + np.abs(res.F)),
+                    ("DH", new.DH, res.DH, 1 + np.abs(res.DH))):
+                assert np.all(np.abs(got - want) <= self.ULPS * np.finfo(float).eps * scale), slot
 
 
 class TestLimitIndependence:

@@ -290,17 +290,37 @@ class TestStageInlining:
 
         assert raising(inlined.source) == raising(plain.source)
 
-    def test_a_model_nested_to_the_limit_compiles_and_simulates(self):
+    @staticmethod
+    def nested_to_the_limit():
         inner = "x"
         for _ in range(expressions.MAX_NESTING - 1):
             inner = f"(x+0.01*d(x)*{inner})"
-        ct = ClairautTransform(parse_model(f"coord x; lagrangian = d(x)^2/2 + {inner};"))
+        return ClairautTransform(parse_model(f"coord x; lagrangian = d(x)^2/2 + {inner};"))
+
+    def test_a_model_nested_to_the_limit_compiles_and_simulates(self):
+        ct = self.nested_to_the_limit()
         traj = integrate(ct, ct.point([0.1], [0.2]), cfg=IntegratorConfig(t1=0.01, dt=1e-3))
         assert len(traj) == 11 and np.all(np.isfinite(traj.q))
         # the stage reads every level: uncapped, its inline texts nest 95 deep
         source = ct._stage((), ()).source
         depth = max(itertools.accumulate({"(": 1, ")": -1}.get(c, 0) for c in source))
         assert depth <= expressions.INLINE_DEPTH
+
+    def test_the_stage_build_reads_each_node_a_bounded_number_of_times(self, monkeypatch):
+        # linear in the core's size: a walk of each node's own subtree, to
+        # see whether it reads V, made 75 _children calls per node here
+        ct = self.nested_to_the_limit()
+        exprs = [e for block in ct.core_exprs.values() for e in block]
+        nodes, calls, real = len(expressions._walk(exprs)), [0], expressions._children
+
+        def counted(e):
+            calls[0] += 1
+            return real(e)
+
+        monkeypatch.setattr(expressions, "_children", counted)
+        monkeypatch.setattr(numerics, "_children", counted)
+        numerics.fused_stage(exprs, ct.arg_names, ct._reg, (), (), ct.newton.max_iter)
+        assert calls[0] <= 10 * nodes
 
 
 def reference_trajectory(ct, initial, gauge, cls, dt, steps):

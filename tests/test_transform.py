@@ -565,6 +565,53 @@ class TestLeanDerivativeBlock:
                 assert values == want[k]
 
 
+def v_difference_defect(ct, probes, step=1e-6):
+    """max |dV - central difference of V| / (1 + |difference|) over dV_dq and
+    dV_dp at the probes, V resolved at q, then p, displaced by step * (1 + |x|)."""
+    worst = 0.0
+    for pt in probes:
+        res = ct.resolve(pt)
+        for got, base, at in ((res.dV_dq, pt._q, lambda x: pt._replace(q=x)),
+                              (res.dV_dp, pt._p, lambda x: pt._replace(p=x))):
+            for j, x in enumerate(base):
+                up, down = list(base), list(base)
+                up[j], down[j] = x + step * (1 + abs(x)), x - step * (1 + abs(x))
+                ref = (ct.resolve(at(up)).V - ct.resolve(at(down)).V) / (up[j] - down[j])
+                worst = max(worst, float(np.max(np.abs(got[:, j] - ref) / (1 + np.abs(ref)),
+                                                initial=0.0)))
+    return worst
+
+
+class TestImplicitFunctionBlock:
+    """dV_dq and dV_dp, the block no verify row reads, against differences of
+    the resolved V itself."""
+
+    TOL = 1e-8
+
+    @pytest.mark.parametrize("name", BUNDLED)
+    def test_matches_central_differences_of_v(self, name):
+        ct = transform(name)
+        assert v_difference_defect(ct, phase_probes(ct, seed=42)) <= self.TOL
+
+    @pytest.mark.parametrize("name", BUNDLED)
+    def test_catches_a_perturbed_w_rr(self, name):
+        # 1e-6 on W_rr's diagonal leaves Newton's root V where it was (p =
+        # L_v is unchanged) but moves the block, W_rr^-1 and its products
+        ct = transform(name)
+        probes = phase_probes(ct, seed=42)
+        real, w = ct._f_core, ct.core_slices["W"]
+        diag = [w.start + i * ct.n + i for i in ct._reg]
+
+        def perturbed(args):
+            core = list(real(args))
+            for k in diag:
+                core[k] += 1e-6
+            return core
+
+        ct._f_core = perturbed
+        assert v_difference_defect(ct, probes) > self.TOL
+
+
 LAZY_SLOTS = ("V", "B", "H", "W", "dV_dq", "dV_dp", "dB_dq", "dB_dp", "dH_dq", "dH_dp",
               "F", "DH")
 

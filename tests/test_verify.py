@@ -8,7 +8,8 @@ from functools import lru_cache
 
 import pytest
 
-from clairaut import ClairautTransform, classify, load_bundled, parse_model, verify
+from clairaut import (ClairautTransform, classify, dynamics, load_bundled, manytime, parse_model,
+                      verify)
 from clairaut.fixtures import BUNDLED
 from clairaut.gauge import phase_probes
 from clairaut.model import DEFAULT_PROBE_COUNT, default_probes
@@ -70,17 +71,34 @@ class TestDeterminism:
 
 
 class TestSharedReports:
-    def test_each_report_computed_once_per_run(self, monkeypatch):
-        # the two extra_time rows share one integrability report, the two
-        # constraint rows one Dirac report per probe
+    def test_one_many_time_form_per_probe(self, monkeypatch):
+        # one integrability report feeds the two extra-time and the two
+        # constraint rows: G is built once per probe and no Dirac report runs
         calls = Counter()
-        for name in ("integrability_report", "dirac_report"):
-            def counted(*args, _name=name, _fn=getattr(verify, name)):
-                calls[_name] += 1
+
+        def count(module, name):
+            def counted(*args, _fn=getattr(module, name)):
+                calls[name] += 1
                 return _fn(*args)
-            monkeypatch.setattr(verify, name, counted)
+            monkeypatch.setattr(module, name, counted)
+
+        count(verify, "integrability_report")
+        count(dynamics, "dirac_report")
+        count(manytime, "g_matrix")
+        count(dynamics, "g_matrix")
         rep = run_verification(load_bundled("synthetic_gaugeless"))
-        assert calls == {"integrability_report": 1, "dirac_report": rep["probe_count"]}
+        assert calls == {"integrability_report": 1, "g_matrix": rep["probe_count"]}
+
+    @pytest.mark.parametrize("name", [n for n in BUNDLED if n not in ("oscillator", "exponential")])
+    def test_constraint_rows_equal_extra_time_rows(self, name):
+        # every degenerate model: the same residual, tolerance and verdict
+        rows = {c["name"]: c for c in report(name)["checks"]}
+        for constraint, extra_time in (
+                ("constraint_bracket_matches_field_strength",
+                 "extra_time_block_matches_field_strength"),
+                ("constraint_hamiltonian_bracket_sign",
+                 "extra_time_row_matches_long_derivative")):
+            assert rows[constraint] == rows[extra_time] | {"name": constraint}
 
 
 class TestDefectFold:
