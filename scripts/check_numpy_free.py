@@ -8,8 +8,9 @@ expression layer parses, differentiates and compiles a Lagrangian;
 ``clairaut --help`` exits 0; the
 package's own generator (numerics.Rng) draws the pinned doubles that
 numpy.random.default_rng(42) draws; the fused RK4 stage
-(numerics.fused_stage) gives the pinned outputs at the 17 phase probes of
-every bundled model; and the 13 reference commands of
+(numerics.fused_stage) and the second-order jet (numerics.jet_kernel, on
+the third partials of model.DerivativeCore.third) give the pinned outputs
+at the 17 phase probes of every bundled model; and the 13 reference commands of
 scripts/output_digests.py that need no numpy (``analyze`` on every bundled
 model, the README ``transform`` and both ``pde`` runs) give the digests that
 scripts/output_digests.txt pins for them, and still load no numpy.  It
@@ -33,6 +34,9 @@ PINNED_UNIFORM_42 = ("0x1.1887ef345b648p-1", "-0x1.f4b533cb0dc10p-4",
 
 # stage_digest(): 170 stages (ten bundled models, 17 probes each)
 PINNED_STAGE = (170, "a76652083d809d3c7a379fba17f09cdef5c86335ff62f74eca9b4401256d455b")
+
+# jet_digest(): 170 jets (ten bundled models, 17 probes each)
+PINNED_JET = (170, "83750fae8d65cf75849407fcd53da7adb46b87b341a81a2372058408231480e6")
 
 # the reference commands output_digests.py runs without numpy
 NUMPY_FREE = ("analyze", "transform", "pde")
@@ -104,6 +108,25 @@ def stage_digest():
     return len(lines), hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
+def jet_digest():
+    """sha256 of the second-order jet's flat outputs (float.hex; d2V, d2B,
+    d2H, dF and dDH, as Resolution._flat reads them) at the phase probes of
+    every bundled model."""
+    import hashlib
+
+    from clairaut import BUNDLED, ClairautTransform, load_bundled
+    from clairaut.gauge import phase_probes
+
+    lines = []
+    for name in BUNDLED:
+        ct = ClairautTransform(load_bundled(name))
+        for pt in phase_probes(ct):
+            res = ct.resolve(pt)
+            out = [x for slot in ("d2V", "d2B", "d2H", "dF", "dDH") for x in res._flat(slot)]
+            lines.append(f"{name} {' '.join(x.hex() for x in out)}")
+    return len(lines), hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
 def main():
     import clairaut
     import clairaut.cli
@@ -137,6 +160,10 @@ def main():
     got = stage_digest()
     assert got == PINNED_STAGE, f"fused stage outputs: {got}"
     print(f"fused RK4 stage at {got[0]} probes of the bundled models: the pinned sha256")
+
+    got = jet_digest()
+    assert got == PINNED_JET, f"second-order jet outputs: {got}"
+    print(f"second-order jet at {got[0]} probes of the bundled models: the pinned sha256")
 
     got, pinned = numpy_free_digests(), pinned_digests()
     assert got.keys() == pinned.keys(), f"commands {sorted(got)}"

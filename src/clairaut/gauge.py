@@ -16,15 +16,19 @@ generates time evolution in each case.
 
 Observables are duck-typed: anything with value(pt), d_dq(pt) -> n-vector in
 coordinate declaration order, and d_dp(pt) -> r-vector over the regular
-momenta.  A finite-difference wrapper lifts plain callables into the same
-interface so identities can be nested without symbolic third derivatives;
-it stacks the columns of the float-list stencil, differencing array-valued
-callables whole, so the Maxwell current and the Bianchi defect take one F
-Jacobian per point, not one per entry.
+momenta.  The identities that differentiate these quantities once more
+(Bianchi, the Maxwell current, and verify's commutator, Leibniz and
+delta-commutator rows) read exact second derivatives: the Resolution's
+second-order jet (Hessians of B and H, dF, the gradient of D_a H) and an
+ExprObservable's Hessian, as flat floats over z = (q, p); _bracket_gradient
+and _long_gradient carry the product rule through the bracket.  A
+finite-difference wrapper still lifts plain callables into the observable
+interface, for cross-checks against these exact derivatives.
 """
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import ModelError, RankDeficiencyError, RankVariationError
 from .expressions import (
@@ -45,12 +49,10 @@ from .model import (
 from .numerics import SingularMatrixError, _max_abs, central_differences, dot, probe_ranks, solver
 from .transform import PhasePoint
 
-FD_STEP = 1e-5
-BIANCHI_STEP = 1e-4
-
 
 class ExprObservable:
-    """Scalar function of (q, p) given as an expression, with exact partials.
+    """Scalar function of (q, p) given as an expression, with exact first
+    and second partials.
 
     Allowed symbols: coordinates, momenta of the regular coordinates
     (p_<coord>), and model parameters (substituted at construction).
@@ -72,7 +74,8 @@ class ExprObservable:
         self.ct = ct
         self.expr = expr
         # value, then the q- and p-partials, from one evaluator
-        self._fn = compile_evaluator([expr] + [differentiate(expr, c) for c in names], names)
+        self._names, self._grad = names, [differentiate(expr, c) for c in names]
+        self._fn = compile_evaluator([expr] + self._grad, names)
         self._last = None
 
     def _eval(self, pt):  # the last (point, values), one tuple matched by identity
@@ -91,6 +94,25 @@ class ExprObservable:
     def d_dp(self, pt):
         import numpy as np
         return np.array(self._eval(pt)[1 + self.ct.n:])
+
+    @cached_property
+    def _hessian(self):
+        """The evaluator of the Hessian's upper triangle over (q, p), built on
+        first use: of a verify run's random observables only the commutator
+        row's needs it, and each of the others would pay about a fifth more
+        to build with it."""
+        names = self._names
+        return compile_evaluator(
+            [differentiate(g, x) for k, g in enumerate(self._grad) for x in names[k:]], names)
+
+    def _jet(self, pt):
+        """(gradient, Hessian rows) over z = (q, p), as floats."""
+        m = len(self._names)
+        rows, upper = [[0.0] * m for _ in range(m)], iter(self._hessian([*pt._q, *pt._p]))
+        for k in range(m):
+            for j in range(k, m):
+                rows[k][j] = rows[j][k] = next(upper)
+        return list(self._eval(pt)[1:]), rows
 
 
 class BObservable:
@@ -116,12 +138,10 @@ class FiniteDifferenceObservable:
     For fn(pt) of shape S, d_dq and d_dp have shapes S + (n,) and S + (r,),
     the columns of numerics.central_differences stacked: each displaced
     point is evaluated once, the step scaled by (1 + |varied component|).
-    Used to take outer derivatives of quantities that are themselves
-    assembled numerically, where analytic derivatives would need third
-    partials of L.
+    An independent route to a gradient, for cross-checks.
     """
 
-    def __init__(self, fn, ct, step=FD_STEP):
+    def __init__(self, fn, ct, step=1e-5):
         self.fn = fn
         self.ct = ct
         self.step = step
@@ -143,13 +163,47 @@ class FiniteDifferenceObservable:
 
 
 def _poisson(ct, xq, xp, yq, yp):
-    """{X, Y}_phys from the gradients of X and Y."""
-    return dot(xq[ct.reg_idx], yp) - dot(yq[ct.reg_idx], xp)
+    """{X, Y}_phys from the gradients of X and Y (float lists or arrays)."""
+    return dot([xq[i] for i in ct._reg], yp) - dot([yq[i] for i in ct._reg], xp)
 
 
 def _long_derivative(ct, res, alpha, xq, xp):
     """D_alpha X at the resolution res, from the gradients of X there."""
-    return float(xq[ct.deg_idx[alpha]]) + _poisson(ct, res.dB_dq[alpha], res.dB_dp[alpha], xq, xp)
+    n, r = ct.n, ct.r
+    bq, bp = res._flat("dB_dq"), res._flat("dB_dp")
+    return float(xq[ct._deg[alpha]]) + _poisson(
+        ct, bq[alpha * n:alpha * n + n], bp[alpha * r:alpha * r + r], xq, xp)
+
+
+def _zpoisson(ct, x, y):
+    """{X, Y}_phys from the gradients of X and Y over z = (q, p)."""
+    n = ct.n
+    return _poisson(ct, x[:n], x[n:], y[:n], y[n:])
+
+
+def _jets(res):
+    """The jets (gradient, Hessian rows) over z = (q, p) of B_a for each
+    degenerate direction a, then of H_phys, from the resolution's derivative
+    block and second-order jet."""
+    ct = res.ct
+    n, r, m = ct.n, ct.r, ct.n + ct.r
+    bq, bp, b2, h2 = (res._flat(name) for name in ("dB_dq", "dB_dp", "d2B", "d2H"))
+    out = [(bq[a * n:a * n + n] + bp[a * r:a * r + r],
+            [b2[(a * m + k) * m:(a * m + k + 1) * m] for k in range(m)]) for a in range(n - r)]
+    return out + [(res._flat("dH_dq") + res._flat("dH_dp"),
+                   [h2[k * m:k * m + m] for k in range(m)])]
+
+
+def _bracket_gradient(ct, x, y):
+    """The gradient of {X, Y}_phys over z from the jets x and y of X and Y:
+    row k of a Hessian is the gradient of the k-th partial."""
+    return [_zpoisson(ct, xr, y[0]) + _zpoisson(ct, x[0], yr) for xr, yr in zip(x[1], y[1])]
+
+
+def _long_gradient(ct, b, x, alpha):
+    """The gradient of D_alpha X over z from the jets b of B_alpha and x of X."""
+    at = ct._deg[alpha]
+    return [xr[at] + g for xr, g in zip(x[1], _bracket_gradient(ct, b, x))]
 
 
 def poisson_phys(ct, x, y, pt):
@@ -285,32 +339,38 @@ def _subblock_solve(res, sub, rhs, singular):
         raise RankDeficiencyError(singular) from None
 
 
-def _long_derivatives_of_f(ct, pt, step):
-    """(a, b, c) -> D_a F_bc at pt, all read from one F Jacobian."""
+def _long_derivatives_of_f(ct, pt):
+    """(a, b, c) -> D_a F_bc at pt, exact: from the jet's dF."""
     res = ct.resolve(pt)
-    f = FiniteDifferenceObservable(lambda s: field_strength(ct, s), ct, step=step)
-    fq, fp = f.d_dq(pt), f.d_dp(pt)
-    return lambda a, b, c: _long_derivative(ct, res, a, fq[b, c], fp[b, c])
+    n, nd, m = ct.n, ct.n - ct.r, ct.n + ct.r
+    df = res._flat("dF")
+
+    def d(a, b, c):
+        g = df[(b * nd + c) * m:(b * nd + c + 1) * m]
+        return _long_derivative(ct, res, a, g[:n], g[n:])
+
+    return d
 
 
 def maxwell_current(ct, pt):
     """J_beta = sum_alpha D_alpha F_alphabeta, summed by dot (against ones) in
-    order of alpha, skipping F_bb == 0; outer derivatives by central
-    differences (FD_STEP) of the assembled field strength, one F Jacobian."""
+    order of alpha, skipping F_bb == 0; exact, from the second-order jet's
+    dF (Resolution.dF), with no finite differences."""
     import numpy as np
     n_deg = ct.n - ct.r
-    d = _long_derivatives_of_f(ct, pt, FD_STEP)
+    d = _long_derivatives_of_f(ct, pt)
     return np.array([dot([d(a, a, b) for a in range(n_deg) if a != b], [1.0] * (n_deg - 1))
                      for b in range(n_deg)])
 
 
 def bianchi_residual(ct, pt):
     """Max cyclic defect D_a F_bc + D_c F_ab + D_b F_ca over index triples,
-    outer derivatives by central differences (step BIANCHI_STEP); zero by
-    convention when the degenerate sector has fewer than 3 directions."""
+    exact: D_a F_bc from the second-order jet's dF, with no finite
+    differences; zero by convention when the degenerate sector has fewer
+    than 3 directions."""
     n_deg = ct.n - ct.r
     if n_deg < 3:
         return 0.0
-    d = _long_derivatives_of_f(ct, pt, BIANCHI_STEP)
+    d = _long_derivatives_of_f(ct, pt)
     return _max_abs(d(a, b, c) + d(c, a, b) + d(b, c, a)
                     for a, b, c in itertools.combinations(range(n_deg), 3))

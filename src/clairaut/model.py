@@ -11,10 +11,12 @@ Each model derives its Lagrangian once, into ``model.core``: L, L_v, L_q,
 the velocity Hessian W = L_vv and L_vq, compiled into one evaluator that the
 split, the rank report, the transform, the Fenchel oracle and the
 Euler-Lagrange residual all read; one derivative memo per symbol serves the
-whole derivation.  The rank of W, probed numerically at random admissible
-points (numerics.probe_ranks), decides which velocities can be resolved for
-momenta; the pivot order of the first probe selects the regular block unless
-the file pins one.
+whole derivation.  The third partials that verify's exact identities need
+(DerivativeCore.third) are derived and compiled only when first read.  The
+rank of W, probed numerically at random admissible points
+(numerics.probe_ranks), decides which velocities can be resolved for
+momenta; the pivot order of the first probe selects the regular block
+unless the file pins one.
 """
 
 from dataclasses import dataclass
@@ -23,7 +25,7 @@ from functools import cached_property
 from . import expressions as ex
 from .errors import ExprSyntaxError, ModelError, RankVariationError, UnboundSymbolError
 from .expressions import compile_evaluator, evaluate, free_symbols, simplify, substitute
-from .numerics import Rng, probe_ranks
+from .numerics import Rng, probe_ranks, third_layout
 
 DEFAULT_RANK_TOL = 1e-9
 DEFAULT_PROBE_COUNT = 17
@@ -99,6 +101,34 @@ class DerivativeCore:
         for name, exprs in self.exprs.items():
             self.slices[name] = slice(start, start := start + len(exprs))
         self.fn = compile_evaluator([e for exprs in blocks for e in exprs], self.arg_names)
+
+    @cached_property
+    def third(self):
+        """(fn, zeros): the compiled evaluator of the third partials that the
+        second-order jet (numerics.jet_kernel) reads, and the indices of its
+        entries that are exactly 0, derived on first read: verify's exact
+        identities read it, and simulate, analyze, transform and pde never do."""
+        exprs = _third_partials(self)
+        return compile_evaluator(exprs, self.arg_names), _zeros(exprs)
+
+
+def _zeros(exprs):
+    """The indices of the entries of exprs that are the constant 0."""
+    return frozenset(k for k, e in enumerate(exprs) if isinstance(e, ex.Const) and e.value == 0.0)
+
+
+def _third_partials(core):
+    """L_qq's upper triangle and each third partial of L with a velocity
+    among its arguments, in numerics.third_layout's order over the core's
+    arguments: the triple (x, y, z) differentiates the core's d2L/dv^z
+    d(argument y), an entry of W or L_vq, by argument x."""
+    names, lq, lvq = core.arg_names, core.exprs["L_q"], core.exprs["L_vq"]
+    n = len(names) // 2
+    d = {x: ex._Derivatives(x) for x in names}  # one memo per symbol
+    pairs, triples = third_layout(n)
+    return ([d[names[l]](lq[j]) for j, l in pairs]
+            + [d[names[x]](core.w_rows[z - n][y - n] if y >= n else lvq[(z - n) * n + y])
+               for x, y, z in triples])
 
 
 @dataclass(frozen=True)

@@ -18,13 +18,14 @@ float lists, and damped_newton and its restarts (transform fallback, Fenchel
 oracle) return the root as a list of floats, with the residual and Jacobian
 from newton_pair: flat float lists from one evaluator call per point.
 
-The generated kernels (solver, resolve_kernel, block_kernel, fused_stage,
-and rk4_kernel, integrate's loop) run on Python floats: Gauss elimination
-with partial pivoting and dot products summed left to right, unrolled for
-one shape, compiled once and emitted through expressions._Code.  One
-emitter per algorithm gives each of its kernels the same floats: _newton
+The generated kernels (solver, resolve_kernel, block_kernel, jet_kernel,
+fused_stage, and rk4_kernel, integrate's loop) run on Python floats: Gauss
+elimination with partial pivoting and dot products summed left to right,
+unrolled for one shape, compiled once and emitted through expressions._Code.
+One emitter per algorithm gives each of its kernels the same floats: _newton
 the full Newton steps (damped_newton's iterates where it takes no shorter
-step) and _block the derivative block; fused_stage, the one RK4 stage,
+step) and _block the derivative block, which jet_kernel differentiates once
+more from the third partials of L; fused_stage, the one RK4 stage,
 inlines a model's derivative core around them (a sum, product or negation
 that one node reads written into that node's statement, the nodes that can
 raise each in its own) and emits the sector solve at the root.  It takes and
@@ -126,15 +127,18 @@ def probe_ranks(matrices, block, rel_tol, matrix):
 def central_differences(fn, x, step):
     """Central-difference derivatives of fn at the floats x: for each
     component k, h = step * (1 + |x_k|) and (fn(x + h e_k) - fn(x - h e_k))
-    / (2h), the displaced points as lists.  fn may return a float or an
-    array; the result is the list of these columns, one per component."""
+    / (2h), the displaced points as lists.  fn may return a float, an
+    array or a list of floats, differenced entry by entry; the result is the
+    list of these columns, one per component."""
     cols = []
     for k in range(len(x)):
         h = step * (1 + abs(x[k]))
         xp, xm = list(x), list(x)
         xp[k] += h
         xm[k] -= h
-        cols.append((fn(xp) - fn(xm)) / (2 * h))
+        up, down = fn(xp), fn(xm)
+        cols.append([(u - d) / (2 * h) for u, d in zip(up, down)] if isinstance(up, list)
+                    else (up - down) / (2 * h))
     return cols
 
 
@@ -560,6 +564,130 @@ def block_kernel(n, reg):
     dv_dq = [[f"-{name}" for name in row[:n]] for row in x]
     outs = (dv_dq, [row[n:] for row in x], db_dq, db_dp, [dh_dq], [dh_dp], f, [dah])
     return code.build("c, V, vd", ", ".join(map(_flat, outs)), _KERNEL_ENV)
+
+
+def third_layout(n):
+    """The flat layout of model.DerivativeCore.third over the arguments (q,
+    v), numbered 0 to 2n - 1: L_qq's upper triangle as pairs (j, l), then
+    each third partial of L with a velocity among its arguments once, as its
+    sorted argument triple (x, y, z), z >= n."""
+    return ([(j, l) for j in range(n) for l in range(j, n)],
+            [(x, y, z) for z in range(n, 2 * n) for y in range(z + 1) for x in range(y + 1)])
+
+
+@functools.lru_cache(maxsize=None)
+def jet_kernel(n, reg, core_zeros, third_zeros):
+    """Generated second-order jet at a resolved point for one split, cached
+    by it: reg lists the regular coordinates, core_zeros and third_zeros the
+    entries of the derivative core and of the third partials (third_layout)
+    that are exactly 0, whose terms it leaves out.  The kernel takes (c, d3,
+    vd, dv_dq, dv_dp, db_dq, db_dp, dh_dq, dh_dp): the derivative core tuple,
+    the third partials, the degenerate velocities and block_kernel's first
+    six outputs, all floats.
+
+    Over z = (q, p), m = n + r, differentiating L_v(q, V) = p once more gives
+    W_rr d2V = -T_r, with T_i = J^T L3_i J: J = d(q, V)/dz (unit rows, then
+    dV/dz) and L3_i the second partials of L_v^i by (q, V).  dV_dp is W_rr^-1,
+    the block's elimination, so d2V = -dV_dp T_r; d2B_a = T_a + W_a,r d2V,
+    and d2H differentiates dH = (-L_q + vd dB_dq, V + vd dB_dp) once more.
+    dF and the gradient of D_a H differentiate _block's formulas by the
+    product rule.  Returns d2V (r x m x m), d2B (nd x m x m), d2H (m x m), dF
+    (nd x nd x m) and dDH (nd x m) as flat row-major lists of floats: each
+    Hessian exactly symmetric (its upper triangle, mirrored) and dF exactly
+    antisymmetric in its first two indices."""
+    code, r = _Code(), len(reg)
+    deg = [i for i in range(n) if i not in reg]
+    nd, m = n - r, n + r
+
+    # None is an exact zero: a sum leaves it out, and a sum of nothing is None
+    def products(pairs):
+        pairs = [(x, y) for x, y in pairs if x is not None and y is not None]
+        return _dot(pairs) if pairs else None
+
+    def total(*parts):  # (part) + (part) + ... as text
+        parts = [p for p in parts if p is not None]
+        return " + ".join(f"({p})" for p in parts) if parts else None
+
+    def emit(*parts):  # total in a fresh local; a lone name or an exact zero as it is
+        text = total(*parts)
+        if text is None or text[1:-1].isidentifier():
+            return text and text[1:-1]
+        return code(text)
+
+    def neg(x):
+        return None if x is None else f"-({x})"
+
+    def rows(seq, k, width):
+        names = _unpack(code, seq, k * width)
+        return [names[i * width:i * width + width] for i in range(k)]
+
+    def core(k):
+        return None if k in core_zeros else code(f"c[{k}]")
+
+    vd = _unpack(code, "vd", nd)
+    dv = [q + p for q, p in zip(rows("dv_dq", r, n), rows("dv_dp", r, r))]
+    db = [q + p for q, p in zip(rows("db_dq", nd, n), rows("db_dp", nd, r))]
+    dh = _unpack(code, "dh_dq", n) + _unpack(code, "dh_dp", r)
+    pairs, triples = third_layout(n)
+    at, d3 = {key: k for k, key in enumerate(pairs + triples)}, {}
+    upper = [(k, l) for k in range(m) for l in range(k, m)]
+
+    def third(key):  # a local on first read
+        if key not in d3:
+            d3[key] = None if at[key] in third_zeros else code(f"d3[{at[key]}]")
+        return d3[key]
+
+    def l3(i, a, b):  # d3 L / dv^i d(arg a) d(arg b)
+        return third(tuple(sorted((n + i, a, b))))
+
+    def t_of(i):  # T_i's upper triangle, through M = L3_i J
+        mj = {(a, l): emit(l3(i, a, l) if l < n else None,
+                           products((l3(i, a, n + j), dv[t][l]) for t, j in enumerate(reg)))
+              for a in [*range(n), *(n + j for j in reg)] for l in range(a if a < n else 0, m)}
+        return {(k, l): emit(mj[k, l] if k < n else None,
+                             products((dv[s][k], mj[n + j, l]) for s, j in enumerate(reg)))
+                for k, l in upper}
+
+    def full(tri):
+        return [[tri[min(k, l), max(k, l)] for l in range(m)] for k in range(m)]
+
+    t = [t_of(i) for i in range(n)]
+    d2v = [{kl: emit(neg(products((w, t[j][kl]) for w, j in zip(dv[s][n:], reg)))) for kl in upper}
+           for s in range(r)]
+    w_dr = [[core(1 + 2 * n + i * n + j) for j in reg] for i in deg]
+    d2b = [{kl: emit(t[i][kl], products((w, d2v[s][kl]) for s, w in enumerate(row)))
+            for kl in upper} for i, row in zip(deg, w_dr)]
+    lvq = [[core(1 + 2 * n + n * n + j * n + k) for k in range(n)] for j in reg]
+
+    def h_entry(k, l):  # l >= n: the p-row l - n of dH; else both q-rows
+        rest = products((vd[a], d2b[a][k, l]) for a in range(nd))
+        if l >= n:
+            return emit(dv[l - n][k], rest)
+        lq = products((lvq[s][k], dv[s][l]) for s in range(r))
+        return emit(neg(total(third((k, l)), lq)), rest)
+
+    b2, h2 = [full(x) for x in d2b], full({kl: h_entry(*kl) for kl in upper})
+    reg_pairs = list(enumerate(reg))
+
+    def half(x2, x, y2, y, k):  # the z_k-partial of sum_i dX/dq^i dY/dp_i, i regular
+        return products([(x2[j][k], y[n + s]) for s, j in reg_pairs]
+                   + [(x[j], y2[n + s][k]) for s, j in reg_pairs])
+
+    df = [[[None] * m for _ in range(nd)] for _ in range(nd)]
+    for a in range(nd):
+        for b in range(a + 1, nd):
+            df[a][b] = [emit(total(b2[b][deg[a]][k], neg(b2[a][deg[b]][k])),
+                             total(emit(half(b2[a], db[a], b2[b], db[b], k)),
+                                   neg(emit(half(b2[b], db[b], b2[a], db[a], k)))))
+                        for k in range(m)]
+            df[b][a] = [neg(x) for x in df[a][b]]
+    ddh = [[emit(total(h2[i][k], half(b2[a], db[a], h2, dh, k)),
+                 neg(half(h2, dh, b2[a], db[a], k))) for k in range(m)] for a, i in enumerate(deg)]
+    outs = ([row for x in d2v for row in full(x)], [row for x in b2 for row in x], h2,
+            [row for x in df for row in x], ddh)
+    return code.build("c, d3, vd, dv_dq, dv_dp, db_dq, db_dp, dh_dq, dh_dp", ", ".join(
+        "[" + ", ".join("0.0" if x is None else x for row in block for x in row) + "]"
+        for block in outs), _KERNEL_ENV)
 
 
 def _single_use(exprs, hoisted):

@@ -22,8 +22,11 @@ in a generated float kernel (numerics.resolve_kernel), with damped Newton and
 restarts from the same start (newton_pair, newton_with_restarts) as the
 fallback.  The implicit-function derivative block, F and D_a H come from one
 call of a generated float kernel (numerics.block_kernel) that factors W_rr
-once.  Every RK4 stage of dynamics.integrate calls the kernel _stage keeps
-per gauge plan (numerics.fused_stage: those full steps and that block, the
+once; the second-order jet (numerics.jet_kernel: second derivatives of V,
+B and H, dF and the gradient of D_a H) differentiates that block once more,
+on the model's third partials, derived the first time a jet is read.
+Every RK4 stage of dynamics.integrate calls the kernel _stage keeps per
+gauge plan (numerics.fused_stage: those full steps and that block, the
 core inline); where its full steps give up, _damped_resolve finds the root
 and the same kernel runs the stage there.  clairaut_pde resolves the envelope
 and mixed slopes of the Clairaut equation through _resolve_args too, as the
@@ -34,9 +37,9 @@ import itertools
 from functools import cached_property
 
 from .errors import ArgumentError, DomainError, FenchelError, NewtonError
-from .model import CORE_BLOCKS, split_variables
+from .model import CORE_BLOCKS, _zeros, split_variables
 from .numerics import (NewtonConfig, _floats, block_kernel, damped_newton, dot, fused_stage,
-                       newton_pair, newton_with_restarts, resolve_kernel)
+                       jet_kernel, newton_pair, newton_with_restarts, resolve_kernel)
 
 def _array(values, dtype=float):
     """A read-only array copy of values."""
@@ -70,11 +73,14 @@ class PhasePoint:
         return new
 
 
-# each array slot's shape over n, r and d = n - r: V, B and W from the core,
-# then numerics.block_kernel's outputs in the order of its result (_BLOCK)
+# each array slot's shape over n, r, d = n - r and m = n + r: V, B and W from
+# the core, then numerics.block_kernel's outputs in the order of its result
+# (_BLOCK), then numerics.jet_kernel's (_JET)
 _SHAPES = {"V": "r", "B": "d", "W": "nn", "dV_dq": "rn", "dV_dp": "rr", "dB_dq": "dn",
-           "dB_dp": "dr", "dH_dq": "n", "dH_dp": "r", "F": "dd", "DH": "d"}
-_BLOCK = tuple(_SHAPES)[3:]
+           "dB_dp": "dr", "dH_dq": "n", "dH_dp": "r", "F": "dd", "DH": "d",
+           "d2V": "rmm", "d2B": "dmm", "d2H": "mm", "dF": "ddm", "dDH": "dm"}
+_BLOCK = tuple(_SHAPES)[3:11]
+_JET = tuple(_SHAPES)[11:]
 _LAZY = ("H",) + tuple(_SHAPES)  # slots built on first read
 
 
@@ -86,16 +92,17 @@ class Resolution:
     other slot is built from these on its first read and kept: H
     (numerics.dot over the pairs (p, V), then (B, v_deg), minus L: the stage
     kernel's sum, so the same float), and arrays copying _flat's floats: V,
-    B, W, the derivative block, F and D_a H (DH).  F and DH are shared, so
-    read-only.  Threads may share a resolution: a race at worst builds a
-    slot twice.
+    B, W, the derivative block, F and D_a H (DH), and the second-order jet
+    over z = (q, p): the Hessians d2V, d2B and d2H, dF = dF_ab/dz and dDH,
+    the gradient of D_a H.  F and DH are shared, so read-only.  Threads may
+    share a resolution: a race at worst builds a slot twice.
     """
 
-    __slots__ = ("ct", "pt", "args", "L", "_v", "_core", "_W") + _LAZY
+    __slots__ = ("ct", "pt", "args", "L", "_v", "_core", "_W", "_J") + _LAZY
 
     def __init__(self, ct, pt, args, v, core):
         self.ct, self.pt, self.args, self._v, self._core = ct, pt, args, v, core
-        self.L, self._W = core[0], None
+        self.L, self._W, self._J = core[0], None, None
 
     def __getattr__(self, name):  # a slot not yet set: build it, then keep it
         if name not in _LAZY:
@@ -104,7 +111,8 @@ class Resolution:
             value = dot([*self.pt._p, *self._flat("B")], [*self._v, *self.pt._v]) - self.L
         else:
             import numpy as np
-            size = {"n": self.ct.n, "r": self.ct.r, "d": self.ct.n - self.ct.r}
+            n, r = self.ct.n, self.ct.r
+            size = {"n": n, "r": r, "d": n - r, "m": n + r}
             value = np.array(self._flat(name)).reshape([size[c] for c in _SHAPES[name]])
             if name in ("F", "DH"):
                 value.flags.writeable = False
@@ -113,13 +121,20 @@ class Resolution:
 
     def _flat(self, name):
         """Slot name but H as a flat row-major sequence of floats, no numpy:
-        the core's entries, or the block kernel's output."""
+        the core's entries, the block kernel's output or the jet kernel's,
+        each kernel called on the first read of one of its slots."""
         if name in ("V", "W"):
             return self._v if name == "V" else self._core[self.ct.core_slices["W"]]
         if name == "B":
             return [self._core[i] for i in self.ct._b_pos]
         if self._W is None:
             self._derivatives()
+        if name in _JET:
+            if self._J is None:
+                ct = self.ct
+                self._J = ct._jet_kernel(self._core, ct._f_third(self.args), self.pt._v,
+                                         *self._W[:6])
+            return self._J[_JET.index(name)]
         return self._W[_BLOCK.index(name)]
 
     def _derivatives(self):  # only from _flat, while _W is None
@@ -166,6 +181,16 @@ class ClairautTransform:
     # _reg and _deg as int arrays, built on first read
     reg_idx = cached_property(lambda self: _array(self._reg, int))
     deg_idx = cached_property(lambda self: _array(self._deg, int))
+    # the second-order jet's third partials, derived and compiled on first read
+    _f_third = cached_property(lambda self: self.model.core.third[0])
+
+    @cached_property
+    def _jet_kernel(self):
+        """numerics.jet_kernel for this split, leaving out the entries of the
+        core and of the third partials that are exactly 0."""
+        core = self.model.core
+        flat = [e for block in core.exprs.values() for e in block]
+        return jet_kernel(self.n, self._reg, _zeros(flat), core.third[1])
 
     # ------------------------------------------------------------ points
 

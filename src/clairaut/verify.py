@@ -3,10 +3,12 @@
 run_verification exercises every structural identity the package promises
 on one model: conjugate-equation residuals, gradient cross-checks, the
 sector identities (field strength, long derivatives, extra-time
-commutators, constraint brackets), the finite-difference identities
-(commutator, Leibniz, Bianchi, current conservation), and the
-class-specific reductions.  Each check function returns or yields its raw
-defects, one per probe (or per probe and entry), and run_verification folds
+commutators, constraint brackets), the identities that differentiate them
+once more (commutator, Leibniz, delta-commutator, Bianchi), exact on the
+resolution's second-order jet, current conservation, one central-difference
+level over that jet, and the class-specific reductions.  Each check
+function returns or yields its raw defects, one per probe (or per probe
+and entry), and run_verification folds
 them into the row's residual, the largest |defect| (numerics._max_abs): a
 nan defect makes the residual nan, and a nan residual fails its tolerance.
 Checks with a null tolerance are recorded measurements:
@@ -25,22 +27,22 @@ import operator
 
 from .dynamics import (
     IntegratorConfig,
-    d_alpha_h,
     degenerate_velocities,
     gauge_input,
     integrate,
 )
 from .errors import ClairautError
 from .gauge import (
-    BObservable,
     ExprObservable,
     FiniteDifferenceObservable,
+    _bracket_gradient,
+    _jets,
     _long_derivative,
-    _poisson,
+    _long_gradient,
+    _zpoisson,
     bracket_gauge,
     bracket_new,
     classify,
-    delta_b,
     field_strength,
     long_derivative,
     maxwell_current,
@@ -56,7 +58,7 @@ from .model import (
     default_probes,
     momentum_name,
 )
-from .numerics import Rng, _max_abs, dot
+from .numerics import Rng, _max_abs, central_differences, dot
 from .transform import ClairautTransform, _not_convex, fenchel_conjugate
 
 
@@ -210,78 +212,60 @@ def _extra_time_dh(ctx):
 
 
 def _commutator(ctx):
-    import numpy as np
-    # [D_a, D_b] X = {F_ab, X}: per probe, one Jacobian of the vector D X
-    # and one of F serve every pair
+    # [D_a, D_b] X = {F_ab, X}, exactly: the gradient of each D_b X from the
+    # jets of X and B_b, dF from the resolution's jet
     ct = ctx.ct
-    n_deg = ct.n - ct.r
+    n, n_deg, m = ct.n, ct.n - ct.r, ct.n + ct.r
     x = _random_observables(ctx, 11, 1)[0]
     pairs = [(a, b) for a in range(n_deg) for b in range(a + 1, n_deg)][:3]
-    d_x = FiniteDifferenceObservable(
-        lambda pt: np.array([long_derivative(ct, x, a, pt) for a in range(n_deg)]),
-        ct, 1e-5)
-    f = FiniteDifferenceObservable(lambda pt: field_strength(ct, pt), ct, 1e-5)
     for pt in ctx.probes[:2]:
-        dxq, dxp = d_x.d_dq(pt), d_x.d_dp(pt)
-        fq, fp = f.d_dq(pt), f.d_dp(pt)
         res = ct.resolve(pt)
-        xq, xp = x.d_dq(pt), x.d_dp(pt)
+        jets, xj, df = _jets(res), x._jet(pt), res._flat("dF")
+        d_x = [_long_gradient(ct, jets[a], xj, a) for a in range(n_deg)]
         for a, b in pairs:
-            lhs = (_long_derivative(ct, res, a, dxq[b], dxp[b])
-                   - _long_derivative(ct, res, b, dxq[a], dxp[a]))
-            yield lhs - _poisson(ct, fq[a, b], fp[a, b], xq, xp)
+            lhs = (_long_derivative(ct, res, a, d_x[b][:n], d_x[b][n:])
+                   - _long_derivative(ct, res, b, d_x[a][:n], d_x[a][n:]))
+            yield lhs - _zpoisson(ct, df[(a * n_deg + b) * m:(a * n_deg + b + 1) * m], xj[0])
 
 
 def _leibniz(ctx):
-    import numpy as np
-    # D_a {B_0, B_1} = {D_a B_0, B_1} + {B_0, D_a B_1}; one D_a B_b Jacobian per probe
+    # D_a {B_0, B_1} = {D_a B_0, B_1} + {B_0, D_a B_1}, exactly on the jets of B
     ct = ctx.ct
-    dirs = range(min(ct.n - ct.r, 3))
-    b0, b1 = BObservable(ct, 0), BObservable(ct, 1)
-    pair = FiniteDifferenceObservable(lambda pt: poisson_phys(ct, b0, b1, pt), ct, 1e-5)
-    d_b = FiniteDifferenceObservable(lambda pt: np.array(
-        [[long_derivative(ct, b, a, pt) for b in (b0, b1)] for a in dirs]), ct, 1e-5)
+    n = ct.n
     for pt in ctx.probes[:2]:
         res = ct.resolve(pt)
-        pq, pp = pair.d_dq(pt), pair.d_dp(pt)
-        dq, dp = d_b.d_dq(pt), d_b.d_dp(pt)
-        bq, bp = res.dB_dq, res.dB_dp
-        for a in dirs:
-            rhs = (_poisson(ct, dq[a, 0], dp[a, 0], bq[1], bp[1])
-                   + _poisson(ct, bq[0], bp[0], dq[a, 1], dp[a, 1]))
-            yield _long_derivative(ct, res, a, pq, pp) - rhs
+        b = _jets(res)
+        pair = _bracket_gradient(ct, b[0], b[1])
+        for a in range(min(ct.n - ct.r, 3)):
+            rhs = (_zpoisson(ct, _long_gradient(ct, b[a], b[0], a), b[1][0])
+                   + _zpoisson(ct, b[0][0], _long_gradient(ct, b[a], b[1], a)))
+            yield _long_derivative(ct, res, a, pair[:n], pair[n:]) - rhs
 
 
 def _delta_commutator(ctx):
-    import numpy as np
-    # delta_0 {B_1, B_c} - delta_1 {B_0, B_c} = {{B_0, B_1}, B_c}; one Jacobian per probe
+    # delta_0 {B_1, B_c} - delta_1 {B_0, B_c} = {{B_0, B_1}, B_c}, exactly on the jets of B
     ct = ctx.ct
-    cs = range(min(ct.n - ct.r, 2))
-    b = [BObservable(ct, k) for k in range(2)]
-    inner = FiniteDifferenceObservable(lambda pt: np.array(
-        [[delta_b(ct, x, b[c], pt) for c in cs] for x in (0, 1)]), ct, 1e-5)
-    w = FiniteDifferenceObservable(lambda pt: poisson_phys(ct, b[0], b[1], pt), ct, 1e-5)
     for pt in ctx.probes[:2]:
-        res = ct.resolve(pt)
-        iq, ip = inner.d_dq(pt), inner.d_dp(pt)
-        wq, wp = w.d_dq(pt), w.d_dp(pt)
-        bq, bp = res.dB_dq, res.dB_dp
-        for c in cs:
-            lhs = (_poisson(ct, bq[0], bp[0], iq[1, c], ip[1, c])
-                   - _poisson(ct, bq[1], bp[1], iq[0, c], ip[0, c]))
-            yield lhs - _poisson(ct, wq, wp, bq[c], bp[c])
+        b = _jets(ct.resolve(pt))
+        w = _bracket_gradient(ct, b[0], b[1])
+        for c in range(min(ct.n - ct.r, 2)):
+            lhs = (_zpoisson(ct, b[0][0], _bracket_gradient(ct, b[1], b[c]))
+                   - _zpoisson(ct, b[1][0], _bracket_gradient(ct, b[0], b[c])))
+            yield lhs - _zpoisson(ct, w, b[c][0])
 
 
 def _current_conservation(ctx):
-    # sum_a D_a J_a from one Jacobian of the whole current vector
+    # sum_a D_a J_a: J is exact on the jet, but its gradient would need the
+    # fourth partials of L, so it is one level of central differences of J
     ct = ctx.ct
-    pt = ctx.probes[0]
-    j = FiniteDifferenceObservable(lambda s: maxwell_current(ct, s), ct, 1e-4)
-    jq, jp = j.d_dq(pt), j.d_dp(pt)
+    n, pt = ct.n, ctx.probes[0]
+    cols = central_differences(lambda z: maxwell_current(ct, pt._replace(q=z[:n], p=z[n:])),
+                               [*pt._q, *pt._p], 1e-5)
     res = ct.resolve(pt)
     total = 0.0
     for a in range(ct.n - ct.r):
-        total += _long_derivative(ct, res, a, jq[a], jp[a])
+        grad = [float(col[a]) for col in cols]
+        total += _long_derivative(ct, res, a, grad[:n], grad[n:])
     yield total
 
 
@@ -335,33 +319,29 @@ def _limit_partials(ctx):
 # ----------------------------------------- invariant-surface trajectory check
 
 
-def _consistency_tower(ct, levels):
-    """The consistency functions D_a H and their repeated brackets with
-    H_phys: successive time derivatives along the frozen-gauge flow."""
-    import numpy as np
-    h_obs = ct.hamiltonian_observable()
-    n_deg = ct.n - ct.r
+def _level_two(ct, pt):
+    """{D_a H, H_phys} for each degenerate direction a: the consistency
+    tower's second level, the time derivative of D_a H along the
+    frozen-gauge flow, exact on the second-order jet."""
+    res = ct.resolve(pt)
+    m, h = ct.n + ct.r, _jets(res)[-1][0]
+    ddh = res._flat("dDH")
+    return [_zpoisson(ct, ddh[a * m:a * m + m], h) for a in range(ct.n - ct.r)]
 
-    def base(point):
-        return d_alpha_h(ct, ct.resolve(point))
 
-    funcs = [base]
-    for _ in range(levels - 1):
-        prev = funcs[-1]
-
-        # one Jacobian of the whole previous level per point
-        def lifted(point, _fd=FiniteDifferenceObservable(prev, ct, 1e-5)):
-            pq, pp = _fd.d_dq(point), _fd.d_dp(point)
-            hq, hp = h_obs.d_dq(point), h_obs.d_dp(point)
-            return np.array([_poisson(ct, pq[a], pp[a], hq, hp)
-                             for a in range(n_deg)])
-
-        funcs.append(lifted)
-
-    def stacked(point):
-        return np.concatenate([f(point) for f in funcs])
-
-    return stacked
+def _consistency_tower(ct, pt, levels, step):
+    """The Jacobian over z = (q, p) of the consistency tower at pt: D_a H's
+    rows exact, from the jet (dDH); with levels 2, _level_two's rows by one
+    level of central differences (step) of its exact values, since they
+    would need the fourth partials of L."""
+    res, n, m = ct.resolve(pt), ct.n, ct.n + ct.r
+    ddh = res._flat("dDH")
+    rows = [ddh[a * m:a * m + m] for a in range(ct.n - ct.r)]
+    if levels == 2:
+        cols = central_differences(lambda z: _level_two(ct, pt._replace(q=z[:n], p=z[n:])),
+                                   [*pt._q, *pt._p], step)
+        rows += map(list, zip(*cols))
+    return rows
 
 
 def _min_norm_step(jac, rhs):
@@ -383,20 +363,19 @@ def _min_norm_step(jac, rhs):
 
 
 def _project_to_surface(ct, pt, levels, iters=18, step=1e-6):
-    """Gauss-Newton projection of (q, p) onto the zero set of the
-    consistency tower; minimal-norm steps, best effort."""
-    import numpy as np
+    """Gauss-Newton projection of (q, p) onto the zero set of the first
+    levels (1 or 2) of the consistency tower (_consistency_tower);
+    minimal-norm steps, best effort."""
     n = ct.n
-    tower = FiniteDifferenceObservable(_consistency_tower(ct, levels), ct, step)
-    u = np.concatenate([pt.q, pt.p])
+    u = [*pt._q, *pt._p]
     for _ in range(iters):
         cur = pt._replace(q=u[:n], p=u[n:])
-        f0 = tower.value(cur)
-        if float(np.max(np.abs(f0))) < 1e-12:
+        f0 = list(ct.resolve(cur)._flat("DH")) + (_level_two(ct, cur) if levels == 2 else [])
+        if _max_abs(f0) < 1e-12:
             break
-        jac = np.hstack([tower.d_dq(cur), tower.d_dp(cur)])
-        delta = _min_norm_step(jac.tolist(), (-f0).tolist())
-        u = u + np.multiply(delta, 1.0 / max(math.sqrt(dot(delta, delta)), 1.0))  # at most 1 long
+        delta = _min_norm_step(_consistency_tower(ct, cur, levels, step), [-f for f in f0])
+        scale = 1.0 / max(math.sqrt(dot(delta, delta)), 1.0)  # at most 1 long
+        u = [x + d * scale for x, d in zip(u, delta)]
     return pt._replace(q=u[:n], p=u[n:])
 
 
@@ -408,9 +387,9 @@ def _constraint_preservation(ctx):
 
     The projection depth escalates until a short trial run stays flat:
     models whose consistency functions close under one bracket need depth
-    1, a genuinely higher-stage model needs the tower.  The drift grows like
-    t^2, so the trial's bound is a tenth of the tolerance scaled by the
-    squared ratio of the run lengths.
+    1, a genuinely higher-stage model (cawley) depth 2, the deepest the
+    tower goes.  The drift grows like t^2, so the trial's bound is a tenth
+    of the tolerance scaled by the squared ratio of the run lengths.
     """
     trial_t1, run_t1 = 0.05, 0.5
     ct, cls = ctx.ct, ctx.cls
@@ -419,7 +398,7 @@ def _constraint_preservation(ctx):
     gauge = None if ctx.zero_vdeg_ok else gauge_input(
         ct, cls, {name: 1.0 for name in ct.split.degenerate})
     cand = pt0
-    for levels in (1, 2, 3):
+    for levels in (1, 2):
         cand = _project_to_surface(ct, pt0, levels)
         trial = integrate(ct, cand, gauge,
                           IntegratorConfig(t1=trial_t1, dt=5e-3,
@@ -454,11 +433,11 @@ def _check_table(ctx):
         # row (dynamics._constraint_brackets): the extra-time defects, sigma = -1
         ("constraint_bracket_matches_field_strength", 1e-9, _extra_time_f, n_deg > 0),
         ("constraint_hamiltonian_bracket_sign", 1e-9, _extra_time_dh, n_deg > 0),
-        ("long_derivative_commutator", 1e-4, _commutator, n_deg >= 2),
-        ("leibniz_rule", 1e-4, _leibniz, n_deg >= 2),
-        ("delta_transformation_commutator", 1e-4, _delta_commutator, n_deg >= 2),
-        ("current_conservation", 1e-3, _current_conservation, n_deg >= 2),
-        ("bianchi_identity", 1e-4, _bianchi, n_deg >= 3),
+        ("long_derivative_commutator", 1e-9, _commutator, n_deg >= 2),
+        ("leibniz_rule", 1e-9, _leibniz, n_deg >= 2),
+        ("delta_transformation_commutator", 1e-9, _delta_commutator, n_deg >= 2),
+        ("current_conservation", 1e-6, _current_conservation, n_deg >= 2),
+        ("bianchi_identity", 1e-9, _bianchi, n_deg >= 3),
         ("fenchel_reduction", 1e-7, _fenchel, n_deg == 0),
     ]
     if n_deg > 0 and cls.kind == "gaugeless":

@@ -292,13 +292,13 @@ class TestAcceptance:
             residuals[dt] = float(np.nanmax(evolve_observable(ct, obs, traj,
                                                               cls)))
         ratio = residuals[1e-3] / residuals[5e-4]
-        _report(8, f"commutator {comm:.2e} <= 1e-4, leibniz {leib:.2e} <= "
-                   f"1e-4, bianchi {bianchi:.2e} <= 1e-4, current "
-                   f"{curr:.2e} <= 1e-3, sector solve {sector:.2e} <= 1e-10, "
+        _report(8, f"commutator {comm:.2e} <= 1e-9, leibniz {leib:.2e} <= "
+                   f"1e-9, bianchi {bianchi:.2e} <= 1e-9, current "
+                   f"{curr:.2e} <= 1e-6, sector solve {sector:.2e} <= 1e-10, "
                    f"evolution {residuals[1e-3]:.2e} <= 1e-5 improving "
                    f"{ratio:.2f}x on halving",
-                comm <= 1e-4 and leib <= 1e-4 and bianchi <= 1e-4
-                and curr <= 1e-3 and sector <= 1e-10
+                comm <= 1e-9 and leib <= 1e-9 and bianchi <= 1e-9
+                and curr <= 1e-6 and sector <= 1e-10
                 and residuals[1e-3] <= 1e-5 and ratio >= 3.2)
 
     def test_09_conjugate_pde_solution_families(self):

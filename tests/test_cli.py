@@ -16,6 +16,7 @@ import pytest
 
 from clairaut import ClairautTransform, bundled_model_path
 from clairaut import model as model_module
+from clairaut import transform as transform_module
 from clairaut import cli
 from clairaut.cli import MAX_PROBES, main
 from clairaut.errors import ClairautError
@@ -422,6 +423,50 @@ class TestSimulate:
         assert csv.read_text().startswith("t,q:x,")
         body = svg.read_text()
         assert body.startswith("<svg") and "<polyline" in body
+
+
+class TestJetStaysLazy:
+    """The second-order jet's third partials are derived, compiled and read
+    only where an identity needs them: never by simulate, analyze, transform
+    or pde on the reference commands, nor by verify on particle (whose
+    projection stops at its first iterate, with no commutator rows) and
+    oscillator (no degenerate sector)."""
+
+    COMMANDS = (
+        [["simulate", "particle", "--gauge", "x0=1+0.1*sin(t)", "--init", "p_x=0.4,p_y=0.1,p_z=0.2",
+          "--t1", "10", "--dt", "1e-3", "--out", "trajectory.csv"]]
+        + [["analyze", name] for name in BUNDLED]
+        + [["transform", "particle", "--at", "x0=0,x=0,y=0,z=0,p_x=3,p_y=0,p_z=4"],
+           ["pde", "--f", "z1^2+z2^2+z3", "--mode", "mixed", "--s", "2", "--c", "c3=1",
+            "--at", "x1=2,x2=2,x3=3"],
+           ["pde", "--f", "-(5*sqrt(1 - z1^2))", "--mode", "envelope", "--at", "x1=3"],
+           ["verify", "particle", "--seed", "42"],
+           ["verify", "oscillator", "--seed", "42"]])
+
+    def test_no_third_partials_outside_the_identities(self, monkeypatch, tmp_path, capsys):
+        # each compile_evaluator call in model.py is logged by its caller's
+        # name: DerivativeCore.__init__'s core, or DerivativeCore.third's
+        calls = []
+        third, compile_evaluator = model_module._third_partials, model_module.compile_evaluator
+        jet = transform_module.jet_kernel
+
+        def compiled(exprs, names):
+            calls.append(sys._getframe(1).f_code.co_name)
+            return compile_evaluator(exprs, names)
+
+        monkeypatch.setattr(model_module, "_third_partials",
+                            lambda core: calls.append("derive") or third(core))
+        monkeypatch.setattr(model_module, "compile_evaluator", compiled)
+        monkeypatch.setattr(transform_module, "jet_kernel", lambda *key: calls.append("jet")
+                            or jet(*key))
+        monkeypatch.chdir(tmp_path)
+        for argv in self.COMMANDS:
+            assert main(argv) == 0, argv
+        assert set(calls) == {"__init__"}
+        # the counters see a run that needs the jet
+        assert main(["verify", "christ_lee", "--seed", "42"]) == 0
+        assert {"derive", "third", "jet"} <= set(calls)
+        capsys.readouterr()
 
 
 class TestVerify:

@@ -1,5 +1,7 @@
 """Sector brackets, long derivatives, field strength, classification."""
 
+import inspect
+import itertools
 import math
 import re
 from functools import lru_cache
@@ -16,12 +18,12 @@ from clairaut import (
     load_bundled,
     parse_model,
 )
-from clairaut import gauge
+from clairaut import gauge, numerics, verify
+from clairaut import transform as transform_module
 from clairaut.expressions import differentiate, evaluate
 from clairaut.fixtures import BUNDLED, bundled_model_text
 from clairaut.model import momentum_name
 from clairaut.gauge import (
-    FD_STEP,
     BObservable,
     ExprObservable,
     FiniteDifferenceObservable,
@@ -38,6 +40,7 @@ from clairaut.gauge import (
 )
 
 RNG_SEED = 77
+STEP = 1e-5  # FiniteDifferenceObservable's default step
 
 
 @lru_cache(maxsize=None)
@@ -81,6 +84,25 @@ class TestObservables:
             for got, names in ((obs.d_dq(pt), qs), (obs.d_dp(pt), ps)):
                 want = [evaluate(differentiate(obs.expr, x), b) for x in names]
                 assert [v.hex() for v in got.tolist()] == [v.hex() for v in want]
+
+    @pytest.mark.parametrize("name", ["mixed", "particle", "christ_lee"])
+    def test_hessian_bit_equal_to_interpreted(self, name):
+        # the jet's Hessian over (q, p): each entry the interpreted second
+        # partial bit for bit, the matrix symmetric and the gradient d_dq, d_dp
+        ct = transform(name)
+        names = list(ct.model.coords) + [momentum_name(c) for c in ct.split.regular]
+        x, y, z = names[0], names[1], names[-1]
+        obs = ExprObservable(ct, f"{z}^2*{x}*sin({y}) + exp({x}*{z})")
+        rng = np.random.default_rng(RNG_SEED)
+        for _ in range(3):
+            q, p = rng.uniform(-1.0, 1.0, ct.n).tolist(), rng.uniform(-1.0, 1.0, ct.r).tolist()
+            pt, b = ct.point(q, p), dict(zip(names, q + p))
+            grad, rows = obs._jet(pt)
+            assert grad == obs.d_dq(pt).tolist() + obs.d_dp(pt).tolist()
+            for k, x in enumerate(names):
+                for j, y in enumerate(names):
+                    want = evaluate(differentiate(differentiate(obs.expr, x), y), b)
+                    assert rows[k][j].hex() == want.hex()
 
     def test_velocity_symbols_rejected(self):
         with pytest.raises(ModelError):
@@ -501,7 +523,7 @@ class TestMaxwellCurrent:
         for _ in range(3):
             pt = ct.point(rng.uniform(0.5, 1.5, 4), [rng.uniform(-1, 1)])
             j = maxwell_current(ct, pt)
-            assert np.max(np.abs(j - np.array([0.0, -2.0, 0.0]))) < 1e-6
+            assert np.max(np.abs(j - np.array([0.0, -2.0, 0.0]))) < 1e-12
 
     def test_vanishing_field_strength_gives_no_current(self):
         for name in ("christ_lee", "cawley"):
@@ -526,7 +548,7 @@ class TestBianchiIdentity:
         rng = np.random.default_rng(RNG_SEED)
         for _ in range(3):
             pt = ct.point(rng.uniform(0.5, 1.5, 4), [rng.uniform(-1, 1)])
-            assert bianchi_residual(ct, pt) < 1e-4
+            assert bianchi_residual(ct, pt) < 1e-12
 
     def test_small_sectors_return_zero(self):
         for name in ("mixed", "cawley", "oscillator"):
@@ -539,8 +561,8 @@ class TestBianchiIdentity:
         ct = transform("synthetic_gauge")
         real = gauge._long_derivatives_of_f
 
-        def patched(ct, pt, step):
-            d = real(ct, pt, step)
+        def patched(ct, pt):
+            d = real(ct, pt)
             return lambda a, b, c: math.nan if (a, b, c) == (0, 1, 3) else d(a, b, c)
 
         monkeypatch.setattr(gauge, "_long_derivatives_of_f", patched)
@@ -554,14 +576,13 @@ class TestBianchiIdentity:
 
 def total_derivative_shift(name):
     """The bundled model with d f(q)/dt added to L, for the fixed quadratic
-    f = sum_k (k+1)/4 q_k^2 + 3/8 sum_k q_k q_k+1 + sum_k (1/2 - k/8) q_k over
-    every coordinate, and grad f as a function of q."""
+    f = sum_k (k+1)/4 q_k^2 + 3/8 sum_j<k q_j q_k + sum_k (1/2 - k/8) q_k over
+    every coordinate, every pair coupled, and grad f as a function of q."""
     coords = load_bundled(name).coords
     n = len(coords)
 
     def partial(k):  # df/dq_k: (coefficient, coordinate) pairs, then a constant
-        return [(0.5 * (k + 1), k)] + [(0.375, j) for j in (k - 1, k + 1) if 0 <= j < n], \
-            0.5 - 0.125 * k
+        return [(0.5 * (k + 1), k)] + [(0.375, j) for j in range(n) if j != k], 0.5 - 0.125 * k
 
     rate = " + ".join(
         "(" + " + ".join(f"{c!r}*{coords[j]}" for c, j in pairs) + f" + {b!r})*d({x})"
@@ -573,6 +594,29 @@ def total_derivative_shift(name):
         return [sum(c * q[j] for c, j in pairs) + b for pairs, b in map(partial, range(n))]
 
     return ClairautTransform(parse_model(text, name=name)), grad
+
+
+def shift_defects(ct, shifted, grad):
+    """{slot: max |got - want| / (eps * scale)} of the relation L' = L + d
+    f(q)/dt over the seed-42 probes: each quantity of shifted at (q, p +
+    d_r f) against ct's at (q, p)."""
+    worst, eps = {}, np.finfo(float).eps
+    for pt in phase_probes(ct, seed=42):
+        g = grad(pt._q)
+        moved = pt._replace(p=[p + g[i] for p, i in zip(pt._p, ct.reg_idx)])
+        res, new = ct.resolve(pt), shifted.resolve(moved)
+        # H' sums p' V, B' v_deg and -L': its rounding scales with theirs
+        h_scale = (1 + np.abs(moved.p) @ np.abs(new.V) + np.abs(new.B) @ np.abs(pt.v_deg)
+                   + abs(new.L))
+        for slot, got, want, scale in (
+                ("V", new.V, res.V, 1 + np.abs(res.V)),
+                ("H", new.H, res.H, h_scale),
+                ("B", new.B, res.B + [g[a] for a in ct.deg_idx], 1 + np.abs(new.B)),
+                ("F", new.F, res.F, 1 + np.abs(res.F)),
+                ("DH", new.DH, res.DH, 1 + np.abs(res.DH))):
+            defect = float(np.max(np.abs(got - want) / (eps * scale), initial=0.0))
+            worst[slot] = max(worst.get(slot, 0.0), defect)
+    return worst
 
 
 class TestTotalDerivative:
@@ -588,20 +632,59 @@ class TestTotalDerivative:
         ct = transform(name)
         shifted, grad = total_derivative_shift(name)
         assert shifted.split == ct.split
+        for slot, defect in shift_defects(ct, shifted, grad).items():
+            assert defect <= self.ULPS, slot
+
+    @pytest.mark.parametrize("name", BUNDLED)
+    def test_the_jet_identities_are_unchanged(self, name):
+        # the shift is canonical, so it keeps the bracket and D_a: D_a F_bc
+        # and the tower's second level {D_a H, H} are invariant at the mapped
+        # point (dF and the Hessians, taken at fixed p, are not), the second
+        # model's read off its own third partials
+        ct = transform(name)
+        shifted, grad = total_derivative_shift(name)
+        nd, eps = ct.n - ct.r, np.finfo(float).eps
         for pt in phase_probes(ct, seed=42):
             g = grad(pt._q)
             moved = pt._replace(p=[p + g[i] for p, i in zip(pt._p, ct.reg_idx)])
-            res, new = ct.resolve(pt), shifted.resolve(moved)
-            # H' sums p' V, B' v_deg and -L': its rounding scales with theirs
-            h_scale = (1 + np.abs(moved.p) @ np.abs(new.V) + np.abs(new.B) @ np.abs(pt.v_deg)
-                       + abs(new.L))
-            for slot, got, want, scale in (
-                    ("V", new.V, res.V, 1 + np.abs(res.V)),
-                    ("H", new.H, res.H, h_scale),
-                    ("B", new.B, res.B + [g[a] for a in ct.deg_idx], 1 + np.abs(new.B)),
-                    ("F", new.F, res.F, 1 + np.abs(res.F)),
-                    ("DH", new.DH, res.DH, 1 + np.abs(res.DH))):
-                assert np.all(np.abs(got - want) <= self.ULPS * np.finfo(float).eps * scale), slot
+            d, d_new = (gauge._long_derivatives_of_f(ct, pt),
+                        gauge._long_derivatives_of_f(shifted, moved))
+            for a, b, c in itertools.product(range(nd), repeat=3):
+                want = d(a, b, c)
+                assert abs(d_new(a, b, c) - want) <= self.ULPS * eps * (1 + abs(want))
+            # {D_a H, H} rounds with the sizes of its bracket's products
+            res = ct.resolve(pt)
+            scale = (1 + np.abs(res.dDH[:, ct.reg_idx]) @ np.abs(res.dH_dp)
+                     + np.abs(res.dDH[:, ct.n:]) @ np.abs(res.dH_dq[ct.reg_idx]))
+            got, want = verify._level_two(shifted, moved), verify._level_two(ct, pt)
+            assert np.all(np.abs(np.subtract(got, want)) <= self.ULPS * eps * scale)
+
+    def test_a_sign_flip_in_the_blocks_field_strength_fails(self, monkeypatch):
+        # numerics._block emitting (pp^T - pp) for F's (pp - pp^T) term: the
+        # relation F' = F breaks on every model where that term is nonzero
+        # (by 2 sum_j dB/dp_j d2f/dq^j dq^a, which needs f to couple a
+        # regular and a degenerate coordinate), and holds on the others
+        field = {name: [ClairautTransform(load_bundled(name)).resolve(pt)._flat("F")
+                        for pt in phase_probes(transform(name), seed=42)] for name in BUNDLED}
+        source = inspect.getsource(numerics._block)
+        mutant = source.replace("({pp[a][b]} - {pp[b][a]})", "({pp[b][a]} - {pp[a][b]})")
+        assert mutant != source
+        namespace = dict(vars(numerics))
+        exec(mutant, namespace)  # noqa: S102 (the emitter's own source, one term flipped)
+        monkeypatch.setattr(numerics, "_block", namespace["_block"])
+        monkeypatch.setattr(transform_module, "block_kernel",
+                            lru_cache(maxsize=None)(numerics.block_kernel.__wrapped__))
+        caught, moved = [], []
+        for name in BUNDLED:
+            ct = ClairautTransform(load_bundled(name))
+            mutated = [ct.resolve(pt)._flat("F") for pt in phase_probes(ct, seed=42)]
+            if mutated != field[name]:
+                moved.append(name)
+            shifted, grad = total_derivative_shift(name)
+            if shift_defects(ct, shifted, grad)["F"] > 1e10:  # a relative defect above 2e-6
+                caught.append(name)
+        # particle's F is 1 x 1, so its (pp - pp^T) vanishes
+        assert caught == moved == ["synthetic_coupled", "synthetic_bianchi", "synthetic_gauge"]
 
 
 class TestLimitIndependence:
@@ -658,27 +741,41 @@ def _oracle_entry(ct, a, b, step):
         lambda s: float(field_strength(ct, s)[a, b]), step)
 
 
-def _oracle_maxwell(ct, pt, step=FD_STEP):
+class _JetEntry:
+    """F_ab with its gradient read from the public array slot Resolution.dF,
+    one entry at a time."""
+
+    def __init__(self, ct, a, b):
+        self.ct, self.a, self.b = ct, a, b
+
+    def d_dq(self, pt):
+        return self.ct.resolve(pt).dF[self.a, self.b, :self.ct.n]
+
+    def d_dp(self, pt):
+        return self.ct.resolve(pt).dF[self.a, self.b, self.ct.n:]
+
+
+def _oracle_maxwell(ct, pt, entry):
     n_deg = ct.n - ct.r
     out = np.zeros(n_deg)
     for b in range(n_deg):
         total = 0.0
         for a in range(n_deg):
             if a != b:
-                total += _oracle_long_derivative(ct, _oracle_entry(ct, a, b, step), a, pt)
+                total += _oracle_long_derivative(ct, entry(a, b), a, pt)
         out[b] = total
     return out
 
 
-def _oracle_bianchi(ct, pt, step=1e-4):
+def _oracle_bianchi(ct, pt, entry):
     n_deg = ct.n - ct.r
     worst = 0.0
     for a in range(n_deg):
         for b in range(a + 1, n_deg):
             for c in range(b + 1, n_deg):
-                total = (_oracle_long_derivative(ct, _oracle_entry(ct, b, c, step), a, pt)
-                         + _oracle_long_derivative(ct, _oracle_entry(ct, a, b, step), c, pt)
-                         + _oracle_long_derivative(ct, _oracle_entry(ct, c, a, step), b, pt))
+                total = (_oracle_long_derivative(ct, entry(b, c), a, pt)
+                         + _oracle_long_derivative(ct, entry(a, b), c, pt)
+                         + _oracle_long_derivative(ct, entry(c, a), b, pt))
                 worst = max(worst, abs(total))
     return worst
 
@@ -694,10 +791,22 @@ class TestArrayFiniteDifferences:
 
     @pytest.mark.parametrize("name", MULTI_DIRECTION)
     def test_current_and_bianchi_match_per_entry_oracle_bitwise(self, name):
+        # bit for bit the per-entry formulation on the public dF array, one
+        # entry and one long derivative at a time; and, by an independent
+        # route, per-entry central differences of F to the stencil's error
         ct = transform(name)
         for pt in phase_probes(ct):
-            assert np.array_equal(maxwell_current(ct, pt), _oracle_maxwell(ct, pt))
-            assert bianchi_residual(ct, pt) == _oracle_bianchi(ct, pt)
+            def jet(a, b):
+                return _JetEntry(ct, a, b)
+
+            def fd(a, b):
+                return _oracle_entry(ct, a, b, STEP)
+
+            current = maxwell_current(ct, pt)
+            assert np.array_equal(current, _oracle_maxwell(ct, pt, jet))
+            assert bianchi_residual(ct, pt) == _oracle_bianchi(ct, pt, jet)
+            assert np.max(np.abs(current - _oracle_maxwell(ct, pt, fd))) <= 1e-9
+            assert _oracle_bianchi(ct, pt, fd) <= 1e-9
 
     def test_array_shapes_and_entry_slices(self):
         ct = transform("synthetic_bianchi")
@@ -709,7 +818,7 @@ class TestArrayFiniteDifferences:
         for a in range(k):
             for b in range(k):
                 assert fq[a, b].flags.c_contiguous
-                entry = _oracle_entry(ct, a, b, FD_STEP)
+                entry = _oracle_entry(ct, a, b, STEP)
                 assert np.array_equal(fq[a, b], entry.d_dq(pt))
                 assert np.array_equal(fp[a, b], entry.d_dp(pt))
         vec = FiniteDifferenceObservable(lambda s: ct.b_values(s), ct)
@@ -721,7 +830,7 @@ class TestArrayFiniteDifferences:
         ct = transform(name)
         h = ct.hamiltonian_observable()
         for pt in sample_points(name):
-            for step in (FD_STEP, 1e-6):
+            for step in (STEP, 1e-6):
                 new = FiniteDifferenceObservable(h.value, ct, step)
                 old = _PerEntryDifferences(h.value, step)
                 got_q, got_p = new.d_dq(pt), new.d_dp(pt)
@@ -730,7 +839,8 @@ class TestArrayFiniteDifferences:
                 assert np.array_equal(got_p, old.d_dp(pt))
                 assert new.value(pt) == h.value(pt)
 
-    def test_one_resolve_per_displaced_point(self, monkeypatch):
+    def test_one_resolve_per_point(self, monkeypatch):
+        # the exact current reads the jet at the point itself: no displaced point
         ct = ClairautTransform(load_bundled("christ_lee"))
         pt = phase_probes(ct, count=1)[0]
         resolve = ct.resolve
@@ -743,4 +853,4 @@ class TestArrayFiniteDifferences:
 
         monkeypatch.setattr(ct, "resolve", counting)
         maxwell_current(ct, pt)
-        assert len(misses) <= 2 * (ct.n + ct.r) + 1
+        assert misses == [pt]

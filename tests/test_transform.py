@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 import sys
 import threading
 
@@ -23,7 +24,7 @@ from clairaut import transform as transform_module
 from clairaut.errors import ArgumentError
 from clairaut.fixtures import BUNDLED
 from clairaut.gauge import phase_probes
-from clairaut.numerics import block_kernel, dot
+from clairaut.numerics import block_kernel, dot, third_layout
 from clairaut.transform import Resolution
 from conftest import reference_resolve
 
@@ -610,6 +611,73 @@ class TestImplicitFunctionBlock:
 
         ct._f_core = perturbed
         assert v_difference_defect(ct, probes) > self.TOL
+
+
+def jet_difference_defect(ct, probes, step=1e-6):
+    """max |jet - central difference of the block| / (1 + |difference|) over
+    d2V, d2B and d2H at the probes: the block's exact first derivatives
+    (dV_dq | dV_dp, dB_dq | dB_dp, dH_dq | dH_dp) resolved at z = (q, p)
+    displaced by step * (1 + |z_k|)."""
+    worst, n = 0.0, ct.n
+    slots = (("d2V", "dV_dq", "dV_dp"), ("d2B", "dB_dq", "dB_dp"), ("d2H", "dH_dq", "dH_dp"))
+    for pt in probes:
+        res = ct.resolve(pt)
+        jets = [getattr(res, slot) for slot, _, _ in slots]
+        z = [*pt._q, *pt._p]
+        for k, x in enumerate(z):
+            up, down = list(z), list(z)
+            up[k], down[k] = x + step * (1 + abs(x)), x - step * (1 + abs(x))
+            hi, lo = (ct.resolve(pt._replace(q=u[:n], p=u[n:])) for u in (up, down))
+            for got, (_, dq, dp) in zip(jets, slots):
+                grad = [np.concatenate([getattr(s, dq), getattr(s, dp)], axis=-1) for s in (hi, lo)]
+                ref = (grad[0] - grad[1]) / (up[k] - down[k])
+                worst = max(worst, float(np.max(np.abs(got[..., k] - ref) / (1 + np.abs(ref)),
+                                                initial=0.0)))
+    return worst
+
+
+def jet_probes(ct):
+    """The seed-42 phase probes, then the first with its degenerate
+    velocities scaled by 1.5 (nonzero where the model has any)."""
+    probes = phase_probes(ct, seed=42)
+    return probes + [probes[0]._replace(v_deg=[1.5 * v for v in probes[0]._v])]
+
+
+class TestSecondOrderJet:
+    """d2V, d2B and d2H from numerics.jet_kernel against central differences
+    of the exact derivative block they differentiate, as
+    TestImplicitFunctionBlock checks the block against V.  The worst
+    defect is exponential's 1.6e-9, the stencil's truncation; the smallest
+    perturbed one is particle's 2.0e-8, whose partials are O(600)."""
+
+    TOL = 5e-9
+
+    @pytest.mark.parametrize("name", BUNDLED)
+    def test_matches_central_differences_of_the_block(self, name):
+        ct = transform(name)
+        assert jet_difference_defect(ct, jet_probes(ct)) <= self.TOL
+
+    # oscillator's and cawley's jets read no third partial: each they would is 0
+    @pytest.mark.parametrize("name", [n for n in BUNDLED if n not in ("oscillator", "cawley")])
+    def test_catches_a_perturbed_third_partial(self, name):
+        # 1e-6 on the largest third partial the kernel reads at the first
+        # probe: the block, from the core alone, does not move, the jet does
+        ct = ClairautTransform(load_bundled(name))
+        probes = jet_probes(ct)
+        pairs = len(third_layout(ct.n)[0])
+        read = {int(k) for k in re.findall(r"d3\[(\d+)\]", ct._jet_kernel.source)}
+        real, first = ct._f_third, ct.resolve(probes[0]).args
+        values = real(first)
+        k = max(sorted(read - set(range(pairs))), key=lambda k: abs(values[k]))
+        assert values[k] != 0.0
+
+        def perturbed(args):
+            third = list(real(args))
+            third[k] += 1e-6
+            return third
+
+        ct._f_third = perturbed
+        assert jet_difference_defect(ct, probes) > self.TOL
 
 
 LAZY_SLOTS = ("V", "B", "H", "W", "dV_dq", "dV_dp", "dB_dq", "dB_dp", "dH_dq", "dH_dp",
