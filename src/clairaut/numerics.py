@@ -1,5 +1,6 @@
-"""Small numeric kernels: pivoted rank detection, the one central-difference
-stencil, the one float dot product, damped Newton iteration, and generated
+"""Small numeric kernels: pivoted rank detection, the central-difference
+stencils (first order, and second order for verify's third tower level),
+the one float dot product, damped Newton iteration, and generated
 straight-line kernels for the tiny dense solves of the mixed transform.
 
 rank_and_pivots eliminates on Python floats, entry by entry as numpy would.
@@ -13,8 +14,8 @@ is numpy.random.default_rng rebuilt on Python ints (SeedSequence, then
 PCG64), bit for bit in the two draws the package makes, uniform and
 integers; the probes, the restarts and verify's random observables draw
 from it, so importing the package loads no numpy.  _floats reads a flat
-sequence or an array as a tuple of floats, central_differences displaces
-float lists, and damped_newton and its restarts (transform fallback, Fenchel
+sequence or an array as a tuple of floats, central_differences and
+second_differences displace float lists, and damped_newton and its restarts (transform fallback, Fenchel
 oracle) return the root as a list of floats, with the residual and Jacobian
 from newton_pair: flat float lists from one evaluator call per point.
 
@@ -140,6 +141,32 @@ def central_differences(fn, x, step):
         cols.append([(u - d) / (2 * h) for u, d in zip(up, down)] if isinstance(up, list)
                     else (up - down) / (2 * h))
     return cols
+
+
+def second_differences(fn, x, step):
+    """Gradient and Hessian of fn, a list of floats, at the floats x by one
+    central stencil: h_k = step * (1 + |x_k|), (f(x + h_k) - f(x - h_k)) /
+    2h_k, (f(x + h_k) - 2 f(x) + f(x - h_k)) / h_k^2 on the diagonal and (f++
+    - f+- - f-+ + f--) / 4 h_k h_l off it.  Returns (gradient, hessian) with
+    gradient[k] and hessian[k][l] lists over fn's entries."""
+    h = [step * (1 + abs(v)) for v in x]
+
+    def at(*moves):
+        y = list(x)
+        for k, sign in moves:
+            y[k] += sign * h[k]
+        return fn(y)
+
+    f0, grad, hess = fn(list(x)), [], [[None] * len(x) for _ in x]
+    for k in range(len(x)):
+        up, down = at((k, 1)), at((k, -1))
+        grad.append([(u - d) / (2 * h[k]) for u, d in zip(up, down)])
+        hess[k][k] = [(u - 2 * c + d) / (h[k] * h[k]) for u, c, d in zip(up, f0, down)]
+        for j in range(k):
+            corners = zip(at((k, 1), (j, 1)), at((k, 1), (j, -1)), at((k, -1), (j, 1)),
+                          at((k, -1), (j, -1)))
+            hess[k][j] = hess[j][k] = [(a - b - c + d) / (4 * h[k] * h[j]) for a, b, c, d in corners]
+    return grad, hess
 
 
 @dataclass(frozen=True)

@@ -58,7 +58,7 @@ from .model import (
     default_probes,
     momentum_name,
 )
-from .numerics import Rng, _max_abs, central_differences, dot
+from .numerics import Rng, _max_abs, central_differences, dot, second_differences
 from .transform import ClairautTransform, _not_convex, fenchel_conjugate
 
 
@@ -329,15 +329,31 @@ def _level_two(ct, pt):
     return [_zpoisson(ct, ddh[a * m:a * m + m], h) for a in range(ct.n - ct.r)]
 
 
+def _level_three(ct, pt):
+    """The tower's third level {{D_a H, H_phys}, H_phys} at pt and its
+    Jacobian rows over z = (q, p): the gradient and the Hessian of the
+    exact second level by one central stencil over its values
+    (numerics.second_differences, step 1e-4, as the Hessian's rounding
+    grows like eps / step^2), since they would need the fourth and fifth
+    partials of L, then the bracket with H_phys's exact jet."""
+    n = ct.n
+    grad, hess = second_differences(lambda z: _level_two(ct, pt._replace(q=z[:n], p=z[n:])),
+                                    [*pt._q, *pt._p], 1e-4)
+    h = _jets(ct.resolve(pt))[-1]
+    jets = [([g[a] for g in grad], [[e[a] for e in row] for row in hess])
+            for a in range(ct.n - ct.r)]
+    return [_zpoisson(ct, j[0], h[0]) for j in jets], [_bracket_gradient(ct, j, h) for j in jets]
+
+
 def _consistency_tower(ct, pt, levels, step):
-    """The Jacobian over z = (q, p) of the consistency tower at pt: D_a H's
-    rows exact, from the jet (dDH); with levels 2, _level_two's rows by one
-    level of central differences (step) of its exact values, since they
-    would need the fourth partials of L."""
+    """The Jacobian over z = (q, p) of the tower's first two levels at pt:
+    D_a H's rows exact, from the jet (dDH); with levels 2 or more,
+    _level_two's rows by one level of central differences (step) of its
+    exact values, since they would need the fourth partials of L."""
     res, n, m = ct.resolve(pt), ct.n, ct.n + ct.r
     ddh = res._flat("dDH")
     rows = [ddh[a * m:a * m + m] for a in range(ct.n - ct.r)]
-    if levels == 2:
+    if levels >= 2:
         cols = central_differences(lambda z: _level_two(ct, pt._replace(q=z[:n], p=z[n:])),
                                    [*pt._q, *pt._p], step)
         rows += map(list, zip(*cols))
@@ -364,16 +380,19 @@ def _min_norm_step(jac, rhs):
 
 def _project_to_surface(ct, pt, levels, iters=18, step=1e-6):
     """Gauss-Newton projection of (q, p) onto the zero set of the first
-    levels (1 or 2) of the consistency tower (_consistency_tower);
-    minimal-norm steps, best effort."""
+    levels (1 to 3) of the consistency tower (_consistency_tower,
+    _level_three); minimal-norm steps, best effort."""
     n = ct.n
     u = [*pt._q, *pt._p]
     for _ in range(iters):
         cur = pt._replace(q=u[:n], p=u[n:])
-        f0 = list(ct.resolve(cur)._flat("DH")) + (_level_two(ct, cur) if levels == 2 else [])
+        top = _level_three(ct, cur) if levels == 3 else ([], [])
+        f0 = (list(ct.resolve(cur)._flat("DH")) + (_level_two(ct, cur) if levels >= 2 else [])
+              + top[0])
         if _max_abs(f0) < 1e-12:
             break
-        delta = _min_norm_step(_consistency_tower(ct, cur, levels, step), [-f for f in f0])
+        delta = _min_norm_step(_consistency_tower(ct, cur, levels, step) + top[1],
+                               [-f for f in f0])
         scale = 1.0 / max(math.sqrt(dot(delta, delta)), 1.0)  # at most 1 long
         u = [x + d * scale for x, d in zip(u, delta)]
     return pt._replace(q=u[:n], p=u[n:])
@@ -387,9 +406,9 @@ def _constraint_preservation(ctx):
 
     The projection depth escalates until a short trial run stays flat:
     models whose consistency functions close under one bracket need depth
-    1, a genuinely higher-stage model (cawley) depth 2, the deepest the
-    tower goes.  The drift grows like t^2, so the trial's bound is a tenth
-    of the tolerance scaled by the squared ratio of the run lengths.
+    1, a genuinely higher-stage model depth 2 (cawley) or 3.  The drift
+    grows like t^2, so the trial's bound is a tenth of the tolerance scaled
+    by the squared ratio of the run lengths.
     """
     trial_t1, run_t1 = 0.05, 0.5
     ct, cls = ctx.ct, ctx.cls
@@ -398,7 +417,7 @@ def _constraint_preservation(ctx):
     gauge = None if ctx.zero_vdeg_ok else gauge_input(
         ct, cls, {name: 1.0 for name in ct.split.degenerate})
     cand = pt0
-    for levels in (1, 2):
+    for levels in (1, 2, 3):
         cand = _project_to_surface(ct, pt0, levels)
         trial = integrate(ct, cand, gauge,
                           IntegratorConfig(t1=trial_t1, dt=5e-3,

@@ -240,6 +240,20 @@ class TestConstraintPreservation:
                  if c["name"] == "constraint_preservation")
         assert c["passed"], c
 
+    def test_a_model_that_needs_the_third_level(self, monkeypatch):
+        # x*d(z) added to cawley: the first two levels' trial runs drift by
+        # 1e-4 to 1e-2, and the third level (its gradient and Jacobian by
+        # one stencil over the exact second level) lands on the surface
+        levels, real = [], verify._project_to_surface
+        monkeypatch.setattr(verify, "_project_to_surface",
+                            lambda ct, pt, k, *args: levels.append(k) or real(ct, pt, k, *args))
+        model = parse_model("coord x, y, z; lagrangian = d(x)*d(y) + z*y^2/2 + x*d(z);")
+        for seed in (42, 100, 101):
+            levels.clear()
+            c = next(c for c in run_verification(model, seed=seed)["checks"]
+                     if c["name"] == "constraint_preservation")
+            assert levels == [1, 2, 3] and c["residual"] <= 1e-12, (seed, c)
+
     def test_raw_consistency_is_reported_not_gated(self):
         # off the invariant set the consistency functions are O(1); the
         # informational row records that without failing the run
