@@ -125,6 +125,33 @@ class TestMinNormStep:
         assert np.max(np.abs(jac @ x - rhs)) <= 1e-6 * np.max(np.abs(rhs))
 
 
+class TestDifferenceStencils:
+    """numerics.central_differences on a list-valued function, and the
+    second-order stencil verify's third tower level reads."""
+
+    @staticmethod
+    def cubic(x):
+        return [x[0] ** 2 * x[1], x[0] * x[1] + x[1] ** 3 - 2.0 * x[0]]
+
+    def test_a_list_is_differenced_entry_by_entry(self):
+        x = [0.3, -1.2]
+        cols = numerics.central_differences(self.cubic, x, 1e-5)
+        for i in range(2):
+            scalar = numerics.central_differences(lambda y: self.cubic(y)[i], x, 1e-5)
+            assert [col[i] for col in cols] == scalar
+
+    def test_second_differences_of_a_cubic(self):
+        # the Hessian stencils are exact on cubics up to rounding; the
+        # gradient's error is h^2 times a sixth of the third derivative
+        x0, x1 = x = [0.3, -1.2]
+        grad, hess = numerics.second_differences(self.cubic, x, 1e-4)
+        want_grad = [[2 * x0 * x1, x1 - 2.0], [x0 ** 2, x0 + 3 * x1 ** 2]]
+        want_hess = [[[2 * x1, 0.0], [2 * x0, 1.0]], [[2 * x0, 1.0], [0.0, 6 * x1]]]
+        assert np.max(np.abs(np.subtract(grad, want_grad))) <= 1e-7
+        assert np.max(np.abs(np.subtract(hess, want_hess))) <= 1e-6
+        assert all(hess[k][j] == hess[j][k] for k in range(2) for j in range(2))
+
+
 class TestElimination:
     @pytest.mark.parametrize("k", range(1, 7))
     def test_against_lapack_on_random_systems(self, k):
