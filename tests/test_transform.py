@@ -614,22 +614,24 @@ class TestImplicitFunctionBlock:
 
 
 def jet_difference_defect(ct, probes, step=1e-6):
-    """max |jet - central difference of the block| / (1 + |difference|) over
-    d2V, d2B and d2H at the probes: the block's exact first derivatives
-    (dV_dq | dV_dp, dB_dq | dB_dp, dH_dq | dH_dp) resolved at z = (q, p)
-    displaced by step * (1 + |z_k|)."""
+    """max |jet - central difference of the block| / (1 + |difference|) at
+    the probes: d2V, d2B and d2H against the block's exact first derivatives
+    (dV_dq | dV_dp, dB_dq | dB_dp, dH_dq | dH_dp), dF and dDH against F and
+    D_a H, each resolved at z = (q, p) displaced by step * (1 + |z_k|)."""
     worst, n = 0.0, ct.n
-    slots = (("d2V", "dV_dq", "dV_dp"), ("d2B", "dB_dq", "dB_dp"), ("d2H", "dH_dq", "dH_dp"))
+    slots = (("d2V", "dV_dq", "dV_dp"), ("d2B", "dB_dq", "dB_dp"), ("d2H", "dH_dq", "dH_dp"),
+             ("dF", "F"), ("dDH", "DH"))
     for pt in probes:
         res = ct.resolve(pt)
-        jets = [getattr(res, slot) for slot, _, _ in slots]
+        jets = [getattr(res, slot) for slot, *_ in slots]
         z = [*pt._q, *pt._p]
         for k, x in enumerate(z):
             up, down = list(z), list(z)
             up[k], down[k] = x + step * (1 + abs(x)), x - step * (1 + abs(x))
             hi, lo = (ct.resolve(pt._replace(q=u[:n], p=u[n:])) for u in (up, down))
-            for got, (_, dq, dp) in zip(jets, slots):
-                grad = [np.concatenate([getattr(s, dq), getattr(s, dp)], axis=-1) for s in (hi, lo)]
+            for got, (_, *block) in zip(jets, slots):
+                grad = [np.concatenate([getattr(s, name) for name in block], axis=-1)
+                        for s in (hi, lo)]
                 ref = (grad[0] - grad[1]) / (up[k] - down[k])
                 worst = max(worst, float(np.max(np.abs(got[..., k] - ref) / (1 + np.abs(ref)),
                                                 initial=0.0)))
@@ -651,10 +653,20 @@ class TestSecondOrderJet:
     perturbed one is particle's 2.0e-8, whose partials are O(600)."""
 
     TOL = 5e-9
+    # B_a and B_b both depending on the other's coordinate, so that each of
+    # F's terms differs from its transpose, and B depending on p
+    COUPLED = ("coord x, a, b; lagrangian = d(x)^2/2 + sin(b)*x*d(a) + a^2*x*d(b) - x^2/2;",
+               "coord x, a, b; lagrangian = (d(x) + d(a))^2/2 + exp(a)*x*d(b) + b*x^2*d(a)"
+               " - x^2/2;")
 
     @pytest.mark.parametrize("name", BUNDLED)
     def test_matches_central_differences_of_the_block(self, name):
         ct = transform(name)
+        assert jet_difference_defect(ct, jet_probes(ct)) <= self.TOL
+
+    @pytest.mark.parametrize("text", COUPLED)
+    def test_matches_on_models_where_each_term_of_f_moves(self, text):
+        ct = ClairautTransform(parse_model(text))
         assert jet_difference_defect(ct, jet_probes(ct)) <= self.TOL
 
     # oscillator's and cawley's jets read no third partial: each they would is 0
