@@ -8,7 +8,8 @@ expression layer parses, differentiates and compiles a Lagrangian;
 ``clairaut --help`` exits 0; the
 package's own generator (numerics.Rng) draws the pinned doubles that
 numpy.random.default_rng(42) draws; the fused RK4 stage
-(numerics.fused_stage) and the second-order jet (numerics.jet_kernel, on
+(numerics.fused_stage, at the root and through its Newton loop from 1e-3
+off it) and the second-order jet (numerics.jet_kernel, on
 the third partials of model.DerivativeCore.third) give the pinned outputs
 at the 17 phase probes of every bundled model; and the 13 reference commands of
 scripts/output_digests.py that need no numpy (``analyze`` on every bundled
@@ -34,6 +35,9 @@ PINNED_UNIFORM_42 = ("0x1.1887ef345b648p-1", "-0x1.f4b533cb0dc10p-4",
 
 # stage_digest(): 170 stages (ten bundled models, 17 probes each)
 PINNED_STAGE = (170, "a76652083d809d3c7a379fba17f09cdef5c86335ff62f74eca9b4401256d455b")
+
+# stage_digest(-0.5, 1e-3): the same stages through the Newton loop, given -0.5
+PINNED_NEWTON_STAGE = (170, "071790adefb46f653f69745c0844a37fb921dc86e2c96ab0dce2b2ec1e0bdea6")
 
 # jet_digest(): 170 jets (ten bundled models, 17 probes each)
 PINNED_JET = (170, "83750fae8d65cf75849407fcd53da7adb46b87b341a81a2372058408231480e6")
@@ -85,14 +89,16 @@ def check_intern():
     assert gone == [True], "a dead node's key stayed in the table"
 
 
-def stage_digest():
-    """sha256 of the fused RK4 stage's flat outputs (float.hex) at tol inf,
-    from the resolved velocities, at the phase probes of every bundled
-    model under its default gauge, the given degenerate velocities 0.25."""
+def stage_digest(given=0.25, offset=None):
+    """sha256 of the fused RK4 stage's flat outputs (float.hex) at the phase
+    probes of every bundled model under its default gauge, the given
+    degenerate velocities given: with offset None from the resolved
+    velocities at tol inf, else from offset added to each at the Newton tol
+    (the stage's None as 'None', a RankDeficiencyError as its text)."""
     import hashlib
     import math
 
-    from clairaut import BUNDLED, ClairautTransform, load_bundled
+    from clairaut import BUNDLED, ClairautTransform, RankDeficiencyError, load_bundled
     from clairaut.dynamics import gauge_input
     from clairaut.gauge import classify, phase_probes
 
@@ -101,10 +107,15 @@ def stage_digest():
         ct = ClairautTransform(load_bundled(name))
         solve, other = gauge_input(ct, classify(ct))._plan
         stage = ct._stage(solve, other)
+        tol = math.inf if offset is None else ct.newton.tol
         for pt in phase_probes(ct):
-            out = stage(*pt._q, *pt._p, *pt._v, *[0.25] * len(other), *ct.resolve(pt)._v,
-                        math.inf)
-            lines.append(f"{name} {' '.join(x.hex() for x in out)}")
+            start = [v + (offset or 0.0) for v in ct.resolve(pt)._v]
+            try:
+                out = stage(*pt._q, *pt._p, *pt._v, *[given] * len(other), *start, tol)
+                text = "None" if out is None else " ".join(x.hex() for x in out)
+            except RankDeficiencyError as exc:
+                text = str(exc)
+            lines.append(f"{name} {text}")
     return len(lines), hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
@@ -160,6 +171,10 @@ def main():
     got = stage_digest()
     assert got == PINNED_STAGE, f"fused stage outputs: {got}"
     print(f"fused RK4 stage at {got[0]} probes of the bundled models: the pinned sha256")
+
+    got = stage_digest(-0.5, 1e-3)
+    assert got == PINNED_NEWTON_STAGE, f"fused stage outputs through Newton: {got}"
+    print(f"fused RK4 stage through Newton at {got[0]} probes: the pinned sha256")
 
     got = jet_digest()
     assert got == PINNED_JET, f"second-order jet outputs: {got}"

@@ -23,7 +23,8 @@ inline) or, where those steps give up, two: a second at tol inf from the
 root of ClairautTransform._damped_resolve, which the loop calls itself (the
 fused steps give up exactly where resolve_kernel's would, so damped Newton
 decides).  The stage takes and returns flat floats, and no stage builds a
-PhasePoint or Resolution; each prescribed velocity is evaluated once per
+PhasePoint or Resolution; a zero gauge velocity is the literal 0.0 in the
+loop, and each prescribed one a call of its compiled evaluator once per
 distinct time of a step.
 degenerate_velocities solves the sector system on a Resolution's F and D_a H
 in the stage's order: the same floats.
@@ -67,6 +68,7 @@ class GaugeInput:
     values: tuple     # compiled t -> value for prescribed slots, else None
 
     def velocity(self, alpha, t):
+        """Slot alpha's velocity at t (the RK4 loop reads values itself)."""
         mode = self.modes[alpha]
         if mode == "zero":
             return 0.0
@@ -255,8 +257,9 @@ def integrate(ct, initial, gauge=None, cfg=None, cls=None):
                           bool(count and c[0, 0] > cfg.consistency_tol))
 
     try:
-        status = rk4_kernel(n, ct._reg, solve, other)(
-            ct._stage(solve, other), ct.newton.tol, ct._damped_resolve, gauge.velocity,
+        zeros = tuple(a for a in other if gauge.modes[a] == "zero")
+        status = rk4_kernel(n, ct._reg, solve, other, zeros)(
+            ct._stage(solve, other), ct.newton.tol, ct._damped_resolve, gauge.values,
             initial._q, initial._p, initial._v, cfg.t0, cfg.dt,
             cfg._steps, cfg.consistency_tol, rows)
     except (NewtonError, DomainError) as exc:

@@ -831,10 +831,14 @@ def _parse_atom(cur):
 class _Code:
     """Straight-line source under construction, the package's one emitter
     (evaluators here, float kernels in numerics): calling it assigns an
-    expression to a fresh local and returns the local's name."""
+    expression to a fresh local, t<k> for the line's index k, and returns
+    the local's name.  known, None
+    unless numerics.fused_stage sets it, maps a local to its exact value
+    where the numerics emitters track one."""
 
     def __init__(self):
         self.lines = []
+        self.known = None
 
     def __call__(self, expr):
         name = f"t{len(self.lines)}"

@@ -34,7 +34,18 @@ returns flat floats, and rk4_kernel keeps its state in float locals: it
 calls the stage once per stage and, where its full steps give up, damped
 Newton and the stage again at that root, the one place it builds lists;
 once per step it checks the sign of det W_rr, which the stage's elimination
-of W_rr tracks, and pfaffian_sign, Parlett-Reid elimination on floats.  dot
+of W_rr tracks, and pfaffian_sign, Parlett-Reid elimination on floats.  The
+fused stage alone tracks the exact value of each local where it is known
+(+0.0, -0.0, 1.0, or a zero of unknown sign, from the literal 0.0 and 1.0
+that _emit_cse gives constant core entries), so that _lu_solve, _block and
+_newton emit only what IEEE 754 does not already fix: +0.0 +- z is +0.0
+for any zero z, x - (+0.0) and x + (-0.0) are x, x * 1.0 and x / 1.0 are
+x, a zero entry is never a pivot, swapping two equal entries is a no-op,
+and a comparison between literals is decided at build time; never x + z
+for a zero z of unknown sign (wrong at x = -0.0), nor x - x (nan at inf).
+Each fold gives the same bits, signed zeros included, for every finite
+operand, and the stage drops each statement of its straight-line tail
+that nothing reads and that cannot raise.  dot
 (the sum _dot emits), solver and verify's minimal-norm step (Gram-Schmidt on
 dot) own every reported sum and solve, so each reported number rounds the
 same way on every machine: none goes through numpy's BLAS or LAPACK.  A zero pivot in
@@ -46,6 +57,7 @@ and the sector solves as a RankDeficiencyError.
 import functools
 import math
 import operator
+import re
 import secrets
 from dataclasses import dataclass
 
@@ -421,50 +433,218 @@ SECTOR_SINGULAR = ("sector subblock singular at this point; the constant-rank "
                    "classification does not hold here")
 
 
-def _dot(pairs):
-    """Source of sum(a * b) over the pairs, added left to right."""
-    return " + ".join(f"{a} * {b}" for a, b in pairs) or "0.0"
+# The exact values the fused stage's emitter tracks (_Code.known, local ->
+# value; a literal is its own value): +0.0, -0.0, 1.0, or _ZERO, a zero of
+# unknown sign.  A term is an expression's (text, value).  Each fold below
+# gives the same bits, signed zeros included, for every finite operand; an
+# emitter whose code tracks nothing (known None) emits every operation.
+_ZERO = "zero"
+_LITERALS = ("0.0", "-0.0", "1.0")
+_SIGNED = ("0.0", "-0.0")
+_NUMBER = re.compile(r"-?[0-9.]+(?:e[+-]?[0-9]+)?")
 
 
-def _lu_solve(code, a, b, singular, sign=None):
+def _value(code, text):
+    """The tracked exact value of the local or literal text, or None."""
+    if code.known is None:
+        return None
+    return text if text in _LITERALS else code.known.get(text)
+
+
+def _zero(value):
+    return value in ("0.0", "-0.0", _ZERO)
+
+
+def _term(code, text):
+    return text, _value(code, text)
+
+
+def _atom(code, text):
+    """Whether a tracking code reads text as it is: a name or a number."""
+    return code.known is not None and (text.isidentifier() or bool(_NUMBER.fullmatch(text)))
+
+
+def _group(code, term):
+    """term parenthesized, unless it is an atom."""
+    return term if _atom(code, term[0]) else (f"({term[0]})", term[1])
+
+
+def _times(code, x, y):
+    """x * y over atoms: x * 1.0 is x, and a product with a zero factor is a
+    zero (a literal where both signs are known)."""
+    vx, vy = _value(code, x), _value(code, y)
+    if vy == "1.0":
+        return x, vx
+    if vx == "1.0":
+        return y, vy
+    if vx in _SIGNED and vy in _SIGNED:
+        return ("0.0",) * 2 if vx == vy else ("-0.0",) * 2
+    return f"{x} * {y}", _ZERO if _zero(vx) or _zero(vy) else None
+
+
+def _plus(code, s, t, op="+"):
+    """s op t over terms, op "+" or "-": x - (+0.0) and x + (-0.0) are x,
+    -0.0 + x is x, and +0.0 +- z is +0.0 for any zero z; never x + z for a
+    z of unknown sign (wrong at x = -0.0), nor x - x (nan at inf)."""
+    (x, vx), (y, vy) = s, t
+    if vy == ("-0.0" if op == "+" else "0.0"):
+        return s
+    if op == "+" and vx == "-0.0":
+        return t
+    if vx == "0.0" and _zero(vy):
+        return "0.0", "0.0"
+    return f"{x} {op} {y}", _ZERO if _zero(vx) and _zero(vy) else None
+
+
+def _minus(code, s, t):
+    return _plus(code, s, t, "-")
+
+
+def _neg(term):
+    value = {"0.0": "-0.0", "-0.0": "0.0", _ZERO: _ZERO}.get(term[1])
+    return (value, value) if value in _SIGNED else (f"-{term[0]}", value)
+
+
+def _over(code, term, pivot):
+    """term / pivot for a pivot checked nonzero: x / 1.0 is x, and a zero
+    over it is a zero."""
+    if _value(code, pivot) == "1.0":
+        return term
+    return f"{term[0]} / {pivot}", _ZERO if _zero(term[1]) else None
+
+
+def _products(code, pairs):
+    """The terms a * b over the pairs, or the literal 0.0 for none."""
+    return [_times(code, a, b) for a, b in pairs] or [_term(code, "0.0")]
+
+
+def _sum(code, terms, op="+"):
+    """The terms combined left to right by op."""
+    return functools.reduce(lambda s, t: _plus(code, s, t, op), terms)
+
+
+def _dot(code, pairs):
+    """sum(a * b) over the pairs, added left to right (0.0 for none), as a
+    term."""
+    return _sum(code, _products(code, pairs))
+
+
+def _local(code, term):
+    """A name or literal holding term: a fresh local, or where code tracks
+    values and term's text is an atom, that text."""
+    if _atom(code, term[0]):
+        return term[0]
+    name = code(term[0])
+    if term[1]:
+        code.known[name] = term[1]
+    return name
+
+
+def _copy(code, text):
+    """text in a local of its own; a tracking code reads text itself, and
+    _lu_solve copies what it moves."""
+    return text if code.known is not None else code(text)
+
+
+def _meet(values):
+    """The value that each of values is: itself, _ZERO for zeros, or None."""
+    if all(v == values[0] for v in values):
+        return values[0]
+    return _ZERO if all(map(_zero, values)) else None
+
+
+def _lu_solve(code, a, b, singular, sign=None, since=None):
     """Gauss elimination with partial pivoting on names: the k rows of
     right-hand sides b become A^-1 b, and a is overwritten.  A zero pivot
     runs the statement singular.  The local sign, if named, starts at 1.0
-    and is negated on each row swap and each negative pivot: det A's sign."""
-    k, flip = len(a), f"; {sign} = -{sign}" if sign else ""
+    and is negated on each row swap and each negative pivot: det A's sign.
+
+    Where code tracks values, an entry may be any name or literal, and the
+    solve emits only what the tracked values leave open: a fresh local for
+    each entry it changes (the folds of _times, _plus and _over), a copy of
+    each entry a row swap moves unless it is a local from line since on
+    (the solve's start if None), no pivot search over a zero (abs(z) > top
+    is never true), no swap of two equal entries, and no test of a literal
+    pivot (a signed zero runs singular unconditionally)."""
+    k, fold = len(a), code.known is not None
+    rows = [ra + rb for ra, rb in zip(a, b)]  # [A | B]
+    width, since = len(rows[0]) if rows else 0, len(code.lines) if since is None else since
+
+    def put(i, c, term):  # entry (i, c) = term
+        if not fold:
+            code.line(f"{rows[i][c]} = {term[0]}")
+        elif term[0] != rows[i][c]:
+            rows[i][c] = _local(code, term)
+
+    def differ(x, y):  # whether swapping x and y moves a bit
+        return x != y and not _value(code, x) == _value(code, y) in _LITERALS
+
+    def fresh(name):  # a local of the solve's own, which a swap may overwrite
+        return name[0] == "t" and name[1:].isdigit() and int(name[1:]) >= since
+
     if sign:
         code.line(f"{sign} = 1.0")
     for j in range(k):
-        if j + 1 < k:
-            code.line(f"top, row = abs({a[j][j]}), {j}")
-            for i in range(j + 1, k):
-                code.line(f"if abs({a[i][j]}) > top: top, row = abs({a[i][j]}), {i}")
-            for i in range(j + 1, k):
-                mine, theirs = ", ".join(a[j][j:] + b[j]), ", ".join(a[i][j:] + b[i])
-                code.line(f"{'if' if i == j + 1 else 'elif'} row == {i}: "
-                          f"{mine}, {theirs} = {theirs}, {mine}{flip}")
-        code.line(f"if {a[j][j]} == 0.0: {singular}")
-        if sign:
-            code.line(f"if {a[j][j]} < 0.0: {sign} = -{sign}")
+        rivals = [i for i in range(j + 1, k) if not _zero(_value(code, rows[i][j]))]
+        if rivals:
+            code.line(f"top, row = abs({rows[j][j]}), {j}")
+            for i in rivals:
+                code.line(f"if abs({rows[i][j]}) > top: top, row = abs({rows[i][j]}), {i}")
+        moves = {i: [c for c in range(j, width) if differ(rows[j][c], rows[i][c])] for i in rivals}
+        for i, c in sorted({(x, c) for i, cols in moves.items() for c in cols for x in (j, i)}):
+            if fold and not fresh(name := rows[i][c]):
+                rows[i][c] = code(name)
+                if value := _value(code, name):
+                    code.known[rows[i][c]] = value
+        was = {i: [_value(code, x) for x in rows[i]] for i in [j] + rivals}
+        branch = "if"
+        for i, cols in moves.items():
+            mine, theirs = (", ".join(rows[x][c] for c in cols) for x in (j, i))
+            swap = [f"{mine}, {theirs} = {theirs}, {mine}"] if cols else []
+            if statements := swap + ([f"{sign} = -{sign}"] if sign else []):
+                code.line(f"{branch} row == {i}: {'; '.join(statements)}")
+                branch = "elif"
+        if fold:  # what each moved entry is after the swaps
+            for i, cols in moves.items():
+                for c in cols:
+                    for x, value in ((i, _meet([was[i][c], was[j][c]])),
+                                     (j, _meet([v[c] for v in was.values()]))):
+                        code.known.pop(rows[x][c], None)
+                        if value:
+                            code.known[rows[x][c]] = value
+        pivot = rows[j][j]
+        value = _value(code, pivot)
+        if value in _SIGNED:
+            code.line(singular)
+        elif value != "1.0":
+            code.line(f"if {pivot} == 0.0: {singular}")
+        if sign and value != "1.0" and not _zero(value):
+            code.line(f"if {pivot} < 0.0: {sign} = -{sign}")
         for i in range(j + 1, k):
-            factor = code(f"{a[i][j]} / {a[j][j]}")
-            for c in range(j + 1, k):
-                code.line(f"{a[i][c]} = {a[i][c]} - {factor} * {a[j][c]}")
-            for c, name in enumerate(b[i]):
-                code.line(f"{name} = {name} - {factor} * {b[j][c]}")
+            mark = len(code.lines)
+            factor = _local(code, _over(code, _term(code, rows[i][j]), pivot))
+            for c in range(j + 1, width):
+                put(i, c, _minus(code, _term(code, rows[i][c]), _times(code, factor, rows[j][c])))
+            if fold and len(code.lines) == mark + 1 and factor == f"t{mark}":  # nothing read it
+                code.lines.pop()
+                code.known.pop(factor, None)
     for i in reversed(range(k)):
-        for c, name in enumerate(b[i]):
-            rest = "".join(f" - {a[i][t]} * {b[t][c]}" for t in range(i + 1, k))
-            code.line(f"{name} = ({name}{rest}) / {a[i][i]}")
+        for c in range(k, width):
+            rest = _sum(code, [_term(code, rows[i][c])]
+                        + [_times(code, rows[i][t], rows[t][c]) for t in range(i + 1, k)], "-")
+            put(i, c, _over(code, _group(code, rest), rows[i][i]))
+    for ra, rb, row in zip(a, b, rows):
+        ra[:], rb[:] = row[:k], row[k:]
 
 
-def _emit_max_abs(code, values):
-    """A fresh local holding max |v| over the expressions values, nan as
-    soon as any is nan: _max_abs, unrolled."""
+def _emit_max_abs(code, terms):
+    """A fresh local holding max |v| over the terms, nan as soon as any is
+    nan: _max_abs, unrolled.  A zero term never raises it, and is left out."""
     worst = code("0.0")
-    for value in values:
-        err = code(f"abs({value})")
-        code.line(f"if {err} > {worst} or {err} != {err}: {worst} = {err}")
+    for text, value in terms:
+        if not _zero(value):
+            err = code(f"abs({text})")
+            code.line(f"if {err} > {worst} or {err} != {err}: {worst} = {err}")
     return worst
 
 
@@ -477,15 +657,17 @@ def _newton(code, n, reg, x, p, evaluate, core, tol, max_iter):
     loop = len(code.lines)
     evaluate()
     f = [code(f"{core(1 + i)} - {ps}") for i, ps in zip(reg, p)]
-    new = _emit_max_abs(code, f)
+    new = _emit_max_abs(code, [_term(code, fs) for fs in f])
     code.line(f"if it and not {new} < norm: return None")
     code.line(f"norm = {new}")
     code.line(f"if norm <= {tol} or it == {max_iter}: break")
+    mark = len(code.lines)
     b = [[code(f"-{fs}")] for fs in f]
-    _lu_solve(code, [[code(core(1 + 2 * n + i * n + j)) for j in reg] for i in reg], b,
-              "return None")
+    _lu_solve(code, [[_copy(code, core(1 + 2 * n + i * n + j)) for j in reg] for i in reg], b,
+              "return None", since=mark)
     for xs, (step,) in zip(x, b):
-        code.line(f"{xs} = {xs} + {step}")
+        if (text := _plus(code, (xs, None), _term(code, step))[0]) != xs:
+            code.line(f"{xs} = {text}")
     code.indent(loop)
     code.line(f"if not ({' and '.join([f'norm <= {tol}'] + [f'isfinite({xs})' for xs in x])}):"
               " return None")
@@ -544,33 +726,51 @@ def _block(code, n, reg, core, V, vd, sign=None):
     Returns the names of X = [-dV_dq | dV_dp] (r rows), dB_dq (nd x n),
     dB_dp (nd x r), dH_dq (n), dH_dp (r), F (nd x nd) and D_a H (nd).  F is
     exactly antisymmetric: each of its terms enters as (T - T^t).  The
-    local sign, if named, is set to det W_rr's sign (_lu_solve's)."""
+    local sign, if named, is set to det W_rr's sign (_lu_solve's).  Where
+    code tracks values (fused_stage), core(k) may be a literal and each
+    result is a name or a literal: an identity W_rr, a zero W_dr or L_vq
+    folds out of the elimination and the sums by the rules of _times,
+    _plus and _over."""
     r, deg = len(reg), [i for i in range(n) if i not in reg]
     nd = len(deg)
 
     def entry(block, i, j):  # block 0: W, block 1: L_vq
         return core(1 + 2 * n + (block * n + i) * n + j)
 
+    def term(text):
+        return _term(code, text)
+
+    def dot(pairs):  # (sum(a * b)), a term
+        return _group(code, _dot(code, pairs))
+
     # W_rr X = [L_vq regular rows | I_r]: X = [-dV_dq | dV_dp]
-    a = [[code(entry(0, i, j)) for j in reg] for i in reg]
-    x = [[code(entry(1, i, j)) for j in range(n)] + [code("1.0" if i == j else "0.0") for j in reg] for i in reg]
+    a = [[_copy(code, entry(0, i, j)) for j in reg] for i in reg]
+    x = [[_copy(code, entry(1, i, j)) for j in range(n)]
+         + [_copy(code, "1.0" if i == j else "0.0") for j in reg] for i in reg]
     _lu_solve(code, a, x, "raise RankDeficiencyError("
               "'regular velocity Hessian block W_rr is singular at this point')", sign)
-    w_dr = [[code(entry(0, i, j)) for j in reg] for i in deg]
-    db_dq = [[code(f"{entry(1, i, j)} - ({_dot((w, x[t][j]) for t, w in enumerate(row))})")
+    w_dr = [[_copy(code, entry(0, i, j)) for j in reg] for i in deg]
+    db_dq = [[_local(code, _minus(code, term(entry(1, i, j)),
+                                  dot((w, x[t][j]) for t, w in enumerate(row))))
               for j in range(n)] for i, row in zip(deg, w_dr)]
-    db_dp = [[code(_dot((w, x[t][n + s]) for t, w in enumerate(row))) for s in range(r)]
-             for row in w_dr]
-    dh_dq = [code(f"-{core(1 + n + j)} + ({_dot((vd[k], row[j]) for k, row in enumerate(db_dq))})")
+    db_dp = [[_local(code, _dot(code, ((w, x[t][n + s]) for t, w in enumerate(row))))
+              for s in range(r)] for row in w_dr]
+    dh_dq = [_local(code, _plus(code, _neg(term(core(1 + n + j))),
+                                dot((vd[k], row[j]) for k, row in enumerate(db_dq))))
              for j in range(n)]
-    dh_dp = [code(f"{V[s]} + ({_dot((vd[k], row[s]) for k, row in enumerate(db_dp))})")
+    dh_dp = [_local(code, _plus(code, term(V[s]),
+                                dot((vd[k], row[s]) for k, row in enumerate(db_dp))))
              for s in range(r)]
     db_dq_reg = [[row[j] for j in reg] for row in db_dq]
-    pp = [[code(_dot(zip(ra, rb))) for rb in db_dp] for ra in db_dq_reg]
-    f = [[code(f"({db_dq[b][deg[a]]} - {db_dq[a][deg[b]]}) + ({pp[a][b]} - {pp[b][a]})")
+    pp = [[_local(code, _dot(code, zip(ra, rb))) for rb in db_dp] for ra in db_dq_reg]
+    f = [[_local(code, _plus(code, _group(code, _minus(code, term(db_dq[b][deg[a]]),
+                                                       term(db_dq[a][deg[b]]))),
+                             _group(code, _minus(code, term(pp[a][b]), term(pp[b][a])))))
           for b in range(nd)] for a in range(nd)]
-    dah = [code(f"({dh_dq[i]} + ({_dot(zip(db_dq_reg[k], dh_dp))}))"
-                f" - ({_dot(zip(db_dp[k], (dh_dq[j] for j in reg)))})") for k, i in enumerate(deg)]
+    dah = [_local(code, _minus(code, _group(code, _plus(code, term(dh_dq[i]),
+                                                        dot(zip(db_dq_reg[k], dh_dp)))),
+                               dot(zip(db_dp[k], (dh_dq[j] for j in reg)))))
+           for k, i in enumerate(deg)]
     return x, db_dq, db_dp, dh_dq, dh_dp, f, dah
 
 
@@ -629,7 +829,7 @@ def jet_kernel(n, reg, core_zeros, third_zeros):
     # None is an exact zero: a sum leaves it out, and a sum of nothing is None
     def products(pairs):
         pairs = [(x, y) for x, y in pairs if x is not None and y is not None]
-        return _dot(pairs) if pairs else None
+        return _dot(code, pairs)[0] if pairs else None
 
     def total(*parts):  # (part) + (part) + ... as text
         parts = [p for p in parts if p is not None]
@@ -747,6 +947,9 @@ def _reading(exprs, names):
     return reads
 
 
+_FOLD = True  # whether fused_stage tracks exact values (off: every operation emitted)
+
+
 def fused_stage(exprs, names, reg, solve, other, max_iter):
     """Generated RK4 stage for one layout (reg the regular coordinates, solve
     and other the degenerate slots solved from F v = D H and given) with the
@@ -762,8 +965,16 @@ def fused_stage(exprs, names, reg, solve, other, max_iter):
     raises where fn would; the nodes that do not read V precede the loop,
     and what the stage reads of the rest follows it.  A Sum, Prod or Neg
     that one node reads (_single_use) is written inline into that node's
-    statement: the same operations, so every value is fn's."""
+    statement: the same operations, so every value is fn's.
+
+    The emitter tracks exact values (_FOLD): the W_rr elimination in the
+    loop, the derivative block and the sector solve after it emit only the
+    operations whose result the Hessian blocks' exact zeros and ones leave
+    open (_lu_solve, _block), each fold exact for finite operands, and the
+    straight-line tail then loses each statement that nothing reads and
+    that cannot raise (_drop_dead)."""
     n, r, code = len(names) // 2, len(reg), _Code()
+    code.known = {} if _FOLD else None
     nd, deg = n - r, [i for i in range(n) if i not in reg]
     q, p, vd, vo, x = ([f"{seq}_{k}" for k in range(count)] for seq, count in
                        (("q", n), ("p", r), ("vd", nd), ("vo", len(other)), ("V", r)))
@@ -788,31 +999,98 @@ def fused_stage(exprs, names, reg, solve, other, max_iter):
     _newton(code, n, reg, x, p, lambda: emit(roots), core, "tol", repr(operator.index(max_iter)))
     code.indent(body)
     code.line("except (ValueError, ZeroDivisionError, OverflowError): return None")
+    tail = len(code.lines)
     # the stage at the root x: the derivative block, then the sector solve
     _, db_dq, db_dp, dh_dq, dh_dp, f, dah = _block(code, n, reg, core, x, vd, "wsign")
     db_dq_reg = [[row[j] for j in reg] for row in db_dq]
     v = [None] * nd
     for s, given in zip(other, vo):
         v[s] = given
-    rhs = [[code(f"{dah[s]} - ({_dot((f[s][o], v[o]) for o in other)})")] for s in solve]
-    _lu_solve(code, [[code(f[s][t]) for t in solve] for s in solve], rhs,
-              f"raise RankDeficiencyError({SECTOR_SINGULAR!r})")
+
+    def term(text):
+        return _term(code, text)
+
+    def dot(pairs):  # (sum(a * b)), a term
+        return _group(code, _dot(code, pairs))
+
+    mark = len(code.lines)
+    rhs = [[_local(code, _minus(code, term(dah[s]), dot((f[s][o], v[o]) for o in other)))]
+           for s in solve]
+    _lu_solve(code, [[_copy(code, f[s][t]) for t in solve] for s in solve], rhs,
+              f"raise RankDeficiencyError({SECTOR_SINGULAR!r})", since=mark)
     for k, s in enumerate(solve):
         v[s] = rhs[k][0]
-    resid = _emit_max_abs(code, (f"{_dot(zip(f[k], v))} - {dah[k]}" for k in range(nd)))
+    resid = _emit_max_abs(code, [_minus(code, _dot(code, zip(f[k], v)), term(dah[k]))
+                                 for k in range(nd)])
     dq = [None] * n
     for s, i in enumerate(reg):
-        dq[i] = f"{dh_dp[s]} - ({_dot((v[k], row[s]) for k, row in enumerate(db_dp))})"
+        dq[i] = _minus(code, term(dh_dp[s]), dot((v[k], row[s]) for k, row in enumerate(db_dp)))[0]
     for k, i in enumerate(deg):
         dq[i] = v[k]
-    dp = [f"-{dh_dq[i]} + ({_dot((v[k], row[s]) for k, row in enumerate(db_dq_reg))})"
+    dp = [_plus(code, _neg(term(dh_dq[i])),
+                dot((v[k], row[s]) for k, row in enumerate(db_dq_reg)))[0]
           for s, i in enumerate(reg)]
-    h = (f"({_dot(zip(p, x))} + {_dot((core(1 + i), vd[k]) for k, i in enumerate(deg))})"
-         f" - {core(0)}")
+    # one sum: p V, then each L_v^a v^a
+    h = _minus(code, _group(code, _sum(code, _products(code, zip(p, x)) + _products(
+        code, ((core(1 + i), vd[k]) for k, i in enumerate(deg))))), term(core(0)))[0]
     sub = [f[s][t] for s in solve for t in solve]
-    return code.build(", ".join(q + p + vd + vo + x + ["tol"]),
-                      ", ".join(dq + dp + v + x + [resid, h, "wsign"] + sub),
-                      _COMPILE_ENV | _KERNEL_ENV)
+    ret = ", ".join(dq + dp + v + x + [resid, h, "wsign"] + sub)
+    if code.known is not None:
+        _drop_dead(code.lines, tail, ret)
+    return code.build(", ".join(q + p + vd + vo + x + ["tol"]), ret, _COMPILE_ENV | _KERNEL_ENV)
+
+
+_CALL = re.compile(r"\b(?!abs\()\w+\(")
+_DENOMINATOR = re.compile(r"/\s*([\w.]*)")
+_ASSIGNMENT = re.compile(r"(\w+) = (.*)")
+_NONZERO_TEST = re.compile(r"if (\w+) == 0\.0: .*")
+_NAME = re.compile(r"[A-Za-z_]\w*")
+
+
+def _may_raise(expr, nonzero):
+    """Whether a float expression can raise: it calls a function other than
+    abs, or divides by anything but a nonzero number or a local of nonzero."""
+    def safe(den):
+        try:
+            return float(den) != 0.0
+        except ValueError:
+            return den in nonzero
+
+    return bool(_CALL.search(expr)) or not all(map(safe, _DENOMINATOR.findall(expr)))
+
+
+def _assigned(statement):
+    """The names a line of straight-line code assigns, in its body if an if."""
+    body = statement.split(": ", 1)[1] if statement.startswith("if ") else statement
+    return {name for part in body.split("; ") if " = " in part
+            for name in _NAME.findall(part.split(" = ")[0])}
+
+
+def _drop_dead(lines, start, ret):
+    """Drop each top-level assignment of lines[start:], straight-line code
+    followed by return ret, whose local nothing after it reads and whose
+    value cannot raise: a local that a line before tests against 0.0 (the
+    pivots of _lu_solve), and that none since assigns, divides safely.  Any
+    other statement reads every name in it."""
+    nonzero, tested = [], set()
+    for line in lines[start:]:
+        statement = line.strip()
+        nonzero.append(frozenset(tested))
+        tested -= _assigned(statement)
+        if test := _NONZERO_TEST.fullmatch(statement):
+            tested.add(test[1])
+    live, kept = set(_NAME.findall(ret)), []
+    for line, safe in reversed(list(zip(lines[start:], nonzero))):
+        if assignment := _ASSIGNMENT.fullmatch(line.strip()):
+            target, expr = assignment.groups()
+            if target not in live and not _may_raise(expr, safe):
+                continue
+            live.discard(target)
+            live.update(_NAME.findall(expr))
+        else:
+            live.update(_NAME.findall(line))
+        kept.append(line)
+    lines[start:] = reversed(kept)
 
 
 def pfaffian_sign(a, m):
@@ -844,17 +1122,19 @@ def pfaffian_sign(a, m):
 
 
 @functools.lru_cache(maxsize=None)
-def rk4_kernel(n, reg, solve, other):
+def rk4_kernel(n, reg, solve, other, zeros):
     """Generated fixed-step RK4 loop of integrate for one layout, cached by
-    it (the layout as for fused_stage).
+    it (the layout as for fused_stage, and zeros the slots of other pinned
+    to zero).
 
-    The kernel takes (fused, ntol, resolve, velocity, q, p, w, start, dt,
+    The kernel takes (fused, ntol, resolve, given, q, p, w, start, dt,
     steps, tol, rows).  A stage is fused(*Q, *P, *VD, *VO, *V, ntol),
     fused_stage's kernel on the loop's float locals from the last stage's
     velocities V, its tuple unpacked into locals; or where that gives up,
     fused at tol inf from resolve(Q, P, VD, V)[1], damped Newton's root, the
-    one place that builds lists.  velocity(a, t) is the prescribed velocity
-    of degenerate slot a, evaluated once per distinct time of a step (t,
+    one place that builds lists.  A slot of zeros is the literal 0.0, and
+    any other slot a of other is given[a]([t]), its compiled evaluator
+    (GaugeInput.values), called once per distinct time of a step (t,
     t + dt/2, t + dt).  q, p and w are the start and its degenerate
     velocities, as sequences of floats.  Step k runs at t = start + dt * k
     for k up to steps: it appends t to rows (an array of doubles), runs
@@ -872,6 +1152,9 @@ def rk4_kernel(n, reg, solve, other):
     """
     r, nd, m, code = len(reg), n - len(reg), len(solve), _Code()
     q, p, w = _unpack(code, "q", n), _unpack(code, "p", r), _unpack(code, "w", nd)
+    for a in other:
+        if a not in zeros:
+            code.line(f"given_{a} = given[{a}]")
     V = [f"V_{i}" for i in range(r)]
     if r:
         code.line(f"{', '.join(V)} = {', '.join(['0.0'] * r)}")
@@ -884,7 +1167,7 @@ def rk4_kernel(n, reg, solve, other):
     code.line(f"rows.append({t})")
 
     def velocities(time):
-        return [code(f"velocity({a}, {time})") for a in other]
+        return ["0.0" if a in zeros else code(f"given_{a}([{time}])") for a in other]
 
     def stage(number, vo, qs, ps, diagnostics):
         """One stage at qs and ps into w, V, the names of its dq and dp (which
@@ -928,5 +1211,5 @@ def rk4_kernel(n, reg, solve, other):
         for name, a, b, c, d in zip(x, *ds):
             code.line(f"{name} = {name} + sixth * ({a} + 2 * {b} + 2 * {c} + {d})")
     code.indent(loop)
-    return code.build("fused, ntol, resolve, velocity, q, p, w, start, dt, steps, tol, rows",
+    return code.build("fused, ntol, resolve, given, q, p, w, start, dt, steps, tol, rows",
                       "0", _KERNEL_ENV | {"inf": math.inf, "pfaffian_sign": pfaffian_sign})

@@ -667,7 +667,7 @@ class TestTotalDerivative:
         field = {name: [ClairautTransform(load_bundled(name)).resolve(pt)._flat("F")
                         for pt in phase_probes(transform(name), seed=42)] for name in BUNDLED}
         source = inspect.getsource(numerics._block)
-        mutant = source.replace("({pp[a][b]} - {pp[b][a]})", "({pp[b][a]} - {pp[a][b]})")
+        mutant = source.replace("term(pp[a][b]), term(pp[b][a])", "term(pp[b][a]), term(pp[a][b])")
         assert mutant != source
         namespace = dict(vars(numerics))
         exec(mutant, namespace)  # noqa: S102 (the emitter's own source, one term flipped)

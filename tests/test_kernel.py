@@ -23,6 +23,7 @@ import pytest
 from clairaut import (
     ClairautTransform,
     DomainError,
+    IntegrabilityError,
     IntegratorConfig,
     NewtonConfig,
     NewtonError,
@@ -78,11 +79,12 @@ class TestDot:
 
     def test_bit_equal_to_the_emitted_sum(self):
         # from the first product, not from 0.0, so a zero sum keeps its sign
-        emitted = eval(numerics._dot([("-0.0", "1.0")] * 2))
+        emitted = eval(numerics._dot(expressions._Code(), [("-0.0", "1.0")] * 2)[0])
         assert dot([-0.0, -0.0], [1.0, 1.0]).hex() == emitted.hex() == (-0.0).hex()
         rng = np.random.default_rng(7)
         for m in range(1, 10):
-            source = numerics._dot((f"a[{k}]", f"b[{k}]") for k in range(m))
+            pairs = [(f"a[{k}]", f"b[{k}]") for k in range(m)]
+            source = numerics._dot(expressions._Code(), pairs)[0]
             for _ in range(50):
                 a = rng.standard_normal(m) * 10.0 ** rng.integers(-8, 9, m)
                 b = rng.standard_normal(m)
@@ -350,6 +352,176 @@ class TestStageInlining:
         assert calls[0] <= 10 * nodes
 
 
+class TestFoldRules:
+    """Each fold of the fused stage's term algebra (numerics._times, _plus,
+    _neg, _over) gives the bits of the operation it stands for, signed
+    zeros included, for every finite operand, and each value it claims
+    holds: literals exactly, numerics._ZERO as some zero."""
+
+    # the operands: the tracked literals, a local known to be a zero of
+    # unknown sign, and a local of unknown value, with the values each takes
+    OPERANDS = {"0.0": [0.0], "-0.0": [-0.0], "1.0": [1.0], "z": [0.0, -0.0],
+                "u": [0.0, -0.0, 1.0, -2.5, 1e-300, 1e300]}
+
+    @staticmethod
+    def codes():
+        tracked, plain = expressions._Code(), expressions._Code()
+        tracked.known = {"z": numerics._ZERO}
+        return tracked, plain
+
+    def check(self, folded, plain, names, divides=False):
+        text, value = folded
+        for values in itertools.product(*(self.OPERANDS[name] for name in names)):
+            env = dict(zip(names, values))
+            if divides and env[names[-1]] == 0.0:
+                continue  # a pivot is checked nonzero first
+            got, want = eval(text, env), eval(plain, env)
+            assert got.hex() == want.hex(), (text, plain, env)
+            if value == numerics._ZERO:
+                assert got == 0.0
+            elif value is not None:
+                assert got.hex() == float(value).hex()
+
+    @pytest.mark.parametrize("x, y", itertools.product(OPERANDS, repeat=2))
+    def test_binary_folds_keep_every_bit(self, x, y):
+        tracked, plain = self.codes()
+        names = [v for v in (x, y) if v.isidentifier()]
+        self.check(numerics._times(tracked, x, y), numerics._times(plain, x, y)[0], names)
+        for op in "+-":
+            terms = [numerics._term(tracked, x), numerics._term(tracked, y)]
+            self.check(numerics._plus(tracked, *terms, op), f"{x} {op} {y}", names)
+        if y != "0.0" and y != "-0.0" and y != "z":
+            self.check(numerics._over(tracked, numerics._term(tracked, x), y), f"{x} / {y}",
+                       names, divides=y == "u")
+
+    @pytest.mark.parametrize("x", OPERANDS)
+    def test_negation_keeps_every_bit(self, x):
+        tracked, _ = self.codes()
+        self.check(numerics._neg(numerics._term(tracked, x)), f"-{x}",
+                   [x] if x.isidentifier() else [])
+
+
+class TestStageFolding:
+    """fused_stage tracks the exact zeros and ones of the core's Hessian
+    blocks (numerics._FOLD) and emits only what they leave open: the same
+    bits, signed zeros included, as the stage with every operation, and the
+    same None, exception or non-finite slot where a W entry overflows."""
+
+    # W_rr = x*x overflows to inf for |x| > 1.4e154 (a product, which does not
+    # raise); gaugeless, the sector solve over both degenerate slots
+    OVERFLOWING = "coord x, a, b; lagrangian = x*x*d(x)^2/2 + a*x*d(b) - x;"
+
+    @staticmethod
+    def kernels(ct, plan, monkeypatch):
+        """The stage as built, then with no value tracked."""
+        args = ([e for block in ct.core_exprs.values() for e in block], ct.arg_names, ct._reg,
+                *plan, ct.newton.max_iter)
+        folded = numerics.fused_stage(*args)
+        with monkeypatch.context() as patch:
+            patch.setattr(numerics, "_FOLD", False)
+            return folded, numerics.fused_stage(*args)
+
+    @pytest.mark.parametrize("name", BUNDLED)
+    def test_folding_changes_no_bit(self, name, monkeypatch):
+        ct = ClairautTransform(load_bundled(name))
+        plan = gauge_input(ct, classify(ct))._plan
+        folded, plain = self.kernels(ct, plan, monkeypatch)
+        lines = folded.source.count("\n"), plain.source.count("\n")
+        if name in ("particle", "christ_lee", "synthetic_gaugeless"):
+            assert lines[0] < lines[1]
+        for pt, given in itertools.product(phase_probes(ct), (0.25, -0.5)):
+            V, vo = ct.resolve(pt)._v, [given] * len(plan[1])
+            for start, tol in ((V, math.inf), ([v + 1e-3 for v in V], ct.newton.tol)):
+                args = (*pt._q, *pt._p, *pt._v, *vo, *start, tol)
+                assert TestStageInlining.outcome(folded, *args) == \
+                    TestStageInlining.outcome(plain, *args)
+
+    @pytest.mark.parametrize("name", BUNDLED)
+    def test_the_other_kernels_track_nothing(self, name, monkeypatch):
+        ct = ClairautTransform(load_bundled(name))
+        core = ct.model.core
+        zeros = transform_module._zeros([e for block in core.exprs.values() for e in block])
+
+        def sources():
+            return [numerics.block_kernel.__wrapped__(ct.n, ct._reg).source,
+                    numerics.solver.__wrapped__(ct.r).source,
+                    numerics.resolve_kernel.__wrapped__(ct.n, ct._reg).source,
+                    numerics.jet_kernel.__wrapped__(ct.n, ct._reg, zeros, core.third[1]).source]
+
+        on = sources()
+        monkeypatch.setattr(numerics, "_FOLD", False)
+        assert sources() == on
+
+    def test_an_overflowing_w_entry_gives_the_same_outcome(self, monkeypatch):
+        ct = ClairautTransform(parse_model(self.OVERFLOWING))
+        plan = gauge_input(ct, classify(ct))._plan
+        assert plan == ((0, 1), ())
+        folded, plain = self.kernels(ct, plan, monkeypatch)
+        overflowed = 0
+        for x, V in itertools.product((1e155, -1e160, 1e200), (1.0, -3.0, 1e-200)):
+            q, vd = [x, 0.3, 0.4], [0.2, 0.1]
+            assert ct.model.core.fn([*q, V, *vd])[1 + 2 * ct.n] == math.inf  # W_xx
+            args = (*q, 0.7, *vd, V, math.inf)
+            got = TestStageInlining.outcome(folded, *args)
+            assert got == TestStageInlining.outcome(plain, *args)
+            overflowed += got is not None and not all(math.isfinite(float.fromhex(x)) for x in got)
+        assert overflowed == 9
+        # particle with V on its light cone (a zero divisor: None) and inside
+        # it by rounding, at scales from 2**-480 to where the core's pow
+        # overflows (None)
+        ct = ClairautTransform(load_bundled("particle"))
+        plan = gauge_input(ct, classify(ct))._plan
+        folded, plain = self.kernels(ct, plan, monkeypatch)
+        outcomes = set()
+        for scale in (2.0 ** -480, 1.0, 2.0 ** 300, 2.0 ** 512):
+            V0 = math.nextafter(scale, 0.0)
+            V1 = math.nextafter(math.sqrt(scale * scale - V0 * V0), 0.0)
+            for V in ([scale, 0.0, 0.0], [V0, V1, 0.0], [V0, 0.0, V1]):
+                args = (0.1, 0.2, 0.3, 0.4, 0.4, 0.1, 0.2, scale, -0.5, *V, math.inf)
+                got = TestStageInlining.outcome(folded, *args)
+                assert got == TestStageInlining.outcome(plain, *args)
+                outcomes.add(type(got))
+        assert outcomes == {type(None), list}
+
+    @pytest.mark.parametrize("make, start, spec", [
+        ("OVERFLOWING", ([1e155, 0.3, 0.4], [1.0], None), None),
+        ("particle", ({"x": 0.1}, {"x": 0.4, "y": 0.1, "z": 0.2}, None), {"x0": "1 + 1e160*t*t"}),
+    ])
+    def test_integrate_stops_at_the_same_row_with_the_same_message(self, make, start, spec,
+                                                                 monkeypatch):
+        def run():
+            model = parse_model(self.OVERFLOWING) if make == "OVERFLOWING" else load_bundled(make)
+            ct = ClairautTransform(model)
+            gauge = gauge_input(ct, classify(ct), spec)
+            with pytest.raises(IntegrabilityError) as exc:
+                integrate(ct, ct.point(*start), gauge, IntegratorConfig(t1=0.01, dt=1e-3))
+            return str(exc.value), len(exc.value.trajectory)
+
+        folded = run()
+        monkeypatch.setattr(numerics, "_FOLD", False)
+        assert run() == folded
+
+    def test_the_dead_store_pass_keeps_what_can_raise(self):
+        lines = ["    t1 = a * b", "    t2 = a / b", "    t3 = sqrt(a)", "    t4 = abs(a) / 2.0",
+                 "    if b == 0.0: raise ValueError", "    t6 = a / b", "    b = a",
+                 "    t8 = a / b", "    t9 = t1 + a", "    t10 = a / 0.0"]
+        numerics._drop_dead(lines, 0, "t9")
+        # a / b may raise until b is tested, and again once b is assigned
+        assert lines == ["    t1 = a * b", "    t2 = a / b", "    t3 = sqrt(a)",
+                         "    if b == 0.0: raise ValueError", "    b = a", "    t8 = a / b",
+                         "    t9 = t1 + a", "    t10 = a / 0.0"]
+
+    def test_a_literal_zero_pivot_in_the_sector_solve_raises(self):
+        # no degenerate slot enters L but through x * d(b): F is exactly 0,
+        # each entry a literal in the folded stage, and solving it fails
+        ct = ClairautTransform(parse_model("coord x, a, b; lagrangian = d(x)^2/2 + x*d(b);"))
+        exprs = [e for block in ct.core_exprs.values() for e in block]
+        stage = numerics.fused_stage(exprs, ct.arg_names, ct._reg, (0, 1), (), ct.newton.max_iter)
+        assert f"    raise RankDeficiencyError({numerics.SECTOR_SINGULAR!r})" in stage.source
+        with pytest.raises(RankDeficiencyError, match="sector subblock singular"):
+            stage(0.1, 0.2, 0.3, 0.4, 0.5, -0.25, 0.4, math.inf)
+
+
 def reference_trajectory(ct, initial, gauge, cls, dt, steps):
     """RK4 with every stage built from resolve and degenerate_velocities, on
     numpy arrays: the stage as it was before it ran on floats."""
@@ -514,7 +686,7 @@ class TestRK4Loop:
             return None, [-1.0], None
 
         rows = array.array("d")
-        status = numerics.rk4_kernel(3, (0,), (0, 1), ())(
+        status = numerics.rk4_kernel(3, (0,), (0, 1), (), ())(
             fused, 1e-12, resolve, None, [0.0] * 3, [0.0], [0.0, 0.0], 0.0, 1.0, steps,
             1e-6, rows)
         return status, list(rows), log
