@@ -36,7 +36,6 @@ import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "src")]
-sys.dont_write_bytecode = True
 
 from clairaut import ClairautTransform, load_bundled, numerics, parse_model  # noqa: E402
 from clairaut.dynamics import gauge_input  # noqa: E402

@@ -831,17 +831,21 @@ def _parse_atom(cur):
 class _Code:
     """Straight-line source under construction, the package's one emitter
     (evaluators here, float kernels in numerics): calling it assigns an
-    expression to a fresh local, t<k> for the line's index k, and returns
-    the local's name.  known, None
-    unless numerics.fused_stage sets it, maps a local to its exact value
-    where the numerics emitters track one."""
+    expression to a fresh local, t<k> for the line's index k, records it in
+    locals (name -> k) and returns the local's name.  known, None unless
+    numerics.fused_stage sets it, maps a local to its exact value where the
+    numerics emitters track one; sums maps the text of each sum that
+    numerics._dot shares to the local holding it."""
 
     def __init__(self):
         self.lines = []
+        self.locals = {}
         self.known = None
+        self.sums = {}
 
     def __call__(self, expr):
         name = f"t{len(self.lines)}"
+        self.locals[name] = len(self.lines)
         self.line(f"{name} = {expr}")
         return name
 

@@ -44,8 +44,10 @@ x, a zero entry is never a pivot, swapping two equal entries is a no-op,
 and a comparison between literals is decided at build time; never x + z
 for a zero z of unknown sign (wrong at x = -0.0), nor x - x (nan at inf).
 Each fold gives the same bits, signed zeros included, for every finite
-operand, and the stage drops each statement of its straight-line tail
-that nothing reads and that cannot raise.  dot
+operand.  A sum of zero products gets one local per distinct text, and the
+stage drops each local of its straight-line tail that nothing reads: no
+local there can raise, since every node that can is evaluated in the
+Newton loop and each division is by a pivot tested nonzero.  dot
 (the sum _dot emits), solver and verify's minimal-norm step (Gram-Schmidt on
 dot) own every reported sum and solve, so each reported number rounds the
 same way on every machine: none goes through numpy's BLAS or LAPACK.  A zero pivot in
@@ -525,8 +527,16 @@ def _sum(code, terms, op="+"):
 
 def _dot(code, pairs):
     """sum(a * b) over the pairs, added left to right (0.0 for none), as a
-    term."""
-    return _sum(code, _products(code, pairs))
+    term.  Where code tracks values, a sum whose every product has a zero
+    factor and whose text is not an atom gets one local per distinct text
+    (code.sums), until _lu_solve next emits a row swap."""
+    products = _products(code, pairs)
+    text, value = _sum(code, products)
+    if _atom(code, text) or not all(_zero(v) for _, v in products):
+        return text, value
+    if text not in code.sums:
+        code.sums[text] = _local(code, (text, value))
+    return code.sums[text], value
 
 
 def _local(code, term):
@@ -546,13 +556,6 @@ def _copy(code, text):
     return text if code.known is not None else code(text)
 
 
-def _meet(values):
-    """The value that each of values is: itself, _ZERO for zeros, or None."""
-    if all(v == values[0] for v in values):
-        return values[0]
-    return _ZERO if all(map(_zero, values)) else None
-
-
 def _lu_solve(code, a, b, singular, sign=None, since=None):
     """Gauss elimination with partial pivoting on names: the k rows of
     right-hand sides b become A^-1 b, and a is overwritten.  A zero pivot
@@ -562,10 +565,13 @@ def _lu_solve(code, a, b, singular, sign=None, since=None):
     Where code tracks values, an entry may be any name or literal, and the
     solve emits only what the tracked values leave open: a fresh local for
     each entry it changes (the folds of _times, _plus and _over), a copy of
-    each entry a row swap moves unless it is a local from line since on
+    each entry a row swap moves unless code recorded it from line since on
     (the solve's start if None), no pivot search over a zero (abs(z) > top
     is never true), no swap of two equal entries, and no test of a literal
-    pivot (a signed zero runs singular unconditionally)."""
+    pivot (a signed zero runs singular unconditionally).  A swap forgets
+    the values of the entries it moves, and the sums _dot shares.  Each
+    division is by a pivot that a line before tests against 0.0, or follows
+    an unconditional singular."""
     k, fold = len(a), code.known is not None
     rows = [ra + rb for ra, rb in zip(a, b)]  # [A | B]
     width, since = len(rows[0]) if rows else 0, len(code.lines) if since is None else since
@@ -579,9 +585,6 @@ def _lu_solve(code, a, b, singular, sign=None, since=None):
     def differ(x, y):  # whether swapping x and y moves a bit
         return x != y and not _value(code, x) == _value(code, y) in _LITERALS
 
-    def fresh(name):  # a local of the solve's own, which a swap may overwrite
-        return name[0] == "t" and name[1:].isdigit() and int(name[1:]) >= since
-
     if sign:
         code.line(f"{sign} = 1.0")
     for j in range(k):
@@ -592,11 +595,10 @@ def _lu_solve(code, a, b, singular, sign=None, since=None):
                 code.line(f"if abs({rows[i][j]}) > top: top, row = abs({rows[i][j]}), {i}")
         moves = {i: [c for c in range(j, width) if differ(rows[j][c], rows[i][c])] for i in rivals}
         for i, c in sorted({(x, c) for i, cols in moves.items() for c in cols for x in (j, i)}):
-            if fold and not fresh(name := rows[i][c]):
-                rows[i][c] = code(name)
-                if value := _value(code, name):
-                    code.known[rows[i][c]] = value
-        was = {i: [_value(code, x) for x in rows[i]] for i in [j] + rivals}
+            if fold:  # a moved entry is a local of the solve's own, its value forgotten
+                if code.locals.get(rows[i][c], -1) < since:
+                    rows[i][c] = code(rows[i][c])
+                code.known.pop(rows[i][c], None)
         branch = "if"
         for i, cols in moves.items():
             mine, theirs = (", ".join(rows[x][c] for c in cols) for x in (j, i))
@@ -604,14 +606,8 @@ def _lu_solve(code, a, b, singular, sign=None, since=None):
             if statements := swap + ([f"{sign} = -{sign}"] if sign else []):
                 code.line(f"{branch} row == {i}: {'; '.join(statements)}")
                 branch = "elif"
-        if fold:  # what each moved entry is after the swaps
-            for i, cols in moves.items():
-                for c in cols:
-                    for x, value in ((i, _meet([was[i][c], was[j][c]])),
-                                     (j, _meet([v[c] for v in was.values()]))):
-                        code.known.pop(rows[x][c], None)
-                        if value:
-                            code.known[rows[x][c]] = value
+        if any(moves.values()):  # what a shared sum read may have moved
+            code.sums.clear()
         pivot = rows[j][j]
         value = _value(code, pivot)
         if value in _SIGNED:
@@ -621,13 +617,9 @@ def _lu_solve(code, a, b, singular, sign=None, since=None):
         if sign and value != "1.0" and not _zero(value):
             code.line(f"if {pivot} < 0.0: {sign} = -{sign}")
         for i in range(j + 1, k):
-            mark = len(code.lines)
             factor = _local(code, _over(code, _term(code, rows[i][j]), pivot))
             for c in range(j + 1, width):
                 put(i, c, _minus(code, _term(code, rows[i][c]), _times(code, factor, rows[j][c])))
-            if fold and len(code.lines) == mark + 1 and factor == f"t{mark}":  # nothing read it
-                code.lines.pop()
-                code.known.pop(factor, None)
     for i in reversed(range(k)):
         for c in range(k, width):
             rest = _sum(code, [_term(code, rows[i][c])]
@@ -970,9 +962,12 @@ def fused_stage(exprs, names, reg, solve, other, max_iter):
     The emitter tracks exact values (_FOLD): the W_rr elimination in the
     loop, the derivative block and the sector solve after it emit only the
     operations whose result the Hessian blocks' exact zeros and ones leave
-    open (_lu_solve, _block), each fold exact for finite operands, and the
-    straight-line tail then loses each statement that nothing reads and
-    that cannot raise (_drop_dead)."""
+    open (_lu_solve, _block), each fold exact for finite operands, and a
+    sum of zero products once per distinct text (_dot).  The straight-line
+    tail after the except line assigns no local that can raise: every Pow,
+    Call and Quot by a non-constant is a root of the loop, and _lu_solve
+    divides only by pivots tested nonzero.  So it then loses each local
+    that nothing reads (_drop_dead)."""
     n, r, code = len(names) // 2, len(reg), _Code()
     code.known = {} if _FOLD else None
     nd, deg = n - r, [i for i in range(n) if i not in reg]
@@ -1036,61 +1031,25 @@ def fused_stage(exprs, names, reg, solve, other, max_iter):
     sub = [f[s][t] for s in solve for t in solve]
     ret = ", ".join(dq + dp + v + x + [resid, h, "wsign"] + sub)
     if code.known is not None:
-        _drop_dead(code.lines, tail, ret)
+        _drop_dead(code, tail, ret)
     return code.build(", ".join(q + p + vd + vo + x + ["tol"]), ret, _COMPILE_ENV | _KERNEL_ENV)
 
 
-_CALL = re.compile(r"\b(?!abs\()\w+\(")
-_DENOMINATOR = re.compile(r"/\s*([\w.]*)")
-_ASSIGNMENT = re.compile(r"(\w+) = (.*)")
-_NONZERO_TEST = re.compile(r"if (\w+) == 0\.0: .*")
 _NAME = re.compile(r"[A-Za-z_]\w*")
 
 
-def _may_raise(expr, nonzero):
-    """Whether a float expression can raise: it calls a function other than
-    abs, or divides by anything but a nonzero number or a local of nonzero."""
-    def safe(den):
-        try:
-            return float(den) != 0.0
-        except ValueError:
-            return den in nonzero
-
-    return bool(_CALL.search(expr)) or not all(map(safe, _DENOMINATOR.findall(expr)))
-
-
-def _assigned(statement):
-    """The names a line of straight-line code assigns, in its body if an if."""
-    body = statement.split(": ", 1)[1] if statement.startswith("if ") else statement
-    return {name for part in body.split("; ") if " = " in part
-            for name in _NAME.findall(part.split(" = ")[0])}
-
-
-def _drop_dead(lines, start, ret):
-    """Drop each top-level assignment of lines[start:], straight-line code
-    followed by return ret, whose local nothing after it reads and whose
-    value cannot raise: a local that a line before tests against 0.0 (the
-    pivots of _lu_solve), and that none since assigns, divides safely.  Any
-    other statement reads every name in it."""
-    nonzero, tested = [], set()
-    for line in lines[start:]:
-        statement = line.strip()
-        nonzero.append(frozenset(tested))
-        tested -= _assigned(statement)
-        if test := _NONZERO_TEST.fullmatch(statement):
-            tested.add(test[1])
+def _drop_dead(code, start, ret):
+    """Drop each local that code recorded from line start on (straight-line
+    code followed by return ret) and that nothing after it reads.  Every
+    other line stays and reads each name in it.  Sound where none of those
+    locals can raise: fused_stage's tail."""
+    local_at = {k: name for name, k in code.locals.items() if k >= start}
     live, kept = set(_NAME.findall(ret)), []
-    for line, safe in reversed(list(zip(lines[start:], nonzero))):
-        if assignment := _ASSIGNMENT.fullmatch(line.strip()):
-            target, expr = assignment.groups()
-            if target not in live and not _may_raise(expr, safe):
-                continue
-            live.discard(target)
-            live.update(_NAME.findall(expr))
-        else:
-            live.update(_NAME.findall(line))
-        kept.append(line)
-    lines[start:] = reversed(kept)
+    for k in reversed(range(start, len(code.lines))):
+        if k not in local_at or local_at[k] in live:
+            live.update(_NAME.findall(code.lines[k]))
+            kept.append(code.lines[k])
+    code.lines[start:] = reversed(kept)
 
 
 def pfaffian_sign(a, m):
