@@ -858,9 +858,11 @@ class _Code:
         self.lines[start:] = ["    " + line for line in self.lines[start:]]
 
     def build(self, params, ret, env):
-        """def kernel(params) over the lines, returning ret, with globals env;
-        the source is kept on it as ``source``."""
-        source = f"def kernel({params}):\n" + "\n".join(self.lines) + f"\n    return {ret}\n"
+        """def kernel(params) over the lines, returning ret (no return
+        statement for None), with globals env; the source is kept on it as
+        ``source``."""
+        end = "" if ret is None else f"    return {ret}\n"
+        source = f"def kernel({params}):\n" + "\n".join(self.lines) + "\n" + end
         namespace = dict(env)
         exec(compile(source, "<clairaut-code>", "exec"), namespace)  # noqa: S102 (our own codegen)
         kernel = namespace["kernel"]

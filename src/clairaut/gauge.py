@@ -20,7 +20,8 @@ momenta.  The identities that differentiate these quantities once more
 (Bianchi, the Maxwell current, and verify's commutator, Leibniz and
 delta-commutator rows) read exact second derivatives: the Resolution's
 second-order jet (Hessians of B and H, dF, the gradient of D_a H) and an
-ExprObservable's Hessian, as flat floats over z = (q, p); _bracket_gradient
+observable's _jet (ExprObservable's, or the constant Hessian of verify's
+quadratics), as flat floats over z = (q, p); _bracket_gradient
 and _long_gradient carry the product rule through the bracket.  A
 finite-difference wrapper still lifts plain callables into the observable
 interface, for cross-checks against these exact derivatives.
@@ -98,9 +99,8 @@ class ExprObservable:
     @cached_property
     def _hessian(self):
         """The evaluator of the Hessian's upper triangle over (q, p), built on
-        first use: of a verify run's random observables only the commutator
-        row's needs it, and each of the others would pay about a fifth more
-        to build with it."""
+        first use: only _jet reads it, and building it with every observable
+        would add about a fifth to the cost of each one that never asks."""
         names = self._names
         return compile_evaluator(
             [differentiate(g, x) for k, g in enumerate(self._grad) for x in names[k:]], names)

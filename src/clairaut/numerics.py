@@ -568,10 +568,11 @@ def _lu_solve(code, a, b, singular, sign=None, since=None):
     each entry a row swap moves unless code recorded it from line since on
     (the solve's start if None), no pivot search over a zero (abs(z) > top
     is never true), no swap of two equal entries, and no test of a literal
-    pivot (a signed zero runs singular unconditionally).  A swap forgets
-    the values of the entries it moves, and the sums _dot shares.  Each
-    division is by a pivot that a line before tests against 0.0, or follows
-    an unconditional singular."""
+    pivot (a signed zero runs singular unconditionally, and the solve emits
+    nothing after it: it returns False, a and b left as they were; else
+    True).  A swap forgets the values of the entries it moves, and the sums
+    _dot shares.  Each division is by a pivot that a line before tests
+    against 0.0."""
     k, fold = len(a), code.known is not None
     rows = [ra + rb for ra, rb in zip(a, b)]  # [A | B]
     width, since = len(rows[0]) if rows else 0, len(code.lines) if since is None else since
@@ -612,7 +613,8 @@ def _lu_solve(code, a, b, singular, sign=None, since=None):
         value = _value(code, pivot)
         if value in _SIGNED:
             code.line(singular)
-        elif value != "1.0":
+            return False
+        if value != "1.0":
             code.line(f"if {pivot} == 0.0: {singular}")
         if sign and value != "1.0" and not _zero(value):
             code.line(f"if {pivot} < 0.0: {sign} = -{sign}")
@@ -627,6 +629,7 @@ def _lu_solve(code, a, b, singular, sign=None, since=None):
             put(i, c, _over(code, _group(code, rest), rows[i][i]))
     for ra, rb, row in zip(a, b, rows):
         ra[:], rb[:] = row[:k], row[k:]
+    return True
 
 
 def _emit_max_abs(code, terms):
@@ -967,7 +970,8 @@ def fused_stage(exprs, names, reg, solve, other, max_iter):
     tail after the except line assigns no local that can raise: every Pow,
     Call and Quot by a non-constant is a root of the loop, and _lu_solve
     divides only by pivots tested nonzero.  So it then loses each local
-    that nothing reads (_drop_dead)."""
+    that nothing reads (_drop_dead).  A literal zero pivot in the sector
+    solve raises unconditionally, and the kernel ends there."""
     n, r, code = len(names) // 2, len(reg), _Code()
     code.known = {} if _FOLD else None
     nd, deg = n - r, [i for i in range(n) if i not in reg]
@@ -1008,11 +1012,18 @@ def fused_stage(exprs, names, reg, solve, other, max_iter):
     def dot(pairs):  # (sum(a * b)), a term
         return _group(code, _dot(code, pairs))
 
+    def build(ret):  # ret None: the code ends at a raise
+        if code.known is not None:
+            _drop_dead(code, tail, ret or "")
+        return code.build(", ".join(q + p + vd + vo + x + ["tol"]), ret,
+                          _COMPILE_ENV | _KERNEL_ENV)
+
     mark = len(code.lines)
     rhs = [[_local(code, _minus(code, term(dah[s]), dot((f[s][o], v[o]) for o in other)))]
            for s in solve]
-    _lu_solve(code, [[_copy(code, f[s][t]) for t in solve] for s in solve], rhs,
-              f"raise RankDeficiencyError({SECTOR_SINGULAR!r})", since=mark)
+    if not _lu_solve(code, [[_copy(code, f[s][t]) for t in solve] for s in solve], rhs,
+                     f"raise RankDeficiencyError({SECTOR_SINGULAR!r})", since=mark):
+        return build(None)
     for k, s in enumerate(solve):
         v[s] = rhs[k][0]
     resid = _emit_max_abs(code, [_minus(code, _dot(code, zip(f[k], v)), term(dah[k]))
@@ -1029,10 +1040,7 @@ def fused_stage(exprs, names, reg, solve, other, max_iter):
     h = _minus(code, _group(code, _sum(code, _products(code, zip(p, x)) + _products(
         code, ((core(1 + i), vd[k]) for k, i in enumerate(deg))))), term(core(0)))[0]
     sub = [f[s][t] for s in solve for t in solve]
-    ret = ", ".join(dq + dp + v + x + [resid, h, "wsign"] + sub)
-    if code.known is not None:
-        _drop_dead(code, tail, ret)
-    return code.build(", ".join(q + p + vd + vo + x + ["tol"]), ret, _COMPILE_ENV | _KERNEL_ENV)
+    return build(", ".join(dq + dp + v + x + [resid, h, "wsign"] + sub))
 
 
 _NAME = re.compile(r"[A-Za-z_]\w*")

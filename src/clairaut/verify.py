@@ -33,7 +33,6 @@ from .dynamics import (
 )
 from .errors import ClairautError
 from .gauge import (
-    ExprObservable,
     FiniteDifferenceObservable,
     _bracket_gradient,
     _jets,
@@ -56,7 +55,6 @@ from .model import (
     DEFAULT_PROBE_SEED,
     check_rank_constancy,
     default_probes,
-    momentum_name,
 )
 from .numerics import Rng, _max_abs, central_differences, dot, second_differences
 from .transform import ClairautTransform, _not_convex, fenchel_conjugate
@@ -105,21 +103,90 @@ class _Context:
 
 
 def _random_observables(ctx, salt, count):
-    """Seeded quadratic observables over coordinates and regular momenta."""
+    """Seeded quadratic observables over coordinates and regular momenta:
+    three products and a linear term, each coefficient rounded to six
+    decimals."""
     ct = ctx.ct
     rng = ctx.rng(salt)
-    syms = list(ct.model.coords) + [momentum_name(c) for c in ct.split.regular]
+    m = ct.n + ct.r
     out = []
     for _ in range(count):
         terms = []
         for _ in range(3):
-            coeff = rng.uniform(-1.5, 1.5)
-            s1 = syms[rng.integers(len(syms))]
-            s2 = syms[rng.integers(len(syms))]
-            terms.append(f"{coeff:.6f}*{s1}*{s2}")
-        terms.append(f"{rng.uniform(-1.0, 1.0):.6f}*{syms[rng.integers(len(syms))]}")
-        out.append(ExprObservable(ct, " + ".join(terms)))
+            coeff = float(f"{rng.uniform(-1.5, 1.5):.6f}")
+            terms.append((coeff, rng.integers(m), rng.integers(m)))
+        terms.append((float(f"{rng.uniform(-1.0, 1.0):.6f}"), rng.integers(m)))
+        out.append(_Quadratic(ct, terms))
     return out
+
+
+def _merge(pairs):
+    """(key, coefficient) pairs with like keys added, as simplify collects
+    like terms: keys in first-seen order, each sum taken in turn, a key
+    whose sum is exactly 0 dropped."""
+    groups = {}
+    for key, c in pairs:
+        groups[key] = groups[key] + c if key in groups else c
+    return [(key, c) for key, c in groups.items() if c]
+
+
+class _Quadratic:
+    """sum c z_i z_j + sum c z_i over z = (q, p), in closed form: terms holds
+    (c, i, j) for each product and (c, i) for each linear term.
+
+    Bit-equal to the ExprObservable of the terms' text, each coefficient
+    written with six decimals and the names of z for i and j (where no
+    coordinate or parameter is named like a momentum, p_<coord>), by taking
+    its pipeline's steps.  Simplify drops a zero term, then merges like
+    terms by ordered pair or single index (_merge); the evaluator computes
+    a product as (c*z_i)*z_j and a sum left to right from its first term,
+    0.0 for none.  The k-th partial holds c z_j for each term c z_k z_j or
+    c z_j z_k and (c + c) z_k for c z_k^2, merged by index, then the sum of
+    the linear terms' constants, added last where it is not 0 or nothing
+    else is left.  The Hessian is constant: row k holds the coefficients of
+    the k-th partial, read from its upper triangle."""
+
+    def __init__(self, ct, terms):
+        self._n, m = ct.n, ct.n + ct.r
+        self._terms = [(c, at) for at, c in _merge((tuple(at), c) for c, *at in terms if c)]
+        self._partials = []
+        for k in range(m):
+            pairs, const = [], 0.0
+            for c, at in self._terms:
+                if at == (k,):
+                    const += c
+                elif at == (k, k):
+                    pairs.append((k, c + c))
+                elif k in at:
+                    pairs.append((at[1] if at[0] == k else at[0], c))
+            merged = [(c, j) for j, c in _merge(pairs)]
+            self._partials.append((merged, [const] if const or not merged else []))
+        self._rows = [[0.0] * m for _ in range(m)]
+        for k, (merged, _) in enumerate(self._partials):
+            for c, j in merged:
+                if j >= k:
+                    self._rows[k][j] = self._rows[j][k] = c
+
+    def value(self, pt):
+        z = (*pt._q, *pt._p)
+        return functools.reduce(operator.add, [math.prod([c, *(z[i] for i in at)])
+                                               for c, at in self._terms] or [0.0])
+
+    def _gradient(self, pt):
+        z = (*pt._q, *pt._p)
+        return [functools.reduce(operator.add, [c * z[j] for c, j in merged] + const)
+                for merged, const in self._partials]
+
+    def d_dq(self, pt):
+        return self._gradient(pt)[:self._n]
+
+    def d_dp(self, pt):
+        return self._gradient(pt)[self._n:]
+
+    def _jet(self, pt):
+        """(gradient, Hessian rows) over z = (q, p), as floats; the rows are
+        shared."""
+        return self._gradient(pt), self._rows
 
 
 # ------------------------------------------------------------ check bodies

@@ -618,7 +618,10 @@ class TestStageFolding:
         ct = ClairautTransform(parse_model("coord x, a, b; lagrangian = d(x)^2/2 + x*d(b);"))
         exprs = [e for block in ct.core_exprs.values() for e in block]
         stage = numerics.fused_stage(exprs, ct.arg_names, ct._reg, (0, 1), (), ct.newton.max_iter)
-        assert f"    raise RankDeficiencyError({numerics.SECTOR_SINGULAR!r})" in stage.source
+        lines = stage.source.splitlines()
+        raises = [k for k, line in enumerate(lines) if line.lstrip().startswith("raise ")]
+        assert lines[raises[0]] == f"    raise RankDeficiencyError({numerics.SECTOR_SINGULAR!r})"
+        assert raises[0] == len(lines) - 1  # nothing after it is reached, so nothing is emitted
         with pytest.raises(RankDeficiencyError, match="sector subblock singular"):
             stage(0.1, 0.2, 0.3, 0.4, 0.5, -0.25, 0.4, math.inf)
 

@@ -8,11 +8,12 @@ from functools import lru_cache
 
 import pytest
 
-from clairaut import (ClairautTransform, classify, dynamics, load_bundled, manytime, parse_model,
-                      verify)
+from clairaut import (ClairautTransform, classify, dynamics, gauge, load_bundled, manytime,
+                      parse_model, verify)
 from clairaut.fixtures import BUNDLED
-from clairaut.gauge import phase_probes
-from clairaut.model import DEFAULT_PROBE_COUNT, default_probes
+from clairaut.gauge import ExprObservable, phase_probes
+from clairaut.model import DEFAULT_PROBE_COUNT, default_probes, momentum_name
+from clairaut.transform import PhasePoint
 from clairaut.verify import render_report, run_verification
 
 
@@ -261,3 +262,82 @@ class TestConstraintPreservation:
                  if c["name"] == "consistency_functions")
         assert c["tol"] is None
         assert c["residual"] > 1e-3
+
+
+def drawn_texts(ctx, salt, count):
+    """The text of each random observable that verify draws: three products
+    and a linear term over the names of z = (q, p), each coefficient written
+    with six decimals."""
+    ct, rng = ctx.ct, ctx.rng(salt)
+    syms = list(ct.model.coords) + [momentum_name(c) for c in ct.split.regular]
+    out = []
+    for _ in range(count):
+        terms = []
+        for _ in range(3):
+            coeff = rng.uniform(-1.5, 1.5)
+            s1 = syms[rng.integers(len(syms))]
+            s2 = syms[rng.integers(len(syms))]
+            terms.append(f"{coeff:.6f}*{s1}*{s2}")
+        terms.append(f"{rng.uniform(-1.0, 1.0):.6f}*{syms[rng.integers(len(syms))]}")
+        out.append(" + ".join(terms))
+    return out
+
+
+def bits(obs, pt):
+    """float.hex of an observable's value, gradient (d_dq, d_dp) and jet."""
+    grad, rows = obs._jet(pt)
+    return ([obs.value(pt).hex()], [float(v).hex() for v in [*obs.d_dq(pt), *obs.d_dp(pt)]],
+            [v.hex() for v in grad], [v.hex() for row in rows for v in row])
+
+
+def seed_42_context(name):
+    ct = ClairautTransform(load_bundled(name))
+    probes = phase_probes(ct, count=DEFAULT_PROBE_COUNT, seed=42)
+    return verify._Context(ct, classify(ct, probes=probes), probes, 42)
+
+
+class TestRandomObservables:
+    """verify's random observables are quadratics in closed form, bit for
+    bit the ExprObservable of the text of their terms."""
+
+    @pytest.mark.parametrize("name", BUNDLED)
+    def test_bit_equal_to_the_expression_pipeline(self, name):
+        ctx = seed_42_context(name)
+        for salt in range(100):
+            texts = drawn_texts(ctx, salt, 3)
+            for obs, text in zip(verify._random_observables(ctx, salt, 3), texts, strict=True):
+                oracle = ExprObservable(ctx.ct, text)
+                for pt in ctx.probes:
+                    assert bits(obs, pt) == bits(oracle, pt), (salt, text)
+
+    # over z = (x, y, p_x) of mixed: (c, i, j) is c*z_i*z_j, (c, i) is c*z_i
+    TERMS = {
+        "repeated_pair": [(0.7, 0, 1), (0.4, 0, 1), (-0.3, 2, 2), (0.2, 1)],
+        "swapped_pair": [(0.7, 0, 1), (0.4, 1, 0), (1.1, 2, 0), (0.5, 2)],
+        "square_and_linear": [(0.9, 0, 0), (0.4, 0, 1), (-0.6, 0), (0.3, 1, 2), (0.25, 0, 0)],
+        "unit_coefficients": [(1.0, 0, 1), (-1.0, 2, 2), (-1.0, 0, 0), (1.0, 1), (1.0, 2, 1)],
+        "cancellation": [(0.5, 0, 1), (-0.5, 0, 1), (0.3, 1, 0), (-0.3, 0, 1), (0.25, 1)],
+        "all_cancel": [(0.5, 0, 1), (-0.5, 0, 1), (0.25, 1), (-0.25, 1)],
+        "zero_before_like_term": [(0.0, 2, 2), (0.3, 0, 1), (0.7, 0, 0), (-0.6, 2, 2),
+                                  (-0.0, 1, 0), (0.1, 1), (1.3, 1, 0)],
+        "negative_zero_sum": [(0.7, 0, 1), (-0.4, 2, 0), (-0.5, 2)],  # -0.0 at ZEROS
+    }
+    ZEROS = PhasePoint((0.0, -0.75), (0.0,), (0.0,))
+
+    @pytest.mark.parametrize("case", TERMS)
+    def test_hand_written_terms(self, case):
+        ctx = seed_42_context("mixed")
+        names = ["x", "y", "p_x"]
+        terms = self.TERMS[case]
+        text = " + ".join(f"{c:.6f}*" + "*".join(names[i] for i in at) for c, *at in terms)
+        obs, oracle = verify._Quadratic(ctx.ct, terms), ExprObservable(ctx.ct, text)
+        for pt in [*ctx.probes, self.ZEROS]:
+            assert bits(obs, pt) == bits(oracle, pt), text
+
+    @pytest.mark.parametrize("name", BUNDLED)
+    def test_a_run_builds_no_expression_observable(self, name, monkeypatch):
+        built, init = [], gauge.ExprObservable.__init__
+        monkeypatch.setattr(gauge.ExprObservable, "__init__",
+                            lambda self, *args: built.append(args) or init(self, *args))
+        run_verification(load_bundled(name))
+        assert built == []
