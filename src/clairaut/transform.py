@@ -17,7 +17,9 @@ velocity Hessian W = L_vv and L_vq) comes from the model's derivative core,
 whose regular rows of L_v and W_rr give the resolve's residual and Jacobian
 from one call per point.  A PhasePoint keeps float tuples and a resolution
 the call at the root; the package reads those floats, and both build their
-arrays on first read.  Every model resolves by full Newton steps
+arrays on first read.  resolve keeps its last resolution (_last) and that of
+each point a caller hands it in _held (verify's probes, for one run), both
+matched by point identity.  Every model resolves by full Newton steps
 in a generated float kernel (numerics.resolve_kernel), with damped Newton and
 restarts from the same start (newton_pair, newton_with_restarts) as the
 fallback.  The implicit-function derivative block, F and D_a H come from one
@@ -147,8 +149,12 @@ class ClairautTransform:
     The derivative core is the model's: core_exprs, core_slices and _f_core
     are its blocks, their positions in the flat tuple (L, L_v[n], L_q[n],
     W[n*n], L_vq[n*n]) and its compiled evaluator.  Threads may share a
-    transform: the resolve memo _last is one (point, resolution) tuple,
-    replaced whole and matched by point identity.
+    transform: resolve's memo is _last, one (point, resolution) tuple
+    replaced whole, and _held, a table keyed by id of (point, resolution)
+    tuples for the points a caller put in it with resolution None (verify's
+    probes, for the length of one run), each filled by that point's first
+    successful resolve without v_init and emptied by the caller.  Both match
+    by point identity.
     """
 
     CORE_BLOCKS = CORE_BLOCKS
@@ -176,6 +182,7 @@ class ClairautTransform:
         self._deg_at = [self.n + a for a in self._deg]
         self._resolve_kernel = resolve_kernel(self.n, self._reg)
         self._last = None
+        self._held = {}
         self._stages = {}  # _stage's kernels
 
     # _reg and _deg as int arrays, built on first read
@@ -216,15 +223,23 @@ class ClairautTransform:
         Full Newton steps from v_init (or zeros), damped Newton if one fails.
         The most recent resolution is memoized by point identity, so helpers
         that interrogate the same PhasePoint object repeatedly (brackets,
-        long derivatives) pay for one Newton solve.
+        long derivatives) pay for one Newton solve; so is that of each point
+        in _held.  A call with v_init reads neither.
         """
-        cached = self._last
-        if cached is not None and cached[0] is pt and v_init is None:
-            return cached[1]
+        table = self._held
+        if v_init is None:
+            cached = self._last
+            if cached is not None and cached[0] is pt:
+                return cached[1]
+            held = table.get(id(pt))
+            if held is not None and held[0] is pt and held[1] is not None:
+                return held[1]
         self._check_point(pt)
         x0 = [0.0] * self.r if v_init is None else list(_floats(v_init))
         res = Resolution(self, pt, *self._resolve_args(pt._q, pt._p, pt._v, x0))
         self._last = (pt, res)
+        if v_init is None and id(pt) in table:  # the table keeps pt: no other point has its id
+            table[id(pt)] = self._last
         return res
 
     def _check_point(self, pt):  # an ArgumentError where zip would truncate

@@ -202,7 +202,7 @@ def _envelope_gradients(ctx):
     ct = ctx.ct
     for pt in ctx.probes:
         try:
-            res = ct.resolve(pt._replace(v_deg=[0.0] * (ct.n - ct.r)))
+            res = ct.resolve(pt if ct.n == ct.r else pt._replace(v_deg=[0.0] * (ct.n - ct.r)))
         except ClairautError:
             continue
         yield from map(operator.sub, res._flat("dH_dp"), res._v)
@@ -228,7 +228,7 @@ def _conjugate_residual(ctx):
         res = ct.resolve(pt)
         free = [b + u for b, u in zip(res._flat("B"), rng.uniform(-1.0, 1.0, size=ct.n - ct.r))]
         pbar = [v for _, v in sorted(zip(ct._reg + ct._deg, [*pt._p, *free]))]
-        yield ct.clairaut_residual(pt._q, pbar, v_deg=pt._v)
+        yield ct._residual(pt, pbar)  # at the probe, resolved above
 
 
 def _pair_check(salt, count, defect):
@@ -556,28 +556,32 @@ def run_verification(model, seed=DEFAULT_PROBE_SEED, probe_count=DEFAULT_PROBE_C
     """Execute the applicable checks and return the report as plain data."""
     ct = ClairautTransform(model)
     probes = phase_probes(ct, count=probe_count, seed=seed)
-    cls = classify(ct, probes=probes)
-    ctx = _Context(ct, cls, probes, seed)
-    checks = []
-    for name, tol, fn, applicable in _check_table(ctx):
-        if not applicable:
-            continue
-        try:
-            residual = float(_max_abs(fn(ctx)))
-            checks.append({
-                "name": name,
-                "residual": residual,
-                "tol": tol,
-                "passed": True if tol is None else bool(residual <= tol),
-            })
-        except ClairautError as exc:
-            checks.append({
-                "name": name,
-                "residual": None,
-                "tol": tol,
-                "passed": tol is None,
-                "error": f"{type(exc).__name__}: {exc}",
-            })
+    ct._held = {id(pt): (pt, None) for pt in probes}  # each probe resolved once for the run
+    try:
+        cls = classify(ct, probes=probes)
+        ctx = _Context(ct, cls, probes, seed)
+        checks = []
+        for name, tol, fn, applicable in _check_table(ctx):
+            if not applicable:
+                continue
+            try:
+                residual = float(_max_abs(fn(ctx)))
+                checks.append({
+                    "name": name,
+                    "residual": residual,
+                    "tol": tol,
+                    "passed": True if tol is None else bool(residual <= tol),
+                })
+            except ClairautError as exc:
+                checks.append({
+                    "name": name,
+                    "residual": None,
+                    "tol": tol,
+                    "passed": tol is None,
+                    "error": f"{type(exc).__name__}: {exc}",
+                })
+    finally:
+        ct._held = {}
     return {
         "model": ct.model.name,
         "seed": int(seed),

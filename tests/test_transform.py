@@ -423,6 +423,61 @@ class TestPhasePointImmutability:
         assert abs(second.H - ct.h_phys(ct.point([0.3, 1.5], [0.7]))) == 0.0
 
 
+class TestHeldResolutions:
+    """_held keeps, by identity, the resolution of each point it was given
+    (verify's probes, for one run) after that point's first resolve without
+    v_init: the same PhasePoint object reads it back after _last has moved
+    on, any other point resolves as before."""
+
+    @staticmethod
+    def held(monkeypatch, name="christ_lee"):
+        ct = transform(name)
+        points = phase_probes(ct, count=3)
+        ct._held = {id(pt): (pt, None) for pt in points}
+        calls = []
+        real = ct._resolve_args
+        monkeypatch.setattr(ct, "_resolve_args", lambda *args: calls.append(args) or real(*args))
+        return ct, points, calls
+
+    def test_a_held_point_resolves_once(self, monkeypatch):
+        ct, points, calls = self.held(monkeypatch)
+        first = [ct.resolve(pt) for pt in points]
+        assert [ct.resolve(pt) for pt in points] == first and len(calls) == 3
+        assert all(ct._held[id(pt)] == (pt, res) for pt, res in zip(points, first))
+
+    def test_an_equal_fresh_point_resolves_anew(self, monkeypatch):
+        ct, points, calls = self.held(monkeypatch)
+        pt = points[0]
+        res = ct.resolve(pt)
+        twin = PhasePoint(pt._q, pt._p, pt._v)
+        again = ct.resolve(twin)
+        assert again is not res and len(calls) == 2 and id(twin) not in ct._held
+        assert hexed((again.args, again._v, again._core)) == hexed((res.args, res._v, res._core))
+        assert ct.resolve(pt) is res and len(calls) == 2
+
+    def test_v_init_bypasses_the_table(self, monkeypatch):
+        ct, points, calls = self.held(monkeypatch)
+        pt = points[0]
+        warm = ct.resolve(pt, v_init=[0.1] * ct.r)
+        assert ct._held[id(pt)] == (pt, None)  # a resolve from v_init is not kept
+        ct.resolve(points[1])  # _last moves on
+        res = ct.resolve(pt)
+        assert res is not warm and len(calls) == 3
+        assert ct.resolve(pt, v_init=res.V) is not res and len(calls) == 4
+        assert ct._held[id(pt)] == (pt, res)
+
+    def test_a_failing_point_raises_each_time(self, monkeypatch):
+        ct = transform("exponential")
+        pt = ct.point([0.2], [-3.0])  # x exp(v) = p < 0: no root
+        ct._held = {id(pt): (pt, None)}
+        errors = []
+        for _ in range(2):
+            with pytest.raises(NewtonError) as exc:
+                ct.resolve(pt)
+            errors.append(str(exc.value))
+        assert errors[0] == errors[1] and ct._held[id(pt)] == (pt, None)
+
+
 def rel_error(got, want):
     """max |got - want| over max(1, |want|), entry by entry."""
     got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)

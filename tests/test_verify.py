@@ -8,8 +8,8 @@ from functools import lru_cache
 
 import pytest
 
-from clairaut import (ClairautTransform, classify, dynamics, gauge, load_bundled, manytime,
-                      parse_model, verify)
+from clairaut import (ClairautTransform, NewtonError, classify, dynamics, gauge, load_bundled,
+                      manytime, parse_model, verify)
 from clairaut.fixtures import BUNDLED
 from clairaut.gauge import ExprObservable, phase_probes
 from clairaut.model import DEFAULT_PROBE_COUNT, default_probes, momentum_name
@@ -100,6 +100,92 @@ class TestSharedReports:
                 ("constraint_hamiltonian_bracket_sign",
                  "extra_time_row_matches_long_derivative")):
             assert rows[constraint] == rows[extra_time] | {"name": constraint}
+
+
+class TestOneResolvePerProbe:
+    """run_verification resolves each of its probes once and every row reads
+    that resolution; the transform keeps none of them after the run."""
+
+    @staticmethod
+    def probe_values(name):
+        probes = phase_probes(ClairautTransform(load_bundled(name)),
+                              count=DEFAULT_PROBE_COUNT, seed=42)
+        return [(pt._q, pt._p, pt._v) for pt in probes]
+
+    @staticmethod
+    def count_resolves(monkeypatch):
+        calls, real = Counter(), ClairautTransform._resolve_args
+
+        def counting(ct, q, p, v_deg, x0):
+            calls[tuple(q), tuple(p), tuple(v_deg)] += 1
+            return real(ct, q, p, v_deg, x0)
+
+        monkeypatch.setattr(ClairautTransform, "_resolve_args", counting)
+        return calls
+
+    @staticmethod
+    def capture_transform(monkeypatch):
+        seen, real = [], verify.phase_probes
+        monkeypatch.setattr(verify, "phase_probes",
+                            lambda ct, **kwargs: seen.append(ct) or real(ct, **kwargs))
+        return seen
+
+    @pytest.mark.parametrize("name", BUNDLED)
+    def test_each_probe_resolved_once(self, name, monkeypatch):
+        # probe 0 of a degenerate model is also the start of displaced
+        # copies with its values (the constraint-preservation projection)
+        values = self.probe_values(name)
+        calls = self.count_resolves(monkeypatch)
+        run_verification(load_bundled(name), seed=42)
+        first = 0 if name in ("oscillator", "exponential") else 1
+        assert [calls[v] for v in values[first:]] == [1] * (len(values) - first)
+
+    def test_a_failing_probe_fails_each_row_as_before(self, monkeypatch):
+        # a probe whose resolve raises is kept out of the table, so every row
+        # that reads it raises again: the report a run without the table gives
+        bad = self.probe_values("oscillator")[1]
+        calls, real = Counter(), ClairautTransform._resolve_args
+
+        def failing(ct, q, p, v_deg, x0):
+            if (tuple(q), tuple(p), tuple(v_deg)) == bad:
+                calls["bad"] += 1
+                raise NewtonError("no root at the second probe")
+            return real(ct, q, p, v_deg, x0)
+
+        monkeypatch.setattr(ClairautTransform, "_resolve_args", failing)
+        rep = run_verification(load_bundled("oscillator"), seed=42)
+        errors = [c["name"] for c in rep["checks"] if "error" in c]
+        assert len(errors) >= 3 and calls["bad"] >= len(errors)
+        assert {c["error"] for c in rep["checks"] if "error" in c} == {
+            "NewtonError: no root at the second probe"}
+        resolve = ClairautTransform.resolve
+        monkeypatch.setattr(ClairautTransform, "resolve", lambda ct, pt, v_init=None: (
+            ct._held.clear(), resolve(ct, pt, v_init))[1])
+        assert run_verification(load_bundled("oscillator"), seed=42) == rep
+
+    def test_no_resolution_held_after_the_run(self, monkeypatch):
+        seen = self.capture_transform(monkeypatch)
+        real, held = verify._conjugate_residual, []
+
+        def check(ctx):
+            held.append(sum(res is not None for _, res in ctx.ct._held.values()))
+            return real(ctx)
+
+        monkeypatch.setattr(verify, "_conjugate_residual", check)
+        run_verification(load_bundled("christ_lee"), seed=42)
+        assert held == [DEFAULT_PROBE_COUNT] and seen[0]._held == {}
+
+    def test_no_resolution_held_after_an_exception(self, monkeypatch):
+        seen = self.capture_transform(monkeypatch)
+
+        def check(ctx):
+            assert ctx.ct._held
+            raise RuntimeError("check failed")
+
+        monkeypatch.setattr(verify, "_conjugate_residual", check)
+        with pytest.raises(RuntimeError, match="check failed"):
+            run_verification(load_bundled("christ_lee"), seed=42)
+        assert seen[0]._held == {}
 
 
 class TestDefectFold:
