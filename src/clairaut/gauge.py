@@ -16,30 +16,25 @@ generates time evolution in each case.
 
 Observables are duck-typed: anything with value(pt), d_dq(pt) -> n-vector in
 coordinate declaration order, and d_dp(pt) -> r-vector over the regular
-momenta.  The identities that differentiate these quantities once more
-(Bianchi, the Maxwell current, and verify's commutator, Leibniz and
+momenta: ExprObservable, an expression; BObservable, B_alpha's slot of the
+Resolution (transform._SlotObservable, as is H_phys's hamiltonian_observable);
+FiniteDifferenceObservable, a plain callable, for cross-checks against the
+exact derivatives.  The identities that differentiate these quantities once
+more (Bianchi, the Maxwell current, and verify's commutator, Leibniz and
 delta-commutator rows) read exact second derivatives: the Resolution's
 second-order jet (Hessians of B and H, dF, the gradient of D_a H) and an
 observable's _jet (ExprObservable's, or the constant Hessian of verify's
-quadratics), as flat floats over z = (q, p); _bracket_gradient
-and _long_gradient carry the product rule through the bracket.  A
-finite-difference wrapper still lifts plain callables into the observable
-interface, for cross-checks against these exact derivatives.
+quadratics), as flat floats over z = (q, p); _bracket_gradient and
+_long_gradient carry the product rule through the bracket.
 """
 
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import ModelError, RankDeficiencyError, RankVariationError
-from .expressions import (
-    compile_evaluator,
-    differentiate,
-    free_symbols,
-    parse_expression,
-    simplify,
-    substitute,
-)
+from .errors import ArgumentError, ModelError, RankDeficiencyError, RankVariationError
+from .expressions import (Expr, compile_evaluator, differentiate, free_symbols, parse_expression,
+                          simplify, substitute)
 from .model import (
     DEFAULT_PROBE_COUNT,
     DEFAULT_PROBE_SEED,
@@ -48,7 +43,7 @@ from .model import (
     momentum_name,
 )
 from .numerics import SingularMatrixError, _max_abs, central_differences, dot, probe_ranks, solver
-from .transform import PhasePoint
+from .transform import PhasePoint, _SlotObservable
 
 
 class ExprObservable:
@@ -62,6 +57,8 @@ class ExprObservable:
     def __init__(self, ct, expr):
         if isinstance(expr, str):
             expr = parse_expression(expr)
+        elif not isinstance(expr, Expr):
+            raise ArgumentError(f"an observable is an Expr or its text, not {expr!r}")
         expr = simplify(substitute(expr, ct.model.params))
         coords = ct.model.coords
         pnames = [momentum_name(c) for c in ct.split.regular]
@@ -115,21 +112,11 @@ class ExprObservable:
         return list(self._eval(pt)[1:]), rows
 
 
-class BObservable:
+class BObservable(_SlotObservable):
     """B_alpha as an observable, with implicit-function analytic gradients."""
 
     def __init__(self, ct, alpha):
-        self.ct = ct
-        self.alpha = alpha
-
-    def value(self, pt):
-        return self.ct.resolve(pt)._flat("B")[self.alpha]
-
-    def d_dq(self, pt):
-        return self.ct.resolve(pt).dB_dq[self.alpha]
-
-    def d_dp(self, pt):
-        return self.ct.resolve(pt).dB_dp[self.alpha]
+        super().__init__(ct, alpha)
 
 
 class FiniteDifferenceObservable:
@@ -142,6 +129,8 @@ class FiniteDifferenceObservable:
     """
 
     def __init__(self, fn, ct, step=1e-5):
+        if not 0.0 < step < float("inf"):
+            raise ArgumentError(f"the difference step must be finite and positive, not {step!r}")
         self.fn = fn
         self.ct = ct
         self.step = step
@@ -213,14 +202,13 @@ def poisson_phys(ct, x, y, pt):
 
 def long_derivative(ct, x, alpha, pt):
     """D_alpha X: the q^alpha-partial plus the B_alpha bracket action."""
-    res = ct.resolve(pt)
-    return _long_derivative(ct, res, alpha, x.d_dq(pt), x.d_dp(pt))
+    alpha = ct._degenerate_index(alpha)
+    return _long_derivative(ct, ct.resolve(pt), alpha, x.d_dq(pt), x.d_dp(pt))
 
 
 def delta_b(ct, alpha, x, pt):
     """The B_alpha-transformation of X: {B_alpha, X}_phys."""
-    res = ct.resolve(pt)
-    return _poisson(ct, res.dB_dq[alpha], res.dB_dp[alpha], x.d_dq(pt), x.d_dp(pt))
+    return poisson_phys(ct, BObservable(ct, alpha), x, pt)
 
 
 def field_strength(ct, pt):

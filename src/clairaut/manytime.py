@@ -8,6 +8,7 @@ Each time carries its own Hamiltonian,
     H_0     = H_phys,
     H_alpha = -B_alpha,
 
+each a slot of the Resolution (transform._SlotObservable), B's with sign -1.0,
 and the commutator of two time translations is measured by the
 antisymmetric matrix
 
@@ -24,26 +25,9 @@ the constraint brackets {phi_a, phi_b} and -{phi_a, H_phys}, phi_a = p_a - B_a.
 from dataclasses import dataclass
 
 from .errors import ModelError
-from .gauge import BObservable, _poisson, field_strength, phase_probes
+from .gauge import _poisson, field_strength, phase_probes
 from .numerics import _max_abs
-
-
-class _Negated:
-    """Observable wrapper flipping the sign of value and gradients."""
-
-    __slots__ = ("_base",)
-
-    def __init__(self, base):
-        self._base = base
-
-    def value(self, pt):
-        return -self._base.value(pt)
-
-    def d_dq(self, pt):
-        return -self._base.d_dq(pt)
-
-    def d_dp(self, pt):
-        return -self._base.d_dp(pt)
+from .transform import _SlotObservable
 
 
 @dataclass(frozen=True)
@@ -74,18 +58,15 @@ def map_to_manytime(ct):
     Nondegenerate models come out with m = 1: the single time t with
     H_0 = H_phys and nothing else.
     """
-    coords = ct.model.coords
-    times = ("t",) + tuple(coords[a] for a in ct.deg_idx)
-    hams = (ct.hamiltonian_observable(),)
-    hams += tuple(_Negated(BObservable(ct, k)) for k in range(len(ct.deg_idx)))
-    return ManyTimeSystem(ct=ct, times=times, hamiltonians=hams)
+    hams = [_SlotObservable(ct, a, -1.0) for a in range(ct.n - ct.r)]  # H_a = -B_a
+    return ManyTimeSystem(ct, ("t", *ct.split.degenerate), (ct.hamiltonian_observable(), *hams))
 
 
 def g_matrix(mts, pt):
     """Evaluate G_mu_nu at a phase point.  Exactly antisymmetric: each pair
     mu < nu is assembled once and (nu, mu) is its negation."""
     import numpy as np
-    ct, deg, m = mts.ct, mts.ct.deg_idx, mts.m
+    ct, deg, m = mts.ct, mts.ct._deg, mts.m
     gq = [h.d_dq(pt) for h in mts.hamiltonians]
     gp = [h.d_dp(pt) for h in mts.hamiltonians]
     g = np.zeros((m, m))

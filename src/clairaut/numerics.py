@@ -213,7 +213,10 @@ def _floats(values):
     an array read row-major."""
     if hasattr(values, "ravel"):  # an array
         values = values.ravel().tolist()
-    return tuple(map(float, values))
+    try:
+        return tuple(map(float, values))
+    except (TypeError, ValueError) as exc:
+        raise ArgumentError(f"expected a flat sequence of numbers: {exc}") from None
 
 
 def _max_abs(values):

@@ -37,6 +37,7 @@ regular velocities of L = f(d(z)).
 
 import itertools
 from functools import cached_property
+from numbers import Integral
 
 from .errors import ArgumentError, DomainError, FenchelError, NewtonError
 from .model import CORE_BLOCKS, _zeros, split_variables
@@ -235,7 +236,10 @@ class ClairautTransform:
             if held is not None and held[0] is pt and held[1] is not None:
                 return held[1]
         self._check_point(pt)
-        x0 = [0.0] * self.r if v_init is None else list(_floats(v_init))
+        if v_init is None:
+            x0 = [0.0] * self.r
+        elif len(x0 := list(_floats(v_init))) != self.r:
+            raise ArgumentError(f"v_init takes {self.r} values on this split, not {len(x0)}")
         res = Resolution(self, pt, *self._resolve_args(pt._q, pt._p, pt._v, x0))
         self._last = (pt, res)
         if v_init is None and id(pt) in table:  # the table keeps pt: no other point has its id
@@ -343,21 +347,38 @@ class ClairautTransform:
 
     def hamiltonian_observable(self):
         """H_phys wrapped with the Observable interface (value, d_dq, d_dp)."""
-        return _HamiltonianObservable(self)
+        return _SlotObservable(self)
+
+    def _degenerate_index(self, alpha):
+        """alpha as an int if it is one in 0..n-r-1, else an ArgumentError."""
+        if not (isinstance(alpha, Integral) and 0 <= alpha < self.n - self.r):
+            raise ArgumentError(f"a degenerate direction of this split is an integer in "
+                                f"0..{self.n - self.r - 1}, not {alpha!r}")
+        return int(alpha)
 
 
-class _HamiltonianObservable:
-    def __init__(self, ct):
-        self.ct = ct
+class _SlotObservable:
+    """H_phys (alpha None) or B_alpha times sign (1.0 or -1.0, an exact negation),
+    read off the Resolution: value a float, d_dq and d_dp its gradient rows."""
+
+    def __init__(self, ct, alpha=None, sign=1.0):
+        self.ct, self.sign = ct, sign
+        self.alpha = None if alpha is None else ct._degenerate_index(alpha)
+
+    def _signed(self, x):
+        return x if self.sign > 0 else -x
 
     def value(self, pt):
-        return self.ct.h_phys(pt)
+        res = self.ct.resolve(pt)
+        return self._signed(res.H if self.alpha is None else res._flat("B")[self.alpha])
 
     def d_dq(self, pt):
-        return self.ct.resolve(pt).dH_dq
+        res = self.ct.resolve(pt)
+        return self._signed(res.dH_dq if self.alpha is None else res.dB_dq[self.alpha])
 
     def d_dp(self, pt):
-        return self.ct.resolve(pt).dH_dp
+        res = self.ct.resolve(pt)
+        return self._signed(res.dH_dp if self.alpha is None else res.dB_dp[self.alpha])
 
 
 # ------------------------------------------------------- numeric conjugate

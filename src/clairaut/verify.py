@@ -24,6 +24,7 @@ import functools
 import json
 import math
 import operator
+from numbers import Integral
 
 from .dynamics import (
     IntegratorConfig,
@@ -31,7 +32,7 @@ from .dynamics import (
     gauge_input,
     integrate,
 )
-from .errors import ClairautError
+from .errors import ArgumentError, ClairautError
 from .gauge import (
     FiniteDifferenceObservable,
     _bracket_gradient,
@@ -554,6 +555,9 @@ def _check_table(ctx):
 
 def run_verification(model, seed=DEFAULT_PROBE_SEED, probe_count=DEFAULT_PROBE_COUNT):
     """Execute the applicable checks and return the report as plain data."""
+    for name, value, low in (("seed", seed, 0), ("probe_count", probe_count, 1)):
+        if not (isinstance(value, Integral) and value >= low):
+            raise ArgumentError(f"{name} must be an integer of at least {low}, not {value!r}")
     ct = ClairautTransform(model)
     probes = phase_probes(ct, count=probe_count, seed=seed)
     ct._held = {id(pt): (pt, None) for pt in probes}  # each probe resolved once for the run

@@ -20,6 +20,7 @@ from clairaut import (
 )
 from clairaut import gauge, numerics, verify
 from clairaut import transform as transform_module
+from clairaut.errors import ArgumentError
 from clairaut.expressions import differentiate, evaluate
 from clairaut.fixtures import BUNDLED, bundled_model_text
 from clairaut.model import momentum_name
@@ -113,6 +114,18 @@ class TestObservables:
         with pytest.raises(ModelError):
             ExprObservable(transform("mixed"), "p_y")
 
+    @pytest.mark.parametrize("expr", [123, 1.5, None, ["x"]])
+    def test_expression_must_be_text_or_expr(self, expr):
+        # an int raised a raw AttributeError
+        with pytest.raises(ArgumentError, match="an observable is an Expr or its text"):
+            ExprObservable(transform("mixed"), expr)
+
+    @pytest.mark.parametrize("step", [0.0, -1e-5, math.inf, math.nan])
+    def test_finite_difference_step_must_be_finite_and_positive(self, step):
+        # a zero step raised ZeroDivisionError on the first gradient
+        with pytest.raises(ArgumentError, match="step must be finite and positive"):
+            FiniteDifferenceObservable(lambda pt: 1.0, transform("mixed"), step)
+
     def test_finite_difference_wrapper_matches_analytic(self):
         ct = transform("mixed")
         obs = ExprObservable(ct, "x^2*p_x + sin(y)")
@@ -120,6 +133,44 @@ class TestObservables:
         pt = ct.point([0.7, 1.5], [2.0])
         assert np.max(np.abs(obs.d_dq(pt) - fd.d_dq(pt))) < 1e-8
         assert np.max(np.abs(obs.d_dp(pt) - fd.d_dp(pt))) < 1e-8
+
+
+class TestDegenerateDirection:
+    """BObservable, delta_b and long_derivative take a degenerate direction
+    only as an integer in 0..n-r-1 (ClairautTransform._degenerate_index):
+    -1 read the last direction and the others raised IndexError or
+    TypeError from a list, a tuple or an ndarray."""
+
+    def test_out_of_range_raises_naming_the_range(self):
+        ct = transform("synthetic_bianchi")
+        pt, x = sample_points("synthetic_bianchi", 1)[0], ExprObservable(ct, "x*p_x")
+        assert ct.n - ct.r == 3
+        for alpha in (ct.n - ct.r, -1, 1.5, "x"):
+            for call in (lambda: BObservable(ct, alpha).value(pt),
+                         lambda: delta_b(ct, alpha, x, pt),
+                         lambda: long_derivative(ct, x, alpha, pt)):
+                with pytest.raises(ArgumentError, match=r"integer in 0\.\.2, not "):
+                    call()
+
+    def test_valid_directions_read_their_rows(self):
+        # the values of the unchecked reads, bit for bit, at every valid
+        # index, as a Python int or a numpy integer
+        ct = transform("synthetic_bianchi")
+        x = ExprObservable(ct, "x*p_x + sin(a)*b + c^2*p_x")
+        for pt in sample_points("synthetic_bianchi"):
+            res, xq, xp = ct.resolve(pt), x.d_dq(pt), x.d_dp(pt)
+            for a in range(ct.n - ct.r):
+                bracket = gauge._poisson(ct, res.dB_dq[a], res.dB_dp[a], xq, xp)
+                long = gauge._long_derivative(ct, res, a, xq, xp)
+                for alpha in (a, np.int64(a)):
+                    assert BObservable(ct, alpha).value(pt).hex() == res._flat("B")[a].hex()
+                    assert delta_b(ct, alpha, x, pt).hex() == bracket.hex()
+                    assert long_derivative(ct, x, alpha, pt).hex() == long.hex()
+
+    def test_a_split_without_degenerate_directions_takes_none(self):
+        ct = transform("oscillator")
+        with pytest.raises(ArgumentError, match="a degenerate direction of this split"):
+            BObservable(ct, 0)
 
 
 class TestPoissonPhys:

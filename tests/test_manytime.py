@@ -9,7 +9,7 @@ import pytest
 from clairaut import ClairautTransform, ModelError, load_bundled, parse_model
 from clairaut import manytime
 from clairaut.dynamics import d_alpha_h
-from clairaut.gauge import FiniteDifferenceObservable, field_strength, phase_probes
+from clairaut.gauge import BObservable, FiniteDifferenceObservable, field_strength, phase_probes
 from clairaut.manytime import (
     ManyTimeSystem,
     g_matrix,
@@ -39,6 +39,35 @@ def transform(name):
 @lru_cache(maxsize=None)
 def system(name):
     return map_to_manytime(transform(name))
+
+
+def _hexes(row):
+    return [float(v).hex() for v in row]
+
+
+class TestSignedSlots:
+    """H_0 = H_phys and H_a = -B_a are slots of the Resolution, the second
+    negated exactly, as are hamiltonian_observable and BObservable: every
+    value and gradient entry bit for bit, values Python floats and
+    gradients ndarray rows."""
+
+    @pytest.mark.parametrize("name", ALL_FIXTURES)
+    def test_slots_bit_for_bit(self, name):
+        ct = transform(name)
+        hams, probes = map_to_manytime(ct).hamiltonians, phase_probes(ct)
+        assert len(probes) == 17
+        for pt in probes:
+            res = ct.resolve(pt)
+            cases = [(obs, res.H, res.dH_dq, res.dH_dp)
+                     for obs in (hams[0], ct.hamiltonian_observable())]
+            for a in range(ct.n - ct.r):
+                b, bq, bp = res._flat("B")[a], res.dB_dq[a], res.dB_dp[a]
+                cases += [(hams[1 + a], -b, -bq, -bp), (BObservable(ct, a), b, bq, bp)]
+            for obs, value, dq, dp in cases:
+                got = obs.value(pt)
+                assert type(got) is float and got.hex() == value.hex()
+                for row, want in ((obs.d_dq(pt), dq), (obs.d_dp(pt), dp)):
+                    assert type(row) is np.ndarray and _hexes(row) == _hexes(want)
 
 
 class TestMapping:

@@ -321,6 +321,26 @@ class TestLengthsAgainstTheSplit:
         with pytest.raises(ArgumentError, match="takes 2 pbar values, not"):
             ct.clairaut_residual([0.4, 1.2], pbar)
 
+    @pytest.mark.parametrize("v_init", [[], [1, 2, 3, 4, 5]])
+    def test_resolve_takes_one_start_per_regular_velocity(self, v_init):
+        # the generated resolve kernel raised "too many values to unpack"
+        # (or "not enough"); the right length still resolves from it
+        ct = transform("synthetic_bianchi")
+        pt = phase_probes(ct)[0]
+        assert ct.r == 1
+        with pytest.raises(ArgumentError, match="v_init takes 1 values on this split, not"):
+            ct.resolve(pt, v_init=v_init)
+        assert ct.resolve(pt, v_init=[0.0]).H == ct.resolve(pt._replace()).H
+
+    @pytest.mark.parametrize("q", [["a"], [None], [[1.0, 2.0]]])
+    def test_a_point_takes_numbers_only(self, q):
+        # float("a") raised a raw ValueError, float(None) a TypeError;
+        # ArgumentError is still a ValueError
+        with pytest.raises(ArgumentError, match="expected a flat sequence of numbers"):
+            PhasePoint(q, [1.0], [0, 0, 0])
+        with pytest.raises(ValueError):
+            PhasePoint(q, [1.0], [0, 0, 0])
+
 
 class TestFenchelOracle:
     def test_oscillator_value(self):

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 from collections import Counter
 from collections.abc import Iterable
 from functools import lru_cache
@@ -10,6 +11,7 @@ import pytest
 
 from clairaut import (ClairautTransform, NewtonError, classify, dynamics, gauge, load_bundled,
                       manytime, parse_model, verify)
+from clairaut.errors import ArgumentError
 from clairaut.fixtures import BUNDLED
 from clairaut.gauge import ExprObservable, phase_probes
 from clairaut.model import DEFAULT_PROBE_COUNT, default_probes, momentum_name
@@ -58,6 +60,28 @@ class TestStructure:
             for c in report(name)["checks"]:
                 if c["tol"] is None:
                     assert c["passed"]
+
+
+class TestArguments:
+    """run_verification takes a seed that is an integer >= 0 and a probe
+    count that is an integer >= 1, as the CLI's flags do."""
+
+    @pytest.mark.parametrize("kwargs, message", [
+        # 0 probes gave six rows of residual 0.0 over nothing; 2.5 drew 3
+        # probes and reported 2; -1 and 1.5 raised from Rng
+        ({"probe_count": 0}, "probe_count must be an integer of at least 1, not 0"),
+        ({"probe_count": 2.5}, "probe_count must be an integer of at least 1, not 2.5"),
+        ({"seed": -1}, "seed must be an integer of at least 0, not -1"),
+        ({"seed": 1.5}, "seed must be an integer of at least 0, not 1.5"),
+        ({"seed": "42"}, "seed must be an integer of at least 0, not '42'"),
+    ])
+    def test_bad_arguments_raise(self, kwargs, message):
+        with pytest.raises(ArgumentError, match=re.escape(message)):
+            run_verification(load_bundled("oscillator"), **kwargs)
+
+    def test_the_smallest_arguments_run(self):
+        rep = run_verification(load_bundled("oscillator"), seed=0, probe_count=1)
+        assert (rep["seed"], rep["probe_count"], rep["all_pass"]) == (0, 1, True)
 
 
 class TestDeterminism:
