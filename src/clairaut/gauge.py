@@ -21,16 +21,15 @@ Resolution (transform._SlotObservable, as is H_phys's hamiltonian_observable);
 FiniteDifferenceObservable, a plain callable, for cross-checks against the
 exact derivatives.  The identities that differentiate these quantities once
 more (Bianchi, the Maxwell current, and verify's commutator, Leibniz and
-delta-commutator rows) read exact second derivatives: the Resolution's
-second-order jet (Hessians of B and H, dF, the gradient of D_a H) and an
-observable's _jet (ExprObservable's, or the constant Hessian of verify's
-quadratics), as flat floats over z = (q, p); _bracket_gradient and
-_long_gradient carry the product rule through the bracket.
+delta-commutator rows) read exact second derivatives from two sources:
+the Resolution's second-order jet (Hessians of B and H, dF, the gradient of
+D_a H) and the constant Hessian of verify's quadratics (their _jet), as flat
+floats over z = (q, p); _bracket_gradient and _long_gradient carry the
+product rule through the bracket.
 """
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
 
 from .errors import ArgumentError, ModelError, RankDeficiencyError, RankVariationError
 from .expressions import (Expr, compile_evaluator, differentiate, free_symbols, parse_expression,
@@ -48,7 +47,7 @@ from .transform import PhasePoint, _SlotObservable
 
 class ExprObservable:
     """Scalar function of (q, p) given as an expression, with exact first
-    and second partials.
+    partials.
 
     Allowed symbols: coordinates, momenta of the regular coordinates
     (p_<coord>), and model parameters (substituted at construction).
@@ -72,8 +71,7 @@ class ExprObservable:
         self.ct = ct
         self.expr = expr
         # value, then the q- and p-partials, from one evaluator
-        self._names, self._grad = names, [differentiate(expr, c) for c in names]
-        self._fn = compile_evaluator([expr] + self._grad, names)
+        self._fn = compile_evaluator([expr] + [differentiate(expr, c) for c in names], names)
         self._last = None
 
     def _eval(self, pt):  # the last (point, values), one tuple matched by identity
@@ -92,24 +90,6 @@ class ExprObservable:
     def d_dp(self, pt):
         import numpy as np
         return np.array(self._eval(pt)[1 + self.ct.n:])
-
-    @cached_property
-    def _hessian(self):
-        """The evaluator of the Hessian's upper triangle over (q, p), built on
-        first use: only _jet reads it, and building it with every observable
-        would add about a fifth to the cost of each one that never asks."""
-        names = self._names
-        return compile_evaluator(
-            [differentiate(g, x) for k, g in enumerate(self._grad) for x in names[k:]], names)
-
-    def _jet(self, pt):
-        """(gradient, Hessian rows) over z = (q, p), as floats."""
-        m = len(self._names)
-        rows, upper = [[0.0] * m for _ in range(m)], iter(self._hessian([*pt._q, *pt._p]))
-        for k in range(m):
-            for j in range(k, m):
-                rows[k][j] = rows[j][k] = next(upper)
-        return list(self._eval(pt)[1:]), rows
 
 
 class BObservable(_SlotObservable):

@@ -25,7 +25,7 @@ from functools import cached_property
 from . import expressions as ex
 from .errors import ExprSyntaxError, ModelError, RankVariationError, UnboundSymbolError
 from .expressions import compile_evaluator, evaluate, free_symbols, simplify, substitute
-from .numerics import Rng, probe_ranks, third_layout
+from .numerics import Rng, _require_integer, probe_ranks, third_layout
 
 DEFAULT_RANK_TOL = 1e-9
 DEFAULT_PROBE_COUNT = 17
@@ -297,6 +297,9 @@ def default_probes(model, count=DEFAULT_PROBE_COUNT, seed=DEFAULT_PROBE_SEED):
     seed is an int, None (fresh entropy) or a generator with numpy's
     uniform(lo, hi, size), used as it is.  Each model draws a given (count,
     integer seed) once; every call gets its own copies of the bindings."""
+    _require_integer("count", count, 1)
+    if not (seed is None or hasattr(seed, "uniform")):
+        _require_integer("seed", seed, 0)
     if not isinstance(seed, int):  # None or a generator: draw afresh each call
         return _draw_probes(model, count, seed)
     key = (count, seed)

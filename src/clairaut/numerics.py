@@ -62,6 +62,7 @@ import operator
 import re
 import secrets
 from dataclasses import dataclass
+from numbers import Integral
 
 from .errors import ArgumentError, DomainError, ModelError, NewtonError, RankDeficiencyError
 from .expressions import (_COMPILE_ENV, Call, Const, Neg, Pow, Prod, Quot, Sum, Sym, _children,
@@ -183,6 +184,12 @@ def second_differences(fn, x, step):
     return grad, hess
 
 
+def _require_integer(name, value, low):
+    """An ArgumentError unless value is an integer of at least low."""
+    if not (isinstance(value, Integral) and value >= low):
+        raise ArgumentError(f"{name} must be an integer of at least {low}, not {value!r}")
+
+
 @dataclass(frozen=True)
 class NewtonConfig:
     """Damped Newton settings shared by velocity resolution and the PDE solver."""
@@ -192,6 +199,14 @@ class NewtonConfig:
     damping: float = 0.5
     retries: int = 8
     max_backtracks: int = 40
+
+    def __post_init__(self):
+        for name, low in (("max_iter", 1), ("retries", 0), ("max_backtracks", 1)):
+            _require_integer(name, getattr(self, name), low)
+        if not 0.0 < self.tol < math.inf:
+            raise ArgumentError(f"tol must be finite and positive, not {self.tol!r}")
+        if not 0.0 < self.damping < 1.0:
+            raise ArgumentError(f"damping must lie strictly between 0 and 1, not {self.damping!r}")
 
 
 def dot(a, b):

@@ -203,18 +203,21 @@ class ClairautTransform:
     # ------------------------------------------------------------ points
 
     def point(self, q, p=None, v_deg=None):
-        """Build a PhasePoint from sequences, arrays or name-keyed dicts."""
-        if isinstance(q, dict):
-            q = [q.get(c, 0.0) for c in self.model.coords]
-        if p is None:
-            p = [0.0] * self.r
-        elif isinstance(p, dict):
-            p = [p.get(c, 0.0) for c in self.split.regular]
-        if v_deg is None:
-            v_deg = [0.0] * len(self._deg)
-        elif isinstance(v_deg, dict):
-            v_deg = [v_deg.get(c, 0.0) for c in self.split.degenerate]
-        return PhasePoint(q=q, p=p, v_deg=v_deg)
+        """Build a PhasePoint from sequences, arrays or name-keyed dicts (0.0 for
+        a name a dict leaves out, and for every name where p or v_deg is None);
+        a key that names no coordinate of its kind is an ArgumentError."""
+        split, parts = self.split, []
+        for x, names, kind in ((q, self.model.coords, "coordinate"),
+                               ({} if p is None else p, split.regular, "regular coordinate"),
+                               ({} if v_deg is None else v_deg, split.degenerate,
+                                "degenerate coordinate")):
+            if isinstance(x, dict):
+                if unknown := [key for key in x if key not in names]:
+                    raise ArgumentError(f"unknown {kind} {', '.join(map(repr, unknown))}; "
+                                        f"valid names: {', '.join(names) or 'none'}")
+                x = [x.get(c, 0.0) for c in names]
+            parts.append(x)
+        return PhasePoint(*parts)
 
     # ---------------------------------------------------------- resolution
 

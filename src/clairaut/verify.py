@@ -24,7 +24,7 @@ import functools
 import json
 import math
 import operator
-from numbers import Integral
+from types import SimpleNamespace
 
 from .dynamics import (
     IntegratorConfig,
@@ -32,7 +32,7 @@ from .dynamics import (
     gauge_input,
     integrate,
 )
-from .errors import ArgumentError, ClairautError
+from .errors import ClairautError
 from .gauge import (
     FiniteDifferenceObservable,
     _bracket_gradient,
@@ -57,7 +57,7 @@ from .model import (
     check_rank_constancy,
     default_probes,
 )
-from .numerics import Rng, _max_abs, central_differences, dot, second_differences
+from .numerics import Rng, _max_abs, _require_integer, central_differences, dot, second_differences
 from .transform import ClairautTransform, _not_convex, fenchel_conjugate
 
 
@@ -358,17 +358,17 @@ def _consistency_functions(ctx):
 
 
 def _bracket_jacobiator(ctx):
+    # the three inner brackets differenced as one vector, each displaced point
+    # resolved once; the k-th outer bracket reads row k of their gradient
     ct = ctx.ct
     x, y, z = _random_observables(ctx, 17, 3)
-    pt = ctx.probes[0]
-
-    def nested(u, v):
-        return FiniteDifferenceObservable(
-            lambda q: bracket_new(ct, u, v, q), ct, 1e-5)
-
-    yield (bracket_new(ct, nested(x, y), z, pt)
-           + bracket_new(ct, nested(z, x), y, pt)
-           + bracket_new(ct, nested(y, z), x, pt))
+    pt, cycle = ctx.probes[0], ((x, y, z), (z, x, y), (y, z, x))
+    inner = FiniteDifferenceObservable(
+        lambda q: [bracket_new(ct, u, v, q) for u, v, _ in cycle], ct, 1e-5)
+    rows = (SimpleNamespace(d_dq=lambda _, g=dq: g, d_dp=lambda _, g=dp: g)
+            for dq, dp in zip(inner.d_dq(pt), inner.d_dp(pt)))
+    a, b, c = (bracket_new(ct, row, w, pt) for row, (_, _, w) in zip(rows, cycle))
+    yield a + b + c
 
 
 def _b_vanishes(ctx):
@@ -555,9 +555,8 @@ def _check_table(ctx):
 
 def run_verification(model, seed=DEFAULT_PROBE_SEED, probe_count=DEFAULT_PROBE_COUNT):
     """Execute the applicable checks and return the report as plain data."""
-    for name, value, low in (("seed", seed, 0), ("probe_count", probe_count, 1)):
-        if not (isinstance(value, Integral) and value >= low):
-            raise ArgumentError(f"{name} must be an integer of at least {low}, not {value!r}")
+    _require_integer("seed", seed, 0)
+    _require_integer("probe_count", probe_count, 1)
     ct = ClairautTransform(model)
     probes = phase_probes(ct, count=probe_count, seed=seed)
     ct._held = {id(pt): (pt, None) for pt in probes}  # each probe resolved once for the run

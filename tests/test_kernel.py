@@ -915,6 +915,26 @@ class TestNewtonContract:
         assert type(start) is list and start == root
 
 
+class TestNewtonConfigFields:
+    @pytest.mark.parametrize("kwargs, message", [
+        # tol=-1 ran to a NewtonError ("math domain error") at the first probe
+        ({"tol": -1}, "tol must be finite and positive, not -1"),
+        ({"tol": math.nan}, "tol must be finite and positive, not nan"),
+        ({"damping": 1.5}, "damping must lie strictly between 0 and 1, not 1.5"),
+        ({"max_iter": 0}, "max_iter must be an integer of at least 1, not 0"),
+        ({"max_iter": 2.5}, "max_iter must be an integer of at least 1, not 2.5"),
+        ({"retries": -1}, "retries must be an integer of at least 0, not -1"),
+        ({"max_backtracks": 0}, "max_backtracks must be an integer of at least 1, not 0"),
+    ])
+    def test_a_field_out_of_range_raises(self, kwargs, message):
+        with pytest.raises(ArgumentError, match=re.escape(message)):
+            NewtonConfig(**kwargs)
+
+    def test_the_defaults_and_the_smallest_settings_construct(self):
+        assert NewtonConfig() == NewtonConfig(50, 1e-12, 0.5, 8, 40)
+        NewtonConfig(max_iter=1, tol=5e-324, damping=1e-3, retries=0, max_backtracks=1)
+
+
 class TestFullNewton:
     """The generated resolve kernel on one-coordinate models, where the
     Newton residual is L_v - p: damped_newton's root where damped_newton

@@ -1,6 +1,7 @@
 """Model loading, Hessian construction, and the regular/degenerate split."""
 
 import math
+import re
 import sys
 
 import numpy as np
@@ -22,6 +23,7 @@ from clairaut.dynamics import el_residual, integrate
 from clairaut.expressions import Const, differentiate, simplify, substitute
 from clairaut.errors import ArgumentError, ClairautError
 from clairaut.fixtures import BUNDLED, load_bundled
+from clairaut.gauge import phase_probes
 from clairaut import model as model_module
 from clairaut.model import (
     check_rank_constancy,
@@ -223,6 +225,24 @@ class TestProbes:
         assert len(again) == 5 and again[0]["x"] != 99.0
         assert again[0] is not default_probes(m, count=5, seed=3)[0]
         assert default_probes(m, count=5, seed=None) != default_probes(m, count=5, seed=None)
+
+
+    @pytest.mark.parametrize("kwargs, message", [
+        # -1 drew no probe, 2.5 drew 3, and seed -1 raised a raw ValueError
+        ({"count": -1}, "count must be an integer of at least 1, not -1"),
+        ({"count": 0}, "count must be an integer of at least 1, not 0"),
+        ({"count": 2.5}, "count must be an integer of at least 1, not 2.5"),
+        ({"seed": -1}, "seed must be an integer of at least 0, not -1"),
+        ({"seed": 1.5}, "seed must be an integer of at least 0, not 1.5"),
+    ])
+    @pytest.mark.parametrize("draw", ["default_probes", "phase_probes"])
+    def test_bad_count_or_seed_raises(self, draw, kwargs, message):
+        m = load_bundled("synthetic_bianchi")
+        with pytest.raises(ArgumentError, match=re.escape(message)):
+            if draw == "default_probes":
+                default_probes(m, **kwargs)
+            else:
+                phase_probes(ClairautTransform(m), **kwargs)
 
 
 # Models whose derivatives fold 0/u terms, with points at the zeros of every

@@ -342,6 +342,27 @@ class TestLengthsAgainstTheSplit:
             PhasePoint(q, [1.0], [0, 0, 0])
 
 
+class TestPointNames:
+    """synthetic_bianchi has coordinates x, a, b, c, regular x and degenerate
+    a, b, c: a dict key that names none of its kind raises."""
+
+    @pytest.mark.parametrize("slot, kind, valid", [
+        ("q", "coordinate", "x, a, b, c"),
+        ("p", "regular coordinate", "x"),
+        ("v_deg", "degenerate coordinate", "a, b, c"),
+    ])
+    def test_an_unknown_name_raises(self, slot, kind, valid):
+        # a misspelt name read 0.0 silently
+        ct = transform("synthetic_bianchi")
+        args = {"q": [0.0] * 4, slot: {"zz": 1.0}}
+        with pytest.raises(ArgumentError,
+                           match=re.escape(f"unknown {kind} 'zz'; valid names: {valid}")):
+            ct.point(**args)
+        args[slot] = {valid[0]: 1.0}
+        pt = ct.point(**args)
+        assert [*pt._q, *pt._p, *pt._v].count(1.0) == 1
+
+
 class TestFenchelOracle:
     def test_oscillator_value(self):
         value = fenchel_conjugate(load_bundled("oscillator"), [1.0], [2.0])

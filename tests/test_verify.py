@@ -12,6 +12,7 @@ import pytest
 from clairaut import (ClairautTransform, NewtonError, classify, dynamics, gauge, load_bundled,
                       manytime, parse_model, verify)
 from clairaut.errors import ArgumentError
+from clairaut.expressions import differentiate, evaluate
 from clairaut.fixtures import BUNDLED
 from clairaut.gauge import ExprObservable, phase_probes
 from clairaut.model import DEFAULT_PROBE_COUNT, default_probes, momentum_name
@@ -212,6 +213,18 @@ class TestOneResolvePerProbe:
         assert seen[0]._held == {}
 
 
+class TestJacobiatorResolves:
+    @pytest.mark.parametrize("name", ["synthetic_gaugeless", "synthetic_coupled"])
+    def test_each_displaced_point_resolved_once(self, name, monkeypatch):
+        # three nested differences each displaced probe 0 afresh: 27 resolves
+        # of 9 points, where the 2(n + r) displaced points and probe 0 are 9
+        ctx = seed_42_context(name)
+        calls = TestOneResolvePerProbe.count_resolves(monkeypatch)
+        list(verify._bracket_jacobiator(ctx))
+        assert len(calls) == 2 * (ctx.ct.n + ctx.ct.r) + 1
+        assert set(calls.values()) == {1}
+
+
 class TestDefectFold:
     """run_verification folds each row's defects into max |defect|: a nan at
     any probe, not only the first, makes the row nan and failing."""
@@ -394,10 +407,29 @@ def drawn_texts(ctx, salt, count):
 
 
 def bits(obs, pt):
-    """float.hex of an observable's value, gradient (d_dq, d_dp) and jet."""
-    grad, rows = obs._jet(pt)
-    return ([obs.value(pt).hex()], [float(v).hex() for v in [*obs.d_dq(pt), *obs.d_dp(pt)]],
-            [v.hex() for v in grad], [v.hex() for row in rows for v in row])
+    """float.hex of an observable's value and gradient (d_dq, d_dp)."""
+    return ([obs.value(pt).hex()], [float(v).hex() for v in [*obs.d_dq(pt), *obs.d_dp(pt)]])
+
+
+def assert_matches_oracle(obs, oracle, points, context):
+    """A verify._Quadratic against the ExprObservable of its text at each
+    point, bit for bit: its value and gradient equal the oracle's, and its
+    jet holds that gradient and the interpreted second partials of the
+    oracle's expression: its upper triangle, differentiated once per call,
+    mirrored."""
+    ct = oracle.ct
+    names = list(ct.model.coords) + [momentum_name(c) for c in ct.split.regular]
+    upper = [[differentiate(g, y) for y in names[k:]]
+             for k, g in enumerate(differentiate(oracle.expr, x) for x in names)]
+    for pt in points:
+        assert bits(obs, pt) == bits(oracle, pt), context
+        grad, rows = obs._jet(pt)
+        assert [v.hex() for v in grad] == bits(obs, pt)[1], context
+        z = dict(zip(names, [*pt._q, *pt._p]))
+        want = [[evaluate(e, z).hex() for e in row] for row in upper]
+        assert [[v.hex() for v in row] for row in rows] == [
+            [want[min(k, j)][abs(j - k)] for j in range(len(names))]
+            for k in range(len(names))], context
 
 
 def seed_42_context(name):
@@ -408,7 +440,8 @@ def seed_42_context(name):
 
 class TestRandomObservables:
     """verify's random observables are quadratics in closed form, bit for
-    bit the ExprObservable of the text of their terms."""
+    bit the ExprObservable of the text of their terms, with the interpreted
+    second partials of that text as their constant Hessian."""
 
     @pytest.mark.parametrize("name", BUNDLED)
     def test_bit_equal_to_the_expression_pipeline(self, name):
@@ -416,9 +449,7 @@ class TestRandomObservables:
         for salt in range(100):
             texts = drawn_texts(ctx, salt, 3)
             for obs, text in zip(verify._random_observables(ctx, salt, 3), texts, strict=True):
-                oracle = ExprObservable(ctx.ct, text)
-                for pt in ctx.probes:
-                    assert bits(obs, pt) == bits(oracle, pt), (salt, text)
+                assert_matches_oracle(obs, ExprObservable(ctx.ct, text), ctx.probes, (salt, text))
 
     # over z = (x, y, p_x) of mixed: (c, i, j) is c*z_i*z_j, (c, i) is c*z_i
     TERMS = {
@@ -440,9 +471,8 @@ class TestRandomObservables:
         names = ["x", "y", "p_x"]
         terms = self.TERMS[case]
         text = " + ".join(f"{c:.6f}*" + "*".join(names[i] for i in at) for c, *at in terms)
-        obs, oracle = verify._Quadratic(ctx.ct, terms), ExprObservable(ctx.ct, text)
-        for pt in [*ctx.probes, self.ZEROS]:
-            assert bits(obs, pt) == bits(oracle, pt), text
+        assert_matches_oracle(verify._Quadratic(ctx.ct, terms), ExprObservable(ctx.ct, text),
+                              [*ctx.probes, self.ZEROS], text)
 
     @pytest.mark.parametrize("name", BUNDLED)
     def test_a_run_builds_no_expression_observable(self, name, monkeypatch):
