@@ -120,8 +120,8 @@ def _intern(key, fields=None):
         cls = key[0]
         node = object.__new__(cls)
         for slot, value in zip(cls.__slots__, fields or key[1:]):
-            object.__setattr__(node, slot, value)
-        object.__setattr__(node, "_simple", None)
+            setattr(node, slot, value)
+        node._simple = None
         with _nodes_lock:  # a node another thread stored first wins
             live = _nodes.get(key, _DEAD)()
             if live is not None:
@@ -421,7 +421,7 @@ def simplify(expr):
         out = _simplify_pow(simplify(expr.base), simplify(expr.exponent))
     else:
         out = _simplify_call(expr.fn, simplify(expr.arg))
-    object.__setattr__(expr, "_simple", True if out is expr else out)
+    expr._simple = True if out is expr else out
     return out
 
 

@@ -14,9 +14,15 @@ Euler-Lagrange residual all read; one derivative memo per symbol serves the
 whole derivation.  The third partials that verify's exact identities need
 (DerivativeCore.third) are derived and compiled only when first read.  The
 rank of W, probed numerically at random admissible points
-(numerics.probe_ranks), decides which velocities can be resolved for
-momenta; the pivot order of the first probe selects the regular block
-unless the file pins one.
+(numerics.probe_ranks, which eliminates each distinct matrix and block
+once), decides which velocities can be resolved for momenta; the pivot
+order of the first probe selects the regular block unless the file pins one.
+
+A probe draws each coordinate and velocity from [-1, 1]: it is admissible
+where the guards of L that read one (denominators, log and sqrt arguments,
+fractional-power bases), compiled once per model, evaluate and keep
+PROBE_EXCLUSION from their boundaries.  One of parameters alone is decided
+once, with no margin: ModelError where its node is undefined there.
 """
 
 from dataclasses import dataclass
@@ -73,6 +79,8 @@ class LagrangianModel:
     def _probe_draws(self):
         """default_probes' admissible draws, by (count, seed)."""
         return {}
+
+    _admissible = cached_property(lambda self: _admissibility(self))  # compiled on first use
 
 
 class DerivativeCore:
@@ -271,28 +279,58 @@ def hessian_matrix(model):
 
 
 def _domain_guards(expr):
-    """Subexpressions that must stay away from zero (denominators) or negative
-    values (log and sqrt arguments, and the base of a power whose exponent is
-    not an integer constant) for probes to be admissible."""
-    away_from_zero = []
-    nonnegative = []
-    stack = [expr]
+    """(node, guard, away) for each node of expr defined only where its guard
+    keeps away from zero (away: a denominator) or from negative values (log
+    and sqrt arguments, bases of powers to a non-integer), inner nodes first."""
+    guards, stack = [], [expr]
     while stack:
         e = stack.pop()
         if isinstance(e, ex.Quot):
-            away_from_zero.append(e.den)
+            guards.append((e, e.den, True))
         elif isinstance(e, ex.Call) and e.fn in ("log", "sqrt"):
-            nonnegative.append(e.arg)
+            guards.append((e, e.arg, False))
         elif isinstance(e, ex.Pow) and not (isinstance(e.exponent, ex.Const)
                                             and e.exponent.value.is_integer()):
-            nonnegative.append(e.base)
+            guards.append((e, e.base, False))
         stack.extend(ex._children(e))
-    return away_from_zero, nonnegative
+    return guards[::-1]
+
+
+def _admissibility(model):
+    """_draw_probes' test of a draw, coordinate then velocity values (module docstring)."""
+    drawn, params = set(model.coords) | set(model.velocity_names), model.base_bindings()
+    away, nonneg = [], []
+    for node, guard, near_zero in _domain_guards(model.lagrangian):
+        if not drawn.isdisjoint(free_symbols(guard)):
+            (away if near_zero else nonneg).append(guard)
+            continue
+        # a node of parameters alone must evaluate; x/m needs m != 0, and m^x m > 0
+        fixed = not near_zero and drawn.isdisjoint(free_symbols(node))
+        try:
+            value = evaluate(node if fixed else guard, params)
+        except ex.DomainError:
+            value = None
+        if value is None or not (fixed or (value != 0.0 if near_zero else value > 0.0)):
+            raise ModelError(f"{node} in the lagrangian of {model.name} is undefined "
+                             "at the parameter values")
+    if not away and not nonneg:
+        return lambda draw: True
+    fn = compile_evaluator(away + nonneg, [*model.coords, *model.velocity_names, *params])
+
+    def admissible(draw):
+        try:
+            values = fn([*draw, *params.values()])
+        except ex.DomainError:
+            return False
+        return (all(not abs(v) < PROBE_EXCLUSION for v in values[:len(away)])
+                and all(not v < PROBE_EXCLUSION for v in values[len(away):]))
+    return admissible
 
 
 def default_probes(model, count=DEFAULT_PROBE_COUNT, seed=DEFAULT_PROBE_SEED):
     """Random coordinate/velocity bindings in [-1, 1], rejecting draws that sit
-    within PROBE_EXCLUSION of a domain boundary of the Lagrangian.
+    within PROBE_EXCLUSION of a domain boundary of the Lagrangian that moves
+    with them (see the module docstring).
 
     seed is an int, None (fresh entropy) or a generator with numpy's
     uniform(lo, hi, size), used as it is.  Each model draws a given (count,
@@ -302,37 +340,26 @@ def default_probes(model, count=DEFAULT_PROBE_COUNT, seed=DEFAULT_PROBE_SEED):
         _require_integer("seed", seed, 0)
     if not isinstance(seed, int):  # None or a generator: draw afresh each call
         return _draw_probes(model, count, seed)
-    key = (count, seed)
-    probes = model._probe_draws.get(key)
-    if probes is None:
-        probes = model._probe_draws[key] = _draw_probes(model, count, seed)
+    if (probes := model._probe_draws.get((count, seed))) is None:
+        probes = model._probe_draws[count, seed] = _draw_probes(model, count, seed)
     return [dict(bindings) for bindings in probes]
 
 
 def _draw_probes(model, count, seed):
+    admissible = model._admissible
     rng = seed if hasattr(seed, "uniform") else Rng(seed)
     names = list(model.coords) + list(model.velocity_names)
-    away, nonneg = _domain_guards(model.lagrangian)
-    probes = []
-    attempts = 0
-    limit = max(400 * count, 4000)
+    probes, attempts, limit = [], 0, max(400 * count, 4000)
     while len(probes) < count and attempts < limit:
         attempts += 1
         draw = rng.uniform(-1.0, 1.0, size=len(names))
-        bindings = model.base_bindings()
-        bindings.update(zip(names, draw))
-        try:
-            ok = (all(not abs(evaluate(g, bindings)) < PROBE_EXCLUSION for g in away)
-                  and all(not evaluate(g, bindings) < PROBE_EXCLUSION for g in nonneg))
-        except ex.DomainError:
-            ok = False
-        if ok:
+        if admissible(draw):
+            bindings = model.base_bindings()
+            bindings.update(zip(names, draw))
             probes.append(bindings)
     if len(probes) < count:
-        raise ModelError(
-            f"could not draw {count} admissible probes for {model.name} "
-            f"({len(probes)} found in {attempts} attempts)"
-        )
+        raise ModelError(f"could not draw {count} admissible probes for {model.name} "
+                         f"({len(probes)} found in {attempts} attempts)")
     return probes
 
 

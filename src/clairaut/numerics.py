@@ -121,23 +121,28 @@ def probe_ranks(matrices, block, rel_tol, matrix):
     matrix's sorted pivot columns.  Returns (block, ranks, block_ranks).
     A matrix with an inf or nan entry has no rank: ModelError, naming the
     matrix (its name, as RankVariationError gives it) and the probe, or,
-    with matrix None, None for both of its ranks."""
-    ranks, block_ranks = [], []
+    with matrix None, None for both of its ranks.  Each distinct matrix or
+    block is eliminated once per call, keyed by its entries (the elimination
+    is deterministic and reads magnitudes only, so 0.0 and -0.0 may share)."""
+    known = {(): (0, [])}  # rank_and_pivots by flat entries, an empty block's given
+
+    def rank(flat):
+        if (hit := known.get(flat)) is None:
+            k = math.isqrt(len(flat))
+            hit = known[flat] = rank_and_pivots([flat[i * k:i * k + k] for i in range(k)], rel_tol)
+        return hit
+
+    pairs = []
     for index, m in enumerate(matrices):
-        if not all(map(math.isfinite, m)):
-            if matrix is not None:
-                raise ModelError(f"{matrix} has a non-finite entry at probe {index}")
-            ranks.append(None)
-            block_ranks.append(None)
-            continue
-        k = math.isqrt(len(m))
-        rank, pivots = rank_and_pivots([m[i * k:i * k + k] for i in range(k)], rel_tol)
-        if block is None:
-            block = sorted(pivots)
-        ranks.append(rank)
-        sub = [[m[i * k + j] for j in block] for i in block]
-        block_ranks.append(rank_and_pivots(sub, rel_tol)[0])
-    return block, ranks, block_ranks
+        if all(map(math.isfinite, m := tuple(m))):
+            k, (full, pivots) = math.isqrt(len(m)), rank(m)
+            block = sorted(pivots) if block is None else block
+            pairs.append((full, rank(tuple(m[i * k + j] for i in block for j in block))[0]))
+        elif matrix is None:
+            pairs.append((None, None))
+        else:
+            raise ModelError(f"{matrix} has a non-finite entry at probe {index}")
+    return block, [full for full, _ in pairs], [sub for _, sub in pairs]
 
 
 def central_differences(fn, x, step):

@@ -67,9 +67,16 @@ class _Context:
         self.cls = cls
         self.probes = probes
         self.seed = seed
+        self._points = {}
 
     def rng(self, salt):
         return Rng(self.seed * 1000 + salt)
+
+    def held(self, pt):
+        """The run's first point with pt's floats, resolved once (ct._held)."""
+        first = self._points.setdefault((pt._q, pt._p, pt._v), pt)
+        self.ct._held.setdefault(id(first), (first, None))
+        return first
 
     # the report feeds four rows; one that raises is recomputed and raises again
     @functools.cached_property
@@ -327,8 +334,9 @@ def _current_conservation(ctx):
     # fourth partials of L, so it is one level of central differences of J
     ct = ctx.ct
     n, pt = ct.n, ctx.probes[0]
-    cols = central_differences(lambda z: maxwell_current(ct, pt._replace(q=z[:n], p=z[n:])),
-                               [*pt._q, *pt._p], 1e-5)
+    cols = central_differences(
+        lambda z: maxwell_current(ct, ctx.held(pt._replace(q=z[:n], p=z[n:]))),
+        [*pt._q, *pt._p], 1e-5)
     res = ct.resolve(pt)
     total = 0.0
     for a in range(ct.n - ct.r):
@@ -364,7 +372,7 @@ def _bracket_jacobiator(ctx):
     x, y, z = _random_observables(ctx, 17, 3)
     pt, cycle = ctx.probes[0], ((x, y, z), (z, x, y), (y, z, x))
     inner = FiniteDifferenceObservable(
-        lambda q: [bracket_new(ct, u, v, q) for u, v, _ in cycle], ct, 1e-5)
+        lambda q: [bracket_new(ct, u, v, q) for q in [ctx.held(q)] for u, v, _ in cycle], ct, 1e-5)
     rows = (SimpleNamespace(d_dq=lambda _, g=dq: g, d_dp=lambda _, g=dp: g)
             for dq, dp in zip(inner.d_dq(pt), inner.d_dp(pt)))
     a, b, c = (bracket_new(ct, row, w, pt) for row, (_, _, w) in zip(rows, cycle))

@@ -21,7 +21,7 @@ from clairaut import cli
 from clairaut.cli import MAX_PROBES, main
 from clairaut.errors import ClairautError
 from clairaut.model import DEFAULT_PROBE_COUNT
-from clairaut.expressions import MAX_NESTING
+from clairaut.expressions import MAX_NESTING, free_symbols
 from clairaut.fixtures import BUNDLED
 
 
@@ -445,13 +445,22 @@ class TestJetStaysLazy:
 
     def test_no_third_partials_outside_the_identities(self, monkeypatch, tmp_path, capsys):
         # each compile_evaluator call in model.py is logged by its caller's
-        # name: DerivativeCore.__init__'s core, or DerivativeCore.third's
+        # name: DerivativeCore.__init__'s core, or DerivativeCore.third's; the
+        # probe guards' (_admissibility's) as "guard" where every guard it
+        # compiles reads a coordinate or a velocity (particle's light cone)
         calls = []
         third, compile_evaluator = model_module._third_partials, model_module.compile_evaluator
         jet = transform_module.jet_kernel
 
         def compiled(exprs, names):
-            calls.append(sys._getframe(1).f_code.co_name)
+            caller = sys._getframe(1)
+            if caller.f_code.co_name == "_admissibility":
+                model = caller.f_locals["model"]
+                drawn = set(model.coords) | set(model.velocity_names)
+                calls.append("guard" if all(drawn & free_symbols(e) for e in exprs)
+                             else "parameter guard")
+            else:
+                calls.append(caller.f_code.co_name)
             return compile_evaluator(exprs, names)
 
         monkeypatch.setattr(model_module, "_third_partials",
@@ -462,7 +471,7 @@ class TestJetStaysLazy:
         monkeypatch.chdir(tmp_path)
         for argv in self.COMMANDS:
             assert main(argv) == 0, argv
-        assert set(calls) == {"__init__"}
+        assert set(calls) == {"__init__", "guard"}
         # the counters see a run that needs the jet
         assert main(["verify", "christ_lee", "--seed", "42"]) == 0
         assert {"derive", "third", "jet"} <= set(calls)

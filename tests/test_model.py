@@ -6,6 +6,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import clairaut
 from clairaut import (
@@ -20,10 +22,13 @@ from clairaut import (
     parse_expression,
 )
 from clairaut.dynamics import el_residual, integrate
-from clairaut.expressions import Const, differentiate, simplify, substitute
+from clairaut import numerics
+from clairaut.cli import main
+from clairaut.expressions import (Call, Const, Pow, Quot, differentiate, free_symbols, simplify,
+                                  substitute)
 from clairaut.errors import ArgumentError, ClairautError
 from clairaut.fixtures import BUNDLED, load_bundled
-from clairaut.gauge import phase_probes
+from clairaut.gauge import classify, phase_probes
 from clairaut import model as model_module
 from clairaut.model import (
     check_rank_constancy,
@@ -32,7 +37,7 @@ from clairaut.model import (
     parse_model,
     split_variables,
 )
-from clairaut.numerics import probe_ranks, rank_and_pivots
+from clairaut.numerics import Rng, probe_ranks, rank_and_pivots
 from clairaut.verify import run_verification
 
 
@@ -316,6 +321,213 @@ class TestRankKernel:
         with pytest.raises(ArgumentError, match="expects a matrix") as exc:
             rank_and_pivots([1.0, 2.0])
         assert isinstance(exc.value, ClairautError) and isinstance(exc.value, ValueError)
+
+
+def reference_ranks(matrices, block, rel_tol, matrix):
+    """probe_ranks by one elimination of each matrix and of its block."""
+    ranks, block_ranks = [], []
+    for index, m in enumerate(matrices):
+        if not all(map(math.isfinite, m)):
+            if matrix is not None:
+                raise ModelError(f"{matrix} has a non-finite entry at probe {index}")
+            ranks.append(None)
+            block_ranks.append(None)
+            continue
+        k = math.isqrt(len(m))
+        rank, pivots = rank_and_pivots([m[i * k:i * k + k] for i in range(k)], rel_tol)
+        block = sorted(pivots) if block is None else block
+        ranks.append(rank)
+        block_ranks.append(rank_and_pivots([[m[i * k + j] for j in block] for i in block],
+                                           rel_tol)[0])
+    return block, ranks, block_ranks
+
+
+# entries that make repeated, rank-deficient and signed-zero matrices likely
+ENTRIES = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, 0.5, 1e-12, 3.0, math.inf])
+
+
+@st.composite
+def probe_matrices(draw):
+    """(matrices, block): a few distinct k x k matrices, repeated, some
+    with their zeros' signs flipped, and block None, a partial one or all."""
+    k = draw(st.integers(1, 4))
+    pool = draw(st.lists(st.lists(ENTRIES, min_size=k * k, max_size=k * k), min_size=1, max_size=3))
+    picks = draw(st.lists(st.tuples(st.integers(0, len(pool) - 1), st.booleans()),
+                          min_size=1, max_size=8))
+    matrices = [[-v if flip and v == 0.0 else v for v in pool[i]] for i, flip in picks]
+    block = draw(st.one_of(st.none(), st.just(list(range(k))),
+                           st.lists(st.integers(0, k - 1), unique=True).map(sorted)))
+    return matrices, block
+
+
+class TestProbeRankTable:
+    """probe_ranks eliminates each distinct matrix and block once, with the
+    numbers of one elimination per matrix."""
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(probe_matrices())
+    def test_matches_one_elimination_per_matrix(self, case):
+        matrices, block = case
+        assert (probe_ranks(matrices, block, 1e-9, None)
+                == reference_ranks(matrices, block, 1e-9, None))
+        if all(math.isfinite(v) for m in matrices for v in m):
+            assert (probe_ranks(iter(matrices), block, 1e-9, "F")
+                    == reference_ranks(matrices, block, 1e-9, "F"))
+
+    @staticmethod
+    def count_eliminations(monkeypatch):
+        calls, real = [], numerics.rank_and_pivots
+        monkeypatch.setattr(numerics, "rank_and_pivots", lambda matrix, rel_tol=1e-9: (
+            calls.append(matrix) or real(matrix, rel_tol)))
+        return calls
+
+    def test_constant_hessian_is_eliminated_once(self, monkeypatch):
+        # christ_lee's W is diag(1, 1, 1, 0, 0, 0) at all 17 probes: one
+        # elimination of W, one of its 3 x 3 regular block
+        model = load_bundled("christ_lee")
+        probes = default_probes(model)
+        calls = self.count_eliminations(monkeypatch)
+        split = split_variables(model, probes)
+        assert split.r == 3 and [len(m) for m in calls] == [6, 3]
+
+    @pytest.mark.parametrize("name", ["mixed", "cawley", "christ_lee", "particle"])
+    def test_zero_field_strength_is_eliminated_once(self, name, monkeypatch):
+        ct = ClairautTransform(load_bundled(name))
+        calls = self.count_eliminations(monkeypatch)
+        cls = classify(ct)
+        assert cls.kind == "limit" and len(calls) == 1
+
+
+def child_nodes(e):
+    """The operands of an expression node."""
+    for field in ("terms", "factors"):
+        if hasattr(e, field):
+            return list(getattr(e, field))
+    return [getattr(e, f) for f in ("base", "exponent", "child", "num", "den", "arg")
+            if hasattr(e, f)]
+
+
+def interpreted_probes(model, count, seed):
+    """The reference rule of default_probes, guard by guard in the tree
+    interpreter: a draw is kept where every denominator, log or sqrt
+    argument and fractional-power base of L that reads a coordinate or a
+    velocity evaluates, and keeps 0.1 from zero (a denominator) or from the
+    negative numbers (the others)."""
+    drawn = set(model.coords) | set(model.velocity_names)
+    away, nonneg, stack = [], [], [model.lagrangian]
+    while stack:
+        e = stack.pop()
+        stack.extend(child_nodes(e))
+        guard, near_zero = None, False
+        if isinstance(e, Quot):
+            guard, near_zero = e.den, True
+        elif isinstance(e, Call) and e.fn in ("log", "sqrt"):
+            guard = e.arg
+        elif isinstance(e, Pow) and not (isinstance(e.exponent, Const)
+                                         and e.exponent.value.is_integer()):
+            guard = e.base
+        if guard is not None and drawn & free_symbols(guard):
+            (away if near_zero else nonneg).append(guard)
+    rng = seed if hasattr(seed, "uniform") else Rng(seed)
+    names, probes = [*model.coords, *model.velocity_names], []
+    for _ in range(max(400 * count, 4000)):
+        bindings = model.base_bindings()
+        bindings.update(zip(names, rng.uniform(-1.0, 1.0, size=len(names))))
+        try:
+            ok = (all(not abs(evaluate(g, bindings)) < 0.1 for g in away)
+                  and all(not evaluate(g, bindings) < 0.1 for g in nonneg))
+        except DomainError:
+            ok = False
+        if ok:
+            probes.append(bindings)
+            if len(probes) == count:
+                return probes
+    raise AssertionError("the reference drew too few probes")
+
+
+# text models with each kind of guard; the last two hold a parameter-only
+# denominator and sqrt argument inside the probe margin
+GUARDED = {
+    "sqrt": "coord x, y; lagrangian = sqrt(1 + x - d(y)^2)*d(x)^2/2 + d(y)^2/2;",
+    "log": "coord x; lagrangian = log(x + 1.05)*d(x)^2/2;",
+    "power": "coord x; lagrangian = (x + 0.8)^1.5*d(x)^2/2 - x^0.5 + 2^x;",
+    "coordinate quotient": "coord x, y; lagrangian = d(x)^2/(2*(x - y)) + d(y)^2/2;",
+    "parameter quotient": "coord x; param m = 0.04; lagrangian = d(x)^2/(2*m) - x^2/2;",
+    "parameter sqrt": ("coord x; param a = 0.3; param g = 0.05;"
+                       "lagrangian = d(x)^2/(x - a) - sqrt(g)*x^2/2;"),
+}
+GUARDED_MODELS = [(name, lambda name=name: load_bundled(name)) for name in BUNDLED] + [
+    (name, lambda text=text: parse_model(text)) for name, text in GUARDED.items()]
+
+
+def hex_bindings(probes):
+    return [{k: float(v).hex() for k, v in b.items()} for b in probes]
+
+
+class TestCompiledGuards:
+    """default_probes draws, bit for bit, what the interpreted rule draws."""
+
+    @pytest.mark.parametrize("name, build", GUARDED_MODELS, ids=[n for n, _ in GUARDED_MODELS])
+    def test_same_bindings_as_the_interpreted_rule(self, name, build):
+        for seed in (0, 1, 7, 42, 100):
+            got, want = default_probes(build(), seed=seed), interpreted_probes(build(), 17, seed)
+            assert hex_bindings(got) == hex_bindings(want), seed
+        fresh = [np.random.default_rng(3) for _ in range(2)]
+        got = default_probes(build(), count=9, seed=fresh[0])
+        assert hex_bindings(got) == hex_bindings(interpreted_probes(build(), 9, fresh[1]))
+        assert fresh[0].bit_generator.state == fresh[1].bit_generator.state
+
+    def test_only_drawn_guards_are_compiled(self, monkeypatch):
+        compiled, real = [], model_module.compile_evaluator
+        monkeypatch.setattr(model_module, "compile_evaluator",
+                            lambda exprs, names: compiled.append(list(exprs)) or real(exprs, names))
+        for name in BUNDLED:
+            default_probes(load_bundled(name))
+        default_probes(parse_model(GUARDED["parameter sqrt"]))
+        assert [[str(e) for e in exprs] for exprs in compiled] == [
+            ["d(x0)^2 - d(x)^2 - d(y)^2 - d(z)^2"], ["x - a"]]
+
+
+class TestParameterGuards:
+    """A guard that reads only parameters is decided once, with no margin."""
+
+    def run(self, tmp_path, text, *argv):
+        path = tmp_path / "guarded.lag"
+        path.write_text(text)
+        return main([argv[0], str(path), *argv[1:]])
+
+    def test_denominator_inside_the_margin(self, tmp_path, capsys):
+        text = GUARDED["parameter quotient"]
+        assert self.run(tmp_path, text, "analyze") == 0
+        assert self.run(tmp_path, text, "transform", "--at", "x=1,p_x=1") == 0
+        assert "H_phys = 0.52000000000000002" in capsys.readouterr().out
+
+    def test_sqrt_argument_inside_the_margin(self, tmp_path, capsys):
+        text = "coord x; param g = 0.05; lagrangian = d(x)^2/2 - sqrt(g)*x^2/2;"
+        assert self.run(tmp_path, text, "simulate", "--init", "x=1,p_x=0", "--t1", "0.1",
+                        "--dt", "0.01", "--out", str(tmp_path / "t.csv")) == 0
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("node, params", [
+        ("1/0", ""), ("sqrt(-1)", ""), ("log(0)", ""), ("0^-0.5", ""),
+        ("1/m", "param m = 0;"), ("sqrt(g)", "param g = -2;"), ("log(c)", "param c = 0;"),
+        ("x/m", "param m = 0;"), ("c^d(x)", "param c = -1;"),
+    ])
+    def test_undefined_node_is_named(self, node, params):
+        model = parse_model(f"coord x; {params} lagrangian = d(x)^2/2 + {node}*x;", name="bad")
+        with pytest.raises(ModelError, match=re.escape(
+                f"{node} in the lagrangian of bad is undefined at the parameter values")):
+            default_probes(model)
+
+    def test_defined_parameter_guards_set_no_bound(self):
+        # each inside the 0.1 margin, none undefined: every draw is kept
+        model = parse_model("coord x; param m = 0.01; param c = 0.02;"
+                            "lagrangian = d(x)^2/(2*m) + log(c)*x + c^0.5*x^2 + 0.05^d(x);")
+        probes = default_probes(model, count=17, seed=5)
+        rng = Rng(5)
+        assert hex_bindings(probes) == hex_bindings(
+            [{"m": 0.01, "c": 0.02, **dict(zip(["x", "d(x)"], rng.uniform(-1.0, 1.0, size=2)))}
+             for _ in range(17)])
 
 
 def count_calls(monkeypatch, *names):

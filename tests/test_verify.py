@@ -225,6 +225,22 @@ class TestJacobiatorResolves:
         assert set(calls.values()) == {1}
 
 
+    @pytest.mark.parametrize("name", ["synthetic_gaugeless", "synthetic_coupled"])
+    def test_displaced_points_shared_by_the_run(self, name, monkeypatch):
+        # current_conservation and the Jacobiator displace probe 0 by the same
+        # central-difference steps: each of those 2(n + r) points resolves once
+        q, p, v = TestOneResolvePerProbe.probe_values(name)[0]
+        calls = TestOneResolvePerProbe.count_resolves(monkeypatch)
+        run_verification(load_bundled(name), seed=42)
+        z, displaced = [*q, *p], []
+        for k in range(len(z)):
+            for sign in (1, -1):
+                moved = list(z)
+                moved[k] += sign * 1e-5 * (1 + abs(z[k]))
+                displaced.append((tuple(moved[:len(q)]), tuple(moved[len(q):]), v))
+        assert [calls[point] for point in displaced] == [1] * 2 * len(z)
+
+
 class TestDefectFold:
     """run_verification folds each row's defects into max |defect|: a nan at
     any probe, not only the first, makes the row nan and failing."""
