@@ -1,22 +1,27 @@
 """Alternating parent/change pairs of the benchmark, summarised as BENCH_<label>.json.
 
 Runs ``python3 perfbench/run.py --workload <w> --seed <s> --seconds <n>
---trace 0``, n being BENCHMARK.json's run_seconds, from the root of two
-checkouts, a parent and a change, once each per seed, and writes their
-result lines and a summary per workload.
+--trace 0``, for each workload w of BENCHMARK.json and n its run_seconds,
+from the root of two checkouts, a parent and this one (the change), once
+each per seed for PAIRS seeds, and writes their result lines and a summary
+per workload.  A run that exits non-zero or reports correct: false stops
+the script.
 The side that runs first alternates: the parent on odd seeds, the change
 on even ones.  For each end-to-end metric of BENCHMARK.json the summary
 gives the medians and the quartiles (numpy's linear 25th and 75th
 percentiles) of both sides, and the number of pairs in which the change is
-strictly better, in the direction BENCHMARK.json gives.
+strictly better, in the direction BENCHMARK.json gives; an end-to-end
+metric missing from a run stops the script.  Each workload also records the
+operations that failed on each side, summed over its runs.
 
-Usage (from the root of the change's checkout; make the parent's copy with
+Usage (this checkout is the change; make the parent's copy with
 ``git worktree add ../parent HEAD~1`` or ``git archive``):
 
     python3 scripts/bench_pairs.py --parent ../parent --label pr39 \\
         --change-text "what the change does" --machine "2-core VM, Python 3.11"
 
-writes BENCH_pr39.json in the change's checkout.  Standard library only.
+writes BENCH_pr39.json in this checkout; --first-seed picks the first of
+the PAIRS seeds (default 1).  Standard library only.
 """
 
 import argparse
@@ -27,7 +32,8 @@ import subprocess
 import sys
 
 HERE = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-WORKLOADS = ("verify_suite", "trajectory", "commands")
+PAIRS = 10
+SIDES = ("parent", "change")
 COMMAND = "python3 perfbench/run.py --workload <w> --seed <s> --seconds {seconds} --trace 0"
 METHOD = ("pairs of parent and change runs on the same machine, alternating which side "
           "ran first (parent first on odd seeds); times are the benchmark's scaled times; "
@@ -43,13 +49,15 @@ def run_once(checkout, workload, seed, seconds):
     if done.returncode != 0 or not lines:
         raise SystemExit(f"{checkout}: {' '.join(argv[1:])} exited {done.returncode}\n"
                          f"{done.stderr}")
-    return json.loads(lines[-1])
+    result = json.loads(lines[-1])
+    if not result["correct"]:
+        raise SystemExit(f"{checkout}: {' '.join(argv[1:])} reported wrong results\n"
+                         f"{done.stderr}")
+    return result
 
 
 def quartiles(values):
     """numpy.percentile(values, [25, 75]) with its default linear rule."""
-    if len(values) == 1:
-        return [values[0], values[0]]
     q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return [q1, q3]
 
@@ -57,13 +65,10 @@ def quartiles(values):
 def summarize(pairs, metrics):
     """Per metric (name, better) of metrics: both sides' medians and
     quartiles over pairs and the pairs where the change is strictly
-    better.  A metric missing from a run is left out of the summary."""
+    better.  A metric missing from a run stops the script."""
     out = {}
     for name, better in metrics:
-        sides = {side: [run["metrics"][name]["value"] for run in (p[side] for p in pairs)
-                        if name in run["metrics"]] for side in ("parent", "change")}
-        if not sides["parent"] or len(sides["parent"]) != len(sides["change"]):
-            continue
+        sides = {side: [metric(pair, side, name) for pair in pairs] for side in SIDES}
         wins = sum((c < p) if better == "lower" else (c > p)
                    for p, c in zip(sides["parent"], sides["change"]))
         out[name] = {
@@ -77,6 +82,14 @@ def summarize(pairs, metrics):
     return out
 
 
+def metric(pair, side, name):
+    """The value of metric name in the run of side in pair."""
+    try:
+        return pair[side]["metrics"][name]["value"]
+    except KeyError:
+        raise SystemExit(f"seed {pair['seed']}: the {side} run has no {name}") from None
+
+
 def end_to_end(config):
     """(name, better) of each end-to-end metric of a BENCHMARK.json document."""
     return [(m["name"], m["better"]) for m in config["end_to_end"]]
@@ -85,23 +98,20 @@ def end_to_end(config):
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--parent", required=True, help="root of the parent's checkout")
-    parser.add_argument("--change", default=HERE, help="root of the change's checkout")
     parser.add_argument("--label", required=True)
     parser.add_argument("--change-text", required=True, help="what the change does")
     parser.add_argument("--machine", required=True, help="the machine the runs share")
-    parser.add_argument("--workloads", default=",".join(WORKLOADS))
-    parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--first-seed", type=int, default=1)
     args = parser.parse_args(argv)
 
-    with open(os.path.join(args.change, "BENCHMARK.json"), encoding="utf-8") as fh:
+    with open(os.path.join(HERE, "BENCHMARK.json"), encoding="utf-8") as fh:
         config = json.load(fh)
     seconds = config["run_seconds"]
-    sides = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
+    sides = {"parent": os.path.abspath(args.parent), "change": HERE}
     workloads = {}
-    for workload in args.workloads.split(","):
+    for workload in (w["name"] for w in config["workloads"]):
         pairs = []
-        for seed in range(args.first_seed, args.first_seed + args.pairs):
+        for seed in range(args.first_seed, args.first_seed + PAIRS):
             order = ("parent", "change") if seed % 2 else ("change", "parent")
             pair = {"seed": seed, "first": order[0], "parent": None, "change": None}
             for side in order:
@@ -110,11 +120,14 @@ def main(argv=None):
             work = {side: pair[side]["metrics"]["work_per_s"]["value"] for side in order}
             print(f"{workload} seed {seed}: parent {work['parent']:.4g}, "
                   f"change {work['change']:.4g} work/s", file=sys.stderr)
-        workloads[workload] = {"summary": summarize(pairs, end_to_end(config)), "pairs": pairs}
+        workloads[workload] = {
+            "summary": summarize(pairs, end_to_end(config)),
+            "failed": {side: sum(pair[side]["failed"] for pair in pairs) for side in SIDES},
+            "pairs": pairs}
     doc = {"label": args.label, "change": args.change_text,
            "command": COMMAND.format(seconds=seconds), "machine": args.machine,
            "method": METHOD, "workloads": workloads}
-    with open(os.path.join(args.change, f"BENCH_{args.label}.json"), "w", encoding="utf-8") as fh:
+    with open(os.path.join(HERE, f"BENCH_{args.label}.json"), "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=1)
         fh.write("\n")
     return 0

@@ -282,7 +282,8 @@ def _domain_guards(expr):
     """(node, guard, away) for each node of expr defined only where its guard
     keeps away from zero (away: a denominator) or from negative values (log
     and sqrt arguments, bases of powers to a non-integer), inner nodes first."""
-    guards, stack = [], [expr]
+    guards = []
+    stack = [expr]
     while stack:
         e = stack.pop()
         if isinstance(e, ex.Quot):
@@ -298,7 +299,8 @@ def _domain_guards(expr):
 
 def _admissibility(model):
     """_draw_probes' test of a draw, coordinate then velocity values (module docstring)."""
-    drawn, params = set(model.coords) | set(model.velocity_names), model.base_bindings()
+    drawn = set(model.coords) | set(model.velocity_names)
+    params = model.base_bindings()
     away, nonneg = [], []
     for node, guard, near_zero in _domain_guards(model.lagrangian):
         if not drawn.isdisjoint(free_symbols(guard)):
@@ -340,8 +342,10 @@ def default_probes(model, count=DEFAULT_PROBE_COUNT, seed=DEFAULT_PROBE_SEED):
         _require_integer("seed", seed, 0)
     if not isinstance(seed, int):  # None or a generator: draw afresh each call
         return _draw_probes(model, count, seed)
-    if (probes := model._probe_draws.get((count, seed))) is None:
-        probes = model._probe_draws[count, seed] = _draw_probes(model, count, seed)
+    key = (count, seed)
+    probes = model._probe_draws.get(key)
+    if probes is None:
+        probes = model._probe_draws[key] = _draw_probes(model, count, seed)
     return [dict(bindings) for bindings in probes]
 
 
@@ -349,7 +353,9 @@ def _draw_probes(model, count, seed):
     admissible = model._admissible
     rng = seed if hasattr(seed, "uniform") else Rng(seed)
     names = list(model.coords) + list(model.velocity_names)
-    probes, attempts, limit = [], 0, max(400 * count, 4000)
+    probes = []
+    attempts = 0
+    limit = max(400 * count, 4000)
     while len(probes) < count and attempts < limit:
         attempts += 1
         draw = rng.uniform(-1.0, 1.0, size=len(names))
@@ -358,8 +364,10 @@ def _draw_probes(model, count, seed):
             bindings.update(zip(names, draw))
             probes.append(bindings)
     if len(probes) < count:
-        raise ModelError(f"could not draw {count} admissible probes for {model.name} "
-                         f"({len(probes)} found in {attempts} attempts)")
+        raise ModelError(
+            f"could not draw {count} admissible probes for {model.name} "
+            f"({len(probes)} found in {attempts} attempts)"
+        )
     return probes
 
 

@@ -371,8 +371,12 @@ def _bracket_jacobiator(ctx):
     ct = ctx.ct
     x, y, z = _random_observables(ctx, 17, 3)
     pt, cycle = ctx.probes[0], ((x, y, z), (z, x, y), (y, z, x))
-    inner = FiniteDifferenceObservable(
-        lambda q: [bracket_new(ct, u, v, q) for q in [ctx.held(q)] for u, v, _ in cycle], ct, 1e-5)
+
+    def inner_brackets(q):
+        q = ctx.held(q)
+        return [bracket_new(ct, u, v, q) for u, v, _ in cycle]
+
+    inner = FiniteDifferenceObservable(inner_brackets, ct, 1e-5)
     rows = (SimpleNamespace(d_dq=lambda _, g=dq: g, d_dp=lambda _, g=dp: g)
             for dq, dp in zip(inner.d_dq(pt), inner.d_dp(pt)))
     a, b, c = (bracket_new(ct, row, w, pt) for row, (_, _, w) in zip(rows, cycle))
