@@ -18,7 +18,10 @@ prescribed as 1.0 as well.
 
 Per plan it prints ``fused_stage`` and ``rk4_kernel``; per model
 ``block_kernel``, ``resolve_kernel``, ``solver`` (Newton's r x r solve)
-and ``jet_kernel``, with plan ``-``.  A plan reads ``solve=<slots>;
+and ``jet_kernel``, with plan ``-``, and the model's derived cores, also
+with plan ``-``: ``core``, the evaluator of L and its first and second
+partials (model.core.fn), and ``third``, that of the third partials
+(model.core.third).  So 114 sources in all.  A plan reads ``solve=<slots>;
 other=<slots>;zero=<slots>``.  Needs no numpy.
 
 Usage (from the root of a checkout; compare two checkouts with diff):
@@ -77,6 +80,8 @@ def kernels(name, ct):
     yield "resolve_kernel", "-", numerics.resolve_kernel(ct.n, ct._reg).source
     yield "solver", "-", numerics.solver(ct.r).source
     yield "jet_kernel", "-", ct._jet_kernel.source
+    yield "core", "-", ct.model.core.fn.source
+    yield "third", "-", ct.model.core.third[0].source
 
 
 def main():

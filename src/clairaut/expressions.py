@@ -10,13 +10,19 @@ Nodes are interned when they are built: a dict of weak references holds the
 live node for each kind and fields, so structurally equal trees are the same
 object and equality is identity.  A tree is therefore a DAG of shared nodes,
 and the walks over it do work per distinct node: simplify keeps its result
-on the node, and differentiate memoizes per call (a derivation, per symbol).
+on the node, and so does the set of symbol names under it (free_symbols),
+and differentiate memoizes per call (a derivation, per symbol).  The one
+exception is a derivative's scaffolding: the raw trees the rules build,
+which only simplify reads, are plain node objects that no table holds, and
+simplify turns them into interned normal form.
 
 Differentiation is purely syntactic, less the terms simplify folds to 0 (but
-inf*0 and nan*0 are nan).  Simplification performs constant folding,
-identity elimination, flattening, and like-term collection, and is
-idempotent; it never folds a division by a zero constant or log/sqrt of a
-negative constant, leaving those to raise at evaluation time.
+inf*0 and nan*0 are nan): a derivation visits only the subtrees that read
+its symbol or hold a non-finite constant, and takes the others' derivative
+as 0 unseen.  Simplification performs constant folding, identity
+elimination, flattening, and like-term collection, and is idempotent; it
+never folds a division by a zero constant or log/sqrt of a negative
+constant, leaving those to raise at evaluation time.
 """
 
 import functools
@@ -41,11 +47,13 @@ _P_ATOM = 50
 class Expr:
     """Base class for expression nodes.  Instances are immutable and interned:
     building a node equal to a live one returns that node, so equality and
-    hashing are identity."""
+    hashing are identity.  A derivative's scaffolding is not interned (see
+    the module docstring); it never leaves the derivation."""
 
     # _simple memoizes simplify: None until computed, True for a node that is
-    # its own normal form (no self-reference, so refcounting frees the node)
-    __slots__ = ("_simple", "__weakref__")
+    # its own normal form (no self-reference, so refcounting frees the node);
+    # _free memoizes _free_names, None until computed
+    __slots__ = ("_simple", "_free", "__weakref__")
 
     def __reduce__(self):
         # copies and pickles rebuild through the intern table
@@ -112,16 +120,21 @@ _nodes_lock = threading.Lock()
 _DEAD = type(None)  # called like a dead reference, it returns None
 
 
+def _build(cls, *fields):
+    """A new node of cls with its slots set to fields, in no table."""
+    node = object.__new__(cls)
+    for slot, value in zip(cls.__slots__, fields):
+        setattr(node, slot, value)
+    node._simple = node._free = None
+    return node
+
+
 def _intern(key, fields=None):
     """The live node for key = (class, *fields), built on a miss; fields
     defaults to the rest of the key.  A hit reads the table without a lock."""
     node = _nodes.get(key, _DEAD)()
     if node is None:
-        cls = key[0]
-        node = object.__new__(cls)
-        for slot, value in zip(cls.__slots__, fields or key[1:]):
-            setattr(node, slot, value)
-        node._simple = None
+        node = _build(key[0], *(fields or key[1:]))
         with _nodes_lock:  # a node another thread stored first wins
             live = _nodes.get(key, _DEAD)()
             if live is not None:
@@ -195,8 +208,35 @@ class Call(Expr):
 
 
 def free_symbols(expr):
-    """Set of symbol names occurring in expr."""
-    return {e.name for e in _walk([expr]) if isinstance(e, Sym)}
+    """Set of symbol names occurring in expr: its _free_names without the
+    non-finite marker."""
+    names = set(_free_names(expr))
+    names.discard(_NON_FINITE)
+    return names
+
+
+_NON_FINITE = object()  # in the _free_names of a node with inf or nan below
+_NO_NAMES = frozenset()
+
+
+def _free_names(e):
+    """The frozenset of symbol names under e, with _NON_FINITE if an inf or
+    nan Const is there too; computed on first read and kept on the node (two
+    threads may both compute it, and get equal sets).  A node shares an
+    operand's set where that one covers the others'."""
+    free = e._free
+    if free is None:
+        if isinstance(e, Sym):
+            free = frozenset((e.name,))
+        elif isinstance(e, Const):
+            free = _NO_NAMES if math.isfinite(e.value) else frozenset((_NON_FINITE,))
+        else:
+            free = _NO_NAMES
+            for names in map(_free_names, _children(e)):
+                if not names <= free:
+                    free = names if free <= names else free | names
+        e._free = free
+    return free
 
 
 def _walk(seq):
@@ -296,7 +336,16 @@ def differentiate(expr, name):
 
 class _Derivatives(dict):
     """Derivative of each node with respect to one symbol, derived on first
-    lookup; a memo kept for a whole derivation differentiates each node once."""
+    lookup; a memo kept for a whole derivation differentiates each node once.
+
+    A node whose _free_names hold neither the symbol nor the non-finite
+    marker derives to _ZERO unseen: under the rules of _diff its derivative
+    would simplify to 0 (a zero term, or a product with coefficient 0), which
+    adds +0.0 to a sum's constant and joins no like-term group, so every
+    simplified derivative is the node it would be.  Under inf or nan, 0 may
+    turn into nan, so such a subtree is always derived.  The memo holds the
+    rules' raw scaffolding (not interned); __call__ returns its simplified,
+    interned normal form."""
 
     def __init__(self, x):
         self.x = x
@@ -306,14 +355,18 @@ class _Derivatives(dict):
         return simplify(self[simplify(expr)])
 
     def __missing__(self, e):
-        out = self[e] = _diff(e, self.x, self)
+        free = _free_names(e)
+        out = self[e] = (_diff(e, self.x, self) if self.x in free or _NON_FINITE in free
+                         else _ZERO)
         return out
 
 
 def _diff(e, x, d):
-    """Derivative of node e with respect to x, reading its children's from d.
-    The sum, negation and product rules leave out _ZERO terms, a product only
-    where its Const factor (at most one: e is simplified) is finite."""
+    """Derivative of node e with respect to x, reading its children's from d,
+    as scaffolding: its Sum, Prod, Neg, Quot, Pow and Call nodes are built
+    raw (_build), its Consts interned.  The sum, negation and product rules
+    leave out _ZERO terms, a product only where its Const factor (at most
+    one: e is simplified) is finite."""
     if isinstance(e, Const):
         return _ZERO
     if isinstance(e, Sym):
@@ -321,49 +374,51 @@ def _diff(e, x, d):
     if isinstance(e, Sum):
         return _dsum(d[t] for t in e.terms)
     if isinstance(e, Neg):
-        return _ZERO if (du := d[e.child]) is _ZERO else Neg(du)
+        return _ZERO if (du := d[e.child]) is _ZERO else _build(Neg, du)
     if isinstance(e, Prod):
         fs = e.factors
         prune = all(math.isfinite(f.value) for f in fs if isinstance(f, Const))
-        return _dsum(Prod(fs[:i] + (df,) + fs[i + 1:]) for i, f in enumerate(fs)
+        return _dsum(_build(Prod, fs[:i] + (df,) + fs[i + 1:]) for i, f in enumerate(fs)
                      if (df := d[f]) is not _ZERO or not prune)
     if isinstance(e, Quot):
         da, db = d[e.num], d[e.den]
-        num = Sum((Prod((da, e.den)), Neg(Prod((e.num, db)))))
-        return _dquot(num, Pow(e.den, Const(2.0)))
+        num = _build(Sum, (_build(Prod, (da, e.den)), _build(Neg, _build(Prod, (e.num, db)))))
+        return _dquot(num, _build(Pow, e.den, Const(2.0)))
     if isinstance(e, Pow):
         c = _signed_const(e.exponent)
         du = d[e.base]
         if c is not None:
             # power rule with a constant exponent
-            return Prod((Const(c), Pow(e.base, Const(c - 1.0)), du))
+            return _build(Prod, (Const(c), _build(Pow, e.base, Const(c - 1.0)), du))
         dw = d[e.exponent]
-        bracket = Sum((Prod((dw, Call("log", e.base))), Prod((e.exponent, _dquot(du, e.base)))))
-        return Prod((e, bracket))
+        bracket = _build(Sum, (_build(Prod, (dw, _build(Call, "log", e.base))),
+                               _build(Prod, (e.exponent, _dquot(du, e.base)))))
+        return _build(Prod, (e, bracket))
     # Call
     u, du = e.arg, d[e.arg]
     if e.fn == "sin":
-        return Prod((Call("cos", u), du))
+        return _build(Prod, (_build(Call, "cos", u), du))
     if e.fn == "cos":
-        return Neg(Prod((Call("sin", u), du)))
+        return _build(Neg, _build(Prod, (_build(Call, "sin", u), du)))
     if e.fn == "exp":
-        return Prod((e, du))
+        return _build(Prod, (e, du))
     if e.fn == "log":
         return _dquot(du, u)
     # sqrt
-    return _dquot(du, Prod((Const(2.0), Call("sqrt", u))))
+    return _dquot(du, _build(Prod, (Const(2.0), _build(Call, "sqrt", u))))
 
 
 def _dsum(terms):
     """Sum of the terms but _ZERO, which simplify adds exactly to its constant
-    sum (never -0.0)."""
+    sum (never -0.0), as scaffolding."""
     terms = tuple(t for t in terms if t is not _ZERO)
-    return Sum(terms) if terms else _ZERO
+    return _build(Sum, terms) if terms else _ZERO
 
 
 def _dquot(num, den):
-    """num/den in a derivative, folded to 0 where num simplifies to 0."""
-    return _ZERO if simplify(num) is _ZERO else Quot(num, den)
+    """num/den in a derivative, folded to 0 where num simplifies to 0, as
+    scaffolding."""
+    return _ZERO if simplify(num) is _ZERO else _build(Quot, num, den)
 
 
 # ---------------------------------------------------------------- simplifier
@@ -566,7 +621,7 @@ def _simplify_call(fn, arg):
         if ok:
             try:
                 folded = getattr(math, fn)(v)
-            except OverflowError:
+            except (OverflowError, ValueError):  # exp(1e308); sin(inf) and cos(inf)
                 folded = None
             if folded is not None and math.isfinite(folded):
                 return _const(folded)

@@ -11,7 +11,8 @@ Each model derives its Lagrangian once, into ``model.core``: L, L_v, L_q,
 the velocity Hessian W = L_vv and L_vq, compiled into one evaluator that the
 split, the rank report, the transform, the Fenchel oracle and the
 Euler-Lagrange residual all read; one derivative memo per symbol serves the
-whole derivation.  The third partials that verify's exact identities need
+whole derivation, and derives only the nodes that read its symbol (or hold
+an inf or nan).  The third partials that verify's exact identities need
 (DerivativeCore.third) are derived and compiled only when first read.  The
 rank of W, probed numerically at random admissible points
 (numerics.probe_ranks, which eliminates each distinct matrix and block

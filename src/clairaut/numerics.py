@@ -66,7 +66,7 @@ from numbers import Integral
 
 from .errors import ArgumentError, DomainError, ModelError, NewtonError, RankDeficiencyError
 from .expressions import (_COMPILE_ENV, Call, Const, Neg, Pow, Prod, Quot, Sum, Sym, _children,
-                          _Code, _emit_cse, _walk)
+                          _Code, _emit_cse, _free_names, _walk)
 
 
 def rank_and_pivots(matrix, rel_tol=1e-9):
@@ -952,19 +952,6 @@ def _single_use(exprs, hoisted):
                      and (reader in hoisted or e not in hoisted))
 
 
-def _reading(exprs, names):
-    """Whether each node under exprs reads a symbol of names, as a dict: one
-    children-first pass, each node marked after its operands."""
-    reads, stack = {}, [(e, False) for e in exprs]
-    while stack:
-        e, expanded = stack.pop()
-        if expanded:
-            reads[e] = isinstance(e, Sym) and e.name in names or any(map(reads.get, _children(e)))
-        elif e not in reads:
-            stack += [(e, True)] + [(k, False) for k in _children(e)]
-    return reads
-
-
 _FOLD = True  # whether fused_stage tracks exact values (off: every operation emitted)
 
 
@@ -1005,8 +992,8 @@ def fused_stage(exprs, names, reg, solve, other, max_iter):
     roots = [exprs[1 + i] for i in reg] + [exprs[1 + 2 * n + i * n + j] for i in reg for j in reg]
     roots += [e for e in _walk(exprs) if isinstance(e, (Pow, Call)) or isinstance(e, Quot)
               and not (isinstance(e.den, Const) and e.den.value)]  # x / c, c != 0, never raises
-    reads_v = _reading(roots, {names[n + i] for i in reg})
-    hoisted = [e for e in _walk(roots) if not reads_v[e]]
+    v_reg = {names[n + i] for i in reg}
+    hoisted = [e for e in _walk(roots) if _free_names(e).isdisjoint(v_reg)]
     inline = _single_use(exprs, set(hoisted))
 
     def emit(seq):

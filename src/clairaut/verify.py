@@ -68,6 +68,8 @@ class _Context:
         self.probes = probes
         self.seed = seed
         self._points = {}
+        for pt in probes:  # a copy of a probe is held as the probe
+            self._points.setdefault((pt._q, pt._p, pt._v), pt)
 
     def rng(self, salt):
         return Rng(self.seed * 1000 + salt)
@@ -91,7 +93,7 @@ class _Context:
         if ct.n == ct.r:
             return True
         try:
-            ct.resolve(self.probes[0]._replace(v_deg=[0.0] * (ct.n - ct.r)))
+            ct.resolve(self.held(self.probes[0]._replace(v_deg=[0.0] * (ct.n - ct.r))))
         except ClairautError:
             return False
         return True
@@ -207,10 +209,10 @@ def _rank_constancy(ctx):  # the run's own probe draws, not the split's
 
 def _envelope_gradients(ctx):
     # dH/dp_i == V^i holds once the degenerate velocities are zeroed
-    ct = ctx.ct
+    ct, zeros = ctx.ct, [0.0] * (ctx.ct.n - ctx.ct.r)
     for pt in ctx.probes:
         try:
-            res = ct.resolve(pt if ct.n == ct.r else pt._replace(v_deg=[0.0] * (ct.n - ct.r)))
+            res = ct.resolve(ctx.held(pt._replace(v_deg=zeros)) if zeros else pt)
         except ClairautError:
             continue
         yield from map(operator.sub, res._flat("dH_dp"), res._v)
@@ -220,8 +222,12 @@ def _gradient_fd(ctx):
     import numpy as np
     # one Jacobian of the vector (H, B_1, ..., B_k) per probe
     ct = ctx.ct
-    fd = FiniteDifferenceObservable(
-        lambda pt: np.concatenate([[ct.h_phys(pt)], ct.b_values(pt)]), ct, 1e-6)
+
+    def h_and_b(pt):
+        pt = ctx.held(pt)  # _consistency_tower displaces cawley's probe 0 alike
+        return np.concatenate([[ct.h_phys(pt)], ct.b_values(pt)])
+
+    fd = FiniteDifferenceObservable(h_and_b, ct, 1e-6)
     for pt in ctx.probes[:3]:
         res = ct.resolve(pt)
         for got, ref in ((np.vstack([res.dH_dq, res.dB_dq]), fd.d_dq(pt)),
@@ -425,17 +431,20 @@ def _level_three(ct, pt):
     return [_zpoisson(ct, j[0], h[0]) for j in jets], [_bracket_gradient(ct, j, h) for j in jets]
 
 
-def _consistency_tower(ct, pt, levels, step):
+def _consistency_tower(ctx, pt, levels, step):
     """The Jacobian over z = (q, p) of the tower's first two levels at pt:
     D_a H's rows exact, from the jet (dDH); with levels 2 or more,
     _level_two's rows by one level of central differences (step) of its
-    exact values, since they would need the fourth partials of L."""
+    exact values, since they would need the fourth partials of L.  The
+    displaced points are held (ctx.held)."""
+    ct = ctx.ct
     res, n, m = ct.resolve(pt), ct.n, ct.n + ct.r
     ddh = res._flat("dDH")
     rows = [ddh[a * m:a * m + m] for a in range(ct.n - ct.r)]
     if levels >= 2:
-        cols = central_differences(lambda z: _level_two(ct, pt._replace(q=z[:n], p=z[n:])),
-                                   [*pt._q, *pt._p], step)
+        cols = central_differences(
+            lambda z: _level_two(ct, ctx.held(pt._replace(q=z[:n], p=z[n:]))),
+            [*pt._q, *pt._p], step)
         rows += map(list, zip(*cols))
     return rows
 
@@ -458,20 +467,21 @@ def _min_norm_step(jac, rhs):
     return [dot(col, z) for col in zip(*basis)] if basis else [0.0] * len(jac[0])
 
 
-def _project_to_surface(ct, pt, levels, iters=18, step=1e-6):
+def _project_to_surface(ctx, pt, levels, iters=18, step=1e-6):
     """Gauss-Newton projection of (q, p) onto the zero set of the first
     levels (1 to 3) of the consistency tower (_consistency_tower,
-    _level_three); minimal-norm steps, best effort."""
-    n = ct.n
+    _level_three); minimal-norm steps, best effort.  Each iterate is held
+    (ctx.held): the first is pt's copy."""
+    ct, n = ctx.ct, ctx.ct.n
     u = [*pt._q, *pt._p]
     for _ in range(iters):
-        cur = pt._replace(q=u[:n], p=u[n:])
+        cur = ctx.held(pt._replace(q=u[:n], p=u[n:]))
         top = _level_three(ct, cur) if levels == 3 else ([], [])
         f0 = (list(ct.resolve(cur)._flat("DH")) + (_level_two(ct, cur) if levels >= 2 else [])
               + top[0])
         if _max_abs(f0) < 1e-12:
             break
-        delta = _min_norm_step(_consistency_tower(ct, cur, levels, step) + top[1],
+        delta = _min_norm_step(_consistency_tower(ctx, cur, levels, step) + top[1],
                                [-f for f in f0])
         scale = 1.0 / max(math.sqrt(dot(delta, delta)), 1.0)  # at most 1 long
         u = [x + d * scale for x, d in zip(u, delta)]
@@ -498,7 +508,7 @@ def _constraint_preservation(ctx):
         ct, cls, {name: 1.0 for name in ct.split.degenerate})
     cand = pt0
     for levels in (1, 2, 3):
-        cand = _project_to_surface(ct, pt0, levels)
+        cand = _project_to_surface(ctx, pt0, levels)
         trial = integrate(ct, cand, gauge,
                           IntegratorConfig(t1=trial_t1, dt=5e-3,
                                            consistency_tol=1e30), cls)

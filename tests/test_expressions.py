@@ -5,6 +5,7 @@ import gc
 import math
 import pickle
 import random
+import sys
 import threading
 
 import numpy as np
@@ -216,6 +217,14 @@ class TestSimplify:
         with pytest.raises(DomainError):
             evaluate(e, {})
 
+    def test_no_fold_sin_or_cos_of_inf(self):
+        # math.sin(inf) raises ValueError; the call stays for evaluate to raise
+        for fn in ("sin", "cos"):
+            e = Call(fn, Prod((Const(1e300), Const(1e300))))
+            assert simplify(e) is Call(fn, Const(math.inf))
+            with pytest.raises(DomainError):
+                evaluate(e, {})
+
     def test_no_fold_log_or_sqrt_of_negative(self):
         e = simplify(parse_expression("log(0 - 1)"))
         assert isinstance(e, Call)
@@ -306,12 +315,13 @@ class TestDifferentiate:
                 assert simplify(d) == d
 
 
-PRUNED_DIFF = expressions._diff
-
-
 def full_diff(e, x, d):
-    """expressions._diff with the full sum, negation and product rules,
-    which keep the terms whose derivative is 0."""
+    """expressions._diff with the full sum, negation and product rules, which
+    keep the terms whose derivative is 0, over interned nodes throughout."""
+    if isinstance(e, Const):
+        return Const(0.0)
+    if isinstance(e, Sym):
+        return Const(1.0 if e.name == x else 0.0)
     if isinstance(e, Sum):
         return Sum(tuple(d[t] for t in e.terms))
     if isinstance(e, Neg):
@@ -320,16 +330,48 @@ def full_diff(e, x, d):
         fs = e.factors
         return Sum(tuple(Prod(tuple(d[f] if j == i else f for j, f in enumerate(fs)))
                          for i in range(len(fs))))
-    return PRUNED_DIFF(e, x, d)
+    if isinstance(e, Quot):
+        num = Sum((Prod((d[e.num], e.den)), Neg(Prod((e.num, d[e.den])))))
+        return full_quot(num, Pow(e.den, Const(2.0)))
+    if isinstance(e, Pow):
+        c = expressions._signed_const(e.exponent)
+        if c is not None:
+            return Prod((Const(c), Pow(e.base, Const(c - 1.0)), d[e.base]))
+        bracket = Sum((Prod((d[e.exponent], Call("log", e.base))),
+                       Prod((e.exponent, full_quot(d[e.base], e.base)))))
+        return Prod((e, bracket))
+    u, du = e.arg, d[e.arg]
+    if e.fn == "sin":
+        return Prod((Call("cos", u), du))
+    if e.fn == "cos":
+        return Neg(Prod((Call("sin", u), du)))
+    if e.fn == "exp":
+        return Prod((e, du))
+    if e.fn == "log":
+        return full_quot(du, u)
+    return full_quot(du, Prod((Const(2.0), Call("sqrt", u))))
+
+
+def full_quot(num, den):
+    """expressions._dquot over interned nodes: num/den, 0 where num is."""
+    return Const(0.0) if simplify(num) is Const(0.0) else Quot(num, den)
+
+
+def full_missing(memo, e):
+    """_Derivatives.__missing__ without the free-symbol shortcut: every node
+    is derived by full_diff."""
+    out = memo[e] = full_diff(e, memo.x, memo)
+    return out
 
 
 def by_full_rules(fn, *args):
-    """fn(*args) with full_diff in place of expressions._diff."""
-    expressions._diff = full_diff
+    """fn(*args) with every derivation by the full rules (full_missing)."""
+    missing = expressions._Derivatives.__missing__
+    expressions._Derivatives.__missing__ = full_missing
     try:
         return fn(*args)
     finally:
-        expressions._diff = PRUNED_DIFF
+        expressions._Derivatives.__missing__ = missing
 
 
 def special_trees(depth=4):
@@ -355,11 +397,12 @@ def special_trees(depth=4):
 
 
 class TestZeroPruning:
-    """The sum, negation and product rules leave out zero terms; the
+    """The sum, negation and product rules leave out zero terms, and a
+    derivation skips the subtrees that do not read its symbol; the
     derivative, first and second, is the very node the full rules give."""
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=400)
-    @given(special_trees(), st.sampled_from(["x", "y", "d(x)"]))
+    @given(special_trees(), st.sampled_from(["x", "y", "d(x)", "z"]))
     @example(parse_expression("1e308*x^2"), "x")
     @example(parse_expression("1e300*1e300*x*d(y) - y*d(y)"), "d(y)")
     @example(Prod((Const(-0.0), Sym("x"), Neg(Const(math.inf)), Sym("y"))), "x")
@@ -373,11 +416,72 @@ class TestZeroPruning:
         # 1e300*1e300 folds to inf, and d(y)'s second derivative is inf*0
         e = differentiate(parse_expression("1e300*1e300*x*d(y)"), "d(y)")
         assert differentiate(e, "d(y)") is Const(math.nan)
+        # inf*x does not read y, but holds inf: it is derived, to inf*0
+        assert differentiate(parse_expression("1e300*1e300*x + y"), "y") is Const(math.nan)
 
     @pytest.mark.parametrize("name", BUNDLED)
     def test_bundled_cores_compile_to_the_same_source(self, name):
-        full = by_full_rules(lambda: load_bundled(name).core.fn.source)
-        assert load_bundled(name).core.fn.source == full
+        def sources():
+            core = load_bundled(name).core
+            return core.fn.source, core.third[0].source, core.third[1]
+
+        assert sources() == by_full_rules(sources)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @given(special_trees(), st.sampled_from(["x", "d(x)"]))
+    def test_a_derivative_is_interned_throughout(self, e, name):
+        # the rules' scaffolding is not interned; simplify's normal form is
+        # (a copy of an interned node rebuilds through the table: itself)
+        d = differentiate(e, name)
+        assert all(copy.copy(k) is k for k in expressions._walk([d]))
+
+    def test_a_derivation_visits_only_the_nodes_that_read_its_symbol(self, monkeypatch):
+        e = simplify(parse_expression("sin(x)*cos(y)^2 + exp(y)*y/(1 + y^2) - x"))
+        calls, diff = [], expressions._diff
+        monkeypatch.setattr(expressions, "_diff", lambda k, x, d: calls.append(k) or diff(k, x, d))
+        for name, reading in (("x", 5), ("z", 0)):
+            calls.clear()
+            differentiate(e, name)
+            assert len(calls) == reading
+            assert set(calls) == {k for k in expressions._walk([e]) if name in free_symbols(k)}
+
+
+class TestFreeSymbols:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=400)
+    @given(special_trees())
+    def test_the_names_a_walk_finds(self, e):
+        # the kept set marks a non-finite constant below; free_symbols drops it
+        walk = expressions._walk([e])
+        names = {k.name for k in walk if isinstance(k, Sym)}
+        marked = any(isinstance(k, Const) and not math.isfinite(k.value) for k in walk)
+        assert free_symbols(e) == names
+        assert expressions._free_names(e) == names | ({expressions._NON_FINITE} if marked else set())
+
+    def test_threads_reading_one_new_tree_agree(self):
+        # a node's set is filled on first read without a lock: threads that
+        # race on it may both compute it, and every one reads the same names
+        width, rounds, start = 8, 50, threading.Barrier(4)
+        trees = [parse_expression("+".join(f"sin(race_{r}_{i}*d(x))" for i in range(width)))
+                 for r in range(rounds)]
+        want = [{"d(x)"} | {f"race_{r}_{i}" for i in range(width)} for r in range(rounds)]
+        seen = []
+
+        def read():
+            start.wait(timeout=10)
+            seen.append([free_symbols(e) for e in trees])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=read) for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert seen == [want] * 4
 
 
 class TestEvaluate:

@@ -122,7 +122,8 @@ class TestMinNormStep:
         monkeypatch.setattr(verify, "_min_norm_step",
                             lambda jac, rhs: seen.append((jac, rhs)) or step(jac, rhs))
         ct = ClairautTransform(load_bundled("christ_lee"))
-        verify._project_to_surface(ct, phase_probes(ct, seed=127)[0], 1)
+        verify._project_to_surface(verify._Context(ct, None, [], 127),
+                                   phase_probes(ct, seed=127)[0], 1)
         jac, rhs = np.array(seen[3][0]), np.array(seen[3][1])
         with pytest.raises(numerics.SingularMatrixError, match="Singular matrix"):
             solver(3)((jac @ jac.T).ravel().tolist(), rhs.tolist())
