@@ -11,10 +11,11 @@ numpy.random.default_rng(42) draws; the fused RK4 stage
 (numerics.fused_stage, at the root and through its Newton loop from 1e-3
 off it) and the second-order jet (numerics.jet_kernel, on
 the third partials of model.DerivativeCore.third) give the pinned outputs
-at the 17 phase probes of every bundled model; and the 13 reference commands of
-scripts/output_digests.py that need no numpy (``analyze`` on every bundled
-model, the README ``transform`` and both ``pde`` runs) give the digests that
-scripts/output_digests.txt pins for them, and still load no numpy.  It
+at the 17 phase probes of every bundled model; and the 23 reference commands of
+scripts/output_digests.py that need no numpy (``analyze`` and ``verify
+--seed 42`` on every bundled model, the README ``transform`` and both
+``pde`` runs) give the digests that scripts/output_digests.txt pins for
+them, and still load no numpy.  It
 needs only the standard library, so it runs on interpreters that have no
 numpy:
 
@@ -43,7 +44,7 @@ PINNED_NEWTON_STAGE = (170, "071790adefb46f653f69745c0844a37fb921dc86e2c96ab0dce
 PINNED_JET = (170, "83750fae8d65cf75849407fcd53da7adb46b87b341a81a2372058408231480e6")
 
 # the reference commands output_digests.py runs without numpy
-NUMPY_FREE = ("analyze", "transform", "pde")
+NUMPY_FREE = ("analyze", "transform", "pde", "verify")
 
 MODEL = "coord x, y; param m = 2; lagrangian = m*d(x)^2/2 + x*d(y) - x^3;"
 # the core (L, L_v, L_q, W, L_vq) at x = 0.5, y = 0.25, d(x) = 1.5, d(y) = -2,

@@ -15,8 +15,9 @@ model's invariant surface.
 
 integrate is one call of the generated RK4 loop for the gauge's plan
 (numerics.rk4_kernel), on Python floats, which writes the trajectory's rows
-into an array of doubles; integrate maps its exit status to the trajectory
-or to an IntegrabilityError carrying the rows written.  Each stage is one
+into an array of doubles; _integrate maps its exit status to the rows'
+build (integrate's Trajectory, verify's floats) or to an IntegrabilityError
+carrying the build of the rows written.  Each stage is one
 call of the transform's fused stage (ClairautTransform._stage: full Newton
 steps from the last stage's velocities, then the sector solve, the core
 inline) or, where those steps give up, two: a second at tol inf from the
@@ -27,7 +28,7 @@ PhasePoint or Resolution; a zero gauge velocity is the literal 0.0 in the
 loop, and each prescribed one a call of its compiled evaluator once per
 distinct time of a step.
 degenerate_velocities solves the sector system on a Resolution's F and D_a H
-in the stage's order: the same floats.
+in the stage's order (_sector_velocities): the same floats.
 """
 
 import itertools
@@ -40,7 +41,7 @@ from .errors import ArgumentError, DomainError, GaugeInputError, IntegrabilityEr
 from .expressions import compile_evaluator, free_symbols, parse_expression
 from .gauge import _subblock_solve, bracket_gauge, classify, field_strength
 from .manytime import g_matrix, map_to_manytime
-from .numerics import SECTOR_SINGULAR, _max_abs, dot, rk4_kernel
+from .numerics import SECTOR_SINGULAR, _floats, _max_abs, dot, rk4_kernel
 from .transform import PhasePoint
 
 # Sign relating the extended-bracket action of the constraints p_a - B_a to
@@ -152,6 +153,12 @@ def degenerate_velocities(ct, pt, gauge=None, cls=None, t=0.0, res=None):
     ||F v - D H||_inf over all rows (solved and unsolved alike), on the
     resolution res (ct.resolve(pt) if None): the RK4 stage's floats."""
     import numpy as np
+    v, residual = _sector_velocities(ct, pt, gauge, cls, t, res)
+    return np.array(v), residual
+
+
+def _sector_velocities(ct, pt, gauge, cls, t, res):
+    """degenerate_velocities with the velocities as a list of floats."""
     gauge = _gauge_for(ct, gauge, cls)
     if res is None:
         res = ct.resolve(pt)
@@ -161,7 +168,7 @@ def degenerate_velocities(ct, pt, gauge=None, cls=None, t=0.0, res=None):
     rhs = [dh[s] - dot([f[s * nd + o] for o in other], [v[o] for o in other]) for s in solve]
     for s, x in zip(solve, _subblock_solve(res, solve, rhs, SECTOR_SINGULAR)):
         v[s] = x
-    return np.array(v), _max_abs(dot(f[k * nd:k * nd + nd], v) - dh[k] for k in range(nd))
+    return v, _max_abs(dot(f[k * nd:k * nd + nd], v) - dh[k] for k in range(nd))
 
 
 # -------------------------------------------------------------- integration
@@ -217,8 +224,12 @@ class Trajectory:
     @property
     def columns(self):
         """The names of a row's values: the CSV header up to el_residual."""
-        return (["t"] + [f"q:{c}" for c in self.coords] + [f"p:{c}" for c in self.regular]
-                + [f"v:{c}" for c in self.degenerate] + ["H_phys", "consistency_residual"])
+        return _columns(self.coords, self.regular, self.degenerate)
+
+
+def _columns(coords, regular, degenerate):
+    return (["t"] + [f"q:{c}" for c in coords] + [f"p:{c}" for c in regular]
+            + [f"v:{c}" for c in degenerate] + ["H_phys", "consistency_residual"])
 
 
 def integrate(ct, initial, gauge=None, cfg=None, cls=None):
@@ -236,26 +247,32 @@ def integrate(ct, initial, gauge=None, cfg=None, cls=None):
     a non-finite value, or a prescribed velocity undefined at a stage's
     time, aborts with the rows written before it.
     """
-    import numpy as np
     cfg = cfg if cfg is not None else IntegratorConfig()
+    return _integrate(ct, initial, gauge, cfg, cls, _trajectory)
+
+
+def _trajectory(ct, rows, count, cfg):
+    """The Trajectory of the first count rows of rows, an array of doubles."""
+    import numpy as np
+    n, width = ct.n, 2 * ct.n + 3
+    table = np.frombuffer(rows, count=count * width).reshape(count, width)
+    cols = np.cumsum([1, n, ct.r, n - ct.r, 1])
+    t, q, p, v, h, c = (col.copy() for col in np.split(table, cols, axis=1))
+    return Trajectory(t[:, 0], q, p, v, h[:, 0], c[:, 0], ct.model.coords,
+                      ct.split.regular, ct.split.degenerate,
+                      bool(count and c[0, 0] > cfg.consistency_tol))
+
+
+def _integrate(ct, initial, gauge, cfg, cls, build):
+    """integrate's run: build(ct, rows, count, cfg) of the kernel's array of
+    doubles rows, count whole rows (t, q, p, v_deg, H, consistency), and
+    each IntegrabilityError carries build's result for the rows before the
+    one at fault."""
     ct._check_point(initial)
     gauge = _gauge_for(ct, gauge, cls)
     solve, other = gauge._plan
-    n, width = ct.n, 2 * ct.n + 3  # a row: t, q, p, v_deg, H, consistency
+    n, width = ct.n, 2 * ct.n + 3
     rows = array("d")
-
-    def build(count):
-        table = np.frombuffer(rows, count=count * width).reshape(count, width)
-        for k, col in np.argwhere(~np.isfinite(table))[:1].tolist():  # the first, row-major
-            traj = build(k)
-            raise IntegrabilityError(f"non-finite {traj.columns[col]} = {table[k, col]} at "
-                                     f"t={table[k, 0]:.6g}", trajectory=traj)
-        cols = np.cumsum([1, n, ct.r, n - ct.r, 1])
-        t, q, p, v, h, c = (col.copy() for col in np.split(table, cols, axis=1))
-        return Trajectory(t[:, 0], q, p, v, h[:, 0], c[:, 0], ct.model.coords,
-                          ct.split.regular, ct.split.degenerate,
-                          bool(count and c[0, 0] > cfg.consistency_tol))
-
     try:
         zeros = tuple(a for a in other if gauge.modes[a] == "zero")
         status = rk4_kernel(n, ct._reg, solve, other, zeros)(
@@ -272,7 +289,7 @@ def integrate(ct, initial, gauge=None, cfg=None, cls=None):
                 except DomainError as err:
                     raise IntegrabilityError(
                         f"prescribed velocity d({ct.split.degenerate[a]}) is not defined at "
-                        f"t={time:.6g}: {err}", trajectory=build(count)) from exc
+                        f"t={time:.6g}: {err}", trajectory=build(ct, rows, count, cfg)) from exc
             raise
         where, text = "" if cut else "inside step ", str(exc)
         if cut and not count and other:  # the first stage: blame the gauge's velocities
@@ -282,20 +299,27 @@ def integrate(ct, initial, gauge=None, cfg=None, cls=None):
                     ", ".join(f"d({ct.split.degenerate[a]}) = {v[a]:.6g}" for a in other)
         raise IntegrabilityError(
             f"velocity resolution failed {where}at t={t:.6g}: {text}",
-            trajectory=build(count)) from exc
+            trajectory=build(ct, rows, count, cfg)) from exc
     count = len(rows) // width
     if status == 1:
         raise IntegrabilityError(
             f"consistency residual {rows[-1]:.3e} exceeded "
-            f"{cfg.consistency_tol:.3e} at t={rows[-width]:.6g}", trajectory=build(count))
+            f"{cfg.consistency_tol:.3e} at t={rows[-width]:.6g}",
+            trajectory=build(ct, rows, count, cfg))
     if status in (2, 4):
         block, system = (("Pfaffian of the solved F subblock", "sector system") if status == 2
                          else ("regular velocity Hessian block W_rr's determinant",
                                "velocity resolution"))
         raise IntegrabilityError(
             f"{block} changed sign between t={rows[-1 - width]:.6g} and t={rows[-1]:.6g}: "
-            f"the {system} went singular inside that step", trajectory=build(count))
-    return build(count)  # status 3: build raises at the non-finite row
+            f"the {system} went singular inside that step", trajectory=build(ct, rows, count, cfg))
+    if status == 3:  # the last row holds a value that is not finite: the first, row-major
+        at = next(i for i, x in enumerate(rows) if not math.isfinite(x))
+        k, col = divmod(at, width)
+        name = _columns(ct.model.coords, ct.split.regular, ct.split.degenerate)[col]
+        raise IntegrabilityError(f"non-finite {name} = {rows[at]} at t={rows[k * width]:.6g}",
+                                 trajectory=build(ct, rows, k, cfg))
+    return build(ct, rows, count, cfg)
 
 
 # ------------------------------------------------------------- verification
@@ -382,11 +406,16 @@ def dirac_report(ct, pt, p_deg=None):
 
     p_deg supplies candidate momenta for the degenerate coordinates; the
     default takes them on the constraint surface (p_deg = B), making every
-    phi vanish.  The point's own v_deg enters the second-stage values.
+    phi vanish; a p_deg of another length than v_deg is an ArgumentError.
+    The point's own v_deg enters the second-stage values.
     """
     import numpy as np
     res = ct.resolve(pt)
-    p_deg = np.asarray(res.B if p_deg is None else p_deg, dtype=float)
+    p_deg = res._flat("B") if p_deg is None else _floats(p_deg)
+    if len(p_deg) != len(pt._v):
+        raise ArgumentError(f"dirac_report takes {len(pt._v)} degenerate values, "
+                            f"not {len(p_deg)}")
+    p_deg = np.array(p_deg)
     fab, dhf = _constraint_brackets(ct, pt)
     return DiracReport(p_deg - res.B, ct.h_mix(pt, p_deg), SIGMA,
                        float(_max_abs((fab - field_strength(ct, pt)).flat)),

@@ -26,6 +26,9 @@ the Resolution's second-order jet (Hessians of B and H, dF, the gradient of
 D_a H) and the constant Hessian of verify's quadratics (their _jet), as flat
 floats over z = (q, p); _bracket_gradient and _long_gradient carry the
 product rule through the bracket.
+The brackets read the resolution's rows as floats (Resolution._flat), and
+each function returning an array wraps a float core that verify reads:
+_field_strength, _maxwell_current and FiniteDifferenceObservable._jacobian.
 """
 
 import itertools
@@ -130,6 +133,16 @@ class FiniteDifferenceObservable:
             return np.empty(np.shape(self.fn(pt)) + (0,))
         return np.stack(central_differences(lambda x: self.fn(at(x)), base, self.step), axis=-1)
 
+    def _jacobian(self, pt):
+        """(d_dq, d_dp) for an fn that returns a list of floats, as lists of
+        float rows, row i the partials of entry i: the columns of
+        central_differences transposed, each displaced point evaluated once."""
+        out = []
+        for base, at in ((pt._q, lambda x: pt._replace(q=x)), (pt._p, lambda x: pt._replace(p=x))):
+            cols = central_differences(lambda x: self.fn(at(x)), base, self.step)
+            out.append([list(row) for row in zip(*cols)] if base else [[] for _ in self.fn(pt)])
+        return out
+
 
 def _poisson(ct, xq, xp, yq, yp):
     """{X, Y}_phys from the gradients of X and Y (float lists or arrays)."""
@@ -196,6 +209,11 @@ def field_strength(ct, pt):
 
     Built once per resolution and shared, so the array is read-only."""
     return ct.resolve(pt).F
+
+
+def _field_strength(ct, pt):
+    """field_strength's entries as flat floats, row-major (Resolution._flat)."""
+    return ct.resolve(pt)._flat("F")
 
 
 def phase_probes(ct, count=DEFAULT_PROBE_COUNT, seed=DEFAULT_PROBE_SEED):
@@ -287,9 +305,10 @@ def _corrected_bracket(ct, x, y, pt, solved, singular):
     sub = list(solved)
     if not sub:
         return base
-    res = ct.resolve(pt)
+    res, n, r = ct.resolve(pt), ct.n, ct.r
+    bq, bp = res._flat("dB_dq"), res._flat("dB_dp")
     # {X, B_a} = -{B_a, X}
-    a = [-_poisson(ct, res.dB_dq[al], res.dB_dp[al], xq, xp) for al in sub]
+    a = [-_poisson(ct, bq[al * n:al * n + n], bp[al * r:al * r + r], xq, xp) for al in sub]
     if not any(a):
         return base  # B acts trivially on X, no correction regardless of F
     d = [_long_derivative(ct, res, beta, yq, yp) for beta in sub]
@@ -325,10 +344,15 @@ def maxwell_current(ct, pt):
     order of alpha, skipping F_bb == 0; exact, from the second-order jet's
     dF (Resolution.dF), with no finite differences."""
     import numpy as np
+    return np.array(_maxwell_current(ct, pt))
+
+
+def _maxwell_current(ct, pt):
+    """maxwell_current as a list of floats."""
     n_deg = ct.n - ct.r
     d = _long_derivatives_of_f(ct, pt)
-    return np.array([dot([d(a, a, b) for a in range(n_deg) if a != b], [1.0] * (n_deg - 1))
-                     for b in range(n_deg)])
+    return [dot([d(a, a, b) for a in range(n_deg) if a != b], [1.0] * (n_deg - 1))
+            for b in range(n_deg)]
 
 
 def bianchi_residual(ct, pt):

@@ -19,13 +19,15 @@ package's one canonical bracket.  Evolution in all times simultaneously
 is consistent exactly when G vanishes.  G's degenerate block is the
 field strength and its first row the long derivative of H_phys, which
 integrability_report checks; over all n canonical pairs they are also
-the constraint brackets {phi_a, phi_b} and -{phi_a, H_phys}, phi_a = p_a - B_a.
+the constraint brackets {phi_a, phi_b} and -{phi_a, H_phys}, phi_a = p_a - B_a.G is assembled on floats (_g), which integrability_report reads; g_matrix
+is their array.
 """
 
+import operator
 from dataclasses import dataclass
 
 from .errors import ModelError
-from .gauge import _poisson, field_strength, phase_probes
+from .gauge import _field_strength, _poisson, phase_probes
 from .numerics import _max_abs
 from .transform import _SlotObservable
 
@@ -63,20 +65,25 @@ def map_to_manytime(ct):
 
 
 def g_matrix(mts, pt):
-    """Evaluate G_mu_nu at a phase point.  Exactly antisymmetric: each pair
-    mu < nu is assembled once and (nu, mu) is its negation."""
+    """Evaluate G_mu_nu at a phase point, as an m x m array."""
     import numpy as np
+    return np.array(_g(mts, pt)).reshape(mts.m, mts.m)
+
+
+def _g(mts, pt):
+    """G's entries as flat floats, row-major.  Exactly antisymmetric: each
+    pair mu < nu is assembled once and (nu, mu) is its negation."""
     ct, deg, m = mts.ct, mts.ct._deg, mts.m
-    gq = [h.d_dq(pt) for h in mts.hamiltonians]
-    gp = [h.d_dp(pt) for h in mts.hamiltonians]
-    g = np.zeros((m, m))
+    gq, gp = zip(*(h._gradient(pt) if isinstance(h, _SlotObservable) else (h.d_dq(pt), h.d_dp(pt))
+                   for h in mts.hamiltonians))
+    g = [0.0] * (m * m)
     for mu in range(m):
         for nu in range(mu + 1, m):
             # e = dH_mu/dt^nu - dH_nu/dt^mu: nothing depends on the physical
             # time t^0 explicitly; t^b (b >= 1) is degenerate coordinate deg[b - 1]
             e = gq[mu][deg[nu - 1]] - (gq[nu][deg[mu - 1]] if mu else 0.0)
-            g[mu, nu] = e + _poisson(ct, gq[mu], gp[mu], gq[nu], gp[nu])
-            g[nu, mu] = -g[mu, nu]
+            g[mu * m + nu] = e + _poisson(ct, gq[mu], gp[mu], gq[nu], gp[nu])
+            g[nu * m + mu] = -g[mu * m + nu]
     return g
 
 
@@ -101,17 +108,21 @@ class IntegrabilityReport:
 
 
 def integrability_report(mts, probes=None):
+    """IntegrabilityReport over probes (phase_probes(ct) if None), on G's
+    floats (_g), F's (_field_strength) and D_a H's (Resolution._flat)."""
     ct = mts.ct
     if probes is None:
         probes = phase_probes(ct)
     if not probes:
         raise ModelError("integrability_report needs at least one probe")
-    g_entries, f_defects, dh_defects = [], [], []
+    m, g_entries, f_defects, dh_defects = mts.m, [], [], []
     for pt in probes:
-        g = g_matrix(mts, pt)
-        g_entries.extend(g.flat)
-        f_defects.extend((g[1:, 1:] - field_strength(ct, pt)).flat)
-        dh_defects.extend((g[0, 1:] - ct.resolve(pt).DH).flat)
+        g = _g(mts, pt)
+        g_entries.extend(g)
+        f = _field_strength(ct, pt)
+        f_defects.extend(g[(1 + a) * m + 1 + b] - f[a * (m - 1) + b]
+                         for a in range(m - 1) for b in range(m - 1))
+        dh_defects.extend(map(operator.sub, g[1:m], ct.resolve(pt)._flat("DH")))
     return IntegrabilityReport(max_g=float(_max_abs(g_entries)),
                                f_defect=float(_max_abs(f_defects)),
                                dh_defect=float(_max_abs(dh_defects)), n_points=len(probes))

@@ -36,13 +36,15 @@ regular velocities of L = f(d(z)).
 """
 
 import itertools
+import sys
 from functools import cached_property
-from numbers import Integral
+from numbers import Integral, Real
 
 from .errors import ArgumentError, DomainError, FenchelError, NewtonError
 from .model import CORE_BLOCKS, _zeros, split_variables
-from .numerics import (NewtonConfig, _floats, block_kernel, damped_newton, dot, fused_stage,
-                       jet_kernel, newton_pair, newton_with_restarts, resolve_kernel)
+from .numerics import (NewtonConfig, _floats, _max_abs, _require_integer, block_kernel,
+                       damped_newton, dot, fused_stage, jet_kernel, newton_pair,
+                       newton_with_restarts, resolve_kernel)
 
 def _array(values, dtype=float):
     """A read-only array copy of values."""
@@ -362,7 +364,8 @@ class ClairautTransform:
 
 class _SlotObservable:
     """H_phys (alpha None) or B_alpha times sign (1.0 or -1.0, an exact negation),
-    read off the Resolution: value a float, d_dq and d_dp its gradient rows."""
+    read off the Resolution: value a float, _gradient its gradient rows as
+    lists of floats, and d_dq and d_dp arrays of those rows."""
 
     def __init__(self, ct, alpha=None, sign=1.0):
         self.ct, self.sign = ct, sign
@@ -375,48 +378,87 @@ class _SlotObservable:
         res = self.ct.resolve(pt)
         return self._signed(res.H if self.alpha is None else res._flat("B")[self.alpha])
 
+    def _gradient(self, pt):
+        """(d_dq, d_dp) as lists of floats, from the resolution's _flat rows."""
+        res, n, r, a = self.ct.resolve(pt), self.ct.n, self.ct.r, self.alpha
+        rows = ((res._flat("dH_dq"), res._flat("dH_dp")) if a is None else
+                (res._flat("dB_dq")[a * n:a * n + n], res._flat("dB_dp")[a * r:a * r + r]))
+        return tuple(list(map(self._signed, row)) for row in rows)
+
     def d_dq(self, pt):
-        res = self.ct.resolve(pt)
-        return self._signed(res.dH_dq if self.alpha is None else res.dB_dq[self.alpha])
+        import numpy as np
+        return np.array(self._gradient(pt)[0])
 
     def d_dp(self, pt):
-        res = self.ct.resolve(pt)
-        return self._signed(res.dH_dp if self.alpha is None else res.dB_dp[self.alpha])
+        import numpy as np
+        return np.array(self._gradient(pt)[1])
 
 
 # ------------------------------------------------------- numeric conjugate
 
 
-def _not_convex(w):
-    """Whether the velocity Hessian w (an array) fails strict convexity: its
-    least eigenvalue at most 1e-10 times its largest |entry| (or 1)."""
-    import numpy as np
-    return np.min(np.linalg.eigvalsh(w)) <= 1e-10 * max(1.0, float(np.max(np.abs(w))))
+def _not_convex(w, n):
+    """Whether the velocity Hessian w (n x n, flat floats) fails strict
+    convexity: its least eigenvalue at most tau = 1e-10 times its largest
+    |entry| (or 1), so W - tau I is not positive definite, which is whether
+    an LDL^T pivot of it (Gauss elimination without pivoting on w's lower
+    triangle, as eigvalsh reads w) is not > 0."""
+    tau = 1e-10 * max(1.0, _max_abs(w))
+    a = [[w[max(i, j) * n + min(i, j)] - (tau if i == j else 0.0) for j in range(n)]
+         for i in range(n)]
+    for k in range(n):
+        if not a[k][k] > 0.0:
+            return True
+        for i in range(k + 1, n):
+            f = a[i][k] / a[k][k]
+            a[i] = [x - f * y if j > k else x for j, (x, y) in enumerate(zip(a[i], a[k]))]
+    return False
+
+
+def _linspace(lo, hi, num):
+    """numpy.linspace(lo, hi, num).tolist() for floats lo and hi and an int
+    num >= 1, bit for bit: k * step + lo with step = (hi - lo) / (num - 1),
+    or (k / (num - 1)) * (hi - lo) where step is 0 (numpy's branch for
+    subnormal steps), and hi itself last."""
+    div, delta = num - 1, hi - lo
+    if div and (step := delta / div):
+        ys = [k * step for k in range(num)]
+    else:
+        ys = [k / div * delta if div else k * delta for k in range(num)]
+    ys = [y + lo for y in ys]
+    if div:
+        ys[-1] = hi
+    return ys
 
 
 def fenchel_conjugate(model, q, p, box=2.0, grid=5):
     """sup_v (p . v - L) by multi-start Newton (default NewtonConfig); test
     oracle for convex models.
 
-    Requires L strictly convex in the velocities near the maximizer, i.e. the
-    least eigenvalue of the velocity Hessian there above 1e-10 times its
-    largest |entry| (or 1); candidate stationary points failing that check
-    (_not_convex) are discarded.  L, L_v and W come from model.core.
+    Newton starts from each point of a grid of grid values on [-box, box]
+    per velocity (grid an integer of at least 1, box finite, else an
+    ArgumentError).  Requires L strictly convex in the velocities near the
+    maximizer, i.e. the least eigenvalue of the velocity Hessian there above
+    1e-10 times its largest |entry| (or 1); candidate stationary points
+    failing that check (_not_convex) are discarded.  L, L_v and W come from
+    model.core.
     """
-    import numpy as np
-    n = model.n
+    _require_integer("grid", grid, 1)
+    if not (isinstance(box, Real) and abs(box) <= sys.float_info.max):
+        raise ArgumentError(f"box must be a finite number, not {box!r}")
+    n, box = model.n, float(box)
     core = model.core
     lv, w = core.slices["L_v"], core.slices["W"]
     p, args = _floats(p), list(_floats(q)) + [0.0] * n
     residual, jacobian, last = newton_pair(core.fn, args, range(n, 2 * n),
                                            range(lv.start, lv.stop), range(w.start, w.stop), p)
     best = None
-    for start in itertools.product(np.linspace(-box, box, grid).tolist(), repeat=n):
+    for start in itertools.product(_linspace(-box, box, grid), repeat=n):
         try:
             v = damped_newton(residual, jacobian, start, NewtonConfig())
         except (NewtonError, DomainError):
             continue
-        if _not_convex(np.reshape(jacobian(last[0]), (n, n))):  # at v, from Newton's last call
+        if _not_convex(jacobian(last[0]), n):  # at v, from Newton's last call
             continue  # not a strict local maximum of p.v - L
         value = dot(p, v) - last[1][0]
         if best is None or value > best:

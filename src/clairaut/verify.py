@@ -16,6 +16,13 @@ quantities the theory predicts to be nonzero in general (bracket
 antisymmetry defect, dependent-row defects, the raw consistency
 functions); they are informational and never fail the run.
 
+Every check computes on Python floats: the points' float tuples, the
+resolution's (Resolution._flat) and the float cores behind the public
+array functions (gauge._field_strength, _maxwell_current and
+FiniteDifferenceObservable._jacobian, manytime's G, the sector solve and
+the RK4 run of dynamics), so a run loads no numpy.  Where numpy reduced, its
+rule stays: a nan makes a spread or a maximum nan.
+
 Everything is seeded, so two runs with the same model, seed, and probe
 count produce byte-identical reports.
 """
@@ -26,26 +33,21 @@ import math
 import operator
 from types import SimpleNamespace
 
-from .dynamics import (
-    IntegratorConfig,
-    degenerate_velocities,
-    gauge_input,
-    integrate,
-)
+from .dynamics import IntegratorConfig, _integrate, _sector_velocities, gauge_input
 from .errors import ClairautError
 from .gauge import (
     FiniteDifferenceObservable,
     _bracket_gradient,
+    _field_strength,
     _jets,
     _long_derivative,
     _long_gradient,
+    _maxwell_current,
     _zpoisson,
     bracket_gauge,
     bracket_new,
     classify,
-    field_strength,
     long_derivative,
-    maxwell_current,
     bianchi_residual,
     phase_probes,
     poisson_phys,
@@ -105,7 +107,7 @@ class _Context:
         ct, defects = self.ct, ([], [])
         for pt in self.probes[:5]:
             res = ct.resolve(pt)
-            v = degenerate_velocities(ct, pt, cls=self.cls, res=res)[0].tolist()
+            v = _sector_velocities(ct, pt, None, self.cls, 0.0, res)[0]
             f, nd = res._flat("F"), len(v)
             for a, dh in enumerate(res._flat("DH")):
                 defects[a not in self.cls.subblock].append(dot(f[a * nd:a * nd + nd], v) - dh)
@@ -219,20 +221,21 @@ def _envelope_gradients(ctx):
 
 
 def _gradient_fd(ctx):
-    import numpy as np
-    # one Jacobian of the vector (H, B_1, ..., B_k) per probe
-    ct = ctx.ct
+    # one Jacobian of the vector (H, B_1, ..., B_k) per probe: its q-rows, then its p-rows
+    ct, n, r = ctx.ct, ctx.ct.n, ctx.ct.r
 
     def h_and_b(pt):
-        pt = ctx.held(pt)  # _consistency_tower displaces cawley's probe 0 alike
-        return np.concatenate([[ct.h_phys(pt)], ct.b_values(pt)])
+        res = ct.resolve(ctx.held(pt))  # _consistency_tower displaces cawley's probe 0 alike
+        return [res.H, *res._flat("B")]
 
     fd = FiniteDifferenceObservable(h_and_b, ct, 1e-6)
     for pt in ctx.probes[:3]:
-        res = ct.resolve(pt)
-        for got, ref in ((np.vstack([res.dH_dq, res.dB_dq]), fd.d_dq(pt)),
-                         (np.vstack([res.dH_dp, res.dB_dp]), fd.d_dp(pt))):
-            yield from ((got - ref) / (1 + np.abs(ref))).flat
+        res, (ref_q, ref_p) = ct.resolve(pt), fd._jacobian(pt)
+        bq, bp = res._flat("dB_dq"), res._flat("dB_dp")
+        got = ([res._flat("dH_dq")] + [bq[a * n:a * n + n] for a in range(n - r)]
+               + [res._flat("dH_dp")] + [bp[a * r:a * r + r] for a in range(n - r)])
+        for got_row, ref_row in zip(got, ref_q + ref_p):
+            yield from ((g - f) / (1 + abs(f)) for g, f in zip(got_row, ref_row))
 
 
 def _conjugate_residual(ctx):
@@ -264,8 +267,12 @@ _new_bracket_reduction = _pair_check(23, 3, lambda ctx, x, y, pt: (
     bracket_new(ctx.ct, x, y, pt) - poisson_phys(ctx.ct, x, y, pt)))
 
 
+def _spread(values):
+    """max - min of the floats values, nan where one is nan (numpy's ptp)."""
+    return math.nan if any(x != x for x in values) else max(values) - min(values)
+
+
 def _degenerate_independence(ctx):
-    import numpy as np
     # the spread of H and of each B over five scalings of v_deg
     ct = ctx.ct
     rng = ctx.rng(7)
@@ -273,15 +280,16 @@ def _degenerate_independence(ctx):
         rows = []
         for _ in range(5):
             scale = rng.uniform(0.7, 1.7, size=ct.n - ct.r)
-            vpt = pt._replace(v_deg=pt.v_deg * scale)
-            rows.append([ct.h_phys(vpt), *ct.b_values(vpt)])
-        yield from np.ptp(rows, axis=0)
+            res = ct.resolve(pt._replace(v_deg=list(map(operator.mul, pt._v, scale))))
+            rows.append([res.H, *res._flat("B")])
+        yield from map(_spread, zip(*rows))
 
 
 def _field_antisymmetry(ctx):
+    nd = ctx.ct.n - ctx.ct.r
     for pt in ctx.probes:
-        f = field_strength(ctx.ct, pt)
-        yield from (f + f.T).flat
+        f = _field_strength(ctx.ct, pt)
+        yield from (f[a * nd + b] + f[b * nd + a] for a in range(nd) for b in range(nd))
 
 
 def _extra_time_f(ctx):
@@ -341,12 +349,12 @@ def _current_conservation(ctx):
     ct = ctx.ct
     n, pt = ct.n, ctx.probes[0]
     cols = central_differences(
-        lambda z: maxwell_current(ct, ctx.held(pt._replace(q=z[:n], p=z[n:]))),
+        lambda z: _maxwell_current(ct, ctx.held(pt._replace(q=z[:n], p=z[n:]))),
         [*pt._q, *pt._p], 1e-5)
     res = ct.resolve(pt)
     total = 0.0
     for a in range(ct.n - ct.r):
-        grad = [float(col[a]) for col in cols]
+        grad = [col[a] for col in cols]
         total += _long_derivative(ct, res, a, grad[:n], grad[n:])
     yield total
 
@@ -361,7 +369,7 @@ def _fenchel(ctx):
     ct = ctx.ct
     for pt in ctx.probes[:5]:
         res = ct.resolve(pt)
-        if _not_convex(res.W):
+        if _not_convex(res._flat("W"), ct.n):
             continue
         box = 2.0 + 2.0 * _max_abs(pt._p)
         yield res.H - fenchel_conjugate(ct.model, pt._q, pt._p, box=box, grid=9)
@@ -384,13 +392,13 @@ def _bracket_jacobiator(ctx):
 
     inner = FiniteDifferenceObservable(inner_brackets, ct, 1e-5)
     rows = (SimpleNamespace(d_dq=lambda _, g=dq: g, d_dp=lambda _, g=dp: g)
-            for dq, dp in zip(inner.d_dq(pt), inner.d_dp(pt)))
+            for dq, dp in zip(*inner._jacobian(pt)))
     a, b, c = (bracket_new(ct, row, w, pt) for row, (_, _, w) in zip(rows, cycle))
     yield a + b + c
 
 
 def _b_vanishes(ctx):
-    return all(_max_abs(ctx.ct.b_values(pt)) <= 1e-12 for pt in ctx.probes[:3])
+    return all(_max_abs(ctx.ct.resolve(pt)._flat("B")) <= 1e-12 for pt in ctx.probes[:3])
 
 
 def _limit_partials(ctx):
@@ -399,7 +407,7 @@ def _limit_partials(ctx):
     for pt in ctx.probes[:3]:
         xq = x.d_dq(pt)
         for a in range(ct.n - ct.r):
-            yield long_derivative(ct, x, a, pt) - float(xq[ct.deg_idx[a]])
+            yield long_derivative(ct, x, a, pt) - xq[ct._deg[a]]
 
 
 # ----------------------------------------- invariant-surface trajectory check
@@ -509,15 +517,20 @@ def _constraint_preservation(ctx):
     cand = pt0
     for levels in (1, 2, 3):
         cand = _project_to_surface(ctx, pt0, levels)
-        trial = integrate(ct, cand, gauge,
-                          IntegratorConfig(t1=trial_t1, dt=5e-3,
-                                           consistency_tol=1e30), cls)
-        if _max_abs(trial.consistency) <= 0.1 * PRESERVATION_TOL * (trial_t1 / run_t1) ** 2:
+        trial = _integrate(ct, cand, gauge, IntegratorConfig(t1=trial_t1, dt=5e-3,
+                                                             consistency_tol=1e30),
+                           cls, _consistency)
+        if _max_abs(trial) <= 0.1 * PRESERVATION_TOL * (trial_t1 / run_t1) ** 2:
             break
-    traj = integrate(ct, cand, gauge,
-                     IntegratorConfig(t1=run_t1, dt=1e-3,
-                                      consistency_tol=1e30), cls)
-    return traj.consistency
+    return _integrate(ct, cand, gauge, IntegratorConfig(t1=run_t1, dt=1e-3, consistency_tol=1e30),
+                      cls, _consistency)
+
+
+def _consistency(ct, rows, count, cfg):
+    """The consistency residual of each of the first count rows of an RK4
+    run (dynamics._integrate's builder): the floats of the last column."""
+    width = 2 * ct.n + 3
+    return rows[width - 1:count * width:width]
 
 
 # --------------------------------------------------------------- the suite

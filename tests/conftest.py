@@ -1,8 +1,9 @@
 """Shared reporting: the acceptance tests append one line per criterion
 here, and the summary hook prints the scoreboard after the run regardless
 of capture mode.  reference_resolve is the damped-Newton-only resolve that
-the transform's and integrate's full Newton steps are checked against, and
-pfaffian the reference of the RK4 loop's Pfaffian sign."""
+the transform's and integrate's full Newton steps are checked against,
+pfaffian the reference of the RK4 loop's Pfaffian sign, and
+eigvalsh_not_convex that of the Fenchel oracle's convexity gate."""
 
 import numpy as np
 
@@ -57,6 +58,14 @@ def pfaffian(matrix):
             col = a[k + 2:, k + 1]
             a[k + 2:, k + 2:] += np.outer(tau, col) - np.outer(col, tau)
     return float(pf)
+
+
+def eigvalsh_not_convex(w, n):
+    """transform._not_convex as numpy's eigvalsh decides it: the least
+    eigenvalue of w (n x n, flat) at most 1e-10 times its largest |entry|
+    (or 1)."""
+    w = np.reshape(w, (n, n))
+    return bool(np.min(np.linalg.eigvalsh(w)) <= 1e-10 * max(1.0, float(np.max(np.abs(w)))))
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

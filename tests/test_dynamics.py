@@ -710,6 +710,19 @@ class TestDiracCorrespondence:
         assert rep.fab_residual == 0.0 and rep.dhf_residual == 0.0
         assert rep.h_t == pytest.approx(ct.h_phys(pt))
 
+    @pytest.mark.parametrize("p_deg", ([0.1, 0.2], [0.1], [0.1] * 5))
+    def test_wrong_number_of_degenerate_momenta(self, p_deg):
+        # synthetic_gauge has 4 degenerate directions; a shorter list was
+        # broadcast by numpy (or refused by its broadcasting), not checked
+        ct = transform("synthetic_gauge")
+        pt = phase_probes(ct)[0]
+        with pytest.raises(ArgumentError,
+                           match=f"^dirac_report takes 4 degenerate values, not {len(p_deg)}$"):
+            dirac_report(ct, pt, p_deg=p_deg)
+        with pytest.raises(ArgumentError, match=f"^h_mix takes 4 degenerate values, not "
+                                                f"{len(p_deg)}$"):
+            ct.h_mix(pt, p_deg)
+
     @pytest.mark.parametrize("name", (
         "synthetic_gaugeless", "synthetic_coupled", "mixed", "cawley",
         "christ_lee"))

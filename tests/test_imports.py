@@ -1,6 +1,6 @@
 """numpy at the edge: importing the package and its CLI loads no numpy, nor
-does a command that fails before its first array, nor analyze, transform or
-pde, which run on floats; no command loads numpy.random, since the package
+does a command that fails before its first array, nor analyze, transform,
+pde or verify, which run on floats; no command loads numpy.random, since the package
 draws from its own generator; and no module imports numpy at module level.
 Each child runs isolated (-I), so neither the environment nor site-packages'
 .pth hooks can preload numpy.  scripts/check_numpy_free.py pins the digests
@@ -69,14 +69,20 @@ def test_analyze_transform_and_pde_load_no_numpy():
     assert [what for what, _, loaded in runs if loaded] == []
 
 
+def test_verify_loads_no_numpy():
+    runs = run_isolated("numpy", [["verify", name] for name in BUNDLED])
+    assert [code for _, code, _ in runs] == [0] * (len(BUNDLED) + 1)
+    assert [what for what, _, loaded in runs if loaded] == []
+
+
 def test_numpy_free_check_pins_the_output_digests():
     # the script computes each pinned command's digest with output_digests
     child = ("import sys; sys.path[:0] = sys.argv[1:]; import check_numpy_free as c; "
-             "assert len(c.pinned_digests()) == 13; c.main()")
+             "assert len(c.pinned_digests()) == 23; c.main()")
     proc = subprocess.run([sys.executable, "-I", "-c", child, os.path.join(ROOT, "scripts"), SRC],
                           capture_output=True, text=True, cwd=ROOT)
     assert proc.returncode == 0, proc.stderr
-    assert "13 numpy-free reference commands: the pinned digests" in proc.stdout
+    assert "23 numpy-free reference commands: the pinned digests" in proc.stdout
 
 
 def test_no_command_loads_numpy_random(tmp_path):

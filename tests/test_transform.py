@@ -26,7 +26,7 @@ from clairaut.fixtures import BUNDLED
 from clairaut.gauge import phase_probes
 from clairaut.numerics import block_kernel, dot, third_layout
 from clairaut.transform import Resolution
-from conftest import reference_resolve
+from conftest import eigvalsh_not_convex, reference_resolve
 
 RNG_SEED = 1234
 
@@ -364,6 +364,60 @@ class TestPointNames:
 
 
 class TestFenchelOracle:
+    @pytest.fixture(autouse=True)
+    def gates(self, monkeypatch):
+        """Every convexity decision of these tests, each checked against
+        eigvalsh's."""
+        real, decisions = transform_module._not_convex, []
+
+        def checked(w, n):
+            decisions.append(real(w, n))
+            assert decisions[-1] == eigvalsh_not_convex(w, n), list(w)
+            return decisions[-1]
+
+        monkeypatch.setattr(transform_module, "_not_convex", checked)
+        return decisions
+
+    def test_the_gate_decides_in_these_tests(self, gates):
+        fenchel_conjugate(load_bundled("oscillator"), [1.0], [2.0])
+        fenchel_conjugate(parse_model("coord x; lagrangian = x*d(x)^2/2 - d(x)^4/4;"),
+                          [1.0], [0.1], box=2.0, grid=9)
+        assert True in gates and False in gates
+
+    @pytest.mark.parametrize("grid", (-1, 0, 2.5, "3", None))
+    def test_grid_is_an_integer_of_at_least_one(self, grid):
+        with pytest.raises(ArgumentError, match="^grid must be an integer of at least 1"):
+            fenchel_conjugate(load_bundled("oscillator"), [1.0], [2.0], grid=grid)
+
+    @pytest.mark.parametrize("box", (math.nan, math.inf, -math.inf, 10 ** 400, "2", None))
+    def test_box_is_a_finite_number(self, box):
+        # no RuntimeWarning first: the suite turns each into an error
+        with pytest.raises(ArgumentError, match="^box must be a finite number"):
+            fenchel_conjugate(load_bundled("oscillator"), [1.0], [2.0], box=box)
+
+    @pytest.mark.parametrize("box", (0.0, 5e-324, 1e-310, 0.25, 2, np.float64(3.5)))
+    def test_any_finite_box_and_grid_of_one(self, box):
+        ct = transform("oscillator")
+        for grid in (1, 2, 5):
+            value = fenchel_conjugate(ct.model, [1.0], [2.0], box=box, grid=grid)
+            assert abs(value - ct.h_phys(ct.point([1.0], [2.0]))) < 1e-10
+
+    def test_the_starts_are_numpys_linspace(self):
+        # bit for bit, signed zeros and nan included: numpy's step == 0
+        # branch (box 0 and subnormal boxes), the num == 1 branch, and a
+        # span that overflows
+        rng = random.Random(RNG_SEED)
+        boxes = [0.0, -0.0, 5e-324, 1e-323, 2.5e-323, 1e-310, 2.2250738585072014e-308, 1e-300,
+                 0.1, 1.0, 2.0, -2.0, 1e300, 8.98846567431158e307, 1.7976931348623157e308]
+        boxes += [rng.choice((-1, 1)) * rng.random() * 2.0 ** rng.randint(-1074, 1023)
+                  for _ in range(300)]
+        for box in boxes:
+            for grid in (*range(1, 13), 17, 100, 1001):
+                with np.errstate(over="ignore", invalid="ignore"):
+                    want = np.linspace(-box, box, grid).tolist()
+                got = transform_module._linspace(-box, box, grid)
+                assert [x.hex() for x in got] == [x.hex() for x in want], (box, grid)
+
     def test_oscillator_value(self):
         value = fenchel_conjugate(load_bundled("oscillator"), [1.0], [2.0])
         assert abs(value - 2.5) < 1e-10
